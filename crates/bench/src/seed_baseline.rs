@@ -21,8 +21,9 @@
 //!   per-destination `Vec` allocation per draw, `BTreeSet` chunk dedup,
 //!   `BTreeMap` local indexing, per-destination edge `Vec`s. The RNG
 //!   stream-splitting is unchanged, so its output is **bitwise identical**
-//!   to today's [`gnn_dm_sampling::sampler::build_minibatch_par`] — the
-//!   bench asserts exactly that, turning the speedup row into a
+//!   to today's one-pass
+//!   [`gnn_dm_sampling::sampler::build_minibatch_seeded`] — the bench
+//!   asserts exactly that, turning the speedup row into a
 //!   refactor-correctness check as well.
 //! * [`seed_epoch_batches`] — the seed's `EpochPlan::batches`, driving the
 //!   seed sampler with the identical epoch-seed formula (again bitwise
@@ -98,15 +99,16 @@ impl SeedIndexer {
     }
 }
 
-/// Destinations per dedup chunk — must match the live `DEDUP_CHUNK` so the
-/// merged first-occurrence order (and therefore every bit of the output)
-/// agrees with the current implementation.
+/// Destinations per dedup chunk, as at the seed. Merging per-chunk
+/// first-occurrence lists in chunk order yields the global first-appearance
+/// order whatever the chunk size, which is why the live one-pass builder
+/// (no chunks at all) still agrees bit for bit.
 const SEED_DEDUP_CHUNK: usize = 64;
 
 /// The seed's three-phase parallel mini-batch builder: fresh `Vec` per
 /// destination draw, `BTreeSet` per-chunk dedup, `BTreeMap` indexing,
-/// per-destination edge lists. Identical RNG streams and merge order to
-/// the current `build_minibatch_par`, so the output matches bitwise.
+/// per-destination edge lists. Identical RNG streams and source numbering
+/// to the current `build_minibatch_seeded`, so the output matches bitwise.
 pub fn seed_build_minibatch_par(
     in_csr: &Csr,
     seeds: &[VId],

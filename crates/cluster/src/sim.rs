@@ -144,16 +144,21 @@ impl<'g> ClusterSim<'g> {
         epoch: usize,
     ) -> (EpochLoadReport, Timeline) {
         let k = self.part.k;
-        let workers: Vec<u32> = (0..u32_of_index(k)).collect();
-        let worker_batches: Vec<Vec<Vec<VId>>> = workers
+        // One scan of the split mask buckets the training vertices by home
+        // worker (in `train_vertices` order, as `local_train` returns them).
+        let mut local_train: Vec<Vec<VId>> = vec![Vec::new(); k];
+        for v in self.graph.train_vertices() {
+            local_train[usize_of_u32(self.part.part_of(v))].push(v);
+        }
+        let worker_batches: Vec<Vec<Vec<VId>>> = local_train
             .iter()
-            .map(|&w| {
-                let train_w = self.local_train(w);
+            .zip(0u32..)
+            .map(|(train_w, w)| {
                 if train_w.is_empty() {
                     return Vec::new();
                 }
                 BatchSelection::Random.select(
-                    &train_w,
+                    train_w,
                     self.batch_size,
                     self.seed ^ u64_of_u32(w) << 32,
                     epoch,
@@ -222,19 +227,29 @@ impl<'g> ClusterSim<'g> {
             // batches (the scratch never changes what is drawn), no
             // per-batch map/buffer churn.
             let mut scratch = SampleScratch::new();
+            // Per-owner batch tallies and the per-destination edge counts,
+            // reused across the worker's batches.
+            let mut remote_edges = vec![0u64; k];
+            let mut subgraph_bytes = vec![0u64; k];
+            let mut feature_bytes = vec![0u64; k];
+            let mut degs: Vec<u64> = Vec::new();
             for (b_idx, seeds) in batches.iter().enumerate() {
                 let mb = build_minibatch_with(&self.graph.inn, seeds, sampler, rng, &mut scratch);
                 let batch = u32::try_from(b_idx).ok();
                 let mut local_edges = 0u64;
-                let mut remote_edges = vec![0u64; k];
-                let mut subgraph_bytes = vec![0u64; k];
-                let mut feature_bytes = vec![0u64; k];
+                remote_edges.fill(0);
+                subgraph_bytes.fill(0);
+                feature_bytes.fill(0);
                 let mut recv_bytes = 0u64;
                 // Sampling-request routing, block by block.
                 for block in &mb.blocks {
-                    let degs = block.dst_in_degrees();
+                    degs.clear();
+                    degs.resize(block.dst_ids.len(), 0);
+                    for &(_, d_local) in &block.edges {
+                        degs[usize_of_u32(d_local)] += 1;
+                    }
                     for (d_local, &d) in block.dst_ids.iter().enumerate() {
-                        let edges = u64_of_u32(degs[d_local]);
+                        let edges = degs[d_local];
                         if edges == 0 {
                             continue;
                         }

@@ -161,6 +161,21 @@ impl<'g> HeteroTrainer<'g> {
         dims
     }
 
+    /// Runs `f` on the epoch plan the configuration describes.
+    fn with_plan<R>(&self, f: impl FnOnce(&EpochPlan<'_>) -> R) -> R {
+        let train = self.graph.train_vertices();
+        let sampler = FanoutSampler::new(self.cfg.fanouts.clone());
+        let schedule = BatchSizeSchedule::Fixed(self.cfg.batch_size);
+        f(&EpochPlan {
+            in_csr: &self.graph.inn,
+            train: &train,
+            selection: &self.cfg.selection,
+            schedule: &schedule,
+            sampler: &sampler,
+            seed: self.cfg.seed,
+        })
+    }
+
     /// Runs one modelled epoch: builds every sampled batch, prices each
     /// pipeline stage, and returns aggregate timings.
     pub fn run_epoch_model(&mut self, epoch: usize) -> EpochTimings {
@@ -191,48 +206,44 @@ impl<'g> HeteroTrainer<'g> {
         epoch: usize,
         faults: &FaultPlan,
     ) -> (EpochTimings, Timeline) {
-        let train = self.graph.train_vertices();
-        let sampler = FanoutSampler::new(self.cfg.fanouts.clone());
-        let selection = self.cfg.selection.clone();
-        let schedule = BatchSizeSchedule::Fixed(self.cfg.batch_size);
-        let plan = EpochPlan {
-            in_csr: &self.graph.inn,
-            train: &train,
-            selection: &selection,
-            schedule: &schedule,
-            sampler: &sampler,
-            seed: self.cfg.seed,
-        };
-        let batches = plan.batches(epoch);
         let dims = self.dims();
         let row_bytes = self.graph.features.row_bytes();
         let n = self.graph.num_vertices();
-        self.cache.reset_stats();
 
-        let mut stage_times = Vec::with_capacity(batches.len());
-        let mut metas = Vec::with_capacity(batches.len());
-        for mb in &batches {
-            let bp = compute::sampling_seconds(mb);
-            let misses = self.cache.filter_misses(mb.input_ids());
+        // Every stage price is a pure function of its batch, so each batch
+        // is priced on the worker that built it and dropped there; only the
+        // prices come back, in batch order.
+        let priced = self.with_plan(|plan| plan.map_batches(epoch, |_, mb| {
+            let bp = compute::sampling_seconds(&mb);
+            let access = self.cache.classify(mb.input_ids());
             let bt = BatchTransfer {
-                rows: misses.len(),
+                rows: access.misses.len(),
                 row_bytes,
                 topo_bytes: mb.topo_bytes(),
             };
             let activity = match self.cfg.transfer {
                 TransferMethod::Hybrid { .. } => {
-                    Some(block_activity(&misses, n, row_bytes, PAPER_BLOCK_BYTES))
+                    Some(block_activity(&access.misses, n, row_bytes, PAPER_BLOCK_BYTES))
                 }
                 _ => None,
             };
             let report = self.engine.time(self.cfg.transfer, &bt, activity.as_ref());
-            let nn = self.gpu.seconds_for_flops(compute::minibatch_flops(mb, &dims, false));
-            stage_times.push(BatchStageTimes { bp, dt: report.total(), nn });
-            metas.push(BatchMeta {
+            let nn = self.gpu.seconds_for_flops(compute::minibatch_flops(&mb, &dims, false));
+            let stage = BatchStageTimes { bp, dt: report.total(), nn };
+            let meta = BatchMeta {
                 gather: report.gather_sec,
                 bytes: report.bytes,
                 edges: mb.involved_edges() as u64,
-            });
+            };
+            (stage, meta, access.hit_count, access.miss_count)
+        }));
+        self.cache.reset_stats();
+        let mut stage_times = Vec::with_capacity(priced.len());
+        let mut metas = Vec::with_capacity(priced.len());
+        for (stage, meta, hits, misses) in priced {
+            self.cache.record(hits, misses);
+            stage_times.push(stage);
+            metas.push(meta);
         }
         let tl = replay_epoch_faulted(&stage_times, &metas, self.cfg.pipeline, faults, epoch);
         let totals = EpochTimings {
@@ -249,7 +260,7 @@ impl<'g> HeteroTrainer<'g> {
             ),
             pcie_bytes: tl.bytes_on(Resource::PcieLink),
             cache_hit_rate: self.cache.hit_rate(),
-            num_batches: batches.len(),
+            num_batches: stage_times.len(),
         };
         (totals, tl)
     }
@@ -257,20 +268,8 @@ impl<'g> HeteroTrainer<'g> {
     /// Block activity of the first batch of an epoch (Figures 15/16),
     /// optionally after cache filtering.
     pub fn first_batch_activity(&mut self, epoch: usize, apply_cache: bool) -> BlockActivity {
-        let train = self.graph.train_vertices();
-        let sampler = FanoutSampler::new(self.cfg.fanouts.clone());
-        let selection = self.cfg.selection.clone();
-        let schedule = BatchSizeSchedule::Fixed(self.cfg.batch_size);
-        let plan = EpochPlan {
-            in_csr: &self.graph.inn,
-            train: &train,
-            selection: &selection,
-            schedule: &schedule,
-            sampler: &sampler,
-            seed: self.cfg.seed,
-        };
         // lint:allow(P001, U001) the graph always has train vertices, so an epoch has >= 1 batch
-        let mb = plan.batches(epoch).into_iter().next().expect("at least one batch");
+        let mb = self.with_plan(|plan| plan.first_batch(epoch)).expect("at least one batch");
         let row_bytes = self.graph.features.row_bytes();
         let n = self.graph.num_vertices();
         let ids: Vec<u32> = if apply_cache {
@@ -388,6 +387,31 @@ mod tests {
         let before = t.first_batch_activity(0, false);
         let after = t.first_batch_activity(0, true);
         assert!(after.total_active() < before.total_active());
+    }
+
+    /// `first_batch_activity` builds only batch 0; the answer is the one
+    /// the whole epoch's first batch gives, with and without the cache.
+    #[test]
+    fn first_batch_activity_matches_full_epoch() {
+        let g = graph();
+        let mut c = cfg(&g);
+        c.cache_policy = Some(CachePolicy::Degree);
+        c.cache_ratio = 0.3;
+        let mut t = HeteroTrainer::new(&g, c);
+        for epoch in [0, 3] {
+            let first = t.with_plan(|plan| plan.batches(epoch)).swap_remove(0);
+            assert_eq!(t.with_plan(|plan| plan.first_batch(epoch)).as_ref(), Some(&first));
+            let row_bytes = g.features.row_bytes();
+            let all = first.input_ids().to_vec();
+            let missed = t.cache().classify(&all).misses;
+            assert!(missed.len() < all.len(), "the cache holds some of the batch");
+            for (apply_cache, ids) in [(false, &all), (true, &missed)] {
+                assert_eq!(
+                    t.first_batch_activity(epoch, apply_cache),
+                    block_activity(ids, g.num_vertices(), row_bytes, PAPER_BLOCK_BYTES),
+                );
+            }
+        }
     }
 
     #[test]

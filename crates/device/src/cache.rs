@@ -130,9 +130,15 @@ impl FeatureCache {
     /// (saturating, so the running counters can never wrap).
     pub fn filter_misses(&mut self, ids: &[VId]) -> Vec<VId> {
         let c = self.classify(ids);
-        self.hits = self.hits.saturating_add(c.hit_count);
-        self.misses = self.misses.saturating_add(c.miss_count);
+        self.record(c.hit_count, c.miss_count);
         c.misses
+    }
+
+    /// Adds the counts of a batch [`FeatureCache::classify`]d elsewhere to
+    /// the running statistics (saturating).
+    pub fn record(&mut self, hits: u64, misses: u64) {
+        self.hits = self.hits.saturating_add(hits);
+        self.misses = self.misses.saturating_add(misses);
     }
 
     /// Hits recorded so far.

@@ -170,10 +170,6 @@ pub(crate) struct DenseMap {
 }
 
 impl DenseMap {
-    pub(crate) fn new() -> Self {
-        DenseMap::default()
-    }
-
     /// Starts a fresh logical map. Must be called before the first probe;
     /// `gen` starts at 0, which no stamp can match after this runs.
     pub(crate) fn begin(&mut self) {
@@ -278,7 +274,7 @@ mod tests {
 
     #[test]
     fn dense_map_generations_reset_in_o1() {
-        let mut m = DenseMap::new();
+        let mut m = DenseMap::default();
         m.begin();
         assert_eq!(m.get(5), None);
         m.insert(5, 2);

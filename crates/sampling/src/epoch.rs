@@ -8,7 +8,9 @@
 //! policy (§7.3.3).
 
 use crate::block::MiniBatch;
-use crate::sampler::{build_minibatch_par_with, NeighborSampler, SampleScratch};
+use crate::sampler::{
+    build_minibatch_seeded, build_minibatch_seeded_with, NeighborSampler, SampleScratch,
+};
 use crate::schedule::BatchSizeSchedule;
 use crate::selection::BatchSelection;
 use gnn_dm_graph::csr::{Csr, VId};
@@ -102,27 +104,46 @@ pub struct EpochPlan<'a> {
 }
 
 impl<'a> EpochPlan<'a> {
-    /// Materializes every mini-batch of `epoch`, in order. Batches are
-    /// built in parallel through [`build_minibatch_par_with`]: each batch
-    /// gets an independent seed split from the epoch seed, so the result
-    /// depends only on `(plan, epoch)` — never on the thread count. Each
-    /// worker carries one [`SampleScratch`] arena across all the batches
-    /// it builds, so the per-batch maps and buffers are allocated once per
-    /// epoch instead of once per batch.
-    pub fn batches(&self, epoch: usize) -> Vec<MiniBatch> {
+    /// The batches of `epoch`, in order, as `(sampling seed, seed vertices)`:
+    /// each batch samples under an independent seed split from the epoch
+    /// seed, so it depends only on `(plan, epoch, batch index)` — never on
+    /// which thread builds it, or when.
+    fn seeded_batches(&self, epoch: usize) -> Vec<(u64, Vec<VId>)> {
         let batch_size = self.schedule.batch_size_at(epoch);
         let batch_seeds = self.selection.select(self.train, batch_size, self.seed, epoch);
         let epoch_seed = self.seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(epoch as u64 + 1);
-        gnn_dm_par::par_map_collect_init(&batch_seeds, SampleScratch::new, |scratch, b, seeds| {
-            // lint:allow(R003) the builder allocates only the owned MiniBatch it returns; draw scratch is reused through this worker arena
-            build_minibatch_par_with(
-                self.in_csr,
-                seeds,
-                self.sampler,
-                gnn_dm_par::split_seed(epoch_seed, b as u64),
-                scratch,
-            )
+        (0u64..).zip(batch_seeds).map(|(b, seeds)| (gnn_dm_par::split_seed(epoch_seed, b), seeds)).collect()
+    }
+
+    /// Builds every mini-batch of `epoch` in parallel and hands batch `b`
+    /// to `f(b, batch)` on the worker that built it, while it is still
+    /// cache-hot; results come back in batch order. `f` must be pure per
+    /// batch, so the result depends only on `(plan, epoch, f)` — never on
+    /// the thread count. Each worker carries one [`SampleScratch`] arena
+    /// across all the batches it builds, so the index map and draw buffers
+    /// are allocated once per epoch instead of once per batch.
+    pub fn map_batches<T, F>(&self, epoch: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, MiniBatch) -> T + Sync,
+    {
+        let batches = self.seeded_batches(epoch);
+        gnn_dm_par::par_map_collect_init(&batches, SampleScratch::new, |scratch, b, (batch_seed, seeds)| {
+            // lint:allow(R003) the builder allocates only the owned MiniBatch it hands to `f`; draw scratch is reused through this worker arena
+            f(b, build_minibatch_seeded_with(self.in_csr, seeds, self.sampler, *batch_seed, scratch))
         })
+    }
+
+    /// Materializes every mini-batch of `epoch`, in order.
+    pub fn batches(&self, epoch: usize) -> Vec<MiniBatch> {
+        self.map_batches(epoch, |_, mb| mb)
+    }
+
+    /// Only the first mini-batch of `epoch` (`batches(epoch)[0]` without
+    /// building the rest); `None` when there is nothing to train on.
+    pub fn first_batch(&self, epoch: usize) -> Option<MiniBatch> {
+        let (batch_seed, seeds) = self.seeded_batches(epoch).into_iter().next()?;
+        Some(build_minibatch_seeded(self.in_csr, &seeds, self.sampler, batch_seed))
     }
 
     /// Runs an epoch for statistics only (no training), updating `tracker`

@@ -360,19 +360,17 @@ pub fn build_minibatch(
 
 /// Reusable arena for mini-batch construction. One lives per sampling
 /// thread for a whole epoch (or a whole cluster simulation), so the
-/// per-batch index maps and draw buffers are allocated once and recycled:
+/// per-batch index map and draw buffers are allocated once and recycled:
 /// only the returned [`MiniBatch`] itself is freshly allocated per batch.
 ///
 /// The arena never changes what is sampled — [`build_minibatch_with`] and
-/// [`build_minibatch_par_with`] produce byte-identical batches whether the
-/// scratch is fresh or has been through a thousand batches.
+/// [`build_minibatch_seeded_with`] produce byte-identical batches whether
+/// the scratch is fresh or has been through a thousand batches.
 #[derive(Debug, Default)]
 pub struct SampleScratch {
     /// Global id → block-local index (stamp-versioned; O(1) reset).
     map: DenseMap,
-    /// Destination-membership marks for the parallel dedup scan.
-    dstmark: DenseMap,
-    /// Per-destination neighbor draw buffer (serial path).
+    /// Per-destination neighbor draw buffer.
     nbr: Vec<VId>,
     /// Draw-routine temporaries.
     sampler: SamplerScratch,
@@ -385,18 +383,14 @@ impl SampleScratch {
     }
 }
 
-/// Deduplicates `seeds` in first-occurrence order using `map`'s current
-/// generation (entries keyed 0; callers that need real indices re-`begin`).
-fn dedup_seeds(seeds: &[VId], map: &mut DenseMap) -> Vec<VId> {
-    map.begin();
-    let mut seeds_dedup: Vec<VId> = Vec::with_capacity(seeds.len());
-    for &s in seeds {
-        if map.get(s).is_none() {
-            map.insert(s, 0);
-            seeds_dedup.push(s);
-        }
-    }
-    seeds_dedup
+/// Where a builder's neighbor draws come from — the only thing the stream
+/// and the seeded builder differ in.
+enum DrawRng<'a> {
+    /// Every draw pulls from the caller's generator, in destination order.
+    Stream(&'a mut StdRng),
+    /// Each `(layer, destination index)` pair gets a fresh generator seeded
+    /// with `split_seed(split_seed(base_seed, layer), dst_index)`.
+    Seeded(u64),
 }
 
 /// [`build_minibatch`] with a caller-owned [`SampleScratch`]. Identical
@@ -409,25 +403,89 @@ pub fn build_minibatch_with(
     rng: &mut StdRng,
     scratch: &mut SampleScratch,
 ) -> MiniBatch {
-    let SampleScratch { map, nbr, sampler: draw_scratch, .. } = scratch;
-    let seeds_dedup = dedup_seeds(seeds, map);
+    assemble_blocks(in_csr, seeds, sampler, DrawRng::Stream(rng), scratch)
+}
+
+/// Vertex-wise mini-batch construction, seeded rather than stream-threaded:
+/// instead of pulling every draw from one shared `StdRng`, each
+/// `(layer, destination)` pair gets its own RNG seeded with
+/// [`gnn_dm_par::split_seed`] from `base_seed`, so a batch is a pure
+/// function of `(in_csr, seeds, sampler, base_seed)` and batches of one
+/// epoch can be built on different threads in any order
+/// ([`crate::epoch::EpochPlan::map_batches`]). The builder itself never
+/// fans out: it is the same one-pass loop as [`build_minibatch`].
+///
+/// Note the draws differ from [`build_minibatch`] with any particular
+/// `StdRng` (the streams are split differently); the *distribution* is the
+/// same, and determinism for a given `base_seed` is exact.
+pub fn build_minibatch_seeded(
+    in_csr: &Csr,
+    seeds: &[VId],
+    sampler: &dyn NeighborSampler,
+    base_seed: u64,
+) -> MiniBatch {
+    build_minibatch_seeded_with(in_csr, seeds, sampler, base_seed, &mut SampleScratch::new())
+}
+
+/// [`build_minibatch_seeded`] with a caller-owned [`SampleScratch`].
+/// Identical output for a given `(in_csr, seeds, sampler, base_seed)`.
+pub fn build_minibatch_seeded_with(
+    in_csr: &Csr,
+    seeds: &[VId],
+    sampler: &dyn NeighborSampler,
+    base_seed: u64,
+    scratch: &mut SampleScratch,
+) -> MiniBatch {
+    assemble_blocks(in_csr, seeds, sampler, DrawRng::Seeded(base_seed), scratch)
+}
+
+/// The block-assembly loop behind every vertex-wise builder. Per layer the
+/// destinations take the first local indices, in order; then each
+/// destination's neighbors are drawn and resolved against the one index map
+/// while its edges are pushed, so a new source is numbered at its first
+/// appearance in destination order — the numbering `LocalIndexer` assigns.
+fn assemble_blocks(
+    in_csr: &Csr,
+    seeds: &[VId],
+    sampler: &dyn NeighborSampler,
+    mut draws: DrawRng<'_>,
+    scratch: &mut SampleScratch,
+) -> MiniBatch {
+    use rand::SeedableRng;
+
+    let SampleScratch { map, nbr, sampler: draw_scratch } = scratch;
+    map.begin();
+    let mut seeds_dedup: Vec<VId> = Vec::with_capacity(seeds.len());
+    for &s in seeds {
+        if map.get(s).is_none() {
+            map.insert(s, 0);
+            seeds_dedup.push(s);
+        }
+    }
 
     let mut blocks_rev: Vec<Block> = Vec::with_capacity(sampler.num_layers());
     let mut frontier = seeds_dedup.clone();
     for layer in 0..sampler.num_layers() {
+        // The frontier is duplicate-free (deduplicated seeds, then a block's
+        // `src_ids`), so destination `j` has local index `j`.
         let dst_ids = frontier;
-        // Destinations take the first local indices, in order — the same
-        // numbering `LocalIndexer` assigns.
         map.begin();
-        let mut src_ids: Vec<VId> = Vec::with_capacity(dst_ids.len() * 2);
-        for &d in &dst_ids {
-            if map.get(d).is_none() {
-                map.insert(d, src_ids.len() as u32);
-                src_ids.push(d);
-            }
+        for (d_local, &d) in dst_ids.iter().enumerate() {
+            map.insert(d, d_local as u32);
         }
+        let mut src_ids: Vec<VId> = Vec::with_capacity(dst_ids.len() * 2);
+        src_ids.extend_from_slice(&dst_ids);
         let mut edges: Vec<(u32, u32)> = Vec::new();
         for (d_local, &d) in dst_ids.iter().enumerate() {
+            let mut derived;
+            let rng: &mut StdRng = match &mut draws {
+                DrawRng::Stream(rng) => rng,
+                DrawRng::Seeded(base_seed) => {
+                    let layer_seed = gnn_dm_par::split_seed(*base_seed, layer as u64);
+                    derived = StdRng::seed_from_u64(gnn_dm_par::split_seed(layer_seed, d_local as u64));
+                    &mut derived
+                }
+            };
             nbr.clear();
             sampler.sample_neighbors_with(in_csr, d, layer, rng, nbr, draw_scratch);
             for &s in nbr.iter() {
@@ -443,164 +501,6 @@ pub fn build_minibatch_with(
                 edges.push((s_local, d_local as u32));
             }
         }
-        frontier = src_ids.clone();
-        blocks_rev.push(Block { src_ids, dst_ids, edges });
-    }
-    blocks_rev.reverse();
-    let mb = MiniBatch { blocks: blocks_rev, seeds: seeds_dedup };
-    debug_assert!(mb.validate().is_ok(), "{:?}", mb.validate());
-    mb
-}
-
-/// Destination vertices per parallel dedup chunk in
-/// [`build_minibatch_par`]. Fixed — never derived from the thread count —
-/// so the chunk boundaries, and therefore the merged source ordering, are
-/// identical at any parallelism level.
-const DEDUP_CHUNK: usize = 64;
-
-/// Parallel vertex-wise mini-batch construction, seeded rather than
-/// stream-threaded: instead of pulling every draw from one shared `StdRng`
-/// (inherently serial), each `(layer, destination)` pair gets its own RNG
-/// seeded with [`gnn_dm_par::split_seed`] from `base_seed`. Per-destination
-/// sampling, block dedup and edge construction then run in parallel.
-///
-/// The result depends only on `(in_csr, seeds, sampler, base_seed)` — never
-/// on `GNN_DM_THREADS` — because every parallel phase is pure per fixed
-/// work item and is reassembled in a fixed order:
-///
-/// * neighbor draws use the per-destination derived RNG;
-/// * dedup scans fixed [`DEDUP_CHUNK`]-sized destination chunks and merges
-///   the per-chunk first-occurrence lists *in chunk order*, which
-///   reproduces exactly the global first-appearance numbering the serial
-///   [`LocalIndexer`] would assign;
-/// * edges are emitted per destination and concatenated in destination
-///   order.
-///
-/// Note the draws differ from [`build_minibatch`] with any particular
-/// `StdRng` (the streams are split differently); the *distribution* is the
-/// same, and determinism for a given `base_seed` is exact.
-pub fn build_minibatch_par(
-    in_csr: &Csr,
-    seeds: &[VId],
-    sampler: &(dyn NeighborSampler + Sync),
-    base_seed: u64,
-) -> MiniBatch {
-    build_minibatch_par_with(in_csr, seeds, sampler, base_seed, &mut SampleScratch::new())
-}
-
-/// One chunk's worth of draws in [`build_minibatch_par_with`]: every
-/// destination's neighbors back to back in `flat`, delimited by `offs`
-/// (CSR-style, `offs[j]..offs[j + 1]` for the chunk's `j`-th destination),
-/// plus the chunk's first-occurrence non-destination sources.
-type ChunkDraws = (Vec<VId>, Vec<u32>, Vec<VId>);
-
-/// [`build_minibatch_par`] with a caller-owned [`SampleScratch`]. Identical
-/// output for a given `(in_csr, seeds, sampler, base_seed)` — the arena and
-/// the per-worker draw buffers only remove allocation churn; every RNG
-/// stream and every merge order is unchanged.
-pub fn build_minibatch_par_with(
-    in_csr: &Csr,
-    seeds: &[VId],
-    sampler: &(dyn NeighborSampler + Sync),
-    base_seed: u64,
-    scratch: &mut SampleScratch,
-) -> MiniBatch {
-    use rand::SeedableRng;
-
-    let SampleScratch { map, dstmark, .. } = scratch;
-    let seeds_dedup = dedup_seeds(seeds, map);
-
-    let mut blocks_rev: Vec<Block> = Vec::with_capacity(sampler.num_layers());
-    let mut frontier = seeds_dedup.clone();
-    for layer in 0..sampler.num_layers() {
-        let dst_ids = frontier;
-        let layer_seed = gnn_dm_par::split_seed(base_seed, layer as u64);
-
-        // Mark the destination set once; the parallel scan below reads the
-        // marks immutably from every worker.
-        dstmark.begin();
-        for &d in &dst_ids {
-            dstmark.insert(d, 0);
-        }
-        let marks: &DenseMap = dstmark;
-
-        // Phase 1 — fixed [`DEDUP_CHUNK`]-sized destination chunks in
-        // parallel. Each chunk draws its destinations' neighbors (one
-        // derived RNG stream per destination, exactly as the per-vertex
-        // formulation) into one flat per-chunk buffer, and records its
-        // first-occurrence non-destination sources. Workers reuse their
-        // draw buffers and seen-map across chunks.
-        let dchunks: Vec<&[VId]> = dst_ids.chunks(DEDUP_CHUNK).collect();
-        let sampled: Vec<ChunkDraws> = gnn_dm_par::par_map_collect_init(
-            &dchunks,
-            || (SamplerScratch::new(), DenseMap::new()),
-            |(draw_scratch, seen), ci, chunk| {
-                let mut flat: Vec<VId> = Vec::new(); // lint:allow(R003) flat+offs are the closure's return value (moved into `sampled`), amortized over DEDUP_CHUNK draws
-                let mut offs: Vec<u32> = Vec::with_capacity(chunk.len() + 1);
-                offs.push(0);
-                for (j, &d) in chunk.iter().enumerate() {
-                    let mut rng = StdRng::seed_from_u64(gnn_dm_par::split_seed(
-                        layer_seed,
-                        (ci * DEDUP_CHUNK + j) as u64,
-                    ));
-                    sampler.sample_neighbors_with(in_csr, d, layer, &mut rng, &mut flat, draw_scratch);
-                    offs.push(flat.len() as u32);
-                }
-                // First-occurrence scan within the chunk (the draw loop
-                // appends only, so `flat` is in destination order).
-                seen.begin();
-                let mut news: Vec<VId> = Vec::new(); // lint:allow(R003) per-chunk first-occurrence list, part of the returned ChunkDraws
-                for &s in &flat {
-                    if marks.get(s).is_none() && seen.get(s).is_none() {
-                        seen.insert(s, 0);
-                        news.push(s);
-                    }
-                }
-                (flat, offs, news)
-            },
-        );
-
-        // Phase 2 — ordered serial merge. Destinations take the first
-        // local indices; walking the chunk `news` lists in chunk order then
-        // visits every non-destination source in global first-appearance
-        // order, so the numbering matches the serial builder exactly.
-        map.begin();
-        let mut src_ids: Vec<VId> = Vec::with_capacity(dst_ids.len() * 2);
-        for &d in &dst_ids {
-            if map.get(d).is_none() {
-                map.insert(d, src_ids.len() as u32);
-                src_ids.push(d);
-            }
-        }
-        for (_, _, news) in &sampled {
-            for &s in news {
-                if map.get(s).is_none() {
-                    map.insert(s, src_ids.len() as u32);
-                    src_ids.push(s);
-                }
-            }
-        }
-
-        // Phase 3 — per-chunk edge lists against the now-frozen index map,
-        // concatenated in chunk (= destination) order.
-        let frozen: &DenseMap = map;
-        let edge_lists: Vec<Vec<(u32, u32)>> =
-            gnn_dm_par::par_map_collect(&sampled, |ci, (flat, offs, _)| {
-                let mut es: Vec<(u32, u32)> = Vec::with_capacity(flat.len()); // lint:allow(R003) per-chunk edge list is the closure's return value, amortized over the chunk's draws
-                for j in 0..offs.len() - 1 {
-                    let d_local = (ci * DEDUP_CHUNK + j) as u32;
-                    for &s in &flat[offs[j] as usize..offs[j + 1] as usize] {
-                        // Every sampled source is a destination or in some
-                        // chunk's `news`, so the frozen map resolves it;
-                        // the sentinel is unreachable (and would be caught
-                        // by the validate below).
-                        es.push((frozen.get(s).unwrap_or(u32::MAX), d_local));
-                    }
-                }
-                es
-            });
-        let edges: Vec<(u32, u32)> = edge_lists.into_iter().flatten().collect();
-
         frontier = src_ids.clone();
         blocks_rev.push(Block { src_ids, dst_ids, edges });
     }
@@ -876,6 +776,34 @@ mod tests {
             }
         }
         assert!(hub_draws < 100, "hub drawn {hub_draws}/300 despite inverse-degree weights");
+    }
+
+    /// The stream and the seeded builder are one loop that differs only in
+    /// where the draws come from: with a sampler that draws nothing they
+    /// must agree whatever the stream or seed — duplicate seeds and
+    /// isolated vertices (empty neighborhoods) included.
+    #[test]
+    fn stream_and_seeded_builders_agree_without_randomness() {
+        let g = test_graph();
+        let n = g.num_vertices();
+        let mut edges: Vec<(VId, VId)> = Vec::new();
+        for v in 0..n as VId {
+            edges.extend(g.inn.neighbors(v).iter().map(|&u| (v, u)));
+        }
+        // Two extra vertices nothing points at and that point at nothing.
+        let in_csr = Csr::from_edges(n + 2, &edges);
+        let (lone_a, lone_b) = (n as VId, n as VId + 1);
+        assert_eq!(in_csr.degree(lone_a) + in_csr.degree(lone_b), 0);
+        let sampler = FullNeighborSampler { layers: 2 };
+        let seeds = [17, lone_a, 3, 17, 250, 3, lone_b, 399, lone_a];
+        let mut scratch = SampleScratch::new();
+        for k in 0..5u64 {
+            let stream = build_minibatch(&in_csr, &seeds, &sampler, &mut StdRng::seed_from_u64(k));
+            let seeded = build_minibatch_seeded_with(&in_csr, &seeds, &sampler, k ^ 0xA5A5, &mut scratch);
+            assert!(stream.validate().is_ok());
+            assert_eq!(stream.seeds, vec![17, lone_a, 3, 250, lone_b, 399]);
+            assert_eq!(stream, seeded, "builders diverged at stream/seed {k}");
+        }
     }
 
     #[test]

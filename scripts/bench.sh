@@ -13,7 +13,10 @@
 # Besides the timings the binary verifies, bitwise: parallel ≡ serial for
 # every workload, and frozen-seed ≡ current for the sampler and epoch rows
 # (crates/bench/src/seed_baseline.rs keeps the seed kernels alive for
-# honest in-process before/after comparison).
+# honest in-process before/after comparison). The sampler row builds one
+# batch, and one batch is one serial pass (sampling fans out across an
+# epoch's batches), so its thread speedup is 1.0 by construction; read its
+# speedup_vs_seed column.
 #
 # Outputs, at the repo root:
 #   BENCH_par.json        — latest run (overwritten; committed as baseline)

@@ -59,6 +59,12 @@ fi
 echo "==> bench smoke (serial ≡ parallel ≡ frozen-seed bitwise, tiny sizes, no timing gate)"
 cargo run --release -q -p gnn-dm-bench --bin bench_par -- --smoke
 
+echo "==> benchmark smoke (every workload's output checks; BENCHMARK.json == the tables it prints)"
+# Without this script's RUSTFLAGS: the benchmark package is built the way its
+# own run.sh documents (root .cargo/config.toml), into its own target dir, so
+# the gate neither tests a differently-built binary nor evicts that cache.
+env -u RUSTFLAGS benchmark/run.sh --smoke >/dev/null
+
 echo "==> gnn-dm-lint"
 lint_json="$(cargo run -q -p gnn-dm-lint -- --format=json)"
 echo "${lint_json}"

@@ -11,7 +11,7 @@ use gnn_dm::graph::Graph;
 use gnn_dm::nn::train::gather_input_features;
 use gnn_dm::par::with_threads;
 use gnn_dm::partition::metis::{metis_extend, MetisVariant};
-use gnn_dm::sampling::sampler::{build_minibatch_par, FanoutSampler};
+use gnn_dm::sampling::sampler::{build_minibatch_seeded, FanoutSampler};
 use gnn_dm::sampling::epoch::EpochPlan;
 use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule};
 use gnn_dm::tensor::ops::{matmul, matmul_nt, matmul_tiled, matmul_tn};
@@ -140,14 +140,14 @@ fn pool_reuse_is_bitwise_invisible() {
 #[test]
 fn scratch_reuse_is_bitwise_invisible() {
     use gnn_dm::sampling::sampler::{
-        build_minibatch_par_with, build_minibatch_with, SampleScratch,
+        build_minibatch_seeded_with, build_minibatch_with, SampleScratch,
     };
     let g = graph();
     let sampler = FanoutSampler::new(vec![5, 3]);
     let seeds_a: Vec<u32> = (0..120).map(|i| (i * 5) % 700).collect();
     let seeds_b: Vec<u32> = (0..90).map(|i| (i * 11 + 3) % 700).collect();
 
-    // Serial builder: dirty scratch (used on batch A first) vs fresh.
+    // Stream builder: dirty scratch (used on batch A first) vs fresh.
     let fresh = build_minibatch_with(
         &g.inn,
         &seeds_b,
@@ -164,16 +164,16 @@ fn scratch_reuse_is_bitwise_invisible() {
         &mut StdRng::seed_from_u64(23),
         &mut dirty,
     );
-    assert!(reused == fresh, "serial builder: reused scratch diverged from fresh");
+    assert!(reused == fresh, "stream builder: reused scratch diverged from fresh");
 
-    // Parallel builder, at an awkward thread count.
+    // Seeded builder, at an awkward thread count.
     with_threads(3, || {
         let fresh =
-            build_minibatch_par_with(&g.inn, &seeds_b, &sampler, 77, &mut SampleScratch::new());
+            build_minibatch_seeded_with(&g.inn, &seeds_b, &sampler, 77, &mut SampleScratch::new());
         let mut dirty = SampleScratch::new();
-        build_minibatch_par_with(&g.inn, &seeds_a, &sampler, 5, &mut dirty);
-        let reused = build_minibatch_par_with(&g.inn, &seeds_b, &sampler, 77, &mut dirty);
-        assert!(reused == fresh, "parallel builder: reused scratch diverged from fresh");
+        build_minibatch_seeded_with(&g.inn, &seeds_a, &sampler, 5, &mut dirty);
+        let reused = build_minibatch_seeded_with(&g.inn, &seeds_b, &sampler, 77, &mut dirty);
+        assert!(reused == fresh, "seeded builder: reused scratch diverged from fresh");
     });
 }
 
@@ -203,21 +203,22 @@ fn optimizer_steps_bitwise_equal_across_thread_counts() {
 
 /// Seeded fanout sampling: per-destination RNGs are split from the batch
 /// seed, so the sampled blocks — ids, dedup order and edge lists — must not
-/// depend on how destinations were distributed over workers.
+/// depend on the thread count the caller happens to run under.
 #[test]
 fn minibatch_sampling_bitwise_equal_across_thread_counts() {
     let g = graph();
     let sampler = FanoutSampler::new(vec![5, 3]);
     let seeds: Vec<u32> = (0..150).map(|i| (i * 3) % 700).collect();
     assert_threadcount_invariant(|| {
-        let mb = build_minibatch_par(&g.inn, &seeds, &sampler, 0xBEEF);
+        let mb = build_minibatch_seeded(&g.inn, &seeds, &sampler, 0xBEEF);
         mb.validate().expect("minibatch invariants");
         mb
     });
 }
 
-/// A whole epoch's batch stream, including batch-level parallelism nested
-/// over the per-batch sampling parallelism.
+/// A whole epoch's batch stream, built in parallel across batches; and
+/// `map_batches` hands `f` exactly those batches under their own indices,
+/// results in batch order, wherever each one was built.
 #[test]
 fn epoch_batches_bitwise_equal_across_thread_counts() {
     let g = graph();
@@ -234,6 +235,49 @@ fn epoch_batches_bitwise_equal_across_thread_counts() {
         seed: 11,
     };
     assert_threadcount_invariant(|| plan.batches(2));
+    let indexed: Vec<_> = (0..).zip(plan.batches(2)).collect();
+    assert!(indexed.len() > 8, "more batches than workers at every thread count");
+    for n in THREAD_COUNTS {
+        let got = with_threads(n, || plan.map_batches(2, |b, mb| (b, mb)));
+        assert!(got == indexed, "threads={n}: map_batches diverged from batches");
+    }
+}
+
+/// The transfer-model trainer prices each batch on the worker that built
+/// it and folds the prices in batch order: aggregate timings *and* the
+/// replayed timeline must be the same bits at every thread count, for the
+/// plain, pipelined and cached/hybrid configurations alike.
+#[test]
+fn hetero_epoch_bitwise_equal_across_thread_counts() {
+    use gnn_dm::core::trainer::{HeteroTrainer, HeteroTrainerConfig};
+    use gnn_dm::device::cache::CachePolicy;
+    use gnn_dm::device::pipeline::PipelineMode;
+    use gnn_dm::device::transfer::TransferMethod;
+    let g = graph();
+    let base = HeteroTrainerConfig { fanouts: vec![5, 3], ..HeteroTrainerConfig::baseline(&g, 32) };
+    let configs = [
+        base.clone(),
+        HeteroTrainerConfig {
+            transfer: TransferMethod::ZeroCopy,
+            pipeline: PipelineMode::Full,
+            ..base.clone()
+        },
+        HeteroTrainerConfig {
+            transfer: TransferMethod::Hybrid { threshold: 0.5 },
+            cache_policy: Some(CachePolicy::PreSample),
+            cache_ratio: 0.3,
+            ..base
+        },
+    ];
+    for cfg in configs {
+        let mut trainer = HeteroTrainer::new(&g, cfg);
+        let serial = with_threads(1, || trainer.run_epoch_traced(1));
+        assert!(serial.0.num_batches > 8, "more batches than workers at every thread count");
+        for n in THREAD_COUNTS {
+            let got = with_threads(n, || trainer.run_epoch_traced(1));
+            assert!(got == serial, "threads={n}: trainer epoch diverged from serial");
+        }
+    }
 }
 
 /// Feature gathers through both the nn entry point and the graph-side
@@ -243,7 +287,7 @@ fn feature_gather_bitwise_equal_across_thread_counts() {
     let g = graph();
     let sampler = FanoutSampler::new(vec![6, 4]);
     let seeds: Vec<u32> = (0..300).map(|i| (i * 2) % 700).collect();
-    let mb = build_minibatch_par(&g.inn, &seeds, &sampler, 7);
+    let mb = build_minibatch_seeded(&g.inn, &seeds, &sampler, 7);
     assert_threadcount_invariant(|| gather_input_features(&g, &mb));
     assert_threadcount_invariant(|| g.features.gather(mb.input_ids()));
 }
