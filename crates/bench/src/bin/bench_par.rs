@@ -1,9 +1,11 @@
 //! Parallel-substrate speedup benchmark: the hot paths the paper's
 //! data-management pipeline spends its time in — dense GEMM (NN compute),
-//! seeded neighbor sampling (batch preparation), epoch mini-batch
-//! construction and a Figure-8-class cluster epoch simulation — each timed
-//! at one thread and at `GNN_DM_THREADS` (default: all cores) in the same
-//! process.
+//! the `Aᵀ·B` weight-gradient GEMM and block aggregation at the two
+//! training shapes of the reference benchmark (`mb_deep`: narrow and
+//! edge-heavy, `mb_wide`: 602-wide), seeded neighbor sampling (batch
+//! preparation), epoch mini-batch construction and a Figure-8-class cluster
+//! epoch simulation — each timed at one thread and at `GNN_DM_THREADS`
+//! (default: all cores) in the same process.
 //!
 //! Three kinds of evidence per row:
 //!
@@ -40,12 +42,13 @@ use gnn_dm_cluster::ClusterSim;
 use gnn_dm_graph::datasets::{DatasetId, DatasetSpec};
 use gnn_dm_faults::TailStats;
 use gnn_dm_harness::{ClusterExperiment, ClusterRun, GridSpec, Registry, SystemConfig};
+use gnn_dm_nn::agg;
 use gnn_dm_nn::optim::{Adam, Optimizer, Sgd};
 use gnn_dm_par::{thread_count, with_threads};
 use gnn_dm_partition::{partition_graph, PartitionMethod};
 use gnn_dm_sampling::epoch::EpochPlan;
 use gnn_dm_sampling::sampler::build_minibatch_seeded;
-use gnn_dm_sampling::{BatchSelection, BatchSizeSchedule, FanoutSampler};
+use gnn_dm_sampling::{BatchSelection, BatchSizeSchedule, Block, FanoutSampler};
 use gnn_dm_tensor::ops::{matmul, matmul_nt, matmul_tiled, matmul_tn};
 use gnn_dm_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -137,7 +140,7 @@ fn run<T: PartialEq>(
         .map(|v| format!("   vs-seed {v:>5.2}x"))
         .unwrap_or_default();
     println!(
-        "  {:<8} serial {:>9.4}s   threads={threads} {:>9.4}s   speedup {:>5.2}x{vs}   bitwise-identical: {}",
+        "  {:<12} serial {:>9.4}s   threads={threads} {:>9.4}s   speedup {:>5.2}x{vs}   bitwise-identical: {}",
         row.name,
         row.serial_s,
         row.par_s,
@@ -145,6 +148,48 @@ fn run<T: PartialEq>(
         row.identical
     );
     row
+}
+
+fn rand_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
+    Matrix::from_fn(rows, cols, |_, _| rng.random::<f64>() as f32 - 0.5)
+}
+
+/// The input-most block of one training batch shaped like a reference
+/// benchmark workload (`benchmark/src/mb.rs`): that dataset's scaled
+/// generator at `vertices`, `avg_degree` and `feat_dim`, one `batch`-seed
+/// batch under `fanouts`. Returns the block and a source-embedding matrix.
+fn training_block(
+    dataset: DatasetId,
+    vertices: usize,
+    avg_degree: f64,
+    feat_dim: usize,
+    fanouts: &[usize],
+    batch: usize,
+) -> (Block, Matrix) {
+    let mut cfg = DatasetSpec::get(dataset).scaled_config(vertices, 42);
+    cfg.feat_dim = 1; // only the topology is used; embeddings are drawn below
+    cfg.avg_degree = avg_degree;
+    let g = gnn_dm_graph::generate::planted_partition(&cfg);
+    let mut rng = StdRng::seed_from_u64(17);
+    let seeds: Vec<u32> = (0..batch).map(|_| rng.random_range(0..vertices as u32)).collect();
+    let mut mb = build_minibatch_seeded(&g.inn, &seeds, &FanoutSampler::new(fanouts.to_vec()), 99);
+    let block = mb.blocks.swap_remove(0);
+    let h = rand_matrix(&mut rng, block.num_src(), feat_dim);
+    (block, h)
+}
+
+/// Forward then backward through one block's aggregation, both families'
+/// shapes: GCN keeps the width, GraphSAGE doubles it.
+fn agg_round_trip(block: &Block, h: &Matrix, sage: bool) -> (Matrix, Matrix) {
+    if sage {
+        let out = agg::sage_block_forward(block, h);
+        let back = agg::sage_block_backward(block, &out);
+        (out, back)
+    } else {
+        let out = agg::gcn_block_forward(block, h);
+        let back = agg::gcn_block_backward(block, &out);
+        (out, back)
+    }
 }
 
 /// `--smoke`: tiny inputs, every determinism contract asserted, no timing.
@@ -167,6 +212,14 @@ fn smoke() {
         let serial = with_threads(1, &f);
         let par = with_threads(t, &f);
         assert_eq!(serial.as_slice(), par.as_slice(), "{name}: serial ≢ parallel");
+    }
+
+    // Aggregation: one output row per work item, forward and adjoint.
+    let (block, h) = training_block(DatasetId::Reddit, 800, 12.0, 37, &[5, 3], 128);
+    for sage in [false, true] {
+        let serial = with_threads(1, || agg_round_trip(&block, &h, sage));
+        let par = with_threads(t, || agg_round_trip(&block, &h, sage));
+        assert!(serial == par, "aggregation (sage={sage}): serial ≢ parallel");
     }
 
     // Sampler: serial ≡ parallel, and frozen seed implementation ≡ current.
@@ -254,6 +307,29 @@ fn main() {
         }),
     );
 
+    // The weight-gradient orientation at the two training shapes: rows of
+    // the narrow one outnumber its 64 output rows 234:1 (a fixed 96-row
+    // output panel would make it one work item), the wide one is the
+    // first-layer `dW` of a 602-wide model.
+    let tn_rows: Vec<Row> = [("gemm_tn_deep", 15_000, 64, 32), ("gemm_tn_wide", 4096, 602, 128)]
+        .into_iter()
+        .map(|(name, k, m, n)| {
+            let (x, dy) = (rand_matrix(&mut rng, k, m), rand_matrix(&mut rng, k, n));
+            run(name, threads, 9, || matmul_tn(&x, &dy), None)
+        })
+        .collect();
+
+    // Block aggregation, forward + backward, on the input-most block of one
+    // batch of each training workload: GraphSAGE at 32 wide over a
+    // three-hop block, GCN at 602 wide over a two-hop one.
+    let (deep_block, deep_h) =
+        training_block(DatasetId::OgbProducts, 20_000, 30.0, 32, &[15, 10, 5], 256);
+    let (wide_block, wide_h) = training_block(DatasetId::Reddit, 5_000, 15.0, 602, &[25, 10], 512);
+    let agg_rows = [
+        run("agg_deep", threads, 9, || agg_round_trip(&deep_block, &deep_h, true), None),
+        run("agg_wide", threads, 9, || agg_round_trip(&wide_block, &wide_h, false), None),
+    ];
+
     // Sampler throughput: one large fanout batch on a load-scale graph.
     // Seed ≡ current bitwise — asserted, not assumed. The builder is one
     // serial pass (batches fan out across an epoch, not within a batch), so
@@ -318,7 +394,8 @@ fn main() {
     let sim = ClusterSim { graph: &g, part: &part, batch_size: 512, seed: 3 };
     let cluster = run("cluster", threads, 3, || sim.simulate_epoch(&sampler, 0), None);
 
-    let rows = [gemm, sample, epoch, cluster];
+    let rows: Vec<Row> =
+        [gemm].into_iter().chain(tn_rows).chain(agg_rows).chain([sample, epoch, cluster]).collect();
     let all_identical = rows.iter().all(|r| r.identical);
     let fields: Vec<String> = rows.iter().map(Row::json).collect();
     // Record the harness coordinates of the two workloads that correspond

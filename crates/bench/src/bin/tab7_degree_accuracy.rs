@@ -14,7 +14,8 @@ use gnn_dm_graph::datasets::DatasetId;
 use gnn_dm_graph::stats::degree_classes;
 use gnn_dm_harness::{Axis, Grid, GridSpec, Registry};
 use gnn_dm_nn::optim::Adam;
-use gnn_dm_nn::train::{evaluate, train_epoch};
+use gnn_dm_nn::metrics::accuracy_by_degree;
+use gnn_dm_nn::train::{full_logits, train_epoch};
 use gnn_dm_nn::GnnModel;
 use gnn_dm_sampling::epoch::EpochPlan;
 
@@ -57,8 +58,8 @@ fn main() {
         for e in 0..EPOCHS {
             train_epoch(&mut model, &mut opt, &g, &plan, e);
         }
-        let low_acc = evaluate(&model, &g, &low);
-        let high_acc = evaluate(&model, &g, &high);
+        let (low_acc, high_acc) =
+            accuracy_by_degree(&full_logits(&model, &g), &g.labels, &low, &high);
         table.row(&[format!("({k},{k})"), f(low_acc), f(high_acc)]);
     }
     table.print("Table 7: accuracy of low/high-degree vertices vs fanout (Arxiv-class)");

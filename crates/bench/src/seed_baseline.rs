@@ -172,7 +172,7 @@ pub fn seed_build_minibatch_par(
         let edges: Vec<(u32, u32)> = edge_lists.into_iter().flatten().collect();
 
         frontier = src_ids.clone();
-        blocks_rev.push(Block { src_ids, dst_ids, edges });
+        blocks_rev.push(Block::from_edges(src_ids, dst_ids, &edges));
     }
     blocks_rev.reverse();
     let mb = MiniBatch { blocks: blocks_rev, seeds: seeds_dedup };

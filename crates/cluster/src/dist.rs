@@ -11,7 +11,7 @@ use gnn_dm_graph::Graph;
 use gnn_dm_nn::loss::softmax_cross_entropy;
 use gnn_dm_nn::model::{GnnModel, Gradients};
 use gnn_dm_nn::optim::Optimizer;
-use gnn_dm_nn::train::{gather_input_features, seed_labels};
+use gnn_dm_nn::train::{forward_batch, seed_labels};
 use gnn_dm_partition::GnnPartitioning;
 use gnn_dm_sampling::sampler::{build_minibatch, NeighborSampler};
 use gnn_dm_sampling::BatchSelection;
@@ -98,9 +98,8 @@ pub fn dist_train_epoch(
             let Some(seeds) = sched.get(r) else { continue };
             let mb = build_minibatch(&graph.inn, seeds, sampler, &mut rng);
             total_edges += mb.involved_edges();
-            let x = gather_input_features(graph, &mb);
             let labels = seed_labels(graph, &mb);
-            let (logits, cache) = model.forward_minibatch(&mb, &x);
+            let (logits, cache) = forward_batch(model, graph, &mb);
             let (loss, d_logits) = softmax_cross_entropy(&logits, &labels);
             total_loss += loss as f64;
             total_batches += 1;
@@ -176,9 +175,8 @@ pub fn local_sgd_epoch(
         for (w, sched) in schedules.iter().enumerate() {
             let Some(seeds) = sched.get(r) else { continue };
             let mb = build_minibatch(&graph.inn, seeds, sampler, &mut rng);
-            let x = gather_input_features(graph, &mb);
             let labels = seed_labels(graph, &mb);
-            let (logits, cache) = replicas[w].forward_minibatch(&mb, &x);
+            let (logits, cache) = forward_batch(&replicas[w], graph, &mb);
             let (loss, d_logits) = softmax_cross_entropy(&logits, &labels);
             total_loss += loss as f64;
             total_batches += 1;

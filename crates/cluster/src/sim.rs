@@ -227,12 +227,10 @@ impl<'g> ClusterSim<'g> {
             // batches (the scratch never changes what is drawn), no
             // per-batch map/buffer churn.
             let mut scratch = SampleScratch::new();
-            // Per-owner batch tallies and the per-destination edge counts,
-            // reused across the worker's batches.
+            // Per-owner batch tallies, reused across the worker's batches.
             let mut remote_edges = vec![0u64; k];
             let mut subgraph_bytes = vec![0u64; k];
             let mut feature_bytes = vec![0u64; k];
-            let mut degs: Vec<u64> = Vec::new();
             for (b_idx, seeds) in batches.iter().enumerate() {
                 let mb = build_minibatch_with(&self.graph.inn, seeds, sampler, rng, &mut scratch);
                 let batch = u32::try_from(b_idx).ok();
@@ -243,13 +241,8 @@ impl<'g> ClusterSim<'g> {
                 let mut recv_bytes = 0u64;
                 // Sampling-request routing, block by block.
                 for block in &mb.blocks {
-                    degs.clear();
-                    degs.resize(block.dst_ids.len(), 0);
-                    for &(_, d_local) in &block.edges {
-                        degs[usize_of_u32(d_local)] += 1;
-                    }
                     for (d_local, &d) in block.dst_ids.iter().enumerate() {
-                        let edges = degs[d_local];
+                        let edges = u64_of_usize(block.in_degree(d_local));
                         if edges == 0 {
                             continue;
                         }

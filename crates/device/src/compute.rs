@@ -83,12 +83,12 @@ mod tests {
     use gnn_dm_sampling::Block;
 
     fn tiny_mb() -> MiniBatch {
-        let b0 = Block {
-            src_ids: vec![0, 1, 2, 3],
-            dst_ids: vec![0, 1],
-            edges: vec![(2, 0), (3, 1), (2, 1)],
-        };
-        let b1 = Block { src_ids: vec![0, 1], dst_ids: vec![0], edges: vec![(1, 0)] };
+        tiny_mb_with(&[(2, 0), (3, 1), (2, 1)])
+    }
+
+    fn tiny_mb_with(input_edges: &[(u32, u32)]) -> MiniBatch {
+        let b0 = Block::from_edges(vec![0, 1, 2, 3], vec![0, 1], input_edges);
+        let b1 = Block::from_edges(vec![0, 1], vec![0], &[(1, 0)]);
         MiniBatch { blocks: vec![b0, b1], seeds: vec![0] }
     }
 
@@ -123,8 +123,7 @@ mod tests {
         let mb = tiny_mb();
         let t = sampling_seconds(&mb);
         assert!(t > 0.0);
-        let mut bigger = mb.clone();
-        bigger.blocks[0].edges.push((1, 0));
+        let bigger = tiny_mb_with(&[(2, 0), (3, 1), (2, 1), (1, 0)]);
         assert!(sampling_seconds(&bigger) > t);
     }
 }

@@ -13,123 +13,235 @@
 //! plus the exact adjoint for backprop. The block kernels are linear in the
 //! number of block edges — the quantity §5.3.1 counts as "aggregation
 //! computational load".
+//!
+//! Both forms are one loop per family, over an [`Adjacency`] (who feeds
+//! output row `i`) and a *row source* (`row(s)` is input row `s`): copy the
+//! self row, add the neighbors in adjacency order, scale, and the output
+//! row is written once. The row source is what lets the first layer read
+//! the feature table in place (`|s| features.row(ids[s])`) instead of a
+//! gathered copy; a `&Matrix` input is the `|s| h.row(s)` instance of the
+//! same loop. Output rows are independent, so the loops run in parallel
+//! over fixed [`ROW_CHUNK`]-row chunks; every output element accumulates
+//! the same terms in the same order as the serial per-edge loop, so the
+//! result is bitwise-identical at any thread count.
 
 use gnn_dm_graph::csr::{Csr, VId};
+use gnn_dm_par::par_chunks_mut;
 use gnn_dm_sampling::Block;
 use gnn_dm_tensor::Matrix;
+
+/// Output rows per parallel work item. Fixed — never derived from the
+/// thread count — so chunk boundaries are identical at any parallelism.
+const ROW_CHUNK: usize = 64;
+
+/// Row-major adjacency the aggregation loops walk: output row `i` combines
+/// the input rows `neighbors_of(i)`, in that order.
+pub(crate) trait Adjacency: Sync {
+    /// Number of output rows.
+    fn num_rows(&self) -> usize;
+    /// Input rows feeding output row `i`.
+    fn neighbors_of(&self, i: usize) -> &[u32];
+}
+
+impl Adjacency for Block {
+    fn num_rows(&self) -> usize {
+        self.num_dst()
+    }
+    fn neighbors_of(&self, d: usize) -> &[u32] {
+        self.sources_of(d)
+    }
+}
+
+impl Adjacency for Csr {
+    fn num_rows(&self) -> usize {
+        self.num_vertices()
+    }
+    fn neighbors_of(&self, v: usize) -> &[u32] {
+        self.neighbors(v as VId)
+    }
+}
+
+/// A block's edges regrouped by source — the adjacency its adjoints walk.
+/// Built with a stable counting sort over the destination-major edge list,
+/// so each source meets its destinations in edge order.
+struct SourceMajor {
+    offsets: Vec<u32>,
+    dsts: Vec<u32>,
+}
+
+impl SourceMajor {
+    fn of(block: &Block) -> Self {
+        let mut offsets = vec![0u32; block.num_src() + 1];
+        for &s in &block.edge_src {
+            offsets[s as usize + 1] += 1;
+        }
+        for s in 0..block.num_src() {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut next = offsets.clone();
+        let mut dsts = vec![0u32; block.num_edges()];
+        for d in 0..block.num_dst() {
+            for &s in block.sources_of(d) {
+                dsts[next[s as usize] as usize] = d as u32;
+                next[s as usize] += 1;
+            }
+        }
+        SourceMajor { offsets, dsts }
+    }
+}
+
+impl Adjacency for SourceMajor {
+    fn num_rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+    fn neighbors_of(&self, s: usize) -> &[u32] {
+        &self.dsts[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    }
+}
+
+/// Runs `body(i, out_row)` for every row of a fresh `rows x width` matrix,
+/// in parallel over [`ROW_CHUNK`]-row chunks.
+fn build_rows(rows: usize, width: usize, body: impl Fn(usize, &mut [f32]) + Sync) -> Matrix {
+    let mut out = Matrix::zeros(rows, width);
+    par_chunks_mut(out.as_mut_slice(), ROW_CHUNK * width, |ci, chunk| {
+        for (j, out_row) in chunk.chunks_mut(width).enumerate() {
+            body(ci * ROW_CHUNK + j, out_row);
+        }
+    });
+    out
+}
+
+/// `acc += x`.
+#[inline]
+fn add(acc: &mut [f32], x: &[f32]) {
+    debug_assert_eq!(acc.len(), x.len());
+    for (o, &v) in acc.iter_mut().zip(x) {
+        *o += v;
+    }
+}
+
+/// `acc += a * x`.
+#[inline]
+fn add_scaled(acc: &mut [f32], a: f32, x: &[f32]) {
+    debug_assert_eq!(acc.len(), x.len());
+    for (o, &v) in acc.iter_mut().zip(x) {
+        *o += a * v;
+    }
+}
+
+/// The GCN forward loop: `out[i] = (row(i) + Σ_{s ∈ adj(i)} row(s)) / (1 + |adj(i)|)`.
+pub(crate) fn gcn_forward<'a>(
+    adj: &impl Adjacency,
+    dim: usize,
+    row: impl Fn(usize) -> &'a [f32] + Sync,
+) -> Matrix {
+    build_rows(adj.num_rows(), dim, |i, out| {
+        out.copy_from_slice(row(i));
+        let nbrs = adj.neighbors_of(i);
+        for &s in nbrs {
+            add(out, row(s as usize));
+        }
+        let inv = 1.0 / (1.0 + nbrs.len() as f32);
+        for o in out {
+            *o *= inv;
+        }
+    })
+}
+
+/// The GraphSAGE forward loop: `out[i] = [row(i) ‖ mean_{s ∈ adj(i)} row(s)]`
+/// (the neighbor half stays zero where `adj(i)` is empty).
+pub(crate) fn sage_forward<'a>(
+    adj: &impl Adjacency,
+    dim: usize,
+    row: impl Fn(usize) -> &'a [f32] + Sync,
+) -> Matrix {
+    build_rows(adj.num_rows(), 2 * dim, |i, out| {
+        let (own, neigh) = out.split_at_mut(dim);
+        own.copy_from_slice(row(i));
+        let nbrs = adj.neighbors_of(i);
+        for &s in nbrs {
+            add(neigh, row(s as usize));
+        }
+        if !nbrs.is_empty() {
+            let inv = 1.0 / nbrs.len() as f32;
+            for o in neigh {
+                *o *= inv;
+            }
+        }
+    })
+}
+
+/// The GCN adjoint loop over the transposed adjacency: input row `s` gets
+/// `inv(s) · d_out[s]` for its own slot (the first `num_self` rows have
+/// one) and `inv(d) · d_out[d]` from every output row `d` it fed.
+fn gcn_backward(
+    adj_t: &impl Adjacency,
+    num_self: usize,
+    inv: impl Fn(usize) -> f32 + Sync,
+    d_out: &Matrix,
+) -> Matrix {
+    build_rows(adj_t.num_rows(), d_out.cols(), |s, d_in| {
+        if s < num_self {
+            add_scaled(d_in, inv(s), d_out.row(s));
+        }
+        for &d in adj_t.neighbors_of(s) {
+            add_scaled(d_in, inv(d as usize), d_out.row(d as usize));
+        }
+    })
+}
+
+/// The GraphSAGE adjoint loop: the self half of `d_out[s]` flows to `s`
+/// itself, the neighbor half of `d_out[d]`, scaled by `inv(d)`, to every
+/// input row that fed `d`.
+fn sage_backward(
+    adj_t: &impl Adjacency,
+    num_self: usize,
+    inv: impl Fn(usize) -> f32 + Sync,
+    d_out: &Matrix,
+) -> Matrix {
+    let dim = d_out.cols() / 2;
+    assert_eq!(d_out.cols(), 2 * dim, "gradient width must be even");
+    build_rows(adj_t.num_rows(), dim, |s, d_in| {
+        if s < num_self {
+            add(d_in, &d_out.row(s)[..dim]);
+        }
+        for &d in adj_t.neighbors_of(s) {
+            add_scaled(d_in, inv(d as usize), &d_out.row(d as usize)[dim..]);
+        }
+    })
+}
 
 /// GCN block aggregation: `out[d] = (h[d] + Σ_{(s,d)} h[s]) / (1 + indeg(d))`.
 ///
 /// Relies on the block invariant that destination `d`'s own embedding is at
 /// source index `d` (destinations prefix the sources).
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
 pub fn gcn_block_forward(block: &Block, h_src: &Matrix) -> Matrix {
     assert_eq!(h_src.rows(), block.num_src(), "one embedding per source");
-    let dim = h_src.cols();
-    let mut out = Matrix::zeros(block.num_dst(), dim);
-    // Self contribution.
-    for d in 0..block.num_dst() {
-        out.row_mut(d).copy_from_slice(h_src.row(d));
-    }
-    // Neighbor contributions.
-    for &(s, d) in &block.edges {
-        let src = h_src.row(s as usize);
-        let dst = out.row_mut(d as usize);
-        for (o, &x) in dst.iter_mut().zip(src) {
-            *o += x;
-        }
-    }
-    // Closed-neighborhood mean.
-    let deg = block.dst_in_degrees();
-    for d in 0..block.num_dst() {
-        let inv = 1.0 / (1.0 + deg[d] as f32);
-        for o in out.row_mut(d) {
-            *o *= inv;
-        }
-    }
-    out
+    gcn_forward(block, h_src.cols(), |s| h_src.row(s))
 }
 
 /// Adjoint of [`gcn_block_forward`]: distributes `d_out[d] / (1 + indeg(d))`
 /// to `d`'s own slot and to every sampled in-neighbor.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
 pub fn gcn_block_backward(block: &Block, d_out: &Matrix) -> Matrix {
     assert_eq!(d_out.rows(), block.num_dst(), "one gradient per destination");
-    let dim = d_out.cols();
-    let deg = block.dst_in_degrees();
-    let mut d_src = Matrix::zeros(block.num_src(), dim);
-    for d in 0..block.num_dst() {
-        let inv = 1.0 / (1.0 + deg[d] as f32);
-        let g = d_out.row(d);
-        let own = d_src.row_mut(d);
-        for (o, &x) in own.iter_mut().zip(g) {
-            *o += inv * x;
-        }
-    }
-    for &(s, d) in &block.edges {
-        let inv = 1.0 / (1.0 + deg[d as usize] as f32);
-        let g = d_out.row(d as usize);
-        let row = d_src.row_mut(s as usize);
-        for (o, &x) in row.iter_mut().zip(g) {
-            *o += inv * x;
-        }
-    }
-    d_src
+    let inv = |d: usize| 1.0 / (1.0 + block.in_degree(d) as f32);
+    gcn_backward(&SourceMajor::of(block), block.num_dst(), inv, d_out)
 }
 
 /// GraphSAGE block aggregation: `out[d] = [h[d] ‖ mean_{(s,d)} h[s]]`
 /// (neighbor half is zero for isolated destinations). Output width is
 /// `2 * dim`.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
 pub fn sage_block_forward(block: &Block, h_src: &Matrix) -> Matrix {
     assert_eq!(h_src.rows(), block.num_src(), "one embedding per source");
-    let dim = h_src.cols();
-    let mut out = Matrix::zeros(block.num_dst(), 2 * dim);
-    for d in 0..block.num_dst() {
-        out.row_mut(d)[..dim].copy_from_slice(h_src.row(d));
-    }
-    for &(s, d) in &block.edges {
-        let src = h_src.row(s as usize);
-        let dst = &mut out.row_mut(d as usize)[dim..];
-        for (o, &x) in dst.iter_mut().zip(src) {
-            *o += x;
-        }
-    }
-    let deg = block.dst_in_degrees();
-    for d in 0..block.num_dst() {
-        if deg[d] > 0 {
-            let inv = 1.0 / deg[d] as f32;
-            for o in &mut out.row_mut(d)[dim..] {
-                *o *= inv;
-            }
-        }
-    }
-    out
+    sage_forward(block, h_src.cols(), |s| h_src.row(s))
 }
 
 /// Adjoint of [`sage_block_forward`].
 pub fn sage_block_backward(block: &Block, d_out: &Matrix) -> Matrix {
     assert_eq!(d_out.rows(), block.num_dst(), "one gradient per destination");
-    let dim = d_out.cols() / 2;
-    assert_eq!(d_out.cols(), 2 * dim, "gradient width must be even");
-    let deg = block.dst_in_degrees();
-    let mut d_src = Matrix::zeros(block.num_src(), dim);
-    for d in 0..block.num_dst() {
-        let g_self = &d_out.row(d)[..dim];
-        let own = d_src.row_mut(d);
-        for (o, &x) in own.iter_mut().zip(g_self) {
-            *o += x;
-        }
-    }
-    for &(s, d) in &block.edges {
-        let inv = 1.0 / deg[d as usize] as f32; // deg > 0: this edge exists
-        let g_neigh = &d_out.row(d as usize)[dim..];
-        let row = d_src.row_mut(s as usize);
-        for (o, &x) in row.iter_mut().zip(g_neigh) {
-            *o += inv * x;
-        }
-    }
-    d_src
+    // Only read for destinations with an edge, so the degree is positive.
+    let inv = |d: usize| 1.0 / block.in_degree(d) as f32;
+    sage_backward(&SourceMajor::of(block), block.num_dst(), inv, d_out)
 }
 
 /// GraphSAGE max-pooling block aggregation: `out[d] = [h[d] ‖ max_{(s,d)} h[s]]`
@@ -145,17 +257,17 @@ pub fn sage_max_block_forward(block: &Block, h_src: &Matrix) -> (Matrix, Vec<u32
     // u32::MAX marks "no neighbor" per (dst, dim) slot.
     let mut argmax = vec![u32::MAX; n_dst * dim];
     for d in 0..n_dst {
-        out.row_mut(d)[..dim].copy_from_slice(h_src.row(d));
-    }
-    for &(s, d) in &block.edges {
-        let src = h_src.row(s as usize);
-        let row = out.row_mut(d as usize);
-        let base = d as usize * dim;
-        for j in 0..dim {
-            let slot = &mut row[dim + j];
-            if argmax[base + j] == u32::MAX || src[j] > *slot {
-                *slot = src[j];
-                argmax[base + j] = s;
+        let row = out.row_mut(d);
+        row[..dim].copy_from_slice(h_src.row(d));
+        let winners = &mut argmax[d * dim..(d + 1) * dim];
+        for &s in block.sources_of(d) {
+            let src = h_src.row(s as usize);
+            for j in 0..dim {
+                let slot = &mut row[dim + j];
+                if winners[j] == u32::MAX || src[j] > *slot {
+                    *slot = src[j];
+                    winners[j] = s;
+                }
             }
         }
     }
@@ -194,111 +306,35 @@ pub fn sage_max_block_backward(block: &Block, argmax: &[u32], d_out: &Matrix) ->
 /// `out[v] = (h[v] + Σ_{u ∈ N_in(v)} h[u]) / (1 + |N_in(v)|)`.
 pub fn gcn_full_forward(in_csr: &Csr, h: &Matrix) -> Matrix {
     assert_eq!(h.rows(), in_csr.num_vertices(), "one embedding per vertex");
-    let dim = h.cols();
-    let mut out = Matrix::zeros(h.rows(), dim);
-    for v in 0..in_csr.num_vertices() {
-        let nbrs = in_csr.neighbors(v as VId);
-        let row = out.row_mut(v);
-        row.copy_from_slice(h.row(v));
-        for &u in nbrs {
-            for (o, &x) in row.iter_mut().zip(h.row(u as usize)) {
-                *o += x;
-            }
-        }
-        let inv = 1.0 / (1.0 + nbrs.len() as f32);
-        for o in row {
-            *o *= inv;
-        }
-    }
-    out
+    gcn_forward(in_csr, h.cols(), |v| h.row(v))
 }
 
 /// Full-graph GraphSAGE aggregation (exact inference): `[h[v] ‖ mean_in]`.
 pub fn sage_full_forward(in_csr: &Csr, h: &Matrix) -> Matrix {
     assert_eq!(h.rows(), in_csr.num_vertices(), "one embedding per vertex");
-    let dim = h.cols();
-    let mut out = Matrix::zeros(h.rows(), 2 * dim);
-    for v in 0..in_csr.num_vertices() {
-        let nbrs = in_csr.neighbors(v as VId);
-        let row = out.row_mut(v);
-        row[..dim].copy_from_slice(h.row(v));
-        for &u in nbrs {
-            for (o, &x) in row[dim..].iter_mut().zip(h.row(u as usize)) {
-                *o += x;
-            }
-        }
-        if !nbrs.is_empty() {
-            let inv = 1.0 / nbrs.len() as f32;
-            for o in &mut row[dim..] {
-                *o *= inv;
-            }
-        }
-    }
-    out
+    sage_forward(in_csr, h.cols(), |v| h.row(v))
 }
 
 /// Adjoint of [`gcn_full_forward`] for full-batch training: since the
-/// forward reads in-neighbors, the adjoint scatters along *out*-edges —
-/// `d_h[u] += Σ_{v : u ∈ N_in(v)} d_out[v] / (1 + |N_in(v)|)` — which is a
-/// pass over the out-CSR. `in_degrees[v]` must be `in_csr.degree(v)`.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
+/// forward reads in-neighbors, the adjoint collects along *out*-edges —
+/// `d_h[u] = Σ_{v : u ∈ N_in(v)} d_out[v] / (1 + |N_in(v)|)` plus `u`'s own
+/// term — which is a pass over the out-CSR. `in_degrees[v]` must be
+/// `in_csr.degree(v)`.
 pub fn gcn_full_backward(out_csr: &Csr, in_degrees: &[usize], d_out: &Matrix) -> Matrix {
     let n = out_csr.num_vertices();
     assert_eq!(d_out.rows(), n, "one gradient per vertex");
     assert_eq!(in_degrees.len(), n, "one in-degree per vertex");
-    let dim = d_out.cols();
-    let mut d_h = Matrix::zeros(n, dim);
-    for v in 0..n {
-        // Self term.
-        let inv = 1.0 / (1.0 + in_degrees[v] as f32);
-        let g = d_out.row(v);
-        let own = d_h.row_mut(v);
-        for (o, &x) in own.iter_mut().zip(g) {
-            *o += inv * x;
-        }
-    }
-    for u in 0..n {
-        for &v in out_csr.neighbors(u as VId) {
-            let inv = 1.0 / (1.0 + in_degrees[v as usize] as f32);
-            let g = d_out.row(v as usize);
-            let row = d_h.row_mut(u);
-            for (o, &x) in row.iter_mut().zip(g) {
-                *o += inv * x;
-            }
-        }
-    }
-    d_h
+    gcn_backward(out_csr, n, |v| 1.0 / (1.0 + in_degrees[v] as f32), d_out)
 }
 
-/// Adjoint of [`sage_full_forward`].
+/// Adjoint of [`sage_full_forward`]. `in_degrees[v]` must be
+/// `in_csr.degree(v)`, so every vertex an out-edge reaches has a positive
+/// in-degree.
 pub fn sage_full_backward(out_csr: &Csr, in_degrees: &[usize], d_out: &Matrix) -> Matrix {
     let n = out_csr.num_vertices();
     assert_eq!(d_out.rows(), n, "one gradient per vertex");
-    let dim = d_out.cols() / 2;
-    assert_eq!(d_out.cols(), 2 * dim, "gradient width must be even");
-    let mut d_h = Matrix::zeros(n, dim);
-    for v in 0..n {
-        let g_self = &d_out.row(v)[..dim];
-        let own = d_h.row_mut(v);
-        for (o, &x) in own.iter_mut().zip(g_self) {
-            *o += x;
-        }
-    }
-    for u in 0..n {
-        for &v in out_csr.neighbors(u as VId) {
-            let deg = in_degrees[v as usize];
-            if deg == 0 {
-                continue;
-            }
-            let inv = 1.0 / deg as f32;
-            let g_neigh = &d_out.row(v as usize)[dim..];
-            let row = d_h.row_mut(u);
-            for (o, &x) in row.iter_mut().zip(g_neigh) {
-                *o += inv * x;
-            }
-        }
-    }
-    d_h
+    assert_eq!(in_degrees.len(), n, "one in-degree per vertex");
+    sage_backward(out_csr, n, |v| 1.0 / in_degrees[v] as f32, d_out)
 }
 
 #[cfg(test)]
@@ -308,11 +344,7 @@ mod tests {
     /// Block: sources [10, 11, 12, 13], dsts [10, 11];
     /// edges 12→10, 13→10, 12→11.
     fn block() -> Block {
-        Block {
-            src_ids: vec![10, 11, 12, 13],
-            dst_ids: vec![10, 11],
-            edges: vec![(2, 0), (3, 0), (2, 1)],
-        }
+        Block::from_edges(vec![10, 11, 12, 13], vec![10, 11], &[(2, 0), (3, 0), (2, 1)])
     }
 
     fn h4() -> Matrix {
@@ -368,7 +400,7 @@ mod tests {
 
     #[test]
     fn isolated_destination_keeps_self_only() {
-        let b = Block { src_ids: vec![5], dst_ids: vec![5], edges: vec![] };
+        let b = Block::from_edges(vec![5], vec![5], &[]);
         let h = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
         let gcn = gcn_block_forward(&b, &h);
         assert_eq!(gcn.row(0), &[3.0, 4.0]);
@@ -421,7 +453,7 @@ mod tests {
 
     #[test]
     fn sage_max_isolated_dst() {
-        let b = Block { src_ids: vec![5], dst_ids: vec![5], edges: vec![] };
+        let b = Block::from_edges(vec![5], vec![5], &[]);
         let h = Matrix::from_vec(1, 2, vec![3.0, -4.0]);
         let (out, argmax) = sage_max_block_forward(&b, &h);
         assert_eq!(out.row(0), &[3.0, -4.0, 0.0, 0.0]);
@@ -462,11 +494,7 @@ mod tests {
         let h = Matrix::from_vec(3, 2, vec![1.0, 1.0, 2.0, 0.0, 0.0, 4.0]);
         let full = gcn_full_forward(&in_csr, &h);
         // Block equivalent over all three vertices with every in-edge.
-        let b = Block {
-            src_ids: vec![0, 1, 2],
-            dst_ids: vec![0, 1, 2],
-            edges: vec![(1, 0), (2, 0), (2, 1)],
-        };
+        let b = Block::from_edges(vec![0, 1, 2], vec![0, 1, 2], &[(1, 0), (2, 0), (2, 1)]);
         let blk = gcn_block_forward(&b, &h);
         for i in 0..6 {
             assert!((full.as_slice()[i] - blk.as_slice()[i]).abs() < 1e-6);

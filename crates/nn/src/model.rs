@@ -1,6 +1,6 @@
 //! The layered GNN model with explicit forward caches and gradients.
 
-use crate::agg;
+use crate::agg::{self, Adjacency};
 use gnn_dm_graph::csr::Csr;
 use gnn_dm_sampling::MiniBatch;
 use gnn_dm_tensor::{init, ops, Matrix};
@@ -121,6 +121,81 @@ impl GnnModel {
         self.num_params() as u64 * 4
     }
 
+    /// Aggregates one layer's input rows over `adj` with the model's family.
+    fn aggregate<'a>(
+        &self,
+        adj: &impl Adjacency,
+        dim: usize,
+        row: impl Fn(usize) -> &'a [f32] + Sync,
+    ) -> Matrix {
+        match self.kind {
+            AggKind::Gcn => agg::gcn_forward(adj, dim, row),
+            AggKind::SageMean => agg::sage_forward(adj, dim, row),
+        }
+    }
+
+    /// The dense half of layer `l`: `agg · W + b`, then ReLU on every layer
+    /// but the last, whose output are the logits. Returns the layer output
+    /// and, where ReLU ran, the pre-activation backward needs.
+    fn dense(&self, l: usize, agg_out: &Matrix) -> (Matrix, Option<Matrix>) {
+        let mut z = ops::matmul(agg_out, &self.layers[l].w);
+        ops::add_bias(&mut z, &self.layers[l].b);
+        let pre = (l + 1 < self.num_layers()).then(|| ops::relu_forward(&mut z));
+        (z, pre)
+    }
+
+    /// The one forward loop: layer `l` aggregates over `adj_at(l)` and goes
+    /// through its dense half. Layer 0 reads its input rows from `row0` —
+    /// a matrix, or the feature table in place — and every later layer from
+    /// the previous layer's output. With `keep` the cache backward needs is
+    /// filled; without it each aggregation output is dropped once used.
+    fn forward_layers<'a, 'g, A: Adjacency + 'g>(
+        &self,
+        adj_at: impl Fn(usize) -> &'g A,
+        row0: impl Fn(usize) -> &'a [f32] + Sync,
+        keep: bool,
+    ) -> (Matrix, ForwardCache) {
+        let mut cache = ForwardCache { aggs: Vec::new(), pres: Vec::new() };
+        let mut finish = |l: usize, agg_out: Matrix| {
+            let (h, pre) = self.dense(l, &agg_out);
+            if keep {
+                cache.aggs.push(agg_out);
+                cache.pres.extend(pre);
+            }
+            h
+        };
+        let mut h = finish(0, self.aggregate(adj_at(0), self.dims[0], row0));
+        for l in 1..self.num_layers() {
+            h = finish(l, self.aggregate(adj_at(l), self.dims[l], |s| h.row(s)));
+        }
+        (h, cache)
+    }
+
+    /// The one backward loop: per layer, ReLU adjoint, `dW = aggᵀ · d`,
+    /// `db = column sums`, then `agg_back(l, d · Wᵀ)` carries the gradient
+    /// through layer `l`'s aggregation to the layer below.
+    fn backward_layers(
+        &self,
+        cache: &ForwardCache,
+        d_logits: Matrix,
+        agg_back: impl Fn(usize, &Matrix) -> Matrix,
+    ) -> Gradients {
+        let last = self.num_layers() - 1;
+        let mut d = d_logits;
+        let mut layers = Vec::with_capacity(self.num_layers());
+        for l in (0..self.num_layers()).rev() {
+            if l < last {
+                ops::relu_backward(&mut d, &cache.pres[l]);
+            }
+            layers.push((ops::matmul_tn(&cache.aggs[l], &d), ops::column_sums(&d)));
+            if l > 0 {
+                d = agg_back(l, &ops::matmul_nt(&d, &self.layers[l].w));
+            }
+        }
+        layers.reverse();
+        Gradients { layers }
+    }
+
     /// Mini-batch forward pass. `x_input` holds one feature row per entry of
     /// `mb.input_ids()`, in that order. Returns logits for `mb.seeds` plus
     /// the cache backward needs.
@@ -130,28 +205,27 @@ impl GnnModel {
     /// Panics if the batch layer count differs from the model's or shapes
     /// disagree.
     pub fn forward_minibatch(&self, mb: &MiniBatch, x_input: &Matrix) -> (Matrix, ForwardCache) {
-        assert_eq!(mb.num_layers(), self.num_layers(), "batch/model layer mismatch");
         assert_eq!(x_input.rows(), mb.input_ids().len(), "one feature row per input vertex");
         assert_eq!(x_input.cols(), self.dims[0], "feature width mismatch");
-        let last = self.num_layers() - 1;
-        let mut h = x_input.clone();
-        let mut aggs = Vec::with_capacity(self.num_layers());
-        let mut pres = Vec::with_capacity(last);
-        for (l, block) in mb.blocks.iter().enumerate() {
-            let agg_out = match self.kind {
-                AggKind::Gcn => agg::gcn_block_forward(block, &h),
-                AggKind::SageMean => agg::sage_block_forward(block, &h),
-            };
-            let mut z = ops::matmul(&agg_out, &self.layers[l].w);
-            ops::add_bias(&mut z, &self.layers[l].b);
-            aggs.push(agg_out);
-            if l < last {
-                let pre = ops::relu_forward(&mut z);
-                pres.push(pre);
-            }
-            h = z;
-        }
-        (h, ForwardCache { aggs, pres })
+        self.forward_minibatch_rows(mb, |s| x_input.row(s))
+    }
+
+    /// [`Self::forward_minibatch`] over a row source: `row0(s)` is the
+    /// feature row of `mb.input_ids()[s]`, `dims()[0]` wide, read where it
+    /// lies — the first layer aggregates straight out of it, so no gathered
+    /// input matrix has to exist.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch layer count differs from the model's or a row
+    /// has the wrong width.
+    pub fn forward_minibatch_rows<'a>(
+        &self,
+        mb: &MiniBatch,
+        row0: impl Fn(usize) -> &'a [f32] + Sync,
+    ) -> (Matrix, ForwardCache) {
+        assert_eq!(mb.num_layers(), self.num_layers(), "batch/model layer mismatch");
+        self.forward_layers(|l| &mb.blocks[l], row0, true)
     }
 
     /// Mini-batch backward pass: gradients for every layer given the loss
@@ -162,74 +236,34 @@ impl GnnModel {
         cache: &ForwardCache,
         d_logits: Matrix,
     ) -> Gradients {
-        let last = self.num_layers() - 1;
-        let mut d = d_logits;
-        let mut grads: Vec<(Matrix, Vec<f32>)> = (0..self.num_layers())
-            .map(|l| (Matrix::zeros(self.layers[l].w.rows(), self.layers[l].w.cols()), vec![0.0; self.layers[l].b.len()]))
-            .collect();
-        for l in (0..self.num_layers()).rev() {
-            if l < last {
-                ops::relu_backward(&mut d, &cache.pres[l]);
-            }
-            grads[l].0 = ops::matmul_tn(&cache.aggs[l], &d);
-            grads[l].1 = ops::column_sums(&d);
-            if l > 0 {
-                let d_agg = ops::matmul_nt(&d, &self.layers[l].w);
-                d = match self.kind {
-                    AggKind::Gcn => agg::gcn_block_backward(&mb.blocks[l], &d_agg),
-                    AggKind::SageMean => agg::sage_block_backward(&mb.blocks[l], &d_agg),
-                };
-            }
-        }
-        Gradients { layers: grads }
+        self.backward_layers(cache, d_logits, |l, d_agg| match self.kind {
+            AggKind::Gcn => agg::gcn_block_backward(&mb.blocks[l], d_agg),
+            AggKind::SageMean => agg::sage_block_backward(&mb.blocks[l], d_agg),
+        })
     }
 
     /// Exact full-graph forward pass (no sampling): logits for every vertex.
     /// Used for validation/test accuracy and as the full-batch baseline.
-    pub fn full_forward(&self, in_csr: &Csr, features: &Matrix) -> Matrix {
-        assert_eq!(features.rows(), in_csr.num_vertices(), "one feature row per vertex");
-        assert_eq!(features.cols(), self.dims[0], "feature width mismatch");
-        let last = self.num_layers() - 1;
-        let mut h = features.clone();
-        for l in 0..self.num_layers() {
-            let agg_out = match self.kind {
-                AggKind::Gcn => agg::gcn_full_forward(in_csr, &h),
-                AggKind::SageMean => agg::sage_full_forward(in_csr, &h),
-            };
-            let mut z = ops::matmul(&agg_out, &self.layers[l].w);
-            ops::add_bias(&mut z, &self.layers[l].b);
-            if l < last {
-                ops::relu_forward(&mut z);
-            }
-            h = z;
-        }
-        h
+    /// `features(v)` is vertex `v`'s feature row, `dims()[0]` wide — a
+    /// matrix's rows or the graph's feature table, read in place.
+    pub fn full_forward<'a>(
+        &self,
+        in_csr: &Csr,
+        features: impl Fn(usize) -> &'a [f32] + Sync,
+    ) -> Matrix {
+        self.forward_layers(|_| in_csr, features, false).0
     }
 
     /// Full-graph forward pass that keeps the caches backward needs — the
     /// training path of the full-batch systems in Table 1 (NeuGraph, ROC,
-    /// DistGNN, DGCL, Dorylus, BNS-GCN, NeutronStar, Sancus).
-    pub fn forward_full_cached(&self, in_csr: &Csr, features: &Matrix) -> (Matrix, ForwardCache) {
-        assert_eq!(features.rows(), in_csr.num_vertices(), "one feature row per vertex");
-        assert_eq!(features.cols(), self.dims[0], "feature width mismatch");
-        let last = self.num_layers() - 1;
-        let mut h = features.clone();
-        let mut aggs = Vec::with_capacity(self.num_layers());
-        let mut pres = Vec::with_capacity(last);
-        for l in 0..self.num_layers() {
-            let agg_out = match self.kind {
-                AggKind::Gcn => agg::gcn_full_forward(in_csr, &h),
-                AggKind::SageMean => agg::sage_full_forward(in_csr, &h),
-            };
-            let mut z = ops::matmul(&agg_out, &self.layers[l].w);
-            ops::add_bias(&mut z, &self.layers[l].b);
-            aggs.push(agg_out);
-            if l < last {
-                pres.push(ops::relu_forward(&mut z));
-            }
-            h = z;
-        }
-        (h, ForwardCache { aggs, pres })
+    /// DistGNN, DGCL, Dorylus, BNS-GCN, NeutronStar, Sancus). `features` as
+    /// in [`Self::full_forward`].
+    pub fn forward_full_cached<'a>(
+        &self,
+        in_csr: &Csr,
+        features: impl Fn(usize) -> &'a [f32] + Sync,
+    ) -> (Matrix, ForwardCache) {
+        self.forward_layers(|_| in_csr, features, true)
     }
 
     /// Full-graph backward pass matching [`Self::forward_full_cached`].
@@ -242,28 +276,10 @@ impl GnnModel {
         cache: &ForwardCache,
         d_logits: Matrix,
     ) -> Gradients {
-        let last = self.num_layers() - 1;
-        let mut d = d_logits;
-        let mut grads: Vec<(Matrix, Vec<f32>)> = self
-            .layers
-            .iter()
-            .map(|l| (Matrix::zeros(l.w.rows(), l.w.cols()), vec![0.0; l.b.len()]))
-            .collect();
-        for l in (0..self.num_layers()).rev() {
-            if l < last {
-                ops::relu_backward(&mut d, &cache.pres[l]);
-            }
-            grads[l].0 = ops::matmul_tn(&cache.aggs[l], &d);
-            grads[l].1 = ops::column_sums(&d);
-            if l > 0 {
-                let d_agg = ops::matmul_nt(&d, &self.layers[l].w);
-                d = match self.kind {
-                    AggKind::Gcn => agg::gcn_full_backward(out_csr, in_degrees, &d_agg),
-                    AggKind::SageMean => agg::sage_full_backward(out_csr, in_degrees, &d_agg),
-                };
-            }
-        }
-        Gradients { layers: grads }
+        self.backward_layers(cache, d_logits, |_, d_agg| match self.kind {
+            AggKind::Gcn => agg::gcn_full_backward(out_csr, in_degrees, d_agg),
+            AggKind::SageMean => agg::sage_full_backward(out_csr, in_degrees, d_agg),
+        })
     }
 
     /// Mutable flat views of every parameter, layer-major, weights before
@@ -390,14 +406,8 @@ mod tests {
     #[test]
     fn full_forward_shapes_and_determinism() {
         let (g, model, _, _, _) = setup(AggKind::Gcn);
-        let feats = Matrix::from_vec(
-            g.num_vertices() * 5,
-            1,
-            g.features.as_slice().to_vec(),
-        );
-        let feats = Matrix::from_vec(g.num_vertices(), 5, feats.as_slice().to_vec());
-        let a = model.full_forward(&g.inn, &feats);
-        let b = model.full_forward(&g.inn, &feats);
+        let a = model.full_forward(&g.inn, |v| g.features.row(v as u32));
+        let b = model.full_forward(&g.inn, |v| g.features.row(v as u32));
         assert_eq!(a, b);
         assert_eq!(a.rows(), g.num_vertices());
         assert_eq!(a.cols(), 3);

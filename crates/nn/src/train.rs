@@ -3,7 +3,7 @@
 
 use crate::loss::softmax_cross_entropy;
 use crate::metrics;
-use crate::model::GnnModel;
+use crate::model::{ForwardCache, GnnModel};
 use crate::optim::Optimizer;
 use gnn_dm_graph::csr::VId;
 use gnn_dm_graph::Graph;
@@ -47,6 +47,17 @@ pub fn seed_labels(graph: &Graph, mb: &MiniBatch) -> Vec<u32> {
     mb.seeds.iter().map(|&s| graph.labels[s as usize]).collect()
 }
 
+/// The forward pass every trainer runs on a sampled batch: the first layer
+/// aggregates straight out of the graph's feature table
+/// (`features.row(input_ids[s])`), so the gathered input matrix
+/// [`gather_input_features`] builds is never materialised. Bitwise equal to
+/// `model.forward_minibatch(mb, &gather_input_features(graph, mb))`.
+pub fn forward_batch(model: &GnnModel, graph: &Graph, mb: &MiniBatch) -> (Matrix, ForwardCache) {
+    assert_eq!(graph.feat_dim(), model.dims()[0], "feature width mismatch");
+    let ids = mb.input_ids();
+    model.forward_minibatch_rows(mb, |s| graph.features.row(ids[s]))
+}
+
 /// Runs forward, loss, backward, and one optimizer step on a mini-batch.
 pub fn train_step(
     model: &mut GnnModel,
@@ -54,9 +65,8 @@ pub fn train_step(
     graph: &Graph,
     mb: &MiniBatch,
 ) -> StepResult {
-    let x = gather_input_features(graph, mb);
     let labels = seed_labels(graph, mb);
-    let (logits, cache) = model.forward_minibatch(mb, &x);
+    let (logits, cache) = forward_batch(model, graph, mb);
     let batch_accuracy = metrics::batch_accuracy(&logits, &labels);
     let (loss, d_logits) = softmax_cross_entropy(&logits, &labels);
     let grads = model.backward_minibatch(mb, &cache, d_logits);
@@ -116,8 +126,7 @@ pub fn train_epoch(
 /// vertices; gradients flow through the whole graph.
 pub fn full_batch_step(model: &mut GnnModel, opt: &mut dyn Optimizer, graph: &Graph) -> StepResult {
     let n = graph.num_vertices();
-    let feats = Matrix::from_vec(n, graph.feat_dim(), graph.features.as_slice().to_vec());
-    let (logits, cache) = model.forward_full_cached(&graph.inn, &feats);
+    let (logits, cache) = model.forward_full_cached(&graph.inn, table_rows(graph));
     let train = graph.train_vertices();
     // Masked loss: evaluate cross-entropy on the training rows only, then
     // scatter the row gradients back into the full matrix.
@@ -135,15 +144,21 @@ pub fn full_batch_step(model: &mut GnnModel, opt: &mut dyn Optimizer, graph: &Gr
     StepResult { loss, grad_norm, batch_accuracy }
 }
 
+/// The graph's feature table as a full-graph row source: vertex `v`'s row,
+/// read in place.
+fn table_rows<'g>(graph: &'g Graph) -> impl Fn(usize) -> &'g [f32] + Sync {
+    assert_eq!(graph.features.num_rows(), graph.num_vertices(), "one feature row per vertex");
+    |v| graph.features.row(v as VId)
+}
+
+/// Exact full-graph logits for every vertex, straight off the feature table.
+pub fn full_logits(model: &GnnModel, graph: &Graph) -> Matrix {
+    model.full_forward(&graph.inn, table_rows(graph))
+}
+
 /// Full-graph validation/test accuracy via exact inference.
 pub fn evaluate(model: &GnnModel, graph: &Graph, subset: &[VId]) -> f64 {
-    let feats = Matrix::from_vec(
-        graph.num_vertices(),
-        graph.feat_dim(),
-        graph.features.as_slice().to_vec(),
-    );
-    let logits = model.full_forward(&graph.inn, &feats);
-    metrics::accuracy(&logits, &graph.labels, subset)
+    metrics::accuracy(&full_logits(model, graph), &graph.labels, subset)
 }
 
 #[cfg(test)]
@@ -301,16 +316,15 @@ mod tests {
         });
         let mut model = GnnModel::new(AggKind::Gcn, &[5, 6, 3], 11);
         let n = g.num_vertices();
-        let feats = gnn_dm_tensor::Matrix::from_vec(n, 5, g.features.as_slice().to_vec());
         let train = g.train_vertices();
         let labels: Vec<u32> = train.iter().map(|&v| g.labels[v as usize]).collect();
         let loss_of = |model: &GnnModel| {
-            let logits = model.full_forward(&g.inn, &feats);
+            let logits = full_logits(model, &g);
             let (l, _) = crate::loss::softmax_cross_entropy(&logits.gather_rows(&train), &labels);
             l
         };
         // Analytic gradients.
-        let (logits, cache) = model.forward_full_cached(&g.inn, &feats);
+        let (logits, cache) = model.forward_full_cached(&g.inn, table_rows(&g));
         let (_, d_train) = crate::loss::softmax_cross_entropy(&logits.gather_rows(&train), &labels);
         let mut d_logits = gnn_dm_tensor::Matrix::zeros(n, 3);
         gnn_dm_tensor::ops::scatter_add_rows(&mut d_logits, &d_train, &train);

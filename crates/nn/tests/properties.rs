@@ -98,8 +98,7 @@ proptest! {
             x.row_mut(i).copy_from_slice(g.features.row(v));
         }
         let (mb_logits, _) = model.forward_minibatch(&mb, &x);
-        let feats = Matrix::from_vec(n, 6, g.features.as_slice().to_vec());
-        let full_logits = model.full_forward(&g.inn, &feats);
+        let full_logits = model.full_forward(&g.inn, |v| g.features.row(v as u32));
         for (i, &s) in seeds.iter().enumerate() {
             for c in 0..3 {
                 let a = mb_logits.get(i, c);

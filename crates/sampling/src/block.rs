@@ -9,14 +9,20 @@
 use gnn_dm_graph::csr::VId;
 use std::collections::BTreeMap;
 
-/// One bipartite layer of a sampled mini-batch.
+/// One bipartite layer of a sampled mini-batch, stored destination-major
+/// (CSR): the sources feeding destination `d` are
+/// `edge_src[dst_offsets[d]..dst_offsets[d + 1]]`, in the order they were
+/// drawn. Aggregation walks one destination's sources at a time and writes
+/// each output row once; an in-degree is a subtraction, not a count.
 ///
 /// Invariants (checked by [`Block::validate`]):
 /// * `src_ids[..dst_ids.len()] == dst_ids` — every destination is also a
 ///   source (self-features are needed by GCN self-loops and GraphSAGE
 ///   concatenation);
 /// * `src_ids` contains no duplicates;
-/// * every edge references valid local indices.
+/// * `dst_offsets` has `dst_ids.len() + 1` entries, starts at 0, never
+///   decreases and ends at `edge_src.len()`;
+/// * every `edge_src` entry is a valid local source index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Global ids of source vertices (deduplicated). The first
@@ -24,12 +30,39 @@ pub struct Block {
     pub src_ids: Vec<VId>,
     /// Global ids of destination vertices.
     pub dst_ids: Vec<VId>,
-    /// Edges as `(src_local_index, dst_local_index)` pairs; message flows
-    /// src → dst.
-    pub edges: Vec<(u32, u32)>,
+    /// Edge range of each destination: `dst_ids.len() + 1` ascending
+    /// positions into `edge_src`.
+    pub dst_offsets: Vec<u32>,
+    /// Local source index of every message edge, grouped by destination;
+    /// message flows src → dst.
+    pub edge_src: Vec<u32>,
 }
 
 impl Block {
+    /// Builds a block from `(src_local_index, dst_local_index)` pairs in any
+    /// order. Edges are grouped by destination with a stable counting sort,
+    /// so each destination keeps its edges in input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge names a destination index `>= dst_ids.len()`.
+    pub fn from_edges(src_ids: Vec<VId>, dst_ids: Vec<VId>, edges: &[(u32, u32)]) -> Self {
+        let mut dst_offsets = vec![0u32; dst_ids.len() + 1];
+        for &(_, d) in edges {
+            dst_offsets[d as usize + 1] += 1;
+        }
+        for d in 0..dst_ids.len() {
+            dst_offsets[d + 1] += dst_offsets[d];
+        }
+        let mut next = dst_offsets.clone();
+        let mut edge_src = vec![0u32; edges.len()];
+        for &(s, d) in edges {
+            edge_src[next[d as usize] as usize] = s;
+            next[d as usize] += 1;
+        }
+        Block { src_ids, dst_ids, dst_offsets, edge_src }
+    }
+
     /// Number of source vertices.
     pub fn num_src(&self) -> usize {
         self.src_ids.len()
@@ -42,16 +75,25 @@ impl Block {
 
     /// Number of message edges.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.edge_src.len()
     }
 
-    /// In-degree of each destination (for mean aggregation).
-    pub fn dst_in_degrees(&self) -> Vec<u32> {
-        let mut deg = vec![0u32; self.dst_ids.len()];
-        for &(_, d) in &self.edges {
-            deg[d as usize] += 1;
-        }
-        deg
+    /// Local source indices feeding destination `d`, in edge order.
+    #[inline]
+    pub fn sources_of(&self, d: usize) -> &[u32] {
+        &self.edge_src[self.dst_offsets[d] as usize..self.dst_offsets[d + 1] as usize]
+    }
+
+    /// In-degree of destination `d` (for mean aggregation).
+    #[inline]
+    pub fn in_degree(&self, d: usize) -> usize {
+        (self.dst_offsets[d + 1] - self.dst_offsets[d]) as usize
+    }
+
+    /// Every edge as a `(src_local_index, dst_local_index)` pair, by
+    /// ascending destination and in edge order within one.
+    pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.num_dst()).flat_map(move |d| self.sources_of(d).iter().map(move |&s| (s, d as u32)))
     }
 
     /// Checks the structural invariants; returns the first violation.
@@ -68,13 +110,24 @@ impl Block {
                 return Err(format!("duplicate source id {s}"));
             }
         }
-        for &(s, d) in &self.edges {
-            if s as usize >= self.src_ids.len() {
-                return Err(format!("edge source index {s} out of range"));
-            }
-            if d as usize >= self.dst_ids.len() {
-                return Err(format!("edge destination index {d} out of range"));
-            }
+        if self.dst_offsets.len() != self.dst_ids.len() + 1 {
+            return Err(format!(
+                "offset table has {} entries for {} destinations",
+                self.dst_offsets.len(),
+                self.dst_ids.len()
+            ));
+        }
+        if self.dst_offsets[0] != 0 {
+            return Err("offset table must start at 0".into());
+        }
+        if let Some(d) = self.dst_offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!("offset table decreases at destination {d}"));
+        }
+        if self.dst_offsets[self.dst_ids.len()] as usize != self.edge_src.len() {
+            return Err("offset table must end at the edge count".into());
+        }
+        if let Some(&s) = self.edge_src.iter().find(|&&s| s as usize >= self.src_ids.len()) {
+            return Err(format!("edge source index {s} out of range"));
         }
         Ok(())
     }
@@ -234,11 +287,7 @@ mod tests {
     use super::*;
 
     fn simple_block() -> Block {
-        Block {
-            src_ids: vec![5, 9, 1, 3],
-            dst_ids: vec![5, 9],
-            edges: vec![(2, 0), (3, 0), (2, 1)],
-        }
+        Block::from_edges(vec![5, 9, 1, 3], vec![5, 9], &[(2, 0), (3, 0), (2, 1)])
     }
 
     #[test]
@@ -247,8 +296,44 @@ mod tests {
         assert_eq!(b.num_src(), 4);
         assert_eq!(b.num_dst(), 2);
         assert_eq!(b.num_edges(), 3);
-        assert_eq!(b.dst_in_degrees(), vec![2, 1]);
+        assert_eq!((b.in_degree(0), b.in_degree(1)), (2, 1));
+        assert_eq!(b.sources_of(0), &[2, 3]);
+        assert_eq!(b.sources_of(1), &[2]);
         assert!(b.validate().is_ok());
+    }
+
+    /// `from_edges` groups by destination without reordering one
+    /// destination's edges, and `edges()` reads them back in that order.
+    #[test]
+    fn from_edges_is_stable_by_destination() {
+        let unsorted = [(3, 1), (2, 0), (1, 2), (3, 0), (0, 1), (2, 1), (3, 0)];
+        let b = Block::from_edges(vec![7, 8, 9, 4], vec![7, 8, 9], &unsorted);
+        assert!(b.validate().is_ok());
+        assert_eq!(b.dst_offsets, vec![0, 3, 6, 7]);
+        assert_eq!(b.sources_of(0), &[2, 3, 3], "parallel edges kept, in input order");
+        assert_eq!(b.sources_of(1), &[3, 0, 2]);
+        assert_eq!(b.sources_of(2), &[1]);
+        let mut by_dst = unsorted.to_vec();
+        by_dst.sort_by_key(|&(_, d)| d); // stable
+        assert_eq!(b.edges().collect::<Vec<_>>(), by_dst);
+        assert_eq!(Block::from_edges(b.src_ids.clone(), b.dst_ids.clone(), &by_dst), b);
+    }
+
+    #[test]
+    fn block_validate_catches_bad_offset_table() {
+        let mut short = simple_block();
+        short.dst_offsets.pop();
+        assert!(short.validate().is_err(), "one offset per destination plus one");
+        let mut decreasing = simple_block();
+        decreasing.dst_offsets[1] = 3;
+        decreasing.dst_offsets[2] = 2;
+        assert!(decreasing.validate().is_err(), "offsets must not decrease");
+        let mut open_ended = simple_block();
+        open_ended.dst_offsets[2] = 2;
+        assert!(open_ended.validate().is_err(), "offsets must cover every edge");
+        let mut shifted = simple_block();
+        shifted.dst_offsets[0] = 1;
+        assert!(shifted.validate().is_err(), "offsets must start at 0");
     }
 
     #[test]
@@ -268,7 +353,7 @@ mod tests {
     #[test]
     fn block_validate_catches_bad_edge() {
         let mut b = simple_block();
-        b.edges.push((9, 0));
+        b.edge_src[0] = 9;
         assert!(b.validate().is_err());
     }
 
@@ -300,8 +385,8 @@ mod tests {
 
     #[test]
     fn minibatch_involved_counts() {
-        let b0 = Block { src_ids: vec![1, 2, 3, 4], dst_ids: vec![1, 2], edges: vec![(2, 0), (3, 1)] };
-        let b1 = Block { src_ids: vec![1, 2], dst_ids: vec![1], edges: vec![(1, 0)] };
+        let b0 = Block::from_edges(vec![1, 2, 3, 4], vec![1, 2], &[(2, 0), (3, 1)]);
+        let b1 = Block::from_edges(vec![1, 2], vec![1], &[(1, 0)]);
         let mb = MiniBatch { blocks: vec![b0, b1], seeds: vec![1] };
         assert!(mb.validate().is_ok());
         assert_eq!(mb.involved_vertices(), 4);
@@ -311,8 +396,8 @@ mod tests {
 
     #[test]
     fn minibatch_validate_checks_chaining() {
-        let b0 = Block { src_ids: vec![1, 2, 3], dst_ids: vec![1, 2], edges: vec![] };
-        let b1 = Block { src_ids: vec![2, 1], dst_ids: vec![2], edges: vec![] };
+        let b0 = Block::from_edges(vec![1, 2, 3], vec![1, 2], &[]);
+        let b1 = Block::from_edges(vec![2, 1], vec![2], &[]);
         let mb = MiniBatch { blocks: vec![b0, b1], seeds: vec![2] };
         assert!(mb.validate().is_err());
     }

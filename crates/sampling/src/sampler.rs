@@ -444,6 +444,9 @@ pub fn build_minibatch_seeded_with(
 /// destination's neighbors are drawn and resolved against the one index map
 /// while its edges are pushed, so a new source is numbered at its first
 /// appearance in destination order — the numbering `LocalIndexer` assigns.
+/// Destinations are visited in ascending local index, so the edges land in
+/// the block's destination-major layout as they are drawn: one source
+/// index per edge, one closed offset per destination.
 fn assemble_blocks(
     in_csr: &Csr,
     seeds: &[VId],
@@ -475,7 +478,9 @@ fn assemble_blocks(
         }
         let mut src_ids: Vec<VId> = Vec::with_capacity(dst_ids.len() * 2);
         src_ids.extend_from_slice(&dst_ids);
-        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut dst_offsets: Vec<u32> = Vec::with_capacity(dst_ids.len() + 1);
+        dst_offsets.push(0);
+        let mut edge_src: Vec<u32> = Vec::new();
         for (d_local, &d) in dst_ids.iter().enumerate() {
             let mut derived;
             let rng: &mut StdRng = match &mut draws {
@@ -498,11 +503,12 @@ fn assemble_blocks(
                         i
                     }
                 };
-                edges.push((s_local, d_local as u32));
+                edge_src.push(s_local);
             }
+            dst_offsets.push(edge_src.len() as u32);
         }
         frontier = src_ids.clone();
-        blocks_rev.push(Block { src_ids, dst_ids, edges });
+        blocks_rev.push(Block { src_ids, dst_ids, dst_offsets, edge_src });
     }
     blocks_rev.reverse();
     let mb = MiniBatch { blocks: blocks_rev, seeds: seeds_dedup };
@@ -566,7 +572,7 @@ impl LayerwiseSampler {
             }
             let src_ids = ix.src_ids;
             frontier = src_ids.clone();
-            blocks_rev.push(Block { src_ids, dst_ids, edges });
+            blocks_rev.push(Block::from_edges(src_ids, dst_ids, &edges));
         }
         blocks_rev.reverse();
         let mb = MiniBatch { blocks: blocks_rev, seeds: seeds_dedup };
@@ -639,9 +645,8 @@ mod tests {
         assert_eq!(mb.num_layers(), 2);
         // Output block: each of the 4 seeds has at most 5 sampled in-neighbors.
         let out_block = &mb.blocks[1];
-        for (d_local, deg) in out_block.dst_in_degrees().iter().enumerate() {
-            let v = out_block.dst_ids[d_local];
-            assert!(*deg as usize <= 5.min(g.inn.degree(v)));
+        for (d_local, &v) in out_block.dst_ids.iter().enumerate() {
+            assert!(out_block.in_degree(d_local) <= 5.min(g.inn.degree(v)));
         }
     }
 

@@ -20,7 +20,9 @@ use crate::matrix::Matrix;
 use gnn_dm_par::{par_chunks_mut, par_reduce};
 
 /// k-dimension tile: one packed `TILE_K x NR` panel of `B` is 16 KiB —
-/// half an L1 — so it stays resident across a whole row panel.
+/// half an L1 — so it stays resident across a whole row panel. In
+/// [`matmul_tn`] it is the `A` side that must stay resident: a register
+/// tile touches one strided cache line of `A` per step, 8 KiB per tile.
 const TILE_K: usize = 128;
 /// Rows of `C` owned by one parallel work item. Fixed — never derived from
 /// the thread count — so chunk boundaries, and therefore results, are
@@ -48,117 +50,174 @@ const ELEM_CHUNK: usize = 1 << 14;
 const _: () = assert!(TILE_M >= MR && MR >= 1 && MR <= 8);
 const _: () = assert!(NR >= 1 && TILE_K >= 1);
 
-/// One register block: for `MR_` rows and `NR` columns,
-/// `c_rows[r][j0 + j] = fma(a_segs[r][p], bp[p * b_stride + b_off + j], ·)`
-/// for `p` ascending — exactly the element order and rounding of the
-/// scalar reference loop, so the result is bitwise-identical; the
-/// accumulators just live in registers.
-#[inline]
-fn micro_kernel<const MR_: usize>(
-    a_segs: &[&[f32]],
+/// Where a row panel's `A` values live, relative to the panel's first row
+/// and the k-tile's first step: `a(p, r)` is what row `r` of the panel
+/// multiplies at step `p`.
+#[derive(Clone, Copy)]
+enum APanel<'a> {
+    /// `a(p, r) = data[r * stride + p]` — rows of a row-major `A`
+    /// (`A · B`, `A · Bᵀ`).
+    Rows(&'a [f32], usize),
+    /// `a(p, r) = data[p * stride + r]` — columns of a row-major `A`
+    /// (`Aᵀ · B`): for a fixed `p` a tile's values are adjacent.
+    Cols(&'a [f32], usize),
+}
+
+/// The `kk` accumulation steps of one register tile:
+/// `acc[r][j] = fma(a_at(p)[r], bp[p * b_stride + b_off + j], acc[r][j])`
+/// for `p` ascending.
+#[inline(always)]
+fn tile_steps<const MR_: usize>(
+    acc: &mut [[f32; NR]; MR_],
+    kk: usize,
+    a_at: impl Fn(usize) -> [f32; MR_],
     bp: &[f32],
     b_stride: usize,
     b_off: usize,
-    c_rows: &mut [&mut [f32]],
-    j0: usize,
 ) {
-    debug_assert!(a_segs.len() == MR_ && c_rows.len() == MR_);
-    let kk = a_segs[0].len();
-    let mut acc = [[0.0f32; NR]; MR_];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&c_rows[r][j0..j0 + NR]);
-    }
     for p in 0..kk {
-        let b_seg = &bp[p * b_stride + b_off..p * b_stride + b_off + NR];
-        for r in 0..MR_ {
-            let a_rp = a_segs[r][p];
-            for (x, &bv) in acc[r].iter_mut().zip(b_seg) {
+        let b_seg = &bp[p * b_stride + b_off..][..NR];
+        let a_p = a_at(p);
+        for (row, &a_rp) in acc.iter_mut().zip(&a_p) {
+            for (x, &bv) in row.iter_mut().zip(b_seg) {
                 *x = a_rp.mul_add(bv, *x);
             }
         }
     }
-    for (r, row) in acc.iter().enumerate() {
-        c_rows[r][j0..j0 + NR].copy_from_slice(row);
-    }
 }
 
-/// Ragged column tail (`w < NR`): same per-element order and arithmetic as
-/// [`micro_kernel`], one row at a time.
+/// One register tile: rows `r0..r0 + MR_` and columns `j0..j0 + w` of the
+/// row panel `c` (row stride `n`) accumulate
+/// `c[r][j] = fma(a(p, r), bp[p * b_stride + b_off + j], c[r][j])` for `p`
+/// ascending over `0..kk` — exactly the element order and rounding of the
+/// scalar reference loop, so the result is bitwise-identical; the
+/// accumulators just live in registers.
+///
+/// A ragged tile (`w < NR`) runs the same full-width arithmetic: `bp` must
+/// hold `NR` readable values per step (callers point it at a padded
+/// strip), and the lanes past `w` are computed and dropped.
 #[inline]
-fn micro_tail(
-    a_seg: &[f32],
+#[allow(clippy::too_many_arguments)] // one tile = A panel + B view + C view
+fn micro_kernel<const MR_: usize>(
+    kk: usize,
+    a: APanel<'_>,
     bp: &[f32],
     b_stride: usize,
     b_off: usize,
-    c_row: &mut [f32],
+    c: &mut [f32],
+    n: usize,
+    r0: usize,
     j0: usize,
     w: usize,
 ) {
-    debug_assert!(w < NR);
-    let mut acc = [0.0f32; NR];
-    acc[..w].copy_from_slice(&c_row[j0..j0 + w]);
-    for (p, &a_rp) in a_seg.iter().enumerate() {
-        let b_seg = &bp[p * b_stride + b_off..p * b_stride + b_off + w];
-        for (x, &bv) in acc[..w].iter_mut().zip(b_seg) {
-            *x = a_rp.mul_add(bv, *x);
-        }
-    }
-    c_row[j0..j0 + w].copy_from_slice(&acc[..w]);
-}
-
-/// One column block (`w` columns at `j0`, full when `w == NR`) across a
-/// whole row panel, dispatching to the widest micro-kernel that fits each
-/// row group. Rows beyond the last full MR-group go through narrower
-/// const instantiations, so every (row, column) pair is visited exactly
-/// once.
-fn micro_block(
-    a_segs: &[&[f32]],
-    bp: &[f32],
-    b_stride: usize,
-    b_off: usize,
-    c_rows: &mut [&mut [f32]],
-    j0: usize,
-    w: usize,
-) {
-    debug_assert_eq!(a_segs.len(), c_rows.len());
-    let rows = c_rows.len();
-    let mut r = 0;
-    while r < rows {
-        let mr = (rows - r).min(MR);
-        let asg = &a_segs[r..r + mr];
-        let crs = &mut c_rows[r..r + mr];
+    let mut acc = [[0.0f32; NR]; MR_];
+    for (r, row) in acc.iter_mut().enumerate() {
+        let c_seg = &c[(r0 + r) * n + j0..][..w];
         if w == NR {
-            match mr {
-                8 => micro_kernel::<8>(asg, bp, b_stride, b_off, crs, j0),
-                7 => micro_kernel::<7>(asg, bp, b_stride, b_off, crs, j0),
-                6 => micro_kernel::<6>(asg, bp, b_stride, b_off, crs, j0),
-                5 => micro_kernel::<5>(asg, bp, b_stride, b_off, crs, j0),
-                4 => micro_kernel::<4>(asg, bp, b_stride, b_off, crs, j0),
-                3 => micro_kernel::<3>(asg, bp, b_stride, b_off, crs, j0),
-                2 => micro_kernel::<2>(asg, bp, b_stride, b_off, crs, j0),
-                _ => micro_kernel::<1>(asg, bp, b_stride, b_off, crs, j0),
-            }
+            row.copy_from_slice(c_seg);
         } else {
-            for (a_seg, c_row) in asg.iter().zip(crs.iter_mut()) {
-                micro_tail(a_seg, bp, b_stride, b_off, c_row, j0, w);
-            }
+            // Through a temporary, so the runtime-length copy never
+            // addresses the accumulators and they stay in registers.
+            let mut padded = [0.0f32; NR];
+            padded[..w].copy_from_slice(c_seg);
+            *row = padded;
         }
-        r += mr;
+    }
+    match a {
+        APanel::Rows(data, stride) => {
+            let rows: [&[f32]; MR_] =
+                std::array::from_fn(|r| &data[(r0 + r) * stride..][..kk]);
+            tile_steps(&mut acc, kk, |p| std::array::from_fn(|r| rows[r][p]), bp, b_stride, b_off);
+        }
+        APanel::Cols(data, stride) => {
+            let a_at = |p: usize| {
+                let seg = &data[p * stride + r0..][..MR_];
+                std::array::from_fn(|r| seg[r])
+            };
+            tile_steps(&mut acc, kk, a_at, bp, b_stride, b_off);
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        let c_seg = &mut c[(r0 + r) * n + j0..][..w];
+        if w == NR {
+            c_seg.copy_from_slice(row);
+        } else {
+            let padded = *row;
+            c_seg.copy_from_slice(&padded[..w]);
+        }
     }
 }
 
-/// A full row panel against a `B` panel addressed in place (`b_stride`
-/// equal to `B`'s row stride, column offset = output column): for every
-/// row `r` and column `j`, `c[r][j] += Σ_p a_segs[r][p] * bp[p*b_stride + j]`
-/// in ascending-`p` order.
-fn micro_panel(a_segs: &[&[f32]], bp: &[f32], b_stride: usize, c_rows: &mut [&mut [f32]], n: usize) {
-    let mut j0 = 0;
-    while j0 < n {
-        let w = (n - j0).min(NR);
-        micro_block(a_segs, bp, b_stride, j0, c_rows, j0, w);
-        j0 += w;
+/// One column block (`w` columns at `j0`, full when `w == NR`) across the
+/// `rows` rows of panel `c`, dispatching to the widest micro-kernel that
+/// fits each row group. Rows beyond the last full MR-group go through
+/// narrower const instantiations, so every (row, column) pair is visited
+/// exactly once — full and ragged column blocks alike.
+#[allow(clippy::too_many_arguments)] // forwards the micro-kernel's tile description
+fn micro_block(
+    kk: usize,
+    a: APanel<'_>,
+    bp: &[f32],
+    b_stride: usize,
+    b_off: usize,
+    c: &mut [f32],
+    n: usize,
+    rows: usize,
+    j0: usize,
+    w: usize,
+) {
+    debug_assert!((1..=NR).contains(&w) && c.len() == rows * n);
+    let mut r0 = 0;
+    while r0 < rows {
+        let mr = (rows - r0).min(MR);
+        match mr {
+            8 => micro_kernel::<8>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            7 => micro_kernel::<7>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            6 => micro_kernel::<6>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            5 => micro_kernel::<5>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            4 => micro_kernel::<4>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            3 => micro_kernel::<3>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            2 => micro_kernel::<2>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            _ => micro_kernel::<1>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+        }
+        r0 += mr;
     }
-    debug_assert_eq!(j0, n, "every output column handled exactly once");
+}
+
+/// `B` (row stride `n`) as the micro-kernel reads it in place: the full
+/// `NR`-wide column strips straight out of `rows`, and the ragged last
+/// strip (`n % NR` columns) from `tail`, a zero-padded `NR`-stride copy, so
+/// every strip — ragged or not — is a full-width register tile.
+struct InPlaceB<'a> {
+    rows: &'a [f32],
+    n: usize,
+    tail: Vec<f32>,
+}
+
+impl<'a> InPlaceB<'a> {
+    fn new(b: &'a Matrix) -> Self {
+        let (k, n) = b.shape();
+        let (j0, w) = (n - n % NR, n % NR);
+        let mut tail = vec![0.0f32; if w == 0 { 0 } else { k * NR }];
+        for (dst, src) in tail.chunks_mut(NR).zip(b.as_slice().chunks(n.max(1))) {
+            dst[..w].copy_from_slice(&src[j0..]);
+        }
+        InPlaceB { rows: b.as_slice(), n, tail }
+    }
+
+    /// For every row `r < rows` of panel `c` and every column `j`,
+    /// `c[r][j] += Σ_p a(p, r) * B[p0 + p][j]` over `p` in `0..kk`,
+    /// ascending.
+    fn accumulate(&self, p0: usize, kk: usize, a: APanel<'_>, c: &mut [f32], rows: usize) {
+        let n = self.n;
+        let (j_tail, w_tail) = (n - n % NR, n % NR);
+        for j0 in (0..j_tail).step_by(NR) {
+            micro_block(kk, a, &self.rows[p0 * n..], n, j0, c, n, rows, j0, NR);
+        }
+        if w_tail > 0 {
+            micro_block(kk, a, &self.tail[p0 * NR..], NR, 0, c, n, rows, j_tail, w_tail);
+        }
+    }
 }
 
 /// `C = A · B`. Row panels of `C` are computed in parallel; within a panel
@@ -172,14 +231,14 @@ fn micro_panel(a_segs: &[&[f32]], bp: &[f32], b_stride: usize, c_rows: &mut [&mu
 /// Panics on a shape mismatch.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch: {:?} x {:?}", a.shape(), b.shape());
-    let n = b.cols();
+    let (k, n) = b.shape();
     let mut c = Matrix::zeros(a.rows(), n);
-    let b_slice = b.as_slice();
+    let a_slice = a.as_slice();
+    let b_view = InPlaceB::new(b);
     par_chunks_mut(c.as_mut_slice(), TILE_M * n, |ci, c_chunk| {
         let i0 = ci * TILE_M;
-        let mut c_rows: Vec<&mut [f32]> = c_chunk.chunks_mut(n).collect(); // lint:allow(R003) per-tile row-pointer table: O(TILE_M) words, amortized over the tile's O(TILE_M*n*k) FLOPs
-        let a_segs: Vec<&[f32]> = (0..c_rows.len()).map(|di| a.row(i0 + di)).collect(); // lint:allow(R003) per-tile slice table, same amortization as c_rows
-        micro_panel(&a_segs, b_slice, n, &mut c_rows, n);
+        let a_panel = APanel::Rows(&a_slice[i0 * k..], k);
+        b_view.accumulate(0, k, a_panel, c_chunk, c_chunk.len() / n);
     });
     c
 }
@@ -194,7 +253,7 @@ pub fn matmul_tiled(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch: {:?} x {:?}", a.shape(), b.shape());
     let (k, n) = (a.cols(), b.cols());
     let mut c = Matrix::zeros(a.rows(), n);
-    let b_slice = b.as_slice();
+    let (a_slice, b_slice) = (a.as_slice(), b.as_slice());
 
     // Pack B once into NR-wide, zero-padded column panels: panel (kt, js)
     // holds rows k0..k1 of columns j0..j0+NR contiguously with stride NR.
@@ -220,52 +279,59 @@ pub fn matmul_tiled(a: &Matrix, b: &Matrix) -> Matrix {
 
     par_chunks_mut(c.as_mut_slice(), TILE_M * n, |ci, c_chunk| {
         let i0 = ci * TILE_M;
-        let mut c_rows: Vec<&mut [f32]> = c_chunk.chunks_mut(n).collect(); // lint:allow(R003) per-tile row-pointer table: O(TILE_M) words, amortized over the tile's O(TILE_M*n*k) FLOPs
+        let rows = c_chunk.len() / n;
         for kt in 0..ktiles {
             let k0 = kt * TILE_K;
-            let k1 = (k0 + TILE_K).min(k);
-            let a_segs: Vec<&[f32]> = // lint:allow(R003) per-k-tile slice table, amortized over the tile's FLOPs
-                (0..c_rows.len()).map(|di| &a.row(i0 + di)[k0..k1]).collect();
+            let kk = (k - k0).min(TILE_K);
+            let a_panel = APanel::Rows(&a_slice[i0 * k + k0..], k);
             for js in 0..nstrips {
                 let j0 = js * NR;
-                let w = (n - j0).min(NR);
                 let panel = &pack[(kt * nstrips + js) * TILE_K * NR..];
-                micro_block(&a_segs, panel, NR, 0, &mut c_rows, j0, w);
+                micro_block(kk, a_panel, panel, NR, 0, c_chunk, n, rows, j0, (n - j0).min(NR));
             }
         }
     });
     c
 }
 
-/// `C = Aᵀ · B` without materializing the transpose (the `dW = Xᵀ·dY`
-/// orientation of backprop). Each k-tile packs the active `Aᵀ` row panel
-/// into a contiguous stack buffer (`apack[di][p] = A[k0+p][i0+di]`), which
-/// turns the strided column reads of `A` into unit-stride micro-kernel
-/// input. Packing moves bits, never arithmetic: every output element still
-/// accumulates in ascending-`p` order with the same fused multiply-adds,
-/// so the result is bitwise-identical to the reference p-outer loop.
+/// Rows of `C = Aᵀ · B` owned by one parallel work item, from the shape
+/// alone (never the thread count): about eight panels whatever `m` is,
+/// each a whole number of `MR`-row register tiles — so a 64×32 or a 128×16
+/// `dW` still fans out, where a fixed `TILE_M` panel would be one item.
+fn tn_panel_rows(m: usize) -> usize {
+    m.div_ceil(8).div_ceil(MR).max(1) * MR
+}
+
+/// `C = Aᵀ · B` without materializing or packing the transpose (the
+/// `dW = Xᵀ·dY` orientation of backprop). For a fixed `p` the `MR` values
+/// `A[p][i..i + MR]` a register tile needs are already adjacent in memory,
+/// so the micro-kernel broadcasts them straight out of `A` against
+/// `B[p][j0..j0 + NR]`. The shared dimension is walked in `TILE_K`-row
+/// tiles, register tiles outermost, so a tile's `A` lines stay L1-resident
+/// across its column strips while `B` streams; partial sums round-trip
+/// through `C` between tiles, which is exact. Every output element still accumulates in ascending-`p`
+/// order with the same fused multiply-adds, so the result is
+/// bitwise-identical to the reference p-outer loop at any thread count.
 pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.rows(), b.rows(), "matmul_tn shape mismatch: {:?}ᵀ x {:?}", a.shape(), b.shape());
-    let (k, n) = (a.rows(), b.cols());
-    let mut c = Matrix::zeros(a.cols(), n);
-    let b_slice = b.as_slice();
-    par_chunks_mut(c.as_mut_slice(), TILE_M * n, |ci, c_chunk| {
-        let i0 = ci * TILE_M;
-        let mut c_rows: Vec<&mut [f32]> = c_chunk.chunks_mut(n).collect(); // lint:allow(R003) per-tile row-pointer table: O(TILE_M) words, amortized over the tile's O(TILE_M*n*k) FLOPs
-        let rows = c_rows.len();
-        let mut apack = [0.0f32; TILE_M * TILE_K];
+    let (k, m, n) = (a.rows(), a.cols(), b.cols());
+    let mut c = Matrix::zeros(m, n);
+    let a_slice = a.as_slice();
+    let b_view = InPlaceB::new(b);
+    let panel = tn_panel_rows(m);
+    par_chunks_mut(c.as_mut_slice(), panel * n, |ci, c_chunk| {
+        let i0 = ci * panel;
+        let rows = c_chunk.len() / n;
         for k0 in (0..k).step_by(TILE_K) {
-            let k1 = (k0 + TILE_K).min(k);
-            let kk = k1 - k0;
-            for (p, pk) in (k0..k1).enumerate() {
-                let a_row = &a.row(pk)[i0..i0 + rows];
-                for (di, &av) in a_row.iter().enumerate() {
-                    apack[di * kk + p] = av;
-                }
+            let kk = (k - k0).min(TILE_K);
+            // Register tiles outermost: a tile's `A` values (one cache
+            // line per step, strided) are swept once per column strip, so
+            // they are the operand worth keeping L1-resident; `B` streams.
+            for r0 in (0..rows).step_by(MR) {
+                let mr = (rows - r0).min(MR);
+                let a_tile = APanel::Cols(&a_slice[k0 * m + i0 + r0..], m);
+                b_view.accumulate(k0, kk, a_tile, &mut c_chunk[r0 * n..(r0 + mr) * n], mr);
             }
-            let a_segs: Vec<&[f32]> = // lint:allow(R003) per-k-tile slice table, amortized over the tile's FLOPs
-                (0..rows).map(|di| &apack[di * kk..(di + 1) * kk]).collect();
-            micro_panel(&a_segs, &b_slice[k0 * n..], n, &mut c_rows, n);
         }
     });
     c
@@ -282,14 +348,16 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "matmul_nt shape mismatch: {:?} x {:?}ᵀ", a.shape(), b.shape());
     let (k, n) = (a.cols(), b.rows());
     let mut c = Matrix::zeros(a.rows(), n);
+    let a_slice = a.as_slice();
     par_chunks_mut(c.as_mut_slice(), TILE_M * n, |ci, c_chunk| {
         let i0 = ci * TILE_M;
-        let mut c_rows: Vec<&mut [f32]> = c_chunk.chunks_mut(n).collect(); // lint:allow(R003) per-tile row-pointer table: O(TILE_M) words, amortized over the tile's O(TILE_M*n*k) FLOPs
-        let rows = c_rows.len();
+        let rows = c_chunk.len() / n;
+        // Lanes past a ragged block's width keep whatever an earlier block
+        // left there; the micro-kernel computes and drops them.
         let mut bpack = [0.0f32; NR * TILE_K];
         for k0 in (0..k).step_by(TILE_K) {
             let k1 = (k0 + TILE_K).min(k);
-            let a_segs: Vec<&[f32]> = (0..rows).map(|di| &a.row(i0 + di)[k0..k1]).collect(); // lint:allow(R003) per-k-tile slice table, amortized over the tile's FLOPs
+            let a_panel = APanel::Rows(&a_slice[i0 * k + k0..], k);
             let mut j0 = 0;
             while j0 < n {
                 let w = (n - j0).min(NR);
@@ -299,7 +367,7 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
                         bpack[p * NR + t] = bv;
                     }
                 }
-                micro_block(&a_segs, &bpack, NR, 0, &mut c_rows, j0, w);
+                micro_block(k1 - k0, a_panel, &bpack, NR, 0, c_chunk, n, rows, j0, w);
                 j0 += w;
             }
         }
@@ -470,7 +538,19 @@ mod tests {
     fn register_tiling_is_bitwise_scalar_on_ragged_shapes() {
         // Shapes deliberately off every tile boundary, with zeros salted
         // in so sparse panels get the same unconditional-FMA treatment.
-        for &(m, k, n) in &[(1usize, 1usize, 1usize), (5, 3, 17), (33, 65, 31), (37, 129, 49)] {
+        // The widths 1, 15, 16 and 47 are ragged column tails only (every
+        // model's class layer has one): they run the full-width register
+        // tile over a padded strip and must still match the scalar loop.
+        for &(m, k, n) in &[
+            (1usize, 1usize, 1usize),
+            (5, 3, 17),
+            (33, 65, 31),
+            (37, 129, 49),
+            (13, 40, 1),
+            (19, 7, 15),
+            (512, 128, 16),
+            (29, 131, 47),
+        ] {
             let a = Matrix::from_fn(m, k, |r, c| {
                 if (r + c) % 5 == 0 {
                     0.0
@@ -508,6 +588,41 @@ mod tests {
         assert_eq!(matmul_tn(&a, &b).as_slice(), matmul_naive(&a.transpose(), &b).as_slice());
         let b2 = Matrix::from_fn(23, 21, |r, c| ((r + c * 11) % 6) as f32 * 0.21 - 0.6);
         assert_eq!(matmul_nt(&a, &b2).as_slice(), matmul_naive(&a, &b2.transpose()).as_slice());
+    }
+
+    /// `Aᵀ · B` reads `A` in place, k-tiled, with shape-derived panels:
+    /// none of that may move a bit against the scalar loop over the explicit
+    /// transpose — on the tall-skinny shapes backprop produces, on widths
+    /// off every tile boundary, and at k = 0, 1 and either side of a tile
+    /// edge — at any thread count.
+    #[test]
+    fn tn_is_bitwise_the_scalar_loop_on_tall_skinny_and_ragged_shapes() {
+        let mut shapes = vec![(15_000usize, 64usize, 32usize), (4096, 602, 128), (512, 128, 16)];
+        for m in [1usize, 5, 7] {
+            for k in [0usize, 1, 511, 513] {
+                shapes.push((k, m, 47));
+            }
+        }
+        for (k, m, n) in shapes {
+            let a = Matrix::from_fn(k, m, |r, c| ((r * 13 + c * 5) % 9) as f32 * 0.11 - 0.4);
+            let b = Matrix::from_fn(k, n, |r, c| ((r * 7 + c) % 8) as f32 * 0.31 - 1.0);
+            let expect = matmul_naive(&a.transpose(), &b);
+            assert_eq!(expect.shape(), (m, n));
+            for threads in [1usize, 3] {
+                let got = gnn_dm_par::with_threads(threads, || matmul_tn(&a, &b));
+                assert_eq!(got.as_slice(), expect.as_slice(), "{k}x{m}ᵀ·{n} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn panel_height_depends_on_the_shape_alone() {
+        // About eight MR-multiple panels, so narrow outputs still fan out.
+        for (m, want) in [(1usize, 6usize), (32, 6), (64, 12), (128, 18), (602, 78), (1204, 156)] {
+            assert_eq!(tn_panel_rows(m), want, "m = {m}");
+            assert_eq!(tn_panel_rows(m) % MR, 0);
+        }
+        assert!(64usize.div_ceil(tn_panel_rows(64)) >= 6 && 128usize.div_ceil(tn_panel_rows(128)) >= 8);
     }
 
     #[test]

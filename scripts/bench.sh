@@ -4,7 +4,10 @@
 #   scripts/bench.sh            # all cores (or honor a preset GNN_DM_THREADS)
 #   GNN_DM_THREADS=4 scripts/bench.sh
 #
-# Times GEMM, sampler, epoch and cluster-epoch workloads at 1 thread and at
+# Times GEMM, the weight-gradient GEMM (gemm_tn_deep 15000x64ᵀ·32,
+# gemm_tn_wide 4096x602ᵀ·128), block aggregation forward + backward
+# (agg_deep: GraphSAGE, 32 wide, three-hop block; agg_wide: GCN, 602 wide),
+# sampler, epoch and cluster-epoch workloads at 1 thread and at
 # GNN_DM_THREADS in one process. Each measurement is one warmup run followed
 # by the median of N timed runs (N per workload, set in bench_par.rs) —
 # median, not best-of, so the recorded numbers are what a user actually

@@ -8,7 +8,8 @@
 
 use gnn_dm::graph::generate::{planted_partition, PplConfig};
 use gnn_dm::graph::Graph;
-use gnn_dm::nn::train::gather_input_features;
+use gnn_dm::nn::train::{evaluate, gather_input_features, train_epoch};
+use gnn_dm::nn::{Adam, AggKind, GnnModel};
 use gnn_dm::par::with_threads;
 use gnn_dm::partition::metis::{metis_extend, MetisVariant};
 use gnn_dm::sampling::sampler::{build_minibatch_seeded, FanoutSampler};
@@ -290,6 +291,52 @@ fn feature_gather_bitwise_equal_across_thread_counts() {
     let mb = build_minibatch_seeded(&g.inn, &seeds, &sampler, 7);
     assert_threadcount_invariant(|| gather_input_features(&g, &mb));
     assert_threadcount_invariant(|| g.features.gather(mb.input_ids()));
+}
+
+/// A whole NN step, end to end: aggregation (row chunks), the GEMMs
+/// (row panels, shape-derived for `Aᵀ·B`), loss, Adam and full-graph
+/// evaluation. Two epochs of `train_epoch` plus `evaluate` must leave the
+/// same losses, accuracy and every parameter bit at any thread count, for
+/// both model families — widths chosen so row chunks, register tiles and
+/// column strips all have remainders.
+#[test]
+fn training_epoch_bitwise_equal_across_thread_counts() {
+    let g = planted_partition(&PplConfig {
+        n: 700,
+        avg_degree: 12.0,
+        num_classes: 5,
+        feat_dim: 37,
+        ..Default::default()
+    });
+    let train = g.train_vertices();
+    let val = g.val_vertices();
+    let selection = BatchSelection::Random;
+    let schedule = BatchSizeSchedule::Fixed(96);
+    let sampler = FanoutSampler::new(vec![6, 4]);
+    let plan = EpochPlan {
+        in_csr: &g.inn,
+        train: &train,
+        selection: &selection,
+        schedule: &schedule,
+        sampler: &sampler,
+        seed: 11,
+    };
+    for kind in [AggKind::Gcn, AggKind::SageMean] {
+        assert_threadcount_invariant(|| {
+            let mut model = GnnModel::new(kind, &[37, 70, 5], 3);
+            let mut opt = Adam::new(0.01);
+            let losses: Vec<u32> = (0..2)
+                .map(|e| train_epoch(&mut model, &mut opt, &g, &plan, e).mean_loss.to_bits())
+                .collect();
+            let acc = evaluate(&model, &g, &val).to_bits();
+            let params: Vec<Vec<u32>> = model
+                .param_views_mut()
+                .into_iter()
+                .map(|p| p.iter().map(|x| x.to_bits()).collect())
+                .collect();
+            (losses, acc, params)
+        });
+    }
 }
 
 /// Multilevel partitioning: parallel matching proposals, chunked
