@@ -1,10 +1,12 @@
-//! Shared helpers for the figure/table regeneration binaries.
+//! The experiment suite and its shared graph builders.
 //!
-//! Every binary in `src/bin` regenerates one table or figure of the paper's
-//! evaluation (see DESIGN.md §3 for the index). Scales are laptop-sized
-//! stand-ins for the paper's datasets; the *shapes* of the results — who
-//! wins, by what factor, where crossovers fall — are what reproduce.
+//! Every row of [`experiments::EXPERIMENTS`] regenerates one table or
+//! figure of the paper's evaluation (see DESIGN.md §3 for the index); the
+//! `gnn-dm-exp` binary runs them. Scales are laptop-sized stand-ins for the
+//! paper's datasets; the *shapes* of the results — who wins, by what
+//! factor, where crossovers fall — are what reproduce.
 
+pub mod experiments;
 pub mod seed_baseline;
 
 use gnn_dm_graph::datasets::{DatasetId, DatasetSpec};

@@ -14,11 +14,11 @@ use gnn_dm_device::cache::{CachePolicy, FeatureCache};
 use gnn_dm_device::compute::{self, ComputeModel};
 use gnn_dm_device::memory::DeviceMemory;
 use gnn_dm_device::pipeline::{
-    makespan_with_contention_faulted, replay_epoch_faulted, BatchMeta, BatchStageTimes,
+    makespan_with_contention_faulted, replay_epoch_resilient, BatchMeta, BatchStageTimes,
     PipelineMode, DEFAULT_OVERLAP_EFFICIENCY,
 };
 use gnn_dm_device::transfer::{BatchTransfer, TransferEngine, TransferMethod};
-use gnn_dm_faults::FaultPlan;
+use gnn_dm_faults::{FaultPlan, ResiliencePolicy};
 use gnn_dm_graph::Graph;
 use gnn_dm_sampling::epoch::{AccessTracker, EpochPlan};
 use gnn_dm_sampling::{BatchSelection, BatchSizeSchedule, FanoutSampler};
@@ -190,21 +190,25 @@ impl<'g> HeteroTrainer<'g> {
     /// Chrome-trace export of it accounts for every modelled second and
     /// byte.
     pub fn run_epoch_traced(&mut self, epoch: usize) -> (EpochTimings, Timeline) {
-        self.run_epoch_faulted(epoch, &FaultPlan::none())
+        self.run_epoch_faulted(epoch, &FaultPlan::none(), &ResiliencePolicy::none())
     }
 
-    /// [`HeteroTrainer::run_epoch_traced`] under a fault plan: each
-    /// batch's PCIe transfer may suffer planned failed attempts, replayed
-    /// as `Retry`/`Backoff` spans on the PCIe lane before the real
-    /// transfer. Under faults `EpochTimings::dt` (PCIe-lane busy time)
-    /// therefore includes the retransmissions and backoff waits, and
-    /// `pcie_bytes` counts every retransmitted byte — the timeline stays
-    /// the single source of truth. The neutral plan injects nothing, so
-    /// [`HeteroTrainer::run_epoch_traced`] delegates here bitwise-intact.
+    /// [`HeteroTrainer::run_epoch_traced`] under a fault plan and a
+    /// resilience policy: each batch's PCIe transfer may suffer planned
+    /// failed attempts, replayed as `Retry`/`Backoff` spans on the PCIe
+    /// lane before the real transfer — or, with hedging armed, raced
+    /// against a duplicate (`Hedge`/`Cancel` spans). Under faults
+    /// `EpochTimings::dt` (PCIe-lane busy time) therefore includes the
+    /// retransmissions and backoff waits, and `pcie_bytes` counts every
+    /// retransmitted or duplicated byte — the timeline stays the single
+    /// source of truth. The neutral plan injects nothing and the `none`
+    /// policy reacts to nothing, so [`HeteroTrainer::run_epoch_traced`]
+    /// delegates here bitwise-intact.
     pub fn run_epoch_faulted(
         &mut self,
         epoch: usize,
         faults: &FaultPlan,
+        policy: &ResiliencePolicy,
     ) -> (EpochTimings, Timeline) {
         let dims = self.dims();
         let row_bytes = self.graph.features.row_bytes();
@@ -245,7 +249,8 @@ impl<'g> HeteroTrainer<'g> {
             stage_times.push(stage);
             metas.push(meta);
         }
-        let tl = replay_epoch_faulted(&stage_times, &metas, self.cfg.pipeline, faults, epoch);
+        let tl =
+            replay_epoch_resilient(&stage_times, &metas, self.cfg.pipeline, faults, epoch, policy);
         let totals = EpochTimings {
             bp: tl.busy(Resource::CpuSampler),
             dt: tl.busy(Resource::PcieLink),
@@ -257,6 +262,7 @@ impl<'g> HeteroTrainer<'g> {
                 DEFAULT_OVERLAP_EFFICIENCY,
                 faults,
                 epoch,
+                policy,
             ),
             pcie_bytes: tl.bytes_on(Resource::PcieLink),
             cache_hit_rate: self.cache.hit_rate(),

@@ -377,23 +377,32 @@ pub fn makespan_with_contention(
     mode: PipelineMode,
     overlap_efficiency: f64,
 ) -> f64 {
-    makespan_with_contention_faulted(batches, mode, overlap_efficiency, &FaultPlan::none(), 0)
+    makespan_with_contention_faulted(
+        batches,
+        mode,
+        overlap_efficiency,
+        &FaultPlan::none(),
+        0,
+        &ResiliencePolicy::none(),
+    )
 }
 
-/// [`makespan_with_contention`] under a fault plan: both the sequential
-/// baseline and the ideal pipelined makespan are replayed with the plan's
-/// PCIe faults, then the contention discount interpolates between them.
+/// [`makespan_with_contention`] under a fault plan and a resilience
+/// policy: both the sequential baseline and the ideal pipelined makespan
+/// are replayed with the plan's PCIe faults and the policy's reactions,
+/// then the contention discount interpolates between them.
 pub fn makespan_with_contention_faulted(
     batches: &[BatchStageTimes],
     mode: PipelineMode,
     overlap_efficiency: f64,
     plan: &FaultPlan,
     epoch: usize,
+    policy: &ResiliencePolicy,
 ) -> f64 {
     // `max` then `min` is total: a NaN efficiency lands on 0.0.
     let eff = overlap_efficiency.max(0.0).min(1.0);
-    let seq = makespan_faulted(batches, PipelineMode::None, plan, epoch);
-    let ideal = makespan_faulted(batches, mode, plan, epoch);
+    let seq = makespan_resilient(batches, PipelineMode::None, plan, epoch, policy);
+    let ideal = makespan_resilient(batches, mode, plan, epoch, policy);
     seq - (seq - ideal) * eff
 }
 

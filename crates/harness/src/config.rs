@@ -1,35 +1,31 @@
 //! `SystemConfig` — one point in the seven-axis design space — and
 //! `GridSpec`, its serialized (spec-string) form.
 
-use std::sync::Arc;
-
 use gnn_dm_core::trainer::{HeteroTrainer, HeteroTrainerConfig};
 use gnn_dm_graph::Graph;
 
-use crate::axes::{
-    BatchPrep, CachePolicy, FaultPlan, ParallelMode, Partitioner, Resilience, TransferPolicy,
-};
+use crate::axes::{BatchPrep, Cache, Faults, Parallel, Partitioner, Resilience, Transfer};
 use crate::error::HarnessError;
 use crate::grid::Axis;
 use crate::registry::Registry;
 
-/// A fully-resolved system under test: one implementation per axis.
-#[derive(Clone)]
+/// A fully-resolved system under test: one value per axis.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Graph partitioning method.
-    pub partitioner: Arc<dyn Partitioner>,
+    pub partitioner: Partitioner,
     /// Batch preparation (sampler, schedule, selection).
-    pub batch_prep: Arc<dyn BatchPrep>,
+    pub batch_prep: BatchPrep,
     /// Host↔device transfer policy.
-    pub transfer: Arc<dyn TransferPolicy>,
+    pub transfer: Transfer,
     /// GPU feature-cache policy.
-    pub cache: Arc<dyn CachePolicy>,
+    pub cache: Cache,
     /// Parallelization mode.
-    pub parallel: Arc<dyn ParallelMode>,
+    pub parallel: Parallel,
     /// Injected fault plan.
-    pub faults: Arc<dyn FaultPlan>,
+    pub faults: Faults,
     /// Resilience policy reacting to the injected faults.
-    pub resilience: Arc<dyn Resilience>,
+    pub resilience: Resilience,
 }
 
 impl SystemConfig {
@@ -163,34 +159,22 @@ impl GridSpec {
     /// Parses a `/`-separated config id.
     pub fn from_id(id: &str) -> Result<GridSpec, HarnessError> {
         let parts: Vec<&str> = id.split('/').collect();
-        if parts.len() != 7 {
+        let [partitioner, batch_prep, transfer, cache, parallel, faults, resilience] = parts[..]
+        else {
             return Err(HarnessError::new(format!(
                 "config id `{id}` must have 7 `/`-separated axis specs, got {}",
                 parts.len()
             )));
-        }
+        };
         Ok(GridSpec {
-            partitioner: parts[0].to_string(),
-            batch_prep: parts[1].to_string(),
-            transfer: parts[2].to_string(),
-            cache: parts[3].to_string(),
-            parallel: parts[4].to_string(),
-            faults: parts[5].to_string(),
-            resilience: parts[6].to_string(),
+            partitioner: partitioner.to_string(),
+            batch_prep: batch_prep.to_string(),
+            transfer: transfer.to_string(),
+            cache: cache.to_string(),
+            parallel: parallel.to_string(),
+            faults: faults.to_string(),
+            resilience: resilience.to_string(),
         })
-    }
-
-    /// Returns the spec string for one axis.
-    pub fn get(&self, axis: Axis) -> &str {
-        match axis {
-            Axis::Partitioner => &self.partitioner,
-            Axis::BatchPrep => &self.batch_prep,
-            Axis::Transfer => &self.transfer,
-            Axis::Cache => &self.cache,
-            Axis::Parallel => &self.parallel,
-            Axis::Faults => &self.faults,
-            Axis::Resilience => &self.resilience,
-        }
     }
 
     /// Replaces the spec string for one axis.

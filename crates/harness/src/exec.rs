@@ -5,13 +5,13 @@
 //! path (Figures 9–12, Tables 4/8) — plus [`run_config`], the grid
 //! runner's per-config driver, which reports **cost and accuracy
 //! together** in a [`ConfigReport`]. Every constant here (seeds, hidden
-//! widths, parameter bytes) replicates the pre-harness bins exactly.
+//! widths, parameter bytes) replicates the pre-harness experiments exactly.
 
 use gnn_dm_cluster::sim::TimeModel;
 use gnn_dm_cluster::{ClusterSim, EpochLoadReport};
 use gnn_dm_core::config::ModelKind;
 use gnn_dm_core::convergence::{train_distributed, train_single, ConvergenceResult};
-use gnn_dm_faults::{PolicyOutcome, ResilienceReport};
+use gnn_dm_core::trainer::HeteroTrainer;
 use gnn_dm_graph::Graph;
 use gnn_dm_partition::GnnPartitioning;
 use gnn_dm_sampling::BatchSelection;
@@ -98,38 +98,6 @@ impl<'g> ClusterExperiment<'g> {
         self.sim(run).epoch_time(&run.report, &self.time_model())
     }
 
-    /// Epoch time under the config's fault plan.
-    pub fn epoch_time_faulted(&self, run: &ClusterRun, cfg: &SystemConfig) -> f64 {
-        self.sim(run).epoch_time_faulted(&run.report, &self.time_model(), &cfg.faults.plan(), self.epoch)
-    }
-
-    /// Faulted span timeline of a run (for trace export).
-    pub fn timeline_faulted(&self, run: &ClusterRun, cfg: &SystemConfig) -> Timeline {
-        self.sim(run).epoch_timeline_faulted(
-            &run.report,
-            &self.time_model(),
-            &cfg.faults.plan(),
-            self.epoch,
-        )
-    }
-
-    /// Healthy-vs-faulted resilience comparison under the config's plan.
-    pub fn resilience(&self, run: &ClusterRun, cfg: &SystemConfig) -> ResilienceReport {
-        self.sim(run).resilience(&run.report, &self.time_model(), &cfg.faults.plan(), self.epoch)
-    }
-
-    /// Epoch time under the config's fault plan *and* resilience policy.
-    /// With the `none` policy this is exactly [`Self::epoch_time_faulted`].
-    pub fn epoch_time_resilient(&self, run: &ClusterRun, cfg: &SystemConfig) -> f64 {
-        self.sim(run).epoch_time_resilient(
-            &run.report,
-            &self.time_model(),
-            &cfg.faults.plan(),
-            self.epoch,
-            &cfg.resilience.policy(),
-        )
-    }
-
     /// Resilient span timeline of a run at an explicit epoch index (the
     /// chaos grid sweeps many epochs over one built run).
     pub fn timeline_resilient_at(
@@ -143,18 +111,6 @@ impl<'g> ClusterExperiment<'g> {
             &self.time_model(),
             &cfg.faults.plan(),
             epoch,
-            &cfg.resilience.policy(),
-        )
-    }
-
-    /// Policy-on-vs-policy-off comparison under the config's plan and
-    /// resilience policy.
-    pub fn resilience_with_policy(&self, run: &ClusterRun, cfg: &SystemConfig) -> PolicyOutcome {
-        self.sim(run).resilience_with_policy(
-            &run.report,
-            &self.time_model(),
-            &cfg.faults.plan(),
-            self.epoch,
             &cfg.resilience.policy(),
         )
     }
@@ -207,7 +163,7 @@ impl<'g> TrainExperiment<'g> {
             self.hidden,
             sampler,
             selection,
-            &cfg.batch_prep.schedule(),
+            cfg.batch_prep.schedule(),
             self.lr,
             self.epochs,
             self.seed,
@@ -255,57 +211,14 @@ pub struct ConfigReport {
     pub test_acc: f64,
 }
 
-/// Runs one config end to end: cost from the config's execution path
-/// (hetero trainer or cluster simulator, under the config's fault plan)
-/// and accuracy from an actual training run.
-pub fn run_config(graph: &Graph, cfg: &SystemConfig, epochs: usize) -> ConfigReport {
-    let train = TrainExperiment::paper(graph, epochs);
-    if cfg.parallel.distributed() {
-        let exp = ClusterExperiment::paper(graph);
-        let run = exp.run(cfg);
-        // With the `none` policy this is bitwise the faulted epoch time,
-        // so pre-resilience grids are unchanged.
-        let epoch_s = exp.epoch_time_resilient(&run, cfg);
-        let (res, _) = train.run_distributed(cfg);
-        ConfigReport {
-            id: cfg.id(),
-            epoch_s,
-            bytes: run.report.comm.total_volume(),
-            cache_hit_rate: 0.0,
-            num_batches: run.report.num_batches.iter().sum(),
-            best_acc: res.best_acc,
-            test_acc: res.test_acc,
-        }
-    } else {
-        let mut trainer = cfg.hetero_trainer(graph);
-        let (tim, _) = trainer.run_epoch_faulted(0, &cfg.faults.plan());
-        let res = train.run(cfg);
-        ConfigReport {
-            id: cfg.id(),
-            epoch_s: tim.makespan,
-            bytes: tim.pcie_bytes,
-            cache_hit_rate: tim.cache_hit_rate,
-            num_batches: tim.num_batches,
-            best_acc: res.best_acc,
-            test_acc: res.test_acc,
-        }
-    }
-}
-
-/// The composed cross-axis path no pre-harness bin could express: the
-/// **partitioner** axis feeds the **batch selection** policy (each batch
-/// drawn from one partition block), composed with the cache and fault
-/// axes on the single-node engine. `k` is the partition/cluster count.
-pub fn run_composed(graph: &Graph, cfg: &SystemConfig, k: usize, epochs: usize) -> ConfigReport {
-    let part = cfg.partitioner.build(graph, k, 7);
-    let selection = BatchSelection::ClusterBased { clusters: part.assignment.clone() };
-    let mut tcfg = cfg.hetero_config(graph);
-    tcfg.selection = selection.clone();
-    let mut trainer = cfg.hetero_trainer_with(graph, tcfg);
-    let (tim, _) = trainer.run_epoch_faulted(0, &cfg.faults.plan());
-    let train = TrainExperiment::paper(graph, epochs);
-    let sampler = cfg.batch_prep.sampler(graph);
-    let res = train.run_with_selection(cfg, &selection, &*sampler);
+/// Prices one single-node epoch under the config's fault plan and
+/// resilience policy and reports it with the accuracy `res` reached.
+fn hetero_report(
+    cfg: &SystemConfig,
+    mut trainer: HeteroTrainer<'_>,
+    res: &ConvergenceResult,
+) -> ConfigReport {
+    let (tim, _) = trainer.run_epoch_faulted(0, &cfg.faults.plan(), &cfg.resilience.policy());
     ConfigReport {
         id: cfg.id(),
         epoch_s: tim.makespan,
@@ -314,5 +227,88 @@ pub fn run_composed(graph: &Graph, cfg: &SystemConfig, k: usize, epochs: usize) 
         num_batches: tim.num_batches,
         best_acc: res.best_acc,
         test_acc: res.test_acc,
+    }
+}
+
+/// Runs one config end to end: cost from the config's execution path
+/// (hetero trainer or cluster simulator, under the config's fault plan
+/// and resilience policy) and accuracy from an actual training run.
+pub fn run_config(graph: &Graph, cfg: &SystemConfig, epochs: usize) -> ConfigReport {
+    let train = TrainExperiment::paper(graph, epochs);
+    if !cfg.parallel.distributed() {
+        return hetero_report(cfg, cfg.hetero_trainer(graph), &train.run(cfg));
+    }
+    let exp = ClusterExperiment::paper(graph);
+    let run = exp.run(cfg);
+    let (res, _) = train.run_distributed(cfg);
+    ConfigReport {
+        id: cfg.id(),
+        epoch_s: exp.timeline_resilient_at(&run, cfg, exp.epoch).makespan(),
+        bytes: run.report.comm.total_volume(),
+        cache_hit_rate: 0.0,
+        num_batches: run.report.num_batches.iter().sum(),
+        best_acc: res.best_acc,
+        test_acc: res.test_acc,
+    }
+}
+
+/// The composed cross-axis path no pre-harness bin could express: the
+/// **partitioner** axis feeds the **batch selection** policy (each batch
+/// drawn from one partition block), composed with the cache, fault and
+/// resilience axes on the single-node engine. `k` is the
+/// partition/cluster count.
+pub fn run_composed(graph: &Graph, cfg: &SystemConfig, k: usize, epochs: usize) -> ConfigReport {
+    let part = cfg.partitioner.build(graph, k, 7);
+    let selection = BatchSelection::ClusterBased { clusters: part.assignment };
+    let mut tcfg = cfg.hetero_config(graph);
+    tcfg.selection = selection.clone();
+    let sampler = cfg.batch_prep.sampler(graph);
+    let res = TrainExperiment::paper(graph, epochs).run_with_selection(cfg, &selection, &*sampler);
+    hetero_report(cfg, cfg.hetero_trainer_with(graph, tcfg), &res)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Registry;
+    use gnn_dm_graph::generate::{planted_partition, PplConfig};
+    use gnn_dm_trace::SpanKind;
+
+    /// The resilience axis acts on the single-node path: under the same
+    /// fault plan a hedged config is priced differently from (and never
+    /// slower than) the `none` one, and its timeline shows the hedges.
+    #[test]
+    fn single_node_epoch_honours_the_resilience_axis() {
+        let g = planted_partition(&PplConfig {
+            n: 3000,
+            avg_degree: 15.0,
+            num_classes: 8,
+            feat_dim: 64,
+            ..Default::default()
+        });
+        let reg = Registry::builtin();
+        let config = |tail: &str| {
+            let id = format!("hash/fanout(10,5)+fixed(128)/zero-copy/none/single/{tail}");
+            SystemConfig::from_id(&reg, &id).expect("valid id")
+        };
+        let (none, hedged) = (config("uniform(13,0.25)/none"), config("uniform(13,0.25)/hedge(1.5)"));
+        let (none_s, hedged_s) =
+            (run_config(&g, &none, 1).epoch_s, run_config(&g, &hedged, 1).epoch_s);
+        assert!(hedged_s < none_s, "hedging must shorten the faulted epoch ({hedged_s} vs {none_s})");
+
+        let traced = |cfg: &SystemConfig| {
+            cfg.hetero_trainer(&g).run_epoch_faulted(0, &cfg.faults.plan(), &cfg.resilience.policy())
+        };
+        let (_, tl) = traced(&hedged);
+        assert!(tl.tail_stats_of_kind(SpanKind::Hedge).count > 0, "no Hedge span");
+        assert!(tl.tail_stats_of_kind(SpanKind::Cancel).count > 0, "no Cancel span");
+        assert_eq!(traced(&none).1.tail_stats_of_kind(SpanKind::Hedge).count, 0);
+
+        // Both axes neutral: bitwise the plain traced epoch.
+        let healthy = config("none/none");
+        let (tim, tl) = traced(&healthy);
+        let (plain_tim, plain_tl) = healthy.hetero_trainer(&g).run_epoch_traced(0);
+        assert_eq!(tim, plain_tim);
+        assert_eq!(tl.to_chrome_trace(), plain_tl.to_chrome_trace());
     }
 }

@@ -1,240 +1,94 @@
-//! The deterministic axis registry.
+//! The builtin registry: the pinned spec lists plus spec resolution.
 //!
 //! Contract (pinned by `tests/registry.rs`, documented in DESIGN.md §14):
 //!
-//! 1. **Registration order is enumeration order.** `specs(axis)` returns
-//!    entries exactly in the order they were registered; builtins register
-//!    in a fixed order independent of thread count, environment, or
-//!    insertion hashing (plain `Vec`s, no maps).
-//! 2. **Named-first resolution.** `resolve` consults the named entries
-//!    first, then falls back to the builtin family parsers
-//!    ([`crate::builtin`]), so a user registration can shadow a family
-//!    form but two registrations of the same spec are an error.
+//! 1. **List order is enumeration order.** `specs(axis)` returns the
+//!    suite's named entries exactly in the order they are written below —
+//!    constant slices, so the order cannot depend on thread count,
+//!    environment, or hashing.
+//! 2. **One grammar.** Every spec — listed or not — resolves through its
+//!    axis's `parse` ([`crate::axes`]), which range-checks every numeric
+//!    parameter; there is no second lookup path.
 //! 3. **Specs are canonical.** For every resolvable spec `s`,
 //!    `resolve(axis, s).spec() == s` — a [`crate::SystemConfig`] id can
-//!    always be parsed back into an equivalent config.
+//!    always be parsed back into an equal config.
 
-use std::sync::Arc;
-
-use crate::axes::{
-    BatchPrep, CachePolicy, FaultPlan, ParallelMode, Partitioner, Resilience, TransferPolicy,
-};
-use crate::builtin::{
-    self, method_spec, BuiltinCache, BuiltinFaults, BuiltinParallel, BuiltinPrep,
-    BuiltinResilience, MethodPartitioner, SamplerSpec, SelectionSpec,
-};
+use crate::axes::{BatchPrep, Cache, Faults, Parallel, Partitioner, Resilience, Transfer};
 use crate::error::HarnessError;
 use crate::grid::Axis;
-use gnn_dm_partition::PartitionMethod;
-use gnn_dm_sampling::BatchSizeSchedule;
 
-/// An ordered, append-only store of named axis implementations.
-pub struct Registry {
-    partitioners: Vec<(String, Arc<dyn Partitioner>)>,
-    preps: Vec<(String, Arc<dyn BatchPrep>)>,
-    transfers: Vec<(String, Arc<dyn TransferPolicy>)>,
-    caches: Vec<(String, Arc<dyn CachePolicy>)>,
-    parallels: Vec<(String, Arc<dyn ParallelMode>)>,
-    faults: Vec<(String, Arc<dyn FaultPlan>)>,
-    resiliences: Vec<(String, Arc<dyn Resilience>)>,
-}
-
-fn push_unique<T: ?Sized>(
-    axis: &str,
-    entries: &mut Vec<(String, Arc<T>)>,
-    spec: String,
-    value: Arc<T>,
-) -> Result<(), HarnessError> {
-    if entries.iter().any(|(s, _)| *s == spec) {
-        return Err(HarnessError::new(format!("duplicate {axis} registration `{spec}`")));
-    }
-    entries.push((spec, value));
-    Ok(())
-}
+/// The builtin registry. The per-axis lists double as the `grid_smoke`
+/// sweep, so each listed value is exercised by
+/// `scripts/run_all.sh grid_smoke`.
+#[derive(Debug, Clone, Copy)]
+pub struct Registry;
 
 impl Registry {
-    /// An empty registry (no named entries; family parsers still resolve).
-    pub fn empty() -> Self {
-        Registry {
-            partitioners: Vec::new(),
-            preps: Vec::new(),
-            transfers: Vec::new(),
-            caches: Vec::new(),
-            parallels: Vec::new(),
-            faults: Vec::new(),
-            resiliences: Vec::new(),
-        }
-    }
-
-    /// The builtin registry: every named entry the experiment suite uses,
-    /// in pinned order. The per-axis entry lists double as the
-    /// `grid_smoke` sweep, so each registered value is exercised by
-    /// `scripts/run_all.sh grid_smoke`.
+    /// The builtin registry (the only one).
     pub fn builtin() -> Self {
-        let mut r = Registry::empty();
-        // Partitioners: Table 3 order.
-        for m in PartitionMethod::all() {
-            r.partitioners
-                .push((method_spec(m).to_string(), Arc::new(MethodPartitioner(m))));
-        }
-        // Batch preps: the suite's recurring sampler/schedule pairings.
-        for prep in [
-            BuiltinPrep::new(
-                SamplerSpec::Fanout(vec![25, 10]),
-                BatchSizeSchedule::Fixed(512),
-                SelectionSpec::Random,
-            ),
-            BuiltinPrep::new(
-                SamplerSpec::Fanout(vec![10, 5]),
-                BatchSizeSchedule::Fixed(256),
-                SelectionSpec::Random,
-            ),
-            BuiltinPrep::new(
-                SamplerSpec::Rate { rates: vec![0.5, 0.5], min: 1 },
-                BatchSizeSchedule::Fixed(256),
-                SelectionSpec::Random,
-            ),
-            BuiltinPrep::new(
-                SamplerSpec::Fanout(vec![5, 5]),
-                BatchSizeSchedule::Adaptive { start: 128, max: 2048, growth: 2.0, grow_every: 3 },
-                SelectionSpec::Random,
-            ),
-        ] {
-            r.preps.push((prep.spec(), Arc::new(prep)));
-        }
-        // Transfers: Figure 13's methods plus Figure 14's pipeline modes.
-        for spec in ["extract-load", "zero-copy", "zero-copy+pipe(bp)", "zero-copy+pipe(full)", "hybrid(0.5)"]
-        {
-            if let Ok(t) = builtin::parse_transfer(spec) {
-                r.transfers.push((spec.to_string(), t));
+        Registry
+    }
+
+    /// The suite's named specs for one axis, in pinned order.
+    pub fn specs(&self, axis: Axis) -> Vec<String> {
+        let specs: &[&str] = match axis {
+            // Table 3 order.
+            Axis::Partitioner => &["hash", "metis-v", "metis-ve", "metis-vet", "stream-v", "stream-b"],
+            // The suite's recurring sampler/schedule pairings.
+            Axis::BatchPrep => &[
+                "fanout(25,10)+fixed(512)",
+                "fanout(10,5)+fixed(256)",
+                "rate(0.5,0.5;min=1)+fixed(256)",
+                "fanout(5,5)+adaptive(128,2048,x2,every3)",
+            ],
+            // Figure 13's methods plus Figure 14's pipeline modes.
+            Axis::Transfer => {
+                &["extract-load", "zero-copy", "zero-copy+pipe(bp)", "zero-copy+pipe(full)", "hybrid(0.5)"]
             }
-        }
-        // Caches: §7.3's two policies plus disabled.
-        for cache in
-            [BuiltinCache::none(), BuiltinCache::degree(0.3), BuiltinCache::presample(0.3, 3)]
-        {
-            r.caches.push((cache.spec(), Arc::new(cache)));
-        }
-        // Parallel modes: the paper's single node and 4-worker cluster.
-        for p in [BuiltinParallel::Single, BuiltinParallel::Cluster(4)] {
-            r.parallels.push((p.spec(), Arc::new(p)));
-        }
-        // Fault plans: healthy plus the robustness extension's midpoint.
-        for fp in [BuiltinFaults::none(), BuiltinFaults::uniform(13, 0.25)] {
-            r.faults.push((fp.spec(), Arc::new(fp)));
-        }
-        // Resilience policies: disarmed plus the chaos grid's hedge default.
-        for rp in [BuiltinResilience::none(), BuiltinResilience::hedged(1.5)] {
-            r.resiliences.push((rp.spec(), Arc::new(rp)));
-        }
-        r
+            // §7.3's two policies plus disabled.
+            Axis::Cache => &["none", "degree(0.3)", "presample(0.3,3)"],
+            // The paper's single node and 4-worker cluster.
+            Axis::Parallel => &["single", "cluster(4)"],
+            // Healthy plus the robustness extension's midpoint.
+            Axis::Faults => &["none", "uniform(13,0.25)"],
+            // Disarmed plus the chaos grid's hedge default.
+            Axis::Resilience => &["none", "hedge(1.5)"],
+        };
+        specs.iter().map(|s| s.to_string()).collect()
     }
 
-    // -- registration -------------------------------------------------------
-
-    /// Registers a partitioner under its own canonical spec.
-    pub fn register_partitioner(&mut self, p: Arc<dyn Partitioner>) -> Result<(), HarnessError> {
-        push_unique("partitioner", &mut self.partitioners, p.spec(), p)
-    }
-
-    /// Registers a batch-prep under its own canonical spec.
-    pub fn register_batch_prep(&mut self, p: Arc<dyn BatchPrep>) -> Result<(), HarnessError> {
-        push_unique("batch-prep", &mut self.preps, p.spec(), p)
-    }
-
-    /// Registers a transfer policy under its own canonical spec.
-    pub fn register_transfer(&mut self, p: Arc<dyn TransferPolicy>) -> Result<(), HarnessError> {
-        push_unique("transfer", &mut self.transfers, p.spec(), p)
-    }
-
-    /// Registers a cache policy under its own canonical spec.
-    pub fn register_cache(&mut self, p: Arc<dyn CachePolicy>) -> Result<(), HarnessError> {
-        push_unique("cache", &mut self.caches, p.spec(), p)
-    }
-
-    /// Registers a parallel mode under its own canonical spec.
-    pub fn register_parallel(&mut self, p: Arc<dyn ParallelMode>) -> Result<(), HarnessError> {
-        push_unique("parallel", &mut self.parallels, p.spec(), p)
-    }
-
-    /// Registers a fault plan under its own canonical spec.
-    pub fn register_faults(&mut self, p: Arc<dyn FaultPlan>) -> Result<(), HarnessError> {
-        push_unique("faults", &mut self.faults, p.spec(), p)
-    }
-
-    /// Registers a resilience policy under its own canonical spec.
-    pub fn register_resilience(&mut self, p: Arc<dyn Resilience>) -> Result<(), HarnessError> {
-        push_unique("resilience", &mut self.resiliences, p.spec(), p)
-    }
-
-    // -- resolution ---------------------------------------------------------
-
-    /// Resolves a partitioner spec (named entries first, then families).
-    pub fn partitioner(&self, spec: &str) -> Result<Arc<dyn Partitioner>, HarnessError> {
-        if let Some((_, p)) = self.partitioners.iter().find(|(s, _)| s == spec) {
-            return Ok(Arc::clone(p));
-        }
-        builtin::parse_partitioner(spec)
+    /// Resolves a partitioner spec.
+    pub fn partitioner(&self, spec: &str) -> Result<Partitioner, HarnessError> {
+        Partitioner::parse(spec)
     }
 
     /// Resolves a batch-prep spec.
-    pub fn batch_prep(&self, spec: &str) -> Result<Arc<dyn BatchPrep>, HarnessError> {
-        if let Some((_, p)) = self.preps.iter().find(|(s, _)| s == spec) {
-            return Ok(Arc::clone(p));
-        }
-        builtin::parse_batch_prep(spec)
+    pub fn batch_prep(&self, spec: &str) -> Result<BatchPrep, HarnessError> {
+        BatchPrep::parse(spec)
     }
 
     /// Resolves a transfer spec.
-    pub fn transfer(&self, spec: &str) -> Result<Arc<dyn TransferPolicy>, HarnessError> {
-        if let Some((_, p)) = self.transfers.iter().find(|(s, _)| s == spec) {
-            return Ok(Arc::clone(p));
-        }
-        builtin::parse_transfer(spec)
+    pub fn transfer(&self, spec: &str) -> Result<Transfer, HarnessError> {
+        Transfer::parse(spec)
     }
 
     /// Resolves a cache spec.
-    pub fn cache(&self, spec: &str) -> Result<Arc<dyn CachePolicy>, HarnessError> {
-        if let Some((_, p)) = self.caches.iter().find(|(s, _)| s == spec) {
-            return Ok(Arc::clone(p));
-        }
-        builtin::parse_cache(spec)
+    pub fn cache(&self, spec: &str) -> Result<Cache, HarnessError> {
+        Cache::parse(spec)
     }
 
     /// Resolves a parallel-mode spec.
-    pub fn parallel(&self, spec: &str) -> Result<Arc<dyn ParallelMode>, HarnessError> {
-        if let Some((_, p)) = self.parallels.iter().find(|(s, _)| s == spec) {
-            return Ok(Arc::clone(p));
-        }
-        builtin::parse_parallel(spec)
+    pub fn parallel(&self, spec: &str) -> Result<Parallel, HarnessError> {
+        Parallel::parse(spec)
     }
 
     /// Resolves a fault-plan spec.
-    pub fn faults(&self, spec: &str) -> Result<Arc<dyn FaultPlan>, HarnessError> {
-        if let Some((_, p)) = self.faults.iter().find(|(s, _)| s == spec) {
-            return Ok(Arc::clone(p));
-        }
-        builtin::parse_faults(spec)
+    pub fn faults(&self, spec: &str) -> Result<Faults, HarnessError> {
+        Faults::parse(spec)
     }
 
     /// Resolves a resilience spec.
-    pub fn resilience(&self, spec: &str) -> Result<Arc<dyn Resilience>, HarnessError> {
-        if let Some((_, p)) = self.resiliences.iter().find(|(s, _)| s == spec) {
-            return Ok(Arc::clone(p));
-        }
-        builtin::parse_resilience(spec)
-    }
-
-    /// Registered specs for one axis, in registration order.
-    pub fn specs(&self, axis: Axis) -> Vec<String> {
-        match axis {
-            Axis::Partitioner => self.partitioners.iter().map(|(s, _)| s.clone()).collect(),
-            Axis::BatchPrep => self.preps.iter().map(|(s, _)| s.clone()).collect(),
-            Axis::Transfer => self.transfers.iter().map(|(s, _)| s.clone()).collect(),
-            Axis::Cache => self.caches.iter().map(|(s, _)| s.clone()).collect(),
-            Axis::Parallel => self.parallels.iter().map(|(s, _)| s.clone()).collect(),
-            Axis::Faults => self.faults.iter().map(|(s, _)| s.clone()).collect(),
-            Axis::Resilience => self.resiliences.iter().map(|(s, _)| s.clone()).collect(),
-        }
+    pub fn resilience(&self, spec: &str) -> Result<Resilience, HarnessError> {
+        Resilience::parse(spec)
     }
 }

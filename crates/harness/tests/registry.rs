@@ -1,17 +1,15 @@
-//! Pins the registry/grid determinism contract (DESIGN.md §14):
-//! registration order is enumeration order, `SystemConfig` serialization
-//! round-trips, and grid enumeration order is identical at any worker-pool
-//! size.
+//! Pins the registry/grid contract (DESIGN.md §14): the builtin spec
+//! lists enumerate in their pinned order, `SystemConfig` serialization
+//! round-trips to an equal value, out-of-range and malformed specs are
+//! errors (never panics), and grid enumeration order is identical at any
+//! worker-pool size.
 
-use std::sync::Arc;
-
-use gnn_dm_harness::{Axis, Grid, GridSpec, Partitioner, Registry, SystemConfig};
+use gnn_dm_harness::{Axis, Grid, GridSpec, Registry, SystemConfig};
 use gnn_dm_par::with_threads;
-use gnn_dm_partition::GnnPartitioning;
 
-/// 1. Registration order is enumeration order — the builtin registry
-/// enumerates each axis's specs exactly in its pinned registration order,
-/// every time it is constructed.
+/// 1. List order is enumeration order — the builtin registry enumerates
+/// each axis's specs exactly in its pinned order, every time it is
+/// constructed.
 #[test]
 fn builtin_registration_order_is_enumeration_order() {
     let reg = Registry::builtin();
@@ -44,34 +42,9 @@ fn builtin_registration_order_is_enumeration_order() {
     }
 }
 
-/// A user registration appends after the builtins and duplicate specs are
-/// rejected — so extension preserves, never reorders, the pinned prefix.
-#[test]
-fn registration_appends_and_rejects_duplicates() {
-    struct Custom;
-    impl Partitioner for Custom {
-        fn name(&self) -> &str {
-            "custom"
-        }
-        fn spec(&self) -> String {
-            "custom".to_string()
-        }
-        fn build(&self, g: &gnn_dm_graph::Graph, k: usize, _seed: u64) -> GnnPartitioning {
-            GnnPartitioning { assignment: vec![0; g.num_vertices()], k, halos: vec![Vec::new(); k] }
-        }
-    }
-    let mut reg = Registry::builtin();
-    let before = reg.specs(Axis::Partitioner);
-    reg.register_partitioner(Arc::new(Custom)).expect("fresh spec registers");
-    let after = reg.specs(Axis::Partitioner);
-    assert_eq!(&after[..before.len()], &before[..], "builtin prefix preserved");
-    assert_eq!(after.last().map(String::as_str), Some("custom"));
-    assert!(reg.register_partitioner(Arc::new(Custom)).is_err(), "duplicate rejected");
-}
-
 /// 2. Serialization round-trip: every cell of the full seven-axis builtin
-/// product satisfies `from_id(id()) == id()` — the config id is a faithful
-/// serialization, not a display string.
+/// product satisfies `from_id(id()) == self`, value for value — the config
+/// id is a faithful serialization, not a display string.
 #[test]
 fn system_config_id_round_trips() {
     let reg = Registry::builtin();
@@ -84,8 +57,8 @@ fn system_config_id_round_trips() {
     for cfg in &configs {
         let id = cfg.id();
         let back = SystemConfig::from_id(&reg, &id).expect("id parses back");
+        assert_eq!(&back, cfg, "round-trip changed the config");
         assert_eq!(back.id(), id, "round-trip changed the id");
-        assert_eq!(back.to_spec(), cfg.to_spec(), "round-trip changed an axis spec");
     }
 }
 
@@ -103,6 +76,165 @@ fn malformed_ids_are_rejected() {
     ]
     {
         assert!(SystemConfig::from_id(&reg, bad).is_err(), "`{bad}` should not resolve");
+    }
+}
+
+/// Hostile specs: every out-of-range parameter, truncated or unbalanced
+/// form, empty list, overflowing integer and non-canonical spelling is an
+/// `Err` from resolution — nothing reaches a constructor that would panic
+/// or price nonsense.
+#[test]
+fn hostile_specs_are_errors_not_panics() {
+    let reg = Registry::builtin();
+    let hostile: [(Axis, &[&str]); 7] = [
+        (
+            Axis::Partitioner,
+            &[
+                "",
+                "metis-raw(refine=-1)",
+                "metis-raw(refine=)",
+                "metis-raw(refine=01)",
+                "metis-raw(refine=18446744073709551616)",
+                "stream-v(quick)",
+                "stream-v(fast",
+                "stream-v(fast))",
+            ],
+        ),
+        (
+            Axis::BatchPrep,
+            &[
+                "fanout(25,10)",
+                "fanout(25,10)+fixed(0)",
+                "fanout(25,10)+fixed(18446744073709551616)",
+                "fanout()+fixed(512)",
+                "fanout(25,,10)+fixed(512)",
+                "fanout(0,5)+fixed(512)",
+                "fanout(25, 10)+fixed(512)",
+                "fanout(25,10+fixed(512)",
+                "fanout(25,10))+fixed(512)",
+                "fanout(25,10)+fixed(512)+cluster(0,1)",
+                "fanout(25,10)+fixed(512)+cluster(4)",
+                "fanout(25,10)+fixed(512)+cluster(4,1)+cluster(4,1)",
+                "rate(NaN;min=1)+fixed(2)",
+                "rate(0,0.5;min=1)+fixed(2)",
+                "rate(1.5;min=1)+fixed(2)",
+                "rate(;min=1)+fixed(2)",
+                "hybrid(8;0.3,0.3;thr=24)+fixed(256)",
+                "hybrid(8,8;0.3,0.3)+fixed(256)",
+                "importance(10,5)+fixed(128)",
+                "fanout(5,5)+adaptive(0,0,x0,every0)",
+                "fanout(5,5)+adaptive(128,2048,x1,every3)",
+                "fanout(5,5)+adaptive(128,2048,xinf,every3)",
+                "fanout(5,5)+adaptive(128,2048,xNaN,every3)",
+                "fanout(5,5)+adaptive(128,2048,x2,every0)",
+                "fanout(5,5)+steps()",
+                "fanout(5,5)+steps(0:0)",
+                "fanout(5,5)+steps(0)",
+            ],
+        ),
+        (
+            Axis::Transfer,
+            &[
+                "",
+                "hybrid(NaN)",
+                "hybrid(-3)",
+                "hybrid(2)",
+                "hybrid(0.50)",
+                "hybrid(0.5",
+                "zero-copy+",
+                "zero-copy+eff(0)",
+                "zero-copy+eff(NaN)",
+                "zero-copy+eff(1.5)",
+                "zero-copy+eff(0.5)+pipe(bp)",
+                "zero-copy+pipe(bp)+pipe(full)",
+            ],
+        ),
+        (
+            Axis::Cache,
+            &[
+                "degree(NaN)",
+                "degree(2)",
+                "degree(-0.1)",
+                "degree(3e-1)",
+                "degree(0.3",
+                "degree0.3)",
+                "degree()",
+                "presample(0.3)",
+                "presample(0.3,0)",
+                "presample(inf,3)",
+            ],
+        ),
+        (
+            Axis::Parallel,
+            &[
+                "cluster(0)",
+                "cluster()",
+                "cluster(4",
+                "cluster(4))",
+                "cluster(04)",
+                "cluster(-4)",
+                "cluster(99999999999999999999999)",
+            ],
+        ),
+        (
+            Axis::Faults,
+            &[
+                "uniform(13,7)",
+                "uniform(13,-1)",
+                "uniform(13,NaN)",
+                "uniform(13)",
+                "uniform(-1,0.1)",
+                "uniform(18446744073709551616,0.1)",
+                "uniform(13,0.25",
+            ],
+        ),
+        (
+            Axis::Resilience,
+            &[
+                "hedge(NaN)",
+                "hedge(0)",
+                "hedge(inf)",
+                "hedge(1.5",
+                "hedge(1.5)+",
+                "hedge(1.5)+hedge(1.5)",
+                "none+hedge(1.5)",
+                "deadline(NaN,skip)",
+                "deadline(0,skip)",
+                "deadline(0.05,retry)",
+                "deadline(0.05)",
+                "redispatch(NaN)",
+                "redispatch(1.5)",
+                "stale(-1)",
+                "stale(2)+hedge(1.5)",
+                "redispatch(0.5)+deadline(0.05,skip)",
+            ],
+        ),
+    ];
+    for (axis, specs) in hostile {
+        for bad in specs {
+            let mut spec = GridSpec::default();
+            spec.set(axis, *bad);
+            let resolved = SystemConfig::from_spec(&reg, &spec);
+            assert!(resolved.is_err(), "{} spec `{bad}` should not resolve", axis.label());
+        }
+    }
+    // The three ids that used to resolve and then panic inside the
+    // partitioner, the batch selector and the device memory model.
+    for id in [
+        "hash/fanout(25,10)+fixed(512)/extract-load/none/cluster(0)/none/none",
+        "hash/fanout(25,10)+fixed(0)/extract-load/none/single/none/none",
+        "hash/fanout(25,10)+fixed(512)/extract-load/degree(NaN)/single/none/none",
+    ] {
+        assert!(SystemConfig::from_id(&reg, id).is_err(), "`{id}` should not resolve");
+    }
+    // Parameters whose zero (or lower bound) is meaningful stay in the
+    // grammar.
+    for id in [
+        "metis-raw(refine=0)/rate(0.5;min=0)+fixed(1)/hybrid(0)/degree(0)/cluster(1)/uniform(0,0)/hedge(1)",
+        "hash/hybrid(8;1;thr=0)+steps(0:1)/zero-copy+eff(1)/presample(1,1)/single/none/redispatch(0)+stale(0)",
+    ] {
+        let cfg = SystemConfig::from_id(&reg, id).expect("boundary values are in range");
+        assert_eq!(cfg.id(), id);
     }
 }
 

@@ -77,12 +77,12 @@ const ASSERT_MACROS: &[&str] = &[
 /// Panic-family macros banned from library code (P001 scope).
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
 
-/// Axis-implementation entry points experiment bins must not reach
-/// directly (H001 scope). Each one is a concrete partitioner / cache /
-/// fault-plan / resilience-policy constructor that the harness registry
-/// wraps behind a trait; a bin that calls it bypasses `SystemConfig`, so
-/// the config id printed next to its numbers no longer names the system
-/// that produced them.
+/// Axis-implementation entry points experiments must not reach directly
+/// (H001 scope). Each one is a concrete partitioner / cache / fault-plan /
+/// resilience-policy constructor that a harness axis value builds from
+/// its spec; an experiment that calls it bypasses `SystemConfig`, so the
+/// config id printed next to its numbers no longer names the system that
+/// produced them.
 const HARNESS_AXIS_IDENTS: &[&str] = &[
     "partition_graph",
     "metis_extend",
@@ -98,10 +98,11 @@ const HARNESS_AXIS_IDENTS: &[&str] = &[
     "ResiliencePolicy",
 ];
 
-/// Bench-crate binaries that are infrastructure, not experiments (H001
-/// exempt): they measure the substrate itself rather than a system
-/// configuration, so they call axis implementations directly on purpose.
-const HARNESS_EXEMPT_BINS: &[&str] = &["crates/bench/src/bin/bench_par.rs"];
+/// Where the experiment rows and their `run` functions live (H001 scope).
+/// The bench crate's binaries (`gnn-dm-exp`, which only dispatches, and
+/// `bench_par`, which measures the substrate itself and calls axis
+/// implementations directly on purpose) are outside it.
+const EXPERIMENTS_DIR: &str = "crates/bench/src/experiments/";
 
 /// Integer type names a narrowing-or-reinterpreting `as` cast can target
 /// (C001 scope). `as f64` widening for ratio math is not in scope.
@@ -140,11 +141,10 @@ pub struct FileCtx {
     /// True for crates whose integer arithmetic *is* the paper's byte and
     /// edge accounting (C001 scope): `device`, `trace`, `cluster`.
     pub accounting_crate: bool,
-    /// True for experiment binaries (`crates/bench/src/bin/**` minus the
-    /// infrastructure bins), which must assemble systems-under-test through
-    /// the harness registry instead of constructing axis implementations
-    /// directly (H001 scope).
-    pub experiment_bin: bool,
+    /// True for experiment code ([`EXPERIMENTS_DIR`]), which must assemble
+    /// systems-under-test through the harness registry instead of
+    /// constructing axis implementations directly (H001 scope).
+    pub experiment: bool,
     /// True for the crates whose numbers *are* the paper's cost model
     /// (`device`, `trace`, `cluster`, `faults`, `harness`): the scope of
     /// the unit/dimension dataflow pass (B001/B002) and of the ledger
@@ -185,8 +185,7 @@ impl FileCtx {
                 || rel == "crates/cluster/src/network.rs"
                 || rel == "crates/cluster/src/sim.rs",
             accounting_crate: in_crate("device") || in_crate("trace") || in_crate("cluster"),
-            experiment_bin: rel.starts_with("crates/bench/src/bin/")
-                && !HARNESS_EXEMPT_BINS.contains(&rel.as_str()),
+            experiment: rel.starts_with(EXPERIMENTS_DIR),
             units_crate: in_crate("device")
                 || in_crate("trace")
                 || in_crate("cluster")
@@ -636,18 +635,18 @@ fn check_t001_raw_threads(ctx: &FileCtx, tokens: &[Token], diags: &mut Vec<Diagn
     }
 }
 
-/// H001 — experiment bins assemble their system-under-test through the
+/// H001 — experiments assemble their system-under-test through the
 /// harness registry (`Registry::builtin()` → `SystemConfig::from_spec`),
 /// never by calling a partitioner / cache / fault-plan constructor
-/// directly. A direct construction makes the bin's numbers unattributable
-/// to a `SystemConfig` id and silently drifts from the swept grid.
-/// Infrastructure bins ([`HARNESS_EXEMPT_BINS`]) are out of scope.
+/// directly. A direct construction makes the experiment's numbers
+/// unattributable to a `SystemConfig` id and silently drifts from the
+/// swept grid. Scope: [`EXPERIMENTS_DIR`].
 fn check_h001_direct_axis_construction(
     ctx: &FileCtx,
     tokens: &[Token],
     diags: &mut Vec<Diagnostic>,
 ) {
-    if !ctx.experiment_bin {
+    if !ctx.experiment {
         return;
     }
     for t in tokens {
@@ -657,7 +656,7 @@ fn check_h001_direct_axis_construction(
                 file: ctx.rel_path.clone(),
                 line: t.line,
                 message: format!(
-                    "experiment bin constructs `{}` directly; assemble the system \
+                    "experiment constructs `{}` directly; assemble the system \
                      through the harness registry (`SystemConfig::from_spec`) so the \
                      config id names what produced these numbers",
                     t.text
@@ -930,17 +929,18 @@ mod tests {
     }
 
     #[test]
-    fn h001_scopes_to_experiment_bins() {
-        let src = "fn main() { let p = partition_graph(&g, m, 4, 7); }";
-        assert_eq!(rules_fired("crates/bench/src/bin/fig4_comp_load.rs", src), vec!["H001"]);
-        // The infrastructure bin, bench library code, other crates' bins
-        // and the harness itself are all out of scope.
+    fn h001_scopes_to_experiments() {
+        let src = "pub fn fig4() { let p = partition_graph(&g, m, 4, 7); }";
+        assert_eq!(rules_fired("crates/bench/src/experiments/partitioning.rs", src), vec!["H001"]);
+        // The bench crate's binaries, its other library code and the
+        // harness itself are all out of scope.
         assert!(rules_fired("crates/bench/src/bin/bench_par.rs", src).is_empty());
+        assert!(rules_fired("crates/bench/src/bin/gnn-dm-exp.rs", src).is_empty());
         assert!(rules_fired("crates/bench/src/lib.rs", src).is_empty());
-        assert!(rules_fired("crates/harness/src/builtin.rs", src).is_empty());
+        assert!(rules_fired("crates/harness/src/axes.rs", src).is_empty());
         // Type-name constructors count as construction sites too.
-        let cache = "fn main() { let c = FeatureCache::degree_resident(&g, n); }";
-        assert_eq!(rules_fired("crates/bench/src/bin/fig17_cache_policies.rs", cache), vec!["H001"]);
+        let cache = "pub fn fig17() { let c = FeatureCache::degree_resident(&g, n); }";
+        assert_eq!(rules_fired("crates/bench/src/experiments/transfer.rs", cache), vec!["H001"]);
     }
 
     #[test]

@@ -181,17 +181,17 @@ fn a001_fires_and_clean() {
 #[test]
 fn h001_fires_and_clean() {
     let fires = include_str!("fixtures/h001_fires.rs");
-    let bin = "crates/bench/src/bin/fixture.rs";
-    assert_eq!(rules_fired(bin, fires), vec!["H001"]);
+    let experiment = "crates/bench/src/experiments/fixture.rs";
+    assert_eq!(rules_fired(experiment, fires), vec!["H001"]);
     // partition_graph, stream_b, FeatureCache, FaultPlan,
     // ResiliencePolicy — one each.
-    assert_eq!(count(bin, fires, "H001"), 5);
-    // The infrastructure bin and non-bin bench code are out of scope.
+    assert_eq!(count(experiment, fires, "H001"), 5);
+    // The bench binaries and the rest of the bench library are out of scope.
     assert!(rules_fired("crates/bench/src/bin/bench_par.rs", fires).is_empty());
     assert!(rules_fired("crates/bench/src/harness.rs", fires).is_empty());
 
     let clean = include_str!("fixtures/h001_clean.rs");
-    assert!(rules_fired(bin, clean).is_empty());
+    assert!(rules_fired(experiment, clean).is_empty());
 }
 
 #[test]

@@ -1,9 +1,9 @@
-// Fixture: H001 must NOT fire — the bin assembles its system-under-test
-// through the harness registry; forbidden constructor names appear only
-// in prose ("partition_graph, FeatureCache and FaultPlan live behind the
-// Partitioner / CachePolicy / FaultInjection traits").
+// Fixture: H001 must NOT fire — the experiment assembles its
+// system-under-test through the harness registry; forbidden constructor
+// names appear only in prose ("partition_graph, FeatureCache and FaultPlan
+// are what the Partitioner / Cache / Faults axis values build").
 
-fn main() {
+pub fn experiment() {
     let g = make_graph();
     let reg = Registry::builtin();
     let spec = GridSpec { partitioner: "metis-v".to_string(), ..GridSpec::default() };

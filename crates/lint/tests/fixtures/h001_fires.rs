@@ -1,8 +1,8 @@
-// Fixture: H001 must fire — an experiment bin constructing axis
-// implementations directly instead of assembling a `SystemConfig`
-// through the harness registry (linted under crates/bench/src/bin/...).
+// Fixture: H001 must fire — an experiment constructing axis
+// implementations directly instead of assembling a `SystemConfig` through
+// the harness registry (linted under crates/bench/src/experiments/...).
 
-fn main() {
+pub fn experiment() {
     let g = make_graph();
     let part = partition_graph(&g, PartitionMethod::MetisV, 4, 7); // H001
     let blocks = stream_b(&g, 4, 1024, 3); // H001

@@ -28,33 +28,28 @@ cargo test -q --test trace_goldens
 echo "==> fault suite (neutral plan is bitwise no-op, monotone fault cost)"
 cargo test -q --test robustness
 
-if [ -f results/trace_faults.json ]; then
-    echo "==> faulted-trace golden (results/trace_faults.json is canonical)"
-    tmpdir="$(mktemp -d)"
-    cp results/trace_faults.json "${tmpdir}/trace_faults.golden.json"
-    cargo run --release -q -p gnn-dm-bench --bin ext_faults_epoch_time >/dev/null
-    if ! cmp -s results/trace_faults.json "${tmpdir}/trace_faults.golden.json"; then
-        cp "${tmpdir}/trace_faults.golden.json" results/trace_faults.json
-        rm -rf "${tmpdir}"
-        echo "FAIL: regenerated trace_faults.json differs from the checked-in golden" >&2
+# golden_check <experiment> <file> [args]: regenerates a checked-in golden
+# trace with the experiment that writes it and fails on any byte of drift,
+# leaving the golden as it was.
+golden_check() {
+    local experiment="$1" file="$2" golden
+    shift 2
+    [ -f "${file}" ] || return 0
+    echo "==> golden trace ${file} (gnn-dm-exp ${experiment} $* must reproduce it byte for byte)"
+    golden="$(mktemp)"
+    cp "${file}" "${golden}"
+    cargo run --release -q -p gnn-dm-bench --bin gnn-dm-exp -- "${experiment}" "$@" >/dev/null
+    if ! cmp -s "${file}" "${golden}"; then
+        cp "${golden}" "${file}"
+        rm -f "${golden}"
+        echo "FAIL: regenerated ${file} differs from the checked-in golden" >&2
         exit 1
     fi
-    rm -rf "${tmpdir}"
-fi
-
-if [ -f results/trace_chaos.json ]; then
-    echo "==> chaos-trace golden (results/trace_chaos.json is canonical; smoke grid re-derives it)"
-    tmpdir="$(mktemp -d)"
-    cp results/trace_chaos.json "${tmpdir}/trace_chaos.golden.json"
-    cargo run --release -q -p gnn-dm-bench --bin chaos_grid -- --smoke >/dev/null
-    if ! cmp -s results/trace_chaos.json "${tmpdir}/trace_chaos.golden.json"; then
-        cp "${tmpdir}/trace_chaos.golden.json" results/trace_chaos.json
-        rm -rf "${tmpdir}"
-        echo "FAIL: regenerated trace_chaos.json differs from the checked-in golden" >&2
-        exit 1
-    fi
-    rm -rf "${tmpdir}"
-fi
+    rm -f "${golden}"
+}
+golden_check ext_faults_epoch_time results/trace_faults.json
+# The smoke grid contains the golden cell, so it re-derives the full run's trace.
+golden_check chaos_grid results/trace_chaos.json --smoke
 
 echo "==> bench smoke (serial ≡ parallel ≡ frozen-seed bitwise, tiny sizes, no timing gate)"
 cargo run --release -q -p gnn-dm-bench --bin bench_par -- --smoke

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Regenerates every table and figure of the paper's evaluation.
-# Output lands in results/<target>.txt; see EXPERIMENTS.md for the index.
+# Regenerates every table and figure of the paper's evaluation: each row of
+# `gnn-dm-exp --list` is run and its stdout kept in results/<stem>.txt (a
+# row with no stem, i.e. trace_export, only writes its JSON traces). See
+# EXPERIMENTS.md for the index; one experiment alone is
+# `cargo run --release -p gnn-dm-bench --bin gnn-dm-exp -- <name>`.
 #
 #   scripts/run_all.sh              # regenerate all results
 #   scripts/run_all.sh grid_smoke   # smoke mode: run one config per
@@ -12,14 +15,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results
 
+cargo build --release -q -p gnn-dm-bench --bin gnn-dm-exp
+exp=target/release/gnn-dm-exp
+
 if [ "${1:-}" = "grid_smoke" ]; then
-  cargo build --release -q -p gnn-dm-bench --bin grid_smoke
   tmp="$(mktemp)"
   trap 'rm -f "${tmp}"' EXIT
-  cargo run --release -q -p gnn-dm-bench --bin grid_smoke >"${tmp}"
+  "${exp}" grid_smoke >"${tmp}"
   if ! diff -u results/grid_smoke.txt "${tmp}"; then
     echo "FAIL: grid_smoke output drifted from results/grid_smoke.txt" >&2
-    echo "(a registered axis implementation or the registry order changed;" >&2
+    echo "(a registered axis value or the registry order changed;" >&2
     echo " if intentional, regenerate with scripts/run_all.sh)" >&2
     exit 1
   fi
@@ -27,46 +32,11 @@ if [ "${1:-}" = "grid_smoke" ]; then
   exit 0
 fi
 
-targets=(
-  tables_taxonomy
-  fig2_breakdown
-  fig4_comp_load
-  fig5_comm_load
-  fig6_part_time
-  fig7_convergence
-  tab4_accuracy
-  fig8_epoch_time
-  fig9_batch_size
-  fig10_adaptive_batch
-  fig11_batch_selection
-  tab6_selection_cost
-  fig12_fanout_rate
-  tab7_degree_accuracy
-  tab8_hybrid
-  fig13_transfer_opts
-  fig14_pipeline_ablation
-  fig15_active_blocks
-  fig16_block_threshold
-  fig17_cache_policies
-  ablate_zerocopy_eff
-  ablate_metis_refine
-  ablate_presample_epochs
-  ablate_block_size
-  ablate_adaptive_schedule
-  ablate_stream_impl
-  ablate_importance_cache
-  ext_fullbatch_vs_minibatch
-  ext_three_layer
-  ext_sampling_algorithms
-  ext_p3_hybrid
-  ext_local_sgd
-  ext_faults_epoch_time
-  ext_grid_composition
-  grid_smoke
-)
-cargo build --release -p gnn-dm-bench --bins
-for t in "${targets[@]}"; do
-  echo "=== $t ==="
-  cargo run --release -q -p gnn-dm-bench --bin "$t" | tee "results/$t.txt"
+"${exp}" --list | while IFS=$'\t' read -r name stem _; do
+  if [ "${stem}" = "-" ]; then
+    "${exp}" "${name}"
+  else
+    "${exp}" "${name}" | tee "results/${stem}.txt"
+  fi
 done
 echo "All results written to results/."

@@ -13,7 +13,7 @@
 //! * [`cluster`] — the simulated distributed training cluster;
 //! * [`core`] — the end-to-end evaluation engine tying it all together;
 //! * [`harness`] — the composable systems-under-test layer: every
-//!   evaluation axis a trait object behind a deterministic registry,
+//!   evaluation axis a plain value parsed from a range-checked spec,
 //!   every experiment a declarative grid;
 //! * [`trace`] — the deterministic span-timeline engine every modelled
 //!   second and byte flows through (Chrome-trace export);

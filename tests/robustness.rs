@@ -280,7 +280,8 @@ fn zero_fault_plan_is_bitwise_identity() {
     // Heterogeneous trainer.
     let cfg = HeteroTrainerConfig::baseline(&g, 128);
     let (t_healthy, tl_healthy) = HeteroTrainer::new(&g, cfg.clone()).run_epoch_traced(0);
-    let (t_faulted, tl_faulted) = HeteroTrainer::new(&g, cfg).run_epoch_faulted(0, &none);
+    let (t_faulted, tl_faulted) =
+        HeteroTrainer::new(&g, cfg).run_epoch_faulted(0, &none, &ResiliencePolicy::none());
     assert_eq!(t_healthy, t_faulted);
     assert_eq!(tl_healthy.to_chrome_trace(), tl_faulted.to_chrome_trace());
 }
