@@ -1,10 +1,10 @@
 //! Criterion benchmarks of the device substrate: transfer pricing, cache
-//! filtering, block-activity analysis, and the threaded pipeline executor.
+//! filtering, block-activity analysis, and the pipeline makespan model.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gnn_dm_device::blocks::{block_activity, PAPER_BLOCK_BYTES};
 use gnn_dm_device::cache::FeatureCache;
-use gnn_dm_device::pipeline::{makespan, run_pipelined, BatchStageTimes, PipelineMode};
+use gnn_dm_device::pipeline::{makespan, BatchStageTimes, PipelineMode};
 use gnn_dm_device::transfer::{BatchTransfer, TransferEngine, TransferMethod};
 use gnn_dm_graph::generate::{planted_partition, PplConfig};
 use std::hint::black_box;
@@ -69,12 +69,6 @@ fn bench_pipeline(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("makespan_full_1000", |b| {
         b.iter(|| black_box(makespan(black_box(&batches), PipelineMode::Full)))
-    });
-    group.bench_function("threaded_pipeline_100_items", |b| {
-        b.iter(|| {
-            let items: Vec<u64> = (0..100).collect();
-            black_box(run_pipelined(items, |x| x + 1, |x| x * 2, |x| x - 1))
-        })
     });
     group.finish();
 }

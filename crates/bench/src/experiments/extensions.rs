@@ -6,12 +6,13 @@ use gnn_dm_cluster::p3::compare_epoch;
 use gnn_dm_core::config::ModelKind;
 use gnn_dm_core::convergence::{modeled_epoch_seconds, train_full_batch};
 use gnn_dm_core::results::{f, mib, Table};
+use gnn_dm_device::pipeline::{makespan, BatchStageTimes, PipelineMode};
 use gnn_dm_device::LinkModel;
 use gnn_dm_graph::datasets::{DatasetId, DatasetSpec};
 use gnn_dm_graph::Graph;
 use gnn_dm_harness::{Axis, ClusterExperiment, GridSpec, TrainExperiment};
 use gnn_dm_nn::optim::{Adam, Optimizer};
-use gnn_dm_nn::train::{evaluate, gather_input_features, seed_labels, train_epoch};
+use gnn_dm_nn::train::{evaluate, gather_input_features, seed_labels, train_epoch, train_step};
 use gnn_dm_nn::{AggKind, GnnModel};
 use gnn_dm_sampling::sampler::{
     build_minibatch, subgraph_restricted_minibatch, FanoutSampler, LayerwiseSampler,
@@ -19,6 +20,7 @@ use gnn_dm_sampling::sampler::{
 use gnn_dm_sampling::{BatchSelection, MiniBatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 
 use super::{cluster4, config, dataset_name, sweep, with_epoch_plan, with_prep};
 use crate::{convergence_graph, one_graph_slim, SCALE_LOAD, SCALE_TRAIN, TRAIN_FEAT_DIM};
@@ -301,4 +303,94 @@ pub fn ext_local_sgd() {
         ]);
     }
     table.print("Extension: local SGD synchronization period (Products-class, 4 workers)");
+}
+
+/// Figure 14's "Pipeline BP", executed and set beside its own model.
+///
+/// Per shape and epoch, on twin models: a sequential drive gives every
+/// batch's BP seconds (built alone, as a pool worker builds it) and NN
+/// seconds (`train_step` at the ambient thread count, nothing beside it);
+/// the streamed `train_epoch` gives the wall time; `makespan` gives what
+/// the model predicts from those stage times with no transfer stage.
+/// `hidden` is the saving measured over the saving modelled: 1 means the
+/// sampler disappeared behind the kernels as Figure 14 says it can, 0 that
+/// nothing overlapped (one thread). Wall-clock columns: the file differs
+/// from run to run.
+pub fn ext_pipeline_bp() {
+    const EPOCHS: usize = 6;
+    let threads = gnn_dm_par::thread_count();
+    // (label, dataset, vertices, feature width, batch prep, hidden widths, family)
+    let (deep, wide) = ("fanout(15,10,5)+fixed(256)", "fanout(25,10)+fixed(512)");
+    let shapes = [
+        ("mb_deep-shaped", DatasetId::OgbProducts, 20_000, 32, deep, vec![32, 32], AggKind::SageMean),
+        ("mb_wide-shaped", DatasetId::Reddit, 5_000, 602, wide, vec![128], AggKind::Gcn),
+    ];
+    let mut table = Table::new(&[
+        "shape",
+        "batches",
+        "bp_s",
+        "nn_s",
+        "no_pipe_s(model)",
+        "pipeline_bp_s(model)",
+        "streamed_s(wall)",
+        "hidden",
+    ]);
+    for (label, id, vertices, feat_dim, prep, hiddens, kind) in shapes {
+        let g = one_graph_slim(id, vertices, feat_dim, 42);
+        let dims = [vec![feat_dim], hiddens, vec![g.num_classes]].concat();
+        let mut reference = GnnModel::new(kind, &dims, 5);
+        let mut streamed = reference.clone();
+        let (mut opt_r, mut opt_s) = (Adam::new(0.01), Adam::new(0.01));
+        let mut stages: Vec<BatchStageTimes> = Vec::new();
+        let mut wall = 0.0f64;
+        with_epoch_plan(&g, &config(with_prep(prep)), 5, |plan| {
+            for e in 0..EPOCHS {
+                // The twins never meet, so either may go first; alternating
+                // spreads warm-cache luck over both columns.
+                for stream in [e % 2 == 1, e % 2 == 0] {
+                    let mut mark = Instant::now();
+                    if stream {
+                        train_epoch(&mut streamed, &mut opt_s, &g, plan, e);
+                        wall += mark.elapsed().as_secs_f64();
+                        continue;
+                    }
+                    // Pinned to one thread the stream is the plain
+                    // build-then-consume loop, so the gap before each
+                    // hand-over is that batch's build time; the step
+                    // itself runs at the ambient thread count again.
+                    gnn_dm_par::with_threads(1, || {
+                        plan.for_each_batch(e, |_, mb| {
+                            let bp = mark.elapsed().as_secs_f64();
+                            let start = Instant::now();
+                            gnn_dm_par::with_threads(threads, || {
+                                train_step(&mut reference, &mut opt_r, &g, &mb)
+                            });
+                            let nn = start.elapsed().as_secs_f64();
+                            stages.push(BatchStageTimes { bp, dt: 0.0, nn });
+                            mark = Instant::now();
+                        });
+                    });
+                }
+            }
+        });
+        assert!(
+            streamed.param_views_mut() == reference.param_views_mut(),
+            "{label}: the streamed epochs trained a different model"
+        );
+        let no_pipe = makespan(&stages, PipelineMode::None);
+        let pipeline_bp = makespan(&stages, PipelineMode::OverlapBp);
+        table.row(&[
+            label.into(),
+            stages.len().to_string(),
+            f(stages.iter().map(|s| s.bp).sum()),
+            f(stages.iter().map(|s| s.nn).sum()),
+            f(no_pipe),
+            f(pipeline_bp),
+            f(wall),
+            format!("{:.2}", (no_pipe - wall) / (no_pipe - pipeline_bp)),
+        ]);
+    }
+    table.print(&format!(
+        "Extension: Pipeline BP executed vs modelled ({EPOCHS} epochs, {threads} threads)"
+    ));
 }

@@ -13,9 +13,10 @@
 //! [`makespan_closed_form`] keeps the original recurrences as an
 //! independent cross-check, and the two are pinned bitwise-equal in
 //! `tests/trace_goldens.rs` (the replay performs the *identical* sequence
-//! of floating-point operations, per mode). [`run_pipelined`] is a real
-//! threaded executor with the same stage graph (used to validate the model
-//! and to demonstrate the optimization on actual work).
+//! of floating-point operations, per mode). The executed counterpart of
+//! [`PipelineMode::OverlapBp`] is the streamed training epoch
+//! (`EpochPlan::for_each_batch`); `gnn-dm-exp ext_pipeline_bp` sets its
+//! measured wall time beside this model's prediction.
 
 use gnn_dm_faults::{FaultPlan, ResiliencePolicy};
 use gnn_dm_trace::{Resource, SpanKind, SpanMeta, Timeline};
@@ -420,44 +421,6 @@ pub fn busy_fractions(batches: &[BatchStageTimes]) -> (f64, f64, f64) {
     (bp / total, dt / total, nn / total)
 }
 
-/// Runs `items` through a real three-stage pipeline on three threads
-/// (stage1 = producer thread, stage2 = middle thread, stage3 = consumer on
-/// the caller thread), communicating over bounded channels — the same
-/// structure a GNN trainer uses for sample/transfer/compute overlap.
-/// Returns stage-3 outputs in order.
-pub fn run_pipelined<I, A, B, C>(
-    items: Vec<I>,
-    stage1: impl Fn(I) -> A + Send,
-    stage2: impl Fn(A) -> B + Send,
-    stage3: impl FnMut(B) -> C,
-) -> Vec<C>
-where
-    I: Send,
-    A: Send,
-    B: Send,
-{
-    let (tx1, rx1) = std::sync::mpsc::sync_channel::<A>(2);
-    let (tx2, rx2) = std::sync::mpsc::sync_channel::<B>(2);
-    let mut stage3 = stage3;
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            for item in items {
-                if tx1.send(stage1(item)).is_err() {
-                    break;
-                }
-            }
-        });
-        scope.spawn(move || {
-            for a in rx1 {
-                if tx2.send(stage2(a)).is_err() {
-                    break;
-                }
-            }
-        });
-        rx2.into_iter().map(&mut stage3).collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,46 +473,6 @@ mod tests {
     fn empty_inputs() {
         assert_eq!(makespan(&[], PipelineMode::Full), 0.0);
         assert_eq!(busy_fractions(&[]), (0.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn threaded_pipeline_preserves_order_and_values() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = run_pipelined(
-            items,
-            |x| x + 1,
-            |x| x * 2,
-            |x| x - 1,
-        );
-        let expect: Vec<u64> = (0..100).map(|x| (x + 1) * 2 - 1).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn threaded_pipeline_actually_overlaps() {
-        // Deterministic overlap probe instead of wall-clock timing (which is
-        // both flaky and a D001 violation): count how many stages are ever
-        // in flight at once. A sequential executor never exceeds 1.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::time::Duration;
-        static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
-        static MAX_SEEN: AtomicUsize = AtomicUsize::new(0);
-        fn probed<T>(x: T) -> T {
-            let now = IN_FLIGHT.fetch_add(1, Ordering::SeqCst) + 1;
-            MAX_SEEN.fetch_max(now, Ordering::SeqCst);
-            // Hold the stage open long enough for neighbors to enter theirs.
-            std::thread::sleep(Duration::from_millis(10));
-            IN_FLIGHT.fetch_sub(1, Ordering::SeqCst);
-            x
-        }
-        let items: Vec<u32> = (0..6).collect();
-        let out = run_pipelined(items, probed, probed, probed);
-        assert_eq!(out, (0..6).collect::<Vec<_>>());
-        assert!(
-            MAX_SEEN.load(Ordering::SeqCst) >= 2,
-            "stages never overlapped: max in flight {}",
-            MAX_SEEN.load(Ordering::SeqCst)
-        );
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::collections::BTreeSet;
 pub(crate) const PAR_FNS: &[&str] = &[
     "par_chunks_mut",
     "par_for_each_init",
+    "par_lookahead_init",
     "par_map_collect",
     "par_map_collect_init",
     "par_reduce",
@@ -39,10 +40,24 @@ pub(crate) struct ParClosure {
     /// the argument), exclusive end.
     pub body: (usize, usize),
     /// Zero-based argument position of the closure in the dispatch call
-    /// (the count of depth-1 commas before it). The `par_*_init`
-    /// dispatchers take their once-per-worker scratch constructor at
-    /// position 1; R003 exempts that argument.
+    /// (the count of depth-1 commas before it); R003 exempts the
+    /// [`scratch_init_arg`] position.
     pub arg_idx: usize,
+}
+
+/// `par_lookahead_init(n, window, init, produce, consume)`: `consume` runs
+/// in order on the calling thread — mutating captured state is its job —
+/// so it is not a parallel closure at all.
+const LOOKAHEAD_CONSUME_ARG: usize = 4;
+
+/// Argument position of a `par_*_init` dispatcher's once-per-worker
+/// scratch constructor.
+fn scratch_init_arg(dispatcher: &str) -> Option<usize> {
+    match dispatcher {
+        "par_lookahead_init" => Some(2),
+        d if d.ends_with("_init") => Some(1),
+        _ => None,
+    }
 }
 
 /// Finds every closure passed (at top argument level) to a [`PAR_FNS`]
@@ -106,7 +121,9 @@ pub(crate) fn find_par_closures(lexed: &Lexed) -> Vec<ParClosure> {
                             }
                             b += 1;
                         }
-                        out.push(ParClosure { dispatcher, params, body: (body_start, b), arg_idx });
+                        if !(*dispatcher == "par_lookahead_init" && arg_idx == LOOKAHEAD_CONSUME_ARG) {
+                            out.push(ParClosure { dispatcher, params, body: (body_start, b), arg_idx });
+                        }
                         k = b;
                         continue;
                     }
@@ -426,8 +443,9 @@ pub(crate) fn alloc_witness(g: &CallGraph, fx: &Effects, reach: &[bool], from: u
 /// R003 — the hot-path allocation audit: work closures handed to the
 /// [`PAR_FNS`] dispatchers, and the [`HOT_PATH_FNS`] kernels, must not
 /// allocate (`Vec::new` / `Box` / `format!` / `collect` without an arena),
-/// directly or through any callee. Scratch-init closures (argument 1 of
-/// the `par_*_init` dispatchers) run once per worker and are exempt.
+/// directly or through any callee. Scratch-init closures (the
+/// [`scratch_init_arg`] of the `par_*_init` dispatchers) run once per
+/// worker and are exempt.
 /// Library code only, like the other effect rules: benches, tests, and
 /// binaries measure or drive — the deliberately allocation-heavy seed
 /// baseline in `crates/bench` is the *comparison point* for this audit,
@@ -448,7 +466,7 @@ pub fn check_r003(set: &FileSet, g: &CallGraph, fx: &Effects) -> Vec<Diagnostic>
             if file.in_test.get(cl.body.0).copied().unwrap_or(false) {
                 continue;
             }
-            if cl.arg_idx == 1 && cl.dispatcher.ends_with("_init") {
+            if Some(cl.arg_idx) == scratch_init_arg(cl.dispatcher) {
                 continue;
             }
             // Direct allocation intrinsics in the closure body, one
@@ -620,6 +638,20 @@ mod tests {
              }\n",
         )]);
         assert!(diags.is_empty(), "diags: {diags:?}");
+    }
+
+    #[test]
+    fn lookahead_produce_is_checked_init_and_consume_are_not() {
+        let src = "pub fn stream(n: usize, total: &mut u64) {\n\
+                       par_lookahead_init(n, 4, || Vec::<u32>::with_capacity(64),\n\
+                           |scratch, i| { scratch.clear(); vec![i as u32] },\n\
+                           |_, item| *total += item.len() as u64);\n\
+                   }\n";
+        let sources = [("crates/sampling/src/epoch.rs", src)];
+        let r003 = run_r003(&sources);
+        assert_eq!(r003.len(), 1, "only `produce` allocates on a worker: {r003:?}");
+        assert_eq!(r003[0].line, 3);
+        assert!(run(&sources).is_empty(), "`consume` is the caller's serial loop");
     }
 
     #[test]

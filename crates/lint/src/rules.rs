@@ -129,8 +129,7 @@ pub struct FileCtx {
     /// True for `crates/device/**`, where A001's transfer APIs belong.
     pub device_crate: bool,
     /// True where raw `std::thread` primitives are the implementation
-    /// (T001 scope): the parallel substrate itself and the pipeline
-    /// overlap model's dedicated executor.
+    /// (T001 scope): the parallel substrate itself, nowhere else.
     pub threads_allowed: bool,
     /// True where direct cost-model pricing calls are legitimate (A002
     /// scope): the device crate (where the models and the traced adapters
@@ -178,8 +177,7 @@ impl FileCtx {
                 .as_deref()
                 .is_some_and(|c| DETERMINISTIC_CRATES.contains(&c)),
             device_crate: in_crate("device"),
-            threads_allowed: rel.starts_with("crates/par/")
-                || rel == "crates/device/src/pipeline.rs",
+            threads_allowed: rel.starts_with("crates/par/"),
             cost_calls_allowed: in_crate("device")
                 || non_library
                 || rel == "crates/cluster/src/network.rs"
@@ -1010,14 +1008,13 @@ mod tests {
     }
 
     #[test]
-    fn t001_exempts_par_crate_and_pipeline() {
+    fn t001_exempts_only_the_par_crate() {
         let src = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }";
         assert_eq!(rules_fired("crates/sampling/src/a.rs", src), vec!["T001"]);
         assert_eq!(rules_fired("tests/integration.rs", src), vec!["T001"]);
         assert!(rules_fired("crates/par/src/lib.rs", src).is_empty());
-        assert!(rules_fired("crates/device/src/pipeline.rs", src).is_empty());
-        // Other device-crate files are NOT exempt.
-        assert_eq!(rules_fired("crates/device/src/transfer.rs", src), vec!["T001"]);
+        assert!(rules_fired("crates/par/tests/lookahead.rs", src).is_empty());
+        assert_eq!(rules_fired("crates/device/src/pipeline.rs", src), vec!["T001"]);
     }
 
     #[test]

@@ -11,24 +11,31 @@ use gnn_dm_lint::callgraph::{CallGraph, FileSet};
 use gnn_dm_lint::effects::{effects_table, infer};
 use std::path::PathBuf;
 
-// `claim` and `dispatch` are the persistent pool's pub(crate) internals —
-// the item parser treats any `pub` visibility as public, which is useful
-// here: the pool's dispatch path is pinned to alloc+lock (spawn bookkeeping
-// and the state mutex) and the cursor to lock-free-but-atomic `lock`, with
-// io/entropy/panic forever off-limits.
+// `claim`, `claim_ahead`, `dispatch`, `with_source`, `wait_for` and `taken`
+// are the persistent pool's pub(crate) internals — the item parser treats any `pub`
+// visibility as public, which is useful here: the pool's dispatch and
+// background-source paths are pinned to alloc+lock (spawn bookkeeping and
+// the state mutex) and the cursor to lock-free-but-atomic `lock`, with
+// io/entropy/panic forever off-limits. `thread_count` reads its
+// once-per-process default through a `OnceLock`.
 const GOLDEN: &str = "\
 | fn | effects | raw-seed |
 |---|---|---|
 | `claim` | lock | no |
+| `claim_ahead` | lock | no |
 | `dispatch` | alloc+lock | no |
 | `par_chunks_mut` | alloc+lock | no |
 | `par_for_each_init` | alloc+lock | no |
+| `par_lookahead_init` | alloc+lock | no |
 | `par_map_collect` | alloc+lock | no |
 | `par_map_collect_init` | alloc+lock | no |
 | `par_reduce` | alloc+lock | no |
 | `par_zip_chunks_mut` | alloc+lock | no |
 | `split_seed` | pure | no |
-| `thread_count` | pure | no |
+| `taken` | lock | no |
+| `thread_count` | lock | no |
+| `wait_for` | lock | no |
+| `with_source` | alloc+lock | no |
 | `with_threads` | pure | no |
 ";
 

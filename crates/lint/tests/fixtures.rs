@@ -228,11 +228,9 @@ fn t001_fires_and_clean() {
     assert_eq!(rules_fired(LIB_PATH, fires), vec!["T001"]);
     // scope, spawn, and spawn through a `use`'d module path.
     assert_eq!(count(LIB_PATH, fires, "T001"), 3);
-    // The substrate itself and the pipeline executor are the implementation.
+    // Only the substrate itself is the implementation.
     assert!(rules_fired("crates/par/src/lib.rs", fires).is_empty());
-    assert!(rules_fired("crates/device/src/pipeline.rs", fires).is_empty());
-    // No blanket device-crate exemption — only pipeline.rs.
-    assert_eq!(rules_fired("crates/device/src/transfer.rs", fires), vec!["T001"]);
+    assert_eq!(rules_fired("crates/device/src/pipeline.rs", fires), vec!["T001"]);
     // Tests and benches fire too: a racy test is still racy.
     assert_eq!(rules_fired("tests/integration.rs", fires), vec!["T001"]);
 

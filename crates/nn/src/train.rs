@@ -91,7 +91,10 @@ pub struct EpochResult {
     pub involved_edges: usize,
 }
 
-/// Trains one epoch from an [`EpochPlan`].
+/// Trains one epoch from an [`EpochPlan`], streamed: idle pool workers
+/// sample the next few batches while this thread trains on the current one
+/// ([`EpochPlan::for_each_batch`]), so the steps see the batches of
+/// `plan.batches(epoch)` in the same order and the model is bit-identical.
 pub fn train_epoch(
     model: &mut GnnModel,
     opt: &mut dyn Optimizer,
@@ -99,24 +102,24 @@ pub fn train_epoch(
     plan: &EpochPlan<'_>,
     epoch: usize,
 ) -> EpochResult {
-    let batches = plan.batches(epoch);
     let mut result = EpochResult {
         mean_loss: 0.0,
         mean_grad_norm: 0.0,
-        num_batches: batches.len(),
+        num_batches: 0,
         involved_vertices: 0,
         involved_edges: 0,
     };
-    for mb in &batches {
+    plan.for_each_batch(epoch, |_, mb| {
+        result.num_batches += 1;
         result.involved_vertices += mb.involved_vertices();
         result.involved_edges += mb.involved_edges();
-        let step = train_step(model, opt, graph, mb);
+        let step = train_step(model, opt, graph, &mb);
         result.mean_loss += step.loss;
         result.mean_grad_norm += step.grad_norm;
-    }
-    if !batches.is_empty() {
-        result.mean_loss /= batches.len() as f32;
-        result.mean_grad_norm /= batches.len() as f32;
+    });
+    if result.num_batches > 0 {
+        result.mean_loss /= result.num_batches as f32;
+        result.mean_grad_norm /= result.num_batches as f32;
     }
     result
 }
@@ -233,6 +236,63 @@ mod tests {
         }
         let acc = evaluate(&model, &g, &g.val_vertices());
         assert!(acc > 0.7, "val accuracy {acc}");
+    }
+
+    /// The streamed epoch is the loop it replaced — materialise
+    /// `plan.batches(e)`, then one `train_step` per batch — on the
+    /// `EpochResult` (mean loss and gradient norm included) and on every
+    /// parameter bit, for both families, whether or not helpers build ahead.
+    #[test]
+    fn train_epoch_is_the_materialised_loop() {
+        let g = small_graph();
+        let train = g.train_vertices();
+        let selection = BatchSelection::Random;
+        let schedule = BatchSizeSchedule::Fixed(48);
+        let sampler = FanoutSampler::new(vec![6, 4]);
+        let plan = EpochPlan {
+            in_csr: &g.inn,
+            train: &train,
+            selection: &selection,
+            schedule: &schedule,
+            sampler: &sampler,
+            seed: 5,
+        };
+        let bits = |m: &mut GnnModel| -> Vec<Vec<u32>> {
+            m.param_views_mut().into_iter().map(|p| p.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        for kind in [AggKind::Gcn, AggKind::SageMean] {
+            for threads in [1usize, 2, 3] {
+                let mut streamed = GnnModel::new(kind, &[16, 32, 4], 3);
+                let mut reference = streamed.clone();
+                let (mut opt_s, mut opt_r) = (Adam::new(0.01), Adam::new(0.01));
+                for epoch in 0..3 {
+                    let got = gnn_dm_par::with_threads(threads, || {
+                        train_epoch(&mut streamed, &mut opt_s, &g, &plan, epoch)
+                    });
+                    let batches = plan.batches(epoch);
+                    assert!(batches.len() > 4, "more batches than the look-ahead window");
+                    let mut want = EpochResult {
+                        mean_loss: 0.0,
+                        mean_grad_norm: 0.0,
+                        num_batches: batches.len(),
+                        involved_vertices: 0,
+                        involved_edges: 0,
+                    };
+                    for mb in &batches {
+                        want.involved_vertices += mb.involved_vertices();
+                        want.involved_edges += mb.involved_edges();
+                        let step = train_step(&mut reference, &mut opt_r, &g, mb);
+                        want.mean_loss += step.loss;
+                        want.mean_grad_norm += step.grad_norm;
+                    }
+                    want.mean_loss /= batches.len() as f32;
+                    want.mean_grad_norm /= batches.len() as f32;
+                    assert_eq!(got.mean_loss.to_bits(), want.mean_loss.to_bits());
+                    assert_eq!(got, want, "{kind:?}, threads {threads}, epoch {epoch}");
+                    assert!(bits(&mut streamed) == bits(&mut reference), "{kind:?}: parameters diverged");
+                }
+            }
+        }
     }
 
     /// §6.3.1: at the *same parameters*, smaller batches produce larger

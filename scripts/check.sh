@@ -22,6 +22,17 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> look-ahead stress (its failures are schedule-dependent: 20 more rounds of the gnn-dm-par look-ahead tests)"
+stress_start="${SECONDS}"
+for round in $(seq 1 20); do
+    if ! stress_out="$(cargo test -q -p gnn-dm-par lookahead 2>&1)"; then
+        echo "${stress_out}"
+        echo "FAIL: look-ahead tests failed in stress round ${round}" >&2
+        exit 1
+    fi
+done
+echo "    20 rounds added $((SECONDS - stress_start)) s"
+
 echo "==> trace goldens (closed form == timeline replay, span conservation)"
 cargo test -q --test trace_goldens
 

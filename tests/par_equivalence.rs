@@ -244,6 +244,49 @@ fn epoch_batches_bitwise_equal_across_thread_counts() {
     }
 }
 
+/// The streamed epoch: `for_each_batch` hands its consumer exactly
+/// `batches(e)` under indices `0..`, in order, whichever thread built each
+/// batch and however far ahead — over two- and three-hop samplers, a
+/// training set with repeated vertices, a one-batch epoch and an empty
+/// training set.
+#[test]
+fn streamed_epoch_batches_equal_materialised_across_thread_counts() {
+    let g = graph();
+    let train = g.train_vertices();
+    let repeated: Vec<u32> = train.iter().chain(train.iter().take(40)).copied().collect();
+    let cases: [(&str, &[u32], usize, Vec<usize>); 5] = [
+        ("two-hop", &train, 48, vec![4, 4]),
+        ("three-hop", &train, 40, vec![5, 3, 2]),
+        ("repeated seeds", &repeated, 48, vec![4, 4]),
+        ("one batch", &train, train.len() + 10, vec![4, 4]),
+        ("empty training set", &[], 48, vec![4, 4]),
+    ];
+    let selection = BatchSelection::Random;
+    for (name, train, batch_size, fanouts) in cases {
+        let schedule = BatchSizeSchedule::Fixed(batch_size);
+        let sampler = FanoutSampler::new(fanouts);
+        let plan = EpochPlan {
+            in_csr: &g.inn,
+            train,
+            selection: &selection,
+            schedule: &schedule,
+            sampler: &sampler,
+            seed: 11,
+        };
+        let expect: Vec<_> = (0usize..).zip(with_threads(1, || plan.batches(3))).collect();
+        match name {
+            "one batch" => assert_eq!(expect.len(), 1),
+            "empty training set" => assert!(expect.is_empty()),
+            _ => assert!(expect.len() > 8, "{name}: more batches than workers and than the window"),
+        }
+        for n in THREAD_COUNTS {
+            let mut got = Vec::new();
+            with_threads(n, || plan.for_each_batch(3, |b, mb| got.push((b, mb))));
+            assert!(got == expect, "{name}, threads={n}: streamed batches diverged from batches(3)");
+        }
+    }
+}
+
 /// The transfer-model trainer prices each batch on the worker that built
 /// it and folds the prices in batch order: aggregate timings *and* the
 /// replayed timeline must be the same bits at every thread count, for the
