@@ -210,7 +210,13 @@ pub fn trace_export() {
     let sampler = ccfg.batch_prep.sampler(&g);
     let sim = exp.sim_with(&part, ccfg.batch_prep.batch_size(0));
     let (report, load_tl) = sim.simulate_epoch_traced(&*sampler, 0);
-    let time_tl = sim.epoch_timeline(&report, &exp.time_model());
+    let time_tl = sim.epoch_timeline_resilient(
+        &report,
+        &exp.time_model(),
+        &ccfg.faults.plan(),
+        0,
+        &ccfg.resilience.policy(),
+    );
     fs::write("results/trace_cluster.json", time_tl.to_chrome_trace())
         .expect("write trace_cluster");
     println!(

@@ -8,7 +8,7 @@ use gnn_dm_cluster::ledger::{
     wasted_bytes_from_spans,
 };
 use gnn_dm_core::results::{f, Table};
-use gnn_dm_faults::TailStats;
+use gnn_dm_faults::{ResilienceReport, TailStats};
 use gnn_dm_graph::datasets::DatasetId;
 use gnn_dm_harness::{run_composed, run_config, Axis, ClusterExperiment, Grid, GridSpec, Registry};
 
@@ -40,11 +40,8 @@ pub fn ext_faults_epoch_time() {
     // varies over a reused cluster run, so it is resolved once here
     // instead of multiplying the partition/simulate work by 5.
     let rates = [0.0, 0.05, 0.1, 0.25, 0.5];
-    let plans: Vec<_> = rates
-        .iter()
-        .zip(sweep(cluster4(), Axis::Faults, rates.map(|rate| format!("uniform(13,{rate})"))))
-        .map(|(&rate, cfg)| (rate, cfg.faults.plan()))
-        .collect();
+    let fault_cfgs =
+        sweep(cluster4(), Axis::Faults, rates.map(|rate| format!("uniform(13,{rate})")));
     let mut table = Table::new(&[
         "dataset",
         "method",
@@ -57,9 +54,11 @@ pub fn ext_faults_epoch_time() {
     ]);
     let mut export: Option<String> = None;
     for_each_cluster_run(|name, exp, cfg, run| {
-        let (sim, tm) = (exp.sim(run), exp.time_model());
-        for (rate, plan) in &plans {
-            let res = sim.resilience(&run.report, &tm, plan, exp.epoch);
+        // `cfg` sweeps the partitioner only: its fault axis is neutral.
+        let healthy = exp.timeline_resilient_at(run, cfg, exp.epoch);
+        for (rate, fault_cfg) in rates.iter().zip(&fault_cfgs) {
+            let faulted = exp.timeline_resilient_at(run, fault_cfg, exp.epoch);
+            let res = ResilienceReport::compare(&healthy, &faulted);
             table.row(&[
                 name.into(),
                 cfg.partitioner.name().into(),
@@ -73,8 +72,7 @@ pub fn ext_faults_epoch_time() {
             // Export the most stressed Metis timeline as the canonical
             // faulted trace (one representative, not one per row).
             if export.is_none() && cfg.partitioner.name() == "Metis-V" && *rate >= 0.25 {
-                let tl = sim.epoch_timeline_faulted(&run.report, &tm, plan, exp.epoch);
-                export = Some(tl.to_chrome_trace());
+                export = Some(faulted.to_chrome_trace());
             }
         }
     });

@@ -14,8 +14,8 @@ use gnn_dm_device::cache::{CachePolicy, FeatureCache};
 use gnn_dm_device::compute::{self, ComputeModel};
 use gnn_dm_device::memory::DeviceMemory;
 use gnn_dm_device::pipeline::{
-    makespan_with_contention_faulted, replay_epoch_resilient, BatchMeta, BatchStageTimes,
-    PipelineMode, DEFAULT_OVERLAP_EFFICIENCY,
+    makespan_with_contention, replay_epoch, BatchMeta, BatchStageTimes, PipelineMode,
+    DEFAULT_OVERLAP_EFFICIENCY,
 };
 use gnn_dm_device::transfer::{BatchTransfer, TransferEngine, TransferMethod};
 use gnn_dm_faults::{FaultPlan, ResiliencePolicy};
@@ -193,17 +193,15 @@ impl<'g> HeteroTrainer<'g> {
         self.run_epoch_faulted(epoch, &FaultPlan::none(), &ResiliencePolicy::none())
     }
 
-    /// [`HeteroTrainer::run_epoch_traced`] under a fault plan and a
-    /// resilience policy: each batch's PCIe transfer may suffer planned
-    /// failed attempts, replayed as `Retry`/`Backoff` spans on the PCIe
-    /// lane before the real transfer — or, with hedging armed, raced
-    /// against a duplicate (`Hedge`/`Cancel` spans). Under faults
-    /// `EpochTimings::dt` (PCIe-lane busy time) therefore includes the
-    /// retransmissions and backoff waits, and `pcie_bytes` counts every
-    /// retransmitted or duplicated byte — the timeline stays the single
-    /// source of truth. The neutral plan injects nothing and the `none`
-    /// policy reacts to nothing, so [`HeteroTrainer::run_epoch_traced`]
-    /// delegates here bitwise-intact.
+    /// The one epoch model, under a fault plan and a resilience policy:
+    /// each batch's PCIe transfer may suffer planned failed attempts,
+    /// replayed as `Retry`/`Backoff` spans on the PCIe lane before the real
+    /// transfer — or, with hedging armed, raced against a duplicate
+    /// (`Hedge`/`Cancel` spans). Under faults `EpochTimings::dt` (PCIe-lane
+    /// busy time) therefore includes the retransmissions and backoff waits,
+    /// and `pcie_bytes` counts every retransmitted or duplicated byte — the
+    /// timeline stays the single source of truth. The healthy epoch
+    /// ([`HeteroTrainer::run_epoch_traced`]) is the neutral plan and policy.
     pub fn run_epoch_faulted(
         &mut self,
         epoch: usize,
@@ -249,21 +247,21 @@ impl<'g> HeteroTrainer<'g> {
             stage_times.push(stage);
             metas.push(meta);
         }
-        let tl =
-            replay_epoch_resilient(&stage_times, &metas, self.cfg.pipeline, faults, epoch, policy);
+        let tl = replay_epoch(&stage_times, &metas, self.cfg.pipeline, faults, epoch, policy);
+        // The contention discount interpolates between the unpipelined
+        // baseline and this timeline (batch metas never move a timestamp).
+        let ideal = tl.makespan();
+        let sequential = if self.cfg.pipeline == PipelineMode::None {
+            ideal
+        } else {
+            replay_epoch(&stage_times, &[], PipelineMode::None, faults, epoch, policy).makespan()
+        };
         let totals = EpochTimings {
             bp: tl.busy(Resource::CpuSampler),
             dt: tl.busy(Resource::PcieLink),
             gather: tl.busy_of_kind(SpanKind::Gather),
             nn: tl.busy(Resource::GpuCompute),
-            makespan: makespan_with_contention_faulted(
-                &stage_times,
-                self.cfg.pipeline,
-                DEFAULT_OVERLAP_EFFICIENCY,
-                faults,
-                epoch,
-                policy,
-            ),
+            makespan: makespan_with_contention(sequential, ideal, DEFAULT_OVERLAP_EFFICIENCY),
             pcie_bytes: tl.bytes_on(Resource::PcieLink),
             cache_hit_rate: self.cache.hit_rate(),
             num_batches: stage_times.len(),

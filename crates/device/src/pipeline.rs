@@ -6,17 +6,17 @@
 //! overlap batch *b*'s later stages, bounded by each resource processing
 //! batches in order.
 //!
-//! Since the span-timeline refactor the source of truth is
-//! [`replay_epoch`]: each stage is scheduled as a [`gnn_dm_trace`] span on
-//! its resource lane (CPU / PCIe / GPU) and the epoch time is the
-//! timeline's makespan. [`makespan`] is a thin wrapper over the replay;
-//! [`makespan_closed_form`] keeps the original recurrences as an
-//! independent cross-check, and the two are pinned bitwise-equal in
-//! `tests/trace_goldens.rs` (the replay performs the *identical* sequence
-//! of floating-point operations, per mode). The executed counterpart of
-//! [`PipelineMode::OverlapBp`] is the streamed training epoch
-//! (`EpochPlan::for_each_batch`); `gnn-dm-exp ext_pipeline_bp` sets its
-//! measured wall time beside this model's prediction.
+//! [`replay_epoch`] is the one implementation: each stage is scheduled as
+//! a [`gnn_dm_trace`] span on its resource lane (CPU / PCIe / GPU) under a
+//! fault plan and a resilience policy, and the epoch time is the
+//! timeline's makespan. The healthy epoch is the neutral plan and policy
+//! ([`makespan`]); the closed-form recurrences the replay reproduces
+//! operation for operation live in `tests/common/mod.rs` as the oracle
+//! (`tests/trace_goldens.rs` pins the two bitwise-equal, faults included).
+//! The executed counterpart of [`PipelineMode::OverlapBp`] is the streamed
+//! training epoch (`EpochPlan::for_each_batch`); `gnn-dm-exp
+//! ext_pipeline_bp` sets its measured wall time beside this model's
+//! prediction.
 
 use gnn_dm_faults::{FaultPlan, ResiliencePolicy};
 use gnn_dm_trace::{Resource, SpanKind, SpanMeta, Timeline};
@@ -79,107 +79,19 @@ pub struct BatchMeta {
     pub edges: u64,
 }
 
-/// Records one batch's DT-stage occupancy `[dt_start, dt_start + dt)` on
-/// the PCIe lane, split into Gather + Transfer sub-spans when the meta
-/// carries a gather share. The stage end is computed exactly as in the
-/// closed-form recurrence (`dt_start + dt`, one addition); the sub-span
-/// boundary is display-only. `kind` picks the bus span's kind —
-/// `Transfer` for an ordinary delivery, `Hedge` when the delivery is a
-/// duplicate that rescued a transfer whose primary attempt was abandoned
-/// at the hedge deadline; the arithmetic is identical either way.
-fn replay_dt_kind(
-    tl: &mut Timeline,
-    dt_start: f64,
-    dt: f64,
-    m: &BatchMeta,
-    batch: Option<u32>,
-    kind: SpanKind,
-) -> f64 {
-    let dt_end = dt_start + dt;
-    let bytes_meta = SpanMeta { bytes: m.bytes, batch, ..SpanMeta::default() };
-    if m.gather > 0.0 {
-        let g_end = (dt_start + m.gather).min(dt_end);
-        let g_meta = SpanMeta { batch, ..SpanMeta::default() };
-        tl.schedule_at(Resource::PcieLink, SpanKind::Gather, dt_start, g_end, g_meta);
-        tl.schedule_at(Resource::PcieLink, kind, g_end, dt_end, bytes_meta);
-    } else {
-        tl.schedule_at(Resource::PcieLink, kind, dt_start, dt_end, bytes_meta);
-    }
-    dt_end
-}
-
-/// [`replay_dt_kind`] behind a flaky PCIe link under a resilience policy:
-/// each failed attempt occupies the bus for the full transfer plus the
-/// detection timeout (a `Retry` span carrying the retransmitted bytes),
-/// then waits out the capped exponential backoff (a `Backoff` span) before
-/// the real transfer starts. With hedging armed, each failed attempt
-/// instead completes at `min(hedge deadline, retry cost)`: a hedge-won
-/// round emits one `Cancel` span (the abandoned attempt's wasted bus
-/// bytes) instead of the `Retry`/`Backoff` pair, and a transfer rescued by
-/// hedging lands as a `Hedge` span instead of a `Transfer`. With
-/// [`ResiliencePolicy::none`] every policy branch is dormant, and with
-/// zero planned failures this is exactly [`replay_dt_kind`] at `dt_ready`.
-#[allow(clippy::too_many_arguments)]
-fn replay_dt_resilient(
-    tl: &mut Timeline,
-    dt_ready: f64,
-    dt: f64,
-    m: &BatchMeta,
-    batch: Option<u32>,
-    plan: &FaultPlan,
-    epoch: usize,
-    index: usize,
-    policy: &ResiliencePolicy,
-) -> f64 {
-    let mut ready = dt_ready;
-    let mut hedge_won = false;
-    for attempt in 0..plan.pcie_failures(epoch, index) {
-        let retry_dur = dt + plan.link.retry.timeout_s;
-        let backoff_dur = plan.link.retry.backoff_delay(attempt);
-        let hedge_at =
-            policy.hedge.map(|h| h.deadline_s(dt)).filter(|&d| d < retry_dur + backoff_dur);
-        match hedge_at {
-            Some(d) => {
-                hedge_won = true;
-                ready = tl.schedule(
-                    Resource::PcieLink,
-                    SpanKind::Cancel,
-                    ready,
-                    d,
-                    SpanMeta { bytes: m.bytes, batch, ..SpanMeta::default() },
-                );
-            }
-            None => {
-                let retry_end = tl.schedule(
-                    Resource::PcieLink,
-                    SpanKind::Retry,
-                    ready,
-                    retry_dur,
-                    SpanMeta { bytes: m.bytes, batch, ..SpanMeta::default() },
-                );
-                ready = tl.schedule(
-                    Resource::PcieLink,
-                    SpanKind::Backoff,
-                    retry_end,
-                    backoff_dur,
-                    SpanMeta { batch, ..SpanMeta::default() },
-                );
-            }
-        }
-    }
-    let kind = if hedge_won { SpanKind::Hedge } else { SpanKind::Transfer };
-    replay_dt_kind(tl, ready, dt, m, batch, kind)
-}
-
 /// Replays an epoch's BP/DT/NN stages as spans on three FIFO lanes
 /// (CPU sampler, PCIe link, GPU compute) and returns the timeline.
 ///
 /// `metas` annotates batch `i` with bytes/edges/gather split
-/// (`metas.get(i)`, defaulting to zero annotations past the end). The
-/// scheduling rule `t_start = lane_free.max(ready)` reproduces, operation
-/// for operation, the closed-form recurrences of
-/// [`makespan_closed_form`], so `replay_epoch(..).makespan()` is
-/// bitwise-equal to it — with overlap now *emerging* from lane placement:
+/// (`metas.get(i)`, defaulting to zero annotations past the end). Batch
+/// `i`'s data transfer suffers `plan.pcie_failures(epoch, i)` failed
+/// attempts first — `Retry` + `Backoff` spans, or with `policy.hedge`
+/// armed a `Cancel` at the hedge deadline and a `Hedge` delivery
+/// ([`gnn_dm_faults::RetryPolicy::schedule_failed_attempts`]); the
+/// healthy epoch is `FaultPlan::none()` with `ResiliencePolicy::none()`,
+/// which schedules none of them. The scheduling rule
+/// `t_start = lane_free.max(ready)` reproduces the closed-form recurrences
+/// operation for operation, with overlap *emerging* from lane placement:
 ///
 /// * `None` — every stage depends on the previous stage's end, so the
 ///   three lanes serialize into one chain;
@@ -189,36 +101,6 @@ fn replay_dt_resilient(
 /// * `Full` — each stage waits only for its own lane and its batch's
 ///   previous stage.
 pub fn replay_epoch(
-    batches: &[BatchStageTimes],
-    metas: &[BatchMeta],
-    mode: PipelineMode,
-) -> Timeline {
-    replay_epoch_faulted(batches, metas, mode, &FaultPlan::none(), 0)
-}
-
-/// [`replay_epoch`] behind a fault plan: batch `i`'s data transfer may
-/// suffer `plan.pcie_failures(epoch, i)` failed attempts first, each
-/// replayed as a `Retry` + `Backoff` span pair on the PCIe lane
-/// ([`replay_dt_faulted`]). The neutral plan injects nothing, so
-/// `replay_epoch` delegates here and stays bitwise-identical to its
-/// pre-fault behavior (pinned in `tests/robustness.rs`).
-pub fn replay_epoch_faulted(
-    batches: &[BatchStageTimes],
-    metas: &[BatchMeta],
-    mode: PipelineMode,
-    plan: &FaultPlan,
-    epoch: usize,
-) -> Timeline {
-    replay_epoch_resilient(batches, metas, mode, plan, epoch, &ResiliencePolicy::none())
-}
-
-/// [`replay_epoch_faulted`] under a resilience policy: each batch's data
-/// transfer runs through [`replay_dt_resilient`], so with hedging armed a
-/// flaky PCIe attempt is raced against a duplicate and abandoned at the
-/// hedge deadline when the duplicate wins. With [`ResiliencePolicy::none`]
-/// this is bitwise-identical to [`replay_epoch_faulted`]'s pre-policy
-/// output (pinned in `tests/robustness.rs`).
-pub fn replay_epoch_resilient(
     batches: &[BatchStageTimes],
     metas: &[BatchMeta],
     mode: PipelineMode,
@@ -232,44 +114,47 @@ pub fn replay_epoch_resilient(
     for (i, b) in batches.iter().enumerate() {
         let m = metas.get(i).copied().unwrap_or_default();
         let batch = u32::try_from(i).ok();
-        let bp_meta = SpanMeta { edges: m.edges, batch, ..SpanMeta::default() };
-        let nn_meta = SpanMeta { batch, ..SpanMeta::default() };
-        match mode {
-            PipelineMode::None => {
-                let bp_end =
-                    tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, cursor, b.bp, bp_meta);
-                let dt_start = tl.start_time(Resource::PcieLink, bp_end);
-                let dt_end =
-                    replay_dt_resilient(&mut tl, dt_start, b.dt, &m, batch, plan, epoch, i, policy);
-                cursor =
-                    tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, dt_end, b.nn, nn_meta);
-            }
-            PipelineMode::OverlapBp => {
-                let bp_end =
-                    tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, 0.0, b.bp, bp_meta);
-                // DT waits for the fused DT+NN cursor, not just the bus.
-                let dt_start = cursor.max(bp_end);
-                let dt_end =
-                    replay_dt_resilient(&mut tl, dt_start, b.dt, &m, batch, plan, epoch, i, policy);
-                cursor =
-                    tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, dt_end, b.nn, nn_meta);
-            }
-            PipelineMode::Full => {
-                let bp_end =
-                    tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, 0.0, b.bp, bp_meta);
-                let dt_start = tl.start_time(Resource::PcieLink, bp_end);
-                let dt_end =
-                    replay_dt_resilient(&mut tl, dt_start, b.dt, &m, batch, plan, epoch, i, policy);
-                tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, dt_end, b.nn, nn_meta);
-            }
+        let tag = SpanMeta { batch, ..SpanMeta::default() };
+        // BP queues behind the previous batch's NN only without pipelining.
+        let bp_ready = if mode == PipelineMode::None { cursor } else { 0.0 };
+        let bp_meta = SpanMeta { edges: m.edges, ..tag };
+        let bp_end =
+            tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, bp_ready, b.bp, bp_meta);
+        let dt_ready = match mode {
+            // DT waits for the fused DT+NN cursor, not just the bus.
+            PipelineMode::OverlapBp => cursor.max(bp_end),
+            PipelineMode::None | PipelineMode::Full => tl.start_time(Resource::PcieLink, bp_end),
+        };
+        let (dt_start, kind) = plan.link.retry.schedule_failed_attempts(
+            policy.hedge,
+            &mut tl,
+            Resource::PcieLink,
+            dt_ready,
+            b.dt,
+            plan.pcie_failures(epoch, i),
+            m.bytes,
+            tag,
+            SpanKind::Transfer,
+        );
+        // The stage end is one addition, exactly as in the closed-form
+        // recurrence; the Gather / bus sub-span boundary is display-only.
+        let dt_end = dt_start + b.dt;
+        let bytes_meta = SpanMeta { bytes: m.bytes, ..tag };
+        if m.gather > 0.0 {
+            let g_end = (dt_start + m.gather).min(dt_end);
+            tl.schedule_at(Resource::PcieLink, SpanKind::Gather, dt_start, g_end, tag);
+            tl.schedule_at(Resource::PcieLink, kind, g_end, dt_end, bytes_meta);
+        } else {
+            tl.schedule_at(Resource::PcieLink, kind, dt_start, dt_end, bytes_meta);
         }
+        cursor = tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, dt_end, b.nn, tag);
     }
     tl
 }
 
-/// Epoch makespan for a sequence of batches under a pipeline mode,
-/// computed by replaying the stages on the span timeline
-/// ([`replay_epoch`]).
+/// Healthy epoch makespan for a sequence of batches under a pipeline
+/// mode: [`replay_epoch`] with the neutral plan and policy and no batch
+/// annotations.
 ///
 /// Each stage runs on its own resource (CPU / PCIe / GPU) and each resource
 /// serves batches in order; a stage starts when both its resource is free
@@ -285,77 +170,7 @@ pub fn replay_epoch_resilient(
 /// assert!((pipelined - 21.5).abs() < 1e-9);
 /// ```
 pub fn makespan(batches: &[BatchStageTimes], mode: PipelineMode) -> f64 {
-    replay_epoch(batches, &[], mode).makespan()
-}
-
-/// Epoch makespan under a pipeline mode and a fault plan
-/// ([`replay_epoch_faulted`] with no batch annotations).
-pub fn makespan_faulted(
-    batches: &[BatchStageTimes],
-    mode: PipelineMode,
-    plan: &FaultPlan,
-    epoch: usize,
-) -> f64 {
-    replay_epoch_faulted(batches, &[], mode, plan, epoch).makespan()
-}
-
-/// Epoch makespan under a pipeline mode, a fault plan and a resilience
-/// policy ([`replay_epoch_resilient`] with no batch annotations).
-pub fn makespan_resilient(
-    batches: &[BatchStageTimes],
-    mode: PipelineMode,
-    plan: &FaultPlan,
-    epoch: usize,
-    policy: &ResiliencePolicy,
-) -> f64 {
-    replay_epoch_resilient(batches, &[], mode, plan, epoch, policy).makespan()
-}
-
-/// The original closed-form makespan recurrences, kept as an independent
-/// cross-check of the timeline replay (`tests/trace_goldens.rs` pins the
-/// two bitwise-equal for every mode).
-pub fn makespan_closed_form(batches: &[BatchStageTimes], mode: PipelineMode) -> f64 {
-    match mode {
-        PipelineMode::None => {
-            // Sequential accumulation, one addition per stage, mirroring the
-            // lane chain (float addition is not associative, so the fold
-            // order is part of the contract).
-            let mut t = 0.0f64;
-            for b in batches {
-                t += b.bp;
-                t += b.dt;
-                t += b.nn;
-            }
-            t
-        }
-        PipelineMode::OverlapBp => {
-            // Two resources: CPU for BP, a fused PCIe+GPU resource for DT+NN.
-            let mut cpu_free = 0.0f64;
-            let mut rest_free = 0.0f64;
-            for b in batches {
-                let bp_end = cpu_free + b.bp;
-                cpu_free = bp_end;
-                let start = rest_free.max(bp_end);
-                let dt_end = start + b.dt;
-                rest_free = dt_end + b.nn;
-            }
-            rest_free
-        }
-        PipelineMode::Full => {
-            let mut cpu_free = 0.0f64;
-            let mut bus_free = 0.0f64;
-            let mut gpu_free = 0.0f64;
-            for b in batches {
-                let bp_end = cpu_free + b.bp;
-                cpu_free = bp_end;
-                let dt_end = bus_free.max(bp_end) + b.dt;
-                bus_free = dt_end;
-                let nn_end = gpu_free.max(dt_end) + b.nn;
-                gpu_free = nn_end;
-            }
-            gpu_free
-        }
-    }
+    replay_epoch(batches, &[], mode, &FaultPlan::none(), 0, &ResiliencePolicy::none()).makespan()
 }
 
 /// Default fraction of the ideal overlap a real pipeline realizes.
@@ -367,44 +182,17 @@ pub fn makespan_closed_form(batches: &[BatchStageTimes], mode: PipelineMode) -> 
 /// this discount is calibrated to that gap.
 pub const DEFAULT_OVERLAP_EFFICIENCY: f64 = 0.6;
 
-/// Epoch makespan under a pipeline mode with imperfect overlap: only
-/// `overlap_efficiency` of the ideal saving (sequential − ideal makespan)
+/// Epoch makespan with imperfect overlap: only `overlap_efficiency` of the
+/// ideal saving — `sequential` ([`PipelineMode::None`]) minus `ideal` (the
+/// configured mode), both makespans of the same batches, plan and policy —
 /// is realized.
 ///
 /// The efficiency is saturated into `[0, 1]` instead of asserted (library
 /// panic-freedom, P001); `NaN` saturates to 0, the no-overlap end.
-pub fn makespan_with_contention(
-    batches: &[BatchStageTimes],
-    mode: PipelineMode,
-    overlap_efficiency: f64,
-) -> f64 {
-    makespan_with_contention_faulted(
-        batches,
-        mode,
-        overlap_efficiency,
-        &FaultPlan::none(),
-        0,
-        &ResiliencePolicy::none(),
-    )
-}
-
-/// [`makespan_with_contention`] under a fault plan and a resilience
-/// policy: both the sequential baseline and the ideal pipelined makespan
-/// are replayed with the plan's PCIe faults and the policy's reactions,
-/// then the contention discount interpolates between them.
-pub fn makespan_with_contention_faulted(
-    batches: &[BatchStageTimes],
-    mode: PipelineMode,
-    overlap_efficiency: f64,
-    plan: &FaultPlan,
-    epoch: usize,
-    policy: &ResiliencePolicy,
-) -> f64 {
+pub fn makespan_with_contention(sequential: f64, ideal: f64, overlap_efficiency: f64) -> f64 {
     // `max` then `min` is total: a NaN efficiency lands on 0.0.
     let eff = overlap_efficiency.max(0.0).min(1.0);
-    let seq = makespan_resilient(batches, PipelineMode::None, plan, epoch, policy);
-    let ideal = makespan_resilient(batches, mode, plan, epoch, policy);
-    seq - (seq - ideal) * eff
+    sequential - (sequential - ideal) * eff
 }
 
 /// Fraction of the makespan each resource is busy under full pipelining —
@@ -485,10 +273,11 @@ mod tests {
         let mut saw_hedge = false;
         for mode in [PipelineMode::None, PipelineMode::OverlapBp, PipelineMode::Full] {
             for epoch in 0..4 {
-                let base = makespan_faulted(&b, mode, &plan, epoch);
-                let res = makespan_resilient(&b, mode, &plan, epoch, &policy);
+                let base =
+                    replay_epoch(&b, &[], mode, &plan, epoch, &ResiliencePolicy::none()).makespan();
+                let tl = replay_epoch(&b, &[], mode, &plan, epoch, &policy);
+                let res = tl.makespan();
                 assert!(res <= base, "{}: hedging slowed epoch {epoch}", mode.name());
-                let tl = replay_epoch_resilient(&b, &[], mode, &plan, epoch, &policy);
                 let hedges =
                     tl.spans().iter().filter(|s| s.kind == SpanKind::Hedge).count();
                 if hedges > 0 {
@@ -501,25 +290,13 @@ mod tests {
     }
 
     #[test]
-    fn none_policy_replay_is_bitwise_the_faulted_replay() {
-        let b = uniform(16, 0.4, 1.0, 0.6);
-        let plan = FaultPlan::uniform(11, 0.6);
-        for mode in [PipelineMode::None, PipelineMode::OverlapBp, PipelineMode::Full] {
-            let faulted = replay_epoch_faulted(&b, &[], mode, &plan, 1);
-            let resilient =
-                replay_epoch_resilient(&b, &[], mode, &plan, 1, &ResiliencePolicy::none());
-            assert_eq!(faulted.to_chrome_trace(), resilient.to_chrome_trace());
-        }
-    }
-
-    #[test]
     fn contention_sits_between_ideal_and_sequential() {
         let b = uniform(20, 1.0, 1.5, 1.2);
         let seq = makespan(&b, PipelineMode::None);
         let ideal = makespan(&b, PipelineMode::Full);
-        let real = makespan_with_contention(&b, PipelineMode::Full, DEFAULT_OVERLAP_EFFICIENCY);
+        let real = makespan_with_contention(seq, ideal, DEFAULT_OVERLAP_EFFICIENCY);
         assert!(real > ideal && real < seq, "ideal {ideal} < real {real} < seq {seq}");
-        assert!((makespan_with_contention(&b, PipelineMode::Full, 1.0) - ideal).abs() < 1e-12);
-        assert!((makespan_with_contention(&b, PipelineMode::Full, 0.0) - seq).abs() < 1e-12);
+        assert!((makespan_with_contention(seq, ideal, 1.0) - ideal).abs() < 1e-12);
+        assert!((makespan_with_contention(seq, ideal, 0.0) - seq).abs() < 1e-12);
     }
 }

@@ -74,7 +74,7 @@ proptest! {
             stages.iter().map(|&(bp, dt, nn)| BatchStageTimes { bp, dt, nn }).collect();
         let seq = makespan(&batches, PipelineMode::None);
         let ideal = makespan(&batches, PipelineMode::Full);
-        let real = makespan_with_contention(&batches, PipelineMode::Full, eff);
+        let real = makespan_with_contention(seq, ideal, eff);
         prop_assert!(real <= seq + 1e-9);
         prop_assert!(real >= ideal - 1e-9);
     }

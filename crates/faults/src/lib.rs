@@ -25,11 +25,13 @@
 //! thread-count-independent) as a healthy one. [`FaultPlan::none`] is the
 //! neutral element: zero fault rates inject no spans and every slowdown
 //! factor is 1.0 (an exact multiplicative identity for finite IEEE-754
-//! costs), so the healthy simulators delegate to the faulted ones and stay
-//! bitwise-identical to their pre-fault behavior.
+//! costs), so the simulators have one replay each and the healthy epoch is
+//! simply that replay under the neutral plan. What a failed transfer
+//! attempt costs, and which spans it leaves on a lane, is decided here for
+//! both of them ([`RetryPolicy::schedule_failed_attempts`]).
 
 use gnn_dm_par::split_seed;
-use gnn_dm_trace::{SpanKind, Timeline};
+use gnn_dm_trace::{Resource, SpanKind, SpanMeta, Timeline};
 
 /// Tail-latency summary (`p50`/`p99`/`p999` as exact nearest-rank
 /// reductions), re-exported for SLO-facing consumers: the chaos grid
@@ -127,6 +129,90 @@ impl RetryPolicy {
     pub fn backoff_delay(&self, attempt: u32) -> f64 {
         let doublings = 1u64 << attempt.min(62);
         (self.backoff_base_s * doublings as f64).min(self.backoff_cap_s).max(0.0)
+    }
+
+    /// How failed attempt `attempt` of a transfer with healthy duration
+    /// `transfer_s` ends, as `(hedge_at, retry_dur, backoff_dur)`: retrying
+    /// occupies the link for `transfer_s + timeout_s` and then waits out
+    /// `backoff_delay(attempt)`; an armed hedge ends the round at its
+    /// deadline instead (`hedge_at` is `Some`) when that is strictly
+    /// earlier — a tie retries.
+    fn failed_attempt(
+        &self,
+        hedge: Option<HedgePolicy>,
+        transfer_s: f64,
+        attempt: u32,
+    ) -> (Option<f64>, f64, f64) {
+        let retry_dur = transfer_s + self.timeout_s;
+        let backoff_dur = self.backoff_delay(attempt);
+        let hedge_at =
+            hedge.map(|h| h.deadline_s(transfer_s)).filter(|&d| d < retry_dur + backoff_dur);
+        (hedge_at, retry_dur, backoff_dur)
+    }
+
+    /// Seconds `failures` failed attempts add in front of a transfer's
+    /// delivery: per attempt the hedge deadline if that wins the round,
+    /// else `retry_dur + backoff_dur` — the analytic cost of the spans
+    /// [`RetryPolicy::schedule_failed_attempts`] emits, for budget checks
+    /// that must decide before anything is scheduled.
+    pub fn failed_attempts_cost(
+        &self,
+        hedge: Option<HedgePolicy>,
+        transfer_s: f64,
+        failures: u32,
+    ) -> f64 {
+        let mut cost = 0.0f64;
+        for attempt in 0..failures {
+            let (hedge_at, retry_dur, backoff_dur) =
+                self.failed_attempt(hedge, transfer_s, attempt);
+            cost += hedge_at.unwrap_or(retry_dur + backoff_dur);
+        }
+        cost
+    }
+
+    /// Schedules `failures` failed attempts of a transfer on `lane`, the
+    /// first one ready at `ready`. A retried attempt is a `Retry` span
+    /// carrying the retransmitted `bytes` followed by a `Backoff` span; an
+    /// attempt the hedge wins is one `Cancel` span (the abandoned
+    /// primary's wasted `bytes`) ending at the hedge deadline. `tag` names
+    /// the batch or worker on every span. Returns when the delivery may
+    /// start and its kind: `delivery`, or `Hedge` once a duplicate rescued
+    /// the transfer. Zero failures schedule nothing and return
+    /// `(ready, delivery)`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn schedule_failed_attempts(
+        &self,
+        hedge: Option<HedgePolicy>,
+        tl: &mut Timeline,
+        lane: Resource,
+        mut ready: f64,
+        transfer_s: f64,
+        failures: u32,
+        bytes: u64,
+        tag: SpanMeta,
+        mut delivery: SpanKind,
+    ) -> (f64, SpanKind) {
+        for attempt in 0..failures {
+            let (hedge_at, retry_dur, backoff_dur) =
+                self.failed_attempt(hedge, transfer_s, attempt);
+            ready = match hedge_at {
+                Some(d) => {
+                    delivery = SpanKind::Hedge;
+                    tl.schedule(lane, SpanKind::Cancel, ready, d, SpanMeta { bytes, ..tag })
+                }
+                None => {
+                    let retry_end = tl.schedule(
+                        lane,
+                        SpanKind::Retry,
+                        ready,
+                        retry_dur,
+                        SpanMeta { bytes, ..tag },
+                    );
+                    tl.schedule(lane, SpanKind::Backoff, retry_end, backoff_dur, tag)
+                }
+            };
+        }
+        (ready, delivery)
     }
 }
 
@@ -654,7 +740,7 @@ impl ResilienceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gnn_dm_trace::{Resource, SpanMeta};
+    use gnn_dm_trace::Span;
 
     #[test]
     fn none_plan_injects_nothing() {
@@ -727,6 +813,114 @@ mod tests {
         assert!((r.backoff_delay(2) - 0.04).abs() < 1e-15);
         assert_eq!(r.backoff_delay(10).to_bits(), 0.5f64.to_bits(), "capped");
         assert_eq!(r.backoff_delay(400).to_bits(), 0.5f64.to_bits(), "shift saturates");
+    }
+
+    /// Dyadic parameters, so every sum below is exact: a failed 1 s
+    /// transfer costs 1.5 s on the wire plus 0.25 / 0.5 / 1 / 2 / 2 s of
+    /// backoff.
+    const DYADIC: RetryPolicy =
+        RetryPolicy { max_retries: 5, timeout_s: 0.5, backoff_base_s: 0.25, backoff_cap_s: 2.0 };
+
+    /// `failures` failed attempts of a 1 s, 100-byte transfer ready at
+    /// t = 8 on worker 3's NIC: the spans, when the delivery may start,
+    /// and its kind.
+    fn failed_attempts(hedge: Option<HedgePolicy>, failures: u32) -> (Vec<Span>, f64, SpanKind) {
+        let mut tl = Timeline::new();
+        let tag = SpanMeta { worker: Some(3), ..SpanMeta::default() };
+        let (ready, kind) = DYADIC.schedule_failed_attempts(
+            hedge,
+            &mut tl,
+            Resource::WorkerNic(3),
+            8.0,
+            1.0,
+            failures,
+            100,
+            tag,
+            SpanKind::Exchange,
+        );
+        (tl.spans().to_vec(), ready, kind)
+    }
+
+    #[test]
+    fn hedge_wins_a_round_iff_its_deadline_is_strictly_earlier() {
+        let kinds = |factor: f64, failures: u32| -> Vec<SpanKind> {
+            let hedge = Some(HedgePolicy { deadline_factor: factor });
+            failed_attempts(hedge, failures).0.iter().map(|s| s.kind).collect()
+        };
+        // Attempt 0 retried costs 1.5 + 0.25 = 1.75 s.
+        assert_eq!(kinds(1.5, 1), [SpanKind::Cancel], "1.5 < 1.75: hedged");
+        assert_eq!(kinds(1.75, 1), [SpanKind::Retry, SpanKind::Backoff], "a tie retries");
+        assert_eq!(kinds(2.0, 1), [SpanKind::Retry, SpanKind::Backoff]);
+        // The same 1.75 s deadline beats attempt 1's 1.5 + 0.5 = 2 s.
+        assert_eq!(
+            kinds(1.75, 2),
+            [SpanKind::Retry, SpanKind::Backoff, SpanKind::Cancel],
+            "the decision is per round"
+        );
+        // A hedged round ends at the deadline, a retried one after the backoff.
+        let (spans, ready, _) = failed_attempts(Some(HedgePolicy { deadline_factor: 1.75 }), 2);
+        assert_eq!(spans[0].t_end.to_bits(), 9.5f64.to_bits());
+        assert_eq!(spans[1].t_end.to_bits(), 9.75f64.to_bits());
+        assert_eq!(ready.to_bits(), (9.75f64 + 1.75).to_bits());
+    }
+
+    #[test]
+    fn failed_attempts_cost_is_the_emitted_span_time() {
+        for hedge in [None, Some(HedgePolicy { deadline_factor: 1.75 })] {
+            for failures in 0..=DYADIC.max_retries {
+                let (spans, ready, _) = failed_attempts(hedge, failures);
+                let cost = DYADIC.failed_attempts_cost(hedge, 1.0, failures);
+                let emitted = spans.iter().fold(0.0f64, |sum, s| sum + s.duration());
+                assert_eq!(cost.to_bits(), emitted.to_bits(), "{hedge:?}, {failures} failures");
+                assert_eq!(ready.to_bits(), (8.0 + cost).to_bits());
+                // Every span sits on the lane asked for, tagged as asked.
+                assert!(spans.iter().all(|s| s.resource == Resource::WorkerNic(3)
+                    && s.meta.worker == Some(3)
+                    && s.meta.batch.is_none()));
+            }
+        }
+        // Unhedged: 4 × 1.5 s on the wire + 0.25 + 0.5 + 1 + 2 s waited.
+        assert_eq!(DYADIC.failed_attempts_cost(None, 1.0, 4).to_bits(), 9.75f64.to_bits());
+    }
+
+    #[test]
+    fn no_failures_schedule_nothing() {
+        for hedge in [None, Some(HedgePolicy::paper_default())] {
+            let (spans, ready, kind) = failed_attempts(hedge, 0);
+            assert!(spans.is_empty());
+            assert_eq!(ready.to_bits(), 8.0f64.to_bits());
+            assert_eq!(kind, SpanKind::Exchange);
+            assert_eq!(DYADIC.failed_attempts_cost(hedge, 1.0, 0).to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_won_hedge_flips_the_delivery_kind() {
+        assert_eq!(failed_attempts(None, 3).2, SpanKind::Exchange);
+        // Armed but never earlier than a retry: the delivery stays ordinary.
+        let late = Some(HedgePolicy { deadline_factor: 9.0 });
+        assert_eq!(failed_attempts(late, 3).2, SpanKind::Exchange);
+        // One won round out of two is enough.
+        let wins_second = Some(HedgePolicy { deadline_factor: 1.75 });
+        assert_eq!(failed_attempts(wins_second, 2).2, SpanKind::Hedge);
+    }
+
+    #[test]
+    fn every_failed_attempt_ledgers_its_bytes_once() {
+        for hedge in [None, Some(HedgePolicy { deadline_factor: 1.75 })] {
+            for failures in 0..=DYADIC.max_retries {
+                let (spans, _, _) = failed_attempts(hedge, failures);
+                let bytes = |kind| -> u64 {
+                    spans.iter().filter(|s| s.kind == kind).map(|s| s.meta.bytes).sum()
+                };
+                // What `retry_bytes_from_spans` + `wasted_bytes_from_spans` reduce.
+                assert_eq!(
+                    bytes(SpanKind::Retry) + bytes(SpanKind::Cancel),
+                    u64::from(failures) * 100
+                );
+                assert_eq!(bytes(SpanKind::Backoff), 0, "waiting moves nothing");
+            }
+        }
     }
 
     #[test]

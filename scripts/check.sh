@@ -33,12 +33,6 @@ for round in $(seq 1 20); do
 done
 echo "    20 rounds added $((SECONDS - stress_start)) s"
 
-echo "==> trace goldens (closed form == timeline replay, span conservation)"
-cargo test -q --test trace_goldens
-
-echo "==> fault suite (neutral plan is bitwise no-op, monotone fault cost)"
-cargo test -q --test robustness
-
 # golden_check <experiment> <file> [args]: regenerates a checked-in golden
 # trace with the experiment that writes it and fails on any byte of drift,
 # leaving the golden as it was.

@@ -412,7 +412,7 @@ fn cluster_epoch_bitwise_equal_across_thread_counts() {
 #[test]
 fn faulted_epoch_timeline_bitwise_equal_across_thread_counts() {
     use gnn_dm::cluster::sim::TimeModel;
-    use gnn_dm::faults::FaultPlan;
+    use gnn_dm::faults::{FaultPlan, ResiliencePolicy};
     let g = graph();
     let part = metis_extend(&g, MetisVariant::V, 4, 3);
     let sim = gnn_dm::cluster::ClusterSim { graph: &g, part: &part, batch_size: 32, seed: 5 };
@@ -421,7 +421,8 @@ fn faulted_epoch_timeline_bitwise_equal_across_thread_counts() {
     let plan = FaultPlan::uniform(9, 0.4);
     assert_threadcount_invariant(|| {
         let report = sim.simulate_epoch(&sampler, 1);
-        sim.epoch_timeline_faulted(&report, &tm, &plan, 1).to_chrome_trace()
+        sim.epoch_timeline_resilient(&report, &tm, &plan, 1, &ResiliencePolicy::none())
+            .to_chrome_trace()
     });
 }
 

@@ -2,7 +2,8 @@
 //! crates.
 
 use gnn_dm::device::blocks::block_activity;
-use gnn_dm::device::pipeline::{makespan, BatchStageTimes, PipelineMode};
+use gnn_dm::device::pipeline::{makespan, replay_epoch, BatchStageTimes, PipelineMode};
+use gnn_dm::faults::{FaultPlan, ResiliencePolicy};
 use gnn_dm::graph::csr::{Csr, VId};
 use gnn_dm::graph::generate::{planted_partition, PplConfig};
 use gnn_dm::partition::{partition_graph, PartitionMethod};
@@ -11,6 +12,8 @@ use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod common;
 
 fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(VId, VId)>)> {
     (2..max_n).prop_flat_map(move |n| {
@@ -104,6 +107,29 @@ proptest! {
         let nn_sum: f64 = batches.iter().map(|b| b.nn).sum();
         let bound = bp_sum.max(dt_sum).max(nn_sum);
         prop_assert!(full >= bound - 1e-9, "full {full} below stage bound {bound}");
+    }
+
+    /// The faulted pipeline replay equals the closed-form oracle bit for
+    /// bit on random stage times, fault rates and hedge deadlines — long
+    /// transfers make the hedge lose rounds that short ones win.
+    #[test]
+    fn faulted_pipeline_matches_oracle(
+        stages in proptest::collection::vec((0.0f64..2.0, 0.0f64..0.3, 0.0f64..2.0), 1..40),
+        rate in 0.0f64..1.0,
+        seed in 0u64..1000,
+        epoch in 0usize..8,
+        deadline_factor in 1.0f64..4.0,
+    ) {
+        let batches: Vec<BatchStageTimes> =
+            stages.iter().map(|&(bp, dt, nn)| BatchStageTimes { bp, dt, nn }).collect();
+        let plan = FaultPlan::uniform(seed, rate);
+        for policy in [ResiliencePolicy::none(), ResiliencePolicy::hedged(deadline_factor)] {
+            for mode in common::MODES {
+                let replayed = replay_epoch(&batches, &[], mode, &plan, epoch, &policy).makespan();
+                let closed = common::makespan_closed_form(&batches, mode, &plan, epoch, &policy);
+                prop_assert_eq!(replayed.to_bits(), closed.to_bits(), "{:?} {:?}", mode, policy);
+            }
+        }
     }
 
     /// Block activity conserves accesses: total active rows equals the

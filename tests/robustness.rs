@@ -1,10 +1,11 @@
 //! Robustness and failure-injection tests: degenerate inputs that a
 //! production library must survive (or reject loudly), across every crate —
-//! plus the fault-injection contract of `gnn-dm-faults`: the neutral plan
-//! is a bitwise no-op, fault cost is monotone in the fault rate, and every
-//! injected byte/second reduces exactly from the emitted spans. The
-//! resilience layer inherits both contracts: the disarmed policy replays
-//! the faulted timelines bitwise, and armed hedging tightens the `p999`
+//! plus the fault-injection contract of `gnn-dm-faults`: a plan that can
+//! inject nothing is a bitwise no-op however it is spelled, fault cost is
+//! monotone in the fault rate, and every injected byte/second reduces
+//! exactly from the emitted spans. The resilience layer inherits both
+//! contracts: a policy whose mechanisms can never fire replays the
+//! unprotected timelines bitwise, and armed hedging tightens the `p999`
 //! tail while its duplicate traffic stays exactly ledgered.
 
 use gnn_dm::cluster::ledger::{
@@ -16,11 +17,11 @@ use gnn_dm::cluster::ClusterSim;
 use gnn_dm::core::config::ModelKind;
 use gnn_dm::core::convergence::train_single;
 use gnn_dm::core::trainer::{HeteroTrainer, HeteroTrainerConfig};
-use gnn_dm::device::pipeline::{
-    makespan_faulted, replay_epoch, replay_epoch_faulted, replay_epoch_resilient, BatchMeta,
-    BatchStageTimes, PipelineMode,
+use gnn_dm::device::pipeline::{replay_epoch, BatchMeta};
+use gnn_dm::faults::{
+    DeadlineAction, DeadlinePolicy, FaultPlan, HedgePolicy, RedispatchPolicy, ResiliencePolicy,
+    ResilienceReport, TailStats,
 };
-use gnn_dm::faults::{FaultPlan, ResiliencePolicy, TailStats};
 use gnn_dm::graph::csr::Csr;
 use gnn_dm::graph::generate::{planted_partition, PplConfig};
 use gnn_dm::graph::{io, GraphBuilder, SplitMask};
@@ -30,6 +31,9 @@ use gnn_dm::sampling::sampler::{build_minibatch, FanoutSampler};
 use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule};
 use gnn_dm::trace::{Resource, SpanKind};
 use rand::SeedableRng;
+
+mod common;
+use common::{jagged_batches, MODES};
 
 #[test]
 fn empty_and_singleton_graphs() {
@@ -232,27 +236,17 @@ fn fault_graph() -> gnn_dm::graph::Graph {
     })
 }
 
-fn jagged_batches(n: usize, seed: u64) -> Vec<BatchStageTimes> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    use rand::Rng;
-    (0..n)
-        .map(|_| BatchStageTimes {
-            bp: rng.random::<f64>() * 0.013 + 1e-7,
-            dt: rng.random::<f64>() * 0.029 + 1e-7,
-            nn: rng.random::<f64>() * 0.017 + 1e-7,
-        })
-        .collect()
-}
-
-const MODES: [PipelineMode; 3] =
-    [PipelineMode::None, PipelineMode::OverlapBp, PipelineMode::Full];
-
-/// The neutral plan is a bitwise no-op on every traced epoch: the healthy
-/// entry points delegate to the faulted ones, so this pins the delegation
-/// (and hence all pre-fault behavior) exactly.
+/// The replay has no healthy special case to fall back on: healthy is the
+/// plan that injects nothing. So a *constructed* zero-rate plan — armed
+/// severities (2.5× compute, 2× bandwidth, the default retry discipline),
+/// another seed, another epoch — must reproduce `FaultPlan::none()` down
+/// to the Chrome-trace bytes, on every simulator.
 #[test]
 fn zero_fault_plan_is_bitwise_identity() {
     let none = FaultPlan::none();
+    let zero = FaultPlan::uniform(0xDEAD_BEEF, 0.0);
+    assert_ne!(none, zero, "the zero-rate plan must be a different value, not a respelling");
+    let unprotected = ResiliencePolicy::none();
 
     // Device pipeline replay, every mode.
     let batches = jagged_batches(30, 9);
@@ -260,9 +254,9 @@ fn zero_fault_plan_is_bitwise_identity() {
         .map(|i| BatchMeta { gather: 0.001, bytes: 700 + i, edges: 3 * i })
         .collect();
     for mode in MODES {
-        let healthy = replay_epoch(&batches, &metas, mode);
-        let faulted = replay_epoch_faulted(&batches, &metas, mode, &none, 4);
-        assert_eq!(healthy.to_chrome_trace(), faulted.to_chrome_trace(), "{mode:?}");
+        let healthy = replay_epoch(&batches, &metas, mode, &none, 0, &unprotected);
+        let zeroed = replay_epoch(&batches, &metas, mode, &zero, 4, &unprotected);
+        assert_eq!(healthy.to_chrome_trace(), zeroed.to_chrome_trace(), "{mode:?}");
     }
 
     // Cluster epoch timeline.
@@ -273,17 +267,18 @@ fn zero_fault_plan_is_bitwise_identity() {
     let report = sim.simulate_epoch(&sampler, 0);
     let tm = TimeModel::paper_default(24, 64, 50_000);
     assert_eq!(
-        sim.epoch_timeline(&report, &tm).to_chrome_trace(),
-        sim.epoch_timeline_faulted(&report, &tm, &none, 2).to_chrome_trace()
+        sim.epoch_timeline_resilient(&report, &tm, &none, 0, &unprotected).to_chrome_trace(),
+        sim.epoch_timeline_resilient(&report, &tm, &zero, 2, &unprotected).to_chrome_trace()
     );
 
-    // Heterogeneous trainer.
+    // Heterogeneous trainer (the fault epoch is the batch epoch, so only
+    // the plan differs here).
     let cfg = HeteroTrainerConfig::baseline(&g, 128);
     let (t_healthy, tl_healthy) = HeteroTrainer::new(&g, cfg.clone()).run_epoch_traced(0);
-    let (t_faulted, tl_faulted) =
-        HeteroTrainer::new(&g, cfg).run_epoch_faulted(0, &none, &ResiliencePolicy::none());
-    assert_eq!(t_healthy, t_faulted);
-    assert_eq!(tl_healthy.to_chrome_trace(), tl_faulted.to_chrome_trace());
+    let (t_zeroed, tl_zeroed) =
+        HeteroTrainer::new(&g, cfg).run_epoch_faulted(0, &zero, &unprotected);
+    assert_eq!(t_healthy, t_zeroed);
+    assert_eq!(tl_healthy.to_chrome_trace(), tl_zeroed.to_chrome_trace());
 }
 
 /// Raising the one-knob stress rate can only add failed attempts, longer
@@ -303,7 +298,10 @@ fn makespan_is_monotone_in_the_fault_rate() {
     for seed in [3u64, 11, 77] {
         let mut prev = 0.0f64;
         for rate in rates {
-            let t = sim.epoch_time_faulted(&report, &tm, &FaultPlan::uniform(seed, rate), 0);
+            let plan = FaultPlan::uniform(seed, rate);
+            let t = sim
+                .epoch_timeline_resilient(&report, &tm, &plan, 0, &ResiliencePolicy::none())
+                .makespan();
             assert!(
                 t >= prev,
                 "seed {seed}: epoch time dropped from {prev} to {t} at rate {rate}"
@@ -316,7 +314,9 @@ fn makespan_is_monotone_in_the_fault_rate() {
     for mode in MODES {
         let mut prev = 0.0f64;
         for rate in rates {
-            let t = makespan_faulted(&batches, mode, &FaultPlan::uniform(5, rate), 0);
+            let plan = FaultPlan::uniform(5, rate);
+            let t =
+                replay_epoch(&batches, &[], mode, &plan, 0, &ResiliencePolicy::none()).makespan();
             assert!(t >= prev, "{mode:?}: makespan dropped from {prev} to {t} at rate {rate}");
             prev = t;
         }
@@ -334,7 +334,7 @@ fn crash_recovery_replays_exactly_the_uncheckpointed_batches() {
     let report = sim.simulate_epoch(&sampler, 0);
     let tm = TimeModel::paper_default(24, 64, 50_000);
     let plan = FaultPlan::uniform(21, 1.0); // crash rate 0.5: some workers die
-    let tl = sim.epoch_timeline_faulted(&report, &tm, &plan, 0);
+    let tl = sim.epoch_timeline_resilient(&report, &tm, &plan, 0, &ResiliencePolicy::none());
     let mut crashes = 0;
     for w in 0..4u32 {
         let planned = plan.crash_batch(0, w, report.num_batches[w as usize]);
@@ -368,7 +368,7 @@ fn fault_bytes_reduce_exactly_from_spans() {
     let report = sim.simulate_epoch(&sampler, 0);
     let tm = TimeModel::paper_default(24, 64, 50_000);
     let plan = FaultPlan::uniform(7, 0.6);
-    let tl = sim.epoch_timeline_faulted(&report, &tm, &plan, 0);
+    let tl = sim.epoch_timeline_resilient(&report, &tm, &plan, 0, &ResiliencePolicy::none());
 
     let retry = retry_bytes_from_spans(&tl, 4);
     let ckpt = checkpoint_bytes_from_spans(&tl, 4);
@@ -387,21 +387,34 @@ fn fault_bytes_reduce_exactly_from_spans() {
     }
     assert!(total_failures > 0, "rate 0.6 planned no NIC failures at all");
     // The resilience report reads the same spans.
-    let res = sim.resilience(&report, &tm, &plan, 0);
+    let unprotected = ResiliencePolicy::none();
+    let healthy = sim.epoch_timeline_resilient(&report, &tm, &FaultPlan::none(), 0, &unprotected);
+    let res = ResilienceReport::compare(&healthy, &tl);
     assert_eq!(res.retry_bytes, retry.iter().sum::<u64>());
     assert_eq!(res.checkpoint_bytes + res.restore_bytes, ckpt.iter().sum::<u64>());
     assert!(res.slowdown() >= 1.0);
     assert!(res.goodput() <= 1.0);
 }
 
-/// The disarmed resilience policy is a bitwise no-op on every resilient
-/// entry point: the faulted entry points delegate to the resilient ones
-/// under `ResiliencePolicy::none()`, so this pins the delegation — under
-/// the neutral plan AND under a stressed one — for the device pipeline
-/// (every mode) and the cluster epoch timeline.
+/// A policy is neutral by what it can do, not by how it is spelled: one
+/// with every mechanism armed but inert — a hedge deadline no retry is
+/// ever slower than, a stage budget nothing reaches, a re-dispatch
+/// fraction of 0 — must replay `ResiliencePolicy::none()` bitwise, under
+/// the neutral plan AND under a stressed one, on the device pipeline
+/// (every mode) and the cluster epoch timeline. (Stale sync is left out:
+/// once armed it renames the collective's span.)
 #[test]
 fn zero_resilience_policy_is_bitwise_identity() {
     let none_policy = ResiliencePolicy::none();
+    let inert = ResiliencePolicy {
+        hedge: Some(HedgePolicy { deadline_factor: 1.0e9 }),
+        deadline: Some(DeadlinePolicy {
+            stage_timeout_s: 1.0e9,
+            action: DeadlineAction::SkipBatch,
+        }),
+        redispatch: Some(RedispatchPolicy { frac: 0.0 }),
+        stale_sync: None,
+    };
 
     let batches = jagged_batches(30, 9);
     let metas: Vec<BatchMeta> = (0..30)
@@ -417,20 +430,23 @@ fn zero_resilience_policy_is_bitwise_identity() {
 
     for plan in [FaultPlan::none(), FaultPlan::uniform(9, 0.6)] {
         for mode in MODES {
-            let faulted = replay_epoch_faulted(&batches, &metas, mode, &plan, 4);
-            let resilient =
-                replay_epoch_resilient(&batches, &metas, mode, &plan, 4, &none_policy);
-            assert_eq!(faulted.to_chrome_trace(), resilient.to_chrome_trace(), "{mode:?}");
+            let unprotected = replay_epoch(&batches, &metas, mode, &plan, 4, &none_policy);
+            let armed = replay_epoch(&batches, &metas, mode, &plan, 4, &inert);
+            assert_eq!(unprotected.to_chrome_trace(), armed.to_chrome_trace(), "{mode:?}");
         }
         for epoch in 0..3 {
             assert_eq!(
-                sim.epoch_timeline_faulted(&report, &tm, &plan, epoch).to_chrome_trace(),
                 sim.epoch_timeline_resilient(&report, &tm, &plan, epoch, &none_policy)
                     .to_chrome_trace(),
+                sim.epoch_timeline_resilient(&report, &tm, &plan, epoch, &inert).to_chrome_trace(),
                 "epoch {epoch}"
             );
         }
     }
+    // The stressed plan did stress: the equalities above compared retries.
+    let stressed =
+        sim.epoch_timeline_resilient(&report, &tm, &FaultPlan::uniform(9, 0.6), 0, &inert);
+    assert!(stressed.spans().iter().any(|s| s.kind == SpanKind::Retry));
 }
 
 /// Hedged transfers tighten the tail: over a window of faulted epochs the
@@ -452,7 +468,7 @@ fn hedging_improves_p999_with_exact_waste_accounting() {
     let mut res = Vec::new();
     let (mut hedged_total, mut wasted_total) = (0u64, 0u64);
     for epoch in 0..16 {
-        let b = sim.epoch_timeline_faulted(&report, &tm, &plan, epoch);
+        let b = sim.epoch_timeline_resilient(&report, &tm, &plan, epoch, &ResiliencePolicy::none());
         let r = sim.epoch_timeline_resilient(&report, &tm, &plan, epoch, &hedge);
         assert!(r.makespan() <= b.makespan(), "hedging slowed epoch {epoch}");
         hedged_total += hedge_bytes_from_spans(&r, 4).iter().sum::<u64>();

@@ -7,45 +7,32 @@
 use gnn_dm::cluster::ledger::{comm_ledger_from_spans, compute_ledger_from_spans};
 use gnn_dm::cluster::sim::{ClusterSim, TimeModel};
 use gnn_dm::core::trainer::{HeteroTrainer, HeteroTrainerConfig};
-use gnn_dm::device::pipeline::{
-    makespan, makespan_closed_form, makespan_faulted, replay_epoch, BatchMeta, BatchStageTimes,
-    PipelineMode,
-};
+use gnn_dm::device::pipeline::{makespan, replay_epoch, BatchMeta, PipelineMode};
 use gnn_dm::device::transfer::TransferMethod;
-use gnn_dm::faults::FaultPlan;
+use gnn_dm::faults::{FaultPlan, ResiliencePolicy};
 use gnn_dm::graph::generate::{planted_partition, PplConfig};
 use gnn_dm::graph::Graph;
 use gnn_dm::par::with_threads;
 use gnn_dm::partition::{partition_graph, PartitionMethod};
 use gnn_dm::sampling::FanoutSampler;
 use gnn_dm::trace::{Resource, SpanKind};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-const MODES: [PipelineMode; 3] =
-    [PipelineMode::None, PipelineMode::OverlapBp, PipelineMode::Full];
+mod common;
+use common::{jagged_batches, makespan_closed_form, MODES};
 
-/// Awkward, non-round stage durations: sums of these expose any deviation
-/// in float-op order between the closed form and the replay.
-fn jagged_batches(n: usize, seed: u64) -> Vec<BatchStageTimes> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| BatchStageTimes {
-            bp: rng.random::<f64>() * 0.013 + 1e-7,
-            dt: rng.random::<f64>() * 0.029 + 1e-7,
-            nn: rng.random::<f64>() * 0.017 + 1e-7,
-        })
-        .collect()
-}
+const HEALTHY: (FaultPlan, ResiliencePolicy) = (FaultPlan::none(), ResiliencePolicy::none());
 
+/// The healthy replay against the test-side recurrences, which contain no
+/// fault code path that could fire: the neutral plan plans no failure.
 #[test]
 fn makespan_replay_matches_closed_form_bitwise() {
+    let (plan, policy) = HEALTHY;
     for seed in [1u64, 7, 42] {
         for n in [0usize, 1, 2, 13, 100] {
             let batches = jagged_batches(n, seed);
             for mode in MODES {
                 let replayed = makespan(&batches, mode);
-                let closed = makespan_closed_form(&batches, mode);
+                let closed = makespan_closed_form(&batches, mode, &plan, 0, &policy);
                 assert_eq!(
                     replayed.to_bits(),
                     closed.to_bits(),
@@ -62,8 +49,9 @@ fn replay_timeline_accounts_every_stage_second() {
     let metas: Vec<BatchMeta> = (0..40)
         .map(|i| BatchMeta { gather: 0.001, bytes: 1000 + i, edges: 10 * i })
         .collect();
+    let (plan, policy) = HEALTHY;
     for mode in MODES {
-        let tl = replay_epoch(&batches, &metas, mode);
+        let tl = replay_epoch(&batches, &metas, mode, &plan, 0, &policy);
         // 40 batches × (BP + Gather + Transfer + NN) spans.
         assert_eq!(tl.len(), 160);
         let bp: f64 = batches.iter().map(|b| b.bp).sum();
@@ -128,42 +116,51 @@ fn cluster_span_conservation_at_any_thread_count() {
     assert_eq!(with_threads(1, run).1.to_chrome_trace(), serial_json);
 }
 
+/// The healthy replay against the policy-free oracle: under the neutral
+/// plan the oracle's retry, checkpoint and crash terms are all absent, so
+/// what is compared is `max` over workers of sample + exchange + NN plus
+/// the all-reduces.
 #[test]
 fn cluster_epoch_time_matches_closed_form_bitwise() {
     let g = cluster_graph();
     let tm = TimeModel::paper_default(24, 64, 50_000);
+    let (plan, policy) = HEALTHY;
     for method in [PartitionMethod::Hash, PartitionMethod::MetisV, PartitionMethod::StreamV] {
         let part = partition_graph(&g, method, 4, 11);
         let sim = ClusterSim { graph: &g, part: &part, batch_size: 48, seed: 17 };
         let sampler = FanoutSampler::new(vec![8, 4]);
         let report = sim.simulate_epoch(&sampler, 0);
         let replayed = sim.epoch_time(&report, &tm);
-        let closed = sim.epoch_time_closed_form(&report, &tm);
+        let closed = sim.epoch_time_faulted_closed_form(&report, &tm, &plan, 0);
         assert_eq!(replayed.to_bits(), closed.to_bits(), "{method:?}");
         // The epoch timeline's all-reduce span ends the epoch.
-        let tl = sim.epoch_timeline(&report, &tm);
+        let tl = sim.epoch_timeline_resilient(&report, &tm, &plan, 0, &policy);
         let last = tl.spans().iter().find(|s| s.kind == SpanKind::AllReduce);
         assert!(last.is_some_and(|s| s.t_end.to_bits() == replayed.to_bits()));
     }
 }
 
-/// The faulted timeline and its closed form perform the identical
-/// floating-point operation sequence, so they agree bitwise across seeds
-/// and fault rates — and at rate 0 both collapse onto the healthy pair.
+/// The faulted timeline and the policy-free oracle fold in the same
+/// order, so they agree bitwise across seeds and fault rates — and a
+/// constructed zero-rate plan lands on the healthy epoch time.
 #[test]
 fn faulted_cluster_epoch_time_matches_closed_form_bitwise() {
     let g = cluster_graph();
     let tm = TimeModel::paper_default(24, 64, 50_000);
+    let unprotected = ResiliencePolicy::none();
     for method in [PartitionMethod::Hash, PartitionMethod::MetisV] {
         let part = partition_graph(&g, method, 4, 11);
         let sim = ClusterSim { graph: &g, part: &part, batch_size: 48, seed: 17 };
         let sampler = FanoutSampler::new(vec![8, 4]);
         let report = sim.simulate_epoch(&sampler, 0);
+        let replay = |plan: &FaultPlan, epoch| {
+            sim.epoch_timeline_resilient(&report, &tm, plan, epoch, &unprotected).makespan()
+        };
         for seed in [1u64, 9, 33] {
             for rate in [0.0, 0.1, 0.3, 0.8] {
                 let plan = FaultPlan::uniform(seed, rate);
                 for epoch in [0usize, 3] {
-                    let replayed = sim.epoch_time_faulted(&report, &tm, &plan, epoch);
+                    let replayed = replay(&plan, epoch);
                     let closed = sim.epoch_time_faulted_closed_form(&report, &tm, &plan, epoch);
                     assert_eq!(
                         replayed.to_bits(),
@@ -173,25 +170,44 @@ fn faulted_cluster_epoch_time_matches_closed_form_bitwise() {
                 }
             }
         }
-        // Rate 0 ≡ the healthy pair, bitwise.
-        let healthy = sim.epoch_time(&report, &tm);
-        let zero = sim.epoch_time_faulted(&report, &tm, &FaultPlan::uniform(1, 0.0), 0);
-        assert_eq!(healthy.to_bits(), zero.to_bits(), "{method:?}");
+        let zero = replay(&FaultPlan::uniform(1, 0.0), 0);
+        assert_eq!(sim.epoch_time(&report, &tm).to_bits(), zero.to_bits(), "{method:?}");
     }
 }
 
-/// The faulted pipeline makespan with the neutral plan is the healthy
-/// closed form, bitwise — the delegation chain adds no float ops.
+/// The device pipeline against the test-side oracle under faults: failed
+/// attempts (retry + backoff, or the hedge deadline when that is earlier)
+/// at every mode, seed, rate and policy — and, as the name says, the
+/// neutral plan at a non-zero epoch against the healthy recurrence.
 #[test]
 fn faulted_pipeline_makespan_none_plan_matches_closed_form_bitwise() {
+    let mut failures = 0;
+    let mut hedges = 0;
     for seed in [2u64, 19] {
         let batches = jagged_batches(35, seed);
         for mode in MODES {
-            let faulted = makespan_faulted(&batches, mode, &FaultPlan::none(), 6);
-            let closed = makespan_closed_form(&batches, mode);
-            assert_eq!(faulted.to_bits(), closed.to_bits(), "{mode:?} seed={seed}");
+            let (none, unprotected) = HEALTHY;
+            let healthy = makespan_closed_form(&batches, mode, &none, 0, &unprotected);
+            let neutral = replay_epoch(&batches, &[], mode, &none, 6, &unprotected).makespan();
+            assert_eq!(neutral.to_bits(), healthy.to_bits(), "{mode:?} seed={seed}");
+            for rate in [0.0, 0.1, 0.3, 0.8] {
+                let plan = FaultPlan::uniform(seed, rate);
+                for policy in [unprotected, ResiliencePolicy::hedged(1.5)] {
+                    let tl = replay_epoch(&batches, &[], mode, &plan, 6, &policy);
+                    let closed = makespan_closed_form(&batches, mode, &plan, 6, &policy);
+                    assert_eq!(
+                        tl.makespan().to_bits(),
+                        closed.to_bits(),
+                        "{mode:?} seed={seed} rate={rate} {policy:?}"
+                    );
+                    let count = |kind| tl.spans().iter().filter(|s| s.kind == kind).count();
+                    failures += count(SpanKind::Retry);
+                    hedges += count(SpanKind::Hedge);
+                }
+            }
         }
     }
+    assert!(failures > 0 && hedges > 0, "the sweep exercised {failures} retries, {hedges} hedges");
 }
 
 #[test]
@@ -234,9 +250,11 @@ fn chrome_trace_is_valid_and_deterministic() {
     let batches = jagged_batches(6, 3);
     let metas: Vec<BatchMeta> =
         (0..6).map(|i| BatchMeta { gather: 0.002, bytes: 512 * (i + 1), edges: 7 * i }).collect();
-    let tl = replay_epoch(&batches, &metas, PipelineMode::Full);
+    let (plan, policy) = HEALTHY;
+    let replay = || replay_epoch(&batches, &metas, PipelineMode::Full, &plan, 0, &policy);
+    let tl = replay();
     let json = tl.to_chrome_trace();
-    assert_eq!(json, replay_epoch(&batches, &metas, PipelineMode::Full).to_chrome_trace());
+    assert_eq!(json, replay().to_chrome_trace());
     // Structural sanity without a JSON parser: balanced brackets, the
     // trace-event envelope, one duration event per span, lane metadata.
     assert!(json.starts_with("{\"traceEvents\":["));
