@@ -136,12 +136,25 @@ impl GnnModel {
 
     /// The dense half of layer `l`: `agg · W + b`, then ReLU on every layer
     /// but the last, whose output are the logits. Returns the layer output
-    /// and, where ReLU ran, the pre-activation backward needs.
-    fn dense(&self, l: usize, agg_out: &Matrix) -> (Matrix, Option<Matrix>) {
+    /// and, where ReLU ran and `keep` asks for it, the pre-activation
+    /// backward needs — inference never pays for that copy.
+    fn dense(&self, l: usize, agg_out: &Matrix, keep: bool) -> (Matrix, Option<Matrix>) {
         let mut z = ops::matmul(agg_out, &self.layers[l].w);
         ops::add_bias(&mut z, &self.layers[l].b);
-        let pre = (l + 1 < self.num_layers()).then(|| ops::relu_forward(&mut z));
-        (z, pre)
+        if l + 1 == self.num_layers() {
+            return (z, None);
+        }
+        if keep {
+            let pre = ops::relu_forward(&mut z);
+            return (z, Some(pre));
+        }
+        // `ops::relu_forward`'s clamp, comparison for comparison.
+        for x in z.as_mut_slice() {
+            if *x < 0.0 {
+                *x = 0.0;
+            }
+        }
+        (z, None)
     }
 
     /// The one forward loop: layer `l` aggregates over `adj_at(l)` and goes
@@ -157,7 +170,7 @@ impl GnnModel {
     ) -> (Matrix, ForwardCache) {
         let mut cache = ForwardCache { aggs: Vec::new(), pres: Vec::new() };
         let mut finish = |l: usize, agg_out: Matrix| {
-            let (h, pre) = self.dense(l, &agg_out);
+            let (h, pre) = self.dense(l, &agg_out, keep);
             if keep {
                 cache.aggs.push(agg_out);
                 cache.pres.extend(pre);
@@ -409,6 +422,9 @@ mod tests {
         let a = model.full_forward(&g.inn, |v| g.features.row(v as u32));
         let b = model.full_forward(&g.inn, |v| g.features.row(v as u32));
         assert_eq!(a, b);
+        // Skipping the pre-activation copy must not move a logit.
+        let (kept, _) = model.forward_full_cached(&g.inn, |v| g.features.row(v as u32));
+        assert_eq!(a.as_slice(), kept.as_slice());
         assert_eq!(a.rows(), g.num_vertices());
         assert_eq!(a.cols(), 3);
     }

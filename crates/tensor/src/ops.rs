@@ -26,19 +26,28 @@ use gnn_dm_par::{par_chunks_mut, par_reduce};
 const TILE_K: usize = 128;
 /// Rows of `C` owned by one parallel work item. Fixed — never derived from
 /// the thread count — so chunk boundaries, and therefore results, are
-/// identical at any parallelism level (see `gnn_dm_par`). A multiple of
-/// `MR`, so full-size chunks split into full-height register tiles only.
+/// identical at any parallelism level (see `gnn_dm_par`). A whole number
+/// of portable register tiles; nine 512-bit ones and a six-row remainder.
 const TILE_M: usize = 96;
 /// Register-tile width: columns of `C` accumulated per block. A `[f32; NR]`
-/// accumulator row is one or two vector registers on any AVX2/AVX-512 host,
-/// and the fixed-width inner loops below auto-vectorize.
+/// accumulator row is two 512-bit or four 256-bit vector registers.
 const NR: usize = 32;
+/// Whether the register tile is written for 512-bit registers
+/// ([`tile_steps_512`]). Decided by the build target alone — builds are
+/// `-C target-cpu=native` by contract (`.cargo/config.toml`). The portable
+/// body cannot get there by auto-vectorization: LLVM's `prefer-256-bit`
+/// tuning compiles it to `ymm` code even where AVX-512 is enabled, which
+/// leaves half of each FMA unit idle.
+const WIDE_TILE: bool = cfg!(all(target_arch = "x86_64", target_feature = "avx512f"));
 /// Register-tile height: rows of `C` accumulated simultaneously by the
-/// widest micro-kernel instantiation. 6×32 lanes of accumulator leave
-/// vector registers free for the broadcast `A` scalar and the `B` segment
-/// (the same budget that makes 6-row kernels the BLAS staple); 8 rows
-/// measured ~20% slower from spills, 4 rows ~10% from lost B reuse.
-const MR: usize = 6;
+/// widest micro-kernel instantiation, sized to the vector register file.
+/// Portable body: 6 rows, the BLAS staple for 16 `ymm` — 8 rows measured
+/// ~20% slower from spills, 4 rows ~10% from lost `B` reuse. 512-bit body,
+/// 32 `zmm`: 10 rows are 20 accumulator registers, two for the `B` segment
+/// and ten for the `A` broadcasts LLVM hoists to the top of a step — the
+/// whole file; 12 rows spill (~25% slower), 8 rows lose `B` reuse on the
+/// backward orientations (DESIGN §13.3 has the measured table).
+const MR: usize = if WIDE_TILE { 10 } else { 6 };
 /// Elements per parallel work item for elementwise kernels — fixed, so
 /// chunk boundaries never depend on the thread count.
 const ELEM_CHUNK: usize = 1 << 14;
@@ -47,8 +56,8 @@ const ELEM_CHUNK: usize = 1 << 14;
 // MR-groups plus a remainder the `match` in `micro_block` handles (any
 // 1..=MR works); ragged column/k edges are remainder-handled explicitly
 // and asserted at the use sites.
-const _: () = assert!(TILE_M >= MR && MR >= 1 && MR <= 8);
-const _: () = assert!(NR >= 1 && TILE_K >= 1);
+const _: () = assert!(TILE_M >= MR && MR >= 1 && MR <= 10);
+const _: () = assert!(NR == 32 && TILE_K >= 1);
 
 /// Where a row panel's `A` values live, relative to the panel's first row
 /// and the k-tile's first step: `a(p, r)` is what row `r` of the panel
@@ -65,9 +74,11 @@ enum APanel<'a> {
 
 /// The `kk` accumulation steps of one register tile:
 /// `acc[r][j] = fma(a_at(p)[r], bp[p * b_stride + b_off + j], acc[r][j])`
-/// for `p` ascending.
+/// for `p` ascending. `WIDE` picks the 512-bit body where the build has
+/// one; both issue the same fused multiply-add per element in the same
+/// order, so they agree to the bit (`tile_bodies_agree_bitwise`).
 #[inline(always)]
-fn tile_steps<const MR_: usize>(
+fn tile_steps<const MR_: usize, const WIDE: bool>(
     acc: &mut [[f32; NR]; MR_],
     kk: usize,
     a_at: impl Fn(usize) -> [f32; MR_],
@@ -75,6 +86,10 @@ fn tile_steps<const MR_: usize>(
     b_stride: usize,
     b_off: usize,
 ) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    if WIDE {
+        return tile_steps_512(acc, kk, a_at, bp, b_stride, b_off);
+    }
     for p in 0..kk {
         let b_seg = &bp[p * b_stride + b_off..][..NR];
         let a_p = a_at(p);
@@ -82,6 +97,47 @@ fn tile_steps<const MR_: usize>(
             for (x, &bv) in row.iter_mut().zip(b_seg) {
                 *x = a_rp.mul_add(bv, *x);
             }
+        }
+    }
+}
+
+/// [`tile_steps`] with each accumulator row held as two 512-bit registers:
+/// `_mm512_fmadd_ps` is, lane by lane, the `mul_add` of the portable body.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[inline(always)]
+fn tile_steps_512<const MR_: usize>(
+    acc: &mut [[f32; NR]; MR_],
+    kk: usize,
+    a_at: impl Fn(usize) -> [f32; MR_],
+    bp: &[f32],
+    b_stride: usize,
+    b_off: usize,
+) {
+    use std::arch::x86_64::{_mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_storeu_ps};
+    const LANES: usize = NR / 2;
+    // SAFETY: the intrinsics need `avx512f`, which this function's `cfg`
+    // makes a property of the whole build. Every load and store moves
+    // `LANES` = 16 floats at offset 0 or `LANES` of a slice or array of
+    // exactly `NR` = 32 floats: `row` is a `[f32; NR]`, and `b_seg` was cut
+    // to `NR` elements by the bounds-checked slicing on the line before
+    // its loads. Unaligned access is what `loadu`/`storeu` are for.
+    unsafe {
+        let mut regs = acc
+            .each_ref()
+            .map(|row| [_mm512_loadu_ps(row.as_ptr()), _mm512_loadu_ps(row.as_ptr().add(LANES))]);
+        for p in 0..kk {
+            let b_seg = &bp[p * b_stride + b_off..][..NR];
+            let b_lo = _mm512_loadu_ps(b_seg.as_ptr());
+            let b_hi = _mm512_loadu_ps(b_seg.as_ptr().add(LANES));
+            for (reg, a_rp) in regs.iter_mut().zip(a_at(p)) {
+                let a_rp = _mm512_set1_ps(a_rp);
+                reg[0] = _mm512_fmadd_ps(a_rp, b_lo, reg[0]);
+                reg[1] = _mm512_fmadd_ps(a_rp, b_hi, reg[1]);
+            }
+        }
+        for (row, reg) in acc.iter_mut().zip(regs) {
+            _mm512_storeu_ps(row.as_mut_ptr(), reg[0]);
+            _mm512_storeu_ps(row.as_mut_ptr().add(LANES), reg[1]);
         }
     }
 }
@@ -98,7 +154,7 @@ fn tile_steps<const MR_: usize>(
 /// strip), and the lanes past `w` are computed and dropped.
 #[inline]
 #[allow(clippy::too_many_arguments)] // one tile = A panel + B view + C view
-fn micro_kernel<const MR_: usize>(
+fn micro_kernel<const MR_: usize, const WIDE: bool>(
     kk: usize,
     a: APanel<'_>,
     bp: &[f32],
@@ -127,14 +183,21 @@ fn micro_kernel<const MR_: usize>(
         APanel::Rows(data, stride) => {
             let rows: [&[f32]; MR_] =
                 std::array::from_fn(|r| &data[(r0 + r) * stride..][..kk]);
-            tile_steps(&mut acc, kk, |p| std::array::from_fn(|r| rows[r][p]), bp, b_stride, b_off);
+            tile_steps::<MR_, WIDE>(
+                &mut acc,
+                kk,
+                |p| std::array::from_fn(|r| rows[r][p]),
+                bp,
+                b_stride,
+                b_off,
+            );
         }
         APanel::Cols(data, stride) => {
             let a_at = |p: usize| {
                 let seg = &data[p * stride + r0..][..MR_];
                 std::array::from_fn(|r| seg[r])
             };
-            tile_steps(&mut acc, kk, a_at, bp, b_stride, b_off);
+            tile_steps::<MR_, WIDE>(&mut acc, kk, a_at, bp, b_stride, b_off);
         }
     }
     for (r, row) in acc.iter().enumerate() {
@@ -154,7 +217,7 @@ fn micro_kernel<const MR_: usize>(
 /// narrower const instantiations, so every (row, column) pair is visited
 /// exactly once — full and ragged column blocks alike.
 #[allow(clippy::too_many_arguments)] // forwards the micro-kernel's tile description
-fn micro_block(
+fn micro_block<const WIDE: bool>(
     kk: usize,
     a: APanel<'_>,
     bp: &[f32],
@@ -171,14 +234,16 @@ fn micro_block(
     while r0 < rows {
         let mr = (rows - r0).min(MR);
         match mr {
-            8 => micro_kernel::<8>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            7 => micro_kernel::<7>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            6 => micro_kernel::<6>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            5 => micro_kernel::<5>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            4 => micro_kernel::<4>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            3 => micro_kernel::<3>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            2 => micro_kernel::<2>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            _ => micro_kernel::<1>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            10 => micro_kernel::<10, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            9 => micro_kernel::<9, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            8 => micro_kernel::<8, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            7 => micro_kernel::<7, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            6 => micro_kernel::<6, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            5 => micro_kernel::<5, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            4 => micro_kernel::<4, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            3 => micro_kernel::<3, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            2 => micro_kernel::<2, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            _ => micro_kernel::<1, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
         }
         r0 += mr;
     }
@@ -212,10 +277,11 @@ impl<'a> InPlaceB<'a> {
         let n = self.n;
         let (j_tail, w_tail) = (n - n % NR, n % NR);
         for j0 in (0..j_tail).step_by(NR) {
-            micro_block(kk, a, &self.rows[p0 * n..], n, j0, c, n, rows, j0, NR);
+            micro_block::<WIDE_TILE>(kk, a, &self.rows[p0 * n..], n, j0, c, n, rows, j0, NR);
         }
         if w_tail > 0 {
-            micro_block(kk, a, &self.tail[p0 * NR..], NR, 0, c, n, rows, j_tail, w_tail);
+            let tail = &self.tail[p0 * NR..];
+            micro_block::<WIDE_TILE>(kk, a, tail, NR, 0, c, n, rows, j_tail, w_tail);
         }
     }
 }
@@ -243,55 +309,73 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// `C = A · B` with k-tiling on top of [`matmul`]'s register tiling: the
-/// shared dimension is processed in `TILE_K` blocks so a `B` panel stays
-/// L1/L2-resident across the whole row panel. Partial sums round-trip
-/// through `C` between k-tiles, which is exact for `f32`, and `p` still
-/// ascends across and within tiles — so this is bitwise-identical to
-/// [`matmul`] (pinned by `tiled_variants_match_naive_exactly`).
-pub fn matmul_tiled(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul shape mismatch: {:?} x {:?}", a.shape(), b.shape());
-    let (k, n) = (a.cols(), b.cols());
-    let mut c = Matrix::zeros(a.rows(), n);
-    let (a_slice, b_slice) = (a.as_slice(), b.as_slice());
+/// A `k × n` right-hand side repacked for the micro-kernel: panel
+/// (k-tile `kt`, column strip `js`) holds rows `kt * TILE_K..` of columns
+/// `js * NR..` contiguously with stride `NR`, zero-padded to `TILE_K × NR`,
+/// so a register tile streams it unit-stride whatever the operand's own
+/// layout was. Packed once per product and read by every row panel.
+/// Copying reorders memory, not arithmetic, so results are unchanged.
+struct PackedB {
+    panels: Vec<f32>,
+    k: usize,
+    n: usize,
+}
 
-    // Pack B once into NR-wide, zero-padded column panels: panel (kt, js)
-    // holds rows k0..k1 of columns j0..j0+NR contiguously with stride NR.
-    // Copying reorders memory, not arithmetic, so results are unchanged;
-    // the micro-kernel then streams unit-stride panels instead of striding
-    // by `n` through B.
-    let nstrips = n.div_ceil(NR);
-    let ktiles = k.div_ceil(TILE_K);
-    let mut pack = vec![0.0f32; ktiles * nstrips * TILE_K * NR];
-    for kt in 0..ktiles {
-        let k0 = kt * TILE_K;
-        let k1 = (k0 + TILE_K).min(k);
-        for js in 0..nstrips {
-            let j0 = js * NR;
-            let w = (n - j0).min(NR);
-            let base = (kt * nstrips + js) * TILE_K * NR;
-            for p in k0..k1 {
-                let dst = base + (p - k0) * NR;
-                pack[dst..dst + w].copy_from_slice(&b_slice[p * n + j0..p * n + j0 + w]);
-            }
+impl PackedB {
+    /// `fill(panel, k0, kk, j0, w)` writes `panel[p * NR + t] = B[k0 + p][j0 + t]`
+    /// for `p < kk`, `t < w` into a zeroed panel.
+    fn new(k: usize, n: usize, fill: impl Fn(&mut [f32], usize, usize, usize, usize)) -> Self {
+        let nstrips = n.div_ceil(NR);
+        let mut panels = vec![0.0f32; k.div_ceil(TILE_K) * nstrips * TILE_K * NR];
+        for (i, panel) in panels.chunks_mut(TILE_K * NR).enumerate() {
+            let (k0, j0) = (i / nstrips * TILE_K, i % nstrips * NR);
+            fill(panel, k0, (k - k0).min(TILE_K), j0, (n - j0).min(NR));
         }
+        PackedB { panels, k, n }
     }
 
-    par_chunks_mut(c.as_mut_slice(), TILE_M * n, |ci, c_chunk| {
-        let i0 = ci * TILE_M;
-        let rows = c_chunk.len() / n;
-        for kt in 0..ktiles {
-            let k0 = kt * TILE_K;
-            let kk = (k - k0).min(TILE_K);
-            let a_panel = APanel::Rows(&a_slice[i0 * k + k0..], k);
-            for js in 0..nstrips {
-                let j0 = js * NR;
-                let panel = &pack[(kt * nstrips + js) * TILE_K * NR..];
-                micro_block(kk, a_panel, panel, NR, 0, c_chunk, n, rows, j0, (n - j0).min(NR));
+    /// `A · B` for a row-major `A` (`m × k`): row panels of `C` in parallel,
+    /// the shared dimension in `TILE_K` blocks so a `B` panel stays
+    /// L1/L2-resident across the whole row panel. Partial sums round-trip
+    /// through `C` between k-tiles, which is exact for `f32`, and `p` still
+    /// ascends across and within tiles.
+    fn left_multiply(&self, a: &Matrix) -> Matrix {
+        let (k, n) = (self.k, self.n);
+        let nstrips = n.div_ceil(NR);
+        let mut c = Matrix::zeros(a.rows(), n);
+        let a_slice = a.as_slice();
+        par_chunks_mut(c.as_mut_slice(), TILE_M * n, |ci, c_chunk| {
+            let i0 = ci * TILE_M;
+            let rows = c_chunk.len() / n;
+            for kt in 0..k.div_ceil(TILE_K) {
+                let k0 = kt * TILE_K;
+                let kk = (k - k0).min(TILE_K);
+                let a_panel = APanel::Rows(&a_slice[i0 * k + k0..], k);
+                for js in 0..nstrips {
+                    let j0 = js * NR;
+                    let panel = &self.panels[(kt * nstrips + js) * TILE_K * NR..];
+                    let w = (n - j0).min(NR);
+                    micro_block::<WIDE_TILE>(kk, a_panel, panel, NR, 0, c_chunk, n, rows, j0, w);
+                }
             }
+        });
+        c
+    }
+}
+
+/// `C = A · B` with k-tiling and a packed `B` ([`PackedB`]) on top of
+/// [`matmul`]'s register tiling — bitwise-identical to [`matmul`] (pinned
+/// by `tiled_variants_match_naive_exactly`).
+pub fn matmul_tiled(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(a.cols(), b.rows(), "matmul shape mismatch: {:?} x {:?}", a.shape(), b.shape());
+    let (k, n) = b.shape();
+    let b_slice = b.as_slice();
+    PackedB::new(k, n, |panel, k0, kk, j0, w| {
+        for (p, dst) in panel.chunks_mut(NR).take(kk).enumerate() {
+            dst[..w].copy_from_slice(&b_slice[(k0 + p) * n + j0..][..w]);
         }
-    });
-    c
+    })
+    .left_multiply(a)
 }
 
 /// Rows of `C = Aᵀ · B` owned by one parallel work item, from the shape
@@ -338,41 +422,22 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// `C = A · Bᵀ` without materializing the transpose (the `dX = dY·Wᵀ`
-/// orientation of backprop). Each (k-tile, column-block) packs the `B`
-/// panel interleaved (`bpack[p * NR + t] = B[j0+t][k0+p]`) so the
-/// micro-kernel reads it unit-stride — the old dot-product form walked `B`
-/// rows strided and re-branched per scalar. Ascending-`p` accumulation
+/// orientation of backprop). `Bᵀ` is packed interleaved
+/// (`panel[p * NR + t] = B[j0 + t][k0 + p]`) once per call, so the
+/// micro-kernel reads it unit-stride from a buffer all row panels share —
+/// `W` is small next to the `dY` it multiplies. Ascending-`p` accumulation
 /// with exact `f32` round-trips between tiles keeps the result
 /// bitwise-identical to the reference loop with the same arithmetic.
 pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "matmul_nt shape mismatch: {:?} x {:?}ᵀ", a.shape(), b.shape());
-    let (k, n) = (a.cols(), b.rows());
-    let mut c = Matrix::zeros(a.rows(), n);
-    let a_slice = a.as_slice();
-    par_chunks_mut(c.as_mut_slice(), TILE_M * n, |ci, c_chunk| {
-        let i0 = ci * TILE_M;
-        let rows = c_chunk.len() / n;
-        // Lanes past a ragged block's width keep whatever an earlier block
-        // left there; the micro-kernel computes and drops them.
-        let mut bpack = [0.0f32; NR * TILE_K];
-        for k0 in (0..k).step_by(TILE_K) {
-            let k1 = (k0 + TILE_K).min(k);
-            let a_panel = APanel::Rows(&a_slice[i0 * k + k0..], k);
-            let mut j0 = 0;
-            while j0 < n {
-                let w = (n - j0).min(NR);
-                for t in 0..w {
-                    let b_seg = &b.row(j0 + t)[k0..k1];
-                    for (p, &bv) in b_seg.iter().enumerate() {
-                        bpack[p * NR + t] = bv;
-                    }
-                }
-                micro_block(k1 - k0, a_panel, &bpack, NR, 0, c_chunk, n, rows, j0, w);
-                j0 += w;
+    PackedB::new(b.cols(), b.rows(), |panel, k0, kk, j0, w| {
+        for t in 0..w {
+            for (p, &bv) in b.row(j0 + t)[k0..k0 + kk].iter().enumerate() {
+                panel[p * NR + t] = bv;
             }
         }
-    });
-    c
+    })
+    .left_multiply(a)
 }
 
 /// `a += b` elementwise.
@@ -541,7 +606,7 @@ mod tests {
         // The widths 1, 15, 16 and 47 are ragged column tails only (every
         // model's class layer has one): they run the full-width register
         // tile over a padded strip and must still match the scalar loop.
-        for &(m, k, n) in &[
+        let mut shapes = vec![
             (1usize, 1usize, 1usize),
             (5, 3, 17),
             (33, 65, 31),
@@ -550,7 +615,11 @@ mod tests {
             (19, 7, 15),
             (512, 128, 16),
             (29, 131, 47),
-        ] {
+        ];
+        // Every `micro_block` arm, alone and as the remainder under one
+        // full-height tile, over a full and a ragged column strip.
+        shapes.extend((1..=2 * MR).map(|m| (m, 9, 33)));
+        for (m, k, n) in shapes {
             let a = Matrix::from_fn(m, k, |r, c| {
                 if (r + c) % 5 == 0 {
                     0.0
@@ -617,12 +686,43 @@ mod tests {
 
     #[test]
     fn panel_height_depends_on_the_shape_alone() {
-        // About eight MR-multiple panels, so narrow outputs still fan out.
-        for (m, want) in [(1usize, 6usize), (32, 6), (64, 12), (128, 18), (602, 78), (1204, 156)] {
-            assert_eq!(tn_panel_rows(m), want, "m = {m}");
-            assert_eq!(tn_panel_rows(m) % MR, 0);
+        // About eight panels of whole register tiles, so narrow outputs
+        // still fan out — whatever tile height this build uses.
+        for m in [1usize, 32, 64, 128, 602, 1204] {
+            let rows = tn_panel_rows(m);
+            assert_eq!(rows % MR, 0, "m = {m}");
+            assert!(rows >= m.div_ceil(8) && rows < m.div_ceil(8) + MR, "m = {m}: {rows}");
         }
-        assert!(64usize.div_ceil(tn_panel_rows(64)) >= 6 && 128usize.div_ceil(tn_panel_rows(128)) >= 8);
+        assert!(
+            64usize.div_ceil(tn_panel_rows(64)) >= 6 && 128usize.div_ceil(tn_panel_rows(128)) >= 6
+        );
+    }
+
+    /// The 512-bit tile body against the portable one, through everything
+    /// a register tile varies in: height, ragged width, k-tile length and
+    /// where the `A` values come from.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    #[test]
+    fn tile_bodies_agree_bitwise() {
+        let (k_max, n) = (129usize, 40usize);
+        // Read as `MR` rows of `k_max` (`Rows`) or `k_max` rows of `MR` (`Cols`).
+        let a: Vec<f32> = (0..MR * k_max).map(|i| ((i * 29) % 23) as f32 * 0.19 - 2.0).collect();
+        let bp: Vec<f32> = (0..k_max * NR).map(|i| ((i * 13) % 17) as f32 * 0.27 - 2.1).collect();
+        for mr in 1..=MR {
+            for w in [1usize, 15, 16, 17, 31, 32] {
+                for kk in [1usize, 127, 128, 129] {
+                    for a_panel in [APanel::Rows(&a, k_max), APanel::Cols(&a, MR)] {
+                        let c0: Vec<f32> =
+                            (0..mr * n).map(|i| (i % 7) as f32 * 0.5 - 1.0).collect();
+                        let (mut portable, mut wide) = (c0.clone(), c0);
+                        micro_block::<false>(kk, a_panel, &bp, NR, 0, &mut portable, n, mr, 3, w);
+                        micro_block::<true>(kk, a_panel, &bp, NR, 0, &mut wide, n, mr, 3, w);
+                        let bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&portable), bits(&wide), "mr {mr}, w {w}, kk {kk}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

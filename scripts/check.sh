@@ -33,6 +33,18 @@ for round in $(seq 1 20); do
 done
 echo "    20 rounds added $((SECONDS - stress_start)) s"
 
+if [[ "$(uname -m)" == x86_64 ]]; then
+    echo "==> portable GEMM tile (an AVX-512 host builds only the 512-bit body above: the same kernel tests again at x86-64-v3)"
+    portable_start="${SECONDS}"
+    portable_test() {
+        RUSTFLAGS="-D warnings -C target-cpu=x86-64-v3" CARGO_TARGET_DIR=target/x86-64-v3 \
+            cargo test -q "$@"
+    }
+    portable_test -p gnn-dm-tensor -p gnn-dm-nn
+    portable_test -p gnn-dm --test par_equivalence
+    echo "    portable build and tests added $((SECONDS - portable_start)) s"
+fi
+
 # golden_check <experiment> <file> [args]: regenerates a checked-in golden
 # trace with the experiment that writes it and fails on any byte of drift,
 # leaving the golden as it was.
