@@ -58,6 +58,7 @@ pub fn compare_epoch(
     let act_bytes = u64_of_usize(hidden * std::mem::size_of::<f32>());
     let ring = 2.0 * (k as f64 - 1.0) / k as f64;
 
+    let locality = sim.part.locality();
     let mut dp_bytes = 0u64;
     let mut p3_bytes = 0u64;
     for w in 0..u32_of_index(k) {
@@ -78,7 +79,7 @@ pub fn compare_epoch(
             let mb = build_minibatch(&sim.graph.inn, &seeds, sampler, &mut rng);
             // Data parallel: every remote input vertex's raw features move.
             let remote_inputs =
-                u64_of_usize(mb.input_ids().iter().filter(|&&v| !sim.part.is_local(w, v)).count());
+                u64_of_usize(mb.input_ids().iter().filter(|&&v| !locality.is_local(w, v)).count());
             dp_bytes += remote_inputs * feat_bytes;
             // P3: layer-1 destinations' partial activations are
             // all-reduced across the k feature slices.

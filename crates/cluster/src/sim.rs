@@ -31,7 +31,7 @@ use gnn_dm_device::compute::{self, ComputeModel};
 use gnn_dm_device::LinkModel;
 use gnn_dm_graph::csr::VId;
 use gnn_dm_graph::Graph;
-use gnn_dm_partition::GnnPartitioning;
+use gnn_dm_partition::{GnnPartitioning, Locality};
 use gnn_dm_sampling::sampler::{build_minibatch_with, NeighborSampler, SampleScratch};
 use gnn_dm_sampling::BatchSelection;
 use gnn_dm_faults::{DeadlineAction, FaultPlan, PolicyOutcome, ResiliencePolicy};
@@ -165,9 +165,10 @@ impl<'g> ClusterSim<'g> {
             })
             .collect();
         let epoch_seed = gnn_dm_par::split_seed(self.seed, u64_of_usize(epoch));
+        let locality = self.part.locality();
         let partials = gnn_dm_par::par_map_collect(&worker_batches, |i, batches| {
             let mut rng = StdRng::seed_from_u64(gnn_dm_par::split_seed(epoch_seed, u64_of_usize(i)));
-            self.simulate_worker(sampler, u32_of_index(i), batches, &mut rng) // lint:allow(R003) per-worker epoch ledgers are the closure's return value, one set per worker per epoch
+            self.simulate_worker(sampler, &locality, u32_of_index(i), batches, &mut rng) // lint:allow(R003) per-worker epoch ledgers are the closure's return value, one set per worker per epoch
         });
         let mut report = EpochLoadReport {
             compute: ComputeLedger::new(k),
@@ -204,10 +205,13 @@ impl<'g> ClusterSim<'g> {
     /// worker, which may differ from `w`), plus its per-batch accounting
     /// spans (zero-duration, on the responsible worker's lane). The batch
     /// list and the sampling RNG are prepared by the caller so that every
-    /// seed derivation happens outside the parallel region (R002).
+    /// seed derivation happens outside the parallel region (R002), and so
+    /// is `locality`, the partitioning's halo membership unpacked once per
+    /// epoch for all workers.
     fn simulate_worker(
         &self,
         sampler: &dyn NeighborSampler,
+        locality: &Locality<'_>,
         w: u32,
         batches: &[Vec<VId>],
         rng: &mut StdRng,
@@ -245,7 +249,7 @@ impl<'g> ClusterSim<'g> {
                         if edges == 0 {
                             continue;
                         }
-                        if self.part.is_local(w, d) {
+                        if locality.is_local(w, d) {
                             local_edges += edges;
                         } else {
                             let owner = usize_of_u32(self.part.part_of(d));
@@ -258,7 +262,7 @@ impl<'g> ClusterSim<'g> {
                 }
                 // Feature fetches for non-local input vertices.
                 for &v in mb.input_ids() {
-                    if !self.part.is_local(w, v) {
+                    if !locality.is_local(w, v) {
                         let owner = usize_of_u32(self.part.part_of(v));
                         feature_bytes[owner] += row_bytes;
                         recv_bytes += row_bytes;

@@ -24,6 +24,15 @@
 //! over fixed [`ROW_CHUNK`]-row chunks; every output element accumulates
 //! the same terms in the same order as the serial per-edge loop, so the
 //! result is bitwise-identical at any thread count.
+//!
+//! The loops write into a caller's matrix and never read what it held: a
+//! row that accumulates (the GraphSAGE neighbor half, every adjoint row)
+//! adds its first term onto +0.0 instead of onto a zero-filled row
+//! ([`RowSum`]) — the same additions, without the zero pass — so the
+//! output may be a recycled buffer (the training step's workspace). The
+//! public kernels below are the allocating instances; the adjoints'
+//! source-major regrouping of a block ([`SourceMajor`]) is likewise
+//! rebuilt in place.
 
 use gnn_dm_graph::csr::{Csr, VId};
 use gnn_dm_par::par_chunks_mut;
@@ -63,30 +72,37 @@ impl Adjacency for Csr {
 
 /// A block's edges regrouped by source — the adjacency its adjoints walk.
 /// Built with a stable counting sort over the destination-major edge list,
-/// so each source meets its destinations in edge order.
-struct SourceMajor {
+/// so each source meets its destinations in edge order. Rebuilt in place
+/// for each block, so a warm one allocates nothing.
+#[derive(Default)]
+pub(crate) struct SourceMajor {
     offsets: Vec<u32>,
     dsts: Vec<u32>,
+    /// Per-source fill cursor of the sort.
+    next: Vec<u32>,
 }
 
 impl SourceMajor {
-    fn of(block: &Block) -> Self {
-        let mut offsets = vec![0u32; block.num_src() + 1];
+    fn rebuild(&mut self, block: &Block) {
+        let SourceMajor { offsets, dsts, next } = self;
+        offsets.clear();
+        offsets.resize(block.num_src() + 1, 0);
         for &s in &block.edge_src {
             offsets[s as usize + 1] += 1;
         }
         for s in 0..block.num_src() {
             offsets[s + 1] += offsets[s];
         }
-        let mut next = offsets.clone();
-        let mut dsts = vec![0u32; block.num_edges()];
+        next.clear();
+        next.extend_from_slice(offsets);
+        // Every slot is written below: one per edge.
+        dsts.resize(block.num_edges(), 0);
         for d in 0..block.num_dst() {
             for &s in block.sources_of(d) {
                 dsts[next[s as usize] as usize] = d as u32;
                 next[s as usize] += 1;
             }
         }
-        SourceMajor { offsets, dsts }
     }
 }
 
@@ -99,16 +115,16 @@ impl Adjacency for SourceMajor {
     }
 }
 
-/// Runs `body(i, out_row)` for every row of a fresh `rows x width` matrix,
-/// in parallel over [`ROW_CHUNK`]-row chunks.
-fn build_rows(rows: usize, width: usize, body: impl Fn(usize, &mut [f32]) + Sync) -> Matrix {
-    let mut out = Matrix::zeros(rows, width);
+/// Runs `body(i, out_row)` for every row of `out`, in parallel over
+/// [`ROW_CHUNK`]-row chunks. `out_row` holds whatever the buffer held:
+/// `body` must write all of it before reading any of it.
+fn build_rows(out: &mut Matrix, body: impl Fn(usize, &mut [f32]) + Sync) {
+    let width = out.cols();
     par_chunks_mut(out.as_mut_slice(), ROW_CHUNK * width, |ci, chunk| {
         for (j, out_row) in chunk.chunks_mut(width).enumerate() {
             body(ci * ROW_CHUNK + j, out_row);
         }
     });
-    out
 }
 
 /// `acc += x`.
@@ -120,22 +136,67 @@ fn add(acc: &mut [f32], x: &[f32]) {
     }
 }
 
-/// `acc += a * x`.
-#[inline]
-fn add_scaled(acc: &mut [f32], a: f32, x: &[f32]) {
-    debug_assert_eq!(acc.len(), x.len());
-    for (o, &v) in acc.iter_mut().zip(x) {
-        *o += a * v;
+/// An output row that is a sum of terms, written without first zeroing
+/// it: the first term is added onto +0.0 (the empty sum; `0.0 + -0.0` is
+/// `+0.0`, so it is added, not copied), later terms onto the row, and a row
+/// no term reaches is set to +0.0 — whatever the row held is never read.
+struct RowSum<'r> {
+    row: &'r mut [f32],
+    empty: bool,
+}
+
+impl<'r> RowSum<'r> {
+    fn new(row: &'r mut [f32]) -> Self {
+        RowSum { row, empty: true }
+    }
+
+    /// `row += a * x`.
+    #[inline]
+    fn add_scaled(&mut self, a: f32, x: &[f32]) {
+        debug_assert_eq!(self.row.len(), x.len());
+        if std::mem::take(&mut self.empty) {
+            for (o, &v) in self.row.iter_mut().zip(x) {
+                *o = 0.0 + a * v;
+            }
+        } else {
+            for (o, &v) in self.row.iter_mut().zip(x) {
+                *o += a * v;
+            }
+        }
+    }
+
+    /// `row += x`.
+    #[inline]
+    fn add(&mut self, x: &[f32]) {
+        if std::mem::take(&mut self.empty) {
+            for (o, &v) in self.row.iter_mut().zip(x) {
+                *o = 0.0 + v;
+            }
+        } else {
+            add(self.row, x);
+        }
+    }
+
+    /// The finished row.
+    fn finish(self) -> &'r mut [f32] {
+        if self.empty {
+            self.row.fill(0.0);
+        }
+        self.row
     }
 }
 
-/// The GCN forward loop: `out[i] = (row(i) + Σ_{s ∈ adj(i)} row(s)) / (1 + |adj(i)|)`.
+/// The GCN forward loop: `out[i] = (row(i) + Σ_{s ∈ adj(i)} row(s)) / (1 + |adj(i)|)`
+/// for the adjacency rows `i` in `first..first + out.rows()`.
 pub(crate) fn gcn_forward<'a>(
     adj: &impl Adjacency,
-    dim: usize,
+    first: usize,
     row: impl Fn(usize) -> &'a [f32] + Sync,
-) -> Matrix {
-    build_rows(adj.num_rows(), dim, |i, out| {
+    out: &mut Matrix,
+) {
+    assert!(first + out.rows() <= adj.num_rows(), "output rows beyond the adjacency");
+    build_rows(out, |i, out| {
+        let i = first + i;
         out.copy_from_slice(row(i));
         let nbrs = adj.neighbors_of(i);
         for &s in nbrs {
@@ -149,19 +210,27 @@ pub(crate) fn gcn_forward<'a>(
 }
 
 /// The GraphSAGE forward loop: `out[i] = [row(i) ‖ mean_{s ∈ adj(i)} row(s)]`
-/// (the neighbor half stays zero where `adj(i)` is empty).
+/// (the neighbor half stays zero where `adj(i)` is empty) for the adjacency
+/// rows `i` in `first..first + out.rows()`.
 pub(crate) fn sage_forward<'a>(
     adj: &impl Adjacency,
-    dim: usize,
+    first: usize,
     row: impl Fn(usize) -> &'a [f32] + Sync,
-) -> Matrix {
-    build_rows(adj.num_rows(), 2 * dim, |i, out| {
+    out: &mut Matrix,
+) {
+    assert!(first + out.rows() <= adj.num_rows(), "output rows beyond the adjacency");
+    let dim = out.cols() / 2;
+    assert_eq!(out.cols(), 2 * dim, "output width must be even");
+    build_rows(out, |i, out| {
+        let i = first + i;
         let (own, neigh) = out.split_at_mut(dim);
         own.copy_from_slice(row(i));
         let nbrs = adj.neighbors_of(i);
+        let mut sum = RowSum::new(neigh);
         for &s in nbrs {
-            add(neigh, row(s as usize));
+            sum.add(row(s as usize));
         }
+        let neigh = sum.finish();
         if !nbrs.is_empty() {
             let inv = 1.0 / nbrs.len() as f32;
             for o in neigh {
@@ -179,14 +248,18 @@ fn gcn_backward(
     num_self: usize,
     inv: impl Fn(usize) -> f32 + Sync,
     d_out: &Matrix,
-) -> Matrix {
-    build_rows(adj_t.num_rows(), d_out.cols(), |s, d_in| {
+    d_in: &mut Matrix,
+) {
+    assert_eq!(d_in.shape(), (adj_t.num_rows(), d_out.cols()), "one gradient row per input row");
+    build_rows(d_in, |s, d_in| {
+        let mut sum = RowSum::new(d_in);
         if s < num_self {
-            add_scaled(d_in, inv(s), d_out.row(s));
+            sum.add_scaled(inv(s), d_out.row(s));
         }
         for &d in adj_t.neighbors_of(s) {
-            add_scaled(d_in, inv(d as usize), d_out.row(d as usize));
+            sum.add_scaled(inv(d as usize), d_out.row(d as usize));
         }
+        sum.finish();
     })
 }
 
@@ -198,16 +271,20 @@ fn sage_backward(
     num_self: usize,
     inv: impl Fn(usize) -> f32 + Sync,
     d_out: &Matrix,
-) -> Matrix {
+    d_in: &mut Matrix,
+) {
     let dim = d_out.cols() / 2;
     assert_eq!(d_out.cols(), 2 * dim, "gradient width must be even");
-    build_rows(adj_t.num_rows(), dim, |s, d_in| {
+    assert_eq!(d_in.shape(), (adj_t.num_rows(), dim), "one gradient row per input row");
+    build_rows(d_in, |s, d_in| {
+        let mut sum = RowSum::new(d_in);
         if s < num_self {
-            add(d_in, &d_out.row(s)[..dim]);
+            sum.add(&d_out.row(s)[..dim]);
         }
         for &d in adj_t.neighbors_of(s) {
-            add_scaled(d_in, inv(d as usize), &d_out.row(d as usize)[dim..]);
+            sum.add_scaled(inv(d as usize), &d_out.row(d as usize)[dim..]);
         }
+        sum.finish();
     })
 }
 
@@ -217,15 +294,30 @@ fn sage_backward(
 /// source index `d` (destinations prefix the sources).
 pub fn gcn_block_forward(block: &Block, h_src: &Matrix) -> Matrix {
     assert_eq!(h_src.rows(), block.num_src(), "one embedding per source");
-    gcn_forward(block, h_src.cols(), |s| h_src.row(s))
+    let mut out = Matrix::zeros(block.num_dst(), h_src.cols());
+    gcn_forward(block, 0, |s| h_src.row(s), &mut out);
+    out
 }
 
 /// Adjoint of [`gcn_block_forward`]: distributes `d_out[d] / (1 + indeg(d))`
 /// to `d`'s own slot and to every sampled in-neighbor.
 pub fn gcn_block_backward(block: &Block, d_out: &Matrix) -> Matrix {
+    let mut d_src = Matrix::zeros(block.num_src(), d_out.cols());
+    gcn_block_backward_into(block, d_out, &mut SourceMajor::default(), &mut d_src);
+    d_src
+}
+
+/// [`gcn_block_backward`] into `d_src`, regrouping the block in `by_source`.
+pub(crate) fn gcn_block_backward_into(
+    block: &Block,
+    d_out: &Matrix,
+    by_source: &mut SourceMajor,
+    d_src: &mut Matrix,
+) {
     assert_eq!(d_out.rows(), block.num_dst(), "one gradient per destination");
     let inv = |d: usize| 1.0 / (1.0 + block.in_degree(d) as f32);
-    gcn_backward(&SourceMajor::of(block), block.num_dst(), inv, d_out)
+    by_source.rebuild(block);
+    gcn_backward(&*by_source, block.num_dst(), inv, d_out, d_src);
 }
 
 /// GraphSAGE block aggregation: `out[d] = [h[d] ‖ mean_{(s,d)} h[s]]`
@@ -233,15 +325,30 @@ pub fn gcn_block_backward(block: &Block, d_out: &Matrix) -> Matrix {
 /// `2 * dim`.
 pub fn sage_block_forward(block: &Block, h_src: &Matrix) -> Matrix {
     assert_eq!(h_src.rows(), block.num_src(), "one embedding per source");
-    sage_forward(block, h_src.cols(), |s| h_src.row(s))
+    let mut out = Matrix::zeros(block.num_dst(), 2 * h_src.cols());
+    sage_forward(block, 0, |s| h_src.row(s), &mut out);
+    out
 }
 
 /// Adjoint of [`sage_block_forward`].
 pub fn sage_block_backward(block: &Block, d_out: &Matrix) -> Matrix {
+    let mut d_src = Matrix::zeros(block.num_src(), d_out.cols() / 2);
+    sage_block_backward_into(block, d_out, &mut SourceMajor::default(), &mut d_src);
+    d_src
+}
+
+/// [`sage_block_backward`] into `d_src`, regrouping the block in `by_source`.
+pub(crate) fn sage_block_backward_into(
+    block: &Block,
+    d_out: &Matrix,
+    by_source: &mut SourceMajor,
+    d_src: &mut Matrix,
+) {
     assert_eq!(d_out.rows(), block.num_dst(), "one gradient per destination");
     // Only read for destinations with an edge, so the degree is positive.
     let inv = |d: usize| 1.0 / block.in_degree(d) as f32;
-    sage_backward(&SourceMajor::of(block), block.num_dst(), inv, d_out)
+    by_source.rebuild(block);
+    sage_backward(&*by_source, block.num_dst(), inv, d_out, d_src);
 }
 
 /// GraphSAGE max-pooling block aggregation: `out[d] = [h[d] ‖ max_{(s,d)} h[s]]`
@@ -306,13 +413,17 @@ pub fn sage_max_block_backward(block: &Block, argmax: &[u32], d_out: &Matrix) ->
 /// `out[v] = (h[v] + Σ_{u ∈ N_in(v)} h[u]) / (1 + |N_in(v)|)`.
 pub fn gcn_full_forward(in_csr: &Csr, h: &Matrix) -> Matrix {
     assert_eq!(h.rows(), in_csr.num_vertices(), "one embedding per vertex");
-    gcn_forward(in_csr, h.cols(), |v| h.row(v))
+    let mut out = Matrix::zeros(h.rows(), h.cols());
+    gcn_forward(in_csr, 0, |v| h.row(v), &mut out);
+    out
 }
 
 /// Full-graph GraphSAGE aggregation (exact inference): `[h[v] ‖ mean_in]`.
 pub fn sage_full_forward(in_csr: &Csr, h: &Matrix) -> Matrix {
     assert_eq!(h.rows(), in_csr.num_vertices(), "one embedding per vertex");
-    sage_forward(in_csr, h.cols(), |v| h.row(v))
+    let mut out = Matrix::zeros(h.rows(), 2 * h.cols());
+    sage_forward(in_csr, 0, |v| h.row(v), &mut out);
+    out
 }
 
 /// Adjoint of [`gcn_full_forward`] for full-batch training: since the
@@ -321,20 +432,44 @@ pub fn sage_full_forward(in_csr: &Csr, h: &Matrix) -> Matrix {
 /// term — which is a pass over the out-CSR. `in_degrees[v]` must be
 /// `in_csr.degree(v)`.
 pub fn gcn_full_backward(out_csr: &Csr, in_degrees: &[usize], d_out: &Matrix) -> Matrix {
+    let mut d_in = Matrix::zeros(out_csr.num_vertices(), d_out.cols());
+    gcn_full_backward_into(out_csr, in_degrees, d_out, &mut d_in);
+    d_in
+}
+
+/// [`gcn_full_backward`] into `d_in`.
+pub(crate) fn gcn_full_backward_into(
+    out_csr: &Csr,
+    in_degrees: &[usize],
+    d_out: &Matrix,
+    d_in: &mut Matrix,
+) {
     let n = out_csr.num_vertices();
     assert_eq!(d_out.rows(), n, "one gradient per vertex");
     assert_eq!(in_degrees.len(), n, "one in-degree per vertex");
-    gcn_backward(out_csr, n, |v| 1.0 / (1.0 + in_degrees[v] as f32), d_out)
+    gcn_backward(out_csr, n, |v| 1.0 / (1.0 + in_degrees[v] as f32), d_out, d_in);
 }
 
 /// Adjoint of [`sage_full_forward`]. `in_degrees[v]` must be
 /// `in_csr.degree(v)`, so every vertex an out-edge reaches has a positive
 /// in-degree.
 pub fn sage_full_backward(out_csr: &Csr, in_degrees: &[usize], d_out: &Matrix) -> Matrix {
+    let mut d_in = Matrix::zeros(out_csr.num_vertices(), d_out.cols() / 2);
+    sage_full_backward_into(out_csr, in_degrees, d_out, &mut d_in);
+    d_in
+}
+
+/// [`sage_full_backward`] into `d_in`.
+pub(crate) fn sage_full_backward_into(
+    out_csr: &Csr,
+    in_degrees: &[usize],
+    d_out: &Matrix,
+    d_in: &mut Matrix,
+) {
     let n = out_csr.num_vertices();
     assert_eq!(d_out.rows(), n, "one gradient per vertex");
     assert_eq!(in_degrees.len(), n, "one in-degree per vertex");
-    sage_backward(out_csr, n, |v| 1.0 / in_degrees[v] as f32, d_out)
+    sage_backward(out_csr, n, |v| 1.0 / in_degrees[v] as f32, d_out, d_in);
 }
 
 #[cfg(test)]

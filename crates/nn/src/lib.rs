@@ -22,6 +22,7 @@ pub mod metrics;
 pub mod model;
 pub mod optim;
 pub mod train;
+mod workspace;
 
 pub use model::{AggKind, GnnModel};
 pub use optim::{Adam, Sgd};

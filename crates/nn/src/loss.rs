@@ -10,13 +10,31 @@ use gnn_dm_tensor::Matrix;
 /// # Panics
 ///
 /// Panics if `labels.len() != logits.rows()` or a label is out of range.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
 pub fn softmax_cross_entropy(logits: &Matrix, labels: &[u32]) -> (f32, Matrix) {
+    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
+    let loss = softmax_cross_entropy_into(logits, labels, &mut grad);
+    (loss, grad)
+}
+
+/// [`softmax_cross_entropy`] with the gradient written into `grad` (the
+/// logits' shape): every element is written once, none read. Returns the
+/// mean loss.
+///
+/// # Panics
+///
+/// As [`softmax_cross_entropy`], and if `grad`'s shape differs from the
+/// logits'.
+#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
+pub(crate) fn softmax_cross_entropy_into(
+    logits: &Matrix,
+    labels: &[u32],
+    grad: &mut Matrix,
+) -> f32 {
     let n = logits.rows();
     assert_eq!(labels.len(), n, "one label per row");
     assert!(n > 0, "empty batch");
+    assert_eq!(grad.shape(), logits.shape(), "one gradient per logit");
     let c = logits.cols();
-    let mut grad = Matrix::zeros(n, c);
     let mut total_loss = 0.0f64;
     let inv_n = 1.0 / n as f32;
     for r in 0..n {
@@ -37,7 +55,7 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[u32]) -> (f32, Matrix) {
             *o = (p - if j == label { 1.0 } else { 0.0 }) * inv_n;
         }
     }
-    ((total_loss / n as f64) as f32, grad)
+    (total_loss / n as f64) as f32
 }
 
 #[cfg(test)]

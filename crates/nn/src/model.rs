@@ -1,9 +1,27 @@
 //! The layered GNN model with explicit forward caches and gradients.
+//!
+//! One forward loop and one backward loop serve every entry point
+//! (mini-batch or full graph, training or inference). Both run on a
+//! [`Workspace`]: each aggregation output, layer output, gradient and
+//! adjoint product is taken from it and written exactly once by its
+//! kernel, and whatever a loop is done with goes back for the next take —
+//! `train_epoch` keeps one workspace across its steps, so a warm step
+//! allocates no matrix storage, zero-fills nothing up front and copies no
+//! activation. For backward, a hidden layer's ReLU *output* is kept (it is
+//! the next layer's input anyway) and serves as the ReLU mask:
+//! `ops::relu_in_place` maps `pre < 0` to +0.0 and keeps every other value,
+//! so `out <= 0 ⇔ pre <= 0` and the mask is the pre-activation's, bit for
+//! bit.
 
-use crate::agg::{self, Adjacency};
+use crate::agg::{self, Adjacency, SourceMajor};
+use crate::workspace::Workspace;
 use gnn_dm_graph::csr::Csr;
 use gnn_dm_sampling::MiniBatch;
 use gnn_dm_tensor::{init, ops, Matrix};
+
+/// Elements (2 MiB) of aggregation output inference produces and
+/// multiplies at a time; a block is as many whole rows as fit, at least one.
+const INFER_BLOCK: usize = 1 << 19;
 
 /// Which aggregation family the model uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +56,9 @@ pub struct GnnModel {
 pub struct ForwardCache {
     /// Aggregation outputs (dense-layer inputs), one per layer.
     pub aggs: Vec<Matrix>,
-    /// Pre-activation values for layers that apply ReLU (all but the last).
-    pub pres: Vec<Matrix>,
+    /// ReLU outputs of the layers that apply ReLU (all but the last) —
+    /// each the next layer's input, and the ReLU adjoint's mask.
+    pub outs: Vec<Matrix>,
 }
 
 /// Parameter gradients, one `(dW, db)` pair per layer.
@@ -121,90 +140,128 @@ impl GnnModel {
         self.num_params() as u64 * 4
     }
 
-    /// Aggregates one layer's input rows over `adj` with the model's family.
+    /// Aggregates adjacency rows `first..first + out.rows()` of `row`'s
+    /// rows into `out` with the model's family.
     fn aggregate<'a>(
         &self,
         adj: &impl Adjacency,
-        dim: usize,
+        first: usize,
         row: impl Fn(usize) -> &'a [f32] + Sync,
-    ) -> Matrix {
+        out: &mut Matrix,
+    ) {
         match self.kind {
-            AggKind::Gcn => agg::gcn_forward(adj, dim, row),
-            AggKind::SageMean => agg::sage_forward(adj, dim, row),
+            AggKind::Gcn => agg::gcn_forward(adj, first, row, out),
+            AggKind::SageMean => agg::sage_forward(adj, first, row, out),
         }
     }
 
-    /// The dense half of layer `l`: `agg · W + b`, then ReLU on every layer
-    /// but the last, whose output are the logits. Returns the layer output
-    /// and, where ReLU ran and `keep` asks for it, the pre-activation
-    /// backward needs — inference never pays for that copy.
-    fn dense(&self, l: usize, agg_out: &Matrix, keep: bool) -> (Matrix, Option<Matrix>) {
-        let mut z = ops::matmul(agg_out, &self.layers[l].w);
-        ops::add_bias(&mut z, &self.layers[l].b);
-        if l + 1 == self.num_layers() {
-            return (z, None);
-        }
-        if keep {
-            let pre = ops::relu_forward(&mut z);
-            return (z, Some(pre));
-        }
-        // `ops::relu_forward`'s clamp, comparison for comparison.
-        for x in z.as_mut_slice() {
-            if *x < 0.0 {
-                *x = 0.0;
+    /// Layer `l`: aggregate `row`'s rows over `adj` with the model's
+    /// family, then the dense half `agg · W + b` and, on every layer but
+    /// the last (whose output are the logits), ReLU in place. With `keep`
+    /// the aggregation output goes to the cache. Without it (inference) it
+    /// is produced and multiplied an [`INFER_BLOCK`] at a time, so no more
+    /// than one such block of it ever exists: the full-graph aggregation of
+    /// a wide feature table would otherwise be the largest allocation of a
+    /// training run. Rows are independent in both kernels, so the blocks
+    /// are bit for bit the rows of the whole.
+    fn layer<'a>(
+        &self,
+        l: usize,
+        adj: &impl Adjacency,
+        row: impl Fn(usize) -> &'a [f32] + Sync,
+        keep: bool,
+        cache: &mut ForwardCache,
+        ws: &mut Workspace,
+    ) -> Matrix {
+        let (rows, width) = (adj.num_rows(), Self::agg_width_for(self.kind, self.dims[l]));
+        let (w, out) = (&self.layers[l].w, self.dims[l + 1]);
+        let mut h = if keep {
+            let mut agg_out = ws.take(rows, width);
+            self.aggregate(adj, 0, row, &mut agg_out);
+            let mut h = ws.take(rows, out);
+            ops::matmul_into(&agg_out, w, &mut h);
+            cache.aggs.push(agg_out);
+            h
+        } else {
+            let mut h = ws.take(rows, out);
+            let block = (INFER_BLOCK / width.max(1)).max(1);
+            for first in (0..rows).step_by(block) {
+                let n = (rows - first).min(block);
+                let (mut agg_out, mut z) = (ws.take(n, width), ws.take(n, out));
+                self.aggregate(adj, first, &row, &mut agg_out);
+                ops::matmul_into(&agg_out, w, &mut z);
+                h.as_mut_slice()[first * out..][..n * out].copy_from_slice(z.as_slice());
+                ws.give_all([agg_out, z]);
             }
+            h
+        };
+        ops::add_bias(&mut h, &self.layers[l].b);
+        if l + 1 < self.num_layers() {
+            ops::relu_in_place(&mut h);
         }
-        (z, None)
+        h
     }
 
-    /// The one forward loop: layer `l` aggregates over `adj_at(l)` and goes
-    /// through its dense half. Layer 0 reads its input rows from `row0` —
-    /// a matrix, or the feature table in place — and every later layer from
-    /// the previous layer's output. With `keep` the cache backward needs is
-    /// filled; without it each aggregation output is dropped once used.
+    /// The one forward loop: layer `l` aggregates over `adj_at(l)`. Layer 0
+    /// reads its input rows from `row0` — a matrix, or the feature table in
+    /// place — and every later layer from the previous layer's output. With
+    /// `keep` the cache backward needs is filled; without it every
+    /// intermediate goes back to `ws` once used.
     fn forward_layers<'a, 'g, A: Adjacency + 'g>(
         &self,
         adj_at: impl Fn(usize) -> &'g A,
         row0: impl Fn(usize) -> &'a [f32] + Sync,
         keep: bool,
+        ws: &mut Workspace,
     ) -> (Matrix, ForwardCache) {
-        let mut cache = ForwardCache { aggs: Vec::new(), pres: Vec::new() };
-        let mut finish = |l: usize, agg_out: Matrix| {
-            let (h, pre) = self.dense(l, &agg_out, keep);
-            if keep {
-                cache.aggs.push(agg_out);
-                cache.pres.extend(pre);
-            }
-            h
-        };
-        let mut h = finish(0, self.aggregate(adj_at(0), self.dims[0], row0));
+        let mut cache = ForwardCache { aggs: Vec::new(), outs: Vec::new() };
+        let mut h = self.layer(0, adj_at(0), row0, keep, &mut cache, ws);
         for l in 1..self.num_layers() {
-            h = finish(l, self.aggregate(adj_at(l), self.dims[l], |s| h.row(s)));
+            let next = self.layer(l, adj_at(l), |s| h.row(s), keep, &mut cache, ws);
+            let input = std::mem::replace(&mut h, next);
+            if keep {
+                cache.outs.push(input);
+            } else {
+                ws.give(input);
+            }
         }
         (h, cache)
     }
 
     /// The one backward loop: per layer, ReLU adjoint, `dW = aggᵀ · d`,
-    /// `db = column sums`, then `agg_back(l, d · Wᵀ)` carries the gradient
-    /// through layer `l`'s aggregation to the layer below.
+    /// `db = column sums`, then `agg_back(l, d · Wᵀ, scratch, d_in)` carries
+    /// the gradient through layer `l`'s aggregation into `d_in`, the
+    /// gradient of layer `l`'s input rows. Consumes `d_logits`; every
+    /// intermediate goes back to `ws`, the weight gradients come from it.
     fn backward_layers(
         &self,
         cache: &ForwardCache,
         d_logits: Matrix,
-        agg_back: impl Fn(usize, &Matrix) -> Matrix,
+        ws: &mut Workspace,
+        agg_back: impl Fn(usize, &Matrix, &mut SourceMajor, &mut Matrix),
     ) -> Gradients {
         let last = self.num_layers() - 1;
         let mut d = d_logits;
         let mut layers = Vec::with_capacity(self.num_layers());
         for l in (0..self.num_layers()).rev() {
             if l < last {
-                ops::relu_backward(&mut d, &cache.pres[l]);
+                ops::relu_backward(&mut d, &cache.outs[l]);
             }
-            layers.push((ops::matmul_tn(&cache.aggs[l], &d), ops::column_sums(&d)));
+            let agg_out = &cache.aggs[l];
+            let mut dw = ws.take(agg_out.cols(), d.cols());
+            ops::matmul_tn_into(agg_out, &d, &mut dw);
+            layers.push((dw, ops::column_sums(&d)));
             if l > 0 {
-                d = agg_back(l, &ops::matmul_nt(&d, &self.layers[l].w));
+                let w = &self.layers[l].w;
+                let mut d_agg = ws.take(d.rows(), w.rows());
+                ops::matmul_nt_into(&d, w, &mut d_agg);
+                let mut d_in = ws.take(cache.outs[l - 1].rows(), self.dims[l]);
+                agg_back(l, &d_agg, &mut ws.by_source, &mut d_in);
+                ws.give(d_agg);
+                ws.give(std::mem::replace(&mut d, d_in));
             }
         }
+        ws.give(d);
         layers.reverse();
         Gradients { layers }
     }
@@ -237,8 +294,18 @@ impl GnnModel {
         mb: &MiniBatch,
         row0: impl Fn(usize) -> &'a [f32] + Sync,
     ) -> (Matrix, ForwardCache) {
+        self.forward_minibatch_in(mb, row0, &mut Workspace::default())
+    }
+
+    /// [`Self::forward_minibatch_rows`] on `ws`'s storage.
+    pub(crate) fn forward_minibatch_in<'a>(
+        &self,
+        mb: &MiniBatch,
+        row0: impl Fn(usize) -> &'a [f32] + Sync,
+        ws: &mut Workspace,
+    ) -> (Matrix, ForwardCache) {
         assert_eq!(mb.num_layers(), self.num_layers(), "batch/model layer mismatch");
-        self.forward_layers(|l| &mb.blocks[l], row0, true)
+        self.forward_layers(|l| &mb.blocks[l], row0, true, ws)
     }
 
     /// Mini-batch backward pass: gradients for every layer given the loss
@@ -249,9 +316,22 @@ impl GnnModel {
         cache: &ForwardCache,
         d_logits: Matrix,
     ) -> Gradients {
-        self.backward_layers(cache, d_logits, |l, d_agg| match self.kind {
-            AggKind::Gcn => agg::gcn_block_backward(&mb.blocks[l], d_agg),
-            AggKind::SageMean => agg::sage_block_backward(&mb.blocks[l], d_agg),
+        self.backward_minibatch_in(mb, cache, d_logits, &mut Workspace::default())
+    }
+
+    /// [`Self::backward_minibatch`] on `ws`'s storage.
+    pub(crate) fn backward_minibatch_in(
+        &self,
+        mb: &MiniBatch,
+        cache: &ForwardCache,
+        d_logits: Matrix,
+        ws: &mut Workspace,
+    ) -> Gradients {
+        self.backward_layers(cache, d_logits, ws, |l, d_agg, by_source, d_in| match self.kind {
+            AggKind::Gcn => agg::gcn_block_backward_into(&mb.blocks[l], d_agg, by_source, d_in),
+            AggKind::SageMean => {
+                agg::sage_block_backward_into(&mb.blocks[l], d_agg, by_source, d_in)
+            }
         })
     }
 
@@ -264,7 +344,7 @@ impl GnnModel {
         in_csr: &Csr,
         features: impl Fn(usize) -> &'a [f32] + Sync,
     ) -> Matrix {
-        self.forward_layers(|_| in_csr, features, false).0
+        self.forward_layers(|_| in_csr, features, false, &mut Workspace::default()).0
     }
 
     /// Full-graph forward pass that keeps the caches backward needs — the
@@ -276,7 +356,7 @@ impl GnnModel {
         in_csr: &Csr,
         features: impl Fn(usize) -> &'a [f32] + Sync,
     ) -> (Matrix, ForwardCache) {
-        self.forward_layers(|_| in_csr, features, true)
+        self.forward_layers(|_| in_csr, features, true, &mut Workspace::default())
     }
 
     /// Full-graph backward pass matching [`Self::forward_full_cached`].
@@ -289,9 +369,10 @@ impl GnnModel {
         cache: &ForwardCache,
         d_logits: Matrix,
     ) -> Gradients {
-        self.backward_layers(cache, d_logits, |_, d_agg| match self.kind {
-            AggKind::Gcn => agg::gcn_full_backward(out_csr, in_degrees, d_agg),
-            AggKind::SageMean => agg::sage_full_backward(out_csr, in_degrees, d_agg),
+        let ws = &mut Workspace::default();
+        self.backward_layers(cache, d_logits, ws, |_, d_agg, _, d_in| match self.kind {
+            AggKind::Gcn => agg::gcn_full_backward_into(out_csr, in_degrees, d_agg, d_in),
+            AggKind::SageMean => agg::sage_full_backward_into(out_csr, in_degrees, d_agg, d_in),
         })
     }
 
@@ -357,7 +438,7 @@ mod tests {
             assert_eq!(logits.rows(), mb.seeds.len());
             assert_eq!(logits.cols(), 3);
             assert_eq!(cache.aggs.len(), 2);
-            assert_eq!(cache.pres.len(), 1);
+            assert_eq!(cache.outs.len(), 1);
         }
     }
 
@@ -422,11 +503,36 @@ mod tests {
         let a = model.full_forward(&g.inn, |v| g.features.row(v as u32));
         let b = model.full_forward(&g.inn, |v| g.features.row(v as u32));
         assert_eq!(a, b);
-        // Skipping the pre-activation copy must not move a logit.
+        // Recycling instead of keeping the intermediates must not move a logit.
         let (kept, _) = model.forward_full_cached(&g.inn, |v| g.features.row(v as u32));
         assert_eq!(a.as_slice(), kept.as_slice());
         assert_eq!(a.rows(), g.num_vertices());
         assert_eq!(a.cols(), 3);
+    }
+
+    /// Inference aggregates and multiplies a block of rows at a time; the
+    /// blocks must be, bit for bit, the rows of the whole matrix the
+    /// training forward computes, a ragged last block included.
+    #[test]
+    fn blocked_inference_is_the_whole_forward() {
+        let feat_dim = 2000;
+        let g = planted_partition(&PplConfig {
+            n: 300,
+            avg_degree: 6.0,
+            num_classes: 3,
+            feat_dim,
+            ..Default::default()
+        });
+        let rows = |m: &GnnModel| m.full_forward(&g.inn, |v| g.features.row(v as u32));
+        for kind in [AggKind::Gcn, AggKind::SageMean] {
+            let block = INFER_BLOCK / GnnModel::agg_width_for(kind, feat_dim);
+            let n = g.num_vertices();
+            assert!(block < n && !n.is_multiple_of(block), "{kind:?}: several blocks, one ragged");
+            let model = GnnModel::new(kind, &[feat_dim, 7, 3], 5);
+            let (whole, _) = model.forward_full_cached(&g.inn, |v| g.features.row(v as u32));
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&rows(&model)), bits(&whole), "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Training drivers: one mini-batch step, one epoch, and full-graph
 //! evaluation — the pieces every experiment harness composes.
 
-use crate::loss::softmax_cross_entropy;
+use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_into};
 use crate::metrics;
 use crate::model::{ForwardCache, GnnModel};
 use crate::optim::Optimizer;
+use crate::workspace::Workspace;
 use gnn_dm_graph::csr::VId;
 use gnn_dm_graph::Graph;
 use gnn_dm_sampling::epoch::EpochPlan;
@@ -53,9 +54,19 @@ pub fn seed_labels(graph: &Graph, mb: &MiniBatch) -> Vec<u32> {
 /// [`gather_input_features`] builds is never materialised. Bitwise equal to
 /// `model.forward_minibatch(mb, &gather_input_features(graph, mb))`.
 pub fn forward_batch(model: &GnnModel, graph: &Graph, mb: &MiniBatch) -> (Matrix, ForwardCache) {
+    forward_batch_in(model, graph, mb, &mut Workspace::default())
+}
+
+/// [`forward_batch`] on `ws`'s storage.
+fn forward_batch_in(
+    model: &GnnModel,
+    graph: &Graph,
+    mb: &MiniBatch,
+    ws: &mut Workspace,
+) -> (Matrix, ForwardCache) {
     assert_eq!(graph.feat_dim(), model.dims()[0], "feature width mismatch");
     let ids = mb.input_ids();
-    model.forward_minibatch_rows(mb, |s| graph.features.row(ids[s]))
+    model.forward_minibatch_in(mb, |s| graph.features.row(ids[s]), ws)
 }
 
 /// Runs forward, loss, backward, and one optimizer step on a mini-batch.
@@ -65,14 +76,40 @@ pub fn train_step(
     graph: &Graph,
     mb: &MiniBatch,
 ) -> StepResult {
+    step_in(model, opt, graph, mb, &mut Workspace::default(), true)
+}
+
+/// [`train_step`] on `ws`'s storage, every matrix returned to it at the
+/// end — so the next step on the same workspace allocates none. `first`
+/// marks the first step on `ws`.
+fn step_in(
+    model: &mut GnnModel,
+    opt: &mut dyn Optimizer,
+    graph: &Graph,
+    mb: &MiniBatch,
+    ws: &mut Workspace,
+    first: bool,
+) -> StepResult {
     let labels = seed_labels(graph, mb);
-    let (logits, cache) = forward_batch(model, graph, mb);
+    let (logits, cache) = forward_batch_in(model, graph, mb, ws);
     let batch_accuracy = metrics::batch_accuracy(&logits, &labels);
-    let (loss, d_logits) = softmax_cross_entropy(&logits, &labels);
-    let grads = model.backward_minibatch(mb, &cache, d_logits);
+    let mut d_logits = ws.take(logits.rows(), logits.cols());
+    let loss = softmax_cross_entropy_into(&logits, &labels, &mut d_logits);
+    ws.give(logits);
+    let grads = model.backward_minibatch_in(mb, &cache, d_logits, ws);
     let grad_norm = grads.l2_norm();
-    let gv: Vec<&[f32]> = grads.flat_views();
-    opt.step(model.param_views_mut(), gv);
+    if first {
+        // An optimizer allocates its state on its first update and keeps
+        // it as long as the model. Free the step's temporaries first, so
+        // the state takes the holes they leave rather than landing above
+        // them and splitting the free heap for the rest of the run
+        // (DESIGN §13.7: `mb_wide` peak RSS). The cache and the gradients
+        // are still held.
+        ws.release();
+    }
+    opt.step(model.param_views_mut(), grads.flat_views());
+    ws.give_all(cache.aggs.into_iter().chain(cache.outs));
+    ws.give_all(grads.layers.into_iter().map(|(dw, _)| dw));
     StepResult { loss, grad_norm, batch_accuracy }
 }
 
@@ -95,6 +132,8 @@ pub struct EpochResult {
 /// sample the next few batches while this thread trains on the current one
 /// ([`EpochPlan::for_each_batch`]), so the steps see the batches of
 /// `plan.batches(epoch)` in the same order and the model is bit-identical.
+/// The steps share one workspace: after the first, a step writes its
+/// matrices into the storage of the one before.
 pub fn train_epoch(
     model: &mut GnnModel,
     opt: &mut dyn Optimizer,
@@ -109,11 +148,12 @@ pub fn train_epoch(
         involved_vertices: 0,
         involved_edges: 0,
     };
+    let mut ws = Workspace::default();
     plan.for_each_batch(epoch, |_, mb| {
         result.num_batches += 1;
         result.involved_vertices += mb.involved_vertices();
         result.involved_edges += mb.involved_edges();
-        let step = train_step(model, opt, graph, &mb);
+        let step = step_in(model, opt, graph, &mb, &mut ws, result.num_batches == 1);
         result.mean_loss += step.loss;
         result.mean_grad_norm += step.grad_norm;
     });
@@ -290,6 +330,113 @@ mod tests {
                     assert_eq!(got.mean_loss.to_bits(), want.mean_loss.to_bits());
                     assert_eq!(got, want, "{kind:?}, threads {threads}, epoch {epoch}");
                     assert!(bits(&mut streamed) == bits(&mut reference), "{kind:?}: parameters diverged");
+                }
+            }
+        }
+    }
+
+    /// One step from the public allocating kernels alone — every matrix a
+    /// fresh zero-filled allocation, the gathered input materialised, the
+    /// pre-activation copied for the ReLU adjoint — the drive the reference
+    /// benchmark replays. Returns the loss and the gradient norm.
+    fn fresh_allocation_step(
+        model: &mut GnnModel,
+        opt: &mut dyn Optimizer,
+        graph: &Graph,
+        mb: &MiniBatch,
+    ) -> (f32, f32) {
+        use crate::agg;
+        use crate::model::Gradients;
+        use gnn_dm_tensor::ops;
+        let (kind, last) = (model.kind, model.num_layers() - 1);
+        let mut h = gather_input_features(graph, mb);
+        let (mut aggs, mut pres) = (Vec::new(), Vec::new());
+        for (l, block) in mb.blocks.iter().enumerate() {
+            let agg_out = match kind {
+                AggKind::Gcn => agg::gcn_block_forward(block, &h),
+                AggKind::SageMean => agg::sage_block_forward(block, &h),
+            };
+            h = ops::matmul(&agg_out, &model.layers[l].w);
+            ops::add_bias(&mut h, &model.layers[l].b);
+            if l < last {
+                pres.push(ops::relu_forward(&mut h));
+            }
+            aggs.push(agg_out);
+        }
+        let (loss, mut d) = softmax_cross_entropy(&h, &seed_labels(graph, mb));
+        let mut layers = Vec::new();
+        for l in (0..=last).rev() {
+            if l < last {
+                ops::relu_backward(&mut d, &pres[l]);
+            }
+            layers.push((ops::matmul_tn(&aggs[l], &d), ops::column_sums(&d)));
+            if l > 0 {
+                let d_agg = ops::matmul_nt(&d, &model.layers[l].w);
+                d = match kind {
+                    AggKind::Gcn => agg::gcn_block_backward(&mb.blocks[l], &d_agg),
+                    AggKind::SageMean => agg::sage_block_backward(&mb.blocks[l], &d_agg),
+                };
+            }
+        }
+        layers.reverse();
+        let grads = Gradients { layers };
+        let grad_norm = grads.l2_norm();
+        opt.step(model.param_views_mut(), grads.flat_views());
+        (loss, grad_norm)
+    }
+
+    /// The recycled workspace is invisible: in this crate's unit tests
+    /// every buffer handed back to it is filled with NaN before it is taken
+    /// again, so a kernel that read its output before writing it would
+    /// poison the model. Three epochs of `train_epoch` must equal the
+    /// fresh-allocation drive on every loss, norm and parameter bit — both
+    /// families, three-layer models (so a hidden layer's ReLU output serves
+    /// as a mask), 1, 2 and 3 threads.
+    #[test]
+    fn poisoned_workspace_is_bitwise_a_fresh_allocation_drive() {
+        let g = small_graph();
+        let train = g.train_vertices();
+        let selection = BatchSelection::Random;
+        let schedule = BatchSizeSchedule::Fixed(48);
+        let sampler = FanoutSampler::new(vec![6, 4, 3]);
+        let plan = EpochPlan {
+            in_csr: &g.inn,
+            train: &train,
+            selection: &selection,
+            schedule: &schedule,
+            sampler: &sampler,
+            seed: 9,
+        };
+        let bits = |m: &mut GnnModel| -> Vec<Vec<u32>> {
+            m.param_views_mut()
+                .into_iter()
+                .map(|p| p.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        for kind in [AggKind::Gcn, AggKind::SageMean] {
+            for threads in [1usize, 2, 3] {
+                let mut recycled = GnnModel::new(kind, &[16, 24, 33, 4], 5);
+                let mut fresh = recycled.clone();
+                let (mut opt_r, mut opt_f) = (Adam::new(0.01), Adam::new(0.01));
+                for epoch in 0..3 {
+                    let got = gnn_dm_par::with_threads(threads, || {
+                        train_epoch(&mut recycled, &mut opt_r, &g, &plan, epoch)
+                    });
+                    let batches = plan.batches(epoch);
+                    let (mut loss, mut norm) = (0.0f32, 0.0f32);
+                    for mb in &batches {
+                        let (l, n) = gnn_dm_par::with_threads(threads, || {
+                            fresh_allocation_step(&mut fresh, &mut opt_f, &g, mb)
+                        });
+                        loss += l;
+                        norm += n;
+                    }
+                    let n = batches.len() as f32;
+                    let what = format!("{kind:?}, {threads} threads, epoch {epoch}");
+                    assert_eq!(got.mean_loss.to_bits(), (loss / n).to_bits(), "{what}: loss");
+                    assert_eq!(got.mean_grad_norm.to_bits(), (norm / n).to_bits(), "{what}: norm");
+                    assert!(bits(&mut recycled) == bits(&mut fresh), "{what}: parameters diverged");
+                    assert!(got.mean_loss.is_finite(), "{what}: a NaN got through");
                 }
             }
         }

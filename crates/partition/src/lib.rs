@@ -24,7 +24,7 @@ pub mod stream;
 pub mod types;
 
 pub use metis::{metis_clusters, metis_extend, MetisVariant};
-pub use types::{GnnPartitioning, PartitionMethod};
+pub use types::{GnnPartitioning, Locality, PartitionMethod};
 
 use gnn_dm_graph::Graph;
 

@@ -47,13 +47,14 @@ pub fn l_hop_locality(graph: &Graph, part: &GnnPartitioning, hops: usize, sample
         return 1.0;
     }
     let stride = (train.len() / sample_cap.max(1)).max(1);
+    let locality = part.locality();
     let mut local = 0usize;
     let mut total = 0usize;
     for &v in train.iter().step_by(stride) {
         let w = part.part_of(v);
         for u in traversal::l_hop_set(&graph.inn, &[v], hops) {
             total += 1;
-            if part.is_local(w, u) {
+            if locality.is_local(w, u) {
                 local += 1;
             }
         }

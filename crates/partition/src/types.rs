@@ -79,6 +79,21 @@ impl GnnPartitioning {
         self.assignment[v as usize] == w || self.halos[w as usize].binary_search(&v).is_ok()
     }
 
+    /// [`Self::is_local`] for callers that ask it for many vertices: the
+    /// halo lists unpacked into one membership bitset per partition, so a
+    /// lookup is two loads instead of a binary search through a halo that
+    /// can hold most of the graph (Stream-V's).
+    pub fn locality(&self) -> Locality<'_> {
+        let words = self.assignment.len().div_ceil(64);
+        let mut halo_bits = vec![0u64; self.k * words];
+        for (p, halo) in self.halos.iter().enumerate() {
+            for &v in halo {
+                halo_bits[p * words + v as usize / 64] |= 1 << (v % 64);
+            }
+        }
+        Locality { assignment: &self.assignment, words, halo_bits }
+    }
+
     /// Vertices homed on partition `p`, ascending.
     pub fn members(&self, p: u32) -> Vec<VId> {
         self.assignment
@@ -152,6 +167,26 @@ impl GnnPartitioning {
             }
         }
         Ok(())
+    }
+}
+
+/// A [`GnnPartitioning`]'s locality relation, built once by
+/// [`GnnPartitioning::locality`].
+#[derive(Debug, Clone)]
+pub struct Locality<'a> {
+    assignment: &'a [u32],
+    /// 64-bit words per partition in `halo_bits`.
+    words: usize,
+    /// Bit `v` of partition `p`'s words: `v` is in `p`'s halo.
+    halo_bits: Vec<u64>,
+}
+
+impl Locality<'_> {
+    /// Exactly [`GnnPartitioning::is_local`].
+    #[inline]
+    pub fn is_local(&self, w: u32, v: VId) -> bool {
+        self.assignment[v as usize] == w
+            || self.halo_bits[w as usize * self.words + v as usize / 64] >> (v % 64) & 1 == 1
     }
 }
 

@@ -108,3 +108,24 @@ proptest! {
         }
     }
 }
+
+/// The unpacked halo membership the simulators route with is
+/// `is_local`, for every (worker, vertex) pair: under Stream-V, whose
+/// halos replicate most of the graph, and under Hash, which has none —
+/// on graph sizes on and off a 64-vertex word boundary.
+#[test]
+fn locality_is_is_local_for_every_vertex() {
+    for n in [128usize, 203] {
+        let g = graph(n, 3);
+        let stream_v = partition_graph(&g, PartitionMethod::StreamV, 4, 0);
+        assert!(stream_v.halos.iter().any(|h| !h.is_empty()), "Stream-V caches a halo");
+        for part in [stream_v, hash_vertices(n, 3, 7)] {
+            let locality = part.locality();
+            for w in 0..part.k as u32 {
+                for v in 0..n as u32 {
+                    assert_eq!(locality.is_local(w, v), part.is_local(w, v), "n {n}, w {w}, v {v}");
+                }
+            }
+        }
+    }
+}

@@ -89,6 +89,11 @@ impl Matrix {
         &mut self.data
     }
 
+    /// The row-major buffer, for reuse as another matrix's storage.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Gathers rows named by `ids` into a fresh matrix, in order. Row
     /// blocks are copied in parallel — pure disjoint copies, so the result
     /// is bitwise-identical at any thread count.

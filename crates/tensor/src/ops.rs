@@ -15,6 +15,16 @@
 //! sparsity; with FMA lanes the unconditional multiply is cheaper than the
 //! per-scalar branch (~30% on dense panels), so the branch is gone and the
 //! reference loop dropped it too.
+//!
+//! **Write-once outputs.** Each product has one body, `*_into(…, out)`,
+//! which writes every element of `out` exactly once and reads none of it
+//! before writing: the first k-tile starts its accumulators at +0.0 instead
+//! of loading `C` (the value a zero-filled `C` supplied, so the FMA chain
+//! and the bits are unchanged), and later k-tiles resume from what the
+//! previous one stored. So `out` may be a recycled buffer holding anything
+//! (the training step's workspace, `gnn_dm_nn`), and the allocating forms
+//! (`matmul`, `matmul_tn`, …) are wrappers that hand the body a fresh
+//! matrix. `k == 0` writes the empty sum, +0.0.
 
 use crate::matrix::Matrix;
 use gnn_dm_par::{par_chunks_mut, par_reduce};
@@ -149,6 +159,11 @@ fn tile_steps_512<const MR_: usize>(
 /// scalar reference loop, so the result is bitwise-identical; the
 /// accumulators just live in registers.
 ///
+/// On the first k-tile of a product (`first`) the accumulators start at
+/// +0.0 and `C` is never read, so `C` may hold anything: +0.0 is what a
+/// zero-filled `C` would have supplied, the same FMA chain. Later k-tiles
+/// resume from the partial sums the previous tile stored.
+///
 /// A ragged tile (`w < NR`) runs the same full-width arithmetic: `bp` must
 /// hold `NR` readable values per step (callers point it at a padded
 /// strip), and the lanes past `w` are computed and dropped.
@@ -165,18 +180,21 @@ fn micro_kernel<const MR_: usize, const WIDE: bool>(
     r0: usize,
     j0: usize,
     w: usize,
+    first: bool,
 ) {
     let mut acc = [[0.0f32; NR]; MR_];
-    for (r, row) in acc.iter_mut().enumerate() {
-        let c_seg = &c[(r0 + r) * n + j0..][..w];
-        if w == NR {
-            row.copy_from_slice(c_seg);
-        } else {
-            // Through a temporary, so the runtime-length copy never
-            // addresses the accumulators and they stay in registers.
-            let mut padded = [0.0f32; NR];
-            padded[..w].copy_from_slice(c_seg);
-            *row = padded;
+    if !first {
+        for (r, row) in acc.iter_mut().enumerate() {
+            let c_seg = &c[(r0 + r) * n + j0..][..w];
+            if w == NR {
+                row.copy_from_slice(c_seg);
+            } else {
+                // Through a temporary, so the runtime-length copy never
+                // addresses the accumulators and they stay in registers.
+                let mut padded = [0.0f32; NR];
+                padded[..w].copy_from_slice(c_seg);
+                *row = padded;
+            }
         }
     }
     match a {
@@ -228,22 +246,23 @@ fn micro_block<const WIDE: bool>(
     rows: usize,
     j0: usize,
     w: usize,
+    first: bool,
 ) {
     debug_assert!((1..=NR).contains(&w) && c.len() == rows * n);
     let mut r0 = 0;
     while r0 < rows {
         let mr = (rows - r0).min(MR);
         match mr {
-            10 => micro_kernel::<10, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            9 => micro_kernel::<9, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            8 => micro_kernel::<8, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            7 => micro_kernel::<7, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            6 => micro_kernel::<6, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            5 => micro_kernel::<5, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            4 => micro_kernel::<4, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            3 => micro_kernel::<3, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            2 => micro_kernel::<2, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
-            _ => micro_kernel::<1, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w),
+            10 => micro_kernel::<10, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w, first),
+            9 => micro_kernel::<9, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w, first),
+            8 => micro_kernel::<8, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w, first),
+            7 => micro_kernel::<7, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w, first),
+            6 => micro_kernel::<6, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w, first),
+            5 => micro_kernel::<5, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w, first),
+            4 => micro_kernel::<4, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w, first),
+            3 => micro_kernel::<3, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w, first),
+            2 => micro_kernel::<2, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w, first),
+            _ => micro_kernel::<1, WIDE>(kk, a, bp, b_stride, b_off, c, n, r0, j0, w, first),
         }
         r0 += mr;
     }
@@ -272,16 +291,24 @@ impl<'a> InPlaceB<'a> {
 
     /// For every row `r < rows` of panel `c` and every column `j`,
     /// `c[r][j] += Σ_p a(p, r) * B[p0 + p][j]` over `p` in `0..kk`,
-    /// ascending.
-    fn accumulate(&self, p0: usize, kk: usize, a: APanel<'_>, c: &mut [f32], rows: usize) {
+    /// ascending — onto +0.0 instead of `c` when `first`.
+    fn accumulate(
+        &self,
+        p0: usize,
+        kk: usize,
+        a: APanel<'_>,
+        c: &mut [f32],
+        rows: usize,
+        first: bool,
+    ) {
         let n = self.n;
         let (j_tail, w_tail) = (n - n % NR, n % NR);
         for j0 in (0..j_tail).step_by(NR) {
-            micro_block::<WIDE_TILE>(kk, a, &self.rows[p0 * n..], n, j0, c, n, rows, j0, NR);
+            micro_block::<WIDE_TILE>(kk, a, &self.rows[p0 * n..], n, j0, c, n, rows, j0, NR, first);
         }
         if w_tail > 0 {
             let tail = &self.tail[p0 * NR..];
-            micro_block::<WIDE_TILE>(kk, a, tail, NR, 0, c, n, rows, j_tail, w_tail);
+            micro_block::<WIDE_TILE>(kk, a, tail, NR, 0, c, n, rows, j_tail, w_tail, first);
         }
     }
 }
@@ -296,17 +323,28 @@ impl<'a> InPlaceB<'a> {
 ///
 /// Panics on a shape mismatch.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    matmul_into(a, b, &mut c);
+    c
+}
+
+/// [`matmul`] into `out` (`a.rows() × b.cols()`), whose contents are
+/// ignored: every element is written once, nothing of it is read.
+///
+/// # Panics
+///
+/// Panics on a shape mismatch.
+pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch: {:?} x {:?}", a.shape(), b.shape());
+    assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul output shape");
     let (k, n) = b.shape();
-    let mut c = Matrix::zeros(a.rows(), n);
     let a_slice = a.as_slice();
     let b_view = InPlaceB::new(b);
-    par_chunks_mut(c.as_mut_slice(), TILE_M * n, |ci, c_chunk| {
+    par_chunks_mut(out.as_mut_slice(), TILE_M * n, |ci, c_chunk| {
         let i0 = ci * TILE_M;
         let a_panel = APanel::Rows(&a_slice[i0 * k..], k);
-        b_view.accumulate(0, k, a_panel, c_chunk, c_chunk.len() / n);
+        b_view.accumulate(0, k, a_panel, c_chunk, c_chunk.len() / n, true);
     });
-    c
 }
 
 /// A `k × n` right-hand side repacked for the micro-kernel: panel
@@ -334,17 +372,22 @@ impl PackedB {
         PackedB { panels, k, n }
     }
 
-    /// `A · B` for a row-major `A` (`m × k`): row panels of `C` in parallel,
-    /// the shared dimension in `TILE_K` blocks so a `B` panel stays
-    /// L1/L2-resident across the whole row panel. Partial sums round-trip
-    /// through `C` between k-tiles, which is exact for `f32`, and `p` still
-    /// ascends across and within tiles.
-    fn left_multiply(&self, a: &Matrix) -> Matrix {
+    /// `out = A · B` for a row-major `A` (`m × k`): row panels of `C` in
+    /// parallel, the shared dimension in `TILE_K` blocks so a `B` panel
+    /// stays L1/L2-resident across the whole row panel. The first k-tile
+    /// writes `out`, later ones accumulate onto it: partial sums round-trip
+    /// through `f32` exactly, and `p` still ascends across and within tiles.
+    fn left_multiply(&self, a: &Matrix, out: &mut Matrix) {
         let (k, n) = (self.k, self.n);
+        assert_eq!(out.shape(), (a.rows(), n), "matmul output shape");
+        if k == 0 {
+            // The empty sum: no k-tile runs to store it.
+            out.as_mut_slice().fill(0.0);
+            return;
+        }
         let nstrips = n.div_ceil(NR);
-        let mut c = Matrix::zeros(a.rows(), n);
         let a_slice = a.as_slice();
-        par_chunks_mut(c.as_mut_slice(), TILE_M * n, |ci, c_chunk| {
+        par_chunks_mut(out.as_mut_slice(), TILE_M * n, |ci, c_chunk| {
             let i0 = ci * TILE_M;
             let rows = c_chunk.len() / n;
             for kt in 0..k.div_ceil(TILE_K) {
@@ -354,12 +397,13 @@ impl PackedB {
                 for js in 0..nstrips {
                     let j0 = js * NR;
                     let panel = &self.panels[(kt * nstrips + js) * TILE_K * NR..];
-                    let w = (n - j0).min(NR);
-                    micro_block::<WIDE_TILE>(kk, a_panel, panel, NR, 0, c_chunk, n, rows, j0, w);
+                    let (w, first) = ((n - j0).min(NR), kt == 0);
+                    micro_block::<WIDE_TILE>(
+                        kk, a_panel, panel, NR, 0, c_chunk, n, rows, j0, w, first,
+                    );
                 }
             }
         });
-        c
     }
 }
 
@@ -367,6 +411,14 @@ impl PackedB {
 /// [`matmul`]'s register tiling — bitwise-identical to [`matmul`] (pinned
 /// by `tiled_variants_match_naive_exactly`).
 pub fn matmul_tiled(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    matmul_tiled_into(a, b, &mut c);
+    c
+}
+
+/// [`matmul_tiled`] into `out` (`a.rows() × b.cols()`), written once and
+/// never read before it is written.
+pub fn matmul_tiled_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch: {:?} x {:?}", a.shape(), b.shape());
     let (k, n) = b.shape();
     let b_slice = b.as_slice();
@@ -375,7 +427,7 @@ pub fn matmul_tiled(a: &Matrix, b: &Matrix) -> Matrix {
             dst[..w].copy_from_slice(&b_slice[(k0 + p) * n + j0..][..w]);
         }
     })
-    .left_multiply(a)
+    .left_multiply(a, out)
 }
 
 /// Rows of `C = Aᵀ · B` owned by one parallel work item, from the shape
@@ -397,13 +449,26 @@ fn tn_panel_rows(m: usize) -> usize {
 /// order with the same fused multiply-adds, so the result is
 /// bitwise-identical to the reference p-outer loop at any thread count.
 pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(a.cols(), b.cols());
+    matmul_tn_into(a, b, &mut c);
+    c
+}
+
+/// [`matmul_tn`] into `out` (`a.cols() × b.cols()`), written once and never
+/// read before it is written.
+pub fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.rows(), b.rows(), "matmul_tn shape mismatch: {:?}ᵀ x {:?}", a.shape(), b.shape());
     let (k, m, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = Matrix::zeros(m, n);
+    assert_eq!(out.shape(), (m, n), "matmul_tn output shape");
+    if k == 0 {
+        // The empty sum: no k-tile runs to store it.
+        out.as_mut_slice().fill(0.0);
+        return;
+    }
     let a_slice = a.as_slice();
     let b_view = InPlaceB::new(b);
     let panel = tn_panel_rows(m);
-    par_chunks_mut(c.as_mut_slice(), panel * n, |ci, c_chunk| {
+    par_chunks_mut(out.as_mut_slice(), panel * n, |ci, c_chunk| {
         let i0 = ci * panel;
         let rows = c_chunk.len() / n;
         for k0 in (0..k).step_by(TILE_K) {
@@ -414,11 +479,11 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
             for r0 in (0..rows).step_by(MR) {
                 let mr = (rows - r0).min(MR);
                 let a_tile = APanel::Cols(&a_slice[k0 * m + i0 + r0..], m);
-                b_view.accumulate(k0, kk, a_tile, &mut c_chunk[r0 * n..(r0 + mr) * n], mr);
+                let c_tile = &mut c_chunk[r0 * n..(r0 + mr) * n];
+                b_view.accumulate(k0, kk, a_tile, c_tile, mr, k0 == 0);
             }
         }
     });
-    c
 }
 
 /// `C = A · Bᵀ` without materializing the transpose (the `dX = dY·Wᵀ`
@@ -429,6 +494,14 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
 /// with exact `f32` round-trips between tiles keeps the result
 /// bitwise-identical to the reference loop with the same arithmetic.
 pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(a.rows(), b.rows());
+    matmul_nt_into(a, b, &mut c);
+    c
+}
+
+/// [`matmul_nt`] into `out` (`a.rows() × b.rows()`), written once and never
+/// read before it is written.
+pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols(), b.cols(), "matmul_nt shape mismatch: {:?} x {:?}ᵀ", a.shape(), b.shape());
     PackedB::new(b.cols(), b.rows(), |panel, k0, kk, j0, w| {
         for t in 0..w {
@@ -437,7 +510,7 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
             }
         }
     })
-    .left_multiply(a)
+    .left_multiply(a, out)
 }
 
 /// `a += b` elementwise.
@@ -526,6 +599,13 @@ pub fn column_sums(a: &Matrix) -> Vec<f32> {
 /// In-place ReLU; returns the pre-activation copy needed for backward.
 pub fn relu_forward(a: &mut Matrix) -> Matrix {
     let pre = a.clone();
+    relu_in_place(a);
+    pre
+}
+
+/// In-place ReLU, no copy: `x < 0` becomes +0.0; +0.0, -0.0, NaN and
+/// positive values stay as they are.
+pub fn relu_in_place(a: &mut Matrix) {
     par_chunks_mut(a.as_mut_slice(), ELEM_CHUNK, |_ci, chunk| {
         for x in chunk {
             if *x < 0.0 {
@@ -533,11 +613,16 @@ pub fn relu_forward(a: &mut Matrix) -> Matrix {
             }
         }
     });
-    pre
 }
 
 /// ReLU backward: zeroes gradient entries where the pre-activation was
 /// non-positive.
+///
+/// The ReLU *output* is an equally good mask, so a caller that keeps the
+/// output need not keep a pre-activation copy: [`relu_in_place`] maps
+/// `pre < 0` to +0.0 and leaves every other value alone, so
+/// `out <= 0 ⇔ pre <= 0` for negative values, ±0, NaN and positive values
+/// alike (`relu_mask_of_the_output_is_the_mask_of_the_input`).
 pub fn relu_backward(grad: &mut Matrix, pre: &Matrix) {
     assert_eq!(grad.shape(), pre.shape(), "relu_backward shape mismatch");
     let ps = pre.as_slice();
@@ -599,13 +684,11 @@ mod tests {
         assert_eq!(c.as_slice(), &[58., 64., 139., 154.]);
     }
 
-    #[test]
-    fn register_tiling_is_bitwise_scalar_on_ragged_shapes() {
-        // Shapes deliberately off every tile boundary, with zeros salted
-        // in so sparse panels get the same unconditional-FMA treatment.
-        // The widths 1, 15, 16 and 47 are ragged column tails only (every
-        // model's class layer has one): they run the full-width register
-        // tile over a padded strip and must still match the scalar loop.
+    /// `(m, k, n)` of `[m × k] · [k × n]` products deliberately off every
+    /// tile boundary. The widths 1, 15, 16 and 47 are ragged column tails
+    /// only (every model's class layer has one): they run the full-width
+    /// register tile over a padded strip.
+    fn ragged_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = vec![
             (1usize, 1usize, 1usize),
             (5, 3, 17),
@@ -619,7 +702,26 @@ mod tests {
         // Every `micro_block` arm, alone and as the remainder under one
         // full-height tile, over a full and a ragged column strip.
         shapes.extend((1..=2 * MR).map(|m| (m, 9, 33)));
-        for (m, k, n) in shapes {
+        shapes
+    }
+
+    /// `(k, m, n)` of `[k × m]ᵀ · [k × n]` products: the tall-skinny shapes
+    /// backprop produces, and k = 0, 1 and either side of a tile edge.
+    fn tall_skinny_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = vec![(15_000usize, 64usize, 32usize), (4096, 602, 128), (512, 128, 16)];
+        for m in [1usize, 5, 7] {
+            for k in [0usize, 1, 511, 513] {
+                shapes.push((k, m, 47));
+            }
+        }
+        shapes
+    }
+
+    #[test]
+    fn register_tiling_is_bitwise_scalar_on_ragged_shapes() {
+        // Zeros salted in so sparse panels get the same unconditional-FMA
+        // treatment; ragged tails must still match the scalar loop.
+        for (m, k, n) in ragged_shapes() {
             let a = Matrix::from_fn(m, k, |r, c| {
                 if (r + c) % 5 == 0 {
                     0.0
@@ -666,13 +768,7 @@ mod tests {
     /// edge — at any thread count.
     #[test]
     fn tn_is_bitwise_the_scalar_loop_on_tall_skinny_and_ragged_shapes() {
-        let mut shapes = vec![(15_000usize, 64usize, 32usize), (4096, 602, 128), (512, 128, 16)];
-        for m in [1usize, 5, 7] {
-            for k in [0usize, 1, 511, 513] {
-                shapes.push((k, m, 47));
-            }
-        }
-        for (k, m, n) in shapes {
+        for (k, m, n) in tall_skinny_shapes() {
             let a = Matrix::from_fn(k, m, |r, c| ((r * 13 + c * 5) % 9) as f32 * 0.11 - 0.4);
             let b = Matrix::from_fn(k, n, |r, c| ((r * 7 + c) % 8) as f32 * 0.31 - 1.0);
             let expect = matmul_naive(&a.transpose(), &b);
@@ -682,6 +778,71 @@ mod tests {
                 assert_eq!(got.as_slice(), expect.as_slice(), "{k}x{m}ᵀ·{n} at {threads} threads");
             }
         }
+    }
+
+    /// Every `_into` form writes a buffer full of NaN and must leave exactly
+    /// what its allocating form returns: a kernel that read `out` before
+    /// writing it would carry a NaN (or a changed sign bit) through. On the
+    /// ragged and the tall-skinny shapes above, with k = 0 in every
+    /// orientation.
+    #[test]
+    fn into_forms_overwrite_a_dirty_buffer_exactly() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let dirty =
+            |rows: usize, cols: usize| Matrix::from_vec(rows, cols, vec![f32::NAN; rows * cols]);
+        let fill = |rows: usize, cols: usize, salt: usize| {
+            Matrix::from_fn(rows, cols, |r, c| ((r * 13 + c * 5 + salt) % 9) as f32 * 0.11 - 0.4)
+        };
+        let mut shapes = ragged_shapes();
+        shapes.extend([(5, 0, 33), (40, 0, 47), (1, 0, 1)]);
+        for (m, k, n) in shapes {
+            let (a, b, bt) = (fill(m, k, 1), fill(k, n, 2), fill(n, k, 3));
+            let mut out = dirty(m, n);
+            matmul_into(&a, &b, &mut out);
+            assert_eq!(bits(&out), bits(&matmul(&a, &b)), "matmul {m}x{k}x{n}");
+            let mut out = dirty(m, n);
+            matmul_tiled_into(&a, &b, &mut out);
+            assert_eq!(bits(&out), bits(&matmul_tiled(&a, &b)), "matmul_tiled {m}x{k}x{n}");
+            let mut out = dirty(m, n);
+            matmul_nt_into(&a, &bt, &mut out);
+            assert_eq!(bits(&out), bits(&matmul_nt(&a, &bt)), "matmul_nt {m}x{k}x{n}");
+        }
+        for (k, m, n) in tall_skinny_shapes() {
+            let (a, b) = (fill(k, m, 4), fill(k, n, 5));
+            let mut out = dirty(m, n);
+            matmul_tn_into(&a, &b, &mut out);
+            assert_eq!(bits(&out), bits(&matmul_tn(&a, &b)), "matmul_tn {k}x{m}ᵀ·{n}");
+        }
+    }
+
+    /// The mask `relu_backward` reads may be the ReLU output instead of the
+    /// pre-activation: on ±0, NaN, ±subnormals, ±inf and ordinary values the
+    /// gradient comes out bit for bit the same.
+    #[test]
+    fn relu_mask_of_the_output_is_the_mask_of_the_input() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 4.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.5,
+            -2.5,
+        ];
+        let pre = Matrix::from_vec(1, specials.len(), specials.to_vec());
+        let mut out = pre.clone();
+        relu_in_place(&mut out);
+        let grad = Matrix::from_fn(1, specials.len(), |_, c| c as f32 - 5.5);
+        let (mut via_pre, mut via_out) = (grad.clone(), grad);
+        relu_backward(&mut via_pre, &pre);
+        relu_backward(&mut via_out, &out);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&via_pre), bits(&via_out));
     }
 
     #[test]
@@ -711,14 +872,19 @@ mod tests {
         for mr in 1..=MR {
             for w in [1usize, 15, 16, 17, 31, 32] {
                 for kk in [1usize, 127, 128, 129] {
-                    for a_panel in [APanel::Rows(&a, k_max), APanel::Cols(&a, MR)] {
+                    for (a_panel, first) in [APanel::Rows(&a, k_max), APanel::Cols(&a, MR)]
+                        .into_iter()
+                        .flat_map(|p| [(p, false), (p, true)])
+                    {
                         let c0: Vec<f32> =
                             (0..mr * n).map(|i| (i % 7) as f32 * 0.5 - 1.0).collect();
                         let (mut portable, mut wide) = (c0.clone(), c0);
-                        micro_block::<false>(kk, a_panel, &bp, NR, 0, &mut portable, n, mr, 3, w);
-                        micro_block::<true>(kk, a_panel, &bp, NR, 0, &mut wide, n, mr, 3, w);
+                        let (p, wd) = (&mut portable, &mut wide);
+                        micro_block::<false>(kk, a_panel, &bp, NR, 0, p, n, mr, 3, w, first);
+                        micro_block::<true>(kk, a_panel, &bp, NR, 0, wd, n, mr, 3, w, first);
                         let bits = |c: &[f32]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(&portable), bits(&wide), "mr {mr}, w {w}, kk {kk}");
+                        let what = format!("mr {mr}, w {w}, kk {kk}, first {first}");
+                        assert_eq!(bits(&portable), bits(&wide), "{what}");
                     }
                 }
             }

@@ -77,6 +77,12 @@ echo "==> benchmark smoke (every workload's output checks; BENCHMARK.json == the
 # the gate neither tests a differently-built binary nor evicts that cache.
 env -u RUSTFLAGS benchmark/run.sh --smoke >/dev/null
 
+echo "==> benchmark smoke, allocator unpinned (128 KiB mmap/trim thresholds: every large buffer a fresh, faulting mapping — the regime the training step's recycled workspace is for)"
+unpinned_start="${SECONDS}"
+env -u RUSTFLAGS MALLOC_MMAP_THRESHOLD_=131072 MALLOC_TRIM_THRESHOLD_=131072 \
+    benchmark/run.sh --smoke >/dev/null
+echo "    unpinned smoke added $((SECONDS - unpinned_start)) s"
+
 echo "==> gnn-dm-lint"
 lint_json="$(cargo run -q -p gnn-dm-lint -- --format=json)"
 echo "${lint_json}"
