@@ -7,7 +7,6 @@
 //! factor, where crossovers fall — are what reproduce.
 
 pub mod experiments;
-pub mod seed_baseline;
 
 use gnn_dm_graph::datasets::{DatasetId, DatasetSpec};
 use gnn_dm_graph::Graph;

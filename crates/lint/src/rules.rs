@@ -99,9 +99,8 @@ const HARNESS_AXIS_IDENTS: &[&str] = &[
 ];
 
 /// Where the experiment rows and their `run` functions live (H001 scope).
-/// The bench crate's binaries (`gnn-dm-exp`, which only dispatches, and
-/// `bench_par`, which measures the substrate itself and calls axis
-/// implementations directly on purpose) are outside it.
+/// The bench crate's binary, `gnn-dm-exp`, only dispatches and is outside
+/// it.
 const EXPERIMENTS_DIR: &str = "crates/bench/src/experiments/";
 
 /// Integer type names a narrowing-or-reinterpreting `as` cast can target
@@ -930,9 +929,8 @@ mod tests {
     fn h001_scopes_to_experiments() {
         let src = "pub fn fig4() { let p = partition_graph(&g, m, 4, 7); }";
         assert_eq!(rules_fired("crates/bench/src/experiments/partitioning.rs", src), vec!["H001"]);
-        // The bench crate's binaries, its other library code and the
+        // The bench crate's binary, its other library code and the
         // harness itself are all out of scope.
-        assert!(rules_fired("crates/bench/src/bin/bench_par.rs", src).is_empty());
         assert!(rules_fired("crates/bench/src/bin/gnn-dm-exp.rs", src).is_empty());
         assert!(rules_fired("crates/bench/src/lib.rs", src).is_empty());
         assert!(rules_fired("crates/harness/src/axes.rs", src).is_empty());

@@ -186,8 +186,8 @@ fn h001_fires_and_clean() {
     // partition_graph, stream_b, FeatureCache, FaultPlan,
     // ResiliencePolicy — one each.
     assert_eq!(count(experiment, fires, "H001"), 5);
-    // The bench binaries and the rest of the bench library are out of scope.
-    assert!(rules_fired("crates/bench/src/bin/bench_par.rs", fires).is_empty());
+    // The bench binary and the rest of the bench library are out of scope.
+    assert!(rules_fired("crates/bench/src/bin/gnn-dm-exp.rs", fires).is_empty());
     assert!(rules_fired("crates/bench/src/harness.rs", fires).is_empty());
 
     let clean = include_str!("fixtures/h001_clean.rs");

@@ -68,9 +68,6 @@ golden_check ext_faults_epoch_time results/trace_faults.json
 # The smoke grid contains the golden cell, so it re-derives the full run's trace.
 golden_check chaos_grid results/trace_chaos.json --smoke
 
-echo "==> bench smoke (serial ≡ parallel ≡ frozen-seed bitwise, tiny sizes, no timing gate)"
-cargo run --release -q -p gnn-dm-bench --bin bench_par -- --smoke
-
 echo "==> benchmark smoke (every workload's output checks; BENCHMARK.json == the tables it prints)"
 # Without this script's RUSTFLAGS: the benchmark package is built the way its
 # own run.sh documents (root .cargo/config.toml), into its own target dir, so
@@ -125,4 +122,4 @@ grep -q '"B002":[1-9]' <<<"${canary_json}" || {
 scripts/lint_schema.sh <<<"${canary_json}" >/dev/null
 
 echo "OK: build, tests and lint all green"
-echo "(speedup numbers: scripts/bench.sh times the parallel substrate and writes BENCH_par.json)"
+echo "(performance numbers: bash benchmark/run.sh)"

@@ -1,8 +1,9 @@
-//! Shared by the integration tests: awkward stage times and the
-//! closed-form oracle of the device pipeline replay.
+//! Shared by the integration tests: awkward stage times, the closed-form
+//! oracle of the device pipeline replay, and the seed's mini-batch builder
+//! as an oracle of the live sampler.
 //!
-//! The oracle is the original makespan recurrences — no timeline, no
-//! spans, no lanes — extended with failed transfer attempts written from
+//! The pipeline oracle is the original makespan recurrences — no timeline,
+//! no spans, no lanes — extended with failed transfer attempts written from
 //! the `RetryPolicy` / `HedgePolicy` definitions. It deliberately shares no
 //! code with `RetryPolicy::schedule_failed_attempts`; it only has to fold
 //! in the same order, because float addition is not associative and the
@@ -11,8 +12,12 @@
 
 use gnn_dm::device::pipeline::{BatchStageTimes, PipelineMode};
 use gnn_dm::faults::{FaultPlan, ResiliencePolicy};
+use gnn_dm::graph::csr::{Csr, VId};
+use gnn_dm::par::split_seed;
+use gnn_dm::sampling::{BatchSelection, Block, MiniBatch, NeighborSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 
 pub const MODES: [PipelineMode; 3] =
     [PipelineMode::None, PipelineMode::OverlapBp, PipelineMode::Full];
@@ -106,4 +111,79 @@ pub fn makespan_closed_form(
             gpu_free
         }
     }
+}
+
+/// The seed's three-phase mini-batch builder, serial: a fresh draw `Vec`
+/// per destination, a `BTreeMap` numbering each layer's sources
+/// (destinations first, then new sources in first-appearance order over
+/// the draws), and per-destination edge lists grouped by
+/// `Block::from_edges`. It shares no code with the live one-pass
+/// `assemble_blocks`, only the RNG stream splits of
+/// `build_minibatch_seeded`, whose output it must equal bit for bit.
+pub fn seed_build_minibatch(
+    in_csr: &Csr,
+    seeds: &[VId],
+    sampler: &dyn NeighborSampler,
+    base_seed: u64,
+) -> MiniBatch {
+    let mut seen = BTreeSet::new();
+    let seeds_dedup: Vec<VId> = seeds.iter().copied().filter(|&s| seen.insert(s)).collect();
+
+    let mut blocks = Vec::with_capacity(sampler.num_layers());
+    let mut frontier = seeds_dedup.clone();
+    for layer in 0..sampler.num_layers() {
+        let dst_ids = frontier;
+        let layer_seed = split_seed(base_seed, layer as u64);
+
+        // Phase 1 — per-destination draws, each from its own split stream.
+        let sampled: Vec<Vec<VId>> = (0u64..)
+            .zip(&dst_ids)
+            .map(|(d_local, &d)| {
+                let mut rng = StdRng::seed_from_u64(split_seed(layer_seed, d_local));
+                let mut out = Vec::new();
+                sampler.sample_neighbors(in_csr, d, layer, &mut rng, &mut out);
+                out
+            })
+            .collect();
+
+        // Phase 2 — local numbering through the map.
+        let mut src_ids: Vec<VId> = Vec::new();
+        let mut local: BTreeMap<VId, u32> = BTreeMap::new();
+        for &v in dst_ids.iter().chain(sampled.iter().flatten()) {
+            local.entry(v).or_insert_with(|| {
+                src_ids.push(v);
+                src_ids.len() as u32 - 1
+            });
+        }
+
+        // Phase 3 — per-destination edge lists against the frozen map.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for (d_local, list) in (0u32..).zip(&sampled) {
+            edges.extend(list.iter().map(|s| (local[s], d_local)));
+        }
+
+        frontier = src_ids.clone();
+        blocks.push(Block::from_edges(src_ids, dst_ids, &edges));
+    }
+    blocks.reverse();
+    MiniBatch { blocks, seeds: seeds_dedup }
+}
+
+/// The seed's `EpochPlan::batches` under `BatchSelection::Random` and a
+/// fixed batch size, one batch after another through
+/// [`seed_build_minibatch`], with the epoch-seed derivation and per-batch
+/// splits written out here rather than borrowed from `EpochPlan`.
+pub fn seed_epoch_batches(
+    in_csr: &Csr,
+    train: &[VId],
+    batch_size: usize,
+    sampler: &dyn NeighborSampler,
+    seed: u64,
+    epoch: usize,
+) -> Vec<MiniBatch> {
+    let epoch_seed = seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(epoch as u64 + 1);
+    (0u64..)
+        .zip(BatchSelection::Random.select(train, batch_size, seed, epoch))
+        .map(|(b, seeds)| seed_build_minibatch(in_csr, &seeds, sampler, split_seed(epoch_seed, b)))
+        .collect()
 }

@@ -6,6 +6,8 @@
 //! problem sizes evenly — and requires exact equality, not epsilon
 //! closeness.
 
+mod common;
+
 use gnn_dm::graph::generate::{planted_partition, PplConfig};
 use gnn_dm::graph::Graph;
 use gnn_dm::nn::train::{evaluate, gather_input_features, train_epoch};
@@ -32,9 +34,14 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 /// drift fails.
 fn assert_threadcount_invariant<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) {
     let serial = with_threads(1, &f);
+    assert_threadcount_equal(&serial, f);
+}
+
+/// Runs `f` at each thread count and asserts every result equals `expect`.
+fn assert_threadcount_equal<T: PartialEq + std::fmt::Debug>(expect: &T, f: impl Fn() -> T) {
     for n in THREAD_COUNTS {
         let got = with_threads(n, &f);
-        assert!(got == serial, "threads={n} diverged from serial");
+        assert!(got == *expect, "threads={n} diverged from the reference");
     }
 }
 
@@ -204,20 +211,27 @@ fn optimizer_steps_bitwise_equal_across_thread_counts() {
 
 /// Seeded fanout sampling: per-destination RNGs are split from the batch
 /// seed, so the sampled blocks — ids, dedup order and edge lists — must not
-/// depend on the thread count the caller happens to run under.
+/// depend on the thread count the caller happens to run under, and must be
+/// bit for bit what the seed's three-phase builder (`tests/common`) makes
+/// of the same draws, over two- and three-hop samplers.
 #[test]
 fn minibatch_sampling_bitwise_equal_across_thread_counts() {
     let g = graph();
-    let sampler = FanoutSampler::new(vec![5, 3]);
-    let seeds: Vec<u32> = (0..150).map(|i| (i * 3) % 700).collect();
-    assert_threadcount_invariant(|| {
-        let mb = build_minibatch_seeded(&g.inn, &seeds, &sampler, 0xBEEF);
-        mb.validate().expect("minibatch invariants");
-        mb
-    });
+    // The last 50 seeds repeat the first 50: seed dedup is part of the output.
+    let seeds: Vec<u32> = (0..150).map(|i| (i * 3) % 300).collect();
+    for fanouts in [vec![5, 3], vec![5, 3, 2]] {
+        let sampler = FanoutSampler::new(fanouts);
+        let oracle = common::seed_build_minibatch(&g.inn, &seeds, &sampler, 0xBEEF);
+        assert_threadcount_equal(&oracle, || {
+            let mb = build_minibatch_seeded(&g.inn, &seeds, &sampler, 0xBEEF);
+            mb.validate().expect("minibatch invariants");
+            mb
+        });
+    }
 }
 
-/// A whole epoch's batch stream, built in parallel across batches; and
+/// A whole epoch's batch stream, built in parallel across batches, equals
+/// the seed's serial epoch driver (`tests/common`) batch for batch; and
 /// `map_batches` hands `f` exactly those batches under their own indices,
 /// results in batch order, wherever each one was built.
 #[test]
@@ -226,21 +240,24 @@ fn epoch_batches_bitwise_equal_across_thread_counts() {
     let train = g.train_vertices();
     let selection = BatchSelection::Random;
     let schedule = BatchSizeSchedule::Fixed(48);
-    let sampler = FanoutSampler::new(vec![4, 4]);
-    let plan = EpochPlan {
-        in_csr: &g.inn,
-        train: &train,
-        selection: &selection,
-        schedule: &schedule,
-        sampler: &sampler,
-        seed: 11,
-    };
-    assert_threadcount_invariant(|| plan.batches(2));
-    let indexed: Vec<_> = (0..).zip(plan.batches(2)).collect();
-    assert!(indexed.len() > 8, "more batches than workers at every thread count");
-    for n in THREAD_COUNTS {
-        let got = with_threads(n, || plan.map_batches(2, |b, mb| (b, mb)));
-        assert!(got == indexed, "threads={n}: map_batches diverged from batches");
+    for fanouts in [vec![4, 4], vec![5, 3, 2]] {
+        let sampler = FanoutSampler::new(fanouts);
+        let plan = EpochPlan {
+            in_csr: &g.inn,
+            train: &train,
+            selection: &selection,
+            schedule: &schedule,
+            sampler: &sampler,
+            seed: 11,
+        };
+        let oracle = common::seed_epoch_batches(&g.inn, &train, 48, &sampler, 11, 2);
+        assert!(oracle.len() > 8, "more batches than workers at every thread count");
+        assert_threadcount_equal(&oracle, || plan.batches(2));
+        let indexed: Vec<_> = (0..).zip(oracle).collect();
+        for n in THREAD_COUNTS {
+            let got = with_threads(n, || plan.map_batches(2, |b, mb| (b, mb)));
+            assert!(got == indexed, "threads={n}: map_batches diverged from batches");
+        }
     }
 }
 
