@@ -4,6 +4,7 @@ use std::time::Instant;
 
 use gnn_dm_core::results::{f, pct, Table};
 use gnn_dm_device::blocks::block_activity;
+use gnn_dm_device::Bytes;
 use gnn_dm_graph::datasets::DatasetId;
 use gnn_dm_graph::{Graph, SplitMask};
 use gnn_dm_harness::{Axis, Cache, GridSpec, Registry, TrainExperiment};
@@ -110,11 +111,11 @@ pub fn ablate_block_size() {
     let cfg = config(with_prep("fanout(10,5)+fixed(64)"));
     let mb = with_epoch_plan(&g, &cfg, 3, |plan| plan.batches(0).into_iter().next())
         .expect("one batch");
-    let row_bytes = g.features.row_bytes();
+    let row_bytes = Bytes(g.features.row_bytes() as u64);
     let mut table =
         Table::new(&["block_KiB", "rows_per_block", "explicit_ratio@0.3", "explicit_ratio@0.6"]);
-    for kib in [64usize, 128, 256, 512, 1024] {
-        let act = block_activity(mb.input_ids(), g.num_vertices(), row_bytes, kib * 1024);
+    for kib in [64u64, 128, 256, 512, 1024] {
+        let act = block_activity(mb.input_ids(), g.num_vertices(), row_bytes, Bytes(kib * 1024));
         table.row(&[
             kib.to_string(),
             act.rows_per_block.to_string(),

@@ -7,7 +7,7 @@ use gnn_dm_core::config::ModelKind;
 use gnn_dm_core::convergence::{modeled_epoch_seconds, train_full_batch};
 use gnn_dm_core::results::{f, mib, Table};
 use gnn_dm_device::pipeline::{makespan, BatchStageTimes, PipelineMode};
-use gnn_dm_device::LinkModel;
+use gnn_dm_device::{Bytes, LinkModel};
 use gnn_dm_graph::datasets::{DatasetId, DatasetSpec};
 use gnn_dm_graph::Graph;
 use gnn_dm_harness::{Axis, ClusterExperiment, GridSpec, TrainExperiment};
@@ -294,7 +294,7 @@ pub fn ext_local_sgd() {
             syncs_total += syncs;
         }
         let acc = evaluate(&model, &g, &g.val_vertices());
-        let comm = syncs_total as f64 * allreduce_time(&nic, param_bytes, 4);
+        let comm = (allreduce_time(&nic, Bytes(param_bytes), 4) * syncs_total as f64).0;
         table.row(&[
             sync_every.to_string(),
             f(acc),

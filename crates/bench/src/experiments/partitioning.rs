@@ -4,6 +4,7 @@ use std::time::Instant;
 
 use gnn_dm_core::convergence::ConvergenceResult;
 use gnn_dm_core::results::{f, mib, pct, Table};
+use gnn_dm_device::Bytes;
 use gnn_dm_graph::datasets::DatasetId;
 use gnn_dm_harness::{ClusterExperiment, ClusterRun, GridSpec, SystemConfig, TrainExperiment};
 
@@ -69,7 +70,7 @@ pub fn fig5_comm_load() {
             mib(traffic[1]),
             mib(traffic[2]),
             mib(traffic[3]),
-            mib(comm.total_volume()),
+            mib(Bytes(comm.total_volume())),
             if comm.total_volume() == 0 { "n/a".into() } else { f(comm.imbalance()) },
             f(run.part.replication_factor()),
         ]);

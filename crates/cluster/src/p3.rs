@@ -16,6 +16,7 @@
 use crate::sim::ClusterSim;
 use gnn_dm_sampling::sampler::{build_minibatch, NeighborSampler};
 use gnn_dm_trace::convert::{u32_of_index, u64_of_f64_model, u64_of_u32, u64_of_usize};
+use gnn_dm_trace::units::Bytes;
 use gnn_dm_sampling::BatchSelection;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,10 +26,10 @@ use serde::Serialize;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct P3Comparison {
     /// Bytes moved by data parallelism (raw remote feature rows).
-    pub data_parallel_bytes: u64,
+    pub data_parallel_bytes: Bytes,
     /// Bytes moved by P3's hybrid parallelism (layer-1 activation
     /// all-reduce).
-    pub p3_bytes: u64,
+    pub p3_bytes: Bytes,
     /// Hidden width used for the activation accounting.
     pub hidden: usize,
 }
@@ -36,10 +37,10 @@ pub struct P3Comparison {
 impl P3Comparison {
     /// Ratio `data_parallel / p3` (> 1 means P3 wins).
     pub fn p3_advantage(&self) -> f64 {
-        if self.p3_bytes == 0 {
+        if self.p3_bytes == Bytes(0) {
             return f64::INFINITY;
         }
-        self.data_parallel_bytes as f64 / self.p3_bytes as f64
+        self.data_parallel_bytes.0 as f64 / self.p3_bytes.0 as f64
     }
 }
 
@@ -54,13 +55,13 @@ pub fn compare_epoch(
     epoch: usize,
 ) -> P3Comparison {
     let k = sim.part.k;
-    let feat_bytes = u64_of_usize(sim.graph.features.row_bytes());
+    let feat_bytes = Bytes(u64_of_usize(sim.graph.features.row_bytes()));
     let act_bytes = u64_of_usize(hidden * std::mem::size_of::<f32>());
     let ring = 2.0 * (k as f64 - 1.0) / k as f64;
 
     let locality = sim.part.locality();
-    let mut dp_bytes = 0u64;
-    let mut p3_bytes = 0u64;
+    let mut dp_bytes = Bytes(0);
+    let mut p3_bytes = Bytes(0);
     for w in 0..u32_of_index(k) {
         let train_w = sim.local_train(w);
         if train_w.is_empty() {
@@ -80,11 +81,11 @@ pub fn compare_epoch(
             // Data parallel: every remote input vertex's raw features move.
             let remote_inputs =
                 u64_of_usize(mb.input_ids().iter().filter(|&&v| !locality.is_local(w, v)).count());
-            dp_bytes += remote_inputs * feat_bytes;
+            dp_bytes += feat_bytes * remote_inputs;
             // P3: layer-1 destinations' partial activations are
             // all-reduced across the k feature slices.
             let layer1_dsts = u64_of_usize(mb.blocks[0].num_dst());
-            p3_bytes += u64_of_f64_model(layer1_dsts as f64 * act_bytes as f64 * ring);
+            p3_bytes += Bytes(u64_of_f64_model(layer1_dsts as f64 * act_bytes as f64 * ring));
         }
     }
     P3Comparison { data_parallel_bytes: dp_bytes, p3_bytes, hidden }

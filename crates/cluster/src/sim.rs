@@ -36,13 +36,15 @@ use gnn_dm_sampling::sampler::{build_minibatch_with, NeighborSampler, SampleScra
 use gnn_dm_sampling::BatchSelection;
 use gnn_dm_faults::{DeadlineAction, FaultPlan, PolicyOutcome, ResiliencePolicy};
 use gnn_dm_trace::convert::{u32_of_index, u64_of_u32, u64_of_usize, usize_of_u32};
+use gnn_dm_trace::units::{Bytes, Seconds};
 use gnn_dm_trace::{Pending, Resource, SpanKind, SpanMeta, Timeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::AddAssign;
 
 /// Bytes to encode one sampled edge (two u32 vertex ids) — the same wire
 /// format the single-node PCIe topology transfer uses.
-pub const BYTES_PER_SAMPLED_EDGE: u64 = gnn_dm_sampling::BYTES_PER_EDGE;
+pub const BYTES_PER_SAMPLED_EDGE: Bytes = Bytes(gnn_dm_sampling::BYTES_PER_EDGE);
 
 /// A cluster-wide epoch simulation over one graph + partitioning.
 pub struct ClusterSim<'g> {
@@ -81,18 +83,19 @@ pub struct TimeModel {
     /// Hidden width.
     pub hidden: usize,
     /// Model parameter bytes (drives gradient all-reduce time).
-    pub param_bytes: u64,
+    pub param_bytes: Bytes,
 }
 
 impl TimeModel {
-    /// The paper's environment: 10 Gbps NIC, T4 GPU.
+    /// The paper's environment: 10 Gbps NIC, T4 GPU, `param_bytes` bytes of
+    /// model parameters.
     pub fn paper_default(feat_dim: usize, hidden: usize, param_bytes: u64) -> Self {
         TimeModel {
             nic: LinkModel::nic_10gbps(),
             gpu: ComputeModel::gpu_t4(),
             feat_dim,
             hidden,
-            param_bytes,
+            param_bytes: Bytes(param_bytes),
         }
     }
 }
@@ -176,8 +179,8 @@ impl<'g> ClusterSim<'g> {
             num_batches: vec![0usize; k],
             input_vertices: vec![0u64; k],
         };
-        fn add(into: &mut [u64], from: &[u64]) {
-            for (a, b) in into.iter_mut().zip(from) {
+        fn add<T: Copy + AddAssign>(into: &mut [T], from: &[T]) {
+            for (a, &b) in into.iter_mut().zip(from) {
                 *a += b;
             }
         }
@@ -217,7 +220,7 @@ impl<'g> ClusterSim<'g> {
         rng: &mut StdRng,
     ) -> (EpochLoadReport, Vec<Pending>) {
         let k = self.part.k;
-        let row_bytes = u64_of_usize(self.graph.features.row_bytes());
+        let row_bytes = Bytes(u64_of_usize(self.graph.features.row_bytes()));
         let mut compute = ComputeLedger::new(k);
         let mut comm = CommLedger::new(k);
         let mut num_batches = vec![0usize; k];
@@ -232,16 +235,16 @@ impl<'g> ClusterSim<'g> {
             let mut scratch = SampleScratch::new();
             // Per-owner batch tallies, reused across the worker's batches.
             let mut remote_edges = vec![0u64; k];
-            let mut subgraph_bytes = vec![0u64; k];
-            let mut feature_bytes = vec![0u64; k];
+            let mut subgraph_bytes = vec![Bytes(0); k];
+            let mut feature_bytes = vec![Bytes(0); k];
             for (b_idx, seeds) in batches.iter().enumerate() {
                 let mb = build_minibatch_with(&self.graph.inn, seeds, sampler, rng, &mut scratch);
                 let batch = u32::try_from(b_idx).ok();
                 let mut local_edges = 0u64;
                 remote_edges.fill(0);
-                subgraph_bytes.fill(0);
-                feature_bytes.fill(0);
-                let mut recv_bytes = 0u64;
+                subgraph_bytes.fill(Bytes(0));
+                feature_bytes.fill(Bytes(0));
+                let mut recv_bytes = Bytes(0);
                 // Sampling-request routing, block by block.
                 for block in &mb.blocks {
                     for (d_local, &d) in block.dst_ids.iter().enumerate() {
@@ -254,7 +257,7 @@ impl<'g> ClusterSim<'g> {
                         } else {
                             let owner = usize_of_u32(self.part.part_of(d));
                             remote_edges[owner] += edges;
-                            let bytes = edges * BYTES_PER_SAMPLED_EDGE;
+                            let bytes = BYTES_PER_SAMPLED_EDGE * edges;
                             subgraph_bytes[owner] += bytes;
                             recv_bytes += bytes;
                         }
@@ -282,21 +285,23 @@ impl<'g> ClusterSim<'g> {
                 compute.aggregation_edges[usize_of_u32(w)] += agg_edges;
 
                 // ...and emit the same quantities as accounting spans.
-                let meta = |edges: u64, bytes: u64| SpanMeta { bytes, edges, batch, worker: Some(w) };
-                let mut emit = |resource: Resource, kind: SpanKind, edges: u64, bytes: u64| {
-                    if edges > 0 || bytes > 0 {
-                        pendings.push(Pending { resource, kind, dur: 0.0, meta: meta(edges, bytes) });
+                let meta = |edges: u64, bytes: Bytes| SpanMeta { bytes, edges, batch, worker: Some(w) };
+                let mut emit = |resource: Resource, kind: SpanKind, edges: u64, bytes: Bytes| {
+                    if edges > 0 || bytes > Bytes(0) {
+                        let meta = meta(edges, bytes);
+                        pendings.push(Pending { resource, kind, dur: Seconds(0.0), meta });
                     }
                 };
-                emit(Resource::WorkerCpu(w), SpanKind::LocalSample, local_edges, 0);
+                let none = Bytes(0);
+                emit(Resource::WorkerCpu(w), SpanKind::LocalSample, local_edges, none);
                 for o in 0..k {
                     let ow = u32_of_index(o);
-                    emit(Resource::WorkerCpu(ow), SpanKind::RemoteSample, remote_edges[o], 0);
+                    emit(Resource::WorkerCpu(ow), SpanKind::RemoteSample, remote_edges[o], none);
                     emit(Resource::WorkerNic(ow), SpanKind::SubgraphSend, 0, subgraph_bytes[o]);
                     emit(Resource::WorkerNic(ow), SpanKind::FeatureSend, 0, feature_bytes[o]);
                 }
                 emit(Resource::WorkerNic(w), SpanKind::Recv, 0, recv_bytes);
-                emit(Resource::WorkerGpu(w), SpanKind::Aggregate, agg_edges, 0);
+                emit(Resource::WorkerGpu(w), SpanKind::Aggregate, agg_edges, none);
             }
         }
         (EpochLoadReport { compute, comm, num_batches, input_vertices }, pendings)
@@ -312,11 +317,13 @@ impl<'g> ClusterSim<'g> {
         report: &EpochLoadReport,
         tm: &TimeModel,
         w: usize,
-    ) -> (u64, f64, f64, f64) {
+    ) -> (u64, Seconds, Seconds, Seconds) {
         let sample_edges =
             report.compute.local_sample_edges[w] + report.compute.remote_sample_edges[w];
-        let sample_t = sample_edges as f64 * compute::SAMPLE_SECONDS_PER_EDGE
-            + report.input_vertices[w] as f64 * compute::SAMPLE_SECONDS_PER_VERTEX;
+        let sample_t = Seconds(
+            sample_edges as f64 * compute::SAMPLE_SECONDS_PER_EDGE
+                + report.input_vertices[w] as f64 * compute::SAMPLE_SECONDS_PER_VERTEX,
+        );
         let comm_t = network::exchange_time(
             &tm.nic,
             report.comm.worker_sent(w),
@@ -328,7 +335,7 @@ impl<'g> ClusterSim<'g> {
             * 2.0
             * (tm.feat_dim + tm.hidden) as f64
             * 2.0;
-        let nn_t = tm.gpu.seconds_for_flops(flops);
+        let nn_t = Seconds(tm.gpu.seconds_for_flops(flops));
         (sample_edges, sample_t, comm_t, nn_t)
     }
 
@@ -404,7 +411,7 @@ impl<'g> ClusterSim<'g> {
         let mut donated: Vec<usize> = vec![0; k];
         let mut recipient: Option<usize> = None;
         if let Some(rd) = policy.redispatch {
-            let mut best: Option<(f64, usize)> = None;
+            let mut best: Option<(Seconds, usize)> = None;
             for w in 0..k {
                 if plan.is_straggler(epoch, u32_of_index(w)) {
                     continue;
@@ -431,7 +438,7 @@ impl<'g> ClusterSim<'g> {
         // Per-worker readbacks for the re-dispatch and stale-sync passes.
         let mut chain_end = vec![0.0f64; k];
         let mut exch_end = vec![0.0f64; k];
-        let mut stage_sum = vec![0.0f64; k];
+        let mut stage_sum = vec![Seconds(0.0); k];
         let mut skipped = vec![false; k];
         for w in 0..k {
             let wid = u32_of_index(w);
@@ -562,7 +569,7 @@ impl<'g> ClusterSim<'g> {
                     Resource::WorkerGpu(wid),
                     SpanKind::Replay,
                     r_end,
-                    replayed as f64 * per_batch,
+                    per_batch * replayed as f64,
                     SpanMeta { edges: u64_of_usize(replayed), worker, ..SpanMeta::default() },
                 );
             }
@@ -587,7 +594,7 @@ impl<'g> ClusterSim<'g> {
                     Resource::WorkerNic(rid),
                     SpanKind::Redispatch,
                     exch_end[w],
-                    network::redispatch_time(&tm.nic, moved_bytes),
+                    tm.nic.transfer_time(moved_bytes),
                     SpanMeta { bytes: moved_bytes, worker: Some(rid), ..SpanMeta::default() },
                 );
                 let (_, _, _, nn_h) = self.stage_times(report, tm, w);
@@ -606,7 +613,7 @@ impl<'g> ClusterSim<'g> {
         match policy.stale_sync {
             None => {
                 let worst = tl.makespan();
-                let dur = sync_rounds as f64 * network::allreduce_time(&tm.nic, tm.param_bytes, k);
+                let dur = network::allreduce_time(&tm.nic, tm.param_bytes, k) * sync_rounds as f64;
                 tl.schedule(
                     Resource::AllReduce,
                     SpanKind::AllReduce,
@@ -637,14 +644,15 @@ impl<'g> ClusterSim<'g> {
                         continue;
                     }
                     let per_batch = stage_sum[w] / report.num_batches[w] as f64;
-                    if chain_end[w] > fastest + ss.max_lag_batches as f64 * per_batch {
+                    // Clock positions are plain f64; the lag budget is a duration.
+                    if chain_end[w] > fastest + (per_batch * ss.max_lag_batches as f64).0 {
                         excluded += 1;
                     } else {
                         sync_ready = sync_ready.max(chain_end[w]);
                     }
                 }
-                let dur = sync_rounds as f64
-                    * network::stale_allreduce_time(&tm.nic, tm.param_bytes, k, excluded);
+                let dur = network::stale_allreduce_time(&tm.nic, tm.param_bytes, k, excluded)
+                    * sync_rounds as f64;
                 tl.schedule(
                     Resource::AllReduce,
                     SpanKind::StaleSync,
@@ -692,7 +700,7 @@ impl<'g> ClusterSim<'g> {
         epoch: usize,
     ) -> f64 {
         let k = self.part.k;
-        let mut worst = 0.0f64;
+        let mut worst = Seconds(0.0);
         for w in 0..k {
             let wid = u32_of_index(w);
             let cf = plan.compute_slowdown(epoch, wid);
@@ -716,12 +724,12 @@ impl<'g> ClusterSim<'g> {
                 let replayed = plan.crash.checkpoint.replayed_batches(crash_batch);
                 t += network::snapshot_time(&tm.nic, tm.param_bytes, 1);
                 let per_batch = (sample_t + comm_t + nn_t) / report.num_batches[w] as f64;
-                t += replayed as f64 * per_batch;
+                t += per_batch * replayed as f64;
             }
             worst = worst.max(t);
         }
         let sync_rounds = *report.num_batches.iter().max().unwrap_or(&0);
-        worst + sync_rounds as f64 * network::allreduce_time(&tm.nic, tm.param_bytes, k)
+        (worst + network::allreduce_time(&tm.nic, tm.param_bytes, k) * sync_rounds as f64).0
     }
 
     /// Policy-on-vs-policy-off comparison of one faulted epoch: replays
@@ -945,7 +953,7 @@ mod tests {
         // A zero budget kills every worker's exchange stage outright.
         let policy = ResiliencePolicy {
             deadline: Some(DeadlinePolicy {
-                stage_timeout_s: 0.0,
+                stage_timeout_s: Seconds(0.0),
                 action: DeadlineAction::SkipBatch,
             }),
             ..ResiliencePolicy::none()
@@ -972,7 +980,7 @@ mod tests {
         let plan = FaultPlan::uniform(9, 0.5);
         let policy = ResiliencePolicy {
             deadline: Some(DeadlinePolicy {
-                stage_timeout_s: 0.0,
+                stage_timeout_s: Seconds(0.0),
                 action: DeadlineAction::FallbackToCheckpoint,
             }),
             ..ResiliencePolicy::none()
@@ -996,7 +1004,7 @@ mod tests {
         let plan = FaultPlan::uniform(9, 0.6);
         let full = ResiliencePolicy {
             hedge: None,
-            ..ResiliencePolicy::full(1.0e9)
+            ..ResiliencePolicy::full(Seconds(1.0e9))
         };
         let mut saw_stale = false;
         let mut saw_move = false;

@@ -12,6 +12,7 @@ use crate::trainer::{HeteroTrainer, HeteroTrainerConfig};
 use gnn_dm_device::compute::{gemm_flops, ComputeModel};
 use gnn_dm_device::{traced, LinkModel};
 use gnn_dm_graph::Graph;
+use gnn_dm_trace::units::{Bytes, Seconds};
 use gnn_dm_trace::{Resource, SpanKind, SpanMeta, Timeline};
 
 /// Per-step times of one training epoch, in modelled seconds.
@@ -69,7 +70,7 @@ pub fn dnn_breakdown(graph: &Graph, batch_size: usize, hidden: usize) -> StepBre
     let n_train = graph.train_vertices().len();
     let feat = graph.feat_dim();
     let classes = graph.num_classes;
-    let row_bytes = graph.features.row_bytes() as u64;
+    let row_bytes = Bytes(graph.features.row_bytes() as u64);
     let pcie = LinkModel::pcie_gen3_x16();
     let gpu = ComputeModel::gpu_t4();
     let num_batches = n_train.div_ceil(batch_size.max(1));
@@ -84,7 +85,7 @@ pub fn dnn_breakdown(graph: &Graph, batch_size: usize, hidden: usize) -> StepBre
         Resource::CpuSampler,
         SpanKind::BatchPrep,
         0.0,
-        n_train as f64 * 20.0e-9,
+        Seconds(n_train as f64 * 20.0e-9),
         SpanMeta::default(),
     );
     for b in 0..num_batches {
@@ -96,7 +97,7 @@ pub fn dnn_breakdown(graph: &Graph, batch_size: usize, hidden: usize) -> StepBre
             SpanKind::Transfer,
             0.0,
             &pcie,
-            rows as u64 * row_bytes,
+            row_bytes * rows as u64,
             SpanMeta { batch, ..SpanMeta::default() },
         );
         // Forward + backward + update ≈ 3× forward GEMMs.

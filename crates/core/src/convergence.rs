@@ -11,6 +11,7 @@ use gnn_dm_cluster::dist::dist_train_epoch;
 use gnn_dm_cluster::sim::{ClusterSim, TimeModel};
 use gnn_dm_device::compute::{self, ComputeModel};
 use gnn_dm_device::transfer::{BatchTransfer, TransferEngine, TransferMethod};
+use gnn_dm_trace::units::Bytes;
 use gnn_dm_graph::Graph;
 use gnn_dm_nn::optim::Adam;
 use gnn_dm_nn::train::{evaluate, train_epoch};
@@ -81,10 +82,10 @@ pub fn modeled_epoch_seconds(
     let engine = TransferEngine::default();
     let bt = BatchTransfer {
         rows: involved_vertices,
-        row_bytes: graph.features.row_bytes(),
-        topo_bytes: (involved_edges * 8) as u64,
+        row_bytes: Bytes(graph.features.row_bytes() as u64),
+        topo_bytes: Bytes((involved_edges * 8) as u64),
     };
-    let dt = engine.time(TransferMethod::ExtractLoad, &bt, None).total();
+    let dt = engine.time(TransferMethod::ExtractLoad, &bt, None).total().0;
     let flops = involved_edges as f64 * 2.0 * (graph.feat_dim() + hidden) as f64 * 2.0;
     let nn = ComputeModel::gpu_t4().seconds_for_flops(flops);
     // Pipelined: bounded by the slowest stage (plus the serial remainder,
@@ -156,10 +157,10 @@ pub fn train_full_batch(
     let engine = TransferEngine::default();
     let bt = BatchTransfer {
         rows: graph.num_vertices(),
-        row_bytes: graph.features.row_bytes(),
-        topo_bytes: (graph.num_edges() * 8) as u64,
+        row_bytes: Bytes(graph.features.row_bytes() as u64),
+        topo_bytes: Bytes((graph.num_edges() * 8) as u64),
     };
-    let transfer_seconds = engine.time(TransferMethod::ExtractLoad, &bt, None).total();
+    let transfer_seconds = engine.time(TransferMethod::ExtractLoad, &bt, None).total().0;
     let epoch_seconds =
         (ComputeModel::gpu_t4().seconds_for_flops(flops) + transfer_seconds) * 1.1;
     let mut curve = Vec::with_capacity(epochs);

@@ -4,6 +4,8 @@
 //! table and (b) machine-readable CSV, so results can be diffed against
 //! EXPERIMENTS.md or re-plotted.
 
+use gnn_dm_trace::units::Bytes;
+
 /// A simple column-aligned table accumulating string rows.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -99,8 +101,8 @@ pub fn pct(x: f64) -> String {
 }
 
 /// Formats bytes in MiB.
-pub fn mib(bytes: u64) -> String {
-    format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))
+pub fn mib(bytes: Bytes) -> String {
+    format!("{:.1}", bytes.0 as f64 / (1024.0 * 1024.0))
 }
 
 #[cfg(test)]
@@ -139,6 +141,6 @@ mod tests {
     fn formatters() {
         assert_eq!(f(1.23456), "1.235");
         assert_eq!(pct(0.5), "50.0%");
-        assert_eq!(mib(1024 * 1024), "1.0");
+        assert_eq!(mib(Bytes(1024 * 1024)), "1.0");
     }
 }

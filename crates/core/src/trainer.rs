@@ -22,6 +22,7 @@ use gnn_dm_faults::{FaultPlan, ResiliencePolicy};
 use gnn_dm_graph::Graph;
 use gnn_dm_sampling::epoch::{AccessTracker, EpochPlan};
 use gnn_dm_sampling::{BatchSelection, BatchSizeSchedule, FanoutSampler};
+use gnn_dm_trace::units::Bytes;
 use gnn_dm_trace::{Resource, SpanKind, Timeline};
 
 /// Configuration of the heterogeneous trainer.
@@ -111,7 +112,7 @@ impl<'g> HeteroTrainer<'g> {
         let n = graph.num_vertices();
         let capacity = DeviceMemory::t4().rows_for_ratio(
             n,
-            graph.features.row_bytes(),
+            row_bytes(graph),
             cfg.cache_ratio.clamp(0.0, 1.0),
         );
         let cache = match cfg.cache_policy {
@@ -209,7 +210,7 @@ impl<'g> HeteroTrainer<'g> {
         policy: &ResiliencePolicy,
     ) -> (EpochTimings, Timeline) {
         let dims = self.dims();
-        let row_bytes = self.graph.features.row_bytes();
+        let row_bytes = row_bytes(self.graph);
         let n = self.graph.num_vertices();
 
         // Every stage price is a pure function of its batch, so each batch
@@ -221,7 +222,7 @@ impl<'g> HeteroTrainer<'g> {
             let bt = BatchTransfer {
                 rows: access.misses.len(),
                 row_bytes,
-                topo_bytes: mb.topo_bytes(),
+                topo_bytes: Bytes(mb.topo_bytes()),
             };
             let activity = match self.cfg.transfer {
                 TransferMethod::Hybrid { .. } => {
@@ -231,9 +232,9 @@ impl<'g> HeteroTrainer<'g> {
             };
             let report = self.engine.time(self.cfg.transfer, &bt, activity.as_ref());
             let nn = self.gpu.seconds_for_flops(compute::minibatch_flops(&mb, &dims, false));
-            let stage = BatchStageTimes { bp, dt: report.total(), nn };
+            let stage = BatchStageTimes { bp, dt: report.total().0, nn };
             let meta = BatchMeta {
-                gather: report.gather_sec,
+                gather: report.gather_sec.0,
                 bytes: report.bytes,
                 edges: mb.involved_edges() as u64,
             };
@@ -262,7 +263,7 @@ impl<'g> HeteroTrainer<'g> {
             gather: tl.busy_of_kind(SpanKind::Gather),
             nn: tl.busy(Resource::GpuCompute),
             makespan: makespan_with_contention(sequential, ideal, DEFAULT_OVERLAP_EFFICIENCY),
-            pcie_bytes: tl.bytes_on(Resource::PcieLink),
+            pcie_bytes: tl.bytes_on(Resource::PcieLink).0,
             cache_hit_rate: self.cache.hit_rate(),
             num_batches: stage_times.len(),
         };
@@ -274,15 +275,19 @@ impl<'g> HeteroTrainer<'g> {
     pub fn first_batch_activity(&mut self, epoch: usize, apply_cache: bool) -> BlockActivity {
         // lint:allow(P001, U001) the graph always has train vertices, so an epoch has >= 1 batch
         let mb = self.with_plan(|plan| plan.first_batch(epoch)).expect("at least one batch");
-        let row_bytes = self.graph.features.row_bytes();
         let n = self.graph.num_vertices();
         let ids: Vec<u32> = if apply_cache {
             mb.input_ids().iter().copied().filter(|&v| !self.cache.contains(v)).collect()
         } else {
             mb.input_ids().to_vec()
         };
-        block_activity(&ids, n, row_bytes, PAPER_BLOCK_BYTES)
+        block_activity(&ids, n, row_bytes(self.graph), PAPER_BLOCK_BYTES)
     }
+}
+
+/// One feature row of `graph`.
+fn row_bytes(graph: &Graph) -> Bytes {
+    Bytes(graph.features.row_bytes() as u64)
 }
 
 #[cfg(test)]
@@ -405,14 +410,13 @@ mod tests {
         for epoch in [0, 3] {
             let first = t.with_plan(|plan| plan.batches(epoch)).swap_remove(0);
             assert_eq!(t.with_plan(|plan| plan.first_batch(epoch)).as_ref(), Some(&first));
-            let row_bytes = g.features.row_bytes();
             let all = first.input_ids().to_vec();
             let missed = t.cache().classify(&all).misses;
             assert!(missed.len() < all.len(), "the cache holds some of the batch");
             for (apply_cache, ids) in [(false, &all), (true, &missed)] {
                 assert_eq!(
                     t.first_batch_activity(epoch, apply_cache),
-                    block_activity(ids, g.num_vertices(), row_bytes, PAPER_BLOCK_BYTES),
+                    block_activity(ids, g.num_vertices(), row_bytes(&g), PAPER_BLOCK_BYTES),
                 );
             }
         }

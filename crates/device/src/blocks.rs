@@ -7,10 +7,11 @@
 //! activity in 256 KB units, following Pytorch-direct [30].
 
 use gnn_dm_graph::csr::VId;
-use gnn_dm_trace::convert::usize_of_u32;
+use gnn_dm_trace::convert::{usize_of_u32, usize_of_u64_sat};
+use gnn_dm_trace::units::Bytes;
 
 /// Default block size used by the paper (256 KB).
-pub const PAPER_BLOCK_BYTES: usize = 256 * 1024;
+pub const PAPER_BLOCK_BYTES: Bytes = Bytes(256 * 1024);
 
 /// Per-block active-row counts for one batch's feature accesses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,9 +32,9 @@ pub struct BlockActivity {
 /// # Panics
 ///
 /// Panics if `row_bytes` is zero or an id is out of range.
-pub fn block_activity(ids: &[VId], n: usize, row_bytes: usize, block_bytes: usize) -> BlockActivity {
-    assert!(row_bytes > 0, "row_bytes must be positive");
-    let rows_per_block = (block_bytes / row_bytes).max(1);
+pub fn block_activity(ids: &[VId], n: usize, row_bytes: Bytes, block_bytes: Bytes) -> BlockActivity {
+    assert!(row_bytes > Bytes(0), "row_bytes must be positive");
+    let rows_per_block = usize_of_u64_sat(block_bytes / row_bytes).max(1);
     let num_blocks = n.div_ceil(rows_per_block);
     let mut active = vec![0u32; num_blocks];
     let mut seen = vec![false; n];
@@ -100,7 +101,7 @@ mod tests {
     #[test]
     fn activity_counts_dedup() {
         // 10 rows of 64 B, 128 B blocks → 2 rows/block, 5 blocks.
-        let a = block_activity(&[0, 1, 1, 4, 9], 10, 64, 128);
+        let a = block_activity(&[0, 1, 1, 4, 9], 10, Bytes(64), Bytes(128));
         assert_eq!(a.rows_per_block, 2);
         assert_eq!(a.num_blocks(), 5);
         assert_eq!(a.active, vec![2, 0, 1, 0, 1]);
@@ -109,7 +110,7 @@ mod tests {
 
     #[test]
     fn fractions_and_explicit_ratio() {
-        let a = block_activity(&[0, 1, 4], 10, 64, 128);
+        let a = block_activity(&[0, 1, 4], 10, Bytes(64), Bytes(128));
         assert_eq!(a.active_fraction(0), 1.0);
         assert_eq!(a.active_fraction(2), 0.5);
         assert_eq!(a.touched_blocks(), 2);
@@ -120,7 +121,7 @@ mod tests {
     #[test]
     fn ratio_is_monotone_in_threshold() {
         let ids: Vec<u32> = (0..50).step_by(3).collect();
-        let a = block_activity(&ids, 100, 64, 256);
+        let a = block_activity(&ids, 100, Bytes(64), Bytes(256));
         let mut prev = 1.0;
         for t in [0.1, 0.3, 0.5, 0.7, 0.9] {
             let r = a.explicit_ratio(t);
@@ -132,21 +133,21 @@ mod tests {
     #[test]
     fn last_partial_block_fraction() {
         // 5 rows, 2 rows/block → blocks of 2,2,1.
-        let a = block_activity(&[4], 5, 64, 128);
+        let a = block_activity(&[4], 5, Bytes(64), Bytes(128));
         assert_eq!(a.active_fraction(2), 1.0, "single-row block fully active");
     }
 
     #[test]
     fn huge_rows_get_one_per_block() {
         // Row larger than a block still yields ≥ 1 row per block.
-        let a = block_activity(&[0, 1], 3, 4096, 1024);
+        let a = block_activity(&[0, 1], 3, Bytes(4096), Bytes(1024));
         assert_eq!(a.rows_per_block, 1);
         assert_eq!(a.num_blocks(), 3);
     }
 
     #[test]
     fn no_accesses_no_explicit_blocks() {
-        let a = block_activity(&[], 10, 64, 128);
+        let a = block_activity(&[], 10, Bytes(64), Bytes(128));
         assert_eq!(a.explicit_ratio(0.1), 0.0);
     }
 }

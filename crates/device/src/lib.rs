@@ -34,6 +34,10 @@ pub mod pipeline;
 pub mod traced;
 pub mod transfer;
 
+/// The unit types of this crate's pricing signatures, for callers that
+/// price through the device models without depending on `gnn-dm-trace`.
+pub use gnn_dm_trace::units::{Bytes, BytesPerSec, Seconds};
+
 pub use cache::{CachePolicy, FeatureCache};
 pub use link::{LinkError, LinkModel};
 pub use pipeline::{makespan, BatchStageTimes, PipelineMode};

@@ -1,5 +1,6 @@
 //! Interconnect cost models: PCIe and the cluster NIC.
 
+use gnn_dm_trace::units::{Bytes, BytesPerSec, Seconds};
 use std::fmt;
 
 /// Why a [`LinkModel`] construction was rejected.
@@ -30,27 +31,29 @@ impl std::error::Error for LinkError {}
 /// An analytic link model: each transfer costs a fixed per-transaction
 /// latency plus bytes over (bandwidth × efficiency).
 ///
-/// Construct through [`LinkModel::new`] (or a preset) so the parameters
-/// are validated once, up front; the per-transfer pricing methods are
-/// total functions that never panic on hot paths.
+/// The fields are private: every link is built by [`LinkModel::new`] (or
+/// a preset that satisfies it), so the parameters are validated once, up
+/// front; the per-transfer pricing methods are total functions that never
+/// panic on hot paths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkModel {
-    /// Peak bandwidth in bytes/second.
-    pub bandwidth: f64,
-    /// Per-transaction latency in seconds.
-    pub latency: f64,
-    /// Fraction of peak bandwidth achievable for this access pattern.
-    pub efficiency: f64,
+    bandwidth: BytesPerSec,
+    latency: Seconds,
+    efficiency: f64,
 }
 
 impl LinkModel {
     /// A validated link: `bandwidth` finite and positive, `latency` finite
     /// and non-negative, `efficiency` in `(0, 1]`.
-    pub fn new(bandwidth: f64, latency: f64, efficiency: f64) -> Result<LinkModel, LinkError> {
-        if !(bandwidth.is_finite() && bandwidth > 0.0) {
+    pub fn new(
+        bandwidth: BytesPerSec,
+        latency: Seconds,
+        efficiency: f64,
+    ) -> Result<LinkModel, LinkError> {
+        if !(bandwidth.0.is_finite() && bandwidth.0 > 0.0) {
             return Err(LinkError::NonPositiveBandwidth);
         }
-        if !(latency.is_finite() && latency >= 0.0) {
+        if !(latency.0.is_finite() && latency.0 >= 0.0) {
             return Err(LinkError::NegativeLatency);
         }
         if !(efficiency > 0.0 && efficiency <= 1.0) {
@@ -61,37 +64,52 @@ impl LinkModel {
 
     /// PCIe 3.0 x16 — the paper's CPU↔GPU interconnect (16 GB/s, §1/§7.1).
     pub fn pcie_gen3_x16() -> Self {
-        LinkModel { bandwidth: 16.0e9, latency: 10.0e-6, efficiency: 1.0 }
+        LinkModel { bandwidth: BytesPerSec(16.0e9), latency: Seconds(10.0e-6), efficiency: 1.0 }
     }
 
     /// 10 Gbps Ethernet — the paper's inter-node network (§4).
     pub fn nic_10gbps() -> Self {
-        LinkModel { bandwidth: 1.25e9, latency: 50.0e-6, efficiency: 1.0 }
+        LinkModel { bandwidth: BytesPerSec(1.25e9), latency: Seconds(50.0e-6), efficiency: 1.0 }
+    }
+
+    /// Peak bandwidth.
+    pub fn bandwidth(&self) -> BytesPerSec {
+        self.bandwidth
+    }
+
+    /// Per-transaction latency.
+    pub fn latency(&self) -> Seconds {
+        self.latency
+    }
+
+    /// Fraction of peak bandwidth achievable for this access pattern.
+    pub fn efficiency(&self) -> f64 {
+        self.efficiency
     }
 
     /// Time for one bulk transfer of `bytes`.
     ///
-    /// Total and panic-free: a degenerate link (zero/negative/NaN
-    /// effective bandwidth, only constructible by mutating the public
-    /// fields past [`LinkModel::new`]) prices every transfer at
+    /// Total and panic-free: a link whose effective bandwidth rounds to
+    /// zero (a subnormal bandwidth times an efficiency below one passes
+    /// [`LinkModel::new`] and underflows) prices every transfer at
     /// `f64::INFINITY` instead of aborting the run.
-    pub fn transfer_time(&self, bytes: u64) -> f64 {
+    pub fn transfer_time(&self, bytes: Bytes) -> Seconds {
         let bw = self.effective_bandwidth();
-        if !(bw > 0.0) {
-            return f64::INFINITY;
+        if !(bw.0 > 0.0) {
+            return Seconds(f64::INFINITY);
         }
-        self.latency + bytes as f64 / bw
+        self.latency + bytes / bw
     }
 
     /// Time for `transactions` separate transfers totalling `bytes`
     /// (fine-grained access pays latency per transaction). Total and
     /// panic-free, like [`LinkModel::transfer_time`].
-    pub fn transfer_time_transactions(&self, bytes: u64, transactions: u64) -> f64 {
+    pub fn transfer_time_transactions(&self, bytes: Bytes, transactions: u64) -> Seconds {
         let bw = self.effective_bandwidth();
-        if !(bw > 0.0) {
-            return f64::INFINITY;
+        if !(bw.0 > 0.0) {
+            return Seconds(f64::INFINITY);
         }
-        transactions as f64 * self.latency + bytes as f64 / bw
+        self.latency * transactions as f64 + bytes / bw
     }
 
     /// A copy of this link with a different efficiency (used by the
@@ -104,7 +122,7 @@ impl LinkModel {
     }
 
     /// Effective bandwidth (bandwidth × efficiency).
-    pub fn effective_bandwidth(&self) -> f64 {
+    pub fn effective_bandwidth(&self) -> BytesPerSec {
         self.bandwidth * self.efficiency
     }
 }
@@ -116,24 +134,24 @@ mod tests {
     #[test]
     fn bulk_transfer_scales_linearly() {
         let link = LinkModel::pcie_gen3_x16();
-        let t1 = link.transfer_time(16_000_000_000);
+        let t1 = link.transfer_time(Bytes(16_000_000_000)).0;
         assert!((t1 - (1.0 + 10.0e-6)).abs() < 1e-9, "16 GB over 16 GB/s ≈ 1 s, got {t1}");
-        let t2 = link.transfer_time(32_000_000_000);
+        let t2 = link.transfer_time(Bytes(32_000_000_000)).0;
         assert!(t2 > 1.9 && t2 < 2.1);
     }
 
     #[test]
     fn latency_dominates_tiny_transfers() {
         let link = LinkModel::nic_10gbps();
-        let t = link.transfer_time(64);
-        assert!(t > 0.9 * link.latency && t < 2.0 * link.latency);
+        let t = link.transfer_time(Bytes(64));
+        assert!(t > link.latency() * 0.9 && t < link.latency() * 2.0);
     }
 
     #[test]
     fn transactions_pay_latency_each() {
         let link = LinkModel::pcie_gen3_x16();
-        let bulk = link.transfer_time_transactions(1_000_000, 1);
-        let fine = link.transfer_time_transactions(1_000_000, 10_000);
+        let bulk = link.transfer_time_transactions(Bytes(1_000_000), 1);
+        let fine = link.transfer_time_transactions(Bytes(1_000_000), 10_000);
         assert!(fine > bulk * 2.0, "10k transactions must be much slower");
     }
 
@@ -141,19 +159,22 @@ mod tests {
     fn efficiency_slows_transfers() {
         let link = LinkModel::pcie_gen3_x16();
         let slow = link.with_efficiency(0.5).unwrap();
-        let b = link.transfer_time(1_000_000_000);
-        let s = slow.transfer_time(1_000_000_000);
-        assert!((s / b - 2.0).abs() < 0.01, "half efficiency doubles time: {s} vs {b}");
+        let b = link.transfer_time(Bytes(1_000_000_000));
+        let s = slow.transfer_time(Bytes(1_000_000_000));
+        assert!((s / b - 2.0).abs() < 0.01, "half efficiency doubles time: {s:?} vs {b:?}");
     }
 
     #[test]
     fn constructor_validates() {
-        assert!(LinkModel::new(16e9, 10e-6, 1.0).is_ok());
-        assert_eq!(LinkModel::new(0.0, 10e-6, 1.0), Err(LinkError::NonPositiveBandwidth));
-        assert_eq!(LinkModel::new(f64::NAN, 10e-6, 1.0), Err(LinkError::NonPositiveBandwidth));
-        assert_eq!(LinkModel::new(16e9, -1.0, 1.0), Err(LinkError::NegativeLatency));
-        assert_eq!(LinkModel::new(16e9, 10e-6, 0.0), Err(LinkError::InvalidEfficiency));
-        assert_eq!(LinkModel::new(16e9, 10e-6, 1.5), Err(LinkError::InvalidEfficiency));
+        let link = |bw: f64, latency: f64, efficiency: f64| {
+            LinkModel::new(BytesPerSec(bw), Seconds(latency), efficiency)
+        };
+        assert!(link(16e9, 10e-6, 1.0).is_ok());
+        assert_eq!(link(0.0, 10e-6, 1.0), Err(LinkError::NonPositiveBandwidth));
+        assert_eq!(link(f64::NAN, 10e-6, 1.0), Err(LinkError::NonPositiveBandwidth));
+        assert_eq!(link(16e9, -1.0, 1.0), Err(LinkError::NegativeLatency));
+        assert_eq!(link(16e9, 10e-6, 0.0), Err(LinkError::InvalidEfficiency));
+        assert_eq!(link(16e9, 10e-6, 1.5), Err(LinkError::InvalidEfficiency));
         assert_eq!(
             LinkModel::pcie_gen3_x16().with_efficiency(0.0),
             Err(LinkError::InvalidEfficiency)
@@ -162,15 +183,19 @@ mod tests {
 
     #[test]
     fn degenerate_link_prices_infinite_instead_of_panicking() {
-        let broken = LinkModel { bandwidth: 0.0, latency: 0.0, efficiency: 1.0 };
-        assert!(broken.transfer_time(1).is_infinite());
-        assert!(broken.transfer_time_transactions(1, 2).is_infinite());
+        // The smallest subnormal bandwidth is valid, but halving it rounds
+        // the effective bandwidth to zero.
+        let tiny = LinkModel::new(BytesPerSec(f64::from_bits(1)), Seconds(0.0), 0.5);
+        let broken = tiny.expect("a subnormal bandwidth is finite and positive");
+        assert_eq!(broken.effective_bandwidth(), BytesPerSec(0.0));
+        assert!(broken.transfer_time(Bytes(1)).0.is_infinite());
+        assert!(broken.transfer_time_transactions(Bytes(1), 2).0.is_infinite());
     }
 
     #[test]
     fn presets_satisfy_the_constructor() {
         for preset in [LinkModel::pcie_gen3_x16(), LinkModel::nic_10gbps()] {
-            let rebuilt = LinkModel::new(preset.bandwidth, preset.latency, preset.efficiency);
+            let rebuilt = LinkModel::new(preset.bandwidth(), preset.latency(), preset.efficiency());
             assert_eq!(rebuilt, Ok(preset));
         }
     }

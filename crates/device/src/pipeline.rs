@@ -19,9 +19,12 @@
 //! prediction.
 
 use gnn_dm_faults::{FaultPlan, ResiliencePolicy};
+use gnn_dm_trace::units::{Bytes, Seconds};
 use gnn_dm_trace::{Resource, SpanKind, SpanMeta, Timeline};
 
-/// Stage durations of one batch, in seconds.
+/// Stage durations of one batch, in seconds. Plain `f64`, like the clock
+/// the replay adds them to: [`replay_epoch`] wraps each one as a span
+/// duration where it schedules it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchStageTimes {
     /// Batch preparation (sampling) on the CPU.
@@ -74,7 +77,7 @@ pub struct BatchMeta {
     /// followed by the bus `Transfer`.
     pub gather: f64,
     /// Bytes the DT stage moved across the bus.
-    pub bytes: u64,
+    pub bytes: Bytes,
     /// Edges the BP stage sampled.
     pub edges: u64,
 }
@@ -119,7 +122,7 @@ pub fn replay_epoch(
         let bp_ready = if mode == PipelineMode::None { cursor } else { 0.0 };
         let bp_meta = SpanMeta { edges: m.edges, ..tag };
         let bp_end =
-            tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, bp_ready, b.bp, bp_meta);
+            tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, bp_ready, Seconds(b.bp), bp_meta);
         let dt_ready = match mode {
             // DT waits for the fused DT+NN cursor, not just the bus.
             PipelineMode::OverlapBp => cursor.max(bp_end),
@@ -130,7 +133,7 @@ pub fn replay_epoch(
             &mut tl,
             Resource::PcieLink,
             dt_ready,
-            b.dt,
+            Seconds(b.dt),
             plan.pcie_failures(epoch, i),
             m.bytes,
             tag,
@@ -147,7 +150,7 @@ pub fn replay_epoch(
         } else {
             tl.schedule_at(Resource::PcieLink, kind, dt_start, dt_end, bytes_meta);
         }
-        cursor = tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, dt_end, b.nn, tag);
+        cursor = tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, dt_end, Seconds(b.nn), tag);
     }
     tl
 }

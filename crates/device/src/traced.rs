@@ -11,6 +11,7 @@
 
 use crate::compute::ComputeModel;
 use crate::link::LinkModel;
+use gnn_dm_trace::units::{Bytes, Seconds};
 use gnn_dm_trace::{Resource, SpanKind, SpanMeta, Timeline};
 
 /// Prices one bulk transfer of `bytes` on `link` and schedules it as a
@@ -23,7 +24,7 @@ pub fn link_transfer(
     kind: SpanKind,
     ready: f64,
     link: &LinkModel,
-    bytes: u64,
+    bytes: Bytes,
     meta: SpanMeta,
 ) -> f64 {
     let meta = SpanMeta { bytes, ..meta };
@@ -38,7 +39,7 @@ pub fn link_transfer_transactions(
     kind: SpanKind,
     ready: f64,
     link: &LinkModel,
-    bytes: u64,
+    bytes: Bytes,
     transactions: u64,
     meta: SpanMeta,
 ) -> f64 {
@@ -56,7 +57,7 @@ pub fn gpu_compute(
     flops: f64,
     meta: SpanMeta,
 ) -> f64 {
-    tl.schedule(resource, SpanKind::NnCompute, ready, gpu.seconds_for_flops(flops), meta)
+    tl.schedule(resource, SpanKind::NnCompute, ready, Seconds(gpu.seconds_for_flops(flops)), meta)
 }
 
 #[cfg(test)]
@@ -73,11 +74,11 @@ mod tests {
             SpanKind::Transfer,
             0.0,
             &link,
-            1_000_000,
+            Bytes(1_000_000),
             SpanMeta::default(),
         );
-        assert_eq!(end.to_bits(), link.transfer_time(1_000_000).to_bits());
-        assert_eq!(tl.bytes_on(Resource::PcieLink), 1_000_000);
+        assert_eq!(end.to_bits(), link.transfer_time(Bytes(1_000_000)).0.to_bits());
+        assert_eq!(tl.bytes_on(Resource::PcieLink), Bytes(1_000_000));
         assert_eq!(tl.spans().len(), 1);
     }
 
@@ -91,11 +92,11 @@ mod tests {
             SpanKind::Exchange,
             0.5,
             &link,
-            4096,
+            Bytes(4096),
             16,
             SpanMeta::default(),
         );
-        let expect = 0.5 + link.transfer_time_transactions(4096, 16);
+        let expect = 0.5 + link.transfer_time_transactions(Bytes(4096), 16).0;
         assert_eq!(end.to_bits(), expect.to_bits());
     }
 

@@ -17,6 +17,7 @@
 use crate::blocks::BlockActivity;
 use crate::link::LinkModel;
 use gnn_dm_trace::convert::{u64_of_u32, u64_of_usize};
+use gnn_dm_trace::units::{Bytes, BytesPerSec, Seconds};
 
 /// The transfer workload of one mini-batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,15 +25,15 @@ pub struct BatchTransfer {
     /// Feature rows that must reach the GPU (after cache filtering).
     pub rows: usize,
     /// Bytes per feature row.
-    pub row_bytes: usize,
+    pub row_bytes: Bytes,
     /// Bytes of sampled-subgraph topology (always moved in bulk).
-    pub topo_bytes: u64,
+    pub topo_bytes: Bytes,
 }
 
 impl BatchTransfer {
     /// Total feature bytes.
-    pub fn feature_bytes(&self) -> u64 {
-        u64_of_usize(self.rows * self.row_bytes)
+    pub fn feature_bytes(&self) -> Bytes {
+        self.row_bytes * u64_of_usize(self.rows)
     }
 }
 
@@ -66,16 +67,16 @@ impl TransferMethod {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferReport {
     /// CPU time spent gathering scattered rows into staging.
-    pub gather_sec: f64,
+    pub gather_sec: Seconds,
     /// Bus time.
-    pub link_sec: f64,
+    pub link_sec: Seconds,
     /// Bytes that crossed the PCIe bus.
-    pub bytes: u64,
+    pub bytes: Bytes,
 }
 
 impl TransferReport {
     /// Total transfer-stage time.
-    pub fn total(&self) -> f64 {
+    pub fn total(&self) -> Seconds {
         self.gather_sec + self.link_sec
     }
 }
@@ -89,11 +90,11 @@ impl TransferReport {
 pub struct TransferEngine {
     /// The CPU→GPU bus.
     pub pcie: LinkModel,
-    /// Effective bandwidth of CPU random row gathering (bytes/s). Far below
-    /// memcpy speed because every row is a cache-missing random access.
-    pub gather_bandwidth: f64,
-    /// Fixed per-row gather overhead (pointer chase + bounds), seconds.
-    pub gather_row_overhead: f64,
+    /// Effective bandwidth of CPU random row gathering. Far below memcpy
+    /// speed because every row is a cache-missing random access.
+    pub gather_bandwidth: BytesPerSec,
+    /// Fixed per-row gather overhead (pointer chase + bounds).
+    pub gather_row_overhead: Seconds,
     /// Fraction of peak PCIe bandwidth zero-copy sustains.
     pub zero_copy_efficiency: f64,
 }
@@ -102,8 +103,8 @@ impl Default for TransferEngine {
     fn default() -> Self {
         TransferEngine {
             pcie: LinkModel::pcie_gen3_x16(),
-            gather_bandwidth: 6.0e9,
-            gather_row_overhead: 80.0e-9,
+            gather_bandwidth: BytesPerSec(6.0e9),
+            gather_row_overhead: Seconds(80.0e-9),
             zero_copy_efficiency: 0.70,
         }
     }
@@ -148,8 +149,7 @@ impl TransferEngine {
     /// Explicit gather + bulk DMA.
     pub fn time_extract_load(&self, batch: &BatchTransfer) -> TransferReport {
         let fb = batch.feature_bytes();
-        let gather_sec =
-            fb as f64 / self.gather_bandwidth + batch.rows as f64 * self.gather_row_overhead;
+        let gather_sec = fb / self.gather_bandwidth + self.gather_row_overhead * batch.rows as f64;
         let bytes = fb + batch.topo_bytes;
         let link_sec = self.pcie.transfer_time(bytes);
         TransferReport { gather_sec, link_sec, bytes }
@@ -161,7 +161,11 @@ impl TransferEngine {
         let zc = self.zero_copy_link();
         let link_sec =
             zc.transfer_time(batch.feature_bytes()) + self.pcie.transfer_time(batch.topo_bytes);
-        TransferReport { gather_sec: 0.0, link_sec, bytes: batch.feature_bytes() + batch.topo_bytes }
+        TransferReport {
+            gather_sec: Seconds(0.0),
+            link_sec,
+            bytes: batch.feature_bytes() + batch.topo_bytes,
+        }
     }
 
     /// HyTGraph-style hybrid: dense blocks go explicit (whole block moved in
@@ -172,7 +176,6 @@ impl TransferEngine {
         activity: &BlockActivity,
         threshold: f64,
     ) -> TransferReport {
-        let row_bytes = batch.row_bytes as f64;
         let mut explicit_rows_active = 0u64;
         let mut explicit_rows_total = 0u64;
         let mut zc_rows = 0u64;
@@ -187,10 +190,10 @@ impl TransferEngine {
                 zc_rows += u64_of_u32(activity.active[b]);
             }
         }
-        let gather_sec = explicit_rows_active as f64 * row_bytes / self.gather_bandwidth
-            + explicit_rows_active as f64 * self.gather_row_overhead;
-        let explicit_bytes = explicit_rows_total * u64_of_usize(batch.row_bytes);
-        let zc_bytes = zc_rows * u64_of_usize(batch.row_bytes);
+        let gather_sec = batch.row_bytes * explicit_rows_active / self.gather_bandwidth
+            + self.gather_row_overhead * explicit_rows_active as f64;
+        let explicit_bytes = batch.row_bytes * explicit_rows_total;
+        let zc_bytes = batch.row_bytes * zc_rows;
         let zc = self.zero_copy_link();
         let link_sec = self.pcie.transfer_time(explicit_bytes + batch.topo_bytes)
             + zc.transfer_time(zc_bytes);
@@ -208,7 +211,7 @@ mod tests {
     use crate::blocks::block_activity;
 
     fn batch() -> BatchTransfer {
-        BatchTransfer { rows: 10_000, row_bytes: 2408, topo_bytes: 500_000 }
+        BatchTransfer { rows: 10_000, row_bytes: Bytes(2408), topo_bytes: Bytes(500_000) }
     }
 
     #[test]
@@ -216,9 +219,9 @@ mod tests {
         let e = TransferEngine::default();
         let el = e.time_extract_load(&batch());
         let zc = e.time_zero_copy(&batch());
-        assert!(zc.total() < el.total(), "zc {} vs el {}", zc.total(), el.total());
-        assert!(zc.gather_sec.abs() < 1e-12, "zero-copy has no gather stage");
-        assert!(el.gather_sec > 0.0);
+        assert!(zc.total() < el.total(), "zc {:?} vs el {:?}", zc.total(), el.total());
+        assert!(zc.gather_sec.0.abs() < 1e-12, "zero-copy has no gather stage");
+        assert!(el.gather_sec > Seconds(0.0));
     }
 
     #[test]
@@ -237,24 +240,24 @@ mod tests {
         let e = TransferEngine::default();
         // All 100 rows in blocks of 10 rows, every row active.
         let ids: Vec<u32> = (0..100).collect();
-        let act = block_activity(&ids, 100, 100, 1000);
-        let b = BatchTransfer { rows: 100, row_bytes: 100, topo_bytes: 0 };
+        let act = block_activity(&ids, 100, Bytes(100), Bytes(1000));
+        let b = BatchTransfer { rows: 100, row_bytes: Bytes(100), topo_bytes: Bytes(0) };
         let hy = e.time_hybrid(&b, &act, 0.0);
-        assert!(hy.gather_sec > 0.0, "dense blocks gather");
+        assert!(hy.gather_sec > Seconds(0.0), "dense blocks gather");
         // Fully active blocks: explicit bytes == active bytes.
-        assert_eq!(hy.bytes, 100 * 100);
+        assert_eq!(hy.bytes, Bytes(100 * 100));
     }
 
     #[test]
     fn hybrid_with_impossible_threshold_is_all_zero_copy() {
         let e = TransferEngine::default();
         let ids: Vec<u32> = (0..100).step_by(10).collect();
-        let act = block_activity(&ids, 100, 100, 1000);
-        let b = BatchTransfer { rows: 10, row_bytes: 100, topo_bytes: 0 };
+        let act = block_activity(&ids, 100, Bytes(100), Bytes(1000));
+        let b = BatchTransfer { rows: 10, row_bytes: Bytes(100), topo_bytes: Bytes(0) };
         let hy = e.time_hybrid(&b, &act, 1.1);
         let zc = e.time_zero_copy(&b);
-        assert!((hy.total() - zc.total()).abs() < 1e-12);
-        assert_eq!(hy.gather_sec, 0.0);
+        assert!((hy.total() - zc.total()).0.abs() < 1e-12);
+        assert_eq!(hy.gather_sec, Seconds(0.0));
     }
 
     #[test]
@@ -263,10 +266,10 @@ mod tests {
         // One row active out of 10 per block, threshold 0.05 → explicit,
         // dragging 9 inactive rows per block across the bus.
         let ids: Vec<u32> = (0..100).step_by(10).collect();
-        let act = block_activity(&ids, 100, 100, 1000);
-        let b = BatchTransfer { rows: 10, row_bytes: 100, topo_bytes: 0 };
+        let act = block_activity(&ids, 100, Bytes(100), Bytes(1000));
+        let b = BatchTransfer { rows: 10, row_bytes: Bytes(100), topo_bytes: Bytes(0) };
         let hy = e.time_hybrid(&b, &act, 0.05);
-        assert_eq!(hy.bytes, 100 * 100, "whole blocks moved");
+        assert_eq!(hy.bytes, Bytes(100 * 100), "whole blocks moved");
         let zc = e.time_zero_copy(&b);
         assert!(zc.bytes < hy.bytes);
     }

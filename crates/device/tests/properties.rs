@@ -8,6 +8,7 @@ use gnn_dm_device::pipeline::{
     makespan, makespan_with_contention, BatchStageTimes, PipelineMode,
 };
 use gnn_dm_device::transfer::{BatchTransfer, TransferEngine};
+use gnn_dm_device::{Bytes, Seconds};
 use proptest::prelude::*;
 
 proptest! {
@@ -18,10 +19,11 @@ proptest! {
     #[test]
     fn link_monotone_and_superadditive(a in 0u64..1_000_000, b in 0u64..1_000_000) {
         let link = LinkModel::pcie_gen3_x16();
+        let (a, b) = (Bytes(a), Bytes(b));
         prop_assert!(link.transfer_time(a.max(b)) >= link.transfer_time(a.min(b)));
         let together = link.transfer_time(a + b);
         let split = link.transfer_time(a) + link.transfer_time(b);
-        prop_assert!(split >= together - 1e-12);
+        prop_assert!(split >= together - Seconds(1e-12));
     }
 
     /// Extract-load vs zero-copy: extract-load always has the lower pure
@@ -29,17 +31,17 @@ proptest! {
     #[test]
     fn transfer_methods_structural(
         rows in 0usize..100_000,
-        row_bytes in 4usize..4096,
+        row_bytes in 4u64..4096,
         topo in 0u64..10_000_000,
     ) {
         let e = TransferEngine::default();
-        let bt = BatchTransfer { rows, row_bytes, topo_bytes: topo };
+        let bt = BatchTransfer { rows, row_bytes: Bytes(row_bytes), topo_bytes: Bytes(topo) };
         let el = e.time_extract_load(&bt);
         let zc = e.time_zero_copy(&bt);
-        prop_assert_eq!(zc.gather_sec, 0.0);
-        prop_assert!(el.link_sec <= zc.link_sec + 1e-12);
+        prop_assert_eq!(zc.gather_sec, Seconds(0.0));
+        prop_assert!(el.link_sec <= zc.link_sec + Seconds(1e-12));
         prop_assert_eq!(el.bytes, zc.bytes);
-        prop_assert!(el.total() >= 0.0 && zc.total() >= 0.0);
+        prop_assert!(el.total() >= Seconds(0.0) && zc.total() >= Seconds(0.0));
     }
 
     /// Hybrid transfer at threshold 0 degenerates to explicit-on-touched
@@ -47,18 +49,18 @@ proptest! {
     #[test]
     fn hybrid_degenerate_thresholds(
         ids_raw in proptest::collection::vec(0u32..5000, 1..200),
-        row_bytes in 32usize..512,
+        row_bytes in 32u64..512,
     ) {
         let n = 5000;
-        let e = TransferEngine::default();
-        let act = block_activity(&ids_raw, n, row_bytes, 256 * 1024);
+        let (e, row_bytes) = (TransferEngine::default(), Bytes(row_bytes));
+        let act = block_activity(&ids_raw, n, row_bytes, Bytes(256 * 1024));
         let mut distinct = ids_raw.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        let bt = BatchTransfer { rows: distinct.len(), row_bytes, topo_bytes: 0 };
+        let bt = BatchTransfer { rows: distinct.len(), row_bytes, topo_bytes: Bytes(0) };
         let all_zc = e.time_hybrid(&bt, &act, 1.1);
         let zc = e.time_zero_copy(&bt);
-        prop_assert!((all_zc.total() - zc.total()).abs() < 1e-12);
+        prop_assert!((all_zc.total() - zc.total()).0.abs() < 1e-12);
         let all_explicit = e.time_hybrid(&bt, &act, 0.0);
         // Whole touched blocks move: bytes ≥ the active rows' bytes.
         prop_assert!(all_explicit.bytes >= bt.feature_bytes());
@@ -100,12 +102,16 @@ proptest! {
         total in 0u64..1_000_000,
         model in 0u64..1_000_000,
         batch in 0u64..1_000_000,
-        row_bytes in 1usize..4096,
+        row_bytes in 1u64..4096,
         ratio_pct in 0u32..=100,
     ) {
-        let mem = DeviceMemory { total, model_reserved: model, batch_reserved: batch };
-        let rows = mem.rows_for_ratio(10_000, row_bytes, ratio_pct as f64 / 100.0);
-        prop_assert!((rows * row_bytes) as u64 <= mem.cache_budget());
+        let mem = DeviceMemory {
+            total: Bytes(total),
+            model_reserved: Bytes(model),
+            batch_reserved: Bytes(batch),
+        };
+        let rows = mem.rows_for_ratio(10_000, Bytes(row_bytes), ratio_pct as f64 / 100.0);
+        prop_assert!(Bytes(row_bytes) * rows as u64 <= mem.cache_budget());
         prop_assert!(rows <= 10_000);
     }
 }
@@ -121,15 +127,15 @@ proptest! {
         threshold in 0.0f64..1.0,
     ) {
         let n = 2000;
-        let row_bytes = 256;
+        let row_bytes = Bytes(256);
         let e = TransferEngine::default();
-        let act = block_activity(&ids_raw, n, row_bytes, 256 * 1024);
+        let act = block_activity(&ids_raw, n, row_bytes, Bytes(256 * 1024));
         let mut distinct = ids_raw.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        let bt = BatchTransfer { rows: distinct.len(), row_bytes, topo_bytes: 0 };
+        let bt = BatchTransfer { rows: distinct.len(), row_bytes, topo_bytes: Bytes(0) };
         let hy = e.time_hybrid(&bt, &act, threshold);
         prop_assert!(hy.bytes >= bt.feature_bytes(), "must move at least the active rows");
-        prop_assert!(hy.bytes <= (n * row_bytes) as u64, "cannot exceed the whole array");
+        prop_assert!(hy.bytes <= row_bytes * n as u64, "cannot exceed the whole array");
     }
 }

@@ -31,6 +31,7 @@
 //! both of them ([`RetryPolicy::schedule_failed_attempts`]).
 
 use gnn_dm_par::split_seed;
+use gnn_dm_trace::units::{Bytes, Seconds};
 use gnn_dm_trace::{Resource, SpanKind, SpanMeta, Timeline};
 
 /// Tail-latency summary (`p50`/`p99`/`p999` as exact nearest-rank
@@ -93,19 +94,24 @@ pub struct RetryPolicy {
     /// Maximum failed attempts per transfer; the attempt after the last
     /// allowed failure always succeeds (the plan never livelocks).
     pub max_retries: u32,
-    /// Seconds until a failed transfer is detected.
-    pub timeout_s: f64,
-    /// First backoff wait in seconds; doubles per failed attempt.
-    pub backoff_base_s: f64,
-    /// Upper bound on a single backoff wait, in seconds.
-    pub backoff_cap_s: f64,
+    /// Time until a failed transfer is detected.
+    pub timeout_s: Seconds,
+    /// First backoff wait; doubles per failed attempt.
+    pub backoff_base_s: Seconds,
+    /// Upper bound on a single backoff wait.
+    pub backoff_cap_s: Seconds,
 }
 
 impl RetryPolicy {
     /// A TCP-flavored default: up to 4 retries, 50 ms timeout, 10 ms base
     /// backoff capped at 500 ms.
     pub const fn paper_default() -> RetryPolicy {
-        RetryPolicy { max_retries: 4, timeout_s: 0.05, backoff_base_s: 0.01, backoff_cap_s: 0.5 }
+        RetryPolicy {
+            max_retries: 4,
+            timeout_s: Seconds(0.05),
+            backoff_base_s: Seconds(0.01),
+            backoff_cap_s: Seconds(0.5),
+        }
     }
 
     /// Backoff wait after failed attempt `attempt` (0-based):
@@ -126,9 +132,9 @@ impl RetryPolicy {
     /// * for the all-positive [`RetryPolicy::paper_default`] parameters
     ///   the clamp is an exact identity, so the default backoff sequence
     ///   is bitwise-unchanged.
-    pub fn backoff_delay(&self, attempt: u32) -> f64 {
+    pub fn backoff_delay(&self, attempt: u32) -> Seconds {
         let doublings = 1u64 << attempt.min(62);
-        (self.backoff_base_s * doublings as f64).min(self.backoff_cap_s).max(0.0)
+        (self.backoff_base_s * doublings as f64).min(self.backoff_cap_s).max(Seconds(0.0))
     }
 
     /// How failed attempt `attempt` of a transfer with healthy duration
@@ -140,9 +146,9 @@ impl RetryPolicy {
     fn failed_attempt(
         &self,
         hedge: Option<HedgePolicy>,
-        transfer_s: f64,
+        transfer_s: Seconds,
         attempt: u32,
-    ) -> (Option<f64>, f64, f64) {
+    ) -> (Option<Seconds>, Seconds, Seconds) {
         let retry_dur = transfer_s + self.timeout_s;
         let backoff_dur = self.backoff_delay(attempt);
         let hedge_at =
@@ -158,10 +164,10 @@ impl RetryPolicy {
     pub fn failed_attempts_cost(
         &self,
         hedge: Option<HedgePolicy>,
-        transfer_s: f64,
+        transfer_s: Seconds,
         failures: u32,
-    ) -> f64 {
-        let mut cost = 0.0f64;
+    ) -> Seconds {
+        let mut cost = Seconds(0.0);
         for attempt in 0..failures {
             let (hedge_at, retry_dur, backoff_dur) =
                 self.failed_attempt(hedge, transfer_s, attempt);
@@ -186,9 +192,9 @@ impl RetryPolicy {
         tl: &mut Timeline,
         lane: Resource,
         mut ready: f64,
-        transfer_s: f64,
+        transfer_s: Seconds,
         failures: u32,
-        bytes: u64,
+        bytes: Bytes,
         tag: SpanMeta,
         mut delivery: SpanKind,
     ) -> (f64, SpanKind) {
@@ -452,12 +458,12 @@ impl HedgePolicy {
         HedgePolicy { deadline_factor: 1.5 }
     }
 
-    /// Seconds after the round starts at which the duplicate completes,
-    /// for a transfer whose healthy duration is `transfer_s`. Clamped to
-    /// at least `transfer_s`: the duplicate itself still has to move the
+    /// Time after the round starts at which the duplicate completes, for
+    /// a transfer whose healthy duration is `transfer_s`. Clamped to at
+    /// least `transfer_s`: the duplicate itself still has to move the
     /// bytes, so no deadline can beat the healthy wire time.
-    pub fn deadline_s(&self, transfer_s: f64) -> f64 {
-        (self.deadline_factor * transfer_s).max(transfer_s)
+    pub fn deadline_s(&self, transfer_s: Seconds) -> Seconds {
+        (transfer_s * self.deadline_factor).max(transfer_s)
     }
 }
 
@@ -479,8 +485,8 @@ pub enum DeadlineAction {
 /// bytes) and `action` decides how the worker proceeds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeadlinePolicy {
-    /// Budget for one worker's exchange stage, in seconds.
-    pub stage_timeout_s: f64,
+    /// Budget for one worker's exchange stage.
+    pub stage_timeout_s: Seconds,
     /// Recovery action on a blown budget.
     pub action: DeadlineAction,
 }
@@ -561,7 +567,7 @@ impl ResiliencePolicy {
     /// hedging, skip-batch stage deadlines, half-batch re-dispatch and a
     /// 4-batch staleness bound. `stage_timeout_s` stays a parameter
     /// because it is workload-scale-dependent.
-    pub const fn full(stage_timeout_s: f64) -> ResiliencePolicy {
+    pub const fn full(stage_timeout_s: Seconds) -> ResiliencePolicy {
         ResiliencePolicy {
             hedge: Some(HedgePolicy::paper_default()),
             deadline: Some(DeadlinePolicy { stage_timeout_s, action: DeadlineAction::SkipBatch }),
@@ -644,13 +650,13 @@ impl PolicyOutcome {
         PolicyOutcome {
             baseline_s: baseline.makespan(),
             resilient_s: resilient.makespan(),
-            hedged_bytes: resilient.bytes_of_kind(SpanKind::Hedge),
-            wasted_bytes: resilient.bytes_of_kind(SpanKind::Cancel),
+            hedged_bytes: resilient.bytes_of_kind(SpanKind::Hedge).0,
+            wasted_bytes: resilient.bytes_of_kind(SpanKind::Cancel).0,
             skipped_batches: resilient.edges_of_kind(SpanKind::Cancel),
             redispatched_batches: resilient.edges_of_kind(SpanKind::Redispatch),
-            redispatched_bytes: resilient.bytes_of_kind(SpanKind::Redispatch),
+            redispatched_bytes: resilient.bytes_of_kind(SpanKind::Redispatch).0,
             stale_worker_rounds: resilient.edges_of_kind(SpanKind::StaleSync),
-            stale_sync_bytes: resilient.bytes_of_kind(SpanKind::StaleSync),
+            stale_sync_bytes: resilient.bytes_of_kind(SpanKind::StaleSync).0,
             total_batches,
         }
     }
@@ -705,11 +711,11 @@ impl ResilienceReport {
         ResilienceReport {
             healthy_s: healthy.makespan(),
             faulted_s: faulted.makespan(),
-            retry_bytes: faulted.bytes_of_kind(SpanKind::Retry),
+            retry_bytes: faulted.bytes_of_kind(SpanKind::Retry).0,
             retry_spans: faulted.spans().iter().filter(|s| s.kind == SpanKind::Retry).count(),
             backoff_s: faulted.busy_of_kind(SpanKind::Backoff),
-            checkpoint_bytes: faulted.bytes_of_kind(SpanKind::Checkpoint),
-            restore_bytes: faulted.bytes_of_kind(SpanKind::Restore),
+            checkpoint_bytes: faulted.bytes_of_kind(SpanKind::Checkpoint).0,
+            restore_bytes: faulted.bytes_of_kind(SpanKind::Restore).0,
             replayed_batches: faulted.edges_of_kind(SpanKind::Replay),
             replay_s: faulted.busy_of_kind(SpanKind::Replay),
         }
@@ -808,18 +814,22 @@ mod tests {
     #[test]
     fn backoff_doubles_then_caps() {
         let r = RetryPolicy::paper_default();
-        assert!((r.backoff_delay(0) - 0.01).abs() < 1e-15);
-        assert!((r.backoff_delay(1) - 0.02).abs() < 1e-15);
-        assert!((r.backoff_delay(2) - 0.04).abs() < 1e-15);
-        assert_eq!(r.backoff_delay(10).to_bits(), 0.5f64.to_bits(), "capped");
-        assert_eq!(r.backoff_delay(400).to_bits(), 0.5f64.to_bits(), "shift saturates");
+        assert!((r.backoff_delay(0).0 - 0.01).abs() < 1e-15);
+        assert!((r.backoff_delay(1).0 - 0.02).abs() < 1e-15);
+        assert!((r.backoff_delay(2).0 - 0.04).abs() < 1e-15);
+        assert_eq!(r.backoff_delay(10).0.to_bits(), 0.5f64.to_bits(), "capped");
+        assert_eq!(r.backoff_delay(400).0.to_bits(), 0.5f64.to_bits(), "shift saturates");
     }
 
     /// Dyadic parameters, so every sum below is exact: a failed 1 s
     /// transfer costs 1.5 s on the wire plus 0.25 / 0.5 / 1 / 2 / 2 s of
     /// backoff.
-    const DYADIC: RetryPolicy =
-        RetryPolicy { max_retries: 5, timeout_s: 0.5, backoff_base_s: 0.25, backoff_cap_s: 2.0 };
+    const DYADIC: RetryPolicy = RetryPolicy {
+        max_retries: 5,
+        timeout_s: Seconds(0.5),
+        backoff_base_s: Seconds(0.25),
+        backoff_cap_s: Seconds(2.0),
+    };
 
     /// `failures` failed attempts of a 1 s, 100-byte transfer ready at
     /// t = 8 on worker 3's NIC: the spans, when the delivery may start,
@@ -832,9 +842,9 @@ mod tests {
             &mut tl,
             Resource::WorkerNic(3),
             8.0,
-            1.0,
+            Seconds(1.0),
             failures,
-            100,
+            Bytes(100),
             tag,
             SpanKind::Exchange,
         );
@@ -869,7 +879,7 @@ mod tests {
         for hedge in [None, Some(HedgePolicy { deadline_factor: 1.75 })] {
             for failures in 0..=DYADIC.max_retries {
                 let (spans, ready, _) = failed_attempts(hedge, failures);
-                let cost = DYADIC.failed_attempts_cost(hedge, 1.0, failures);
+                let cost = DYADIC.failed_attempts_cost(hedge, Seconds(1.0), failures).0;
                 let emitted = spans.iter().fold(0.0f64, |sum, s| sum + s.duration());
                 assert_eq!(cost.to_bits(), emitted.to_bits(), "{hedge:?}, {failures} failures");
                 assert_eq!(ready.to_bits(), (8.0 + cost).to_bits());
@@ -880,7 +890,7 @@ mod tests {
             }
         }
         // Unhedged: 4 × 1.5 s on the wire + 0.25 + 0.5 + 1 + 2 s waited.
-        assert_eq!(DYADIC.failed_attempts_cost(None, 1.0, 4).to_bits(), 9.75f64.to_bits());
+        assert_eq!(DYADIC.failed_attempts_cost(None, Seconds(1.0), 4), Seconds(9.75));
     }
 
     #[test]
@@ -890,7 +900,7 @@ mod tests {
             assert!(spans.is_empty());
             assert_eq!(ready.to_bits(), 8.0f64.to_bits());
             assert_eq!(kind, SpanKind::Exchange);
-            assert_eq!(DYADIC.failed_attempts_cost(hedge, 1.0, 0).to_bits(), 0.0f64.to_bits());
+            assert_eq!(DYADIC.failed_attempts_cost(hedge, Seconds(1.0), 0).0.to_bits(), 0.0f64.to_bits());
         }
     }
 
@@ -910,15 +920,15 @@ mod tests {
         for hedge in [None, Some(HedgePolicy { deadline_factor: 1.75 })] {
             for failures in 0..=DYADIC.max_retries {
                 let (spans, _, _) = failed_attempts(hedge, failures);
-                let bytes = |kind| -> u64 {
+                let bytes = |kind| -> Bytes {
                     spans.iter().filter(|s| s.kind == kind).map(|s| s.meta.bytes).sum()
                 };
                 // What `retry_bytes_from_spans` + `wasted_bytes_from_spans` reduce.
                 assert_eq!(
                     bytes(SpanKind::Retry) + bytes(SpanKind::Cancel),
-                    u64::from(failures) * 100
+                    Bytes(100) * u64::from(failures)
                 );
-                assert_eq!(bytes(SpanKind::Backoff), 0, "waiting moves nothing");
+                assert_eq!(bytes(SpanKind::Backoff), Bytes(0), "waiting moves nothing");
             }
         }
     }
@@ -969,18 +979,19 @@ mod tests {
 
     #[test]
     fn resilience_report_reads_fault_spans() {
+        let (nic, none) = (Resource::WorkerNic(0), SpanMeta::default());
+        let bytes = |b: u64| SpanMeta::bytes(Bytes(b));
         let mut healthy = Timeline::new();
-        healthy.schedule(Resource::WorkerCpu(0), SpanKind::Sample, 0.0, 2.0, SpanMeta::default());
+        healthy.schedule(Resource::WorkerCpu(0), SpanKind::Sample, 0.0, Seconds(2.0), none);
         let mut faulted = Timeline::new();
         // Chain the fault spans after the base work so the faulted
         // makespan actually stretches (as it does in the simulators).
-        let mut t =
-            faulted.schedule(Resource::WorkerCpu(0), SpanKind::Sample, 0.0, 2.0, SpanMeta::default());
-        t = faulted.schedule(Resource::WorkerNic(0), SpanKind::Retry, t, 0.5, SpanMeta::bytes(100));
-        t = faulted.schedule(Resource::WorkerNic(0), SpanKind::Backoff, t, 0.25, SpanMeta::default());
-        t = faulted.schedule(Resource::WorkerNic(0), SpanKind::Checkpoint, t, 0.1, SpanMeta::bytes(40));
-        t = faulted.schedule(Resource::WorkerNic(0), SpanKind::Restore, t, 0.1, SpanMeta::bytes(40));
-        faulted.schedule(Resource::WorkerGpu(0), SpanKind::Replay, t, 1.05, SpanMeta::edges(3));
+        let mut t = faulted.schedule(Resource::WorkerCpu(0), SpanKind::Sample, 0.0, Seconds(2.0), none);
+        t = faulted.schedule(nic, SpanKind::Retry, t, Seconds(0.5), bytes(100));
+        t = faulted.schedule(nic, SpanKind::Backoff, t, Seconds(0.25), none);
+        t = faulted.schedule(nic, SpanKind::Checkpoint, t, Seconds(0.1), bytes(40));
+        t = faulted.schedule(nic, SpanKind::Restore, t, Seconds(0.1), bytes(40));
+        faulted.schedule(Resource::WorkerGpu(0), SpanKind::Replay, t, Seconds(1.05), SpanMeta::edges(3));
         let r = ResilienceReport::compare(&healthy, &faulted);
         assert_eq!(r.retry_bytes, 100);
         assert_eq!(r.retry_spans, 1);
@@ -1001,7 +1012,7 @@ mod tests {
         let hedged = ResiliencePolicy::hedged(1.5);
         assert!(!hedged.is_none());
         assert_eq!(hedged.hedge, Some(HedgePolicy::paper_default()));
-        let full = ResiliencePolicy::full(0.25);
+        let full = ResiliencePolicy::full(Seconds(0.25));
         assert!(full.hedge.is_some() && full.deadline.is_some());
         assert!(full.redispatch.is_some() && full.stale_sync.is_some());
     }
@@ -1009,11 +1020,11 @@ mod tests {
     #[test]
     fn hedge_deadline_never_beats_the_wire() {
         let h = HedgePolicy { deadline_factor: 1.5 };
-        assert_eq!(h.deadline_s(2.0).to_bits(), 3.0f64.to_bits());
+        assert_eq!(h.deadline_s(Seconds(2.0)).0.to_bits(), 3.0f64.to_bits());
         // A sub-1 factor cannot finish before the duplicate's own wire time.
         let early = HedgePolicy { deadline_factor: 0.25 };
-        assert_eq!(early.deadline_s(2.0).to_bits(), 2.0f64.to_bits());
-        assert_eq!(h.deadline_s(0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(early.deadline_s(Seconds(2.0)).0.to_bits(), 2.0f64.to_bits());
+        assert_eq!(h.deadline_s(Seconds(0.0)).0.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -1047,19 +1058,19 @@ mod tests {
 
     #[test]
     fn policy_outcome_reads_resilience_spans() {
+        let (nic, hundred) = (Resource::WorkerNic(0), SpanMeta::bytes(Bytes(100)));
         let mut baseline = Timeline::new();
-        baseline.schedule(Resource::WorkerNic(0), SpanKind::Exchange, 0.0, 4.0, SpanMeta::bytes(100));
+        baseline.schedule(nic, SpanKind::Exchange, 0.0, Seconds(4.0), hundred);
         let mut res = Timeline::new();
-        let t =
-            res.schedule(Resource::WorkerNic(0), SpanKind::Cancel, 0.0, 1.5, SpanMeta::bytes(100));
-        res.schedule(Resource::WorkerNic(0), SpanKind::Hedge, t, 1.0, SpanMeta::bytes(100));
-        res.schedule(Resource::WorkerNic(1), SpanKind::Redispatch, 0.0, 0.5, SpanMeta {
-            bytes: 40,
+        let t = res.schedule(nic, SpanKind::Cancel, 0.0, Seconds(1.5), hundred);
+        res.schedule(nic, SpanKind::Hedge, t, Seconds(1.0), hundred);
+        res.schedule(Resource::WorkerNic(1), SpanKind::Redispatch, 0.0, Seconds(0.5), SpanMeta {
+            bytes: Bytes(40),
             edges: 3,
             ..SpanMeta::default()
         });
-        res.schedule(Resource::AllReduce, SpanKind::StaleSync, 2.5, 0.5, SpanMeta {
-            bytes: 64,
+        res.schedule(Resource::AllReduce, SpanKind::StaleSync, 2.5, Seconds(0.5), SpanMeta {
+            bytes: Bytes(64),
             edges: 2,
             ..SpanMeta::default()
         });
@@ -1092,23 +1103,23 @@ mod tests {
         // timeout_s: 0.0 and zero backoff are fine — delays are zero.
         let instant = RetryPolicy {
             max_retries: 4,
-            timeout_s: 0.0,
-            backoff_base_s: 0.0,
-            backoff_cap_s: 0.0,
+            timeout_s: Seconds(0.0),
+            backoff_base_s: Seconds(0.0),
+            backoff_cap_s: Seconds(0.0),
         };
-        assert_eq!(instant.backoff_delay(0).to_bits(), 0.0f64.to_bits());
-        assert_eq!(instant.backoff_delay(u32::MAX).to_bits(), 0.0f64.to_bits());
+        assert_eq!(instant.backoff_delay(0).0.to_bits(), 0.0f64.to_bits());
+        assert_eq!(instant.backoff_delay(u32::MAX).0.to_bits(), 0.0f64.to_bits());
         // Huge attempts saturate at the cap, never overflow.
         let r = RetryPolicy::paper_default();
-        assert_eq!(r.backoff_delay(u32::MAX).to_bits(), r.backoff_cap_s.to_bits());
+        assert_eq!(r.backoff_delay(u32::MAX).0.to_bits(), r.backoff_cap_s.0.to_bits());
         // Negative parameters clamp to a non-negative wait.
         let broken = RetryPolicy {
             max_retries: 4,
-            timeout_s: 0.0,
-            backoff_base_s: -1.0,
-            backoff_cap_s: 0.5,
+            timeout_s: Seconds(0.0),
+            backoff_base_s: Seconds(-1.0),
+            backoff_cap_s: Seconds(0.5),
         };
-        assert_eq!(broken.backoff_delay(3).to_bits(), 0.0f64.to_bits());
+        assert_eq!(broken.backoff_delay(3).0.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

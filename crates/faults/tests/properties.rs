@@ -6,7 +6,18 @@
 use gnn_dm_faults::{
     accuracy_retention, FaultPlan, HedgePolicy, LinkFaultModel, RedispatchPolicy, RetryPolicy,
 };
+use gnn_dm_trace::units::Seconds;
 use proptest::prelude::*;
+
+/// A retry discipline with a zero timeout and the given backoff.
+fn backoff(base: f64, cap: f64) -> RetryPolicy {
+    RetryPolicy {
+        max_retries: 4,
+        timeout_s: Seconds(0.0),
+        backoff_base_s: Seconds(base),
+        backoff_cap_s: Seconds(cap),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -20,11 +31,11 @@ proptest! {
         cap in 0.0f64..1.0e3,
         attempt in 0u32..u32::MAX,
     ) {
-        let r = RetryPolicy { max_retries: 4, timeout_s: 0.0, backoff_base_s: base, backoff_cap_s: cap };
+        let r = backoff(base, cap);
         let d = r.backoff_delay(attempt);
-        prop_assert!(d.is_finite());
-        prop_assert!(d >= 0.0);
-        prop_assert!(d <= cap.max(0.0));
+        prop_assert!(d.0.is_finite());
+        prop_assert!(d >= Seconds(0.0));
+        prop_assert!(d <= Seconds(cap.max(0.0)));
         if attempt < u32::MAX {
             prop_assert!(r.backoff_delay(attempt + 1) >= d, "backoff not monotone in attempt");
         }
@@ -37,8 +48,7 @@ proptest! {
         base in -1.0e3f64..0.0,
         attempt in 0u32..200,
     ) {
-        let r = RetryPolicy { max_retries: 4, timeout_s: 0.0, backoff_base_s: base, backoff_cap_s: 0.5 };
-        prop_assert_eq!(r.backoff_delay(attempt).to_bits(), 0.0f64.to_bits());
+        prop_assert_eq!(backoff(base, 0.5).backoff_delay(attempt).0.to_bits(), 0.0f64.to_bits());
     }
 
     /// `max_retries: 0` disables the failure loop entirely, at any rate
@@ -87,9 +97,9 @@ proptest! {
         transfer_s in 0.0f64..1.0e3,
     ) {
         let h = HedgePolicy { deadline_factor: factor };
-        let d = h.deadline_s(transfer_s);
-        prop_assert!(d.is_finite());
-        prop_assert!(d >= transfer_s);
+        let d = h.deadline_s(Seconds(transfer_s));
+        prop_assert!(d.0.is_finite());
+        prop_assert!(d >= Seconds(transfer_s));
     }
 
     /// `moved_batches` stays in `[0, num_batches]` for any fraction.
@@ -120,6 +130,6 @@ proptest! {
         let r = RetryPolicy::paper_default();
         let doublings = 1u64 << attempt.min(62);
         let expect = (0.01 * doublings as f64).min(0.5);
-        prop_assert_eq!(r.backoff_delay(attempt).to_bits(), expect.to_bits());
+        prop_assert_eq!(r.backoff_delay(attempt).0.to_bits(), expect.to_bits());
     }
 }

@@ -34,6 +34,7 @@ use gnn_dm_faults::{
     StaleSyncPolicy,
 };
 use gnn_dm_graph::Graph;
+use gnn_dm_trace::units::Seconds;
 use gnn_dm_partition::metis::{constraint_vectors, multilevel_partition, MetisConfig, MetisVariant};
 use gnn_dm_partition::stream::{stream_b, stream_b_fast, stream_v, stream_v_fast, DEFAULT_BLOCK_SIZE};
 use gnn_dm_partition::{metis_clusters, partition_graph, GnnPartitioning, PartitionMethod};
@@ -743,8 +744,9 @@ impl Resilience {
                         Some((t, "ckpt")) => (t, DeadlineAction::FallbackToCheckpoint),
                         _ => return Err(cx.err("deadline needs `timeout,skip|ckpt`")),
                     };
-                    let stage_timeout_s =
+                    let timeout =
                         cx.num(timeout, |x| x > 0.0 && x.is_finite(), "a finite positive timeout")?;
+                    let stage_timeout_s = Seconds(timeout);
                     policy.deadline = Some(DeadlinePolicy { stage_timeout_s, action });
                 }
                 Some(("redispatch", frac)) => {
@@ -777,7 +779,7 @@ impl Resilience {
                 DeadlineAction::SkipBatch => "skip",
                 DeadlineAction::FallbackToCheckpoint => "ckpt",
             };
-            parts.push(format!("deadline({},{action})", d.stage_timeout_s));
+            parts.push(format!("deadline({},{action})", d.stage_timeout_s.0));
         }
         if let Some(r) = p.redispatch {
             parts.push(format!("redispatch({})", r.frac));

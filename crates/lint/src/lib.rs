@@ -17,7 +17,6 @@ pub mod races;
 pub mod rules;
 pub mod seeds;
 pub mod tokenizer;
-pub mod units;
 pub mod workspace;
 
 pub use rules::{lint_source, Diagnostic};
@@ -27,9 +26,8 @@ pub use rules::{lint_source, Diagnostic};
 /// the JSON reports carry this list as `rule_ids` so downstream tooling
 /// can detect rules added or removed between versions.
 pub const RULE_IDS: &[&str] = &[
-    "A001", "A002", "B001", "B002", "B003", "C001", "D001", "D002", "D003",
-    "E001", "F001", "H001", "L001", "P001", "R001", "R002", "R003", "S001",
-    "S002", "T001", "U001",
+    "A001", "A002", "C001", "D001", "D002", "D003", "E001", "F001", "H001",
+    "L001", "P001", "R001", "R002", "R003", "S001", "S002", "T001", "U001",
 ];
 
 /// The design document is compiled in so `--explain` works from any
@@ -209,14 +207,11 @@ fn dataflow_lint(set: &callgraph::FileSet) -> Vec<Diagnostic> {
     }
     let graph = callgraph::CallGraph::build(set);
     let fx = effects::infer(set, &graph);
-    let units = units::infer(set, &graph);
     let interprocedural = effects::check_e001(set, &graph, &fx)
         .into_iter()
         .chain(races::check_r001(set, &graph, &fx))
         .chain(seeds::check_r002(set, &graph, &fx))
-        .chain(races::check_r003(set, &graph, &fx))
-        .chain(units::check_units(set, &graph, &units))
-        .chain(units::check_b003(set));
+        .chain(races::check_r003(set, &graph, &fx));
     for d in interprocedural {
         if let Some(bucket) = per_file.get_mut(d.file.as_str()) {
             bucket.push(d);
@@ -333,7 +328,7 @@ mod tests {
             report.summary_json(),
             format!("{{\"files_scanned\":3,\"violations\":0,\"by_rule\":{{}},{}}}", rule_ids_json())
         );
-        assert!(explain("B001").is_ok_and(|t| t.contains("scope:")));
+        assert!(explain("A001").is_ok_and(|t| t.contains("scope:")));
         assert!(explain("Z999").is_err());
     }
 }

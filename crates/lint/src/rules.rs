@@ -57,7 +57,6 @@ const COST_IDENTS: &[&str] = &[
     "exchange_time",
     "allreduce_time",
     "stale_allreduce_time",
-    "redispatch_time",
     "snapshot_time",
 ];
 
@@ -143,11 +142,6 @@ pub struct FileCtx {
     /// systems-under-test through the harness registry instead of
     /// constructing axis implementations directly (H001 scope).
     pub experiment: bool,
-    /// True for the crates whose numbers *are* the paper's cost model
-    /// (`device`, `trace`, `cluster`, `faults`, `harness`): the scope of
-    /// the unit/dimension dataflow pass (B001/B002) and of the ledger
-    /// conservation check (B003) in [`crate::units`].
-    pub units_crate: bool,
 }
 
 impl FileCtx {
@@ -183,11 +177,6 @@ impl FileCtx {
                 || rel == "crates/cluster/src/sim.rs",
             accounting_crate: in_crate("device") || in_crate("trace") || in_crate("cluster"),
             experiment: rel.starts_with(EXPERIMENTS_DIR),
-            units_crate: in_crate("device")
-                || in_crate("trace")
-                || in_crate("cluster")
-                || in_crate("faults")
-                || in_crate("harness"),
             crate_dir,
             rel_path: rel,
         }

@@ -10,6 +10,6 @@ pub fn hand_priced(link: &LinkModel, engine: &TransferEngine, bt: &BatchTransfer
 
 pub fn hand_priced_cluster(nic: &LinkModel) -> f64 {
     let sync = stale_allreduce_time(nic, 1 << 20, 4, 1); // A002
-    let moved = redispatch_time(nic, 1 << 16); // A002
-    sync + moved
+    let snapshots = snapshot_time(nic, 1 << 16, 2); // A002
+    sync + snapshots
 }

@@ -282,126 +282,3 @@ proptest! {
         );
     }
 }
-
-// ---- Units lattice and inference (B001/B002 substrate) ----
-
-use gnn_dm_lint::units::{infer as units_infer, join, units_table, Dim, ALL_DIMS};
-
-fn arb_dim() -> impl Strategy<Value = Dim> {
-    (0usize..ALL_DIMS.len()).prop_map(|i| ALL_DIMS[i])
-}
-
-/// Files in units crates, so the generated fns are in scope for the
-/// dimension fixpoint and B001/B002.
-const UNIT_FILE_POOL: &[&str] = &[
-    "crates/device/src/gen_u.rs",
-    "crates/trace/src/gen_v.rs",
-    "crates/cluster/src/gen_w.rs",
-];
-
-/// Fn names that hit the name-seed table (`transfer_time`, `total_bytes`)
-/// and names that don't, so pinned and fixpoint-derived returns mix.
-const UNIT_FN_POOL: &[&str] =
-    &["transfer_time", "total_bytes", "helper", "price", "cost_of", "rate"];
-
-/// Param names spanning the seeded dimensions plus an unseeded one.
-const UNIT_PARAM_POOL: &[&str] = &["bytes", "latency", "bandwidth", "transactions", "x"];
-
-const UNIT_OPS: &[&str] = &["+", "-", "*", "/"];
-
-/// One generated fn: (file, param picks, body operator, optional callee).
-type GenUnitFn = (usize, Vec<usize>, usize, usize);
-
-fn arb_units_workspace() -> impl Strategy<Value = Vec<(String, String)>> {
-    proptest::collection::vec(
-        (
-            0usize..UNIT_FILE_POOL.len(),
-            proptest::collection::vec(0usize..UNIT_PARAM_POOL.len(), 0..3),
-            0usize..UNIT_OPS.len(),
-            0usize..=UNIT_FN_POOL.len(), // == len() means "no call"
-        ),
-        0..UNIT_FN_POOL.len(),
-    )
-    .prop_map(|fns: Vec<GenUnitFn>| {
-        let mut files: Vec<(String, String)> =
-            UNIT_FILE_POOL.iter().map(|p| (p.to_string(), String::new())).collect();
-        for (i, (file, params, op, callee)) in fns.iter().enumerate() {
-            let src = &mut files[*file].1;
-            let sig = params
-                .iter()
-                .map(|&p| format!("{}: f64", UNIT_PARAM_POOL[p]))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let a = params.first().map(|&p| UNIT_PARAM_POOL[p]).unwrap_or("1.0");
-            let b = params.get(1).map(|&p| UNIT_PARAM_POOL[p]).unwrap_or("2.0");
-            src.push_str(&format!("pub fn {}({sig}) -> f64 {{\n", UNIT_FN_POOL[i]));
-            src.push_str(&format!("    let v = {a} {} {b};\n", UNIT_OPS[*op]));
-            if *callee < UNIT_FN_POOL.len() {
-                src.push_str(&format!("    let w = {}({a});\n", UNIT_FN_POOL[*callee]));
-                src.push_str("    v + w\n}\n");
-            } else {
-                src.push_str("    v\n}\n");
-            }
-        }
-        files
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// `join` is a commutative, associative, idempotent semilattice
-    /// operation with `Unknown` as identity and `Conflict` absorbing —
-    /// the laws that make the dimension fixpoint order-insensitive.
-    #[test]
-    fn units_join_is_a_semilattice(a in arb_dim(), b in arb_dim(), c in arb_dim()) {
-        prop_assert_eq!(join(a, b), join(b, a));
-        prop_assert_eq!(join(join(a, b), c), join(a, join(b, c)));
-        prop_assert_eq!(join(a, a), a);
-        prop_assert_eq!(join(Dim::Unknown, a), a);
-        prop_assert_eq!(join(Dim::Conflict, a), Dim::Conflict);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Running the dimension fixpoint twice over the same graph yields
-    /// identical parameter and return tables — no iteration-order leaks.
-    #[test]
-    fn units_fixpoint_deterministic(files in arb_units_workspace()) {
-        let (set, graph) = build(&files);
-        let ua = units_infer(&set, &graph);
-        let ub = units_infer(&set, &graph);
-        prop_assert_eq!(&ua.rets, &ub.rets);
-        prop_assert_eq!(&ua.params, &ub.params);
-    }
-
-    /// Inferred dimensions and the full diagnostic set (B001/B002/B003
-    /// included) are functions of the file *set*, not enumeration order.
-    #[test]
-    fn units_independent_of_file_order(
-        files in arb_units_workspace(),
-        swaps in proptest::collection::vec(0usize..16, 0..8),
-    ) {
-        let shuffled = permute(&files, &swaps);
-        let (set_a, graph_a) = build(&files);
-        let (set_b, graph_b) = build(&shuffled);
-        let ua = units_infer(&set_a, &graph_a);
-        let ub = units_infer(&set_b, &graph_b);
-        for path in UNIT_FILE_POOL {
-            prop_assert_eq!(
-                units_table(&graph_a, &ua, path),
-                units_table(&graph_b, &ub, path)
-            );
-        }
-        let borrowed_a: Vec<(&str, &str)> =
-            files.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
-        let borrowed_b: Vec<(&str, &str)> =
-            shuffled.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
-        prop_assert_eq!(
-            format!("{:?}", gnn_dm_lint::lint_sources(&borrowed_a)),
-            format!("{:?}", gnn_dm_lint::lint_sources(&borrowed_b))
-        );
-    }
-}

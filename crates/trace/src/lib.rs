@@ -11,6 +11,10 @@
 //! t_end   = t_start + duration
 //! ```
 //!
+//! Durations and byte counts are [`units::Seconds`] and [`units::Bytes`];
+//! positions on the clock (`ready`, `t_start`, `t_end`, the makespan) are
+//! plain `f64` seconds.
+//!
 //! That single rule is the whole scheduling model. Overlap (pipelining,
 //! compute/communication concurrency) *emerges* from spans landing on
 //! different lanes instead of being hand-derived per call site, and the
@@ -29,9 +33,11 @@
 //! per-resource busy/idle/bytes view used by reports and tests.
 
 pub mod convert;
+pub mod units;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use units::{Bytes, Seconds};
 
 /// A modelled hardware resource. Each resource is one FIFO lane: it serves
 /// spans in scheduling order and is busy with at most one span at a time.
@@ -165,7 +171,7 @@ impl SpanKind {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanMeta {
     /// Bytes this span moved (0 for pure compute).
-    pub bytes: u64,
+    pub bytes: Bytes,
     /// Graph edges this span processed (0 for pure transfers).
     pub edges: u64,
     /// Mini-batch index, when the span belongs to one.
@@ -176,7 +182,7 @@ pub struct SpanMeta {
 
 impl SpanMeta {
     /// Meta carrying only a byte count.
-    pub fn bytes(bytes: u64) -> SpanMeta {
+    pub fn bytes(bytes: Bytes) -> SpanMeta {
         SpanMeta { bytes, ..SpanMeta::default() }
     }
 
@@ -218,8 +224,8 @@ pub struct Pending {
     pub resource: Resource,
     /// Work kind.
     pub kind: SpanKind,
-    /// Duration in seconds (0 for pure accounting events).
-    pub dur: f64,
+    /// Duration (0 for pure accounting events).
+    pub dur: Seconds,
     /// Annotations.
     pub meta: SpanMeta,
 }
@@ -234,7 +240,7 @@ pub struct ResourceSummary {
     /// `makespan - busy`: seconds the lane sat idle while the epoch ran.
     pub idle: f64,
     /// Total bytes accounted to the lane.
-    pub bytes: u64,
+    pub bytes: Bytes,
     /// Total edges accounted to the lane.
     pub edges: u64,
     /// Number of spans on the lane.
@@ -266,7 +272,7 @@ impl SpanSummary {
                 r.resource.label(),
                 json_num(r.busy),
                 json_num(r.idle),
-                r.bytes,
+                r.bytes.0,
                 r.edges,
                 r.spans
             );
@@ -357,19 +363,19 @@ impl Timeline {
     }
 
     /// Schedules one span: it starts when both the lane is free and its
-    /// dependency `ready` is met, runs for `dur` seconds, and advances the
-    /// lane cursor. Returns the span's end time (the `ready` for dependent
+    /// dependency `ready` is met, runs for `dur`, and advances the lane
+    /// cursor. Returns the span's end time (the `ready` for dependent
     /// spans).
     pub fn schedule(
         &mut self,
         resource: Resource,
         kind: SpanKind,
         ready: f64,
-        dur: f64,
+        dur: Seconds,
         meta: SpanMeta,
     ) -> f64 {
         let t_start = self.start_time(resource, ready);
-        let t_end = t_start + dur;
+        let t_end = t_start + dur.0;
         self.push_span(Span { resource, kind, t_start, t_end, meta });
         t_end
     }
@@ -446,12 +452,12 @@ impl Timeline {
     }
 
     /// Bytes accounted to `resource`.
-    pub fn bytes_on(&self, resource: Resource) -> u64 {
+    pub fn bytes_on(&self, resource: Resource) -> Bytes {
         self.spans.iter().filter(|s| s.resource == resource).map(|s| s.meta.bytes).sum()
     }
 
     /// Bytes accounted to spans of `kind`, across all lanes.
-    pub fn bytes_of_kind(&self, kind: SpanKind) -> u64 {
+    pub fn bytes_of_kind(&self, kind: SpanKind) -> Bytes {
         self.spans.iter().filter(|s| s.kind == kind).map(|s| s.meta.bytes).sum()
     }
 
@@ -461,7 +467,7 @@ impl Timeline {
     }
 
     /// Total bytes across every span.
-    pub fn total_bytes(&self) -> u64 {
+    pub fn total_bytes(&self) -> Bytes {
         self.spans.iter().map(|s| s.meta.bytes).sum()
     }
 
@@ -538,7 +544,7 @@ impl Timeline {
                 ",\n{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{ts},\"dur\":{dur},\"args\":{{\"bytes\":{},\"edges\":{}",
                 span.kind.name(),
                 tid_of(span.resource),
-                span.meta.bytes,
+                span.meta.bytes.0,
                 span.meta.edges
             );
             if let Some(b) = span.meta.batch {
@@ -572,31 +578,36 @@ mod tests {
     #[test]
     fn lane_is_fifo() {
         let mut tl = Timeline::new();
-        let a = tl.schedule(Resource::PcieLink, SpanKind::Transfer, 0.0, 2.0, SpanMeta::bytes(10));
-        let b = tl.schedule(Resource::PcieLink, SpanKind::Transfer, 0.0, 3.0, SpanMeta::bytes(20));
+        let mut send = |secs: f64, bytes: u64| {
+            tl.schedule(Resource::PcieLink, SpanKind::Transfer, 0.0, Seconds(secs), SpanMeta::bytes(Bytes(bytes)))
+        };
+        let a = send(2.0, 10);
+        let b = send(3.0, 20);
         assert_eq!(a, 2.0);
         assert_eq!(b, 5.0, "second span queues behind the first");
-        assert_eq!(tl.bytes_on(Resource::PcieLink), 30);
+        assert_eq!(tl.bytes_on(Resource::PcieLink), Bytes(30));
         assert_eq!(tl.makespan(), 5.0);
     }
 
     #[test]
     fn ready_dependency_delays_start() {
         let mut tl = Timeline::new();
-        let bp = tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, 0.0, 1.0, SpanMeta::default());
-        let dt = tl.schedule(Resource::PcieLink, SpanKind::Transfer, bp, 2.0, SpanMeta::default());
+        let none = SpanMeta::default();
+        let bp = tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, 0.0, Seconds(1.0), none);
+        let dt = tl.schedule(Resource::PcieLink, SpanKind::Transfer, bp, Seconds(2.0), none);
         assert_eq!(tl.spans()[1].t_start, 1.0, "transfer waits for batch prep");
         assert_eq!(dt, 3.0);
         // Independent lanes overlap: a second BP starts at 1.0, not 3.0.
-        let bp2 = tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, 0.0, 1.0, SpanMeta::default());
+        let bp2 = tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, 0.0, Seconds(1.0), none);
         assert_eq!(bp2, 2.0);
     }
 
     #[test]
     fn busy_and_summary_account_everything() {
         let mut tl = Timeline::new();
-        tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, 0.0, 1.0, SpanMeta::edges(5));
-        tl.schedule(Resource::PcieLink, SpanKind::Transfer, 0.0, 4.0, SpanMeta::bytes(100));
+        tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, 0.0, Seconds(1.0), SpanMeta::edges(5));
+        let bytes = SpanMeta::bytes(Bytes(100));
+        tl.schedule(Resource::PcieLink, SpanKind::Transfer, 0.0, Seconds(4.0), bytes);
         let sum = tl.summary();
         assert_eq!(sum.makespan, 4.0);
         assert_eq!(sum.resources.len(), 2);
@@ -607,17 +618,18 @@ mod tests {
         assert_eq!(cpu.edges, 5);
         assert_eq!(tl.busy_of_kind(SpanKind::Transfer), 4.0);
         assert_eq!(tl.edges_of_kind(SpanKind::BatchPrep), 5);
-        assert_eq!(tl.total_bytes(), 100);
+        assert_eq!(tl.total_bytes(), Bytes(100));
     }
 
     #[test]
     fn schedule_at_never_rewinds_the_lane() {
         let mut tl = Timeline::new();
-        tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, 0.0, 5.0, SpanMeta::default());
+        tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, 0.0, Seconds(5.0), SpanMeta::default());
         // Recording an earlier sub-span must not move the cursor backwards.
         tl.schedule_at(Resource::GpuCompute, SpanKind::NnCompute, 1.0, 2.0, SpanMeta::default());
         assert_eq!(tl.lane_free(Resource::GpuCompute), 5.0);
-        let next = tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, 0.0, 1.0, SpanMeta::default());
+        let next =
+            tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, 0.0, Seconds(1.0), SpanMeta::default());
         assert_eq!(next, 6.0);
     }
 
@@ -626,28 +638,28 @@ mod tests {
         let p = Pending {
             resource: Resource::WorkerNic(2),
             kind: SpanKind::Exchange,
-            dur: 0.5,
-            meta: SpanMeta::bytes(42),
+            dur: Seconds(0.5),
+            meta: SpanMeta::bytes(Bytes(42)),
         };
         let mut tl = Timeline::new();
         let end = tl.schedule_pending(1.0, &p);
         assert_eq!(end, 1.5);
         assert_eq!(tl.spans()[0].meta.worker, None);
-        assert_eq!(tl.bytes_on(Resource::WorkerNic(2)), 42);
+        assert_eq!(tl.bytes_on(Resource::WorkerNic(2)), Bytes(42));
     }
 
     #[test]
     fn chrome_trace_is_deterministic_and_well_formed() {
         let build = || {
             let mut tl = Timeline::new();
-            let bp =
-                tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, 0.0, 1.25e-3, SpanMeta::edges(7));
+            let prep = Seconds(1.25e-3);
+            let bp = tl.schedule(Resource::CpuSampler, SpanKind::BatchPrep, 0.0, prep, SpanMeta::edges(7));
             tl.schedule(
                 Resource::PcieLink,
                 SpanKind::Transfer,
                 bp,
-                2.0e-3,
-                SpanMeta { bytes: 4096, edges: 0, batch: Some(0), worker: None },
+                Seconds(2.0e-3),
+                SpanMeta { bytes: Bytes(4096), edges: 0, batch: Some(0), worker: None },
             );
             tl.to_chrome_trace()
         };
@@ -667,7 +679,8 @@ mod tests {
     #[test]
     fn non_finite_times_render_loadable_json() {
         let mut tl = Timeline::new();
-        tl.schedule(Resource::PcieLink, SpanKind::Transfer, 0.0, f64::INFINITY, SpanMeta::default());
+        let forever = Seconds(f64::INFINITY);
+        tl.schedule(Resource::PcieLink, SpanKind::Transfer, 0.0, forever, SpanMeta::default());
         let json = tl.to_chrome_trace();
         assert!(!json.contains("inf"), "non-finite values are clamped: {json}");
     }
@@ -705,9 +718,9 @@ mod tests {
     fn timeline_tail_stats_reduce_per_lane_and_per_kind() {
         let mut tl = Timeline::new();
         for d in [1.0, 2.0, 9.0] {
-            tl.schedule(Resource::PcieLink, SpanKind::Transfer, 0.0, d, SpanMeta::default());
+            tl.schedule(Resource::PcieLink, SpanKind::Transfer, 0.0, Seconds(d), SpanMeta::default());
         }
-        tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, 0.0, 4.0, SpanMeta::default());
+        tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, 0.0, Seconds(4.0), SpanMeta::default());
         let lane = tl.tail_stats_on(Resource::PcieLink);
         assert_eq!(lane.count, 3);
         assert_eq!(lane.p50.to_bits(), 2.0f64.to_bits());

@@ -15,6 +15,7 @@ use gnn_dm::faults::{FaultPlan, ResiliencePolicy};
 use gnn_dm::graph::csr::{Csr, VId};
 use gnn_dm::par::split_seed;
 use gnn_dm::sampling::{BatchSelection, Block, MiniBatch, NeighborSampler};
+use gnn_dm::trace::units::Seconds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -48,10 +49,10 @@ fn delivery_start(
     policy: &ResiliencePolicy,
 ) -> f64 {
     let retry = plan.link.retry;
-    let hedged = policy.hedge.map_or(f64::INFINITY, |h| h.deadline_s(dt));
+    let hedged = policy.hedge.map_or(f64::INFINITY, |h| h.deadline_s(Seconds(dt)).0);
     for attempt in 0..plan.pcie_failures(epoch, index) {
-        let held = dt + retry.timeout_s;
-        let waited = retry.backoff_delay(attempt);
+        let held = dt + retry.timeout_s.0;
+        let waited = retry.backoff_delay(attempt).0;
         if hedged < held + waited {
             t += hedged;
         } else {

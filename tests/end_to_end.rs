@@ -108,8 +108,8 @@ fn cluster_sim_conservation() {
     let sim = ClusterSim { graph: &g, part: &part, batch_size: 32, seed: 2 };
     let sampler = FanoutSampler::new(vec![6, 3]);
     let report = sim.simulate_epoch(&sampler, 0);
-    let sent: u64 = (0..4).map(|w| report.comm.worker_sent(w)).sum();
-    let received: u64 = report.comm.bytes_received.iter().sum();
+    let sent: u64 = (0..4).map(|w| report.comm.worker_sent(w).0).sum();
+    let received: u64 = report.comm.bytes_received.iter().map(|b| b.0).sum();
     assert_eq!(sent, received);
 }
 

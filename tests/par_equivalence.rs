@@ -451,13 +451,14 @@ fn faulted_epoch_timeline_bitwise_equal_across_thread_counts() {
 fn resilient_epoch_timeline_bitwise_equal_across_thread_counts() {
     use gnn_dm::cluster::sim::TimeModel;
     use gnn_dm::faults::{FaultPlan, ResiliencePolicy};
+    use gnn_dm::trace::units::Seconds;
     let g = graph();
     let part = metis_extend(&g, MetisVariant::V, 4, 3);
     let sim = gnn_dm::cluster::ClusterSim { graph: &g, part: &part, batch_size: 32, seed: 5 };
     let sampler = FanoutSampler::new(vec![4, 4]);
     let tm = TimeModel::paper_default(g.feat_dim(), 64, 50_000);
     let plan = FaultPlan::uniform(9, 0.4);
-    let policy = ResiliencePolicy::full(0.05);
+    let policy = ResiliencePolicy::full(Seconds(0.05));
     assert_threadcount_invariant(|| {
         let report = sim.simulate_epoch(&sampler, 1);
         sim.epoch_timeline_resilient(&report, &tm, &plan, 1, &policy).to_chrome_trace()

@@ -9,6 +9,7 @@ use gnn_dm::graph::generate::{planted_partition, PplConfig};
 use gnn_dm::partition::{partition_graph, PartitionMethod};
 use gnn_dm::sampling::sampler::{build_minibatch, FanoutSampler, RateSampler};
 use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule};
+use gnn_dm::trace::units::Bytes;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -137,12 +138,12 @@ proptest! {
     #[test]
     fn block_activity_conserves(
         n in 1usize..500,
-        row_bytes in 1usize..512,
-        block_bytes in 1usize..4096,
+        row_bytes in 1u64..512,
+        block_bytes in 1u64..4096,
         ids_raw in proptest::collection::vec(0usize..500, 0..300),
     ) {
         let ids: Vec<u32> = ids_raw.into_iter().filter(|&v| v < n).map(|v| v as u32).collect();
-        let act = block_activity(&ids, n, row_bytes, block_bytes);
+        let act = block_activity(&ids, n, Bytes(row_bytes), Bytes(block_bytes));
         let mut distinct = ids.clone();
         distinct.sort_unstable();
         distinct.dedup();

@@ -9,8 +9,9 @@
 //! tail while its duplicate traffic stays exactly ledgered.
 
 use gnn_dm::cluster::ledger::{
-    checkpoint_bytes_from_spans, hedge_bytes_from_spans, retry_bytes_from_spans,
-    wasted_bytes_from_spans,
+    checkpoint_bytes_from_spans, comm_ledger_from_spans, hedge_bytes_from_spans, ledger_of,
+    redispatch_bytes_from_spans, retry_bytes_from_spans, stale_sync_bytes_from_spans,
+    wasted_bytes_from_spans, Ledger,
 };
 use gnn_dm::cluster::sim::TimeModel;
 use gnn_dm::cluster::ClusterSim;
@@ -29,7 +30,8 @@ use gnn_dm::nn::{AggKind, GnnModel};
 use gnn_dm::partition::{partition_graph, PartitionMethod};
 use gnn_dm::sampling::sampler::{build_minibatch, FanoutSampler};
 use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule};
-use gnn_dm::trace::{Resource, SpanKind};
+use gnn_dm::trace::units::{Bytes, Seconds};
+use gnn_dm::trace::{Resource, SpanKind, Timeline};
 use rand::SeedableRng;
 
 mod common;
@@ -251,7 +253,7 @@ fn zero_fault_plan_is_bitwise_identity() {
     // Device pipeline replay, every mode.
     let batches = jagged_batches(30, 9);
     let metas: Vec<BatchMeta> = (0..30)
-        .map(|i| BatchMeta { gather: 0.001, bytes: 700 + i, edges: 3 * i })
+        .map(|i| BatchMeta { gather: 0.001, bytes: Bytes(700 + i), edges: 3 * i })
         .collect();
     for mode in MODES {
         let healthy = replay_epoch(&batches, &metas, mode, &none, 0, &unprotected);
@@ -377,13 +379,13 @@ fn fault_bytes_reduce_exactly_from_spans() {
         let wid = w as u32;
         let failures = u64::from(plan.nic_failures(0, wid));
         total_failures += failures;
-        assert_eq!(retry[w], failures * report.comm.worker_traffic(w), "worker {w} retry bytes");
+        assert_eq!(retry[w], failures * report.comm.worker_traffic(w).0, "worker {w} retry bytes");
         let nb = report.num_batches[w];
-        let mut expect = plan.crash.checkpoint.snapshots(nb) as u64 * tm.param_bytes;
+        let mut expect = tm.param_bytes * plan.crash.checkpoint.snapshots(nb) as u64;
         if plan.crash_batch(0, wid, nb).is_some() {
             expect += tm.param_bytes; // the restore read-back
         }
-        assert_eq!(ckpt[w], expect, "worker {w} checkpoint bytes");
+        assert_eq!(ckpt[w], expect.0, "worker {w} checkpoint bytes");
     }
     assert!(total_failures > 0, "rate 0.6 planned no NIC failures at all");
     // The resilience report reads the same spans.
@@ -394,6 +396,84 @@ fn fault_bytes_reduce_exactly_from_spans() {
     assert_eq!(res.checkpoint_bytes + res.restore_bytes, ckpt.iter().sum::<u64>());
     assert!(res.slowdown() >= 1.0);
     assert!(res.goodput() <= 1.0);
+}
+
+/// Every NIC and collective byte of a timeline is in exactly one place:
+/// the `*_from_spans` ledgers plus the kinds `ledger_of` leaves unledgered.
+/// Kinds it calls byte-free (or edge-only) carry no bytes.
+fn assert_bytes_conserved(tl: &Timeline, k: usize) {
+    let comm = comm_ledger_from_spans(tl, k);
+    let ledgers = [
+        retry_bytes_from_spans(tl, k),
+        checkpoint_bytes_from_spans(tl, k),
+        hedge_bytes_from_spans(tl, k),
+        wasted_bytes_from_spans(tl, k),
+        redispatch_bytes_from_spans(tl, k),
+    ];
+    let lane_bytes = |lane: Resource| -> (u64, u64) {
+        let spans = || tl.spans().iter().filter(move |s| s.resource == lane);
+        let unledgered = spans().filter(|s| ledger_of(s.kind) == Ledger::Unledgered);
+        (spans().map(|s| s.meta.bytes.0).sum(), unledgered.map(|s| s.meta.bytes.0).sum())
+    };
+    for w in 0..k {
+        let (total, unledgered) = lane_bytes(Resource::WorkerNic(w as u32));
+        let ledgered = comm.worker_traffic(w).0 + ledgers.iter().map(|l| l[w]).sum::<u64>();
+        assert_eq!(total, ledgered + unledgered, "worker {w} NIC bytes");
+    }
+    let (total, unledgered) = lane_bytes(Resource::AllReduce);
+    assert_eq!(total, stale_sync_bytes_from_spans(tl) + unledgered, "collective bytes");
+    for s in tl.spans() {
+        let no_bytes = matches!(
+            ledger_of(s.kind),
+            Ledger::ByteFree | Ledger::LocalSample | Ledger::RemoteSample | Ledger::Aggregation
+        );
+        assert!(!no_bytes || s.meta.bytes == Bytes(0), "{:?} carries bytes", s.kind);
+    }
+}
+
+/// The ledger `match` on a healthy, a faulted (retries, checkpoints,
+/// crash restores) and a resilient (hedges, re-dispatch, stale syncs)
+/// cluster epoch: bytes are conserved, and each byte ledger equals the
+/// kind-by-kind reads of the fault and policy reports, so a kind assigned
+/// to the wrong ledger fails here even though the totals still balance.
+#[test]
+fn ledger_match_conserves_every_nic_byte() {
+    let g = fault_graph();
+    let part = partition_graph(&g, PartitionMethod::Hash, 4, 11);
+    let sim = ClusterSim { graph: &g, part: &part, batch_size: 16, seed: 17 };
+    let sampler = FanoutSampler::new(vec![8, 4]);
+    let (report, accounting) = sim.simulate_epoch_traced(&sampler, 0);
+    let tm = TimeModel::paper_default(24, 64, 50_000);
+    let none = ResiliencePolicy::none();
+    let plan = FaultPlan::uniform(7, 0.6);
+    let resilient = ResiliencePolicy { deadline: None, ..ResiliencePolicy::full(Seconds(0.0)) };
+    let sum = |v: Vec<u64>| v.iter().sum::<u64>();
+    assert_bytes_conserved(&accounting, 4);
+    let mut seen = std::collections::BTreeSet::new();
+    for epoch in 0..4 {
+        let healthy = sim.epoch_timeline_resilient(&report, &tm, &FaultPlan::none(), epoch, &none);
+        let faulted = sim.epoch_timeline_resilient(&report, &tm, &plan, epoch, &none);
+        let hedged = sim.epoch_timeline_resilient(&report, &tm, &plan, epoch, &resilient);
+        for tl in [&healthy, &faulted, &hedged] {
+            assert_bytes_conserved(tl, 4);
+            seen.extend(tl.spans().iter().filter(|s| s.meta.bytes > Bytes(0)).map(|s| s.kind));
+        }
+        let faults = ResilienceReport::compare(&healthy, &faulted);
+        assert_eq!(sum(retry_bytes_from_spans(&faulted, 4)), faults.retry_bytes);
+        assert_eq!(
+            sum(checkpoint_bytes_from_spans(&faulted, 4)),
+            faults.checkpoint_bytes + faults.restore_bytes
+        );
+        let out = sim.resilience_with_policy(&report, &tm, &plan, epoch, &resilient);
+        assert_eq!(sum(hedge_bytes_from_spans(&hedged, 4)), out.hedged_bytes, "epoch {epoch}");
+        assert_eq!(sum(wasted_bytes_from_spans(&hedged, 4)), out.wasted_bytes, "epoch {epoch}");
+        assert_eq!(sum(redispatch_bytes_from_spans(&hedged, 4)), out.redispatched_bytes);
+        assert_eq!(stale_sync_bytes_from_spans(&hedged), out.stale_sync_bytes);
+    }
+    use SpanKind::*;
+    for kind in [Exchange, AllReduce, Retry, Checkpoint, Restore, Hedge, Cancel, Redispatch, StaleSync] {
+        assert!(seen.contains(&kind), "no {kind:?} span carried bytes: the cells are too tame");
+    }
 }
 
 /// A policy is neutral by what it can do, not by how it is spelled: one
@@ -409,7 +489,7 @@ fn zero_resilience_policy_is_bitwise_identity() {
     let inert = ResiliencePolicy {
         hedge: Some(HedgePolicy { deadline_factor: 1.0e9 }),
         deadline: Some(DeadlinePolicy {
-            stage_timeout_s: 1.0e9,
+            stage_timeout_s: Seconds(1.0e9),
             action: DeadlineAction::SkipBatch,
         }),
         redispatch: Some(RedispatchPolicy { frac: 0.0 }),
@@ -418,7 +498,7 @@ fn zero_resilience_policy_is_bitwise_identity() {
 
     let batches = jagged_batches(30, 9);
     let metas: Vec<BatchMeta> = (0..30)
-        .map(|i| BatchMeta { gather: 0.001, bytes: 700 + i, edges: 3 * i })
+        .map(|i| BatchMeta { gather: 0.001, bytes: Bytes(700 + i), edges: 3 * i })
         .collect();
 
     let g = fault_graph();

@@ -15,6 +15,7 @@ use gnn_dm::graph::Graph;
 use gnn_dm::par::with_threads;
 use gnn_dm::partition::{partition_graph, PartitionMethod};
 use gnn_dm::sampling::FanoutSampler;
+use gnn_dm::trace::units::Bytes;
 use gnn_dm::trace::{Resource, SpanKind};
 
 mod common;
@@ -47,7 +48,7 @@ fn makespan_replay_matches_closed_form_bitwise() {
 fn replay_timeline_accounts_every_stage_second() {
     let batches = jagged_batches(40, 5);
     let metas: Vec<BatchMeta> = (0..40)
-        .map(|i| BatchMeta { gather: 0.001, bytes: 1000 + i, edges: 10 * i })
+        .map(|i| BatchMeta { gather: 0.001, bytes: Bytes(1000 + i), edges: 10 * i })
         .collect();
     let (plan, policy) = HEALTHY;
     for mode in MODES {
@@ -60,7 +61,7 @@ fn replay_timeline_accounts_every_stage_second() {
         assert!((tl.busy(Resource::CpuSampler) - bp).abs() < 1e-9);
         assert!((tl.busy(Resource::PcieLink) - dt).abs() < 1e-9);
         assert!((tl.busy(Resource::GpuCompute) - nn).abs() < 1e-9);
-        let bytes: u64 = metas.iter().map(|m| m.bytes).sum();
+        let bytes: Bytes = metas.iter().map(|m| m.bytes).sum();
         assert_eq!(tl.bytes_on(Resource::PcieLink), bytes);
         assert_eq!(tl.summary().makespan.to_bits(), tl.makespan().to_bits());
     }
@@ -93,13 +94,13 @@ fn cluster_span_conservation_at_any_thread_count() {
     // Conservation: the ledgers are exact reductions of the spans.
     assert_eq!(compute_ledger_from_spans(&serial_tl, 4), serial_report.compute);
     assert_eq!(comm_ledger_from_spans(&serial_tl, 4), serial_report.comm);
-    let span_bytes: u64 = serial_tl
+    let span_bytes: Bytes = serial_tl
         .spans()
         .iter()
         .filter(|s| matches!(s.kind, SpanKind::SubgraphSend | SpanKind::FeatureSend))
         .map(|s| s.meta.bytes)
         .sum();
-    assert_eq!(span_bytes, serial_report.comm.total_volume());
+    assert_eq!(span_bytes.0, serial_report.comm.total_volume());
 
     // Bitwise thread-count invariance, down to the exported JSON bytes.
     let serial_json = serial_tl.to_chrome_trace();
@@ -231,8 +232,8 @@ fn trainer_epoch_bytes_live_on_the_timeline() {
         let mut trainer = HeteroTrainer::new(&g, cfg);
         let (timings, tl) = trainer.run_epoch_traced(0);
         // The reported byte total IS the timeline's PCIe-lane byte total.
-        assert_eq!(timings.pcie_bytes, tl.bytes_on(Resource::PcieLink));
-        assert_eq!(timings.pcie_bytes, tl.total_bytes());
+        assert_eq!(timings.pcie_bytes, tl.bytes_on(Resource::PcieLink).0);
+        assert_eq!(timings.pcie_bytes, tl.total_bytes().0);
         assert!(timings.pcie_bytes > 0);
         // Stage-total seconds are lane busy times.
         assert_eq!(timings.bp.to_bits(), tl.busy(Resource::CpuSampler).to_bits());
@@ -248,8 +249,9 @@ fn trainer_epoch_bytes_live_on_the_timeline() {
 #[test]
 fn chrome_trace_is_valid_and_deterministic() {
     let batches = jagged_batches(6, 3);
-    let metas: Vec<BatchMeta> =
-        (0..6).map(|i| BatchMeta { gather: 0.002, bytes: 512 * (i + 1), edges: 7 * i }).collect();
+    let metas: Vec<BatchMeta> = (0..6)
+        .map(|i| BatchMeta { gather: 0.002, bytes: Bytes(512 * (i + 1)), edges: 7 * i })
+        .collect();
     let (plan, policy) = HEALTHY;
     let replay = || replay_epoch(&batches, &metas, PipelineMode::Full, &plan, 0, &policy);
     let tl = replay();
