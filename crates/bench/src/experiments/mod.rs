@@ -7,8 +7,8 @@
 //! iterates `--list`. Adding an experiment is adding a row and its `run`.
 //!
 //! The helpers below are the loop nests and formatting the experiments
-//! share; each `run` assembles its systems under test from harness specs
-//! (lint rule H001), never from an axis constructor.
+//! share; each `run` assembles its systems under test as harness
+//! `SystemConfig` values, never from an axis constructor.
 
 mod ablations;
 mod batch_prep;

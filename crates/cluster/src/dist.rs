@@ -189,7 +189,7 @@ pub fn local_sgd_epoch(
             syncs += 1;
         }
     }
-    // lint:allow(P001, U001) replicas has one entry per worker and workers >= 1 is asserted on entry
+    // lint:allow(P001) replicas has one entry per worker and workers >= 1 is asserted on entry
     *model = replicas.into_iter().next().expect("at least one replica");
     (
         if total_batches == 0 { 0.0 } else { (total_loss / total_batches as f64) as f32 },

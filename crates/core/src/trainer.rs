@@ -273,7 +273,7 @@ impl<'g> HeteroTrainer<'g> {
     /// Block activity of the first batch of an epoch (Figures 15/16),
     /// optionally after cache filtering.
     pub fn first_batch_activity(&mut self, epoch: usize, apply_cache: bool) -> BlockActivity {
-        // lint:allow(P001, U001) the graph always has train vertices, so an epoch has >= 1 batch
+        // lint:allow(P001) the graph always has train vertices, so an epoch has >= 1 batch
         let mb = self.with_plan(|plan| plan.first_batch(epoch)).expect("at least one batch");
         let n = self.graph.num_vertices();
         let ids: Vec<u32> = if apply_cache {

@@ -139,7 +139,7 @@ impl TransferEngine {
             TransferMethod::ZeroCopy => self.time_zero_copy(batch),
             TransferMethod::Hybrid { threshold } => self.time_hybrid(
                 batch,
-                // lint:allow(P001, U001) documented precondition: the `# Panics` doc requires activity
+                // lint:allow(P001) documented precondition: the `# Panics` doc requires activity
                 activity.expect("hybrid transfer needs block activity"),
                 threshold,
             ),

@@ -21,7 +21,6 @@ use crate::items::{parse_items, Item, ItemKind};
 use crate::rules::{test_region_marks, FileCtx};
 use crate::tokenizer::{lex, Lexed, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::path::Path;
 
 /// One analyzed source file, with everything the dataflow passes need.
@@ -102,7 +101,7 @@ impl FileSet {
                 if t.kind != TokenKind::Ident {
                     continue;
                 }
-                if let Some(to) = t.text.strip_prefix("gnn_dm_").filter(|r| !r.is_empty()) {
+                if let Some(to) = crate::workspace::gnn_ident_key(&t.text) {
                     if to != key {
                         refs.push(to.to_string());
                     }
@@ -117,7 +116,7 @@ impl FileSet {
 }
 
 /// One fn declaration in the graph.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct FnNode {
     /// Declared name.
     pub name: String,
@@ -240,7 +239,7 @@ impl CallGraph {
                     continue;
                 }
                 let locals = shadowed.entry(owner).or_insert_with(|| {
-                    crate::races::local_bindings(&file.lexed, g.nodes[owner].body)
+                    local_bindings(&file.lexed, g.nodes[owner].body)
                 });
                 let (_, is_method) = qualifier(file, i);
                 if !is_method && locals.contains(&t.text) {
@@ -287,58 +286,63 @@ impl CallGraph {
         }
         best
     }
+}
 
-    /// JSON rendering: nodes with ids, then edges as `[from, to]` pairs.
-    /// Byte-stable across runs and file-discovery orders.
-    pub fn to_json(&self) -> String {
-        let nodes: Vec<String> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(id, n)| {
-                format!(
-                    "{{\"id\":{},\"crate\":{},\"name\":{},\"file\":{},\"line\":{},\"pub\":{}}}",
-                    id,
-                    crate::json_str(&n.crate_key),
-                    crate::json_str(&n.name),
-                    crate::json_str(&n.file),
-                    n.line,
-                    n.is_pub
-                )
-            })
-            .collect();
-        let mut edges = Vec::new();
-        for (from, callees) in self.edges.iter().enumerate() {
-            for &to in callees {
-                edges.push(format!("[{from},{to}]"));
+/// Names bound locally inside the body range: `let` patterns, `for`
+/// patterns, and nested-closure parameters. Over-approximate (pattern
+/// constructors like `Some` land in the set too): a call through one of
+/// them is a local closure, not a fn.
+fn local_bindings(lexed: &Lexed, body: (usize, usize)) -> BTreeSet<String> {
+    let toks = &lexed.tokens;
+    let mut locals = BTreeSet::new();
+    let mut i = body.0;
+    while i < body.1.min(toks.len()) {
+        let t = &toks[i];
+        match (t.kind, t.text.as_str()) {
+            (TokenKind::Ident, "let") => {
+                let mut j = i + 1;
+                while j < body.1
+                    && !(toks[j].kind == TokenKind::Op
+                        && (toks[j].text == "=" || toks[j].text == ";"))
+                {
+                    if toks[j].kind == TokenKind::Ident && toks[j].text != "mut" {
+                        locals.insert(toks[j].text.clone());
+                    }
+                    j += 1;
+                }
+                i = j;
             }
-        }
-        format!(
-            "{{\"functions\":{},\"edges\":[{}],\"nodes\":[{}]}}",
-            self.nodes.len(),
-            edges.join(","),
-            nodes.join(",")
-        )
-    }
-
-    /// Graphviz DOT rendering, one node per fn labeled `crate::name`.
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
-        for (id, n) in self.nodes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  n{id} [label=\"{}::{}\\n{}:{}\"];",
-                n.crate_key, n.name, n.file, n.line
-            );
-        }
-        for (from, callees) in self.edges.iter().enumerate() {
-            for &to in callees {
-                let _ = writeln!(out, "  n{from} -> n{to};");
+            (TokenKind::Ident, "for") => {
+                let mut j = i + 1;
+                while j < body.1 && !(toks[j].kind == TokenKind::Ident && toks[j].text == "in") {
+                    if toks[j].kind == TokenKind::Ident {
+                        locals.insert(toks[j].text.clone());
+                    }
+                    j += 1;
+                }
+                i = j;
             }
+            (TokenKind::Op, "|") => {
+                // Nested closure params up to the closing `|` (same-line
+                // heuristic keeps a stray bit-or from swallowing the body).
+                let open_line = t.line;
+                let mut j = i + 1;
+                while j < body.1
+                    && toks[j].line == open_line
+                    && !(toks[j].kind == TokenKind::Op && toks[j].text == "|")
+                {
+                    if toks[j].kind == TokenKind::Ident && toks[j].text != "mut" {
+                        locals.insert(toks[j].text.clone());
+                    }
+                    j += 1;
+                }
+                i = j;
+            }
+            _ => {}
         }
-        out.push_str("}\n");
-        out
+        i += 1;
     }
+    locals
 }
 
 /// The innermost enclosing `impl` type / `trait`-ness for a fn item.
@@ -594,19 +598,7 @@ mod tests {
         let b = [a[1], a[0]];
         let ga = CallGraph::build(&FileSet::from_sources(&a));
         let gb = CallGraph::build(&FileSet::from_sources(&b));
-        assert_eq!(ga.to_json(), gb.to_json());
-        assert_eq!(ga.to_dot(), gb.to_dot());
-    }
-
-    #[test]
-    fn json_and_dot_render() {
-        let g = CallGraph::build(&mini());
-        let js = g.to_json();
-        assert!(js.starts_with("{\"functions\":5,"));
-        assert!(js.contains("\"name\":\"leaf\""));
-        let dot = g.to_dot();
-        assert!(dot.starts_with("digraph callgraph {"));
-        assert!(dot.contains("graph::leaf"));
-        assert!(dot.contains(" -> "));
+        assert_eq!(ga.nodes, gb.nodes);
+        assert_eq!(ga.edges, gb.edges);
     }
 }

@@ -1,17 +1,10 @@
 //! Fixpoint effect inference over the call graph.
 //!
-//! Every fn gets a bitmask over {alloc, io, entropy, panic, lock}, seeded
-//! from leaf intrinsics in its own body and closed transitively over the
-//! call graph (a monotone fixpoint on a finite lattice, so iteration
-//! terminates). An empty mask renders as `pure`.
-//!
-//! The mask deliberately reflects *unvouched* behavior: a panic site
-//! carrying a reasoned `lint:allow(P001/U001/E001)` marker is vouched
-//! unreachable by a human and contributes no `panic` bit — that is what
-//! lets **E001** upgrade P001 from syntactic to transitive without every
-//! suppressed leaf re-firing at every public entry point. E001 then flags
-//! any `pub` fn of library code whose transitive effects still include
-//! `panic`, with a witness path to the leaf.
+//! Every fn gets a bitmask over {alloc, io, entropy, lock}, seeded from
+//! leaf intrinsics in its own body and closed transitively over the call
+//! graph (a monotone fixpoint on a finite lattice, so iteration
+//! terminates). An empty mask renders as `pure`. Panics are not an effect
+//! here: P001 already reports every unvouched panic site in library code.
 //!
 //! Alongside the mask, the pass derives a `raw_entropy` flag — the fn body
 //! constructs an RNG whose seed expression involves neither
@@ -20,7 +13,6 @@
 //! parallel regions.
 
 use crate::callgraph::{CallGraph, FileSet};
-use crate::rules::Diagnostic;
 use crate::tokenizer::{Lexed, TokenKind};
 use std::collections::BTreeSet;
 
@@ -30,10 +22,8 @@ pub const ALLOC: u8 = 1;
 pub const IO: u8 = 2;
 /// Pseudo-random draws or RNG construction.
 pub const ENTROPY: u8 = 4;
-/// Can abort the process (unvouched unwrap/expect/panic-family).
-pub const PANIC: u8 = 8;
 /// Synchronization: locks, channels, atomics.
-pub const LOCK: u8 = 16;
+pub const LOCK: u8 = 8;
 
 /// Idents whose presence in a body implies allocation.
 pub(crate) const ALLOC_IDENTS: &[&str] =
@@ -64,10 +54,6 @@ const LOCK_METHODS: &[&str] = &[
     "compare_exchange", "compare_exchange_weak",
 ];
 
-/// Panic-capable method / macro names (P001's set).
-const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
-
 /// Inferred effects for every node of a [`CallGraph`].
 #[derive(Debug, Default)]
 pub struct Effects {
@@ -75,9 +61,6 @@ pub struct Effects {
     pub mask: Vec<u8>,
     /// Direct (own-body, pre-fixpoint) effect mask per node id.
     pub base: Vec<u8>,
-    /// Node body directly contains an unvouched panic intrinsic (with its
-    /// line) — the witness leaves for E001.
-    pub own_panic: Vec<Option<usize>>,
     /// Transitive raw-seed flag per node id (see module docs).
     pub raw_entropy: Vec<bool>,
     /// Direct raw-seed site line per node, when any.
@@ -94,7 +77,7 @@ pub struct Effects {
 pub fn mask_names(mask: u8) -> String {
     let mut names = Vec::new();
     for (bit, name) in
-        [(ALLOC, "alloc"), (IO, "io"), (ENTROPY, "entropy"), (PANIC, "panic"), (LOCK, "lock")]
+        [(ALLOC, "alloc"), (IO, "io"), (ENTROPY, "entropy"), (LOCK, "lock")]
     {
         if mask & bit != 0 {
             names.push(name);
@@ -107,13 +90,13 @@ pub fn mask_names(mask: u8) -> String {
     }
 }
 
-/// Lines of `lexed` on which a *reasoned* suppression for any of `rules`
-/// applies (its own line plus the next token-bearing line — the same cover
-/// the per-file suppression pass uses).
-pub(crate) fn vouched_lines(lexed: &Lexed, rules: &[&str]) -> BTreeSet<usize> {
+/// Lines of `lexed` on which a *reasoned* suppression for `rule` applies
+/// (its own line plus the next token-bearing line — the same cover the
+/// per-file suppression pass uses).
+fn vouched_lines(lexed: &Lexed, rule: &str) -> BTreeSet<usize> {
     let mut lines = BTreeSet::new();
     for sup in &lexed.suppressions {
-        if sup.reason.is_empty() || !sup.rules.iter().any(|r| rules.contains(&r.as_str())) {
+        if sup.reason.is_empty() || !sup.rules.iter().any(|r| r == rule) {
             continue;
         }
         lines.insert(sup.line);
@@ -189,20 +172,19 @@ pub(crate) fn balanced_args_end(lexed: &Lexed, open: usize) -> usize {
     toks.len()
 }
 
-/// Direct (leaf) effects of the token range `body` in `lexed`.
-/// `vouched` lists the lines whose panic intrinsics carry a reasoned
-/// suppression; `tainted` is the file's seed-taint set.
+/// Direct (leaf) effects of the token range `body` in `lexed`: the mask,
+/// the first raw-seed line and the first unvouched allocation line.
+/// `alloc_vouched` lists the lines a reasoned `lint:allow(R003)` covers;
+/// `tainted` is the file's seed-taint set.
 fn base_effects(
     lexed: &Lexed,
     body: (usize, usize),
-    vouched: &BTreeSet<usize>,
     alloc_vouched: &BTreeSet<usize>,
     tainted: &BTreeSet<String>,
     skip: &[bool],
-) -> (u8, Option<usize>, Option<usize>, Option<usize>) {
+) -> (u8, Option<usize>, Option<usize>) {
     let toks = &lexed.tokens;
     let mut mask = 0u8;
-    let mut panic_line = None;
     let mut raw_seed_line = None;
     let mut alloc_line = None;
     // `Vec` in a signature (`-> Vec<f32>`, `out: &mut Vec<VId>`) sets the
@@ -256,16 +238,8 @@ fn base_effects(
                 raw_seed_line = Some(t.line);
             }
         }
-        let is_panic = (PANIC_METHODS.contains(&name) && after_dot && calls)
-            || (PANIC_MACROS.contains(&name) && bangs);
-        if is_panic && !vouched.contains(&t.line) {
-            mask |= PANIC;
-            if panic_line.is_none() {
-                panic_line = Some(t.line);
-            }
-        }
     }
-    (mask, panic_line, raw_seed_line, alloc_line)
+    (mask, raw_seed_line, alloc_line)
 }
 
 /// Runs the inference: base effects per node, then the fixpoint closure
@@ -274,14 +248,12 @@ pub fn infer(set: &FileSet, g: &CallGraph) -> Effects {
     let mut fx = Effects {
         mask: vec![0; g.nodes.len()],
         base: vec![0; g.nodes.len()],
-        own_panic: vec![None; g.nodes.len()],
         raw_entropy: vec![false; g.nodes.len()],
         own_raw_seed: vec![None; g.nodes.len()],
         own_alloc: vec![None; g.nodes.len()],
     };
     for file in set.files.values() {
-        let vouched = vouched_lines(&file.lexed, &["P001", "U001", "E001"]);
-        let alloc_vouched = vouched_lines(&file.lexed, &["R003"]);
+        let alloc_vouched = vouched_lines(&file.lexed, "R003");
         let tainted = split_seed_tainted(&file.lexed);
         let ids = g.nodes_in_file(&file.rel_path);
         // A nested fn's tokens belong to the nested fn only.
@@ -300,11 +272,10 @@ pub fn infer(set: &FileSet, g: &CallGraph) -> Effects {
                     }
                 }
             }
-            let (mask, panic_line, raw_line, alloc_line) =
-                base_effects(&file.lexed, (s, e), &vouched, &alloc_vouched, &tainted, &skip);
+            let (mask, raw_line, alloc_line) =
+                base_effects(&file.lexed, (s, e), &alloc_vouched, &tainted, &skip);
             fx.mask[id] = mask;
             fx.base[id] = mask;
-            fx.own_panic[id] = panic_line;
             fx.own_raw_seed[id] = raw_line;
             fx.raw_entropy[id] = raw_line.is_some();
             fx.own_alloc[id] = alloc_line;
@@ -331,67 +302,6 @@ pub fn infer(set: &FileSet, g: &CallGraph) -> Effects {
         }
     }
     fx
-}
-
-/// Shortest call path (BFS over edge order, so deterministic) from `from`
-/// to a node with a direct panic site, rendered `a -> b -> c`.
-fn panic_witness(g: &CallGraph, fx: &Effects, from: usize) -> String {
-    let mut prev: Vec<Option<usize>> = vec![None; g.nodes.len()];
-    let mut seen = vec![false; g.nodes.len()];
-    let mut queue = std::collections::VecDeque::new();
-    seen[from] = true;
-    queue.push_back(from);
-    let mut leaf = None;
-    'bfs: while let Some(n) = queue.pop_front() {
-        if fx.own_panic[n].is_some() {
-            leaf = Some(n);
-            break 'bfs;
-        }
-        for &next in &g.edges[n] {
-            if !seen[next] && fx.mask[next] & PANIC != 0 {
-                seen[next] = true;
-                prev[next] = Some(n);
-                queue.push_back(next);
-            }
-        }
-    }
-    let Some(leaf) = leaf else { return g.nodes[from].name.clone() };
-    let mut path = vec![leaf];
-    while let Some(p) = prev[*path.last().unwrap_or(&leaf)] {
-        path.push(p);
-    }
-    path.reverse();
-    let names: Vec<&str> = path.iter().map(|&n| g.nodes[n].name.as_str()).collect();
-    let site = fx.own_panic[leaf].map(|l| format!(" (panic site {}:{})", g.nodes[leaf].file, l));
-    format!("{}{}", names.join(" -> "), site.unwrap_or_default())
-}
-
-/// E001 — transitive panic reachability: a `pub` fn of library code whose
-/// effect mask still carries `panic` after the fixpoint. One diagnostic per
-/// entry point, at the fn declaration, with a witness path.
-pub fn check_e001(set: &FileSet, g: &CallGraph, fx: &Effects) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for (id, n) in g.nodes.iter().enumerate() {
-        if !n.is_pub || n.in_test || fx.mask[id] & PANIC == 0 {
-            continue;
-        }
-        let Some(file) = set.files.get(&n.file) else { continue };
-        if file.ctx.non_library {
-            continue;
-        }
-        diags.push(Diagnostic {
-            rule: "E001",
-            file: n.file.clone(),
-            line: n.line,
-            message: format!(
-                "pub fn `{}` can reach a panic: {}; make the path infallible, return a \
-                 Result, or vouch the leaf site with `lint:allow(P001) <invariant>`",
-                n.name,
-                panic_witness(g, fx, id)
-            ),
-        });
-    }
-    diags
 }
 
 /// Markdown effect table for one crate's `pub` fns (name-sorted): the
@@ -457,46 +367,6 @@ mod tests {
              pub fn entry() { mid(); }\n",
         )]);
         assert_ne!(mask_of(&g, &fx, "entry") & IO, 0, "io must flow two hops up");
-    }
-
-    #[test]
-    fn vouched_panics_do_not_count() {
-        let (set, g, fx) = analyze(&[(
-            "crates/graph/src/lib.rs",
-            "fn checked(o: Option<u32>) -> u32 {\n\
-                 o.unwrap() // lint:allow(P001, U001) verified non-empty by caller\n\
-             }\n\
-             pub fn entry(o: Option<u32>) -> u32 { checked(o) }\n",
-        )]);
-        assert_eq!(mask_of(&g, &fx, "entry") & PANIC, 0);
-        assert!(check_e001(&set, &g, &fx).is_empty());
-    }
-
-    #[test]
-    fn e001_reports_transitive_panics_with_witness() {
-        let (set, g, fx) = analyze(&[(
-            "crates/graph/src/lib.rs",
-            "fn helper(o: Option<u32>) -> u32 { o.unwrap() }\n\
-             pub fn entry(o: Option<u32>) -> u32 { helper(o) }\n",
-        )]);
-        let diags = check_e001(&set, &g, &fx);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, "E001");
-        assert_eq!(diags[0].line, 2, "reported at the pub entry point");
-        assert!(diags[0].message.contains("entry -> helper"), "{}", diags[0].message);
-        assert!(diags[0].message.contains("panic site crates/graph/src/lib.rs:1"));
-    }
-
-    #[test]
-    fn e001_skips_tests_and_non_library_code() {
-        let (set, g, fx) = analyze(&[
-            ("crates/graph/tests/t.rs", "pub fn check(o: Option<u32>) -> u32 { o.unwrap() }\n"),
-            (
-                "crates/graph/src/lib.rs",
-                "#[cfg(test)]\nmod tests {\n    pub fn h(o: Option<u32>) -> u32 { o.unwrap() }\n}\n",
-            ),
-        ]);
-        assert!(check_e001(&set, &g, &fx).is_empty());
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! A lightweight *item* parser over the token stream.
 //!
-//! The semantic rules (L001's layering check, the workspace symbol table)
-//! need to know **what a file declares** — functions, types, traits, impls
-//! and `use` imports, with their spans and visibility — but not full Rust
-//! semantics. This parser recovers exactly that from [`crate::tokenizer`]'s
-//! output. Like the tokenizer it is *total*: any byte sequence produces a
-//! (possibly empty) item list, never a panic, so it is safe to run on
-//! arbitrary files.
+//! The call graph ([`crate::callgraph`]) needs to know **what a file
+//! declares** — functions, types, traits, impls and `use` imports, with
+//! their spans and visibility — but not full Rust semantics. This parser
+//! recovers exactly that from [`crate::tokenizer`]'s output. Like the
+//! tokenizer it is *total*: any byte sequence produces a (possibly empty)
+//! item list, never a panic, so it is safe to run on arbitrary files.
 //!
 //! Heuristics are deliberately shallow and err towards silence: a keyword
 //! is only treated as an item head when it sits in item position (after

@@ -1,12 +1,15 @@
 //! gnn-dm-lint: a zero-dependency static-analysis pass over the workspace.
 //!
-//! The paper's experiments stand on three invariants the compiler cannot
-//! check: bit-identical reruns (determinism), no aborts from library code
-//! (panic-freedom), and every host↔device byte flowing through the transfer
-//! ledger (byte accounting). This crate walks every `.rs` file in the
+//! The paper's experiments stand on invariants the compiler cannot check:
+//! bit-identical reruns (determinism), no aborts from library code
+//! (panic-freedom), cost-model pricing that lands on the span timeline, and
+//! a layered crate graph. This crate walks every `.rs` file in the
 //! workspace with its own comment/string-aware tokenizer and enforces the
-//! rule catalog in [`rules`]; `tests/workspace_clean.rs` pins the workspace
-//! at zero violations as part of tier-1.
+//! per-file rules in [`rules`], the layering check in [`workspace`], and
+//! the call-graph rules in [`races`] (R001, R003) and [`seeds`] (R002);
+//! `tests/workspace_clean.rs` pins the workspace at zero violations.
+//! What a type can say — bytes vs. seconds, `Fn + Sync` work closures —
+//! is left to the compiler.
 //!
 //! Run it directly with `cargo run -p gnn-dm-lint`.
 
@@ -26,8 +29,8 @@ pub use rules::{lint_source, Diagnostic};
 /// the JSON reports carry this list as `rule_ids` so downstream tooling
 /// can detect rules added or removed between versions.
 pub const RULE_IDS: &[&str] = &[
-    "A001", "A002", "C001", "D001", "D002", "D003", "E001", "F001", "H001",
-    "L001", "P001", "R001", "R002", "R003", "S001", "S002", "T001", "U001",
+    "A002", "D001", "D002", "D003", "F001", "L001", "P001", "R001", "R002", "R003", "S001",
+    "S002", "T001",
 ];
 
 /// The design document is compiled in so `--explain` works from any
@@ -68,14 +71,15 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files analyzed.
     pub files_scanned: usize,
-    /// Files that could not be read (path, error) — reported, not fatal.
+    /// Files that could not be read (path, error). An unread file was not
+    /// linted, so the report is not clean.
     pub read_errors: Vec<(String, String)>,
 }
 
 impl Report {
-    /// True when no rule fired anywhere.
+    /// True when no rule fired anywhere and every file was read.
     pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
+        self.diagnostics.is_empty() && self.read_errors.is_empty()
     }
 
     /// Count of diagnostics for one rule.
@@ -119,7 +123,7 @@ impl Report {
 
     /// Machine-readable one-line JSON summary:
     /// `{"files_scanned":N,"violations":N,"by_rule":{"D001":n,...},
-    /// "rule_ids":["A001",...]}` — `rule_ids` is the full shipped catalog
+    /// "rule_ids":["A002",...]}` — `rule_ids` is the full shipped catalog
     /// ([`RULE_IDS`]), not just the rules that fired.
     pub fn summary_json(&self) -> String {
         let mut rules: Vec<&'static str> =
@@ -162,8 +166,8 @@ pub(crate) fn json_str(s: &str) -> String {
 
 /// Lints every workspace `.rs` file under `root`'s scan roots: the
 /// per-file rules, then the interprocedural dataflow passes (call graph →
-/// effect inference → E001/R001/R002), with suppressions applied once over
-/// the combined per-file sets.
+/// effect inference → R001/R002/R003), with suppressions applied once over
+/// the combined per-file sets, then L001's manifest half.
 pub fn lint_workspace(root: &Path) -> Report {
     let (set, read_errors) = callgraph::FileSet::load(root);
     let mut report = Report {
@@ -172,9 +176,8 @@ pub fn lint_workspace(root: &Path) -> Report {
         ..Report::default()
     };
     report.diagnostics = dataflow_lint(&set);
-    // Workspace phase: manifests + symbol model on top of the per-file
-    // passes (L001's dependency-graph half). Reuses the FileSet's token
-    // streams and item tables — sources are lexed exactly once per run.
+    // L001's manifest half: the manifests, checked against the FileSet's
+    // source references (sources are lexed exactly once per run).
     let ws = workspace::Workspace::from_fileset(root, &set);
     report.diagnostics.extend(ws.check_manifests(workspace::ALLOWED_EDGES));
     report
@@ -207,9 +210,8 @@ fn dataflow_lint(set: &callgraph::FileSet) -> Vec<Diagnostic> {
     }
     let graph = callgraph::CallGraph::build(set);
     let fx = effects::infer(set, &graph);
-    let interprocedural = effects::check_e001(set, &graph, &fx)
+    let interprocedural = races::check_r001(set, &graph, &fx)
         .into_iter()
-        .chain(races::check_r001(set, &graph, &fx))
         .chain(seeds::check_r002(set, &graph, &fx))
         .chain(races::check_r003(set, &graph, &fx));
     for d in interprocedural {
@@ -328,7 +330,18 @@ mod tests {
             report.summary_json(),
             format!("{{\"files_scanned\":3,\"violations\":0,\"by_rule\":{{}},{}}}", rule_ids_json())
         );
-        assert!(explain("A001").is_ok_and(|t| t.contains("scope:")));
+        assert!(explain("A002").is_ok_and(|t| t.contains("scope:")));
         assert!(explain("Z999").is_err());
+    }
+
+    #[test]
+    fn unread_files_make_the_report_unclean() {
+        let report = Report {
+            files_scanned: 3,
+            read_errors: vec![("crates/x/src/a.rs".into(), "permission denied".into())],
+            ..Report::default()
+        };
+        assert!(!report.is_clean(), "a file that was not read was not linted");
+        assert!(report.summary_json().contains("\"violations\":0"));
     }
 }

@@ -1,21 +1,16 @@
 //! CLI entry point:
-//! `cargo run -p gnn-dm-lint -- [--format=text|json] [--rule=ID[,ID…]]
-//! [--callgraph=json|dot] [--explain ID] [ROOT]`.
+//! `cargo run -p gnn-dm-lint -- [--format=text|json] [--explain ID] [ROOT]`.
 //!
 //! * `--format=text` (default) prints one `file:line [RULE] message` line
 //!   per diagnostic, then the one-line JSON summary.
 //! * `--format=json` prints a single JSON object with the summary fields
 //!   plus every diagnostic and read error — the form `scripts/check.sh`
 //!   consumes.
-//! * `--rule=E001,R001` keeps only the listed rules' diagnostics; the exit
-//!   code reflects the filtered set (so CI can gate on a rule subset).
-//! * `--callgraph=json|dot` skips linting and dumps the workspace call
-//!   graph (deterministic node/edge order; `dot` feeds Graphviz).
 //! * `--explain ID` prints rule ID's row of the DESIGN.md §7 catalog.
 //!
 //! Exit codes: `0` clean, `1` at least one diagnostic, `2` usage or I/O
-//! error (unknown flag, unknown rule, extra arguments, or no `.rs` files
-//! under ROOT).
+//! error (unknown flag, unknown rule, extra arguments, no `.rs` files
+//! under ROOT, or a `.rs` file that could not be read).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -26,16 +21,13 @@ enum Format {
     Json,
 }
 
-const USAGE: &str = "usage: gnn-dm-lint [--format=text|json] [--rule=ID[,ID...]] \
-                     [--callgraph=json|dot] [--explain ID] [ROOT]";
+const USAGE: &str = "usage: gnn-dm-lint [--format=text|json] [--explain ID] [ROOT]";
 
 use gnn_dm_lint::explain;
 
 fn main() -> ExitCode {
     let mut format = Format::Text;
     let mut root: Option<PathBuf> = None;
-    let mut rules: Option<Vec<String>> = None;
-    let mut callgraph: Option<Format> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -43,8 +35,6 @@ fn main() -> ExitCode {
         match arg {
             "--format=text" => format = Format::Text,
             "--format=json" => format = Format::Json,
-            "--callgraph=json" => callgraph = Some(Format::Json),
-            "--callgraph=dot" => callgraph = Some(Format::Text),
             "--explain" => {
                 let Some(rule) = args.get(i + 1) else {
                     eprintln!("error: --explain needs a rule id\n{USAGE}");
@@ -60,18 +50,6 @@ fn main() -> ExitCode {
                         ExitCode::from(2)
                     }
                 };
-            }
-            _ if arg.starts_with("--rule=") => {
-                let list: Vec<String> = arg["--rule=".len()..]
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect();
-                if list.is_empty() {
-                    eprintln!("error: --rule needs at least one rule id\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-                rules = Some(list);
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -94,32 +72,15 @@ fn main() -> ExitCode {
     let root =
         root.unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."));
 
-    if let Some(cg_format) = callgraph {
-        let (set, _) = gnn_dm_lint::callgraph::FileSet::load(&root);
-        if set.files.is_empty() {
-            eprintln!("error: no .rs files found under {} — wrong workspace root?", root.display());
-            return ExitCode::from(2);
-        }
-        let graph = gnn_dm_lint::callgraph::CallGraph::build(&set);
-        match cg_format {
-            Format::Json => println!("{}", graph.to_json()),
-            Format::Text => println!("{}", graph.to_dot()),
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let mut report = gnn_dm_lint::lint_workspace(&root);
+    let report = gnn_dm_lint::lint_workspace(&root);
     if report.files_scanned == 0 {
         eprintln!("error: no .rs files found under {} — wrong workspace root?", root.display());
         return ExitCode::from(2);
     }
-    if let Some(keep) = &rules {
-        report.diagnostics.retain(|d| keep.iter().any(|r| r == d.rule));
-    }
     match format {
         Format::Text => {
             for (file, err) in &report.read_errors {
-                eprintln!("warning: could not read {file}: {err}");
+                eprintln!("error: could not read {file}: {err}");
             }
             for d in &report.diagnostics {
                 println!("{}:{} [{}] {}", d.file, d.line, d.rule, d.message);
@@ -128,7 +89,9 @@ fn main() -> ExitCode {
         }
         Format::Json => println!("{}", report.to_json()),
     }
-    if report.is_clean() {
+    if !report.read_errors.is_empty() {
+        ExitCode::from(2)
+    } else if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

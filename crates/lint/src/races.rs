@@ -3,11 +3,13 @@
 //! The `gnn-dm-par` dispatchers (`par_chunks_mut`, `par_map_collect`,
 //! `par_reduce`) guarantee serial≡parallel equivalence only when each work
 //! unit touches disjoint state: the chunk argument it was handed, plus its
-//! own locals. A closure that reaches for anything else mutable — a
-//! captured `&mut`, a `static mut`, interior mutability (`Cell`,
-//! `RefCell`, `Mutex`, atomics), or a call into a fn whose effects include
-//! io/lock — either races or serializes, and both break the bitwise
-//! reproducibility the paper's experiments are pinned on.
+//! own locals. Their `F: Fn(..) + Sync` bounds already reject a closure
+//! that takes `&mut` to a captured binding or captures a `Cell`/`RefCell`,
+//! and a `static mut` needs `unsafe`. What still compiles is the
+//! thread-safe kind of shared state — a `Mutex`, an `RwLock`, an atomic,
+//! or a call into a fn whose effects include io/lock — which either
+//! serializes the units or lets their order leak into the result. R001
+//! flags those.
 //!
 //! This module also hosts the parallel-closure finder that R002
 //! ([`crate::seeds`]) reuses.
@@ -136,98 +138,25 @@ pub(crate) fn find_par_closures(lexed: &Lexed) -> Vec<ParClosure> {
     out
 }
 
-/// Names bound locally inside the body range: `let` patterns, `for`
-/// patterns, and nested-closure parameters. Over-approximate (pattern
-/// constructors like `Some` land in the set too), which only ever makes
-/// R001 quieter, never noisier about genuinely local state.
-pub(crate) fn local_bindings(lexed: &Lexed, body: (usize, usize)) -> BTreeSet<String> {
-    let toks = &lexed.tokens;
-    let mut locals = BTreeSet::new();
-    let mut i = body.0;
-    while i < body.1.min(toks.len()) {
-        let t = &toks[i];
-        match (t.kind, t.text.as_str()) {
-            (TokenKind::Ident, "let") => {
-                let mut j = i + 1;
-                while j < body.1
-                    && !(toks[j].kind == TokenKind::Op
-                        && (toks[j].text == "=" || toks[j].text == ";"))
-                {
-                    if toks[j].kind == TokenKind::Ident && toks[j].text != "mut" {
-                        locals.insert(toks[j].text.clone());
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-            (TokenKind::Ident, "for") => {
-                let mut j = i + 1;
-                while j < body.1 && !(toks[j].kind == TokenKind::Ident && toks[j].text == "in") {
-                    if toks[j].kind == TokenKind::Ident {
-                        locals.insert(toks[j].text.clone());
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-            (TokenKind::Op, "|") => {
-                // Nested closure params up to the closing `|` (same-line
-                // heuristic keeps a stray bit-or from swallowing the body).
-                let open_line = t.line;
-                let mut j = i + 1;
-                while j < body.1
-                    && toks[j].line == open_line
-                    && !(toks[j].kind == TokenKind::Op && toks[j].text == "|")
-                {
-                    if toks[j].kind == TokenKind::Ident && toks[j].text != "mut" {
-                        locals.insert(toks[j].text.clone());
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    locals
-}
-
-/// Names declared `static mut` anywhere in the file.
-fn static_mut_names(lexed: &Lexed) -> BTreeSet<String> {
-    let toks = &lexed.tokens;
-    let mut names = BTreeSet::new();
-    for i in 0..toks.len() {
-        if toks[i].kind == TokenKind::Ident
-            && toks[i].text == "static"
-            && matches!(toks.get(i + 1), Some(t) if t.text == "mut")
-        {
-            if let Some(name) = toks.get(i + 2).filter(|t| t.kind == TokenKind::Ident) {
-                names.insert(name.text.clone());
-            }
-        }
-    }
-    names
-}
-
-/// Interior-mutability / synchronization type names R001 refuses inside a
-/// parallel closure (plus the `Atomic*` prefix family).
-const SHARED_STATE_TYPES: &[&str] = &["Cell", "RefCell", "Mutex", "RwLock"];
+/// Synchronization type names R001 refuses inside a parallel closure
+/// (plus the `Atomic*` prefix family).
+const SHARED_STATE_TYPES: &[&str] = &["Mutex", "RwLock"];
 
 /// Method names that synchronize when called inside a parallel closure.
 const SYNC_METHODS: &[&str] = &[
-    "lock", "borrow_mut", "fetch_add", "fetch_sub", "fetch_and", "fetch_or", "fetch_max",
+    "lock", "fetch_add", "fetch_sub", "fetch_and", "fetch_or", "fetch_max",
     "fetch_min", "compare_exchange", "compare_exchange_weak",
 ];
 
-/// Per-node reachability of `bit` (io or lock) along call paths that never
-/// enter the `par` crate — the dispatcher's own channels and joins are the
-/// sanctioned mechanism, so effects inherited *through* `par` (e.g. from a
-/// nested parallel section) don't count against the closure.
-fn reaches_effect_outside_par(g: &CallGraph, fx: &Effects, bit: u8) -> Vec<bool> {
-    let mut reach: Vec<bool> = (0..g.nodes.len())
-        .map(|id| g.nodes[id].crate_key != "par" && fx.base[id] & bit != 0)
-        .collect();
+/// Per-node reachability of a `seed` node along call paths that never
+/// enter the `par` crate. The dispatchers' own locks, channels and result
+/// buffers are the sanctioned mechanism, so an effect inherited *through*
+/// `par` (e.g. from a nested parallel section) does not count against the
+/// closure. R001 seeds it with a node's own io or lock bit, R003 with its
+/// own unvouched allocation site.
+fn reach_outside_par(g: &CallGraph, seed: impl Fn(usize) -> bool) -> Vec<bool> {
+    let mut reach: Vec<bool> =
+        (0..g.nodes.len()).map(|id| g.nodes[id].crate_key != "par" && seed(id)).collect();
     loop {
         let mut changed = false;
         for id in 0..g.nodes.len() {
@@ -253,75 +182,35 @@ fn diag(file: &SourceFile, line: usize, message: String) -> Diagnostic {
 /// R001 over the whole file set. `gnn-dm-par`'s own sources are exempt —
 /// they *implement* the dispatch machinery being protected.
 pub fn check_r001(set: &FileSet, g: &CallGraph, fx: &Effects) -> Vec<Diagnostic> {
-    let io_reach = reaches_effect_outside_par(g, fx, IO);
-    let lock_reach = reaches_effect_outside_par(g, fx, LOCK);
+    let io_reach = reach_outside_par(g, |id| fx.base[id] & IO != 0);
+    let lock_reach = reach_outside_par(g, |id| fx.base[id] & LOCK != 0);
     let mut diags = Vec::new();
     for file in set.files.values() {
         if file.ctx.layer_key() == "par" {
             continue;
         }
-        let statics = static_mut_names(&file.lexed);
         for cl in find_par_closures(&file.lexed) {
             let toks = &file.lexed.tokens;
-            let locals = local_bindings(&file.lexed, cl.body);
-            let is_local = |name: &str| cl.params.contains(name) || locals.contains(name);
             for i in cl.body.0..cl.body.1.min(toks.len()) {
                 let t = &toks[i];
                 if t.kind != TokenKind::Ident {
                     continue;
                 }
                 let name = t.text.as_str();
-                // Captured `&mut <nonlocal>` — writes shared state. Skip
-                // reborrow derefs so `&mut *shared` still names `shared`.
-                if name == "mut"
-                    && i > 0
-                    && toks[i - 1].kind == TokenKind::Op
-                    && toks[i - 1].text == "&"
-                {
-                    let mut j = i + 1;
-                    while matches!(toks.get(j), Some(t) if t.kind == TokenKind::Op && t.text == "*")
-                    {
-                        j += 1;
-                    }
-                    if let Some(target) = toks.get(j).filter(|t| t.kind == TokenKind::Ident) {
-                        if !is_local(&target.text) && target.text != "self" {
-                            diags.push(diag(
-                                file,
-                                target.line,
-                                format!(
-                                    "`&mut {}` inside a `{}` closure mutates state shared \
-                                     across work units; pass disjoint chunks instead",
-                                    target.text, cl.dispatcher
-                                ),
-                            ));
-                        }
-                    }
-                }
-                if statics.contains(name) {
-                    diags.push(diag(
-                        file,
-                        t.line,
-                        format!(
-                            "`static mut {name}` accessed inside a `{}` closure: unsynchronized \
-                             shared mutable state",
-                            cl.dispatcher
-                        ),
-                    ));
-                }
                 if SHARED_STATE_TYPES.contains(&name) || name.starts_with("Atomic") {
                     diags.push(diag(
                         file,
                         t.line,
                         format!(
-                            "interior mutability (`{name}`) inside a `{}` closure: work units \
+                            "shared synchronized state (`{name}`) inside a `{}` closure: work units \
                              must not coordinate through shared cells; return per-unit values \
                              and merge serially",
                             cl.dispatcher
                         ),
                     ));
                 }
-                // Direct synchronization method calls (`.lock()`,
-                // `.borrow_mut()`, atomics) on captured values.
+                // Direct synchronization method calls (`.lock()`, atomics)
+                // on captured values.
                 let after_dot =
                     i > 0 && toks[i - 1].kind == TokenKind::Op && toks[i - 1].text == ".";
                 let calls = matches!(toks.get(i + 1), Some(n) if n.text == "(");
@@ -381,31 +270,6 @@ pub(crate) const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("tensor", "micro_tail"),
 ];
 
-/// Per-node reachability of an unvouched allocation site along call paths
-/// that never enter the `par` crate (the dispatchers allocate their own
-/// result buffers once per call — that is the sanctioned mechanism).
-fn alloc_reaches_outside_par(g: &CallGraph, fx: &Effects) -> Vec<bool> {
-    let mut reach: Vec<bool> = (0..g.nodes.len())
-        .map(|id| g.nodes[id].crate_key != "par" && fx.own_alloc[id].is_some())
-        .collect();
-    loop {
-        let mut changed = false;
-        for id in 0..g.nodes.len() {
-            if reach[id] || g.nodes[id].crate_key == "par" {
-                continue;
-            }
-            if g.edges[id].iter().any(|&m| g.nodes[m].crate_key != "par" && reach[m]) {
-                reach[id] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    reach
-}
-
 /// Shortest call path (BFS over edge order, so deterministic) from `from`
 /// to a node with a direct unvouched allocation, rendered
 /// `a -> b -> c (alloc site file:line)` — the R003 witness format.
@@ -455,7 +319,7 @@ pub(crate) fn alloc_witness(g: &CallGraph, fx: &Effects, reach: &[bool], from: u
 /// for the S002 staleness audit; the *transitive* side honors vouches
 /// through [`Effects::own_alloc`], so a vouched leaf stops witnessing.
 pub fn check_r003(set: &FileSet, g: &CallGraph, fx: &Effects) -> Vec<Diagnostic> {
-    let reach = alloc_reaches_outside_par(g, fx);
+    let reach = reach_outside_par(g, |id| fx.own_alloc[id].is_some());
     let mut diags = Vec::new();
     for file in set.files.values() {
         if file.ctx.layer_key() == "par" || file.ctx.non_library {
@@ -711,32 +575,20 @@ mod tests {
     }
 
     #[test]
-    fn captured_mut_and_interior_mutability_fire() {
+    fn locks_and_atomics_fire() {
         let diags = run(&[(
             "crates/tensor/src/ops.rs",
-            "pub fn bad(xs: &[f32], total: &mut f32, cell: &std::sync::Mutex<f32>) {\n\
+            "pub fn bad(xs: &[f32], cell: &std::sync::Mutex<f32>, n: &AtomicU64) {\n\
                  let _ = gnn_dm_par::par_map_collect(xs, |_, &x| {\n\
-                     *(&mut *total) += x;\n\
                      cell.lock();\n\
+                     n.fetch_add(1, Ordering::Relaxed);\n\
                      x\n\
                  });\n\
              }\n",
         )]);
-        assert!(diags.iter().any(|d| d.message.contains("&mut total")), "{diags:?}");
-        assert!(diags.iter().any(|d| d.message.contains(".lock()")), "{diags:?}");
+        assert!(diags.iter().any(|d| d.line == 3 && d.message.contains(".lock()")), "{diags:?}");
+        assert!(diags.iter().any(|d| d.line == 4 && d.message.contains(".fetch_add()")), "{diags:?}");
         assert!(diags.iter().all(|d| d.rule == "R001"));
-    }
-
-    #[test]
-    fn static_mut_access_fires() {
-        let diags = run(&[(
-            "crates/tensor/src/ops.rs",
-            "static mut COUNTER: u64 = 0;\n\
-             pub fn bad(xs: &[f32]) -> Vec<f32> {\n\
-                 gnn_dm_par::par_map_collect(xs, |_, &x| { unsafe { COUNTER += 1 }; x })\n\
-             }\n",
-        )]);
-        assert!(diags.iter().any(|d| d.message.contains("COUNTER")), "{diags:?}");
     }
 
     #[test]

@@ -28,22 +28,6 @@ pub const DETERMINISTIC_CRATES: &[&str] =
 const ENTROPY_IDENTS: &[&str] =
     &["thread_rng", "ThreadRng", "from_entropy", "from_os_rng", "OsRng", "getrandom"];
 
-/// Host↔device byte-movement entry points that must live in `gnn-dm-device`
-/// (A001 scope), so the transfer ledger observes every byte.
-const TRANSFER_IDENTS: &[&str] = &[
-    "cudaMemcpy",
-    "cudaMemcpyAsync",
-    "hipMemcpy",
-    "memcpy_h2d",
-    "memcpy_d2h",
-    "memcpy_htod",
-    "memcpy_dtoh",
-    "host_to_device",
-    "device_to_host",
-    "dma_copy",
-    "raw_transfer",
-];
-
 /// Analytic cost-model entry points (A002 scope): pricing a transfer or
 /// batch by calling these directly, instead of going through the
 /// `gnn_dm_device::traced` adapters or another span-emitting entry point,
@@ -76,38 +60,6 @@ const ASSERT_MACROS: &[&str] = &[
 /// Panic-family macros banned from library code (P001 scope).
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
 
-/// Axis-implementation entry points experiments must not reach directly
-/// (H001 scope). Each one is a concrete partitioner / cache / fault-plan /
-/// resilience-policy constructor that a harness axis value builds from
-/// its spec; an experiment that calls it bypasses `SystemConfig`, so the
-/// config id printed next to its numbers no longer names the system that
-/// produced them.
-const HARNESS_AXIS_IDENTS: &[&str] = &[
-    "partition_graph",
-    "metis_extend",
-    "metis_clusters",
-    "multilevel_partition",
-    "hash_vertices",
-    "stream_v",
-    "stream_v_fast",
-    "stream_b",
-    "stream_b_fast",
-    "FeatureCache",
-    "FaultPlan",
-    "ResiliencePolicy",
-];
-
-/// Where the experiment rows and their `run` functions live (H001 scope).
-/// The bench crate's binary, `gnn-dm-exp`, only dispatches and is outside
-/// it.
-const EXPERIMENTS_DIR: &str = "crates/bench/src/experiments/";
-
-/// Integer type names a narrowing-or-reinterpreting `as` cast can target
-/// (C001 scope). `as f64` widening for ratio math is not in scope.
-const INT_CAST_TARGETS: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-];
-
 /// What kind of file a path denotes, for rule scoping.
 #[derive(Debug, Clone)]
 pub struct FileCtx {
@@ -124,8 +76,6 @@ pub struct FileCtx {
     pub non_library: bool,
     /// True when D002 applies (file belongs to a deterministic crate).
     pub deterministic_crate: bool,
-    /// True for `crates/device/**`, where A001's transfer APIs belong.
-    pub device_crate: bool,
     /// True where raw `std::thread` primitives are the implementation
     /// (T001 scope): the parallel substrate itself, nowhere else.
     pub threads_allowed: bool,
@@ -135,13 +85,6 @@ pub struct FileCtx {
     /// modules (the pure pricing helpers and the span-emitting epoch
     /// timelines built directly on them).
     pub cost_calls_allowed: bool,
-    /// True for crates whose integer arithmetic *is* the paper's byte and
-    /// edge accounting (C001 scope): `device`, `trace`, `cluster`.
-    pub accounting_crate: bool,
-    /// True for experiment code ([`EXPERIMENTS_DIR`]), which must assemble
-    /// systems-under-test through the harness registry instead of
-    /// constructing axis implementations directly (H001 scope).
-    pub experiment: bool,
 }
 
 impl FileCtx {
@@ -169,14 +112,11 @@ impl FileCtx {
             deterministic_crate: crate_dir
                 .as_deref()
                 .is_some_and(|c| DETERMINISTIC_CRATES.contains(&c)),
-            device_crate: in_crate("device"),
             threads_allowed: rel.starts_with("crates/par/"),
             cost_calls_allowed: in_crate("device")
                 || non_library
                 || rel == "crates/cluster/src/network.rs"
                 || rel == "crates/cluster/src/sim.rs",
-            accounting_crate: in_crate("device") || in_crate("trace") || in_crate("cluster"),
-            experiment: rel.starts_with(EXPERIMENTS_DIR),
             crate_dir,
             rel_path: rel,
         }
@@ -202,7 +142,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
 
 /// Runs every per-file (intraprocedural) rule; suppressions NOT applied.
 /// The workspace driver calls this, merges in the interprocedural rules
-/// (E001/R001/R002 from [`crate::effects`] and [`crate::races`]), and
+/// (R001/R002/R003 from [`crate::races`] and [`crate::seeds`]), and
 /// applies suppressions once over the combined set — so one `lint:allow`
 /// covers a site regardless of which pass flagged it.
 pub(crate) fn file_checks(
@@ -215,14 +155,10 @@ pub(crate) fn file_checks(
     check_d002_hash_collections(ctx, &lexed.tokens, &mut diags);
     check_d003_ambient_entropy(ctx, &lexed.tokens, &mut diags);
     check_p001_panics(ctx, &lexed.tokens, in_test, &mut diags);
-    check_u001_unwraps(ctx, &lexed.tokens, in_test, &mut diags);
-    check_a001_transfer_apis(ctx, &lexed.tokens, &mut diags);
     check_a002_raw_cost_calls(ctx, &lexed.tokens, &mut diags);
-    check_c001_narrowing_casts(ctx, &lexed.tokens, in_test, &mut diags);
     check_f001_float_eq(ctx, &lexed.tokens, &mut diags);
     check_t001_raw_threads(ctx, &lexed.tokens, &mut diags);
     check_l001_layering(ctx, &lexed.tokens, &mut diags);
-    check_h001_direct_axis_construction(ctx, &lexed.tokens, &mut diags);
     diags
 }
 
@@ -420,84 +356,6 @@ fn check_p001_panics(
     }
 }
 
-/// U001 — `.unwrap()` / `.expect()` in *deterministic-crate* library code.
-/// Complement to P001's macro/abort focus: a deterministic pipeline that
-/// can still die on a `None` mid-epoch isn't reproducible, it's merely
-/// repeatable until the first edge case. Sites that are unreachable by
-/// construction carry `lint:allow(P001, U001) <invariant>`; everything
-/// else restructures (`unwrap_or`, `copied().unwrap_or`, `ok_or`) or
-/// returns a `Result`.
-fn check_u001_unwraps(
-    ctx: &FileCtx,
-    tokens: &[Token],
-    in_test: &[bool],
-    diags: &mut Vec<Diagnostic>,
-) {
-    if ctx.non_library || !ctx.deterministic_crate {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if in_test.get(i).copied().unwrap_or(false) || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let is_method = (t.text == "unwrap" || t.text == "expect")
-            && matches!(tokens.get(i.wrapping_sub(1)), Some(p) if p.text == "." && i > 0)
-            && matches!(tokens.get(i + 1), Some(n) if n.text == "(");
-        if is_method {
-            diags.push(Diagnostic {
-                rule: "U001",
-                file: ctx.rel_path.clone(),
-                line: t.line,
-                message: format!(
-                    "`.{}()` in a deterministic crate's library code; restructure \
-                     (`unwrap_or`, `ok_or`, `Result`) or justify with \
-                     `lint:allow(P001, U001) <invariant>`",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-/// C001 — `as <int>` casts in accounting crates (`device`, `trace`,
-/// `cluster`). The paper's conclusions are byte-accounting arguments; a
-/// silently-truncating `as usize`/`as u32` on a byte or edge counter turns
-/// an overflow into a wrong figure instead of an error. Counters widen (or
-/// saturate explicitly) through `gnn_dm_trace::convert`; `as f64` for
-/// ratio math stays out of scope.
-fn check_c001_narrowing_casts(
-    ctx: &FileCtx,
-    tokens: &[Token],
-    in_test: &[bool],
-    diags: &mut Vec<Diagnostic>,
-) {
-    if ctx.non_library || !ctx.accounting_crate {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if in_test.get(i).copied().unwrap_or(false) || t.kind != TokenKind::Ident {
-            continue;
-        }
-        if t.text != "as" {
-            continue;
-        }
-        let Some(target) = tokens.get(i + 1) else { continue };
-        if target.kind == TokenKind::Ident && INT_CAST_TARGETS.contains(&target.text.as_str()) {
-            diags.push(Diagnostic {
-                rule: "C001",
-                file: ctx.rel_path.clone(),
-                line: t.line,
-                message: format!(
-                    "`as {}` on an accounting-crate counter can truncate silently; \
-                     use gnn_dm_trace::convert (guarded widening / explicit \
-                     saturation) or `try_into` with a ledger error",
-                    target.text
-                ),
-            });
-        }
-    }
-}
-
 /// L001 (source half) — a `gnn_dm_*` identifier in crate X's sources is an
 /// inter-crate edge; it must be a self-reference or an edge of the
 /// layering DAG ([`crate::workspace::ALLOWED_EDGES`], the table DESIGN.md
@@ -509,9 +367,7 @@ fn check_l001_layering(ctx: &FileCtx, tokens: &[Token], diags: &mut Vec<Diagnost
         if t.kind != TokenKind::Ident {
             continue;
         }
-        let Some(to) = t.text.strip_prefix("gnn_dm_").filter(|r| !r.is_empty()) else {
-            continue;
-        };
+        let Some(to) = crate::workspace::gnn_ident_key(&t.text) else { continue };
         if !crate::workspace::edge_allowed(from, to) {
             let hint = if crate::workspace::allowed_deps(from).is_none() {
                 format!(
@@ -529,29 +385,6 @@ fn check_l001_layering(ctx: &FileCtx, tokens: &[Token], diags: &mut Vec<Diagnost
                 file: ctx.rel_path.clone(),
                 line: t.line,
                 message: hint,
-            });
-        }
-    }
-}
-
-/// A001 — raw host↔device transfer APIs outside `gnn-dm-device` bypass the
-/// transfer ledger, silently corrupting the paper's byte accounting
-/// (Figures 9/12 reproduce measured PCIe traffic).
-fn check_a001_transfer_apis(ctx: &FileCtx, tokens: &[Token], diags: &mut Vec<Diagnostic>) {
-    if ctx.device_crate {
-        return;
-    }
-    for t in tokens {
-        if t.kind == TokenKind::Ident && TRANSFER_IDENTS.contains(&t.text.as_str()) {
-            diags.push(Diagnostic {
-                rule: "A001",
-                file: ctx.rel_path.clone(),
-                line: t.line,
-                message: format!(
-                    "direct transfer API `{}` outside crates/device; route bytes through \
-                     gnn-dm-device so the transfer ledger stays exact",
-                    t.text
-                ),
             });
         }
     }
@@ -615,37 +448,6 @@ fn check_t001_raw_threads(ctx: &FileCtx, tokens: &[Token], diags: &mut Vec<Diagn
                     "raw `thread::{}` outside crates/par; use the gnn-dm-par \
                      substrate so results stay bitwise-identical at any thread count",
                     tokens[i + 2].text
-                ),
-            });
-        }
-    }
-}
-
-/// H001 — experiments assemble their system-under-test through the
-/// harness registry (`Registry::builtin()` → `SystemConfig::from_spec`),
-/// never by calling a partitioner / cache / fault-plan constructor
-/// directly. A direct construction makes the experiment's numbers
-/// unattributable to a `SystemConfig` id and silently drifts from the
-/// swept grid. Scope: [`EXPERIMENTS_DIR`].
-fn check_h001_direct_axis_construction(
-    ctx: &FileCtx,
-    tokens: &[Token],
-    diags: &mut Vec<Diagnostic>,
-) {
-    if !ctx.experiment {
-        return;
-    }
-    for t in tokens {
-        if t.kind == TokenKind::Ident && HARNESS_AXIS_IDENTS.contains(&t.text.as_str()) {
-            diags.push(Diagnostic {
-                rule: "H001",
-                file: ctx.rel_path.clone(),
-                line: t.line,
-                message: format!(
-                    "experiment constructs `{}` directly; assemble the system \
-                     through the harness registry (`SystemConfig::from_spec`) so the \
-                     config id names what produced these numbers",
-                    t.text
                 ),
             });
         }
@@ -799,8 +601,6 @@ mod tests {
         assert!(test.non_library && test.deterministic_crate);
         let example = FileCtx::from_rel_path("examples/partitioning_study.rs");
         assert!(example.non_library && !example.timing_allowed);
-        let device = FileCtx::from_rel_path("crates/device/src/transfer.rs");
-        assert!(device.device_crate);
     }
 
     #[test]
@@ -808,74 +608,42 @@ mod tests {
         let src = "fn lib() { let x: Option<u32> = None; }\n\
                    #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u32>.unwrap(); }\n}\n";
         assert!(rules_fired("crates/core/src/x.rs", src).is_empty());
-        // In a deterministic crate an unwrap trips both P001 and U001.
-        let bad = "fn lib(o: Option<u32>) -> u32 { o.unwrap() }\n";
-        assert_eq!(rules_fired("crates/core/src/x.rs", bad), vec!["P001", "U001"]);
-        // In a non-deterministic library crate only P001 applies.
+        let bad = "fn lib(o: Option<u32>) -> u32 { o.expect(\"set by caller\") }\n";
+        assert_eq!(rules_fired("crates/core/src/x.rs", bad), vec!["P001"]);
         assert_eq!(rules_fired("crates/nn/src/x.rs", bad), vec!["P001"]);
+        assert!(rules_fired("crates/sampling/tests/a.rs", bad).is_empty());
+        assert!(rules_fired("crates/bench/src/a.rs", bad).is_empty());
     }
 
     #[test]
     fn cfg_not_test_is_not_a_test_region() {
         let src = "#[cfg(not(test))]\nfn lib(o: Option<u32>) -> u32 { o.unwrap() }\n";
-        assert_eq!(rules_fired("crates/core/src/x.rs", src), vec!["P001", "U001"]);
+        assert_eq!(rules_fired("crates/core/src/x.rs", src), vec!["P001"]);
     }
 
     #[test]
     fn suppression_covers_same_and_next_line() {
         let trailing =
-            "fn f(o: Option<u32>) -> u32 { o.unwrap() } // lint:allow(P001, U001) checked above\n";
+            "fn f(o: Option<u32>) -> u32 { o.unwrap() } // lint:allow(P001) checked above\n";
         assert!(rules_fired("crates/core/src/x.rs", trailing).is_empty());
-        let above = "// lint:allow(P001, U001) index is bounds-checked by the caller\n\
+        let above = "// lint:allow(P001) index is bounds-checked by the caller\n\
                      fn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
         assert!(rules_fired("crates/core/src/x.rs", above).is_empty());
     }
 
     #[test]
     fn suppression_without_reason_is_s001_and_does_not_suppress() {
-        let src = "// lint:allow(P001, U001)\nfn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-        assert_eq!(rules_fired("crates/core/src/x.rs", src), vec!["P001", "S001", "U001"]);
+        let src = "// lint:allow(P001)\nfn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
+        assert_eq!(rules_fired("crates/core/src/x.rs", src), vec!["P001", "S001"]);
     }
 
     #[test]
     fn suppression_is_rule_specific() {
-        // The D002 marker suppresses nothing here: the real P001/U001
-        // diagnostics pass through AND the marker itself is stale (S002).
+        // The D002 marker suppresses nothing here: the real P001
+        // diagnostic passes through AND the marker itself is stale (S002).
         let src = "// lint:allow(D002) only P001 fires here\n\
                    fn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-        assert_eq!(rules_fired("crates/core/src/x.rs", src), vec!["P001", "S002", "U001"]);
-    }
-
-    #[test]
-    fn u001_scopes_to_deterministic_library_code() {
-        let src = "fn f(o: Option<u32>) -> u32 { o.expect(\"set by caller\") }\n";
-        assert_eq!(rules_fired("crates/sampling/src/a.rs", src), vec!["P001", "U001"]);
-        assert_eq!(rules_fired("crates/nn/src/a.rs", src), vec!["P001"]);
-        assert!(rules_fired("crates/sampling/tests/a.rs", src).is_empty());
-        assert!(rules_fired("crates/bench/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn c001_flags_integer_casts_in_accounting_crates() {
-        let src = "fn f(n: usize) -> u64 { n as u64 }\n";
-        assert_eq!(rules_fired("crates/device/src/memory.rs", src), vec!["C001"]);
-        assert_eq!(rules_fired("crates/trace/src/lib.rs", src), vec!["C001"]);
-        assert_eq!(rules_fired("crates/cluster/src/sim.rs", src), vec!["C001"]);
-        // Non-accounting crates, tests and non-library code are out of scope.
-        assert!(rules_fired("crates/graph/src/csr.rs", src).is_empty());
-        assert!(rules_fired("crates/device/tests/a.rs", src).is_empty());
-        assert!(rules_fired("crates/bench/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn c001_ignores_float_casts_and_import_renames() {
-        let float = "fn f(n: u64) -> f64 { n as f64 }\n";
-        assert!(rules_fired("crates/cluster/src/sim.rs", float).is_empty());
-        let rename = "use std::fmt::Write as _;\nuse std::fmt::Write as W;\n";
-        assert!(rules_fired("crates/trace/src/lib.rs", rename).is_empty());
-        #[rustfmt::skip]
-        let test_region = "#[cfg(test)]\nmod tests {\n    fn h(n: usize) -> u32 { n as u32 }\n}\n";
-        assert!(rules_fired("crates/device/src/cache.rs", test_region).is_empty());
+        assert_eq!(rules_fired("crates/core/src/x.rs", src), vec!["P001", "S002"]);
     }
 
     #[test]
@@ -915,20 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn h001_scopes_to_experiments() {
-        let src = "pub fn fig4() { let p = partition_graph(&g, m, 4, 7); }";
-        assert_eq!(rules_fired("crates/bench/src/experiments/partitioning.rs", src), vec!["H001"]);
-        // The bench crate's binary, its other library code and the
-        // harness itself are all out of scope.
-        assert!(rules_fired("crates/bench/src/bin/gnn-dm-exp.rs", src).is_empty());
-        assert!(rules_fired("crates/bench/src/lib.rs", src).is_empty());
-        assert!(rules_fired("crates/harness/src/axes.rs", src).is_empty());
-        // Type-name constructors count as construction sites too.
-        let cache = "pub fn fig17() { let c = FeatureCache::degree_resident(&g, n); }";
-        assert_eq!(rules_fired("crates/bench/src/experiments/transfer.rs", cache), vec!["H001"]);
-    }
-
-    #[test]
     fn f001_only_fires_on_exact_float_comparison() {
         let bad = "fn t() { assert!(x == 1.0); }";
         assert_eq!(rules_fired("crates/core/src/x.rs", bad), vec!["F001"]);
@@ -964,13 +718,6 @@ mod tests {
         let src = "#[test]\nfn t() { let mut rng = thread_rng(); }";
         assert_eq!(rules_fired("crates/bench/src/a.rs", src), vec!["D003"]);
         assert_eq!(rules_fired("tests/integration.rs", src), vec!["D003"]);
-    }
-
-    #[test]
-    fn a001_exempts_device_crate() {
-        let src = "fn f() { dma_copy(src, dst, n); }";
-        assert_eq!(rules_fired("crates/sampling/src/a.rs", src), vec!["A001"]);
-        assert!(rules_fired("crates/device/src/transfer.rs", src).is_empty());
     }
 
     #[test]
@@ -1015,9 +762,9 @@ mod tests {
     fn violations_in_strings_and_comments_do_not_fire() {
         let src = r##"
             // Instant::now() and HashMap and thread_rng() and .unwrap()
-            /* SystemTime, dma_copy(a, b, n) */
+            /* SystemTime, transfer_time(n) */
             fn f() -> &'static str { "Instant::now() HashMap thread_rng unwrap()" }
-            fn g() -> &'static str { r#"SystemTime dma_copy panic!"# }
+            fn g() -> &'static str { r#"SystemTime transfer_time(n) panic!"# }
         "##;
         assert!(rules_fired("crates/graph/src/a.rs", src).is_empty());
     }

@@ -417,7 +417,7 @@ fn parse_suppression(comment: &str, line: usize) -> Option<Suppression> {
 }
 
 /// True for rule-ID-shaped names: one or more uppercase ASCII letters
-/// followed by one or more ASCII digits (`P001`, `C001`, …).
+/// followed by one or more ASCII digits (`P001`, `R003`, …).
 fn is_rule_id(s: &str) -> bool {
     let letters: String = s.chars().take_while(|c| c.is_ascii_uppercase()).collect();
     let rest = &s[letters.len()..];

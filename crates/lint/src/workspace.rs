@@ -1,10 +1,10 @@
-//! The workspace model: manifests, symbol table, and the layering DAG.
+//! The workspace model: manifests and the layering DAG.
 //!
-//! [`Workspace::load`] parses every crate's `Cargo.toml` (a deliberately
-//! small TOML subset — exactly what this workspace uses) plus all of its
-//! sources into per-crate [`CrateModel`]s: declared dependencies with
-//! manifest line numbers, the `gnn_dm_*` crates the sources actually
-//! reference, and a table of `pub` symbols from the item parser.
+//! [`Workspace::from_fileset`] parses every crate's `Cargo.toml` (a
+//! deliberately small TOML subset — exactly what this workspace uses) into
+//! per-crate [`CrateModel`]s: declared dependencies with manifest line
+//! numbers, next to the `gnn_dm_*` crates the sources actually reference
+//! (taken from an already-loaded [`FileSet`]).
 //!
 //! On top of the model, [`check_manifests`](Workspace::check_manifests)
 //! enforces **L001**: every declared `gnn-dm-*` dependency must be an edge
@@ -13,12 +13,11 @@
 //! a tier-1 test — and must actually be referenced by the crate's sources
 //! (a declared-but-unused edge is layering erosion waiting to happen).
 
-use crate::items::parse_items;
+use crate::callgraph::FileSet;
 use crate::rules::Diagnostic;
-use crate::tokenizer::{lex, TokenKind};
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Key used for the workspace's root package in all edge tables.
 pub const ROOT_KEY: &str = "gnn-dm";
@@ -125,18 +124,7 @@ pub struct CrateManifest {
     pub deps: Vec<DepDecl>,
 }
 
-/// One `pub` item in a crate's sources.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Symbol {
-    /// Declared name (see [`crate::items::Item::name`]).
-    pub name: String,
-    /// Workspace-relative file, `/`-separated.
-    pub file: String,
-    /// 1-based declaration line.
-    pub line: usize,
-}
-
-/// One workspace crate: manifest + what its sources reference and export.
+/// One workspace crate: its manifest and what its sources reference.
 #[derive(Debug, Clone, Default)]
 pub struct CrateModel {
     /// Crate key: directory name under `crates/`, or [`ROOT_KEY`].
@@ -147,8 +135,6 @@ pub struct CrateModel {
     /// identifier tokens — comments and strings never count), excluding
     /// self-references. Sorted, deduped.
     pub refs: Vec<String>,
-    /// `pub` items declared anywhere in the crate's sources.
-    pub symbols: Vec<Symbol>,
 }
 
 /// The whole workspace: every crate model, keyed by crate key.
@@ -159,129 +145,33 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Loads the workspace under `root`: the root package plus every
-    /// `crates/*` member. Missing or unreadable manifests and sources are
-    /// skipped (the per-file lint pass reports read errors separately).
-    pub fn load(root: &Path) -> Workspace {
-        let mut ws = Workspace::default();
-        // Root package: Cargo.toml + src/, tests/, examples/.
-        if let Ok(text) = fs::read_to_string(root.join("Cargo.toml")) {
-            let manifest = parse_manifest("Cargo.toml", &text);
-            let mut model = CrateModel {
-                key: ROOT_KEY.to_string(),
-                manifest,
-                ..CrateModel::default()
-            };
-            for top in ["src", "tests", "examples"] {
-                scan_sources(root, &root.join(top), &mut model);
-            }
-            finish(&mut model);
-            ws.crates.insert(model.key.clone(), model);
+    /// Reads the manifests under `root` (the root package plus every
+    /// `crates/*` member) and takes each crate's source references from
+    /// `set`, so every `.rs` file is tokenized exactly once per lint run.
+    /// Missing or unreadable manifests are skipped; the crate then has no
+    /// model.
+    pub fn from_fileset(root: &Path, set: &FileSet) -> Workspace {
+        let mut manifests = vec![(ROOT_KEY.to_string(), "Cargo.toml".to_string())];
+        if let Ok(entries) = fs::read_dir(root.join("crates")) {
+            let mut keys: Vec<String> =
+                entries.flatten().map(|e| e.file_name().to_string_lossy().into_owned()).collect();
+            keys.sort();
+            manifests.extend(keys.into_iter().map(|k| {
+                let rel = format!("crates/{k}/Cargo.toml");
+                (k, rel)
+            }));
         }
-        // Member crates: crates/*/Cargo.toml.
-        let Ok(entries) = fs::read_dir(root.join("crates")) else { return ws };
-        let mut dirs: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-        dirs.sort();
-        for dir in dirs {
-            if !dir.is_dir() {
-                continue;
-            }
-            let Ok(text) = fs::read_to_string(dir.join("Cargo.toml")) else { continue };
-            let key = dir
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let rel_manifest = format!("crates/{key}/Cargo.toml");
-            let mut model = CrateModel {
+        let mut ws = Workspace::default();
+        for (key, rel) in manifests {
+            let Ok(text) = fs::read_to_string(root.join(&rel)) else { continue };
+            let model = CrateModel {
+                manifest: parse_manifest(&rel, &text),
+                refs: set.refs.get(&key).cloned().unwrap_or_default(),
                 key: key.clone(),
-                manifest: parse_manifest(&rel_manifest, &text),
-                ..CrateModel::default()
             };
-            scan_sources(root, &dir, &mut model);
-            finish(&mut model);
             ws.crates.insert(key, model);
         }
         ws
-    }
-
-    /// Builds the same model as [`Workspace::load`], but reuses an
-    /// already-loaded [`crate::callgraph::FileSet`] for the source half:
-    /// only the manifests are read from disk; refs and symbols come from
-    /// the set's existing token streams and item tables. This is the
-    /// single-pass path [`crate::lint_workspace`] takes — every `.rs`
-    /// file is tokenized and parsed exactly once per lint run.
-    /// (`load` remains for the fixture-workspace tests that model a
-    /// directory tree without a `FileSet`.)
-    pub fn from_fileset(root: &Path, set: &crate::callgraph::FileSet) -> Workspace {
-        let mut ws = Workspace::default();
-        if let Ok(text) = fs::read_to_string(root.join("Cargo.toml")) {
-            let model = CrateModel {
-                key: ROOT_KEY.to_string(),
-                manifest: parse_manifest("Cargo.toml", &text),
-                ..CrateModel::default()
-            };
-            ws.crates.insert(model.key.clone(), model);
-        }
-        if let Ok(entries) = fs::read_dir(root.join("crates")) {
-            let mut dirs: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-            dirs.sort();
-            for dir in dirs {
-                let Ok(text) = fs::read_to_string(dir.join("Cargo.toml")) else { continue };
-                let key = dir
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                let rel_manifest = format!("crates/{key}/Cargo.toml");
-                let model = CrateModel {
-                    key: key.clone(),
-                    manifest: parse_manifest(&rel_manifest, &text),
-                    ..CrateModel::default()
-                };
-                ws.crates.insert(key, model);
-            }
-        }
-        for file in set.files.values() {
-            let Some(model) = ws.crates.get_mut(file.ctx.layer_key()) else { continue };
-            for t in &file.lexed.tokens {
-                if t.kind == TokenKind::Ident {
-                    if let Some(key) = gnn_ident_key(&t.text) {
-                        if key != model.key {
-                            model.refs.push(key.to_string());
-                        }
-                    }
-                }
-            }
-            for item in &file.items {
-                if item.is_pub {
-                    model.symbols.push(Symbol {
-                        name: item.name.clone(),
-                        file: file.rel_path.clone(),
-                        line: item.line,
-                    });
-                }
-            }
-        }
-        for model in ws.crates.values_mut() {
-            finish(model);
-        }
-        ws
-    }
-
-    /// Looks up one crate by key.
-    pub fn get(&self, key: &str) -> Option<&CrateModel> {
-        self.crates.get(key)
-    }
-
-    /// All `pub` symbols named `name`, across crates, as
-    /// `(crate key, symbol)` — the cross-crate symbol-table query.
-    pub fn find_symbol(&self, name: &str) -> Vec<(&str, &Symbol)> {
-        let mut hits = Vec::new();
-        for (key, model) in &self.crates {
-            for sym in model.symbols.iter().filter(|s| s.name == name) {
-                hits.push((key.as_str(), sym));
-            }
-        }
-        hits
     }
 
     /// L001 manifest pass over `edges` (parameterized so fixture
@@ -356,41 +246,8 @@ fn gnn_dep_key(package: &str) -> Option<&str> {
 }
 
 /// Maps a `gnn_dm_*` source identifier to its crate key.
-fn gnn_ident_key(ident: &str) -> Option<&str> {
+pub(crate) fn gnn_ident_key(ident: &str) -> Option<&str> {
     ident.strip_prefix("gnn_dm_").filter(|rest| !rest.is_empty())
-}
-
-/// Walks `dir` for `.rs` sources (skipping the same dirs as the file
-/// scan), lexing each into `model.refs` and `model.symbols`.
-fn scan_sources(root: &Path, dir: &Path, model: &mut CrateModel) {
-    let mut files = Vec::new();
-    crate::collect_rs_files(dir, &mut files);
-    files.sort();
-    for file in files {
-        let Ok(src) = fs::read_to_string(&file) else { continue };
-        let rel = crate::relative_path(root, &file);
-        let lexed = lex(&src);
-        for t in &lexed.tokens {
-            if t.kind == TokenKind::Ident {
-                if let Some(key) = gnn_ident_key(&t.text) {
-                    if key != model.key {
-                        model.refs.push(key.to_string());
-                    }
-                }
-            }
-        }
-        for item in parse_items(&lexed.tokens) {
-            if item.is_pub {
-                model.symbols.push(Symbol { name: item.name, file: rel.clone(), line: item.line });
-            }
-        }
-    }
-}
-
-/// Sorts and dedups the accumulated refs.
-fn finish(model: &mut CrateModel) {
-    model.refs.sort();
-    model.refs.dedup();
 }
 
 /// Parses the `Cargo.toml` subset this workspace uses: `[package] name`,
@@ -525,7 +382,6 @@ mod tests {
                     ],
                 },
                 refs: vec!["graph".to_string()],
-                symbols: vec![],
             },
         );
         let diags = ws.check_manifests(ALLOWED_EDGES);
@@ -551,7 +407,6 @@ mod tests {
                     deps: vec![],
                 },
                 refs: vec![],
-                symbols: vec![],
             },
         );
         let diags = ws.check_manifests(ALLOWED_EDGES);

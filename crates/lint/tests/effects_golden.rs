@@ -2,8 +2,8 @@
 //!
 //! `gnn-dm-par` sits under every hot path, so its effect signature is a
 //! workspace-wide contract: the dispatchers may allocate and take the
-//! pool's locks, but none of them may touch io or entropy, panic on the
-//! library path, or seed an RNG outside the `split_seed` discipline. If a
+//! pool's locks, but none of them may touch io or entropy, or seed an RNG
+//! outside the `split_seed` discipline (P001 keeps them panic-free). If a
 //! change grows one of those effects, this test names it before any
 //! experiment misbehaves.
 
@@ -16,7 +16,7 @@ use std::path::PathBuf;
 // visibility as public, which is useful here: the pool's dispatch and
 // background-source paths are pinned to alloc+lock (spawn bookkeeping and
 // the state mutex) and the cursor to lock-free-but-atomic `lock`, with
-// io/entropy/panic forever off-limits. `thread_count` reads its
+// io/entropy forever off-limits. `thread_count` reads its
 // once-per-process default through a `OnceLock`.
 const GOLDEN: &str = "\
 | fn | effects | raw-seed |

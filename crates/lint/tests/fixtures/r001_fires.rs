@@ -10,18 +10,6 @@ pub fn locked_accumulator(items: &[u64], total: &Mutex<u64>) -> Vec<u64> {
     })
 }
 
-fn bump(counter: &mut u64) {
-    *counter += 1;
-}
-
-pub fn captured_mutation(items: &[u64]) -> Vec<u64> {
-    let mut hits = 0u64;
-    gnn_dm_par::par_map_collect(items, |_i, x| {
-        bump(&mut hits); // &mut on a binding captured from outside
-        *x
-    })
-}
-
 fn log_item(x: u64) {
     println!("{x}"); // io effect
 }

@@ -157,8 +157,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Function-name pool for generated mini-workspaces. Includes names that
-/// collide with effect witnesses (`unwrap` is a *method* witness only, so a
-/// free fn named `lock` must not confuse the passes).
+/// collide with witnesses (`lock` is a *method* witness only, so a free fn
+/// named `lock` must not confuse the passes).
 const FN_POOL: &[&str] = &["alpha", "beta", "gamma", "delta", "lock", "unwrap_all"];
 
 /// Files generated workspaces spread their fns across — two crates plus a
@@ -246,14 +246,14 @@ proptest! {
         }
     }
 
-    /// Building twice from the same sources yields byte-identical JSON and
-    /// DOT dumps (BTreeMap ordering, no iteration-order leaks).
+    /// Building twice from the same sources yields identical nodes and
+    /// edges (BTreeMap ordering, no iteration-order leaks).
     #[test]
     fn call_graph_deterministic(files in arb_mini_workspace()) {
         let (set_a, graph_a) = build(&files);
         let (_, graph_b) = build(&files);
-        prop_assert_eq!(graph_a.to_json(), graph_b.to_json());
-        prop_assert_eq!(graph_a.to_dot(), graph_b.to_dot());
+        prop_assert_eq!(&graph_a.nodes, &graph_b.nodes);
+        prop_assert_eq!(&graph_a.edges, &graph_b.edges);
         let fx_a = gnn_dm_lint::effects::infer(&set_a, &graph_a);
         let fx_b = gnn_dm_lint::effects::infer(&set_a, &graph_a);
         prop_assert_eq!(fx_a.mask, fx_b.mask);
@@ -261,8 +261,8 @@ proptest! {
     }
 
     /// The graph is a function of the file *set*, not the order files are
-    /// fed in: any permutation produces byte-identical dumps and the same
-    /// dataflow diagnostics.
+    /// fed in: any permutation produces identical nodes and edges and the
+    /// same dataflow diagnostics.
     #[test]
     fn call_graph_independent_of_file_order(
         files in arb_mini_workspace(),
@@ -271,7 +271,8 @@ proptest! {
         let shuffled = permute(&files, &swaps);
         let (_, graph_a) = build(&files);
         let (_, graph_b) = build(&shuffled);
-        prop_assert_eq!(graph_a.to_json(), graph_b.to_json());
+        prop_assert_eq!(&graph_a.nodes, &graph_b.nodes);
+        prop_assert_eq!(&graph_a.edges, &graph_b.edges);
         let borrowed_a: Vec<(&str, &str)> =
             files.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
         let borrowed_b: Vec<(&str, &str)> =

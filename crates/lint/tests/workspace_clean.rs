@@ -1,9 +1,9 @@
 //! Tier-1 gate: the whole workspace must stay lint-clean forever.
 //!
-//! `cargo test` runs this alongside the unit suites, so any commit that
-//! reintroduces wall-clock reads, hash-ordered collections, ambient
-//! entropy, library panics, unledgered transfers or exact float assertions
-//! fails CI with the full diagnostic list.
+//! `cargo test --workspace` runs this alongside the unit suites, so any
+//! commit that reintroduces wall-clock reads, hash-ordered collections,
+//! ambient entropy, library panics, untraced cost-model calls or exact
+//! float assertions fails CI with the full diagnostic list.
 
 use std::path::PathBuf;
 

@@ -159,6 +159,40 @@ where
 /// order. `f` is pure per element (it sees only the index and the item), and
 /// reassembly is by index, so the output is bitwise-identical to
 /// `items.iter().enumerate().map(...).collect()` at any thread count.
+///
+/// Work units share no mutable state, and the `Fn + Sync` bound makes that
+/// a type error rather than a convention. Return per-unit values and merge
+/// them serially:
+///
+/// ```
+/// let xs = [1u64, 2, 3];
+/// let per_unit = gnn_dm_par::par_map_collect(&xs, |_, &x| x * x);
+/// let total: u64 = per_unit.iter().sum();
+/// assert_eq!(total, 14);
+/// ```
+///
+/// A closure that takes `&mut` to a captured binding does not compile:
+///
+/// ```compile_fail,E0596
+/// let xs = [1u64, 2, 3];
+/// let mut hits = 0u64;
+/// let bump = |n: &mut u64| *n += 1;
+/// let _ = gnn_dm_par::par_map_collect(&xs, |_, &x| {
+///     bump(&mut hits);
+///     x
+/// });
+/// ```
+///
+/// and neither does one that captures a `Cell`:
+///
+/// ```compile_fail,E0277
+/// let xs = [1u64, 2, 3];
+/// let hits = std::cell::Cell::new(0u64);
+/// let _ = gnn_dm_par::par_map_collect(&xs, |_, &x| {
+///     hits.set(hits.get() + 1);
+///     x
+/// });
+/// ```
 pub fn par_map_collect<I, O, F>(items: &[I], f: F) -> Vec<O>
 where
     I: Sync,

@@ -1,10 +1,9 @@
 //! Checked counter conversions for the accounting crates.
 //!
-//! The C001 lint bans bare `as <int>` casts in `device`/`trace`/`cluster`
-//! library code: a silently-truncating cast on a byte or edge counter
-//! turns an overflow into a *wrong figure* instead of an error, and the
-//! paper's conclusions are exactly those figures. This module is the one
-//! place such conversions happen, each with its contract spelled out:
+//! A silently-truncating `as` cast on a byte or edge counter turns an
+//! overflow into a *wrong figure* instead of an error, and the paper's
+//! conclusions are exactly those figures. These helpers name each
+//! conversion's contract:
 //!
 //! - **Guarded widenings** (`u64_of_usize`, `u64_of_u32`, `usize_of_u32`)
 //!   are lossless by construction; compile-time assertions pin the
@@ -31,18 +30,18 @@ const _: () = assert!(
 /// Widens a `usize` counter to the `u64` ledger domain. Lossless on every
 /// supported target (checked at compile time above).
 pub const fn u64_of_usize(n: usize) -> u64 {
-    n as u64 // lint:allow(C001) guarded widening: const assert pins usize <= 64 bits
+    n as u64 // guarded widening: const assert pins usize <= 64 bits
 }
 
 /// Widens a `u32` id or count to the `u64` ledger domain. Always lossless.
 pub const fn u64_of_u32(v: u32) -> u64 {
-    v as u64 // lint:allow(C001) guarded widening: u32 always fits u64
+    v as u64 // guarded widening: u32 always fits u64
 }
 
 /// Widens a `u32` id to `usize` for indexing. Lossless on every supported
 /// target (checked at compile time above).
 pub const fn usize_of_u32(v: u32) -> usize {
-    v as usize // lint:allow(C001) guarded widening: const assert pins usize >= 32 bits
+    v as usize // guarded widening: const assert pins usize >= 32 bits
 }
 
 /// Narrows an in-memory index (worker id, partition id, node count) to
@@ -65,13 +64,13 @@ pub fn usize_of_u64_sat(n: u64) -> usize {
 /// negative and NaN inputs to 0, overflow saturating. Callers round first
 /// if round-to-nearest is intended.
 pub fn u64_of_f64_model(x: f64) -> u64 {
-    x as u64 // lint:allow(C001) documented float->counter fence: saturating cast semantics are the contract
+    x as u64 // float->counter fence: saturating cast semantics are the contract
 }
 
 /// [`u64_of_f64_model`] for `usize`-shaped results (row counts, capacity
 /// estimates).
 pub fn usize_of_f64_model(x: f64) -> usize {
-    x as usize // lint:allow(C001) documented float->counter fence: saturating cast semantics are the contract
+    x as usize // float->counter fence: saturating cast semantics are the contract
 }
 
 #[cfg(test)]

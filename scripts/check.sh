@@ -89,14 +89,5 @@ if ! grep -q '"violations":0' <<<"${lint_json}"; then
 fi
 scripts/lint_schema.sh <<<"${lint_json}"
 
-echo "==> gnn-dm-lint dataflow rules (E001/R001/R002/R003 subset must be clean)"
-df_json="$(cargo run -q -p gnn-dm-lint -- --rule=E001,R001,R002,R003 --format=json)"
-grep -q '"violations":0' <<<"${df_json}" || {
-    echo "${df_json}"
-    echo "FAIL: interprocedural rules reported violations" >&2
-    exit 1
-}
-scripts/lint_schema.sh <<<"${df_json}" >/dev/null
-
 echo "OK: build, tests and lint all green"
 echo "(performance numbers: bash benchmark/run.sh)"
