@@ -1,8 +1,10 @@
 //! The experiment driver: runs rows of [`gnn_dm_bench::experiments::EXPERIMENTS`].
 //!
-//!   gnn-dm-exp <name>...     run the named experiments, in the order given
-//!   gnn-dm-exp all           run the whole suite, in table order
-//!   gnn-dm-exp --list        one line per row: name, `results/` stem (or `-`), paper reference
+//! ```text
+//! gnn-dm-exp <name>...     run the named experiments, in the order given
+//! gnn-dm-exp all           run the whole suite, in table order
+//! gnn-dm-exp --list        one line per row: name, results/ stem (or -), paper reference
+//! ```
 //!
 //! Each run prints its tables and then the row's paper shape to stdout;
 //! the `=== name ===` separators go to stderr, so redirecting stdout of a

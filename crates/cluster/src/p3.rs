@@ -1,6 +1,6 @@
 //! P3-style hybrid (model + data) parallelism cost analysis.
 //!
-//! P3 [10] pairs hash partitioning with *intra-layer model parallelism*:
+//! P3 \[10\] pairs hash partitioning with *intra-layer model parallelism*:
 //! every machine stores a slice of the feature dimensions for **all**
 //! vertices, computes a partial first-layer aggregation over its slice, and
 //! all-reduces the (narrow) layer-1 activations — so raw high-dimensional

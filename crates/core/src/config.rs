@@ -1,8 +1,4 @@
-//! Serializable experiment configuration.
-//!
-//! Every bench binary builds one of these (or several, for sweeps); the
-//! fields mirror §4's experimental setup plus the knobs each experiment
-//! varies.
+//! Serializable experiment configuration: the model kind (§4).
 
 use serde::{Deserialize, Serialize};
 
@@ -15,91 +11,15 @@ pub enum ModelKind {
     Sage,
 }
 
-/// One experiment's full configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExperimentConfig {
-    /// Dataset name from the registry (Table 2).
-    pub dataset: String,
-    /// Synthetic stand-in scale (vertices).
-    pub scale_vertices: usize,
-    /// Model kind.
-    pub model: ModelKind,
-    /// Hidden width (paper default 128).
-    pub hidden: usize,
-    /// Per-layer fanouts, output layer first (paper default (25, 10)).
-    pub fanouts: Vec<usize>,
-    /// Mini-batch size (paper default 6000).
-    pub batch_size: usize,
-    /// Number of workers/partitions (paper: 4 nodes).
-    pub workers: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Maximum training epochs.
-    pub max_epochs: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        ExperimentConfig {
-            dataset: "OGB-Arxiv".to_string(),
-            scale_vertices: 10_000,
-            model: ModelKind::Gcn,
-            hidden: 128,
-            fanouts: vec![25, 10],
-            batch_size: 6000,
-            workers: 4,
-            lr: 0.01,
-            max_epochs: 30,
-            seed: 42,
-        }
-    }
-}
-
-impl ExperimentConfig {
-    /// A laptop-scale configuration for quick experiments: smaller graph,
-    /// hidden width and batch size, same structure.
-    pub fn small() -> Self {
-        ExperimentConfig {
-            scale_vertices: 4000,
-            hidden: 32,
-            fanouts: vec![10, 5],
-            batch_size: 256,
-            max_epochs: 15,
-            ..Default::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn default_matches_paper() {
-        let c = ExperimentConfig::default();
-        assert_eq!(c.hidden, 128);
-        assert_eq!(c.fanouts, vec![25, 10]);
-        assert_eq!(c.batch_size, 6000);
-        assert_eq!(c.workers, 4);
-    }
-
-    #[test]
-    fn small_config_is_smaller() {
-        let c = ExperimentConfig::small();
-        let d = ExperimentConfig::default();
-        assert!(c.scale_vertices < d.scale_vertices);
-        assert!(c.batch_size < d.batch_size);
-        assert_eq!(c.workers, d.workers);
-    }
-
-    /// Compile-time check that the config implements Serialize/Deserialize
-    /// (the bench harness persists sweeps).
+    /// Compile-time check that the model kind implements
+    /// Serialize/Deserialize.
     #[test]
     fn serde_bounds_hold() {
         fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<ExperimentConfig>();
         assert_serde::<ModelKind>();
     }
 }

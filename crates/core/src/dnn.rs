@@ -1,10 +1,14 @@
-//! The dependency-free DNN (MLP) baseline of Figure 2.
+//! A dependency-free DNN (MLP) baseline, unused.
 //!
 //! The paper contrasts GNN training with a plain 2-layer MLP trained on the
 //! same vertex features: because DNN samples are independent, batch
 //! preparation is a shuffle, data transfer moves exactly `batch_size` rows,
-//! and NN computation dominates. This module provides that baseline with
-//! the same losses/optimizers as the GNN stack.
+//! and NN computation dominates. Figure 2's comparison
+//! (`breakdown::dnn_breakdown`) prices that MLP analytically and never
+//! builds one, so nothing calls this module. It stays only because it holds
+//! this crate's one use of `gnn-dm-tensor`: deleting it means dropping that
+//! dependency from the manifest, which changes the frozen benchmark's lock
+//! file, so it goes in the next change that re-baselines the benchmark.
 
 use gnn_dm_nn::loss::softmax_cross_entropy;
 use gnn_dm_nn::optim::Optimizer;

@@ -6,13 +6,14 @@
 //! data transferring → NN computation) and provides the runners behind
 //! every experiment:
 //!
-//! * [`config`] — serializable experiment configurations;
+//! * [`config`] — the serializable model kind;
 //! * [`trainer`] — the single-node heterogeneous (CPU+GPU) trainer with
 //!   pluggable transfer method, pipeline mode and GPU cache (§7);
 //! * [`convergence`] — time-to-accuracy runners, single-node and
 //!   distributed (§5.3.4, §6);
 //! * [`breakdown`] — the GNN-vs-DNN step-time breakdown of Figure 2;
-//! * [`dnn`] — the dependency-free MLP baseline used by that comparison;
+//! * [`dnn`] — a dependency-free MLP baseline that nothing uses: that
+//!   comparison prices its MLP analytically;
 //! * [`taxonomy`] — Tables 1, 2, 3 and 5 as data;
 //! * [`results`] — fixed-width table / CSV rendering shared by the bench
 //!   binaries.
@@ -27,5 +28,4 @@ pub mod results;
 pub mod taxonomy;
 pub mod trainer;
 
-pub use config::ExperimentConfig;
 pub use trainer::{EpochTimings, HeteroTrainer, HeteroTrainerConfig};

@@ -4,7 +4,7 @@
 //! vertices a batch touches are packed into fixed-size regions of the
 //! feature array: blocks with many active rows favour explicit bulk
 //! transfer, sparse blocks favour fine-grained zero-copy. The paper counts
-//! activity in 256 KB units, following Pytorch-direct [30].
+//! activity in 256 KB units, following Pytorch-direct \[30\].
 
 use gnn_dm_graph::csr::VId;
 use gnn_dm_trace::convert::{usize_of_u32, usize_of_u64_sat};

@@ -4,10 +4,10 @@
 //! transfer optimization" (§7.4) because it removes bytes from the PCIe bus
 //! entirely. Two policies from the paper:
 //!
-//! * **degree-based** (PaGraph [24]) — static; cache the highest out-degree
+//! * **degree-based** (PaGraph \[24\]) — static; cache the highest out-degree
 //!   vertices, assuming high degree ⇒ frequently sampled. Works on
 //!   power-law graphs, fails on flat-degree graphs;
-//! * **pre-sampling-based** (GNNLab [59]) — run a few profiling epochs,
+//! * **pre-sampling-based** (GNNLab \[59\]) — run a few profiling epochs,
 //!   count actual feature accesses, cache the hottest vertices. Robust on
 //!   both graph shapes.
 

@@ -27,12 +27,6 @@ impl ComputeModel {
         ComputeModel { flops: 1.2e12, launch_overhead: 30.0e-6 }
     }
 
-    /// A 40-vCPU Skylake node running the sampler (~0.1 GFLOP-equivalent
-    /// per edge-touch accounting, see [`sampling_seconds`]).
-    pub fn cpu_skylake_40c() -> Self {
-        ComputeModel { flops: 1.0e11, launch_overhead: 0.0 }
-    }
-
     /// Seconds to execute `flops` floating-point operations.
     pub fn seconds_for_flops(&self, flops: f64) -> f64 {
         assert!(flops >= 0.0, "negative flops");
@@ -108,14 +102,6 @@ mod tests {
         // SAGE doubles the GEMM fan-in.
         let sage = minibatch_flops(&mb, &dims, true);
         assert!(sage > 400.0);
-    }
-
-    #[test]
-    fn gpu_faster_than_cpu() {
-        let flops = 1.0e9;
-        let gpu = ComputeModel::gpu_t4().seconds_for_flops(flops);
-        let cpu = ComputeModel::cpu_skylake_40c().seconds_for_flops(flops);
-        assert!(gpu < cpu, "gpu {gpu} vs cpu {cpu}");
     }
 
     #[test]

@@ -101,17 +101,6 @@ impl LinkModel {
         self.latency + bytes / bw
     }
 
-    /// Time for `transactions` separate transfers totalling `bytes`
-    /// (fine-grained access pays latency per transaction). Total and
-    /// panic-free, like [`LinkModel::transfer_time`].
-    pub fn transfer_time_transactions(&self, bytes: Bytes, transactions: u64) -> Seconds {
-        let bw = self.effective_bandwidth();
-        if !(bw.0 > 0.0) {
-            return Seconds(f64::INFINITY);
-        }
-        self.latency * transactions as f64 + bytes / bw
-    }
-
     /// A copy of this link with a different efficiency (used by the
     /// zero-copy model, which cannot saturate the bus).
     pub fn with_efficiency(&self, efficiency: f64) -> Result<LinkModel, LinkError> {
@@ -148,14 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn transactions_pay_latency_each() {
-        let link = LinkModel::pcie_gen3_x16();
-        let bulk = link.transfer_time_transactions(Bytes(1_000_000), 1);
-        let fine = link.transfer_time_transactions(Bytes(1_000_000), 10_000);
-        assert!(fine > bulk * 2.0, "10k transactions must be much slower");
-    }
-
-    #[test]
     fn efficiency_slows_transfers() {
         let link = LinkModel::pcie_gen3_x16();
         let slow = link.with_efficiency(0.5).unwrap();
@@ -189,7 +170,6 @@ mod tests {
         let broken = tiny.expect("a subnormal bandwidth is finite and positive");
         assert_eq!(broken.effective_bandwidth(), BytesPerSec(0.0));
         assert!(broken.transfer_time(Bytes(1)).0.is_infinite());
-        assert!(broken.transfer_time_transactions(Bytes(1), 2).0.is_infinite());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Traced cost adapters — the sanctioned bridge from analytic price
 //! models to timeline spans.
 //!
-//! Lint rule A002 flags raw `transfer_time*`/`time_*` pricing calls
+//! Lint rule A002 flags raw `transfer_time`/`time_*` pricing calls
 //! outside `crates/device`, so that every modelled second and byte lands
 //! on a [`Timeline`] lane instead of being summed by hand at scattered
 //! call sites. Code elsewhere in the workspace prices work through these
@@ -29,22 +29,6 @@ pub fn link_transfer(
 ) -> f64 {
     let meta = SpanMeta { bytes, ..meta };
     tl.schedule(resource, kind, ready, link.transfer_time(bytes), meta)
-}
-
-/// Like [`link_transfer`], for `transactions` fine-grained transfers
-/// totalling `bytes` (latency paid per transaction).
-pub fn link_transfer_transactions(
-    tl: &mut Timeline,
-    resource: Resource,
-    kind: SpanKind,
-    ready: f64,
-    link: &LinkModel,
-    bytes: Bytes,
-    transactions: u64,
-    meta: SpanMeta,
-) -> f64 {
-    let meta = SpanMeta { bytes, ..meta };
-    tl.schedule(resource, kind, ready, link.transfer_time_transactions(bytes, transactions), meta)
 }
 
 /// Prices `flops` of GPU work on `gpu` and schedules it as an
@@ -80,24 +64,6 @@ mod tests {
         assert_eq!(end.to_bits(), link.transfer_time(Bytes(1_000_000)).0.to_bits());
         assert_eq!(tl.bytes_on(Resource::PcieLink), Bytes(1_000_000));
         assert_eq!(tl.spans().len(), 1);
-    }
-
-    #[test]
-    fn transactions_adapter_matches_model() {
-        let link = LinkModel::nic_10gbps();
-        let mut tl = Timeline::new();
-        let end = link_transfer_transactions(
-            &mut tl,
-            Resource::WorkerNic(0),
-            SpanKind::Exchange,
-            0.5,
-            &link,
-            Bytes(4096),
-            16,
-            SpanMeta::default(),
-        );
-        let expect = 0.5 + link.transfer_time_transactions(Bytes(4096), 16).0;
-        assert_eq!(end.to_bits(), expect.to_bits());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * **zero-copy** (UVA implicit) — GPU threads read host memory directly;
 //!   no gather, but fine-grained PCIe transactions cannot saturate the bus
 //!   (modelled as a bandwidth-efficiency discount).
-//! * **hybrid** (HyTGraph [51]) — per 256 KB block: explicit when the
+//! * **hybrid** (HyTGraph \[51\]) — per 256 KB block: explicit when the
 //!   block's active fraction reaches a threshold (transferring the whole
 //!   block), zero-copy otherwise. §7.3.1 concludes this does *not* help GNN
 //!   training because sampled accesses are uniformly fragmented.

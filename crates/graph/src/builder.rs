@@ -29,11 +29,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of edges currently queued (before dedup).
-    pub fn num_queued_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Queues a directed edge. Out-of-range endpoints panic at build time.
     #[inline]
     pub fn add_edge(&mut self, u: VId, v: VId) {

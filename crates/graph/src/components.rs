@@ -43,12 +43,6 @@ impl UnionFind {
         self.size[big as usize] += self.size[small as usize];
         true
     }
-
-    /// Size of `x`'s set.
-    pub fn set_size(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.size[r as usize]
-    }
 }
 
 /// Weakly connected component id per vertex (0-based, dense, ordered by
@@ -125,13 +119,15 @@ mod tests {
     }
 
     #[test]
-    fn union_find_sizes() {
+    fn union_find_merges() {
         let mut uf = UnionFind::new(5);
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2), "already merged");
-        assert_eq!(uf.set_size(2), 3);
-        assert_eq!(uf.set_size(4), 1);
+        let root = uf.find(0);
+        assert_eq!((uf.find(1), uf.find(2)), (root, root));
+        assert_ne!(uf.find(3), root);
+        assert_ne!(uf.find(4), root);
     }
 
     #[test]

@@ -117,15 +117,6 @@ pub fn parse_edge_list<R: BufRead>(
     Ok(ParsedEdgeList { csr, original_ids, skipped_lines: skipped })
 }
 
-/// Parses an edge-list file from disk.
-pub fn load_edge_list(
-    path: &std::path::Path,
-    options: &EdgeListOptions,
-) -> Result<ParsedEdgeList, ParseError> {
-    let reader = std::io::BufReader::new(std::fs::File::open(path)?);
-    parse_edge_list(reader, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -242,60 +242,6 @@ pub fn erdos_renyi(n: usize, m: usize, num_classes: usize, feat_dim: usize, seed
     Graph { out, inn, features, labels, num_classes, split }
 }
 
-/// R-MAT edge generator (`a + b + c + d = 1`), symmetrized. Produces heavy
-/// power-law skew with the classic (0.57, 0.19, 0.19, 0.05) parameters;
-/// labels/features are planted from a post-hoc clustering of vertex id
-/// blocks so the graph is still trainable.
-pub fn rmat(
-    scale: u32,
-    avg_degree: f64,
-    params: (f64, f64, f64, f64),
-    num_classes: usize,
-    feat_dim: usize,
-    seed: u64,
-) -> Graph {
-    let (a, b, c, d) = params;
-    assert!((a + b + c + d - 1.0).abs() < 1e-9, "R-MAT parameters must sum to 1");
-    let n = 1usize << scale;
-    let m = ((n as f64) * avg_degree / 2.0).round() as usize;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::with_capacity(n, m * 2);
-    for _ in 0..m {
-        let (mut lo_u, mut hi_u) = (0usize, n);
-        let (mut lo_v, mut hi_v) = (0usize, n);
-        while hi_u - lo_u > 1 {
-            let r: f64 = rng.random();
-            let mid_u = (lo_u + hi_u) / 2;
-            let mid_v = (lo_v + hi_v) / 2;
-            if r < a {
-                hi_u = mid_u;
-                hi_v = mid_v;
-            } else if r < a + b {
-                hi_u = mid_u;
-                lo_v = mid_v;
-            } else if r < a + b + c {
-                lo_u = mid_u;
-                hi_v = mid_v;
-            } else {
-                lo_u = mid_u;
-                lo_v = mid_v;
-            }
-        }
-        if lo_u != lo_v {
-            builder.add_undirected(lo_u as VId, lo_v as VId);
-        }
-    }
-    let out = builder.build_symmetric();
-    let inn = out.clone();
-    // Labels from contiguous id blocks: R-MAT's recursive construction makes
-    // nearby ids more densely connected, so the blocks are weak communities.
-    let block = n.div_ceil(num_classes);
-    let labels: Vec<u32> = (0..n).map(|v| ((v / block) as u32).min(num_classes as u32 - 1)).collect();
-    let features = class_centroid_features(&labels, num_classes, feat_dim, 1.2, seed ^ 3);
-    let split = SplitMask::paper_default(n, seed ^ 4);
-    Graph { out, inn, features, labels, num_classes, split }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,13 +318,5 @@ mod tests {
         assert_eq!(g.num_vertices(), 500);
         assert!(g.validate().is_ok());
         assert!(g.out.is_symmetric());
-    }
-
-    #[test]
-    fn rmat_is_skewed() {
-        let g = rmat(11, 12.0, (0.57, 0.19, 0.19, 0.05), 8, 16, 5);
-        assert!(g.validate().is_ok());
-        let gini = stats::degree_gini(&g.out);
-        assert!(gini > 0.4, "rmat gini {gini}");
     }
 }

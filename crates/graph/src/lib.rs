@@ -10,7 +10,7 @@
 //! * [`Graph`] — a labelled, feature-carrying graph with train/val/test
 //!   splits, the unit every experiment operates on;
 //! * [`generate`] — synthetic generators (planted-partition power-law,
-//!   Erdős–Rényi, R-MAT) used to substitute the paper's real datasets;
+//!   Erdős–Rényi) used to substitute the paper's real datasets;
 //! * [`datasets`] — a registry of the paper's nine benchmark datasets with
 //!   their published statistics and scaled synthetic stand-ins;
 //! * [`stats`] — degree/clustering statistics used by §5.3.1 and §6.3.2;

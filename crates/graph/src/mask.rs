@@ -81,12 +81,6 @@ impl SplitMask {
         self.assignment[v as usize]
     }
 
-    /// `true` if `v` is a training vertex.
-    #[inline]
-    pub fn is_train(&self, v: VId) -> bool {
-        self.assignment[v as usize] == Split::Train
-    }
-
     /// All vertices in the given split, ascending.
     pub fn vertices_in(&self, split: Split) -> Vec<VId> {
         self.assignment
@@ -151,7 +145,7 @@ mod tests {
     fn all_train_when_other_ratios_zero() {
         let m = SplitMask::random(10, 1.0, 0.0, 0.0, 0);
         assert_eq!(m.counts(), (10, 0, 0));
-        assert!((0..10).all(|v| m.is_train(v)));
+        assert!((0..10).all(|v| m.split_of(v) == Split::Train));
     }
 
     #[test]

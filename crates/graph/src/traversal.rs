@@ -56,24 +56,6 @@ pub fn l_hop_set(csr: &Csr, seeds: &[VId], max_hops: usize) -> Vec<VId> {
     all
 }
 
-/// Single-source BFS distances; `usize::MAX` marks unreachable vertices.
-pub fn bfs_distances(csr: &Csr, source: VId) -> Vec<usize> {
-    let n = csr.num_vertices();
-    let mut dist = vec![usize::MAX; n];
-    dist[source as usize] = 0;
-    let mut queue = std::collections::VecDeque::from([source]);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v as usize];
-        for &u in csr.neighbors(v) {
-            if dist[u as usize] == usize::MAX {
-                dist[u as usize] = d + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    dist
-}
-
 /// Grows a block of roughly `target_size` vertices around `seed` by BFS,
 /// skipping vertices already claimed in `claimed` and claiming what it takes.
 /// Used by the ByteGNN-style block streaming partitioner (Stream-B), which
@@ -140,19 +122,6 @@ mod tests {
         let g = path_graph(6);
         assert_eq!(l_hop_set(&g, &[2], 2), vec![0, 1, 2, 3, 4]);
         assert_eq!(l_hop_set(&g, &[0], 0), vec![0]);
-    }
-
-    #[test]
-    fn bfs_distances_path() {
-        let g = path_graph(5);
-        assert_eq!(bfs_distances(&g, 0), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn bfs_unreachable() {
-        let g = Csr::from_edges(3, &[(0, 1), (1, 0)]);
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[2], usize::MAX);
     }
 
     #[test]

@@ -45,22 +45,6 @@ proptest! {
         }
     }
 
-    /// BFS distances satisfy the triangle property along edges.
-    #[test]
-    fn bfs_distance_consistency((n, edges) in arb_edges()) {
-        let csr = Csr::from_edges(n, &edges);
-        let dist = traversal::bfs_distances(&csr, 0);
-        prop_assert_eq!(dist[0], 0);
-        for (u, v) in csr.edges() {
-            if dist[u as usize] != usize::MAX {
-                prop_assert!(
-                    dist[v as usize] <= dist[u as usize] + 1,
-                    "edge ({u},{v}) violates BFS bound"
-                );
-            }
-        }
-    }
-
     /// Hop levels are disjoint and their union equals the L-hop set.
     #[test]
     fn hop_levels_partition((n, edges) in arb_edges(), hops in 0usize..4) {

@@ -305,10 +305,10 @@ pub(crate) fn alloc_witness(g: &CallGraph, fx: &Effects, reach: &[bool], from: u
 }
 
 /// R003 — the hot-path allocation audit: work closures handed to the
-/// [`PAR_FNS`] dispatchers, and the [`HOT_PATH_FNS`] kernels, must not
+/// `PAR_FNS` dispatchers, and the `HOT_PATH_FNS` kernels, must not
 /// allocate (`Vec::new` / `Box` / `format!` / `collect` without an arena),
 /// directly or through any callee. Scratch-init closures (the
-/// [`scratch_init_arg`] of the `par_*_init` dispatchers) run once per
+/// `scratch_init_arg` of the `par_*_init` dispatchers) run once per
 /// worker and are exempt.
 /// Library code only, like the other effect rules: benches, tests, and
 /// binaries measure or drive — the deliberately allocation-heavy seed

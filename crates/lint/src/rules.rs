@@ -34,7 +34,6 @@ const ENTROPY_IDENTS: &[&str] =
 /// produces seconds/bytes that never land on the trace timeline.
 const COST_IDENTS: &[&str] = &[
     "transfer_time",
-    "transfer_time_transactions",
     "time_extract_load",
     "time_zero_copy",
     "time_hybrid",
@@ -390,7 +389,7 @@ fn check_l001_layering(ctx: &FileCtx, tokens: &[Token], diags: &mut Vec<Diagnost
     }
 }
 
-/// A002 — direct cost-model pricing calls (`transfer_time*`, the
+/// A002 — direct cost-model pricing calls (`transfer_time`, the
 /// `TransferEngine::time_*` family) outside the device crate compute
 /// seconds that bypass the span timeline, so the Chrome trace and the
 /// span summaries silently under-report. Library code routes pricing

@@ -145,7 +145,7 @@ fn l001_fires_and_clean() {
 fn a002_fires_and_clean() {
     let fires = include_str!("fixtures/a002_fires.rs");
     assert_eq!(rules_fired("crates/core/src/fixture.rs", fires), vec!["A002"]);
-    assert_eq!(count("crates/core/src/fixture.rs", fires, "A002"), 5);
+    assert_eq!(count("crates/core/src/fixture.rs", fires, "A002"), 4);
     // The device crate (where the models and adapters live), the network
     // pricing helper, the span-emitting cluster simulator, and
     // non-library code may price directly.

@@ -3,9 +3,8 @@
 
 pub fn hand_priced(link: &LinkModel, engine: &TransferEngine, bt: &BatchTransfer) -> f64 {
     let bulk = link.transfer_time(1 << 20); // A002
-    let fine = link.transfer_time_transactions(4096, 16); // A002
     let dispatch = engine.time_zero_copy(bt).total(); // A002
-    bulk + fine + dispatch
+    bulk + dispatch
 }
 
 pub fn hand_priced_cluster(nic: &LinkModel) -> f64 {

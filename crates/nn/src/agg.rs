@@ -14,24 +14,24 @@
 //! number of block edges — the quantity §5.3.1 counts as "aggregation
 //! computational load".
 //!
-//! Both forms are one loop per family, over an [`Adjacency`] (who feeds
+//! Both forms are one loop per family, over an `Adjacency` (who feeds
 //! output row `i`) and a *row source* (`row(s)` is input row `s`): copy the
 //! self row, add the neighbors in adjacency order, scale, and the output
 //! row is written once. The row source is what lets the first layer read
 //! the feature table in place (`|s| features.row(ids[s])`) instead of a
 //! gathered copy; a `&Matrix` input is the `|s| h.row(s)` instance of the
 //! same loop. Output rows are independent, so the loops run in parallel
-//! over fixed [`ROW_CHUNK`]-row chunks; every output element accumulates
+//! over fixed `ROW_CHUNK`-row chunks; every output element accumulates
 //! the same terms in the same order as the serial per-edge loop, so the
 //! result is bitwise-identical at any thread count.
 //!
 //! The loops write into a caller's matrix and never read what it held: a
 //! row that accumulates (the GraphSAGE neighbor half, every adjoint row)
 //! adds its first term onto +0.0 instead of onto a zero-filled row
-//! ([`RowSum`]) — the same additions, without the zero pass — so the
+//! (`RowSum`) — the same additions, without the zero pass — so the
 //! output may be a recycled buffer (the training step's workspace). The
 //! public kernels below are the allocating instances; the adjoints'
-//! source-major regrouping of a block ([`SourceMajor`]) is likewise
+//! source-major regrouping of a block (`SourceMajor`) is likewise
 //! rebuilt in place.
 
 use gnn_dm_graph::csr::{Csr, VId};
@@ -351,64 +351,6 @@ pub(crate) fn sage_block_backward_into(
     sage_backward(&*by_source, block.num_dst(), inv, d_out, d_src);
 }
 
-/// GraphSAGE max-pooling block aggregation: `out[d] = [h[d] ‖ max_{(s,d)} h[s]]`
-/// element-wise (neighbor half is zero for isolated destinations). Returns
-/// the output plus the per-element argmax source index (local), which the
-/// adjoint needs: max is piecewise linear, so the gradient flows only to
-/// the winning source.
-pub fn sage_max_block_forward(block: &Block, h_src: &Matrix) -> (Matrix, Vec<u32>) {
-    assert_eq!(h_src.rows(), block.num_src(), "one embedding per source");
-    let dim = h_src.cols();
-    let n_dst = block.num_dst();
-    let mut out = Matrix::zeros(n_dst, 2 * dim);
-    // u32::MAX marks "no neighbor" per (dst, dim) slot.
-    let mut argmax = vec![u32::MAX; n_dst * dim];
-    for d in 0..n_dst {
-        let row = out.row_mut(d);
-        row[..dim].copy_from_slice(h_src.row(d));
-        let winners = &mut argmax[d * dim..(d + 1) * dim];
-        for &s in block.sources_of(d) {
-            let src = h_src.row(s as usize);
-            for j in 0..dim {
-                let slot = &mut row[dim + j];
-                if winners[j] == u32::MAX || src[j] > *slot {
-                    *slot = src[j];
-                    winners[j] = s;
-                }
-            }
-        }
-    }
-    (out, argmax)
-}
-
-/// Adjoint of [`sage_max_block_forward`]: the neighbor-half gradient flows
-/// to the per-element winning source only.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
-pub fn sage_max_block_backward(block: &Block, argmax: &[u32], d_out: &Matrix) -> Matrix {
-    assert_eq!(d_out.rows(), block.num_dst(), "one gradient per destination");
-    let dim = d_out.cols() / 2;
-    assert_eq!(d_out.cols(), 2 * dim, "gradient width must be even");
-    assert_eq!(argmax.len(), block.num_dst() * dim, "one argmax per (dst, dim)");
-    let mut d_src = Matrix::zeros(block.num_src(), dim);
-    for d in 0..block.num_dst() {
-        // Self half.
-        let g_self = &d_out.row(d)[..dim];
-        for (o, &x) in d_src.row_mut(d).iter_mut().zip(g_self) {
-            *o += x;
-        }
-    }
-    for d in 0..block.num_dst() {
-        let base = d * dim;
-        for j in 0..dim {
-            let winner = argmax[base + j];
-            if winner != u32::MAX {
-                d_src.row_mut(winner as usize)[j] += d_out.row(d)[dim + j];
-            }
-        }
-    }
-    d_src
-}
-
 /// Full-graph GCN aggregation over the in-CSR (exact inference):
 /// `out[v] = (h[v] + Σ_{u ∈ N_in(v)} h[u]) / (1 + |N_in(v)|)`.
 pub fn gcn_full_forward(in_csr: &Csr, h: &Matrix) -> Matrix {
@@ -541,61 +483,6 @@ mod tests {
         assert_eq!(gcn.row(0), &[3.0, 4.0]);
         let sage = sage_block_forward(&b, &h);
         assert_eq!(sage.row(0), &[3.0, 4.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn sage_max_forward_values() {
-        let b = block();
-        let (out, argmax) = sage_max_block_forward(&b, &h4());
-        // dst 0 neighbors: h2 = (2, 2), h3 = (4, -4) → max = (4, 2).
-        assert_eq!(&out.row(0)[2..], &[4.0, 2.0]);
-        assert_eq!(argmax[0], 3, "dim 0 won by source 3");
-        assert_eq!(argmax[1], 2, "dim 1 won by source 2");
-        // dst 1 neighbor: h2 only.
-        assert_eq!(&out.row(1)[2..], &[2.0, 2.0]);
-        assert_eq!(argmax[2], 2);
-    }
-
-    #[test]
-    fn sage_max_backward_routes_to_winner() {
-        let b = block();
-        let h = h4();
-        let (_, argmax) = sage_max_block_forward(&b, &h);
-        // Unit gradient on dst 0's neighbor-half, dim 0 → flows to src 3.
-        let mut d_out = Matrix::zeros(2, 4);
-        d_out.set(0, 2, 1.0);
-        let d_src = sage_max_block_backward(&b, &argmax, &d_out);
-        assert_eq!(d_src.get(3, 0), 1.0);
-        assert_eq!(d_src.get(2, 0), 0.0);
-    }
-
-    /// Directional-derivative check for max pooling: around a point with
-    /// distinct maxima the map is locally linear.
-    #[test]
-    fn sage_max_local_adjoint() {
-        let b = block();
-        let x = h4();
-        let (ax, argmax) = sage_max_block_forward(&b, &x);
-        let y = Matrix::from_fn(2, 4, |r, c| ((r * 4 + c) as f32 * 0.7).sin());
-        let aty = sage_max_block_backward(&b, &argmax, &y);
-        // At fixed argmax the map is linear; adjoint identity must hold.
-        let lhs: f32 = ax.as_slice().iter().zip(y.as_slice()).map(|(a, b)| a * b).sum();
-        // Subtract the constant part contributed by "no neighbor" zeros
-        // (none here: every dst has neighbors in all dims via src 2).
-        let rhs: f32 = x.as_slice().iter().zip(aty.as_slice()).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-5, "lhs {lhs} rhs {rhs}");
-    }
-
-    #[test]
-    fn sage_max_isolated_dst() {
-        let b = Block::from_edges(vec![5], vec![5], &[]);
-        let h = Matrix::from_vec(1, 2, vec![3.0, -4.0]);
-        let (out, argmax) = sage_max_block_forward(&b, &h);
-        assert_eq!(out.row(0), &[3.0, -4.0, 0.0, 0.0]);
-        assert!(argmax.iter().all(|&a| a == u32::MAX));
-        let d_out = Matrix::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
-        let d_src = sage_max_block_backward(&b, &argmax, &d_out);
-        assert_eq!(d_src.row(0), &[1.0, 1.0], "only the self half flows");
     }
 
     #[test]

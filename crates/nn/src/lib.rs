@@ -1,7 +1,7 @@
 //! GNN models for the `gnn-dm` evaluation: GCN and GraphSAGE with manual
 //! backprop, softmax cross-entropy, SGD/Adam, and accuracy metrics.
 //!
-//! The paper trains a 2-layer GCN [20] and GraphSAGE [11] with hidden
+//! The paper trains a 2-layer GCN \[20\] and GraphSAGE \[11\] with hidden
 //! dimension 128 (§4). This crate reproduces both on top of the workspace's
 //! dense kernels and the sampling crate's MFG blocks:
 //!

@@ -41,75 +41,6 @@ pub fn accuracy_by_degree(
     (accuracy(logits, labels, low), accuracy(logits, labels, high))
 }
 
-/// A confusion matrix over `c` classes: `counts[actual][predicted]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    counts: Vec<Vec<u64>>,
-}
-
-impl ConfusionMatrix {
-    /// Builds the matrix from full-graph logits over a vertex subset.
-    pub fn from_logits(logits: &Matrix, labels: &[u32], subset: &[VId], classes: usize) -> Self {
-        let pred = logits.argmax_rows();
-        let mut counts = vec![vec![0u64; classes]; classes];
-        for &v in subset {
-            counts[labels[v as usize] as usize][pred[v as usize]] += 1;
-        }
-        ConfusionMatrix { counts }
-    }
-
-    /// Count of `(actual, predicted)` pairs.
-    pub fn count(&self, actual: usize, predicted: usize) -> u64 {
-        self.counts[actual][predicted]
-    }
-
-    /// Per-class precision, recall and F1; classes with no support get
-    /// zeros.
-    pub fn per_class_prf(&self) -> Vec<(f64, f64, f64)> {
-        let c = self.counts.len();
-        (0..c)
-            .map(|k| {
-                let tp = self.counts[k][k] as f64;
-                let actual: f64 = self.counts[k].iter().sum::<u64>() as f64;
-                let predicted: f64 = (0..c).map(|a| self.counts[a][k]).sum::<u64>() as f64;
-                let precision = if predicted > 0.0 { tp / predicted } else { 0.0 };
-                let recall = if actual > 0.0 { tp / actual } else { 0.0 };
-                let f1 = if precision + recall > 0.0 {
-                    2.0 * precision * recall / (precision + recall)
-                } else {
-                    0.0
-                };
-                (precision, recall, f1)
-            })
-            .collect()
-    }
-
-    /// Macro-averaged F1 over classes with support.
-    pub fn macro_f1(&self) -> f64 {
-        let supported: Vec<(f64, f64, f64)> = self
-            .per_class_prf()
-            .into_iter()
-            .enumerate()
-            .filter(|(k, _)| self.counts[*k].iter().sum::<u64>() > 0)
-            .map(|(_, prf)| prf)
-            .collect();
-        if supported.is_empty() {
-            return 0.0;
-        }
-        supported.iter().map(|&(_, _, f1)| f1).sum::<f64>() / supported.len() as f64
-    }
-
-    /// Overall accuracy (trace over total).
-    pub fn accuracy(&self) -> f64 {
-        let total: u64 = self.counts.iter().flatten().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let correct: u64 = (0..self.counts.len()).map(|k| self.counts[k][k]).sum();
-        correct as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,39 +60,6 @@ mod tests {
         let logits = Matrix::from_vec(2, 2, vec![5.0, 0.0, 0.0, 5.0]);
         assert_eq!(batch_accuracy(&logits, &[0, 1]), 1.0);
         assert_eq!(batch_accuracy(&logits, &[1, 0]), 0.0);
-    }
-
-    #[test]
-    fn confusion_matrix_basics() {
-        // Predictions: v0→1 (actual 1 ✓), v1→0 (actual 0 ✓), v2→1 (actual 0 ✗).
-        let logits = Matrix::from_vec(3, 2, vec![0.0, 1.0, 2.0, -1.0, 0.3, 0.9]);
-        let labels = vec![1, 0, 0];
-        let cm = ConfusionMatrix::from_logits(&logits, &labels, &[0, 1, 2], 2);
-        assert_eq!(cm.count(1, 1), 1);
-        assert_eq!(cm.count(0, 0), 1);
-        assert_eq!(cm.count(0, 1), 1);
-        assert!((cm.accuracy() - 2.0 / 3.0).abs() < 1e-12);
-        let prf = cm.per_class_prf();
-        // Class 0: precision 1/1, recall 1/2.
-        assert!((prf[0].0 - 1.0).abs() < 1e-12);
-        assert!((prf[0].1 - 0.5).abs() < 1e-12);
-        // Class 1: precision 1/2, recall 1/1.
-        assert!((prf[1].0 - 0.5).abs() < 1e-12);
-        assert!((prf[1].1 - 1.0).abs() < 1e-12);
-        let f1 = 2.0 * 0.5 / 1.5;
-        assert!((cm.macro_f1() - f1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn confusion_matrix_empty_and_unsupported_classes() {
-        let logits = Matrix::from_vec(1, 3, vec![1.0, 0.0, 0.0]);
-        let labels = vec![0];
-        let cm = ConfusionMatrix::from_logits(&logits, &labels, &[0], 3);
-        assert_eq!(cm.accuracy(), 1.0);
-        assert_eq!(cm.macro_f1(), 1.0, "classes without support excluded");
-        let empty = ConfusionMatrix::from_logits(&logits, &labels, &[], 3);
-        assert_eq!(empty.accuracy(), 0.0);
-        assert_eq!(empty.macro_f1(), 0.0);
     }
 
     #[test]

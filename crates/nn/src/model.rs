@@ -2,7 +2,7 @@
 //!
 //! One forward loop and one backward loop serve every entry point
 //! (mini-batch or full graph, training or inference). Both run on a
-//! [`Workspace`]: each aggregation output, layer output, gradient and
+//! `Workspace`: each aggregation output, layer output, gradient and
 //! adjoint product is taken from it and written exactly once by its
 //! kernel, and whatever a loop is done with goes back for the next take —
 //! `train_epoch` keeps one workspace across its steps, so a warm step

@@ -2,12 +2,11 @@
 //!
 //! Parameters and gradients are passed as parallel lists of slices in the
 //! order produced by `GnnModel::param_views_mut` / `Gradients::flat_views`,
-//! so the optimizer stays independent of model structure (and is reused for
-//! the MLP/DNN baseline of Figure 2).
+//! so the optimizer stays independent of model structure.
 //!
 //! Updates are element-wise with no cross-element dependency, so both
 //! optimizers run through the `gnn-dm-par` substrate over fixed
-//! [`OPT_CHUNK`]-sized chunks: identical bits at any thread count.
+//! `OPT_CHUNK`-sized chunks: identical bits at any thread count.
 
 /// Elements per parallel optimizer chunk. Fixed — never derived from the
 /// thread count — so chunk boundaries (and therefore bits) are invariant.
@@ -18,25 +17,6 @@ pub trait Optimizer {
     /// Applies one update step. `params[i]` and `grads[i]` must have equal
     /// lengths, consistent across calls.
     fn step(&mut self, params: Vec<&mut [f32]>, grads: Vec<&[f32]>);
-}
-
-/// Scales gradients in place so their global L2 norm is at most
-/// `max_norm` (no-op when already within bounds). Returns the original
-/// norm. The standard guard against the exploding gradients small batches
-/// produce (§6.3.1 observes their large magnitudes directly).
-pub fn clip_grad_norm(grads: &mut [Vec<f32>], max_norm: f32) -> f32 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
-    let total: f32 = grads.iter().flat_map(|g| g.iter()).map(|x| x * x).sum();
-    let norm = total.sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        for g in grads.iter_mut() {
-            for x in g.iter_mut() {
-                *x *= scale;
-            }
-        }
-    }
-    norm
 }
 
 /// Plain stochastic gradient descent with optional L2 weight decay.
@@ -92,11 +72,6 @@ impl Adam {
     /// Adam with standard betas (0.9, 0.999).
     pub fn new(lr: f32) -> Self {
         Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, state: Vec::new() }
-    }
-
-    /// Number of update steps taken so far.
-    pub fn steps_taken(&self) -> u32 {
-        self.t
     }
 }
 
@@ -166,33 +141,13 @@ mod tests {
     }
 
     #[test]
-    fn adam_tracks_steps() {
+    fn adam_moves_symmetric_gradients_symmetrically() {
         let mut adam = Adam::new(0.01);
         let mut x = vec![0.0f32; 2];
         adam.step(vec![&mut x], vec![&[1.0, -1.0][..]]);
         adam.step(vec![&mut x], vec![&[1.0, -1.0][..]]);
-        assert_eq!(adam.steps_taken(), 2);
         // Symmetric gradients move symmetrically.
         assert!((x[0] + x[1]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clip_grad_norm_scales_when_needed() {
-        let mut grads = vec![vec![3.0f32, 4.0]]; // norm 5
-        let norm = clip_grad_norm(&mut grads, 1.0);
-        assert!((norm - 5.0).abs() < 1e-6);
-        let after: f32 = grads[0].iter().map(|x| x * x).sum::<f32>().sqrt();
-        assert!((after - 1.0).abs() < 1e-6);
-        // Direction preserved.
-        assert!((grads[0][0] / grads[0][1] - 0.75).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clip_grad_norm_noop_within_bound() {
-        let mut grads = vec![vec![0.3f32, 0.4]];
-        let norm = clip_grad_norm(&mut grads, 1.0);
-        assert!((norm - 0.5).abs() < 1e-6);
-        assert_eq!(grads[0], vec![0.3, 0.4]);
     }
 
     #[test]

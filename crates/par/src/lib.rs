@@ -21,7 +21,7 @@
 //! execution at any thread count** — the scheduler decides only *when* a
 //! chunk runs, never *what* it computes or *where* the result lands.
 //!
-//! Execution is a persistent worker pool ([`pool`]): workers are spawned
+//! Execution is a persistent worker pool (`pool`): workers are spawned
 //! lazily once per process, park on a condvar between dispatches, and claim
 //! chunk indices from an atomic cursor (one `fetch_add` per chunk — no
 //! queue lock, no per-call thread spawns). Results land in per-chunk slots
@@ -284,7 +284,7 @@ where
 /// sequence `consume` sees is the serial one at any thread count: the
 /// scheduler decides only *who* builds item `i` and *when*.
 ///
-/// Unlike the fork-join helpers this is not a generation (see [`pool`]):
+/// Unlike the fork-join helpers this is not a generation (see `pool`):
 /// `consume` is free to dispatch `par_*` kernels, workers prefer those to
 /// producing, and the caller builds item `i` itself whenever no worker has
 /// claimed it — or later items, while a worker still holds `i` — so

@@ -18,79 +18,6 @@ pub fn hash_vertices(n: usize, k: usize, seed: u64) -> GnnPartitioning {
     GnnPartitioning::new(assignment, k)
 }
 
-/// Deterministic modulo assignment (`v mod k`) — the degenerate hash some
-/// systems use; exposed for comparison in tests and ablations.
-pub fn modulo_vertices(n: usize, k: usize) -> GnnPartitioning {
-    assert!(k >= 1, "need at least one partition");
-    let assignment = (0..n).map(|v| (v % k) as u32).collect();
-    GnnPartitioning::new(assignment, k)
-}
-
-/// An edge partitioning (vertex-cut): each directed edge of the out-CSR is
-/// assigned to a partition; vertices incident to edges in several
-/// partitions are replicated — the model of the "hash by edges" systems in
-/// Table 1 (NeuGraph, DistGNN, Sancus, MariusGNN).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EdgePartitioning {
-    /// Number of partitions.
-    pub k: usize,
-    /// Partition of each edge, in [`gnn_dm_graph::Csr::edges`] order.
-    pub assignment: Vec<u32>,
-}
-
-impl EdgePartitioning {
-    /// Edge count per partition.
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut s = vec![0usize; self.k];
-        for &a in &self.assignment {
-            s[a as usize] += 1;
-        }
-        s
-    }
-
-    /// Vertex replication factor: average number of distinct partitions
-    /// each non-isolated vertex's edges touch (≥ 1; 1 = no vertex is cut).
-    pub fn replication_factor(&self, csr: &gnn_dm_graph::Csr) -> f64 {
-        assert_eq!(self.assignment.len(), csr.num_edges(), "one assignment per edge");
-        let n = csr.num_vertices();
-        let mut present = vec![0u64; n]; // bitset over partitions (k ≤ 64)
-        assert!(self.k <= 64, "replication bitset supports up to 64 partitions");
-        for ((u, v), &p) in csr.edges().zip(&self.assignment) {
-            present[u as usize] |= 1 << p;
-            present[v as usize] |= 1 << p;
-        }
-        let (mut copies, mut touched) = (0u64, 0u64);
-        for &mask in &present {
-            if mask != 0 {
-                copies += mask.count_ones() as u64;
-                touched += 1;
-            }
-        }
-        if touched == 0 {
-            0.0
-        } else {
-            copies as f64 / touched as f64
-        }
-    }
-}
-
-/// Randomly assigns each directed edge of `csr` to one of `k` partitions.
-pub fn hash_edges(csr: &gnn_dm_graph::Csr, k: usize, seed: u64) -> EdgePartitioning {
-    assert!(k >= 1, "need at least one partition");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let assignment = (0..csr.num_edges()).map(|_| rng.random_range(0..k) as u32).collect();
-    EdgePartitioning { k, assignment }
-}
-
-/// Source-hashed edge assignment: every edge follows its source vertex's
-/// hash — equivalent to 1D vertex partitioning expressed as an edge
-/// partitioning (replication only at destinations).
-pub fn hash_edges_by_source(csr: &gnn_dm_graph::Csr, k: usize, seed: u64) -> EdgePartitioning {
-    let vparts = hash_vertices(csr.num_vertices(), k, seed);
-    let assignment = csr.edges().map(|(u, _)| vparts.part_of(u)).collect();
-    EdgePartitioning { k, assignment }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,42 +39,8 @@ mod tests {
     }
 
     #[test]
-    fn modulo_round_robin() {
-        let p = modulo_vertices(10, 3);
-        assert_eq!(p.assignment[..6], [0, 1, 2, 0, 1, 2]);
-        assert_eq!(p.sizes(), vec![4, 3, 3]);
-    }
-
-    #[test]
     fn single_partition_degenerate() {
         let p = hash_vertices(10, 1, 0);
         assert!(p.assignment.iter().all(|&a| a == 0));
-    }
-
-    #[test]
-    fn edge_hash_balances_edges() {
-        let g = gnn_dm_graph::generate::erdos_renyi(500, 4000, 4, 4, 1);
-        let ep = hash_edges(&g.out, 4, 2);
-        let sizes = ep.sizes();
-        let avg = g.num_edges() as f64 / 4.0;
-        for s in sizes {
-            assert!((s as f64 - avg).abs() / avg < 0.15, "edge partition size {s}");
-        }
-    }
-
-    #[test]
-    fn random_edge_hash_replicates_more_than_source_hash() {
-        let g = gnn_dm_graph::generate::erdos_renyi(400, 4000, 4, 4, 3);
-        let random = hash_edges(&g.out, 4, 1).replication_factor(&g.out);
-        let by_src = hash_edges_by_source(&g.out, 4, 1).replication_factor(&g.out);
-        assert!(random > by_src, "random {random} vs by-source {by_src}");
-        assert!(by_src >= 1.0 && random <= 4.0);
-    }
-
-    #[test]
-    fn single_partition_has_no_replication() {
-        let g = gnn_dm_graph::generate::erdos_renyi(100, 500, 4, 4, 0);
-        let ep = hash_edges(&g.out, 1, 0);
-        assert_eq!(ep.replication_factor(&g.out), 1.0);
     }
 }

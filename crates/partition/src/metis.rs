@@ -1,7 +1,7 @@
 //! A from-scratch multilevel graph partitioner with multi-constraint
 //! balancing — the "Metis-extend" family (§5.2).
 //!
-//! Pipeline (the classic Metis recipe [19]):
+//! Pipeline (the classic Metis recipe \[19\]):
 //!
 //! 1. **Coarsening** — repeated heavy-edge matching collapses matched pairs
 //!    until the graph is small;

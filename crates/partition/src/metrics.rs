@@ -5,7 +5,6 @@
 //! training are accounted by the `gnn-dm-cluster` crate.
 
 use crate::types::GnnPartitioning;
-use gnn_dm_graph::csr::VId;
 use gnn_dm_graph::{stats, traversal, Graph};
 
 /// Number of directed edges whose endpoints live on different home
@@ -87,15 +86,6 @@ pub fn clustering_variance(graph: &Graph, part: &GnnPartitioning, per_part_cap: 
     stats::mean_var(&partition_clustering(graph, part, per_part_cap)).1
 }
 
-/// Degree (≈ edge) count per partition.
-pub fn degree_counts(graph: &Graph, part: &GnnPartitioning) -> Vec<usize> {
-    let mut counts = vec![0usize; part.k];
-    for v in 0..graph.num_vertices() {
-        counts[part.part_of(v as VId) as usize] += graph.out.degree(v as VId);
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,13 +158,5 @@ mod tests {
             "hash variance {var_hash} should be below stream variance {var_stream}"
         );
         assert!(var_hash < 0.01, "hash variance {var_hash} should be small in absolute terms");
-    }
-
-    #[test]
-    fn degree_counts_sum_to_edges() {
-        let g = graph();
-        let p = hash_vertices(g.num_vertices(), 4, 3);
-        let total: usize = degree_counts(&g, &p).iter().sum();
-        assert_eq!(total, g.num_edges());
     }
 }

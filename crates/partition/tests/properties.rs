@@ -1,7 +1,7 @@
 //! Property-based tests of the partitioners' contracts.
 
 use gnn_dm_graph::generate::{planted_partition, PplConfig};
-use gnn_dm_partition::hash::{hash_edges, hash_vertices};
+use gnn_dm_partition::hash::hash_vertices;
 use gnn_dm_partition::metis::{metis_clusters, metis_extend, MetisVariant};
 use gnn_dm_partition::{metrics, partition_graph, stream, PartitionMethod};
 use proptest::prelude::*;
@@ -74,19 +74,6 @@ proptest! {
         let loc = metrics::l_hop_locality(&g, &part, 2, 100);
         prop_assert!((loc - 1.0).abs() < 1e-12, "locality {loc}");
         prop_assert!(part.replication_factor() >= 1.0);
-    }
-
-    /// Edge hashing: every edge assigned, replication within [1, k].
-    #[test]
-    fn edge_hash_contracts(n in 50usize..200, gseed in 0u64..8, k in 1usize..6) {
-        let g = graph(n, gseed);
-        let ep = hash_edges(&g.out, k, gseed);
-        prop_assert_eq!(ep.assignment.len(), g.num_edges());
-        prop_assert!(ep.assignment.iter().all(|&a| (a as usize) < k));
-        if g.num_edges() > 0 {
-            let r = ep.replication_factor(&g.out);
-            prop_assert!(r >= 1.0 && r <= k as f64, "replication {r}");
-        }
     }
 
     /// Clustering covers all vertices with ids < k.

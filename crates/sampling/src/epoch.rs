@@ -64,16 +64,6 @@ impl AccessTracker {
         });
         order
     }
-
-    /// Redundancy factor: total accesses divided by distinct vertices
-    /// touched. PaGraph reports > 4 for an epoch on real graphs.
-    pub fn redundancy(&self) -> f64 {
-        let touched = self.counts.iter().filter(|&&c| c > 0).count();
-        if touched == 0 {
-            return 0.0;
-        }
-        self.total() as f64 / touched as f64
-    }
 }
 
 /// Per-epoch batch statistics (Table 6's columns).
@@ -144,7 +134,7 @@ impl<'a> EpochPlan<'a> {
 
     /// Streams the epoch: `consume(b, batch)` for every mini-batch of
     /// `epoch`, in order, on the calling thread, while idle pool workers
-    /// build the next [`LOOKAHEAD_BATCHES`] — the paper's "Pipeline BP"
+    /// build the next `LOOKAHEAD_BATCHES` — the paper's "Pipeline BP"
     /// (§7.3.2), executed. Batch `b` is the batch [`EpochPlan::batches`]
     /// puts at index `b`, whoever builds it and whenever, and at most the
     /// window is alive at once instead of the whole epoch.
@@ -226,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn tracker_counts_and_redundancy() {
+    fn tracker_counts_every_input_vertex() {
         let g = graph();
         let train = g.train_vertices();
         let selection = BatchSelection::Random;
@@ -244,7 +234,6 @@ mod tests {
         let stats = plan.run_for_stats(0, Some(&mut tracker));
         assert!(stats.num_batches > 1);
         assert_eq!(tracker.total() as usize, stats.involved_vertices);
-        assert!(tracker.redundancy() >= 1.0);
     }
 
     /// `run_for_stats` streams; it must still be the fold over the

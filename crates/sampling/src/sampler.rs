@@ -80,7 +80,7 @@ fn sample_k_into(items: &[VId], k: usize, rng: &mut StdRng, buf: &mut Vec<VId>, 
 }
 
 /// Fanout-based sampling: a fixed number of neighbors per vertex per layer
-/// (GraphSAGE [11]; the default of DGL, DistDGL, PaGraph, GNNLab, …).
+/// (GraphSAGE \[11\]; the default of DGL, DistDGL, PaGraph, GNNLab, …).
 ///
 /// `fanouts[0]` applies to the output layer (the seeds), matching the
 /// paper's "(25, 10)" notation where 25 is the first-hop fanout.
@@ -229,7 +229,7 @@ impl NeighborSampler for HybridSampler {
 /// per destination per layer, without replacement.
 ///
 /// §7.3.3 notes that under such "special sampling algorithms (such as
-/// importance sampling) the degree-based [caching] assumption is no longer
+/// importance sampling) the degree-based \[caching\] assumption is no longer
 /// valid" — the `ablate_importance_cache` study demonstrates exactly that
 /// with this sampler.
 #[derive(Debug, Clone)]
@@ -254,22 +254,6 @@ impl ImportanceSampler {
             "weights must be non-negative and finite"
         );
         ImportanceSampler { fanouts, weights }
-    }
-
-    /// FastGCN-style importance ∝ degree (higher-degree neighbors matter
-    /// more to the estimator's variance).
-    pub fn degree_proportional(fanouts: Vec<usize>, csr: &Csr) -> Self {
-        let weights = (0..csr.num_vertices()).map(|v| 1.0 + csr.degree(v as VId) as f64).collect();
-        ImportanceSampler::new(fanouts, weights)
-    }
-
-    /// Inverse-degree importance (prefer rarely-connected neighbors) — the
-    /// regime where degree-based caching mispredicts hardest.
-    pub fn inverse_degree(fanouts: Vec<usize>, csr: &Csr) -> Self {
-        let weights = (0..csr.num_vertices())
-            .map(|v| 1.0 / (1.0 + csr.degree(v as VId) as f64))
-            .collect();
-        ImportanceSampler::new(fanouts, weights)
     }
 }
 
@@ -736,7 +720,9 @@ mod tests {
     #[test]
     fn importance_sampler_respects_fanout_and_weights() {
         let g = test_graph();
-        let sampler = ImportanceSampler::degree_proportional(vec![6], &g.inn);
+        // FastGCN-style importance ∝ degree.
+        let weights = (0..g.num_vertices()).map(|v| 1.0 + g.inn.degree(v as VId) as f64).collect();
+        let sampler = ImportanceSampler::new(vec![6], weights);
         let mut rng = StdRng::seed_from_u64(12);
         let mb = build_minibatch(&g.inn, &[9], &sampler, &mut rng);
         assert!(mb.validate().is_ok());
@@ -771,7 +757,8 @@ mod tests {
         }
         let out_csr = gnn_dm_graph::Csr::from_edges(30, &edges);
         let in_csr = out_csr.transpose();
-        let s = ImportanceSampler::inverse_degree(vec![1], &out_csr);
+        let weights = (0..30).map(|v| 1.0 / (1.0 + out_csr.degree(v) as f64)).collect();
+        let s = ImportanceSampler::new(vec![1], weights);
         let mut rng = StdRng::seed_from_u64(4);
         let mut hub_draws = 0;
         for _ in 0..300 {

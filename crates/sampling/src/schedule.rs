@@ -29,11 +29,6 @@ pub enum BatchSizeSchedule {
 }
 
 impl BatchSizeSchedule {
-    /// The paper's Reddit configuration: 512 doubling to 8192.
-    pub fn paper_adaptive() -> Self {
-        BatchSizeSchedule::Adaptive { start: 512, max: 8192, growth: 2.0, grow_every: 2 }
-    }
-
     /// Batch size to use at `epoch` (0-based).
     ///
     /// ```
@@ -98,12 +93,5 @@ mod tests {
         assert_eq!(s.batch_size_at(4), 128);
         assert_eq!(s.batch_size_at(5), 1024);
         assert_eq!(s.batch_size_at(12), 4096);
-    }
-
-    #[test]
-    fn paper_adaptive_reaches_cap() {
-        let s = BatchSizeSchedule::paper_adaptive();
-        assert_eq!(s.batch_size_at(0), 512);
-        assert!(s.batch_size_at(20) == 8192);
     }
 }

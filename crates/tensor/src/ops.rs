@@ -407,7 +407,7 @@ impl PackedB {
     }
 }
 
-/// `C = A · B` with k-tiling and a packed `B` ([`PackedB`]) on top of
+/// `C = A · B` with k-tiling and a packed `B` (`PackedB`) on top of
 /// [`matmul`]'s register tiling — bitwise-identical to [`matmul`] (pinned
 /// by `tiled_variants_match_naive_exactly`).
 pub fn matmul_tiled(a: &Matrix, b: &Matrix) -> Matrix {

@@ -471,17 +471,6 @@ impl Timeline {
         self.spans.iter().map(|s| s.meta.bytes).sum()
     }
 
-    /// Exact tail statistics of span durations on one lane.
-    pub fn tail_stats_on(&self, resource: Resource) -> TailStats {
-        let samples: Vec<f64> = self
-            .spans
-            .iter()
-            .filter(|s| s.resource == resource)
-            .map(Span::duration)
-            .collect();
-        TailStats::from_samples(&samples)
-    }
-
     /// Exact tail statistics of span durations of one kind (stage), across
     /// all lanes.
     pub fn tail_stats_of_kind(&self, kind: SpanKind) -> TailStats {
@@ -715,16 +704,16 @@ mod tests {
     }
 
     #[test]
-    fn timeline_tail_stats_reduce_per_lane_and_per_kind() {
+    fn timeline_tail_stats_reduce_per_kind() {
         let mut tl = Timeline::new();
         for d in [1.0, 2.0, 9.0] {
             tl.schedule(Resource::PcieLink, SpanKind::Transfer, 0.0, Seconds(d), SpanMeta::default());
         }
         tl.schedule(Resource::GpuCompute, SpanKind::NnCompute, 0.0, Seconds(4.0), SpanMeta::default());
-        let lane = tl.tail_stats_on(Resource::PcieLink);
-        assert_eq!(lane.count, 3);
-        assert_eq!(lane.p50.to_bits(), 2.0f64.to_bits());
-        assert_eq!(lane.max.to_bits(), 9.0f64.to_bits());
+        let transfers = tl.tail_stats_of_kind(SpanKind::Transfer);
+        assert_eq!(transfers.count, 3);
+        assert_eq!(transfers.p50.to_bits(), 2.0f64.to_bits());
+        assert_eq!(transfers.max.to_bits(), 9.0f64.to_bits());
         let kind = tl.tail_stats_of_kind(SpanKind::NnCompute);
         assert_eq!(kind.count, 1);
         assert_eq!(kind.p999.to_bits(), 4.0f64.to_bits());

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a commit must pass.
 #
-#   scripts/check.sh            # release build + full test suite + lint
+#   scripts/check.sh            # release build + full test suite + rustdoc + lint
 #
 # The lint run is technically redundant (crates/lint/tests/workspace_clean.rs
 # runs it under `cargo test` too) but invoking the binary directly prints the
@@ -21,6 +21,9 @@ cargo build --workspace --release
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+echo "==> cargo doc (rustdoc warnings are errors: a doc link to a deleted or private item fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> look-ahead stress (its failures are schedule-dependent: 20 more rounds of the gnn-dm-par look-ahead tests)"
 stress_start="${SECONDS}"

@@ -90,6 +90,34 @@ fn flag_parse<T: std::str::FromStr>(
     }
 }
 
+/// [`flag_parse`], then a range check: a value `ok` rejects is an error
+/// that names the flag and the range `want`.
+fn flag_in<T: std::str::FromStr + std::fmt::Display>(
+    flags: &HashMap<&str, &str>,
+    key: &str,
+    default: T,
+    ok: impl Fn(&T) -> bool,
+    want: &str,
+) -> Result<T, String> {
+    let value = flag_parse(flags, key, default)?;
+    if ok(&value) {
+        Ok(value)
+    } else {
+        Err(format!("invalid value for --{key}: {value} (must be {want})"))
+    }
+}
+
+/// A batch size: at least 1, as the harness grammar requires.
+fn batch_flag(flags: &HashMap<&str, &str>) -> Result<usize, String> {
+    flag_in(flags, "batch", 512, |&b| b >= 1, "at least 1")
+}
+
+/// A ratio or threshold: finite and in `[0, 1]`, as the harness grammar
+/// requires (`NaN` and the infinities fail the range test).
+fn unit_flag(flags: &HashMap<&str, &str>, key: &str, default: f64) -> Result<f64, String> {
+    flag_in(flags, key, default, |x| (0.0..=1.0).contains(x), "a number in [0, 1]")
+}
+
 fn load_graph(path: &str) -> Result<Graph, String> {
     io::load(Path::new(path)).map_err(|e| format!("cannot load {path}: {e}"))
 }
@@ -120,7 +148,8 @@ fn cmd_generate(flags: &HashMap<&str, &str>) -> Result<(), String> {
         .iter()
         .find(|d| d.name.eq_ignore_ascii_case(name))
         .ok_or_else(|| format!("unknown dataset: {name}"))?;
-    let scale: usize = flag_parse(flags, "scale", 5000)?;
+    // Two vertices is the smallest graph with the generator's two classes.
+    let scale = flag_in(flags, "scale", 5000, |&n| n >= 2, "at least 2")?;
     let seed: u64 = flag_parse(flags, "seed", 42)?;
     let out = flags.get("out").ok_or("--out is required")?;
     let graph = spec.generate_scaled(scale, seed);
@@ -167,7 +196,9 @@ fn cmd_partition(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(),
     let path = positional.first().ok_or("missing graph file")?;
     let g = load_graph(path)?;
     let method = parse_method(flags.get("method").unwrap_or(&"metis-ve"))?;
-    let workers: usize = flag_parse(flags, "workers", 4)?;
+    let n = g.num_vertices();
+    let want = format!("between 1 and the graph's {n} vertices");
+    let workers = flag_in(flags, "workers", 4, |k| (1..=n).contains(k), &want)?;
     let seed: u64 = flag_parse(flags, "seed", 7)?;
     let start = std::time::Instant::now();
     let part = partition_graph(&g, method, workers, seed);
@@ -197,7 +228,7 @@ fn cmd_train(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Str
         other => return Err(format!("unknown model: {other}")),
     };
     let epochs: usize = flag_parse(flags, "epochs", 10)?;
-    let batch: usize = flag_parse(flags, "batch", 512)?;
+    let batch = batch_flag(flags)?;
     let hidden: usize = flag_parse(flags, "hidden", 128)?;
     let lr: f32 = flag_parse(flags, "lr", 0.01)?;
     let seed: u64 = flag_parse(flags, "seed", 5)?;
@@ -205,7 +236,10 @@ fn cmd_train(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Str
         .get("fanout")
         .unwrap_or(&"10,5")
         .split(',')
-        .map(|s| s.trim().parse().map_err(|_| format!("bad fanout component: {s}")))
+        .map(|s| match s.trim().parse() {
+            Ok(f) if f >= 1 => Ok(f),
+            _ => Err(format!("invalid value for --fanout: {s} (each layer must be at least 1)")),
+        })
         .collect::<Result<_, _>>()?;
     let schedule = if flags.contains_key("adaptive") {
         BatchSizeSchedule::Adaptive { start: batch / 4, max: batch, growth: 2.0, grow_every: 3 }
@@ -238,11 +272,11 @@ fn cmd_train(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Str
 fn cmd_transfer(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String> {
     let path = positional.first().ok_or("missing graph file")?;
     let g = load_graph(path)?;
-    let batch: usize = flag_parse(flags, "batch", 512)?;
+    let batch = batch_flag(flags)?;
     let transfer = match flags.get("transfer").unwrap_or(&"zero-copy").to_ascii_lowercase().as_str() {
         "extract-load" => TransferMethod::ExtractLoad,
         "zero-copy" => TransferMethod::ZeroCopy,
-        "hybrid" => TransferMethod::Hybrid { threshold: flag_parse(flags, "threshold", 0.5)? },
+        "hybrid" => TransferMethod::Hybrid { threshold: unit_flag(flags, "threshold", 0.5)? },
         other => return Err(format!("unknown transfer method: {other}")),
     };
     let pipeline = match flags.get("pipeline").unwrap_or(&"none").to_ascii_lowercase().as_str() {
@@ -261,7 +295,7 @@ fn cmd_transfer(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), 
     cfg.transfer = transfer;
     cfg.pipeline = pipeline;
     cfg.cache_policy = cache;
-    cfg.cache_ratio = flag_parse(flags, "ratio", 0.3)?;
+    cfg.cache_ratio = unit_flag(flags, "ratio", 0.3)?;
     let t = HeteroTrainer::new(&g, cfg).run_epoch_model(0);
     println!("batches:        {}", t.num_batches);
     println!("batch prep:     {:.4}s", t.bp);
@@ -326,5 +360,74 @@ mod tests {
     fn missing_file_reports_cleanly() {
         let err = run(&argv("info /definitely/not/a/file.gndm")).unwrap_err();
         assert!(err.contains("cannot load"), "{err}");
+    }
+
+    /// `gnn-dm <command> <graph> <flags>` must return an error naming
+    /// `--flag`, not panic or run. `<graph>` is a 16-vertex OGB-Arxiv
+    /// stand-in, one temp file per test so parallel tests never share one;
+    /// `generate` gets it as its `--out` instead.
+    fn rejects(test: &str, command: &str, flags: &str, flag: &str) {
+        let path = std::env::temp_dir().join(format!("gnn-dm-cli-{}-{test}.gndm", std::process::id()));
+        let path = path.to_str().expect("temp dir is UTF-8");
+        let line = if command == "generate" {
+            format!("generate --dataset OGB-Arxiv --out {path} {flags}")
+        } else {
+            run(&argv(&format!("generate --dataset OGB-Arxiv --scale 16 --out {path}"))).unwrap();
+            format!("{command} {path} {flags}")
+        };
+        let result = run(&argv(&line));
+        let _ = std::fs::remove_file(path);
+        let err = result.expect_err(&line);
+        assert!(err.contains(&format!("--{flag}")), "{line}: {err}");
+    }
+
+    #[test]
+    fn train_rejects_batch_zero() {
+        rejects("train_batch", "train", "--batch 0", "batch");
+    }
+
+    #[test]
+    fn transfer_rejects_batch_zero() {
+        rejects("transfer_batch", "transfer", "--batch 0", "batch");
+    }
+
+    #[test]
+    fn partition_rejects_zero_workers() {
+        rejects("workers_zero", "partition", "--workers 0", "workers");
+    }
+
+    #[test]
+    fn partition_rejects_more_workers_than_vertices() {
+        rejects("workers_many", "partition", "--workers 17", "workers");
+    }
+
+    #[test]
+    fn generate_rejects_scale_zero() {
+        rejects("scale_zero", "generate", "--scale 0", "scale");
+    }
+
+    #[test]
+    fn generate_rejects_scale_one() {
+        rejects("scale_one", "generate", "--scale 1", "scale");
+    }
+
+    #[test]
+    fn transfer_rejects_nan_ratio() {
+        rejects("ratio_nan", "transfer", "--cache degree --ratio nan", "ratio");
+    }
+
+    #[test]
+    fn transfer_rejects_ratio_above_one() {
+        rejects("ratio_two", "transfer", "--cache degree --ratio 2", "ratio");
+    }
+
+    #[test]
+    fn transfer_rejects_hybrid_threshold_above_one() {
+        rejects("threshold", "transfer", "--transfer hybrid --threshold 7", "threshold");
+    }
+
+    #[test]
+    fn train_rejects_zero_fanout() {
+        rejects("fanout", "train", "--fanout 0,0", "fanout");
     }
 }
