@@ -230,6 +230,7 @@ impl<'g> HeteroTrainer<'g> {
                 }
                 _ => None,
             };
+            // lint:allow(A002) these prices become `replay_epoch` spans
             let report = self.engine.time(self.cfg.transfer, &bt, activity.as_ref());
             let nn = self.gpu.seconds_for_flops(compute::minibatch_flops(&mb, &dims, false));
             let stage = BatchStageTimes { bp, dt: report.total().0, nn };

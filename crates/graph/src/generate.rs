@@ -222,26 +222,6 @@ pub fn class_centroid_features(
     table
 }
 
-/// Erdős–Rényi `G(n, m)` graph (symmetric), with random labels/features —
-/// useful as a no-structure control in tests.
-pub fn erdos_renyi(n: usize, m: usize, num_classes: usize, feat_dim: usize, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_capacity(n, m * 2);
-    for _ in 0..m {
-        let u = rng.random_range(0..n) as VId;
-        let v = rng.random_range(0..n) as VId;
-        if u != v {
-            b.add_undirected(u, v);
-        }
-    }
-    let out = b.build_symmetric();
-    let inn = out.clone();
-    let labels: Vec<u32> = (0..n).map(|_| rng.random_range(0..num_classes) as u32).collect();
-    let features = class_centroid_features(&labels, num_classes, feat_dim, 1.0, seed ^ 1);
-    let split = SplitMask::paper_default(n, seed ^ 2);
-    Graph { out, inn, features, labels, num_classes, split }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,13 +290,5 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.08, "var {var}");
-    }
-
-    #[test]
-    fn erdos_renyi_shape() {
-        let g = erdos_renyi(500, 2000, 5, 16, 3);
-        assert_eq!(g.num_vertices(), 500);
-        assert!(g.validate().is_ok());
-        assert!(g.out.is_symmetric());
     }
 }

@@ -1,10 +1,11 @@
 //! The workspace call graph: the substrate of the interprocedural passes.
 //!
 //! [`FileSet`] retains what the per-file front end already computes — token
-//! stream, item list, test-region marks, [`FileCtx`] — for every source
-//! file, keyed by workspace-relative path (a `BTreeMap`, so everything
-//! downstream is independent of file-discovery order). [`CallGraph::build`]
-//! then resolves the calls appearing in each fn body against the fn table.
+//! stream, item list, test-region marks, parallel closures, [`FileCtx`] —
+//! for every source file, keyed by workspace-relative path (a `BTreeMap`,
+//! so everything downstream is independent of file-discovery order).
+//! [`CallGraph::build`] then resolves the calls appearing in each fn body
+//! against the fn table.
 //!
 //! Resolution is deliberately *tight*: a call edge is only drawn when the
 //! callee plausibly is a workspace fn — via a `gnn_dm_*` path qualifier, a
@@ -18,6 +19,7 @@
 //! miss.
 
 use crate::items::{parse_items, Item, ItemKind};
+use crate::races::{find_par_closures, ParClosure};
 use crate::rules::{test_region_marks, FileCtx};
 use crate::tokenizer::{lex, Lexed, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -36,6 +38,8 @@ pub struct SourceFile {
     pub items: Vec<Item>,
     /// Per-token `#[cfg(test)]` / `#[test]` region marks.
     pub in_test: Vec<bool>,
+    /// Closures handed to the par dispatchers (R001, R002, R003).
+    pub(crate) closures: Vec<ParClosure>,
 }
 
 /// Every analyzed source file, keyed by relative path.
@@ -87,9 +91,10 @@ impl FileSet {
         let lexed = lex(src);
         let items = parse_items(&lexed.tokens);
         let in_test = test_region_marks(&lexed.tokens);
+        let closures = find_par_closures(&lexed);
         self.files.insert(
             rel_path.to_string(),
-            SourceFile { rel_path: rel_path.to_string(), ctx, lexed, items, in_test },
+            SourceFile { rel_path: rel_path.to_string(), ctx, lexed, items, in_test, closures },
         );
     }
 
@@ -285,6 +290,20 @@ impl CallGraph {
             }
         }
         best
+    }
+
+    /// Call sites of `rel_path` whose callee token lies in `span` (a
+    /// closure body), taken from the fn that owns the span's first token.
+    pub fn calls_in(
+        &self,
+        rel_path: &str,
+        span: (usize, usize),
+    ) -> impl Iterator<Item = &CallSite> {
+        let owner = self.owner_of(rel_path, span.0);
+        owner
+            .into_iter()
+            .flat_map(move |id| self.calls[id].iter())
+            .filter(move |site| span.0 <= site.tok && site.tok < span.1)
     }
 }
 

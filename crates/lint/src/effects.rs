@@ -1,19 +1,19 @@
-//! Fixpoint effect inference over the call graph.
+//! Effect inference over the call graph.
 //!
-//! Every fn gets a bitmask over {alloc, io, entropy, lock}, seeded from
-//! leaf intrinsics in its own body and closed transitively over the call
-//! graph (a monotone fixpoint on a finite lattice, so iteration
-//! terminates). An empty mask renders as `pure`. Panics are not an effect
-//! here: P001 already reports every unvouched panic site in library code.
+//! Every fn gets a base bitmask over {alloc, io, entropy, lock} from leaf
+//! intrinsics in its own body. [`reach`] closes any per-node fact over the
+//! call graph (a monotone fixpoint on a finite lattice, so iteration
+//! terminates); [`transitive_mask`] is one `reach` per effect bit. An empty
+//! mask renders as `pure`. Panics are not an effect here: P001 already
+//! reports every unvouched panic site in library code.
 //!
-//! Alongside the mask, the pass derives a `raw_entropy` flag — the fn body
-//! constructs an RNG whose seed expression involves neither
-//! `split_seed(..)` nor a binding derived from one. The flag propagates to
-//! callers like an effect and is what R002 (crate::seeds) checks inside
-//! parallel regions.
+//! Alongside the mask, the pass records each fn's own raw-seed site — the
+//! body constructs an RNG whose seed expression involves neither
+//! `split_seed(..)` nor a binding derived from one. Reached from a caller,
+//! that site is what R002 (crate::seeds) checks inside parallel regions.
 
 use crate::callgraph::{CallGraph, FileSet};
-use crate::tokenizer::{Lexed, TokenKind};
+use crate::tokenizer::{Lexed, Token, TokenKind};
 use std::collections::BTreeSet;
 
 /// Heap allocation (growable containers, formatting).
@@ -43,7 +43,7 @@ const ENTROPY_METHODS: &[&str] = &[
     "fill_bytes",
 ];
 /// RNG constructors (associated fns).
-const SEED_CTORS: &[&str] = &["seed_from_u64", "from_seed"];
+pub(crate) const SEED_CTORS: &[&str] = &["seed_from_u64", "from_seed"];
 
 /// Synchronization type names (plus the `Atomic*` prefix family).
 const LOCK_IDENTS: &[&str] =
@@ -54,20 +54,21 @@ const LOCK_METHODS: &[&str] = &[
     "compare_exchange", "compare_exchange_weak",
 ];
 
-/// Inferred effects for every node of a [`CallGraph`].
+/// Every effect bit with its display name, in display order.
+const EFFECTS: [(u8, &str); 4] =
+    [(ALLOC, "alloc"), (IO, "io"), (ENTROPY, "entropy"), (LOCK, "lock")];
+
+/// Direct (own-body) effect facts for every node of a [`CallGraph`];
+/// [`reach`] closes any of them over call edges.
 #[derive(Debug, Default)]
 pub struct Effects {
-    /// Transitive effect mask per node id.
-    pub mask: Vec<u8>,
-    /// Direct (own-body, pre-fixpoint) effect mask per node id.
+    /// Direct effect mask per node id.
     pub base: Vec<u8>,
-    /// Transitive raw-seed flag per node id (see module docs).
-    pub raw_entropy: Vec<bool>,
     /// Direct raw-seed site line per node, when any.
     pub own_raw_seed: Vec<Option<usize>>,
     /// Node body directly contains an allocation intrinsic whose line does
     /// not carry a reasoned `lint:allow(R003)` — the witness leaves for the
-    /// hot-path allocation audit. Tracked separately from `mask`'s `alloc`
+    /// hot-path allocation audit. Tracked separately from `base`'s `alloc`
     /// bit so vouching a hot-path allocation does not perturb the effect
     /// masks (and the effects golden).
     pub own_alloc: Vec<Option<usize>>,
@@ -75,14 +76,8 @@ pub struct Effects {
 
 /// Renders a mask as `pure` or a `+`-joined effect list, stable order.
 pub fn mask_names(mask: u8) -> String {
-    let mut names = Vec::new();
-    for (bit, name) in
-        [(ALLOC, "alloc"), (IO, "io"), (ENTROPY, "entropy"), (LOCK, "lock")]
-    {
-        if mask & bit != 0 {
-            names.push(name);
-        }
-    }
+    let names: Vec<&str> =
+        EFFECTS.iter().filter(|(bit, _)| mask & bit != 0).map(|(_, name)| *name).collect();
     if names.is_empty() {
         "pure".to_string()
     } else {
@@ -90,62 +85,92 @@ pub fn mask_names(mask: u8) -> String {
     }
 }
 
-/// Lines of `lexed` on which a *reasoned* suppression for `rule` applies
-/// (its own line plus the next token-bearing line — the same cover the
-/// per-file suppression pass uses).
-fn vouched_lines(lexed: &Lexed, rule: &str) -> BTreeSet<usize> {
-    let mut lines = BTreeSet::new();
-    for sup in &lexed.suppressions {
-        if sup.reason.is_empty() || !sup.rules.iter().any(|r| r == rule) {
-            continue;
+/// Per-node reachability of a `seed` node over call edges: true where the
+/// node is a seed or calls one, directly or transitively. With
+/// `through_par` false the `par` crate is opaque — its nodes are neither
+/// seeds nor stepping stones — because the dispatchers' own locks,
+/// channels and result buffers are the sanctioned mechanism, so an effect
+/// inherited *through* `par` (e.g. from a nested parallel section) does not
+/// count against a parallel closure (R001, R003).
+pub fn reach(g: &CallGraph, seed: impl Fn(usize) -> bool, through_par: bool) -> Vec<bool> {
+    let open = |id: usize| through_par || g.nodes[id].crate_key != "par";
+    let mut reached: Vec<bool> = (0..g.nodes.len()).map(|id| open(id) && seed(id)).collect();
+    loop {
+        let mut changed = false;
+        for id in 0..g.nodes.len() {
+            if !reached[id] && open(id) && g.edges[id].iter().any(|&m| reached[m]) {
+                reached[id] = true;
+                changed = true;
+            }
         }
-        lines.insert(sup.line);
-        if let Some(next) = lexed.tokens.iter().map(|t| t.line).find(|&l| l > sup.line) {
-            lines.insert(next);
+        if !changed {
+            return reached;
         }
     }
-    lines
 }
 
-/// Identifiers bound in `lexed` by a `let` whose initializer mentions
-/// `split_seed` — the (file-local, flow-insensitive) seed-taint set.
-pub(crate) fn split_seed_tainted(lexed: &Lexed) -> BTreeSet<String> {
+/// Transitive effect mask per node id: one [`reach`] per effect bit.
+pub fn transitive_mask(g: &CallGraph, fx: &Effects) -> Vec<u8> {
+    let mut mask = vec![0u8; g.nodes.len()];
+    for (bit, _) in EFFECTS {
+        let reached = reach(g, |id| fx.base[id] & bit != 0, true);
+        for (m, _) in mask.iter_mut().zip(reached).filter(|(_, r)| *r) {
+            *m |= bit;
+        }
+    }
+    mask
+}
+
+/// Lines of `lexed` on which a *reasoned* suppression for `rule` applies
+/// (the cover [`crate::rules::apply_suppressions`] uses).
+fn vouched_lines(lexed: &Lexed, rule: &str) -> BTreeSet<usize> {
+    lexed
+        .suppressions
+        .iter()
+        .filter(|sup| !sup.reason.is_empty() && sup.rules.iter().any(|r| r == rule))
+        .flat_map(|sup| crate::rules::covered_lines(lexed, sup))
+        .collect()
+}
+
+/// Identifiers bound by a `let` in the token range `range` whose
+/// initializer (from `=` to its `;`) calls `split_seed` with arguments that
+/// `keep` accepts. `keep` also sees the names bound so far, so bindings
+/// chain. Keeping every split gives the file's seed-taint set; keeping
+/// splits of a closure parameter gives R002's per-unit seeds.
+pub(crate) fn split_seed_bindings(
+    lexed: &Lexed,
+    range: (usize, usize),
+    keep: impl Fn(&[Token], &BTreeSet<String>) -> bool,
+) -> BTreeSet<String> {
     let toks = &lexed.tokens;
-    let mut tainted = BTreeSet::new();
-    let mut i = 0;
-    while i < toks.len() {
+    let end = range.1.min(toks.len());
+    let mut bound = BTreeSet::new();
+    for i in range.0..end {
         if !(toks[i].kind == TokenKind::Ident && toks[i].text == "let") {
-            i += 1;
             continue;
         }
         let mut j = i + 1;
         if matches!(toks.get(j), Some(t) if t.text == "mut") {
             j += 1;
         }
-        let Some(name) = toks.get(j).filter(|t| t.kind == TokenKind::Ident) else {
-            i += 1;
-            continue;
-        };
-        // Scan the initializer (through `=` to `;`) for a split_seed call.
-        let mut derived = false;
-        let mut k = j + 1;
+        let Some(name) = toks.get(j).filter(|t| t.kind == TokenKind::Ident) else { continue };
         let mut saw_eq = false;
-        while let Some(t) = toks.get(k) {
-            match (t.kind, t.text.as_str()) {
-                (TokenKind::Op, ";") => break,
+        let mut derived = false;
+        for k in j + 1..end {
+            match (toks[k].kind, toks[k].text.as_str()) {
+                (TokenKind::Op, ";") | (TokenKind::Ident, "let") => break,
                 (TokenKind::Op, "=") => saw_eq = true,
-                (TokenKind::Ident, "split_seed") if saw_eq => derived = true,
-                (TokenKind::Ident, "let") => break,
+                (TokenKind::Ident, "split_seed") if saw_eq => {
+                    derived |= keep(&toks[k + 1..balanced_args_end(lexed, k + 1)], &bound);
+                }
                 _ => {}
             }
-            k += 1;
         }
         if derived {
-            tainted.insert(name.text.clone());
+            bound.insert(name.text.clone());
         }
-        i = j + 1;
     }
-    tainted
+    bound
 }
 
 /// Token span of the balanced `(…)` argument list opening at `open` (the
@@ -172,6 +197,14 @@ pub(crate) fn balanced_args_end(lexed: &Lexed, open: usize) -> usize {
     toks.len()
 }
 
+/// Index of the first `{` in the token range `body` (where a fn's
+/// signature ends), or `usize::MAX` when there is none.
+pub(crate) fn body_open(toks: &[Token], body: (usize, usize)) -> usize {
+    (body.0..body.1.min(toks.len()))
+        .find(|&k| toks[k].kind == TokenKind::Op && toks[k].text == "{")
+        .unwrap_or(usize::MAX)
+}
+
 /// Direct (leaf) effects of the token range `body` in `lexed`: the mask,
 /// the first raw-seed line and the first unvouched allocation line.
 /// `alloc_vouched` lists the lines a reasoned `lint:allow(R003)` covers;
@@ -190,9 +223,7 @@ fn base_effects(
     // `Vec` in a signature (`-> Vec<f32>`, `out: &mut Vec<VId>`) sets the
     // alloc *bit* (the mask is about reachable behavior) but is not an
     // allocation *site*: own_alloc only counts tokens past the opening brace.
-    let body_open = (body.0..body.1.min(toks.len()))
-        .find(|&k| toks[k].kind == TokenKind::Op && toks[k].text == "{")
-        .unwrap_or(usize::MAX);
+    let body_open = body_open(toks, body);
     for i in body.0..body.1.min(toks.len()) {
         if skip.get(i).copied().unwrap_or(false) {
             continue;
@@ -242,19 +273,16 @@ fn base_effects(
     (mask, raw_seed_line, alloc_line)
 }
 
-/// Runs the inference: base effects per node, then the fixpoint closure
-/// over call-graph edges.
+/// Runs the inference: direct effects per node.
 pub fn infer(set: &FileSet, g: &CallGraph) -> Effects {
     let mut fx = Effects {
-        mask: vec![0; g.nodes.len()],
         base: vec![0; g.nodes.len()],
-        raw_entropy: vec![false; g.nodes.len()],
         own_raw_seed: vec![None; g.nodes.len()],
         own_alloc: vec![None; g.nodes.len()],
     };
     for file in set.files.values() {
         let alloc_vouched = vouched_lines(&file.lexed, "R003");
-        let tainted = split_seed_tainted(&file.lexed);
+        let tainted = split_seed_bindings(&file.lexed, (0, usize::MAX), |_, _| true);
         let ids = g.nodes_in_file(&file.rel_path);
         // A nested fn's tokens belong to the nested fn only.
         for &id in ids {
@@ -274,31 +302,9 @@ pub fn infer(set: &FileSet, g: &CallGraph) -> Effects {
             }
             let (mask, raw_line, alloc_line) =
                 base_effects(&file.lexed, (s, e), &alloc_vouched, &tainted, &skip);
-            fx.mask[id] = mask;
             fx.base[id] = mask;
             fx.own_raw_seed[id] = raw_line;
-            fx.raw_entropy[id] = raw_line.is_some();
             fx.own_alloc[id] = alloc_line;
-        }
-    }
-    // Fixpoint: effects and the raw-seed flag flow from callee to caller.
-    loop {
-        let mut changed = false;
-        for id in 0..g.nodes.len() {
-            let mut mask = fx.mask[id];
-            let mut raw = fx.raw_entropy[id];
-            for &callee in &g.edges[id] {
-                mask |= fx.mask[callee];
-                raw |= fx.raw_entropy[callee];
-            }
-            if mask != fx.mask[id] || raw != fx.raw_entropy[id] {
-                fx.mask[id] = mask;
-                fx.raw_entropy[id] = raw;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
         }
     }
     fx
@@ -307,12 +313,14 @@ pub fn infer(set: &FileSet, g: &CallGraph) -> Effects {
 /// Markdown effect table for one crate's `pub` fns (name-sorted): the
 /// golden surface pinning `gnn-dm-par`'s public API effects.
 pub fn effects_table(g: &CallGraph, fx: &Effects, crate_key: &str) -> String {
+    let mask = transitive_mask(g, fx);
+    let raw = reach(g, |id| fx.own_raw_seed[id].is_some(), true);
     let mut rows: Vec<(String, String, bool)> = g
         .nodes
         .iter()
         .enumerate()
         .filter(|(_, n)| n.crate_key == crate_key && n.is_pub && !n.in_test)
-        .map(|(id, n)| (n.name.clone(), mask_names(fx.mask[id]), fx.raw_entropy[id]))
+        .map(|(id, n)| (n.name.clone(), mask_names(mask[id]), raw[id]))
         .collect();
     rows.sort();
     rows.dedup();
@@ -337,7 +345,7 @@ mod tests {
 
     fn mask_of(g: &CallGraph, fx: &Effects, name: &str) -> u8 {
         let id = g.nodes.iter().position(|n| n.name == name).expect("node");
-        fx.mask[id]
+        transitive_mask(g, fx)[id]
     }
 
     #[test]
@@ -378,9 +386,8 @@ mod tests {
              pub fn raw(seed: u64, w: u64) -> StdRng { StdRng::seed_from_u64(seed ^ (w << 32)) }\n\
              pub fn inherits(seed: u64, w: u64) -> StdRng { raw(seed, w) }\n",
         )]);
-        let raw_of = |name: &str| {
-            fx.raw_entropy[g.nodes.iter().position(|n| n.name == name).expect("node")]
-        };
+        let raw = reach(&g, |id| fx.own_raw_seed[id].is_some(), true);
+        let raw_of = |name: &str| raw[g.nodes.iter().position(|n| n.name == name).expect("node")];
         assert!(!raw_of("disciplined"));
         assert!(!raw_of("derived"));
         assert!(raw_of("raw"));

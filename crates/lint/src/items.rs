@@ -1,11 +1,12 @@
 //! A lightweight *item* parser over the token stream.
 //!
 //! The call graph ([`crate::callgraph`]) needs to know **what a file
-//! declares** — functions, types, traits, impls and `use` imports, with
-//! their spans and visibility — but not full Rust semantics. This parser
-//! recovers exactly that from [`crate::tokenizer`]'s output. Like the
-//! tokenizer it is *total*: any byte sequence produces a (possibly empty)
-//! item list, never a panic, so it is safe to run on arbitrary files.
+//! declares** — functions, the traits and impl blocks that own methods, and
+//! `use` imports, with their spans and visibility — but not full Rust
+//! semantics. This parser recovers exactly that from [`crate::tokenizer`]'s
+//! output. Like the tokenizer it is *total*: any byte sequence produces a
+//! (possibly empty) item list, never a panic, so it is safe to run on
+//! arbitrary files.
 //!
 //! Heuristics are deliberately shallow and err towards silence: a keyword
 //! is only treated as an item head when it sits in item position (after
@@ -14,29 +15,17 @@
 
 use crate::tokenizer::{Token, TokenKind};
 
-/// What kind of declaration an [`Item`] is.
+/// What kind of declaration an [`Item`] is: the four the call graph reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ItemKind {
     /// `fn` (free function or method).
     Fn,
-    /// `struct`.
-    Struct,
-    /// `enum`.
-    Enum,
     /// `trait`.
     Trait,
     /// `impl` block (name = the implemented-for type).
     Impl,
-    /// `mod` declaration or block.
-    Mod,
     /// `use` import (name = the full path, `::`-joined).
     Use,
-    /// `const` item.
-    Const,
-    /// `static` item.
-    Static,
-    /// `type` alias (including associated types).
-    TypeAlias,
 }
 
 /// One declared item with its source span.
@@ -52,12 +41,6 @@ pub struct Item {
     pub is_pub: bool,
     /// 1-based line of the item keyword.
     pub line: usize,
-    /// 1-based line of the item's closing `}` or terminating `;` (equal to
-    /// `line` for items that end on the same line; `line` if the file ends
-    /// mid-item).
-    pub end_line: usize,
-    /// Brace depth the item was declared at (0 = file top level).
-    pub depth: usize,
     /// Index of the item keyword in the token stream.
     pub tok_start: usize,
     /// Index one past the item's closing `}` / terminating `;` in the token
@@ -73,15 +56,9 @@ const MODIFIERS: &[&str] = &["pub", "unsafe", "async", "extern", "default", "con
 fn keyword_kind(word: &str) -> Option<ItemKind> {
     Some(match word {
         "fn" => ItemKind::Fn,
-        "struct" => ItemKind::Struct,
-        "enum" => ItemKind::Enum,
         "trait" => ItemKind::Trait,
         "impl" => ItemKind::Impl,
-        "mod" => ItemKind::Mod,
         "use" => ItemKind::Use,
-        "const" => ItemKind::Const,
-        "static" => ItemKind::Static,
-        "type" => ItemKind::TypeAlias,
         _ => return None,
     })
 }
@@ -104,7 +81,6 @@ pub fn parse_items(tokens: &[Token]) -> Vec<Item> {
                     depth = depth.saturating_sub(1);
                     while let Some(&(idx, d)) = open.last() {
                         if d > depth {
-                            items[idx].end_line = t.line;
                             items[idx].tok_end = i + 1;
                             open.pop();
                         } else {
@@ -122,13 +98,6 @@ pub fn parse_items(tokens: &[Token]) -> Vec<Item> {
             i += 1;
             continue;
         };
-        // `const` directly before `fn` is a modifier, not an item head.
-        if kind == ItemKind::Const
-            && matches!(tokens.get(i + 1), Some(n) if n.kind == TokenKind::Ident && n.text == "fn")
-        {
-            i += 1;
-            continue;
-        }
         if !in_item_position(tokens, i) {
             i += 1;
             continue;
@@ -149,18 +118,15 @@ pub fn parse_items(tokens: &[Token]) -> Vec<Item> {
         // clauses can contain braces only inside nested items, which the
         // outer scan handles anyway).
         let mut j = after_name;
-        let mut ended_at: Option<(usize, usize)> = None;
+        let mut ended_at: Option<usize> = None;
         let mut body = false;
         while j < tokens.len() {
             let tj = &tokens[j];
             if tj.kind == TokenKind::Op {
                 match tj.text.as_str() {
                     ";" => {
-                        ended_at = Some((tj.line, j));
+                        ended_at = Some(j);
                         break;
-                    }
-                    "=" if kind != ItemKind::Impl => {
-                        // `const X: T = …;` / `type A = …;`: scan on to `;`.
                     }
                     "{" => {
                         body = true;
@@ -177,10 +143,8 @@ pub fn parse_items(tokens: &[Token]) -> Vec<Item> {
             name,
             is_pub: has_pub_modifier(tokens, i),
             line: t.line,
-            end_line: ended_at.map_or(t.line, |(l, _)| l),
-            depth,
             tok_start: i,
-            tok_end: ended_at.map_or(i + 1, |(_, j)| j + 1),
+            tok_end: ended_at.map_or(i + 1, |j| j + 1),
         });
         if body {
             // Body opens at `j`; the `{` itself is processed on the next
@@ -391,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn recognizes_every_item_kind() {
+    fn recognizes_the_four_item_kinds() {
         let src = "\
 pub fn f() {}\n\
 struct S { x: u32 }\n\
@@ -404,55 +368,32 @@ pub const N: usize = 3;\n\
 static G: u8 = 0;\n\
 type Alias = u32;\n";
         let its = items_of(src);
-        let kinds: Vec<ItemKind> = its.iter().map(|i| i.kind).collect();
+        let kinds: Vec<(ItemKind, &str)> = its.iter().map(|i| (i.kind, i.name.as_str())).collect();
         assert_eq!(
             kinds,
             vec![
-                ItemKind::Fn,
-                ItemKind::Struct,
-                ItemKind::Enum,
-                ItemKind::Trait,
-                ItemKind::Fn, // trait method
-                ItemKind::Impl,
-                ItemKind::Fn, // impl method
-                ItemKind::Mod,
-                ItemKind::Use,
-                ItemKind::Use,
-                ItemKind::Const,
-                ItemKind::Static,
-                ItemKind::TypeAlias,
+                (ItemKind::Fn, "f"),
+                (ItemKind::Trait, "T"),
+                (ItemKind::Fn, "m"), // trait method
+                (ItemKind::Impl, "S"),
+                (ItemKind::Fn, "m"), // impl method
+                (ItemKind::Use, "std::mem"),
+                (ItemKind::Use, "gnn_dm_graph::csr::Csr"),
             ]
         );
-        let by_name = |n: &str| {
-            its.iter()
-                .find(|i| i.name == n)
-                .unwrap_or_else(|| panic!("item {n} missing"))
-        };
-        assert!(by_name("f").is_pub && by_name("f").line == 1);
-        assert!(!by_name("S").is_pub);
-        assert_eq!(by_name("gnn_dm_graph::csr::Csr").kind, ItemKind::Use);
-        assert_eq!(by_name("Alias").kind, ItemKind::TypeAlias);
+        assert!(its[0].is_pub && its[0].line == 1);
+        assert!(!its[1].is_pub);
     }
 
     #[test]
     fn spans_cover_bodies() {
-        let src = "pub fn long() {\n    let x = 1;\n    x;\n}\nfn next() {}\n";
-        let its = items_of(src);
+        let src = "pub fn long() {\n    let x = 1;\n    x;\n}\nmod m {\n    fn inner() {}\n}\n";
+        let lexed = lex(src);
+        let its = parse_items(&lexed.tokens);
         assert_eq!(its[0].name, "long");
-        assert_eq!((its[0].line, its[0].end_line), (1, 4));
-        assert_eq!((its[1].line, its[1].end_line), (5, 5));
-    }
-
-    #[test]
-    fn nested_items_carry_depth() {
-        let src = "mod m {\n    pub fn inner() {}\n}\nfn outer() {}\n";
-        let its = items_of(src);
-        assert_eq!(its[0].kind, ItemKind::Mod);
-        assert_eq!(its[0].end_line, 3);
-        assert_eq!(its[1].name, "inner");
-        assert_eq!(its[1].depth, 1);
-        assert_eq!(its[2].name, "outer");
-        assert_eq!(its[2].depth, 0);
+        assert_eq!(lexed.tokens[its[0].tok_end - 1].line, 4, "span ends at the closing brace");
+        assert_eq!((its[1].name.as_str(), its[1].line), ("inner", 6));
+        assert_eq!(lexed.tokens[its[1].tok_end - 1].line, 6);
     }
 
     #[test]
@@ -468,11 +409,10 @@ type Alias = u32;\n";
     #[test]
     fn const_fn_is_a_fn() {
         let its = items_of("pub const fn cf() -> u32 { 1 }\nconst K: u32 = 2;\n");
+        assert_eq!(its.len(), 1);
         assert_eq!(its[0].kind, ItemKind::Fn);
         assert_eq!(its[0].name, "cf");
         assert!(its[0].is_pub);
-        assert_eq!(its[1].kind, ItemKind::Const);
-        assert_eq!(its[1].name, "K");
     }
 
     #[test]

@@ -22,36 +22,14 @@ pub mod seeds;
 pub mod tokenizer;
 pub mod workspace;
 
-pub use rules::{lint_source, Diagnostic};
+pub use rules::Diagnostic;
 
-/// Every rule ID the linter can emit, sorted. `--explain` must have a
-/// catalog row for each (pinned by `tests/explain_completeness.rs`), and
-/// the JSON reports carry this list as `rule_ids` so downstream tooling
-/// can detect rules added or removed between versions.
+/// Every rule ID the linter can emit, sorted. `tests/workspace_clean.rs`
+/// checks it against the DESIGN.md §7 catalog in both directions.
 pub const RULE_IDS: &[&str] = &[
     "A002", "D001", "D002", "D003", "F001", "L001", "P001", "R001", "R002", "R003", "S001",
     "S002", "T001",
 ];
-
-/// The design document is compiled in so `--explain` works from any
-/// working directory (the binary is its own documentation).
-pub const DESIGN_MD: &str = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"));
-
-/// Returns rule ID's `| ID | scope | what it flags |` row of the
-/// DESIGN.md §7 catalog, formatted for humans, or an error for IDs with
-/// no catalog row.
-pub fn explain(rule: &str) -> Result<String, String> {
-    let needle = format!("| {rule} |");
-    for line in DESIGN_MD.lines() {
-        if let Some(rest) = line.strip_prefix(&needle) {
-            let mut cols = rest.trim_end_matches('|').splitn(2, '|');
-            let scope = cols.next().unwrap_or("").trim();
-            let what = cols.next().unwrap_or("").trim();
-            return Ok(format!("{rule}\n  scope: {scope}\n  flags: {what}"));
-        }
-    }
-    Err(format!("unknown rule `{rule}` — no row in the DESIGN.md rule catalog"))
-}
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -81,109 +59,30 @@ impl Report {
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty() && self.read_errors.is_empty()
     }
-
-    /// Count of diagnostics for one rule.
-    pub fn count(&self, rule: &str) -> usize {
-        self.diagnostics.iter().filter(|d| d.rule == rule).count()
-    }
-
-    /// Full machine-readable report: the summary fields plus every
-    /// diagnostic and read error, as one JSON object. Diagnostics appear
-    /// in report order (sorted by file, line, rule), so the output is
-    /// byte-stable across runs.
-    pub fn to_json(&self) -> String {
-        let diags: Vec<String> = self
-            .diagnostics
-            .iter()
-            .map(|d| {
-                format!(
-                    "{{\"file\":{},\"line\":{},\"rule\":{},\"message\":{}}}",
-                    json_str(&d.file),
-                    d.line,
-                    json_str(d.rule),
-                    json_str(&d.message)
-                )
-            })
-            .collect();
-        let errs: Vec<String> = self
-            .read_errors
-            .iter()
-            .map(|(f, e)| format!("{{\"file\":{},\"error\":{}}}", json_str(f), json_str(e)))
-            .collect();
-        let summary = self.summary_json();
-        // Splice the diagnostics/read_errors arrays into the summary object
-        // so both forms share one set of top-level fields.
-        format!(
-            "{},\"diagnostics\":[{}],\"read_errors\":[{}]}}",
-            &summary[..summary.len() - 1],
-            diags.join(","),
-            errs.join(",")
-        )
-    }
-
-    /// Machine-readable one-line JSON summary:
-    /// `{"files_scanned":N,"violations":N,"by_rule":{"D001":n,...},
-    /// "rule_ids":["A002",...]}` — `rule_ids` is the full shipped catalog
-    /// ([`RULE_IDS`]), not just the rules that fired.
-    pub fn summary_json(&self) -> String {
-        let mut rules: Vec<&'static str> =
-            self.diagnostics.iter().map(|d| d.rule).collect();
-        rules.sort_unstable();
-        rules.dedup();
-        let by_rule: Vec<String> = rules
-            .iter()
-            .map(|r| format!("\"{}\":{}", r, self.count(r)))
-            .collect();
-        let ids: Vec<String> = RULE_IDS.iter().map(|r| format!("\"{r}\"")).collect();
-        format!(
-            "{{\"files_scanned\":{},\"violations\":{},\"by_rule\":{{{}}},\"rule_ids\":[{}]}}",
-            self.files_scanned,
-            self.diagnostics.len(),
-            by_rule.join(","),
-            ids.join(",")
-        )
-    }
 }
 
-/// Escapes a string as a JSON string literal (quotes included).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Lints every workspace `.rs` file under `root`'s scan roots: the
-/// per-file rules, then the interprocedural dataflow passes (call graph →
-/// effect inference → R001/R002/R003), with suppressions applied once over
-/// the combined per-file sets, then L001's manifest half.
+/// Lints every workspace `.rs` file under `root`'s scan roots through
+/// [`lint_sources`]' pipeline, then L001's manifest half: the root
+/// `Cargo.toml` and every `crates/*` member's, against the source
+/// references the same file set collected (sources are lexed once per run).
 pub fn lint_workspace(root: &Path) -> Report {
     let (set, read_errors) = callgraph::FileSet::load(root);
-    let mut report = Report {
-        files_scanned: set.files.len(),
-        read_errors,
-        ..Report::default()
-    };
-    report.diagnostics = dataflow_lint(&set);
-    // L001's manifest half: the manifests, checked against the FileSet's
-    // source references (sources are lexed exactly once per run).
-    let ws = workspace::Workspace::from_fileset(root, &set);
-    report.diagnostics.extend(ws.check_manifests(workspace::ALLOWED_EDGES));
-    report
-        .diagnostics
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    report
+    let mut diagnostics = dataflow_lint(&set);
+    let mut manifests = vec![(workspace::ROOT_KEY.to_string(), "Cargo.toml".to_string())];
+    if let Ok(entries) = fs::read_dir(root.join("crates")) {
+        for entry in entries.flatten() {
+            let key = entry.file_name().to_string_lossy().into_owned();
+            let rel = format!("crates/{key}/Cargo.toml");
+            manifests.push((key, rel));
+        }
+    }
+    for (key, rel) in manifests {
+        let Ok(text) = fs::read_to_string(root.join(&rel)) else { continue };
+        let refs = set.refs.get(&key).map_or(&[][..], Vec::as_slice);
+        diagnostics.extend(workspace::check_manifest(&key, &rel, &text, refs));
+    }
+    sort_diagnostics(&mut diagnostics);
+    Report { diagnostics, files_scanned: set.files.len(), read_errors }
 }
 
 /// Runs the full per-file + interprocedural pipeline over in-memory
@@ -191,8 +90,13 @@ pub fn lint_workspace(root: &Path) -> Report {
 /// tests drive; [`lint_workspace`] is the same pipeline fed from disk.
 pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
     let mut diags = dataflow_lint(&callgraph::FileSet::from_sources(sources));
-    diags.sort_by(|a, b| (a.file.clone(), a.line, a.rule).cmp(&(b.file.clone(), b.line, b.rule)));
+    sort_diagnostics(&mut diags);
     diags
+}
+
+/// Report order: by (file, line, rule), stable within a line and rule.
+fn sort_diagnostics(diags: &mut [Diagnostic]) {
+    diags.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 }
 
 /// Shared core: per-file checks, dataflow passes, then one suppression
@@ -259,79 +163,12 @@ pub(crate) fn relative_path(root: &Path, file: &Path) -> String {
 mod tests {
     use super::*;
 
-    /// The `"rule_ids":[...]` suffix every summary carries: the full
-    /// shipped catalog, independent of which rules fired.
-    fn rule_ids_json() -> String {
-        let ids: Vec<String> = RULE_IDS.iter().map(|r| format!("\"{r}\"")).collect();
-        format!("\"rule_ids\":[{}]", ids.join(","))
-    }
-
     #[test]
     fn rule_catalog_is_sorted_and_unique() {
         let mut sorted = RULE_IDS.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted, RULE_IDS, "RULE_IDS must stay sorted and duplicate-free");
-    }
-
-    #[test]
-    fn summary_json_shape() {
-        let report = Report {
-            diagnostics: vec![
-                Diagnostic { rule: "D001", file: "a.rs".into(), line: 1, message: String::new() },
-                Diagnostic { rule: "D001", file: "b.rs".into(), line: 2, message: String::new() },
-                Diagnostic { rule: "P001", file: "b.rs".into(), line: 3, message: String::new() },
-            ],
-            files_scanned: 7,
-            read_errors: vec![],
-        };
-        assert_eq!(
-            report.summary_json(),
-            format!(
-                "{{\"files_scanned\":7,\"violations\":3,\"by_rule\":{{\"D001\":2,\"P001\":1}},{}}}",
-                rule_ids_json()
-            )
-        );
-        assert!(!report.is_clean());
-        assert_eq!(report.count("D001"), 2);
-    }
-
-    #[test]
-    fn full_json_escapes_and_nests() {
-        let report = Report {
-            diagnostics: vec![Diagnostic {
-                rule: "P001",
-                file: "a.rs".into(),
-                line: 4,
-                message: "avoid `panic!(\"boom\")`".into(),
-            }],
-            files_scanned: 1,
-            read_errors: vec![("b.rs".into(), "io\nerror".into())],
-        };
-        assert_eq!(
-            report.to_json(),
-            format!(
-                concat!(
-                    "{{\"files_scanned\":1,\"violations\":1,\"by_rule\":{{\"P001\":1}},{},",
-                    "\"diagnostics\":[{{\"file\":\"a.rs\",\"line\":4,\"rule\":\"P001\",",
-                    "\"message\":\"avoid `panic!(\\\"boom\\\")`\"}}],",
-                    "\"read_errors\":[{{\"file\":\"b.rs\",\"error\":\"io\\nerror\"}}]}}"
-                ),
-                rule_ids_json()
-            )
-        );
-    }
-
-    #[test]
-    fn clean_report_summary() {
-        let report = Report { files_scanned: 3, ..Report::default() };
-        assert!(report.is_clean());
-        assert_eq!(
-            report.summary_json(),
-            format!("{{\"files_scanned\":3,\"violations\":0,\"by_rule\":{{}},{}}}", rule_ids_json())
-        );
-        assert!(explain("A002").is_ok_and(|t| t.contains("scope:")));
-        assert!(explain("Z999").is_err());
     }
 
     #[test]
@@ -342,6 +179,6 @@ mod tests {
             ..Report::default()
         };
         assert!(!report.is_clean(), "a file that was not read was not linted");
-        assert!(report.summary_json().contains("\"violations\":0"));
+        assert!(report.diagnostics.is_empty());
     }
 }

@@ -11,13 +11,14 @@
 //! serializes the units or lets their order leak into the result. R001
 //! flags those.
 //!
-//! This module also hosts the parallel-closure finder that R002
-//! ([`crate::seeds`]) reuses.
+//! This module also hosts the parallel-closure finder that
+//! [`crate::callgraph::FileSet`] runs once per file for R001, R002
+//! ([`crate::seeds`]) and R003.
 
 use crate::callgraph::{CallGraph, FileSet, SourceFile};
-use crate::effects::{Effects, IO, LOCK};
+use crate::effects::{body_open, reach, Effects, ALLOC_IDENTS, IO, LOCK};
 use crate::rules::Diagnostic;
-use crate::tokenizer::{Lexed, TokenKind};
+use crate::tokenizer::{Lexed, Token, TokenKind};
 use std::collections::BTreeSet;
 
 /// The dispatch entry points whose closure arguments run on worker threads.
@@ -148,33 +149,6 @@ const SYNC_METHODS: &[&str] = &[
     "fetch_min", "compare_exchange", "compare_exchange_weak",
 ];
 
-/// Per-node reachability of a `seed` node along call paths that never
-/// enter the `par` crate. The dispatchers' own locks, channels and result
-/// buffers are the sanctioned mechanism, so an effect inherited *through*
-/// `par` (e.g. from a nested parallel section) does not count against the
-/// closure. R001 seeds it with a node's own io or lock bit, R003 with its
-/// own unvouched allocation site.
-fn reach_outside_par(g: &CallGraph, seed: impl Fn(usize) -> bool) -> Vec<bool> {
-    let mut reach: Vec<bool> =
-        (0..g.nodes.len()).map(|id| g.nodes[id].crate_key != "par" && seed(id)).collect();
-    loop {
-        let mut changed = false;
-        for id in 0..g.nodes.len() {
-            if reach[id] || g.nodes[id].crate_key == "par" {
-                continue;
-            }
-            if g.edges[id].iter().any(|&m| g.nodes[m].crate_key != "par" && reach[m]) {
-                reach[id] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    reach
-}
-
 fn diag(file: &SourceFile, line: usize, message: String) -> Diagnostic {
     Diagnostic { rule: "R001", file: file.rel_path.clone(), line, message }
 }
@@ -182,14 +156,14 @@ fn diag(file: &SourceFile, line: usize, message: String) -> Diagnostic {
 /// R001 over the whole file set. `gnn-dm-par`'s own sources are exempt —
 /// they *implement* the dispatch machinery being protected.
 pub fn check_r001(set: &FileSet, g: &CallGraph, fx: &Effects) -> Vec<Diagnostic> {
-    let io_reach = reach_outside_par(g, |id| fx.base[id] & IO != 0);
-    let lock_reach = reach_outside_par(g, |id| fx.base[id] & LOCK != 0);
+    let io_reach = reach(g, |id| fx.base[id] & IO != 0, false);
+    let lock_reach = reach(g, |id| fx.base[id] & LOCK != 0, false);
     let mut diags = Vec::new();
     for file in set.files.values() {
         if file.ctx.layer_key() == "par" {
             continue;
         }
-        for cl in find_par_closures(&file.lexed) {
+        for cl in &file.closures {
             let toks = &file.lexed.tokens;
             for i in cl.body.0..cl.body.1.min(toks.len()) {
                 let t = &toks[i];
@@ -227,11 +201,7 @@ pub fn check_r001(set: &FileSet, g: &CallGraph, fx: &Effects) -> Vec<Diagnostic>
                 }
             }
             // Calls out of the closure into io/lock-effect fns.
-            let Some(owner) = g.owner_of(&file.rel_path, cl.body.0) else { continue };
-            for site in &g.calls[owner] {
-                if site.tok < cl.body.0 || site.tok >= cl.body.1 {
-                    continue;
-                }
+            for site in g.calls_in(&file.rel_path, cl.body) {
                 for &target in &site.targets {
                     let (io, lk) = (io_reach[target], lock_reach[target]);
                     if !io && !lk {
@@ -286,7 +256,7 @@ pub(crate) fn alloc_witness(g: &CallGraph, fx: &Effects, reach: &[bool], from: u
             break 'bfs;
         }
         for &next in &g.edges[n] {
-            if !seen[next] && g.nodes[next].crate_key != "par" && reach[next] {
+            if !seen[next] && reach[next] {
                 seen[next] = true;
                 prev[next] = Some(n);
                 queue.push_back(next);
@@ -319,55 +289,35 @@ pub(crate) fn alloc_witness(g: &CallGraph, fx: &Effects, reach: &[bool], from: u
 /// for the S002 staleness audit; the *transitive* side honors vouches
 /// through [`Effects::own_alloc`], so a vouched leaf stops witnessing.
 pub fn check_r003(set: &FileSet, g: &CallGraph, fx: &Effects) -> Vec<Diagnostic> {
-    let reach = reach_outside_par(g, |id| fx.own_alloc[id].is_some());
+    let reach = reach(g, |id| fx.own_alloc[id].is_some(), false);
     let mut diags = Vec::new();
     for file in set.files.values() {
         if file.ctx.layer_key() == "par" || file.ctx.non_library {
             continue;
         }
-        let toks = &file.lexed.tokens;
-        for cl in find_par_closures(&file.lexed) {
+        for cl in &file.closures {
             if file.in_test.get(cl.body.0).copied().unwrap_or(false) {
                 continue;
             }
             if Some(cl.arg_idx) == scratch_init_arg(cl.dispatcher) {
                 continue;
             }
-            // Direct allocation intrinsics in the closure body, one
-            // diagnostic per line.
-            let mut flagged: BTreeSet<usize> = BTreeSet::new();
-            for i in cl.body.0..cl.body.1.min(toks.len()) {
-                let t = &toks[i];
-                if t.kind != TokenKind::Ident
-                    || !crate::effects::ALLOC_IDENTS.contains(&t.text.as_str())
-                {
-                    continue;
-                }
-                if !flagged.insert(t.line) {
-                    continue;
-                }
+            for (line, ident) in alloc_sites(&file.lexed.tokens, cl.body.0..cl.body.1) {
                 diags.push(Diagnostic {
                     rule: "R003",
                     file: file.rel_path.clone(),
-                    line: t.line,
+                    line,
                     message: format!(
-                        "allocation (`{}`) inside a `{}` closure — per-unit heap traffic \
+                        "allocation (`{ident}`) inside a `{}` closure — per-unit heap traffic \
                          serializes the hot path; reuse a scratch arena (`par_*_init`) or \
                          vouch it with `lint:allow(R003) <why amortized>`",
-                        t.text, cl.dispatcher
+                        cl.dispatcher
                     ),
                 });
             }
             // Calls out of the closure into allocating fns, with a witness.
-            let Some(owner) = g.owner_of(&file.rel_path, cl.body.0) else { continue };
-            for site in &g.calls[owner] {
-                if site.tok < cl.body.0 || site.tok >= cl.body.1 {
-                    continue;
-                }
-                for &target in &site.targets {
-                    if !reach[target] {
-                        continue;
-                    }
+            for site in g.calls_in(&file.rel_path, cl.body) {
+                if let Some(&target) = site.targets.iter().find(|&&t| reach[t]) {
                     diags.push(Diagnostic {
                         rule: "R003",
                         file: file.rel_path.clone(),
@@ -380,7 +330,6 @@ pub fn check_r003(set: &FileSet, g: &CallGraph, fx: &Effects) -> Vec<Diagnostic>
                             alloc_witness(g, fx, &reach, target)
                         ),
                     });
-                    break; // one diagnostic per call site
                 }
             }
         }
@@ -393,31 +342,16 @@ pub fn check_r003(set: &FileSet, g: &CallGraph, fx: &Effects) -> Vec<Diagnostic>
         }
         let Some(file) = set.files.get(&n.file) else { continue };
         let toks = &file.lexed.tokens;
-        let body_open = (n.body.0..n.body.1.min(toks.len()))
-            .find(|&k| toks[k].kind == TokenKind::Op && toks[k].text == "{")
-            .unwrap_or(usize::MAX);
-        let mut flagged: BTreeSet<usize> = BTreeSet::new();
-        for i in n.body.0..n.body.1.min(toks.len()) {
-            if i <= body_open {
-                continue;
-            }
-            let t = &toks[i];
-            if t.kind != TokenKind::Ident
-                || !crate::effects::ALLOC_IDENTS.contains(&t.text.as_str())
-            {
-                continue;
-            }
-            if !flagged.insert(t.line) {
-                continue;
-            }
+        let signature_end = body_open(toks, n.body).saturating_add(1);
+        for (line, ident) in alloc_sites(toks, signature_end..n.body.1) {
             diags.push(Diagnostic {
                 rule: "R003",
                 file: n.file.clone(),
-                line: t.line,
+                line,
                 message: format!(
-                    "hot-path kernel `{}` allocates here (`{}`) — the inner GEMM/sampling \
+                    "hot-path kernel `{}` allocates here (`{ident}`) — the inner GEMM/sampling \
                      loops must stay allocation-free; take the buffer as a parameter",
-                    n.name, t.text
+                    n.name
                 ),
             });
         }
@@ -439,6 +373,22 @@ pub fn check_r003(set: &FileSet, g: &CallGraph, fx: &Effects) -> Vec<Diagnostic>
         }
     }
     diags
+}
+
+/// Allocation witnesses ([`ALLOC_IDENTS`]) in `toks[range]`, the first per
+/// line: `(line, ident)`.
+fn alloc_sites(toks: &[Token], range: std::ops::Range<usize>) -> Vec<(usize, &str)> {
+    let end = range.end.min(toks.len());
+    let mut lines = BTreeSet::new();
+    toks[range.start.min(end)..end]
+        .iter()
+        .filter(|t| {
+            t.kind == TokenKind::Ident
+                && ALLOC_IDENTS.contains(&t.text.as_str())
+                && lines.insert(t.line)
+        })
+        .map(|t| (t.line, t.text.as_str()))
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! file's workspace-relative path. See DESIGN.md "Determinism & lint rule
 //! catalog" for the rationale behind each rule.
 
-use crate::tokenizer::{lex, Token, TokenKind};
+use crate::tokenizer::{Lexed, Suppression, Token, TokenKind};
 
 /// One lint finding.
 #[derive(Debug, Clone)]
@@ -29,11 +29,13 @@ const ENTROPY_IDENTS: &[&str] =
     &["thread_rng", "ThreadRng", "from_entropy", "from_os_rng", "OsRng", "getrandom"];
 
 /// Analytic cost-model entry points (A002 scope): pricing a transfer or
-/// batch by calling these directly, instead of going through the
+/// batch by calling these directly — including the `TransferEngine::time`
+/// dispatch over its `time_*` family — instead of going through the
 /// `gnn_dm_device::traced` adapters or another span-emitting entry point,
 /// produces seconds/bytes that never land on the trace timeline.
 const COST_IDENTS: &[&str] = &[
     "transfer_time",
+    "time",
     "time_extract_load",
     "time_zero_copy",
     "time_hybrid",
@@ -128,27 +130,12 @@ impl FileCtx {
     }
 }
 
-/// Lints one file's source text. This is the whole per-file pipeline:
-/// lex, mark `#[cfg(test)]` / `#[test]` regions, run every rule, then
-/// apply suppressions (and emit S001 for reason-less ones).
-pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    let ctx = FileCtx::from_rel_path(rel_path);
-    let lexed = lex(src);
-    let in_test = test_region_marks(&lexed.tokens);
-    let diags = file_checks(&ctx, &lexed, &in_test);
-    apply_suppressions(&ctx, &lexed, diags)
-}
-
 /// Runs every per-file (intraprocedural) rule; suppressions NOT applied.
 /// The workspace driver calls this, merges in the interprocedural rules
 /// (R001/R002/R003 from [`crate::races`] and [`crate::seeds`]), and
 /// applies suppressions once over the combined set — so one `lint:allow`
 /// covers a site regardless of which pass flagged it.
-pub(crate) fn file_checks(
-    ctx: &FileCtx,
-    lexed: &crate::tokenizer::Lexed,
-    in_test: &[bool],
-) -> Vec<Diagnostic> {
+pub(crate) fn file_checks(ctx: &FileCtx, lexed: &Lexed, in_test: &[bool]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     check_d001_wall_clock(ctx, &lexed.tokens, &mut diags);
     check_d002_hash_collections(ctx, &lexed.tokens, &mut diags);
@@ -502,17 +489,22 @@ fn check_f001_float_eq(ctx: &FileCtx, tokens: &[Token], diags: &mut Vec<Diagnost
         }
         i = j;
     }
-    let _ = ctx;
+}
+
+/// The lines a suppression covers: its own line and the next line that
+/// carries any token (so it works both as a trailing comment and as a
+/// comment on the line above the code).
+pub(crate) fn covered_lines(lexed: &Lexed, sup: &Suppression) -> Vec<usize> {
+    let next_token_line = lexed.tokens.iter().map(|t| t.line).find(|&l| l > sup.line);
+    [Some(sup.line), next_token_line].into_iter().flatten().collect()
 }
 
 /// Filters diagnostics through `lint:allow` suppressions, reports S001 for
 /// suppressions that carry no justification, and S002 for reasoned
-/// suppressions that no longer suppress anything. A suppression covers its
-/// own line and the next line that carries any token (so it works both as a
-/// trailing comment and as a comment on the line above the code).
+/// suppressions that no longer suppress anything.
 pub(crate) fn apply_suppressions(
     ctx: &FileCtx,
-    lexed: &crate::tokenizer::Lexed,
+    lexed: &Lexed,
     diags: Vec<Diagnostic>,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -532,12 +524,7 @@ pub(crate) fn apply_suppressions(
             });
             continue;
         }
-        let next_token_line = lexed
-            .tokens
-            .iter()
-            .map(|t| t.line)
-            .find(|&l| l > sup.line);
-        let lines: Vec<usize> = [Some(sup.line), next_token_line].into_iter().flatten().collect();
+        let lines = covered_lines(lexed, sup);
         for rule in &sup.rules {
             for &line in &lines {
                 covered.push((rule.clone(), line));
@@ -582,7 +569,7 @@ mod tests {
 
     fn rules_fired(rel_path: &str, src: &str) -> Vec<&'static str> {
         let mut rules: Vec<&'static str> =
-            lint_source(rel_path, src).into_iter().map(|d| d.rule).collect();
+            crate::lint_sources(&[(rel_path, src)]).into_iter().map(|d| d.rule).collect();
         rules.sort_unstable();
         rules.dedup();
         rules
@@ -618,136 +605,6 @@ mod tests {
     fn cfg_not_test_is_not_a_test_region() {
         let src = "#[cfg(not(test))]\nfn lib(o: Option<u32>) -> u32 { o.unwrap() }\n";
         assert_eq!(rules_fired("crates/core/src/x.rs", src), vec!["P001"]);
-    }
-
-    #[test]
-    fn suppression_covers_same_and_next_line() {
-        let trailing =
-            "fn f(o: Option<u32>) -> u32 { o.unwrap() } // lint:allow(P001) checked above\n";
-        assert!(rules_fired("crates/core/src/x.rs", trailing).is_empty());
-        let above = "// lint:allow(P001) index is bounds-checked by the caller\n\
-                     fn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-        assert!(rules_fired("crates/core/src/x.rs", above).is_empty());
-    }
-
-    #[test]
-    fn suppression_without_reason_is_s001_and_does_not_suppress() {
-        let src = "// lint:allow(P001)\nfn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-        assert_eq!(rules_fired("crates/core/src/x.rs", src), vec!["P001", "S001"]);
-    }
-
-    #[test]
-    fn suppression_is_rule_specific() {
-        // The D002 marker suppresses nothing here: the real P001
-        // diagnostic passes through AND the marker itself is stale (S002).
-        let src = "// lint:allow(D002) only P001 fires here\n\
-                   fn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-        assert_eq!(rules_fired("crates/core/src/x.rs", src), vec!["P001", "S002"]);
-    }
-
-    #[test]
-    fn s002_flags_stale_suppressions() {
-        // Fixed site, marker left behind: stale.
-        let stale = "// lint:allow(D001) measured once at startup\n\
-                     fn f() -> u64 { 42 }\n";
-        assert_eq!(rules_fired("crates/graph/src/a.rs", stale), vec!["S002"]);
-        // Live suppression: clean.
-        let live = "// lint:allow(D001) measured once at startup\n\
-                    fn f() { let t = Instant::now(); }\n";
-        assert!(rules_fired("crates/graph/src/a.rs", live).is_empty());
-        // A multi-rule marker is audited per rule.
-        let mixed = "// lint:allow(D001, D002) timing map\n\
-                     fn f() { let t = Instant::now(); }\n";
-        assert_eq!(rules_fired("crates/graph/src/a.rs", mixed), vec!["S002"]);
-    }
-
-    #[test]
-    fn l001_enforces_the_layering_dag_in_sources() {
-        // partition may not reach up into nn, even in its tests.
-        let src = "use gnn_dm_nn::GnnModel;\n";
-        assert_eq!(rules_fired("crates/partition/src/metrics.rs", src), vec!["L001"]);
-        assert_eq!(rules_fired("crates/partition/tests/a.rs", src), vec!["L001"]);
-        // cluster may: nn is one of its allowed edges. Self-references and
-        // root-package files (which compose everything) are always fine.
-        assert!(rules_fired("crates/cluster/src/dist.rs", src).is_empty());
-        assert!(rules_fired("crates/nn/src/model.rs", src).is_empty());
-        assert!(rules_fired("tests/paper_shapes.rs", src).is_empty());
-        assert!(rules_fired("src/main.rs", src).is_empty());
-        // Qualified paths count, not just `use` items.
-        let call = "fn f() { let m = gnn_dm_core::trainer::defaults(); }\n";
-        assert_eq!(rules_fired("crates/device/src/cache.rs", call), vec!["L001"]);
-        // An unknown crate dir is itself a finding: place it in the DAG.
-        let unknown = rules_fired("crates/newcomer/src/lib.rs", "use gnn_dm_par::pool;\n");
-        assert_eq!(unknown, vec!["L001"]);
-    }
-
-    #[test]
-    fn f001_only_fires_on_exact_float_comparison() {
-        let bad = "fn t() { assert!(x == 1.0); }";
-        assert_eq!(rules_fired("crates/core/src/x.rs", bad), vec!["F001"]);
-        // Float literal as a plain macro argument is fine...
-        let ok = "fn t() { assert_eq!(makespan(&b), 60.0); }";
-        assert!(rules_fired("crates/core/src/x.rs", ok).is_empty());
-        // ...and so is an epsilon comparison.
-        let eps = "fn t() { assert!((a - 1.0).abs() < 1e-9); }";
-        assert!(rules_fired("crates/core/src/x.rs", eps).is_empty());
-        // Integer equality inside assert! is fine.
-        let int = "fn t() { assert!(n == 3); }";
-        assert!(rules_fired("crates/core/src/x.rs", int).is_empty());
-    }
-
-    #[test]
-    fn d001_allows_bench_and_main() {
-        let src = "fn t() { let s = Instant::now(); }";
-        assert_eq!(rules_fired("crates/graph/src/a.rs", src), vec!["D001"]);
-        assert!(rules_fired("crates/bench/src/a.rs", src).is_empty());
-        assert!(rules_fired("src/main.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d002_scopes_to_deterministic_crates() {
-        let src = "use std::collections::HashMap;";
-        assert_eq!(rules_fired("crates/sampling/src/a.rs", src), vec!["D002"]);
-        assert!(rules_fired("crates/bench/src/a.rs", src).is_empty());
-        assert!(rules_fired("src/main.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d003_fires_everywhere_even_tests() {
-        let src = "#[test]\nfn t() { let mut rng = thread_rng(); }";
-        assert_eq!(rules_fired("crates/bench/src/a.rs", src), vec!["D003"]);
-        assert_eq!(rules_fired("tests/integration.rs", src), vec!["D003"]);
-    }
-
-    #[test]
-    fn a002_scopes_to_library_code_outside_device() {
-        let src = "fn f(l: &LinkModel) -> f64 { l.transfer_time(n) }";
-        assert_eq!(rules_fired("crates/cluster/src/ledger.rs", src), vec!["A002"]);
-        assert_eq!(rules_fired("crates/core/src/breakdown.rs", src), vec!["A002"]);
-        // The models themselves, the pricing helper module, the
-        // span-emitting simulator, and non-library code may price
-        // directly.
-        assert!(rules_fired("crates/device/src/transfer.rs", src).is_empty());
-        assert!(rules_fired("crates/cluster/src/network.rs", src).is_empty());
-        assert!(rules_fired("crates/cluster/src/sim.rs", src).is_empty());
-        assert!(rules_fired("crates/cluster/tests/goldens.rs", src).is_empty());
-        assert!(rules_fired("crates/bench/src/harness.rs", src).is_empty());
-        // Engine dispatch methods are cost entry points too.
-        let engine = "fn f(e: &TransferEngine) -> f64 { e.time_zero_copy(&bt).total() }";
-        assert_eq!(rules_fired("crates/core/src/trainer.rs", engine), vec!["A002"]);
-        // Mentioning the name without calling it (docs, re-exports) is fine.
-        let no_call = "pub use gnn_dm_device::transfer::time_extract_load;";
-        assert!(rules_fired("crates/core/src/trainer.rs", no_call).is_empty());
-    }
-
-    #[test]
-    fn t001_exempts_only_the_par_crate() {
-        let src = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }";
-        assert_eq!(rules_fired("crates/sampling/src/a.rs", src), vec!["T001"]);
-        assert_eq!(rules_fired("tests/integration.rs", src), vec!["T001"]);
-        assert!(rules_fired("crates/par/src/lib.rs", src).is_empty());
-        assert!(rules_fired("crates/par/tests/lookahead.rs", src).is_empty());
-        assert_eq!(rules_fired("crates/device/src/pipeline.rs", src), vec!["T001"]);
     }
 
     #[test]

@@ -12,74 +12,34 @@
 //! 2. `split_seed` whose arguments never mention a closure parameter: the
 //!    same derived seed is then reused by every work unit.
 //! 3. Calls into fns that (transitively) construct raw-seeded RNGs — the
-//!    `raw_entropy` flag inferred by [`crate::effects`].
+//!    own raw-seed sites of [`crate::effects`], closed over callers by
+//!    [`crate::effects::reach`].
 
 use crate::callgraph::{CallGraph, FileSet};
-use crate::effects::{balanced_args_end, Effects};
-use crate::races::find_par_closures;
+use crate::effects::{balanced_args_end, reach, split_seed_bindings, Effects, SEED_CTORS};
 use crate::rules::Diagnostic;
-use crate::tokenizer::{Lexed, TokenKind};
-use std::collections::BTreeSet;
-
-/// RNG constructors R002 inspects.
-const SEED_CTORS: &[&str] = &["seed_from_u64", "from_seed"];
-
-/// Idents bound by a `let` *inside* `body` whose initializer derives from
-/// `split_seed(..)` with a closure parameter in its arguments — per-unit
-/// seeds under a name.
-fn per_unit_bindings(
-    lexed: &Lexed,
-    body: (usize, usize),
-    params: &BTreeSet<String>,
-) -> BTreeSet<String> {
-    let toks = &lexed.tokens;
-    let mut out = BTreeSet::new();
-    let mut i = body.0;
-    while i < body.1.min(toks.len()) {
-        if !(toks[i].kind == TokenKind::Ident && toks[i].text == "let") {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        if matches!(toks.get(j), Some(t) if t.text == "mut") {
-            j += 1;
-        }
-        let Some(name) = toks.get(j).filter(|t| t.kind == TokenKind::Ident) else {
-            i += 1;
-            continue;
-        };
-        let mut split_ok = false;
-        let mut k = j + 1;
-        while k < body.1 && !(toks[k].kind == TokenKind::Op && toks[k].text == ";") {
-            if toks[k].kind == TokenKind::Ident && toks[k].text == "split_seed" {
-                let end = balanced_args_end(lexed, k + 1);
-                split_ok |= (k + 1..end).any(|m| {
-                    toks[m].kind == TokenKind::Ident
-                        && (params.contains(&toks[m].text) || out.contains(&toks[m].text))
-                });
-            }
-            k += 1;
-        }
-        if split_ok {
-            out.insert(name.text.clone());
-        }
-        i = k;
-    }
-    out
-}
+use crate::tokenizer::TokenKind;
 
 /// R002 over the whole file set (the `par` crate itself is exempt — it
 /// defines the discipline).
 pub fn check_r002(set: &FileSet, g: &CallGraph, fx: &Effects) -> Vec<Diagnostic> {
+    let raw = reach(g, |id| fx.own_raw_seed[id].is_some(), true);
     let mut diags = Vec::new();
     for file in set.files.values() {
         if file.ctx.layer_key() == "par" {
             continue;
         }
         let toks = &file.lexed.tokens;
-        let file_tainted = crate::effects::split_seed_tainted(&file.lexed);
-        for cl in find_par_closures(&file.lexed) {
-            let unit_bound = per_unit_bindings(&file.lexed, cl.body, &cl.params);
+        let file_tainted = split_seed_bindings(&file.lexed, (0, usize::MAX), |_, _| true);
+        for cl in &file.closures {
+            // Per-unit seeds under a name: splits of a closure parameter or
+            // of an earlier per-unit binding.
+            let unit_bound = split_seed_bindings(&file.lexed, cl.body, |args, bound| {
+                args.iter().any(|t| {
+                    t.kind == TokenKind::Ident
+                        && (cl.params.contains(&t.text) || bound.contains(&t.text))
+                })
+            });
             for i in cl.body.0..cl.body.1.min(toks.len()) {
                 let t = &toks[i];
                 if t.kind != TokenKind::Ident
@@ -144,14 +104,8 @@ pub fn check_r002(set: &FileSet, g: &CallGraph, fx: &Effects) -> Vec<Diagnostic>
                 }
             }
             // Calls into raw-seeding fns.
-            let Some(owner) = g.owner_of(&file.rel_path, cl.body.0) else { continue };
-            for site in &g.calls[owner] {
-                if site.tok < cl.body.0 || site.tok >= cl.body.1 {
-                    continue;
-                }
-                if let Some(&target) =
-                    site.targets.iter().find(|&&t| fx.raw_entropy[t])
-                {
+            for site in g.calls_in(&file.rel_path, cl.body) {
+                if let Some(&target) = site.targets.iter().find(|&&t| raw[t]) {
                     diags.push(Diagnostic {
                         rule: "R002",
                         file: file.rel_path.clone(),

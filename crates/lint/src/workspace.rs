@@ -1,23 +1,14 @@
-//! The workspace model: manifests and the layering DAG.
+//! The layering DAG and L001's manifest half.
 //!
-//! [`Workspace::from_fileset`] parses every crate's `Cargo.toml` (a
-//! deliberately small TOML subset — exactly what this workspace uses) into
-//! per-crate [`CrateModel`]s: declared dependencies with manifest line
-//! numbers, next to the `gnn_dm_*` crates the sources actually reference
-//! (taken from an already-loaded [`FileSet`]).
-//!
-//! On top of the model, [`check_manifests`](Workspace::check_manifests)
-//! enforces **L001**: every declared `gnn-dm-*` dependency must be an edge
-//! of [`ALLOWED_EDGES`] — the normative layering DAG, rendered into
-//! DESIGN.md §10 by [`allowed_edges_markdown`] and pinned byte-for-byte by
-//! a tier-1 test — and must actually be referenced by the crate's sources
-//! (a declared-but-unused edge is layering erosion waiting to happen).
+//! [`ALLOWED_EDGES`] is the normative layering DAG, rendered into DESIGN.md
+//! §10 by [`allowed_edges_markdown`] and pinned byte-for-byte by a tier-1
+//! test. [`check_manifest`] enforces **L001** on one crate's `Cargo.toml`:
+//! every declared `gnn-dm-*` dependency must be an edge of the DAG and must
+//! actually be referenced by the crate's sources (a declared-but-unused
+//! edge is layering erosion waiting to happen). The source half lives in
+//! [`crate::rules`].
 
-use crate::callgraph::FileSet;
 use crate::rules::Diagnostic;
-use std::collections::BTreeMap;
-use std::fs;
-use std::path::Path;
 
 /// Key used for the workspace's root package in all edge tables.
 pub const ROOT_KEY: &str = "gnn-dm";
@@ -102,138 +93,71 @@ pub fn allowed_edges_markdown() -> String {
     out
 }
 
-/// One dependency declaration in a `Cargo.toml`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DepDecl {
-    /// Package name as written (`gnn-dm-graph`, `rand`, …).
-    pub name: String,
-    /// 1-based line of the declaration.
-    pub line: usize,
-    /// True for `[dev-dependencies]` entries.
-    pub dev: bool,
-}
-
-/// Parsed subset of one crate's `Cargo.toml`.
-#[derive(Debug, Clone, Default)]
-pub struct CrateManifest {
-    /// `package.name` (empty if the manifest declares none).
-    pub package_name: String,
-    /// Workspace-relative manifest path, `/`-separated.
-    pub path: String,
-    /// All `[dependencies]` / `[dev-dependencies]` entries in order.
-    pub deps: Vec<DepDecl>,
-}
-
-/// One workspace crate: its manifest and what its sources reference.
-#[derive(Debug, Clone, Default)]
-pub struct CrateModel {
-    /// Crate key: directory name under `crates/`, or [`ROOT_KEY`].
-    pub key: String,
-    /// Parsed manifest.
-    pub manifest: CrateManifest,
-    /// Keys of `gnn-dm` crates the sources reference (via `gnn_dm_*`
-    /// identifier tokens — comments and strings never count), excluding
-    /// self-references. Sorted, deduped.
-    pub refs: Vec<String>,
-}
-
-/// The whole workspace: every crate model, keyed by crate key.
-#[derive(Debug, Default)]
-pub struct Workspace {
-    /// Crate models in key order.
-    pub crates: BTreeMap<String, CrateModel>,
-}
-
-impl Workspace {
-    /// Reads the manifests under `root` (the root package plus every
-    /// `crates/*` member) and takes each crate's source references from
-    /// `set`, so every `.rs` file is tokenized exactly once per lint run.
-    /// Missing or unreadable manifests are skipped; the crate then has no
-    /// model.
-    pub fn from_fileset(root: &Path, set: &FileSet) -> Workspace {
-        let mut manifests = vec![(ROOT_KEY.to_string(), "Cargo.toml".to_string())];
-        if let Ok(entries) = fs::read_dir(root.join("crates")) {
-            let mut keys: Vec<String> =
-                entries.flatten().map(|e| e.file_name().to_string_lossy().into_owned()).collect();
-            keys.sort();
-            manifests.extend(keys.into_iter().map(|k| {
-                let rel = format!("crates/{k}/Cargo.toml");
-                (k, rel)
-            }));
-        }
-        let mut ws = Workspace::default();
-        for (key, rel) in manifests {
-            let Ok(text) = fs::read_to_string(root.join(&rel)) else { continue };
-            let model = CrateModel {
-                manifest: parse_manifest(&rel, &text),
-                refs: set.refs.get(&key).cloned().unwrap_or_default(),
-                key: key.clone(),
+/// L001's manifest half for crate `key`, whose manifest at `rel_path`
+/// reads `text` and whose sources reference the `gnn_dm_*` crate keys in
+/// `refs`. A crate missing from [`ALLOWED_EDGES`] is one finding; otherwise
+/// each `gnn-dm-*` entry is checked for being a DAG edge and for being
+/// referenced. The manifest is read as the TOML subset this workspace
+/// uses: one-line entries under exactly `[dependencies]` /
+/// `[dev-dependencies]` (so `[workspace.dependencies]` is ignored).
+pub fn check_manifest(key: &str, rel_path: &str, text: &str, refs: &[String]) -> Vec<Diagnostic> {
+    let diag = |line: usize, message: String| Diagnostic {
+        rule: "L001",
+        file: rel_path.to_string(),
+        line,
+        message,
+    };
+    if allowed_deps(key).is_none() {
+        return vec![diag(
+            1,
+            format!(
+                "crate `{key}` is not in the layering DAG; add it to \
+                 ALLOWED_EDGES (crates/lint/src/workspace.rs) and the \
+                 DESIGN.md §10 table"
+            ),
+        )];
+    }
+    let mut diags = Vec::new();
+    // `Some(dev)` inside a dependency table, `None` elsewhere.
+    let mut table: Option<bool> = None;
+    for (idx, raw) in text.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            table = match line {
+                "[dependencies]" => Some(false),
+                "[dev-dependencies]" => Some(true),
+                _ => None,
             };
-            ws.crates.insert(key, model);
+            continue;
         }
-        ws
-    }
-
-    /// L001 manifest pass over `edges` (parameterized so fixture
-    /// workspaces can exercise it): flags declared `gnn-dm` dependencies
-    /// that are not DAG edges, declared edges the sources never reference,
-    /// and crates missing from the table entirely.
-    pub fn check_manifests(&self, edges: &[(&str, &[&str])]) -> Vec<Diagnostic> {
-        let allowed = |from: &str, to: &str| {
-            from == to
-                || edges
-                    .iter()
-                    .find(|(k, _)| *k == from)
-                    .is_some_and(|(_, deps)| deps.contains(&to))
-        };
-        let mut diags = Vec::new();
-        for (key, model) in &self.crates {
-            if !edges.iter().any(|(k, _)| k == key) {
-                diags.push(Diagnostic {
-                    rule: "L001",
-                    file: model.manifest.path.clone(),
-                    line: 1,
-                    message: format!(
-                        "crate `{key}` is not in the layering DAG; add it to \
-                         ALLOWED_EDGES (crates/lint/src/workspace.rs) and the \
-                         DESIGN.md §10 table"
-                    ),
-                });
-                continue;
-            }
-            for dep in &model.manifest.deps {
-                let Some(dep_key) = gnn_dep_key(&dep.name) else { continue };
-                if !allowed(key, dep_key) {
-                    diags.push(Diagnostic {
-                        rule: "L001",
-                        file: model.manifest.path.clone(),
-                        line: dep.line,
-                        message: format!(
-                            "`{}` → `{}` is not an edge of the layering DAG; \
-                             route through an allowed layer or amend ALLOWED_EDGES \
-                             and DESIGN.md §10 deliberately",
-                            key, dep_key
-                        ),
-                    });
-                }
-                if !model.refs.iter().any(|r| r == dep_key) {
-                    diags.push(Diagnostic {
-                        rule: "L001",
-                        file: model.manifest.path.clone(),
-                        line: dep.line,
-                        message: format!(
-                            "declared {}dependency `{}` is never referenced by \
-                             `{}` sources; delete the declaration",
-                            if dep.dev { "dev-" } else { "" },
-                            dep.name,
-                            key
-                        ),
-                    });
-                }
-            }
+        let Some(dev) = table else { continue };
+        let name: String = line
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
+            .collect();
+        let Some(dep_key) = gnn_dep_key(&name) else { continue };
+        if !edge_allowed(key, dep_key) {
+            diags.push(diag(
+                idx + 1,
+                format!(
+                    "`{key}` → `{dep_key}` is not an edge of the layering DAG; \
+                     route through an allowed layer or amend ALLOWED_EDGES \
+                     and DESIGN.md §10 deliberately"
+                ),
+            ));
         }
-        diags
+        if !refs.iter().any(|r| r == dep_key) {
+            diags.push(diag(
+                idx + 1,
+                format!(
+                    "declared {}dependency `{name}` is never referenced by \
+                     `{key}` sources; delete the declaration",
+                    if dev { "dev-" } else { "" }
+                ),
+            ));
+        }
     }
+    diags
 }
 
 /// Maps a `gnn-dm` package name to its crate key (`gnn-dm-graph` →
@@ -250,84 +174,30 @@ pub(crate) fn gnn_ident_key(ident: &str) -> Option<&str> {
     ident.strip_prefix("gnn_dm_").filter(|rest| !rest.is_empty())
 }
 
-/// Parses the `Cargo.toml` subset this workspace uses: `[package] name`,
-/// and one-line entries under exactly `[dependencies]` /
-/// `[dev-dependencies]` (so `[workspace.dependencies]` is ignored).
-pub fn parse_manifest(rel_path: &str, text: &str) -> CrateManifest {
-    #[derive(PartialEq)]
-    enum Section {
-        Package,
-        Deps,
-        DevDeps,
-        Other,
-    }
-    let mut section = Section::Other;
-    let mut manifest = CrateManifest { path: rel_path.to_string(), ..CrateManifest::default() };
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('[') {
-            section = match line {
-                "[package]" => Section::Package,
-                "[dependencies]" => Section::Deps,
-                "[dev-dependencies]" => Section::DevDeps,
-                _ => Section::Other,
-            };
-            continue;
-        }
-        match section {
-            Section::Package => {
-                if let Some(rest) = line.strip_prefix("name") {
-                    let rest = rest.trim_start();
-                    if let Some(value) = rest.strip_prefix('=') {
-                        manifest.package_name =
-                            value.trim().trim_matches('"').to_string();
-                    }
-                }
-            }
-            Section::Deps | Section::DevDeps => {
-                let name: String = line
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
-                    .collect();
-                if !name.is_empty() {
-                    manifest.deps.push(DepDecl {
-                        name,
-                        line: idx + 1,
-                        dev: section == Section::DevDeps,
-                    });
-                }
-            }
-            Section::Other => {}
-        }
-    }
-    manifest
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn manifest_parser_reads_names_and_sections() {
+    fn manifest_check_reads_only_the_dependency_tables() {
         let toml = "\
 [workspace]\nmembers = [\"crates/*\"]\n\n\
-[workspace.dependencies]\ngnn-dm-par = { path = \"crates/par\" }\n\n\
-[package]\nname = \"gnn-dm\" # the root package\n\n\
+[workspace.dependencies]\ngnn-dm-nn = { path = \"crates/nn\" }\n\n\
+[package]\nname = \"gnn-dm-partition\" # a member\n\n\
 [dependencies]\ngnn-dm-graph.workspace = true\nrand = { path = \"vendor/rand\" }\n\n\
-[dev-dependencies]\nproptest.workspace = true\n";
-        let m = parse_manifest("Cargo.toml", toml);
-        assert_eq!(m.package_name, "gnn-dm");
-        // The [workspace.dependencies] entry must NOT be picked up.
-        let names: Vec<(&str, bool)> =
-            m.deps.iter().map(|d| (d.name.as_str(), d.dev)).collect();
-        assert_eq!(
-            names,
-            vec![("gnn-dm-graph", false), ("rand", false), ("proptest", true)]
-        );
-        assert_eq!(m.deps[0].line, 11);
+[dev-dependencies]\ngnn-dm-par.workspace = true\n";
+        // The [workspace.dependencies] entry is not a declaration of the
+        // crate, and rand is not a gnn-dm dependency; graph and par are
+        // allowed edges, so only their (missing) references are findings.
+        let diags = check_manifest("partition", "crates/partition/Cargo.toml", toml, &[]);
+        let found: Vec<(usize, &str)> =
+            diags.iter().map(|d| (d.line, d.message.as_str())).collect();
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert_eq!(found[0].0, 11);
+        assert!(found[0].1.starts_with("declared dependency `gnn-dm-graph`"));
+        assert!(found[1].1.starts_with("declared dev-dependency `gnn-dm-par`"));
+        let refs = ["graph".to_string(), "par".to_string()];
+        assert!(check_manifest("partition", "crates/partition/Cargo.toml", toml, &refs).is_empty());
     }
 
     #[test]
@@ -366,51 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn check_manifests_flags_forbidden_and_unused_edges() {
-        let mut ws = Workspace::default();
-        ws.crates.insert(
-            "partition".to_string(),
-            CrateModel {
-                key: "partition".to_string(),
-                manifest: CrateManifest {
-                    package_name: "gnn-dm-partition".to_string(),
-                    path: "crates/partition/Cargo.toml".to_string(),
-                    deps: vec![
-                        DepDecl { name: "gnn-dm-nn".to_string(), line: 9, dev: false },
-                        DepDecl { name: "gnn-dm-graph".to_string(), line: 10, dev: false },
-                        DepDecl { name: "rand".to_string(), line: 11, dev: false },
-                    ],
-                },
-                refs: vec!["graph".to_string()],
-            },
-        );
-        let diags = ws.check_manifests(ALLOWED_EDGES);
-        // gnn-dm-nn: forbidden edge AND unused → two diagnostics; graph is
-        // fine; rand is not a gnn-dm dep.
-        assert_eq!(diags.len(), 2);
-        assert!(diags.iter().all(|d| d.rule == "L001"));
-        assert!(diags.iter().all(|d| d.file == "crates/partition/Cargo.toml"));
-        assert!(diags.iter().any(|d| d.message.contains("not an edge")));
-        assert!(diags.iter().any(|d| d.message.contains("never referenced")));
-    }
-
-    #[test]
-    fn check_manifests_flags_crates_missing_from_the_dag() {
-        let mut ws = Workspace::default();
-        ws.crates.insert(
-            "newcomer".to_string(),
-            CrateModel {
-                key: "newcomer".to_string(),
-                manifest: CrateManifest {
-                    package_name: "gnn-dm-newcomer".to_string(),
-                    path: "crates/newcomer/Cargo.toml".to_string(),
-                    deps: vec![],
-                },
-                refs: vec![],
-            },
-        );
-        let diags = ws.check_manifests(ALLOWED_EDGES);
+    fn check_manifest_flags_crates_missing_from_the_dag() {
+        let diags = check_manifest("newcomer", "crates/newcomer/Cargo.toml", "", &[]);
         assert_eq!(diags.len(), 1);
+        assert_eq!((diags[0].file.as_str(), diags[0].line), ("crates/newcomer/Cargo.toml", 1));
         assert!(diags[0].message.contains("not in the layering DAG"));
     }
 }

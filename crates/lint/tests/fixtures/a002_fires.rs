@@ -4,7 +4,8 @@
 pub fn hand_priced(link: &LinkModel, engine: &TransferEngine, bt: &BatchTransfer) -> f64 {
     let bulk = link.transfer_time(1 << 20); // A002
     let dispatch = engine.time_zero_copy(bt).total(); // A002
-    bulk + dispatch
+    let priced = engine.time(TransferMethod::ExtractLoad, bt, None).total(); // A002
+    bulk + dispatch + priced
 }
 
 pub fn hand_priced_cluster(nic: &LinkModel) -> f64 {

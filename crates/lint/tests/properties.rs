@@ -8,6 +8,7 @@
 //! gate down with it.
 
 use gnn_dm_lint::callgraph::{CallGraph, FileSet};
+use gnn_dm_lint::effects::{infer, reach, transitive_mask};
 use gnn_dm_lint::items::parse_items;
 use gnn_dm_lint::tokenizer::lex;
 use proptest::prelude::*;
@@ -116,8 +117,8 @@ fn check_front_end_total(src: &str) {
     // The item parser is total over any token stream and keeps spans sane.
     let items = parse_items(&lexed.tokens);
     for it in &items {
-        prop_assert!(it.line >= 1 && it.line <= it.end_line);
-        prop_assert!(it.end_line <= num_lines);
+        prop_assert!(it.line >= 1 && it.line <= num_lines);
+        prop_assert!(it.tok_start < it.tok_end && it.tok_end <= lexed.tokens.len());
     }
     prop_assert_eq!(format!("{:?}", items), format!("{:?}", parse_items(&again.tokens)));
 }
@@ -238,11 +239,18 @@ proptest! {
                 prop_assert!(site.targets.iter().all(|&t| t < n));
             }
         }
-        let fx = gnn_dm_lint::effects::infer(&set, &graph);
-        prop_assert_eq!(fx.mask.len(), n);
-        // The fixpoint only ever adds effects to a node's own base mask.
+        let fx = infer(&set, &graph);
+        let mask = transitive_mask(&graph, &fx);
+        prop_assert_eq!(mask.len(), n);
+        // Reachability only ever adds effects to a node's own base mask,
+        // and closing through `par` reaches at least what skipping it does.
         for id in 0..n {
-            prop_assert_eq!(fx.mask[id] & fx.base[id], fx.base[id]);
+            prop_assert_eq!(mask[id] & fx.base[id], fx.base[id]);
+        }
+        let through = reach(&graph, |id| fx.base[id] != 0, true);
+        let outside = reach(&graph, |id| fx.base[id] != 0, false);
+        for id in 0..n {
+            prop_assert!(through[id] || !outside[id]);
         }
     }
 
@@ -251,13 +259,13 @@ proptest! {
     #[test]
     fn call_graph_deterministic(files in arb_mini_workspace()) {
         let (set_a, graph_a) = build(&files);
-        let (_, graph_b) = build(&files);
+        let (set_b, graph_b) = build(&files);
         prop_assert_eq!(&graph_a.nodes, &graph_b.nodes);
         prop_assert_eq!(&graph_a.edges, &graph_b.edges);
-        let fx_a = gnn_dm_lint::effects::infer(&set_a, &graph_a);
-        let fx_b = gnn_dm_lint::effects::infer(&set_a, &graph_a);
-        prop_assert_eq!(fx_a.mask, fx_b.mask);
-        prop_assert_eq!(fx_a.raw_entropy, fx_b.raw_entropy);
+        let fx_a = infer(&set_a, &graph_a);
+        let fx_b = infer(&set_b, &graph_b);
+        prop_assert_eq!(transitive_mask(&graph_a, &fx_a), transitive_mask(&graph_b, &fx_b));
+        prop_assert_eq!(fx_a.own_raw_seed, fx_b.own_raw_seed);
     }
 
     /// The graph is a function of the file *set*, not the order files are

@@ -5,7 +5,7 @@
 #
 # The lint run is technically redundant (crates/lint/tests/workspace_clean.rs
 # runs it under `cargo test` too) but invoking the binary directly prints the
-# diagnostics and JSON summary even when everything else is green.
+# diagnostics and the violation count even when everything else is green.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -83,14 +83,11 @@ env -u RUSTFLAGS MALLOC_MMAP_THRESHOLD_=131072 MALLOC_TRIM_THRESHOLD_=131072 \
     benchmark/run.sh --smoke >/dev/null
 echo "    unpinned smoke added $((SECONDS - unpinned_start)) s"
 
-echo "==> gnn-dm-lint"
-lint_json="$(cargo run -q -p gnn-dm-lint -- --format=json)"
-echo "${lint_json}"
-if ! grep -q '"violations":0' <<<"${lint_json}"; then
-    echo "FAIL: lint reported violations" >&2
+echo "==> gnn-dm-lint (exit status: 0 clean, 1 violations, 2 usage or I/O error)"
+if ! cargo run -q -p gnn-dm-lint; then
+    echo "FAIL: lint reported violations or could not read the workspace" >&2
     exit 1
 fi
-scripts/lint_schema.sh <<<"${lint_json}"
 
 echo "OK: build, tests and lint all green"
 echo "(performance numbers: bash benchmark/run.sh)"
