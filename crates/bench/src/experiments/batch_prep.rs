@@ -1,6 +1,6 @@
 //! §6 — batch preparation: Figures 9–12 and Tables 6–8.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use gnn_dm_core::config::ModelKind;
 use gnn_dm_core::convergence::modeled_epoch_seconds;
@@ -243,7 +243,7 @@ pub fn tab7_degree_accuracy() {
     let g = one_graph_slim(DatasetId::OgbArxiv, SCALE_TRAIN, TRAIN_FEAT_DIM, 42);
     let (low_all, high_all) = stats::degree_classes(&g.inn);
     // Evaluate on validation+test vertices of each degree class.
-    let val: HashSet<u32> = g.val_vertices().into_iter().chain(g.test_vertices()).collect();
+    let val: BTreeSet<u32> = g.val_vertices().into_iter().chain(g.test_vertices()).collect();
     let low: Vec<u32> = low_all.into_iter().filter(|v| val.contains(v)).collect();
     let high: Vec<u32> = high_all.into_iter().filter(|v| val.contains(v)).collect();
 

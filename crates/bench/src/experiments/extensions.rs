@@ -316,6 +316,7 @@ pub fn ext_local_sgd() {
 /// sampler disappeared behind the kernels as Figure 14 says it can, 0 that
 /// nothing overlapped (one thread). Wall-clock columns: the file differs
 /// from run to run.
+#[expect(clippy::disallowed_methods, reason = "the executed twin's stage and wall seconds are this row's measurement")]
 pub fn ext_pipeline_bp() {
     const EPOCHS: usize = 6;
     let threads = gnn_dm_par::thread_count();

@@ -16,6 +16,7 @@
 //! * [`p3`] — P3-style hybrid-parallelism communication analysis.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 pub mod dist;
 pub mod ledger;

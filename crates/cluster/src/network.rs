@@ -6,7 +6,7 @@ use gnn_dm_trace::units::{Bytes, Seconds};
 /// Time for a synchronous ring all-reduce of `bytes` across `workers`
 /// nodes: each node sends and receives `2 (W-1)/W · bytes`.
 ///
-/// Total on degenerate worker counts (library panic-freedom, P001): with
+/// Total on degenerate worker counts (library panic-freedom): with
 /// zero or one participant there is no peer to exchange gradients with, so
 /// the collective saturates to 0 seconds instead of asserting.
 pub fn allreduce_time(link: &LinkModel, bytes: Bytes, workers: usize) -> Seconds {

@@ -96,7 +96,13 @@ pub fn modeled_epoch_seconds(
 
 /// Single-node convergence run with arbitrary batch selection, schedule and
 /// sampler — the engine behind Figures 9–12 and Tables 6–8.
-#[allow(clippy::too_many_arguments)]
+///
+/// # Panics
+///
+/// The model always has two layers (`feat_dim → hidden → num_classes`), so
+/// `sampler` must draw exactly two hops; a sampler with any other depth
+/// builds batches the model cannot consume and panics in the forward pass.
+#[allow(clippy::too_many_arguments, reason = "one positional knob per paper axis; the figure drivers name each at the call site")]
 pub fn train_single(
     graph: &Graph,
     kind: ModelKind,
@@ -186,7 +192,7 @@ pub fn train_full_batch(
 /// Figure 7, Table 4 and Figure 8. Epoch durations come from the cluster
 /// simulator's load-aware time model, so partitionings with more remote
 /// traffic genuinely take longer per epoch.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one positional knob per paper axis; the figure drivers name each at the call site")]
 pub fn train_distributed(
     graph: &Graph,
     part: &GnnPartitioning,

@@ -19,6 +19,7 @@
 //!   binaries.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 pub mod breakdown;
 pub mod config;

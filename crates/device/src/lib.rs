@@ -24,6 +24,7 @@
 //! * [`memory`] — device memory budgeting for cache sizing.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 pub mod blocks;
 pub mod cache;

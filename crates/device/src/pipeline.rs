@@ -191,7 +191,7 @@ pub const DEFAULT_OVERLAP_EFFICIENCY: f64 = 0.6;
 /// is realized.
 ///
 /// The efficiency is saturated into `[0, 1]` instead of asserted (library
-/// panic-freedom, P001); `NaN` saturates to 0, the no-overlap end.
+/// panic-freedom); `NaN` saturates to 0, the no-overlap end.
 pub fn makespan_with_contention(sequential: f64, ideal: f64, overlap_efficiency: f64) -> f64 {
     // `max` then `min` is total: a NaN efficiency lands on 0.0.
     let eff = overlap_efficiency.max(0.0).min(1.0);

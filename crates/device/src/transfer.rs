@@ -137,12 +137,11 @@ impl TransferEngine {
         match method {
             TransferMethod::ExtractLoad => self.time_extract_load(batch),
             TransferMethod::ZeroCopy => self.time_zero_copy(batch),
-            TransferMethod::Hybrid { threshold } => self.time_hybrid(
-                batch,
-                // lint:allow(P001) documented precondition: the `# Panics` doc requires activity
-                activity.expect("hybrid transfer needs block activity"),
-                threshold,
-            ),
+            TransferMethod::Hybrid { threshold } => {
+                #[expect(clippy::expect_used, reason = "documented precondition: the `# Panics` doc requires activity")]
+                let activity = activity.expect("hybrid transfer needs block activity");
+                self.time_hybrid(batch, activity, threshold)
+            }
         }
     }
 

@@ -30,6 +30,8 @@
 //! attempt costs, and which spans it leaves on a lane, is decided here for
 //! both of them ([`RetryPolicy::schedule_failed_attempts`]).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 use gnn_dm_par::split_seed;
 use gnn_dm_trace::units::{Bytes, Seconds};
 use gnn_dm_trace::{Resource, SpanKind, SpanMeta, Timeline};
@@ -185,7 +187,7 @@ impl RetryPolicy {
     /// start and its kind: `delivery`, or `Hedge` once a duplicate rescued
     /// the transfer. Zero failures schedule nothing and return
     /// `(ready, delivery)`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "every parameter is one field of the span this schedules; a struct would only rename them")]
     pub fn schedule_failed_attempts(
         &self,
         hedge: Option<HedgePolicy>,

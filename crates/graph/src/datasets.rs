@@ -86,8 +86,9 @@ impl DatasetSpec {
 
     /// Looks up a dataset by id.
     pub fn get(id: DatasetId) -> &'static DatasetSpec {
-        // lint:allow(P001) REGISTRY covers every DatasetId variant; a miss is a compile-time-size bug
-        REGISTRY.iter().find(|d| d.id == id).expect("all ids are registered")
+        #[expect(clippy::expect_used, reason = "REGISTRY covers every DatasetId variant; a miss is a compile-time-size bug")]
+        let spec = REGISTRY.iter().find(|d| d.id == id).expect("all ids are registered");
+        spec
     }
 
     /// Generates a synthetic stand-in scaled to `target_n` vertices.

@@ -96,7 +96,7 @@ mod tests {
         let t = FeatureTable::zeros(3, 4);
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.dim(), 4);
-        // lint:allow(F001) zeros() writes literal 0.0; the exact-bit check is the point
+        // zeros() writes literal 0.0; the exact-bit check is the point.
         assert!(t.as_slice().iter().all(|&x| x == 0.0));
     }
 

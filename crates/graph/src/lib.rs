@@ -18,6 +18,7 @@
 //!   partitioners and the distributed sampler.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 pub mod builder;
 pub mod components;

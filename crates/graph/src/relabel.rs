@@ -20,7 +20,7 @@ use crate::Graph;
 /// # Panics
 ///
 /// Panics if `perm` is not a permutation of the vertex ids.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
+#[allow(clippy::needless_range_loop, reason = "parallel-array indexing is the clear form here")]
 pub fn apply_permutation(graph: &Graph, perm: &[VId]) -> Graph {
     let n = graph.num_vertices();
     assert_eq!(perm.len(), n, "permutation must cover every vertex");

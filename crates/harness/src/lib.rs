@@ -18,6 +18,8 @@
 //! a cost table without the accuracy it bought is exactly the evaluation
 //! trap the harness exists to close.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub mod axes;
 pub mod config;
 pub mod error;

@@ -20,8 +20,8 @@
 
 use crate::items::{parse_items, Item, ItemKind};
 use crate::races::{find_par_closures, ParClosure};
-use crate::rules::{test_region_marks, FileCtx};
-use crate::tokenizer::{lex, Lexed, TokenKind};
+use crate::rules::FileCtx;
+use crate::tokenizer::{lex, Lexed, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -118,6 +118,75 @@ impl FileSet {
             refs.dedup();
         }
     }
+}
+
+/// Marks tokens inside `#[cfg(test)]` / `#[test]` items. The mark covers
+/// the attribute through the item's matching close brace (or terminating
+/// semicolon for brace-less items).
+fn test_region_marks(tokens: &[Token]) -> Vec<bool> {
+    let mut marks = vec![false; tokens.len()];
+    let mut i = 0;
+    while i < tokens.len() {
+        if !(tokens[i].kind == TokenKind::Op && tokens[i].text == "#") {
+            i += 1;
+            continue;
+        }
+        let Some(open) = tokens.get(i + 1) else { break };
+        if !(open.kind == TokenKind::Op && open.text == "[") {
+            i += 1;
+            continue;
+        }
+        // Collect the attribute's idents up to its matching `]`.
+        let mut depth = 1usize;
+        let mut j = i + 2;
+        let mut idents: Vec<&str> = Vec::new();
+        while j < tokens.len() && depth > 0 {
+            match (tokens[j].kind, tokens[j].text.as_str()) {
+                (TokenKind::Op, "[") => depth += 1,
+                (TokenKind::Op, "]") => depth -= 1,
+                (TokenKind::Ident, name) => idents.push(name),
+                _ => {}
+            }
+            j += 1;
+        }
+        let attr_end = j; // one past the `]`
+        let is_test_attr = idents.iter().any(|id| *id == "test")
+            && !idents.iter().any(|id| *id == "not");
+        if !is_test_attr {
+            i = attr_end;
+            continue;
+        }
+        // Scan past further attributes to the item body: first `{` opens a
+        // brace-matched region; a `;` first means a brace-less item.
+        let mut k = attr_end;
+        let mut brace_depth = 0usize;
+        let mut entered = false;
+        while k < tokens.len() {
+            if tokens[k].kind == TokenKind::Op {
+                match tokens[k].text.as_str() {
+                    "{" => {
+                        brace_depth += 1;
+                        entered = true;
+                    }
+                    "}" => {
+                        brace_depth = brace_depth.saturating_sub(1);
+                        if entered && brace_depth == 0 {
+                            break;
+                        }
+                    }
+                    ";" if !entered => break,
+                    _ => {}
+                }
+            }
+            k += 1;
+        }
+        let region_end = (k + 1).min(tokens.len());
+        for m in marks.iter_mut().take(region_end).skip(i) {
+            *m = true;
+        }
+        i = region_end;
+    }
+    marks
 }
 
 /// One fn declaration in the graph.

@@ -4,8 +4,9 @@
 //! intrinsics in its own body. [`reach`] closes any per-node fact over the
 //! call graph (a monotone fixpoint on a finite lattice, so iteration
 //! terminates); [`transitive_mask`] is one `reach` per effect bit. An empty
-//! mask renders as `pure`. Panics are not an effect here: P001 already
-//! reports every unvouched panic site in library code.
+//! mask renders as `pure`. Panics are not an effect here: clippy's
+//! `unwrap_used`/`expect_used`/`panic` denies already stop every unvouched
+//! panic site in library code.
 //!
 //! Alongside the mask, the pass records each fn's own raw-seed site — the
 //! body constructs an RNG whose seed expression involves neither
@@ -253,9 +254,7 @@ fn base_effects(
         {
             mask |= LOCK;
         }
-        if (ENTROPY_METHODS.contains(&name) && after_dot && calls)
-            || crate::rules::is_entropy_ident(name)
-        {
+        if ENTROPY_METHODS.contains(&name) && after_dot && calls {
             mask |= ENTROPY;
         }
         if SEED_CTORS.contains(&name) && calls {

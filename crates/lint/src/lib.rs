@@ -1,17 +1,22 @@
 //! gnn-dm-lint: a zero-dependency static-analysis pass over the workspace.
 //!
-//! The paper's experiments stand on invariants the compiler cannot check:
-//! bit-identical reruns (determinism), no aborts from library code
-//! (panic-freedom), cost-model pricing that lands on the span timeline, and
-//! a layered crate graph. This crate walks every `.rs` file in the
-//! workspace with its own comment/string-aware tokenizer and enforces the
-//! per-file rules in [`rules`], the layering check in [`workspace`], and
-//! the call-graph rules in [`races`] (R001, R003) and [`seeds`] (R002);
+//! The paper's experiments stand on invariants no single-file check can
+//! see: cost-model pricing that lands on the span timeline, a layered
+//! crate graph, and parallel work closures that share no state, seed every
+//! unit from `split_seed` and allocate nothing on the hot path. This crate
+//! walks every `.rs` file in the workspace with its own
+//! comment/string-aware tokenizer and enforces the per-file rule in
+//! [`rules`] (A002), the manifest check in [`workspace`] (L001), and the
+//! call-graph rules in [`races`] (R001, R003) and [`seeds`] (R002);
 //! `tests/workspace_clean.rs` pins the workspace at zero violations.
 //! What a type can say — bytes vs. seconds, `Fn + Sync` work closures —
-//! is left to the compiler.
+//! is left to the compiler, and what a path-resolving per-file check can
+//! say — wall clock, hash collections, raw threads, library panics — to
+//! clippy (the root `clippy.toml` and each library's `lib.rs`).
 //!
 //! Run it directly with `cargo run -p gnn-dm-lint`.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 pub mod callgraph;
 pub mod effects;
@@ -26,10 +31,7 @@ pub use rules::Diagnostic;
 
 /// Every rule ID the linter can emit, sorted. `tests/workspace_clean.rs`
 /// checks it against the DESIGN.md §7 catalog in both directions.
-pub const RULE_IDS: &[&str] = &[
-    "A002", "D001", "D002", "D003", "F001", "L001", "P001", "R001", "R002", "R003", "S001",
-    "S002", "T001",
-];
+pub const RULE_IDS: &[&str] = &["A002", "L001", "R001", "R002", "R003", "S001", "S002"];
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -85,7 +87,7 @@ pub fn lint_workspace(root: &Path) -> Report {
     Report { diagnostics, files_scanned: set.files.len(), read_errors }
 }
 
-/// Runs the full per-file + interprocedural pipeline over in-memory
+/// Runs the full A002 + interprocedural pipeline over in-memory
 /// sources: `(rel_path, source)` pairs. This is what fixtures and property
 /// tests drive; [`lint_workspace`] is the same pipeline fed from disk.
 pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
@@ -99,7 +101,7 @@ fn sort_diagnostics(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 }
 
-/// Shared core: per-file checks, dataflow passes, then one suppression
+/// Shared core: A002, the dataflow passes, then one suppression
 /// application per file over the merged diagnostics (so a `lint:allow`
 /// covers a site no matter which pass flagged it, and S002 sees the full
 /// picture).
@@ -107,10 +109,7 @@ fn dataflow_lint(set: &callgraph::FileSet) -> Vec<Diagnostic> {
     use std::collections::BTreeMap;
     let mut per_file: BTreeMap<&str, Vec<Diagnostic>> = BTreeMap::new();
     for file in set.files.values() {
-        per_file.insert(
-            file.rel_path.as_str(),
-            rules::file_checks(&file.ctx, &file.lexed, &file.in_test),
-        );
+        per_file.insert(file.rel_path.as_str(), rules::check_a002(&file.ctx, &file.lexed.tokens));
     }
     let graph = callgraph::CallGraph::build(set);
     let fx = effects::infer(set, &graph);

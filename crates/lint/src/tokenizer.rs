@@ -12,10 +12,8 @@
 pub enum TokenKind {
     /// Identifier or keyword (including raw `r#ident`).
     Ident,
-    /// Integer literal (any base, any suffix except `f32`/`f64`).
-    Int,
-    /// Float literal (`1.5`, `1.`, `1e-9`, `2f64`, …).
-    Float,
+    /// Numeric literal (any base, fraction, exponent and suffix).
+    Num,
     /// String literal of any flavor (`"…"`, `r#"…"#`, `b"…"`, `c"…"`).
     Str,
     /// Character literal (`'a'`, `'\n'`).
@@ -315,7 +313,6 @@ impl<'a> Lexer<'a> {
     fn number(&mut self) {
         let line = self.line;
         let start = self.pos;
-        let mut is_float = false;
         if self.peek(0) == Some(b'0') && matches!(self.peek(1), Some(b'x' | b'X' | b'o' | b'O' | b'b' | b'B')) {
             // Non-decimal integer: digits, underscores and hex letters.
             self.bump();
@@ -327,7 +324,7 @@ impl<'a> Lexer<'a> {
                 self.bump();
             }
             let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-            self.push(TokenKind::Int, text, line);
+            self.push(TokenKind::Num, text, line);
             return;
         }
         while self.peek(0).is_some_and(|b| b.is_ascii_digit() || b == b'_') {
@@ -340,7 +337,6 @@ impl<'a> Lexer<'a> {
             let is_range = next == Some(b'.');
             let is_method = next.is_some_and(|b| b.is_ascii_alphabetic() || b == b'_');
             if !is_range && !is_method {
-                is_float = true;
                 self.bump();
                 while self.peek(0).is_some_and(|b| b.is_ascii_digit() || b == b'_') {
                     self.bump();
@@ -353,7 +349,6 @@ impl<'a> Lexer<'a> {
             let signed = matches!(n1, Some(b'+' | b'-')) && n2.is_some_and(|b| b.is_ascii_digit());
             let plain = n1.is_some_and(|b| b.is_ascii_digit());
             if signed || plain {
-                is_float = true;
                 self.bump();
                 if signed {
                     self.bump();
@@ -364,19 +359,14 @@ impl<'a> Lexer<'a> {
             }
         }
         // Suffix (u32, i64, f32, f64, usize, …).
-        let suffix_start = self.pos;
         while self
             .peek(0)
             .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_')
         {
             self.bump();
         }
-        let suffix = &self.src[suffix_start..self.pos];
-        if suffix == b"f32" || suffix == b"f64" {
-            is_float = true;
-        }
         let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        self.push(if is_float { TokenKind::Float } else { TokenKind::Int }, text, line);
+        self.push(TokenKind::Num, text, line);
     }
 
     fn operator(&mut self) {
@@ -396,8 +386,8 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Parses `lint:allow(P001, F001) reason…` out of a line comment's text.
-/// Only rule-ID-shaped names (uppercase letters then digits, e.g. `D001`)
+/// Parses `lint:allow(A002, R003) reason…` out of a line comment's text.
+/// Only rule-ID-shaped names (uppercase letters then digits, e.g. `R003`)
 /// count, so prose like `lint:allow(RULE)` in an ordinary comment is not a
 /// directive; a comment with no valid rule IDs is not a suppression.
 fn parse_suppression(comment: &str, line: usize) -> Option<Suppression> {
@@ -417,7 +407,7 @@ fn parse_suppression(comment: &str, line: usize) -> Option<Suppression> {
 }
 
 /// True for rule-ID-shaped names: one or more uppercase ASCII letters
-/// followed by one or more ASCII digits (`P001`, `R003`, …).
+/// followed by one or more ASCII digits (`A002`, `R003`, …).
 fn is_rule_id(s: &str) -> bool {
     let letters: String = s.chars().take_while(|c| c.is_ascii_uppercase()).collect();
     let rest = &s[letters.len()..];
@@ -508,28 +498,15 @@ mod tests {
     }
 
     #[test]
-    fn numbers_classify_floats() {
-        let toks = lex("1 1.5 1. 1e-9 2f64 3f32 0x1E 1_000 0.5f32 7usize 1.max(2) 0..5");
-        let pairs: Vec<(TokenKind, String)> =
-            toks.tokens.iter().map(|t| (t.kind, t.text.clone())).collect();
-        let kind_of = |text: &str| {
-            pairs
-                .iter()
-                .find(|(_, t)| t == text)
-                .unwrap_or_else(|| panic!("token {text} missing"))
-                .0
-        };
-        assert_eq!(kind_of("1.5"), TokenKind::Float);
-        assert_eq!(kind_of("1."), TokenKind::Float);
-        assert_eq!(kind_of("1e-9"), TokenKind::Float);
-        assert_eq!(kind_of("2f64"), TokenKind::Float);
-        assert_eq!(kind_of("3f32"), TokenKind::Float);
-        assert_eq!(kind_of("0.5f32"), TokenKind::Float);
-        assert_eq!(kind_of("0x1E"), TokenKind::Int);
-        assert_eq!(kind_of("1_000"), TokenKind::Int);
-        assert_eq!(kind_of("7usize"), TokenKind::Int);
-        // `1.max(2)` keeps 1 as an int; `0..5` lexes a range, not floats.
-        assert_eq!(pairs.iter().filter(|(k, _)| *k == TokenKind::Float).count(), 6);
+    fn numbers_are_single_tokens() {
+        let texts: Vec<String> = lex("1.5 1. 1e-9 2f64 0x1E 1_000 0.5f32 7usize 1.max(2) 0..5")
+            .tokens
+            .into_iter()
+            .map(|t| t.text)
+            .collect();
+        // `1.max(2)` is a method call on 1; `0..5` lexes a range.
+        let want = "1.5 1. 1e-9 2f64 0x1E 1_000 0.5f32 7usize 1 . max ( 2 ) 0 .. 5";
+        assert_eq!(texts, want.split(' ').collect::<Vec<_>>());
     }
 
     #[test]
@@ -555,23 +532,23 @@ mod tests {
 
     #[test]
     fn suppressions_parse_rules_and_reason() {
-        let lx = lex("let x = 1; // lint:allow(P001, F001) justified because reasons\n");
+        let lx = lex("let x = 1; // lint:allow(A002, R003) justified because reasons\n");
         assert_eq!(lx.suppressions.len(), 1);
         let s = &lx.suppressions[0];
         assert_eq!(s.line, 1);
-        assert_eq!(s.rules, vec!["P001", "F001"]);
+        assert_eq!(s.rules, vec!["A002", "R003"]);
         assert_eq!(s.reason, "justified because reasons");
     }
 
     #[test]
     fn suppression_without_reason_has_empty_reason() {
-        let lx = lex("// lint:allow(D001)\n");
+        let lx = lex("// lint:allow(A002)\n");
         assert_eq!(lx.suppressions[0].reason, "");
     }
 
     #[test]
     fn lint_allow_inside_string_is_not_a_suppression() {
-        let lx = lex("let s = \"// lint:allow(P001) nope\";\n");
+        let lx = lex("let s = \"// lint:allow(A002) nope\";\n");
         assert!(lx.suppressions.is_empty());
     }
 }

@@ -5,16 +5,17 @@
 //! test. [`check_manifest`] enforces **L001** on one crate's `Cargo.toml`:
 //! every declared `gnn-dm-*` dependency must be an edge of the DAG and must
 //! actually be referenced by the crate's sources (a declared-but-unused
-//! edge is layering erosion waiting to happen). The source half lives in
-//! [`crate::rules`].
+//! edge is layering erosion waiting to happen). A `gnn_dm_*` reference in
+//! source needs no check of its own: rustc rejects a crate the manifest
+//! does not declare.
 
 use crate::rules::Diagnostic;
 
 /// Key used for the workspace's root package in all edge tables.
 pub const ROOT_KEY: &str = "gnn-dm";
 
-/// The layering DAG: for each crate key, the `gnn-dm` crates it may depend
-/// on (declare in `Cargo.toml` or reference as `gnn_dm_*` in source).
+/// The layering DAG: for each crate key, the `gnn-dm` crates it may declare
+/// as dependencies in `Cargo.toml`.
 /// Self-references are always allowed and not listed.
 ///
 /// Layers (documented in DESIGN.md §10; rendered by

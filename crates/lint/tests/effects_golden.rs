@@ -3,7 +3,8 @@
 //! `gnn-dm-par` sits under every hot path, so its effect signature is a
 //! workspace-wide contract: the dispatchers may allocate and take the
 //! pool's locks, but none of them may touch io or entropy, or seed an RNG
-//! outside the `split_seed` discipline (P001 keeps them panic-free). If a
+//! outside the `split_seed` discipline (clippy's panic denies keep them
+//! panic-free). If a
 //! change grows one of those effects, this test names it before any
 //! experiment misbehaves.
 

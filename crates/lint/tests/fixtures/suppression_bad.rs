@@ -1,11 +1,11 @@
 // Fixture: a reason-less suppression is itself a violation (S001) and does
 // NOT silence the underlying rule.
 
-pub fn unjustified(xs: &[u32]) -> u32 {
-    *xs.first().unwrap() // lint:allow(P001)
+pub fn unjustified(link: &LinkModel) -> f64 {
+    link.transfer_time(1 << 20) // lint:allow(A002)
 }
 
-pub fn wrong_rule(xs: &[u32]) -> u32 {
-    // lint:allow(D001) suppressing a rule that is not the one firing here
-    *xs.first().unwrap()
+pub fn wrong_rule(link: &LinkModel) -> f64 {
+    // lint:allow(R003) suppressing a rule that is not the one firing here
+    link.transfer_time(1 << 20)
 }

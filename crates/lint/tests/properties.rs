@@ -20,8 +20,8 @@ const FRAGMENTS: &[&str] = &[
     "fn f() {",
     "}",
     "pub struct S;",
-    "// lint:allow(P001) caller guarantees non-empty input",
-    "// lint:allow(D001)",
+    "// lint:allow(R003) the row is the closure's return value",
+    "// lint:allow(A002)",
     "/// doc about lint:allow(RULE) syntax",
     "let x = y.unwrap();",
     "\"string with // not a comment\"",

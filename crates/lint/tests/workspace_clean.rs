@@ -2,12 +2,33 @@
 //! rule catalog and layering DAG in DESIGN.md must match the code.
 //!
 //! `cargo test --workspace` runs this alongside the unit suites, so any
-//! commit that reintroduces wall-clock reads, hash-ordered collections,
-//! ambient entropy, library panics, untraced cost-model calls or exact
-//! float assertions fails CI with the full diagnostic list.
+//! commit that adds an untraced cost-model call, a non-DAG or unused
+//! gnn-dm dependency, shared state or a raw seed in a parallel closure, a
+//! hot-path allocation, or a stale or reason-less `lint:allow` fails CI
+//! with the full diagnostic list. (Wall clocks, hash collections, raw
+//! threads and library panics are clippy's: `scripts/check.sh`. What this
+//! file pins of them is that every library declares the panic ban and that
+//! no `allow` exempts a site from them.)
 
+use gnn_dm_lint::tokenizer::TokenKind;
 use gnn_dm_lint::RULE_IDS;
 use std::path::PathBuf;
+
+/// The panic ban every library crate declares (P001's clippy form).
+const PANIC_DENY: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, \
+                          clippy::todo, clippy::unimplemented)]";
+
+/// Clippy lints whose exemptions must be a site-level `#[expect]`: an
+/// `#[allow]` of one of them is never reported stale.
+const EXPECT_ONLY: &[&str] = &[
+    "disallowed_methods",
+    "disallowed_types",
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "todo",
+    "unimplemented",
+];
 
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -40,6 +61,74 @@ fn workspace_has_zero_violations() {
         report.is_clean(),
         "workspace lint found {} violation(s):\n{listing}",
         report.diagnostics.len()
+    );
+}
+
+/// Every library crate (each `crates/*` but `bench`, plus the root
+/// package) carries the panic ban: a new crate that forgets it fails here.
+#[test]
+fn every_library_denies_panics() {
+    let mut libs = vec![root().join("src/lib.rs")];
+    let crates = std::fs::read_dir(root().join("crates")).expect("crates/ must be readable");
+    for entry in crates.flatten() {
+        if entry.file_name() != "bench" {
+            libs.push(entry.path().join("src/lib.rs"));
+        }
+    }
+    assert!(libs.len() > 10, "found only {} library crates", libs.len());
+    for lib in libs {
+        let text = std::fs::read_to_string(&lib)
+            .unwrap_or_else(|e| panic!("{}: {e}", lib.display()));
+        assert!(
+            text.lines().any(|line| line == PANIC_DENY),
+            "{} must carry `{PANIC_DENY}` on its own line",
+            lib.display()
+        );
+    }
+}
+
+/// Exemptions from the clippy-owned rules are `#[expect]`, which
+/// `unfulfilled_lint_expectations` reports once stale; an `allow(..)` of
+/// one of them (plain or inside `cfg_attr`) would silently outlive its
+/// site.
+#[test]
+fn clippy_owned_rules_are_exempted_only_by_expect() {
+    let (set, read_errors) = gnn_dm_lint::callgraph::FileSet::load(&root());
+    assert!(read_errors.is_empty(), "unreadable files: {read_errors:?}");
+    let mut offenders = Vec::new();
+    for file in set.files.values() {
+        let tokens = &file.lexed.tokens;
+        for (i, t) in tokens.iter().enumerate() {
+            let opens_list = t.kind == TokenKind::Ident
+                && t.text == "allow"
+                && tokens.get(i + 1).is_some_and(|n| n.text == "(");
+            if !opens_list {
+                continue;
+            }
+            let mut depth = 0usize;
+            for (j, u) in tokens.iter().enumerate().skip(i + 1) {
+                match (u.kind, u.text.as_str()) {
+                    (TokenKind::Op, "(") => depth += 1,
+                    (TokenKind::Op, ")") => depth -= 1,
+                    (TokenKind::Ident, name)
+                        if EXPECT_ONLY.contains(&name)
+                        && tokens[j - 1].text == "::"
+                        && tokens[j - 2].text == "clippy" =>
+                    {
+                        offenders.push(format!("{}:{} clippy::{name}", file.rel_path, u.line));
+                    }
+                    _ => {}
+                }
+                if depth == 0 {
+                    break;
+                }
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "use #[expect(.., reason = \"..\")] for these, not #[allow]:\n{}",
+        offenders.join("\n")
     );
 }
 

@@ -15,6 +15,7 @@
 //! * [`train`] — one-step and one-epoch convenience drivers.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 pub mod agg;
 pub mod loss;

@@ -24,7 +24,7 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[u32]) -> (f32, Matrix) {
 ///
 /// As [`softmax_cross_entropy`], and if `grad`'s shape differs from the
 /// logits'.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
+#[allow(clippy::needless_range_loop, reason = "parallel-array indexing is the clear form here")]
 pub(crate) fn softmax_cross_entropy_into(
     logits: &Matrix,
     labels: &[u32],

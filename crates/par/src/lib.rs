@@ -1,8 +1,9 @@
 //! Deterministic parallel execution substrate.
 //!
-//! Every multicore code path in the workspace goes through this crate (lint
-//! rule T001 enforces it), so the determinism argument lives in exactly one
-//! place. The contract every helper upholds:
+//! Every multicore code path in the workspace goes through this crate (the
+//! root `clippy.toml` bans raw `std::thread::{spawn, scope}`), so the
+//! determinism argument lives in exactly one place. The contract every
+//! helper upholds:
 //!
 //! * **Disjoint writes** — work is partitioned into chunks that own
 //!   non-overlapping output regions; no two threads ever write the same
@@ -43,6 +44,8 @@
 //! window ahead while the caller consumes them — and dispatches fork-join
 //! kernels of its own — in index order. Same contract: the scheduler picks
 //! who builds item `i` and when, never what it is or when it is consumed.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 use std::cell::Cell;
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -634,6 +637,7 @@ mod tests {
             })
         };
         let expect = run();
+        #[expect(clippy::disallowed_methods, reason = "two OS threads outside the pool are the submitters under test")]
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..2).map(|_| s.spawn(run)).collect();
             for h in handles {

@@ -221,6 +221,7 @@ fn lookahead_concurrent_callers_both_complete() {
     // Only one source fits the pool: whichever caller finds it taken runs
     // its loop inline. Both must see the serial sequence.
     let expect = with_threads(1, || run(200, 4));
+    #[expect(clippy::disallowed_methods, reason = "two OS threads outside the pool are the concurrent callers under test")]
     std::thread::scope(|s| {
         let handles: Vec<_> =
             (0..2).map(|_| s.spawn(|| with_threads(3, || run(200, 4)))).collect();

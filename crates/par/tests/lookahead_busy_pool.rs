@@ -12,6 +12,7 @@ fn lookahead_finishes_when_every_helper_is_busy_elsewhere() {
     let entered = AtomicUsize::new(0);
     let release = AtomicBool::new(false);
     let caller = std::thread::current().id();
+    #[expect(clippy::disallowed_methods, reason = "a blocker thread outside the pool keeps every helper busy")]
     std::thread::scope(|s| {
         // A generation with one task per participant, each parked on
         // `release`: the blocker thread plus both pool workers.

@@ -16,6 +16,7 @@
 //! per-partition clustering-coefficient variance of §5.3.1.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 pub mod hash;
 pub mod metis;

@@ -139,7 +139,7 @@ fn adjacency_of(graph: &Graph) -> Vec<Vec<(u32, f64)>> {
 }
 
 /// The full multilevel pipeline over a weighted adjacency.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
+#[allow(clippy::needless_range_loop, reason = "parallel-array indexing is the clear form here")]
 pub fn multilevel_partition(
     adj: &[Vec<(u32, f64)>],
     vwgt: Vec<Vec<f64>>,
@@ -223,7 +223,7 @@ const CONTRACT_CHUNK: usize = 256;
 /// when the proposal was already taken does the commit fall back to the
 /// original serial scan. The matching — and hence the whole hierarchy — is
 /// therefore bitwise-identical to the serial algorithm at any thread count.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
+#[allow(clippy::needless_range_loop, reason = "parallel-array indexing is the clear form here")]
 fn coarsen_once(level: &WeightedLevel, rng: &mut StdRng) -> WeightedLevel {
     let n = level.n();
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -465,7 +465,7 @@ fn kl_best_move(
 /// path). The refined assignment is therefore bitwise-identical to the
 /// fully serial pass at any thread count — late passes, where moves are
 /// rare, parallelize almost entirely.
-#[allow(clippy::needless_range_loop)] // parallel-array indexing is the clear form here
+#[allow(clippy::needless_range_loop, reason = "parallel-array indexing is the clear form here")]
 fn refine(
     level: &WeightedLevel,
     assignment: &mut [u32],

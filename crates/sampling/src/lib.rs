@@ -15,6 +15,7 @@
 //!   pre-sampling GPU cache policy (§7.3.3) builds on.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 pub mod block;
 pub mod epoch;

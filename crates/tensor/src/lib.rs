@@ -7,6 +7,7 @@
 //! initializers.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
 pub mod init;
 pub mod matrix;

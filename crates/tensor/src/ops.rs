@@ -168,7 +168,7 @@ fn tile_steps_512<const MR_: usize>(
 /// hold `NR` readable values per step (callers point it at a padded
 /// strip), and the lanes past `w` are computed and dropped.
 #[inline]
-#[allow(clippy::too_many_arguments)] // one tile = A panel + B view + C view
+#[allow(clippy::too_many_arguments, reason = "one tile = A panel + B view + C view")]
 fn micro_kernel<const MR_: usize, const WIDE: bool>(
     kk: usize,
     a: APanel<'_>,
@@ -234,7 +234,7 @@ fn micro_kernel<const MR_: usize, const WIDE: bool>(
 /// fits each row group. Rows beyond the last full MR-group go through
 /// narrower const instantiations, so every (row, column) pair is visited
 /// exactly once — full and ragged column blocks alike.
-#[allow(clippy::too_many_arguments)] // forwards the micro-kernel's tile description
+#[allow(clippy::too_many_arguments, reason = "forwards the micro-kernel's tile description")]
 fn micro_block<const WIDE: bool>(
     kk: usize,
     a: APanel<'_>,

@@ -32,6 +32,8 @@
 //! `chrome://tracing`; [`Timeline::summary`] gives the aggregate
 //! per-resource busy/idle/bytes view used by reports and tests.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub mod convert;
 pub mod units;
 

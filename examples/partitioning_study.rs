@@ -30,7 +30,7 @@ fn main() {
         "method", "cut%", "locality", "comp_imb", "comm_MiB", "repl", "part_s"
     );
     for cfg in &configs {
-        // lint:allow(D001) this example reports real partitioning wall time (Figure 6)
+        #[expect(clippy::disallowed_methods, reason = "this example reports real partitioning wall time (Figure 6)")]
         let start = Instant::now();
         let part = exp.partition(cfg);
         let part_s = start.elapsed().as_secs_f64();

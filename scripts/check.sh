@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a commit must pass.
 #
-#   scripts/check.sh            # release build + full test suite + rustdoc + lint
+#   scripts/check.sh            # release build + clippy + full test suite + rustdoc + lint
 #
 # The lint run is technically redundant (crates/lint/tests/workspace_clean.rs
 # runs it under `cargo test` too) but invoking the binary directly prints the
@@ -18,6 +18,25 @@ export RUSTFLAGS="-D warnings -C target-cpu=native"
 
 echo "==> cargo build --release (warnings are errors)"
 cargo build --workspace --release
+
+# Only the chosen lints, not a clippy::all sweep: clippy.toml's bans (wall
+# clock, hash collections, raw threads), the panic-family denies in each
+# library lib.rs, a reason on every allow/expect, and (through -D warnings)
+# rustc's unfulfilled_lint_expectations for a stale #[expect]. Clippy lints
+# only cfg-enabled code, so on x86-64 it also enables avx512f: the 512-bit
+# GEMM tile body (crates/tensor/src/ops.rs) is then checked on every host,
+# and the portable body is compiled regardless. Clippy only type-checks the
+# workspace; the explicit host `--target` keeps the flag off the build
+# scripts and proc macros it does run.
+host="$(rustc -vV | sed -n 's/^host: //p')"
+clippy_rustflags="${RUSTFLAGS}"
+if [[ "${host}" == x86_64-* ]]; then
+    clippy_rustflags+=" -C target-feature=+avx512f"
+fi
+echo "==> cargo clippy (clippy.toml bans, library panic denies, reasons on every allow/expect)"
+RUSTFLAGS="${clippy_rustflags}" cargo clippy --workspace --all-targets -q --target "${host}" -- -A clippy::all \
+    -D clippy::disallowed_methods -D clippy::disallowed_types \
+    -D clippy::allow_attributes_without_reason
 
 echo "==> cargo test"
 cargo test --workspace -q
@@ -89,5 +108,5 @@ if ! cargo run -q -p gnn-dm-lint; then
     exit 1
 fi
 
-echo "OK: build, tests and lint all green"
+echo "OK: build, clippy, tests and lint all green"
 echo "(performance numbers: bash benchmark/run.sh)"

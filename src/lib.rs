@@ -22,6 +22,8 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+
 pub use gnn_dm_cluster as cluster;
 pub use gnn_dm_core as core;
 pub use gnn_dm_device as device;

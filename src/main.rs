@@ -20,7 +20,7 @@ use gnn_dm::graph::datasets::DatasetSpec;
 use gnn_dm::graph::{io, stats, Graph};
 use gnn_dm::partition::{metrics, partition_graph, PartitionMethod};
 use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule, FanoutSampler};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -53,9 +53,9 @@ fn main() -> ExitCode {
 
 /// Splits `args` into positional arguments and `--key value` flags
 /// (`--adaptive`-style switches get the value `"true"`).
-fn parse_flags(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
+fn parse_flags(args: &[String]) -> Result<(Vec<&str>, BTreeMap<&str, &str>), String> {
     let mut positional = Vec::new();
-    let mut flags = HashMap::new();
+    let mut flags = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
@@ -80,7 +80,7 @@ fn parse_flags(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), Stri
 }
 
 fn flag_parse<T: std::str::FromStr>(
-    flags: &HashMap<&str, &str>,
+    flags: &BTreeMap<&str, &str>,
     key: &str,
     default: T,
 ) -> Result<T, String> {
@@ -93,7 +93,7 @@ fn flag_parse<T: std::str::FromStr>(
 /// [`flag_parse`], then a range check: a value `ok` rejects is an error
 /// that names the flag and the range `want`.
 fn flag_in<T: std::str::FromStr + std::fmt::Display>(
-    flags: &HashMap<&str, &str>,
+    flags: &BTreeMap<&str, &str>,
     key: &str,
     default: T,
     ok: impl Fn(&T) -> bool,
@@ -108,13 +108,13 @@ fn flag_in<T: std::str::FromStr + std::fmt::Display>(
 }
 
 /// A batch size: at least 1, as the harness grammar requires.
-fn batch_flag(flags: &HashMap<&str, &str>) -> Result<usize, String> {
+fn batch_flag(flags: &BTreeMap<&str, &str>) -> Result<usize, String> {
     flag_in(flags, "batch", 512, |&b| b >= 1, "at least 1")
 }
 
 /// A ratio or threshold: finite and in `[0, 1]`, as the harness grammar
 /// requires (`NaN` and the infinities fail the range test).
-fn unit_flag(flags: &HashMap<&str, &str>, key: &str, default: f64) -> Result<f64, String> {
+fn unit_flag(flags: &BTreeMap<&str, &str>, key: &str, default: f64) -> Result<f64, String> {
     flag_in(flags, key, default, |x| (0.0..=1.0).contains(x), "a number in [0, 1]")
 }
 
@@ -142,7 +142,7 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_generate(flags: &HashMap<&str, &str>) -> Result<(), String> {
+fn cmd_generate(flags: &BTreeMap<&str, &str>) -> Result<(), String> {
     let name = flags.get("dataset").ok_or("--dataset is required")?;
     let spec = DatasetSpec::all()
         .iter()
@@ -192,7 +192,7 @@ fn parse_method(name: &str) -> Result<PartitionMethod, String> {
     })
 }
 
-fn cmd_partition(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String> {
+fn cmd_partition(positional: &[&str], flags: &BTreeMap<&str, &str>) -> Result<(), String> {
     let path = positional.first().ok_or("missing graph file")?;
     let g = load_graph(path)?;
     let method = parse_method(flags.get("method").unwrap_or(&"metis-ve"))?;
@@ -200,6 +200,7 @@ fn cmd_partition(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(),
     let want = format!("between 1 and the graph's {n} vertices");
     let workers = flag_in(flags, "workers", 4, |k| (1..=n).contains(k), &want)?;
     let seed: u64 = flag_parse(flags, "seed", 7)?;
+    #[expect(clippy::disallowed_methods, reason = "the CLI reports real partitioning wall time")]
     let start = std::time::Instant::now();
     let part = partition_graph(&g, method, workers, seed);
     let elapsed = start.elapsed().as_secs_f64();
@@ -219,7 +220,7 @@ fn cmd_partition(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(),
     Ok(())
 }
 
-fn cmd_train(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String> {
+fn cmd_train(positional: &[&str], flags: &BTreeMap<&str, &str>) -> Result<(), String> {
     let path = positional.first().ok_or("missing graph file")?;
     let g = load_graph(path)?;
     let model = match flags.get("model").unwrap_or(&"gcn").to_ascii_lowercase().as_str() {
@@ -230,17 +231,20 @@ fn cmd_train(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Str
     let epochs: usize = flag_parse(flags, "epochs", 10)?;
     let batch = batch_flag(flags)?;
     let hidden: usize = flag_parse(flags, "hidden", 128)?;
-    let lr: f32 = flag_parse(flags, "lr", 0.01)?;
+    let lr = flag_in(flags, "lr", 0.01f32, |x| x.is_finite() && *x > 0.0, "finite and above 0")?;
     let seed: u64 = flag_parse(flags, "seed", 5)?;
-    let fanouts: Vec<usize> = flags
-        .get("fanout")
-        .unwrap_or(&"10,5")
+    let fanout = flags.get("fanout").unwrap_or(&"10,5");
+    let fanouts: Vec<usize> = fanout
         .split(',')
         .map(|s| match s.trim().parse() {
             Ok(f) if f >= 1 => Ok(f),
             _ => Err(format!("invalid value for --fanout: {s} (each layer must be at least 1)")),
         })
         .collect::<Result<_, _>>()?;
+    // `train_single` builds a two-layer model, which consumes exactly two hops.
+    if fanouts.len() != 2 {
+        return Err(format!("invalid value for --fanout: {fanout} (must be two layers, A,B)"));
+    }
     let schedule = if flags.contains_key("adaptive") {
         BatchSizeSchedule::Adaptive { start: batch / 4, max: batch, growth: 2.0, grow_every: 3 }
     } else {
@@ -269,7 +273,7 @@ fn cmd_train(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Str
     Ok(())
 }
 
-fn cmd_transfer(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String> {
+fn cmd_transfer(positional: &[&str], flags: &BTreeMap<&str, &str>) -> Result<(), String> {
     let path = positional.first().ok_or("missing graph file")?;
     let g = load_graph(path)?;
     let batch = batch_flag(flags)?;
@@ -429,5 +433,25 @@ mod tests {
     #[test]
     fn train_rejects_zero_fanout() {
         rejects("fanout", "train", "--fanout 0,0", "fanout");
+    }
+
+    #[test]
+    fn train_rejects_one_layer_fanout() {
+        rejects("fanout_one", "train", "--fanout 5", "fanout");
+    }
+
+    #[test]
+    fn train_rejects_three_layer_fanout() {
+        rejects("fanout_three", "train", "--fanout 5,5,5", "fanout");
+    }
+
+    #[test]
+    fn train_rejects_nan_lr() {
+        rejects("lr_nan", "train", "--lr nan", "lr");
+    }
+
+    #[test]
+    fn train_rejects_negative_lr() {
+        rejects("lr_negative", "train", "--lr -1", "lr");
     }
 }

@@ -8,7 +8,7 @@
 //! code with `RetryPolicy::schedule_failed_attempts`; it only has to fold
 //! in the same order, because float addition is not associative and the
 //! tests compare bits.
-#![allow(dead_code)] // each test crate uses its own subset
+#![allow(dead_code, reason = "each test crate uses its own subset")]
 
 use gnn_dm::device::pipeline::{BatchStageTimes, PipelineMode};
 use gnn_dm::faults::{FaultPlan, ResiliencePolicy};

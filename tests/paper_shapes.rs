@@ -72,7 +72,7 @@ fn fig6_shape_partition_cost_ordering() {
     use std::time::Instant;
     let g = load_graph();
     let time_of = |method| {
-        // lint:allow(D001) Figure 6 asserts a wall-clock cost *ordering*, not absolute times
+        #[expect(clippy::disallowed_methods, reason = "Figure 6 asserts a wall-clock cost *ordering*, not absolute times")]
         let start = Instant::now();
         let _ = partition_graph(&g, method, 4, 7);
         start.elapsed().as_secs_f64()
