@@ -6,27 +6,33 @@
 //! crate views rows directly.
 
 /// Row-major dense feature table: one row of `dim` floats per vertex.
+///
+/// A zero-width table (`dim == 0`) is a table of empty rows: it still has
+/// one row per vertex, which is why the row count is stored rather than
+/// derived from the buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeatureTable {
     data: Vec<f32>,
+    rows: usize,
     dim: usize,
 }
 
 impl FeatureTable {
-    /// A zero-filled table of `rows x dim`.
+    /// A zero-filled table of `rows x dim`; `dim` may be 0.
     pub fn zeros(rows: usize, dim: usize) -> Self {
-        FeatureTable { data: vec![0.0; rows * dim], dim }
+        FeatureTable { data: vec![0.0; rows * dim], rows, dim }
     }
 
-    /// Wraps an existing buffer.
+    /// Wraps an existing buffer. An empty buffer cannot say how many empty
+    /// rows it holds, so a zero-width table comes from [`Self::zeros`].
     ///
     /// # Panics
     ///
-    /// Panics if `data.len()` is not a multiple of `dim` (with `dim > 0`).
+    /// Panics if `dim` is 0 or `data.len()` is not a multiple of `dim`.
     pub fn from_vec(data: Vec<f32>, dim: usize) -> Self {
         assert!(dim > 0, "feature dim must be positive");
         assert_eq!(data.len() % dim, 0, "buffer length must be a multiple of dim");
-        FeatureTable { data, dim }
+        FeatureTable { rows: data.len() / dim, data, dim }
     }
 
     /// Feature dimensionality.
@@ -38,7 +44,7 @@ impl FeatureTable {
     /// Number of rows (vertices).
     #[inline]
     pub fn num_rows(&self) -> usize {
-        self.data.len() / self.dim
+        self.rows
     }
 
     /// The feature row of vertex `v`.
@@ -83,7 +89,7 @@ impl FeatureTable {
                 dst.copy_from_slice(self.row(ids[base + j]));
             }
         });
-        FeatureTable { data: out, dim: self.dim }
+        FeatureTable { data: out, rows: ids.len(), dim: self.dim }
     }
 }
 
@@ -98,6 +104,15 @@ mod tests {
         assert_eq!(t.dim(), 4);
         // zeros() writes literal 0.0; the exact-bit check is the point.
         assert!(t.as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn zero_width_table_has_empty_rows() {
+        let t = FeatureTable::zeros(3, 0);
+        assert_eq!(t.num_rows(), 3);
+        assert_eq!(t.row(2), &[] as &[f32]);
+        let g = t.gather(&[2, 0]);
+        assert_eq!((g.num_rows(), g.dim()), (2, 0));
     }
 
     #[test]

@@ -12,6 +12,12 @@
 //!   fanout/caching/streaming-imbalance contrasts;
 //! * **feature geometry** — features are noisy class centroids, so accuracy
 //!   responds to how much neighborhood information sampling preserves.
+//!
+//! Generation is parallel and bit-identical to the serial loop at any thread
+//! count: every random number still comes off one `StdRng` stream, drawn
+//! serially in a fixed-size chunk, and only the pure work on the drawn
+//! numbers — the Box–Muller transform, the weighted-sampler lookups — fans
+//! out through `gnn-dm-par`.
 
 use crate::builder::GraphBuilder;
 use crate::csr::VId;
@@ -22,17 +28,36 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+/// Feature elements whose uniforms are drawn before their transform runs
+/// (rounded down to whole rows, at least one). Fixed, so the work split
+/// never depends on the thread count.
+const FEATURE_CHUNK: usize = 64 * 1024;
+
+/// Edge-placement attempts drawn before their lookups run. Fixed, like
+/// [`FEATURE_CHUNK`].
+const EDGE_CHUNK: usize = 16 * 1024;
+
 /// Standard-normal sample via Box–Muller (the `rand_distr` crate is not part
 /// of the sanctioned dependency set).
 pub fn sample_normal(rng: &mut impl Rng) -> f64 {
-    loop {
+    box_muller(normal_uniforms(rng))
+}
+
+/// The two uniforms one standard normal consumes: `u1` is redrawn while it
+/// is too small to take the logarithm of, then `u2` is drawn.
+fn normal_uniforms(rng: &mut impl Rng) -> (f64, f64) {
+    let u1 = loop {
         let u1: f64 = rng.random::<f64>();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
+        if u1 > f64::MIN_POSITIVE {
+            break u1;
         }
-        let u2: f64 = rng.random::<f64>();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    }
+    };
+    (u1, rng.random::<f64>())
+}
+
+/// The Box–Muller transform of one pair from [`normal_uniforms`].
+fn box_muller((u1, u2): (f64, f64)) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// Zipf-like weights: a random permutation of `(rank + 1)^-alpha`.
@@ -77,8 +102,13 @@ impl WeightedSampler {
 
     /// Draws one item proportionally to its weight.
     pub fn sample(&self, rng: &mut impl Rng) -> VId {
+        self.at(rng.random::<f64>())
+    }
+
+    /// The item a uniform draw `r` in `[0, 1)` selects.
+    fn at(&self, r: f64) -> VId {
         let total = self.cumulative.last().copied().unwrap_or(0.0);
-        let x = rng.random::<f64>() * total;
+        let x = r * total;
         let idx = self.cumulative.partition_point(|&c| c <= x).min(self.items.len() - 1);
         self.items[idx]
     }
@@ -164,24 +194,13 @@ pub fn planted_partition(cfg: &PplConfig) -> Graph {
     let global = WeightedSampler::new((0..cfg.n as VId).collect(), &weights);
 
     let m = ((cfg.n as f64) * cfg.avg_degree / 2.0).round() as usize;
+    // Both directions are queued as each edge is placed, so the list is
+    // already symmetric and the build must not mirror it again.
     let mut b = GraphBuilder::with_capacity(cfg.n, m * 2);
-    let mut placed = 0usize;
-    let mut attempts = 0usize;
-    while placed < m && attempts < m * 20 {
-        attempts += 1;
-        let u = global.sample(&mut rng);
-        let v = if rng.random::<f64>() < cfg.homophily {
-            community_samplers[labels[u as usize] as usize].sample(&mut rng)
-        } else {
-            global.sample(&mut rng)
-        };
-        if u == v {
-            continue;
-        }
+    place_edges(&mut rng, m, cfg.homophily, &labels, &global, &community_samplers, |u, v| {
         b.add_undirected(u, v);
-        placed += 1;
-    }
-    let out = b.build_symmetric();
+    });
+    let out = b.build_directed();
     let inn = out.clone(); // symmetric
 
     let features = class_centroid_features(
@@ -198,6 +217,54 @@ pub fn planted_partition(cfg: &PplConfig) -> Graph {
     g
 }
 
+/// Places up to `m` undirected edges, handing each accepted `(u, v)` to
+/// `accept` in the serial loop's order. An attempt picks `u` from `global`,
+/// flips a homophily coin, and picks `v` from `u`'s community (coin below
+/// `homophily`) or from `global` again; a self-loop is rejected, and
+/// placement stops at `m` edges or `20 m` attempts.
+///
+/// Every attempt consumes exactly three draws whichever way its coin
+/// falls, so each chunk's draws come off `rng` serially, the lookups run in
+/// parallel, and the pairs are accepted serially in attempt order.
+fn place_edges(
+    rng: &mut impl Rng,
+    m: usize,
+    homophily: f64,
+    labels: &[u32],
+    global: &WeightedSampler,
+    communities: &[WeightedSampler],
+    mut accept: impl FnMut(VId, VId),
+) {
+    let max_attempts = m * 20;
+    let mut attempts = 0usize;
+    let mut placed = 0usize;
+    let mut draws: Vec<[f64; 3]> = Vec::with_capacity(EDGE_CHUNK.min(max_attempts));
+    while placed < m && attempts < max_attempts {
+        let len = EDGE_CHUNK.min(max_attempts - attempts);
+        attempts += len;
+        draws.clear();
+        draws.extend((0..len).map(|_| [rng.random::<f64>(), rng.random(), rng.random()]));
+        let pairs = gnn_dm_par::par_map_collect(&draws, |_, &[first, coin, second]| {
+            let u = global.at(first);
+            let v = if coin < homophily {
+                communities[labels[u as usize] as usize].at(second)
+            } else {
+                global.at(second)
+            };
+            (u, v)
+        });
+        for (u, v) in pairs {
+            if u != v {
+                accept(u, v);
+                placed += 1;
+                if placed == m {
+                    break;
+                }
+            }
+        }
+    }
+}
+
 /// Features drawn as `centroid[label] + noise * N(0, 1)` per dimension, with
 /// unit-Gaussian random centroids.
 pub fn class_centroid_features(
@@ -207,19 +274,42 @@ pub fn class_centroid_features(
     noise: f32,
     seed: u64,
 ) -> FeatureTable {
-    let mut rng = StdRng::seed_from_u64(seed);
+    centroid_features(&mut StdRng::seed_from_u64(seed), labels, num_classes, dim, noise)
+}
+
+/// [`class_centroid_features`] off a given stream: the centroids, then the
+/// table in row-major order, each element taking exactly the draws
+/// [`sample_normal`] would. Chunk by chunk, the uniforms are drawn serially
+/// into one reused buffer and the rows transformed in parallel.
+fn centroid_features(
+    rng: &mut impl Rng,
+    labels: &[u32],
+    num_classes: usize,
+    dim: usize,
+    noise: f32,
+) -> FeatureTable {
     let centroids: Vec<Vec<f32>> = (0..num_classes)
-        .map(|_| (0..dim).map(|_| sample_normal(&mut rng) as f32).collect())
+        .map(|_| (0..dim).map(|_| sample_normal(rng) as f32).collect())
         .collect();
-    let mut table = FeatureTable::zeros(labels.len(), dim);
-    for (v, &l) in labels.iter().enumerate() {
-        let row = table.row_mut(v as VId);
-        let c = &centroids[l as usize];
-        for (j, x) in row.iter_mut().enumerate() {
-            *x = c[j] + noise * sample_normal(&mut rng) as f32;
-        }
+    if dim == 0 {
+        return FeatureTable::zeros(labels.len(), 0);
     }
-    table
+    let rows_per_chunk = (FEATURE_CHUNK / dim).max(1);
+    let mut data = vec![0.0f32; labels.len() * dim];
+    let mut uniforms: Vec<(f64, f64)> = Vec::with_capacity(rows_per_chunk * dim);
+    for (ci, chunk) in data.chunks_mut(rows_per_chunk * dim).enumerate() {
+        uniforms.clear();
+        uniforms.extend((0..chunk.len()).map(|_| normal_uniforms(rng)));
+        let chunk_labels = &labels[ci * rows_per_chunk..];
+        gnn_dm_par::par_chunks_mut(chunk, dim, |r, row| {
+            let centroid = &centroids[chunk_labels[r] as usize];
+            let pairs = &uniforms[r * dim..(r + 1) * dim];
+            for ((x, &c), &pair) in row.iter_mut().zip(centroid).zip(pairs) {
+                *x = c + noise * box_muller(pair) as f32;
+            }
+        });
+    }
+    FeatureTable::from_vec(data, dim)
 }
 
 #[cfg(test)]
@@ -280,6 +370,113 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let draws = (0..10_000).filter(|_| s.sample(&mut rng) == 1).count();
         assert!((draws as f64 / 10_000.0 - 0.9).abs() < 0.03, "p(1) = {}", draws as f64 / 10_000.0);
+    }
+
+    /// A replayed `next_u64` sequence: `split_seed(0, k)` for draw `k`,
+    /// except 0 — the uniform 0.0, which Box–Muller redraws when it is a
+    /// `u1` — at the listed draw indices.
+    struct Script {
+        drawn: u64,
+        zeros: Vec<u64>,
+    }
+
+    impl Script {
+        fn new(zeros: Vec<u64>) -> Self {
+            Script { drawn: 0, zeros }
+        }
+    }
+
+    impl Rng for Script {
+        fn next_u64(&mut self) -> u64 {
+            let k = self.drawn;
+            self.drawn += 1;
+            if self.zeros.contains(&k) {
+                0
+            } else {
+                gnn_dm_par::split_seed(0, k)
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_features_take_the_draws_of_sample_normal() {
+        let (num_classes, dim, noise) = (3usize, 5usize, 0.7f32);
+        let rows_per_chunk = FEATURE_CHUNK / dim;
+        let n = 2 * rows_per_chunk + 3;
+        let labels: Vec<u32> = (0..n as u32).map(|v| v % 3).collect();
+        // Draw 0 is the first centroid's `u1`. After its redraw, the
+        // centroids and the first chunk take two draws per element, so the
+        // first chunk's last `u1` is draw `boundary - 2` and — after that
+        // one's redraw — the second chunk's first `u1` is `boundary + 1`.
+        let boundary = 2 * (num_classes * dim + rows_per_chunk * dim) as u64 + 1;
+        let zeros = vec![0, boundary - 2, boundary + 1];
+
+        let mut serial = Script::new(zeros.clone());
+        let centroids: Vec<Vec<f32>> = (0..num_classes)
+            .map(|_| (0..dim).map(|_| sample_normal(&mut serial) as f32).collect())
+            .collect();
+        let mut expect = Vec::new();
+        for &l in &labels {
+            for &c in &centroids[l as usize] {
+                expect.push((c + noise * sample_normal(&mut serial) as f32).to_bits());
+            }
+        }
+        // All three zeros landed on a `u1`: one extra draw each.
+        assert_eq!(serial.drawn, 2 * (num_classes * dim + n * dim) as u64 + 3);
+
+        for threads in [1, 3] {
+            let mut script = Script::new(zeros.clone());
+            let got = gnn_dm_par::with_threads(threads, || {
+                centroid_features(&mut script, &labels, num_classes, dim, noise)
+            });
+            let got: Vec<u32> = got.as_slice().iter().map(|x| x.to_bits()).collect();
+            assert!(got == expect, "threads {threads}: features diverged from sample_normal");
+            assert_eq!(script.drawn, serial.drawn, "threads {threads}: draws consumed");
+        }
+    }
+
+    #[test]
+    fn chunked_edge_placement_places_the_serial_loops_edges() {
+        // Four vertices in two communities, so self-loops are rejected
+        // often; the largest `m` needs a second chunk, and every case stops
+        // inside a chunk at `placed == m`.
+        let labels = [0u32, 1, 0, 1];
+        let global = WeightedSampler::new(vec![0, 1, 2, 3], &[1.0, 2.0, 3.0, 4.0]);
+        let communities = [
+            WeightedSampler::new(vec![0, 2], &[1.0, 3.0]),
+            WeightedSampler::new(vec![1, 3], &[2.0, 4.0]),
+        ];
+        for (m, homophily) in [(EDGE_CHUNK + 100, 0.6), (7, 0.6), (300, 1.0)] {
+            let mut serial = Script::new(Vec::new());
+            let mut expect = Vec::new();
+            let (mut placed, mut attempts) = (0usize, 0usize);
+            while placed < m && attempts < m * 20 {
+                attempts += 1;
+                let u = global.sample(&mut serial);
+                let v = if serial.random::<f64>() < homophily {
+                    communities[labels[u as usize] as usize].sample(&mut serial)
+                } else {
+                    global.sample(&mut serial)
+                };
+                if u != v {
+                    expect.push((u, v));
+                    placed += 1;
+                }
+            }
+            assert_eq!(expect.len(), m);
+            if m > EDGE_CHUNK {
+                assert!(attempts > EDGE_CHUNK, "m {m}: the serial loop fit in one chunk");
+            }
+
+            let mut got = Vec::new();
+            let mut script = Script::new(Vec::new());
+            gnn_dm_par::with_threads(3, || {
+                place_edges(&mut script, m, homophily, &labels, &global, &communities, |u, v| {
+                    got.push((u, v));
+                });
+            });
+            assert!(got == expect, "m {m}, homophily {homophily}: edges diverged");
+        }
     }
 
     #[test]

@@ -157,8 +157,8 @@ pub fn read_graph<R: Read>(r: &mut R) -> Result<Graph, GraphIoError> {
     let m = read_u64(r)? as usize;
     let dim = read_u64(r)? as usize;
     let classes = read_u64(r)? as usize;
-    if dim == 0 || classes == 0 {
-        return Err(GraphIoError::Corrupt("zero feature width or class count".into()));
+    if classes == 0 {
+        return Err(GraphIoError::Corrupt("zero class count".into()));
     }
     let out = read_csr(r, n, m)?;
     let inn = read_csr(r, n, m)?;
@@ -184,10 +184,12 @@ pub fn read_graph<R: Read>(r: &mut R) -> Result<Graph, GraphIoError> {
             other => return Err(GraphIoError::Corrupt(format!("invalid split code {other}"))),
         });
     }
+    let features =
+        if dim == 0 { FeatureTable::zeros(n, 0) } else { FeatureTable::from_vec(feats, dim) };
     let graph = Graph {
         out,
         inn,
-        features: FeatureTable::from_vec(feats, dim),
+        features,
         labels,
         num_classes: classes,
         split: SplitMask::from_assignment(splits),

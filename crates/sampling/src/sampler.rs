@@ -465,12 +465,16 @@ fn assemble_blocks(
         let mut dst_offsets: Vec<u32> = Vec::with_capacity(dst_ids.len() + 1);
         dst_offsets.push(0);
         let mut edge_src: Vec<u32> = Vec::new();
+        // The seeded builder's layer split, once per layer.
+        let layer_seed = match draws {
+            DrawRng::Seeded(base_seed) => gnn_dm_par::split_seed(base_seed, layer as u64),
+            DrawRng::Stream(_) => 0, // unused
+        };
         for (d_local, &d) in dst_ids.iter().enumerate() {
             let mut derived;
             let rng: &mut StdRng = match &mut draws {
                 DrawRng::Stream(rng) => rng,
-                DrawRng::Seeded(base_seed) => {
-                    let layer_seed = gnn_dm_par::split_seed(*base_seed, layer as u64);
+                DrawRng::Seeded(_) => {
                     derived = StdRng::seed_from_u64(gnn_dm_par::split_seed(layer_seed, d_local as u64));
                     &mut derived
                 }

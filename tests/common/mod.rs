@@ -1,6 +1,7 @@
 //! Shared by the integration tests: awkward stage times, the closed-form
-//! oracle of the device pipeline replay, and the seed's mini-batch builder
-//! as an oracle of the live sampler.
+//! oracle of the device pipeline replay, the seed's mini-batch builder as an
+//! oracle of the live sampler, and the serial graph generator as an oracle
+//! of the parallel one.
 //!
 //! The pipeline oracle is the original makespan recurrences — no timeline,
 //! no spans, no lanes — extended with failed transfer attempts written from
@@ -13,10 +14,13 @@
 use gnn_dm::device::pipeline::{BatchStageTimes, PipelineMode};
 use gnn_dm::faults::{FaultPlan, ResiliencePolicy};
 use gnn_dm::graph::csr::{Csr, VId};
+use gnn_dm::graph::generate::{zipf_weights, PplConfig};
+use gnn_dm::graph::{FeatureTable, Graph, GraphBuilder, SplitMask};
 use gnn_dm::par::split_seed;
 use gnn_dm::sampling::{BatchSelection, Block, MiniBatch, NeighborSampler};
 use gnn_dm::trace::units::Seconds;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -187,4 +191,90 @@ pub fn seed_epoch_batches(
         .zip(BatchSelection::Random.select(train, batch_size, seed, epoch))
         .map(|(b, seeds)| seed_build_minibatch(in_csr, &seeds, sampler, split_seed(epoch_seed, b)))
         .collect()
+}
+
+/// The serial `planted_partition` the parallel one replaced: one loop over
+/// edge attempts drawing straight off the stream, `add_undirected` then
+/// `build_symmetric` (which mirrors the list a second time), and one
+/// Box–Muller draw per feature element in row-major order. The weighted
+/// lookups and the normal transform are written out here; it shares only
+/// `zipf_weights`, the builder and `SplitMask::paper_default` with the live
+/// generator, whose output it must equal bit for bit.
+pub fn seed_planted_partition(cfg: &PplConfig) -> Graph {
+    fn cumulative(weights: impl Iterator<Item = f64>) -> Vec<f64> {
+        let mut total = 0.0;
+        weights
+            .map(|w| {
+                total += w;
+                total
+            })
+            .collect()
+    }
+    fn pick(items: &[VId], cumulative: &[f64], rng: &mut StdRng) -> VId {
+        let x = rng.random::<f64>() * cumulative.last().copied().unwrap_or(0.0);
+        items[cumulative.partition_point(|&c| c <= x).min(items.len() - 1)]
+    }
+    fn normal(rng: &mut StdRng) -> f64 {
+        loop {
+            let u1: f64 = rng.random::<f64>();
+            if u1 <= f64::MIN_POSITIVE {
+                continue;
+            }
+            let u2: f64 = rng.random::<f64>();
+            return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        }
+    }
+
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut labels: Vec<u32> = (0..cfg.n).map(|i| (i % cfg.num_classes) as u32).collect();
+    labels.shuffle(&mut rng);
+    let weights = zipf_weights(cfg.n, cfg.skew, cfg.seed ^ 0x9e37_79b9);
+    let mut members: Vec<Vec<VId>> = vec![Vec::new(); cfg.num_classes];
+    for (v, &l) in labels.iter().enumerate() {
+        members[l as usize].push(v as VId);
+    }
+    let member_cdfs: Vec<Vec<f64>> =
+        members.iter().map(|m| cumulative(m.iter().map(|&v| weights[v as usize]))).collect();
+    let everyone: Vec<VId> = (0..cfg.n as VId).collect();
+    let global_cdf = cumulative(weights.iter().copied());
+
+    let m = ((cfg.n as f64) * cfg.avg_degree / 2.0).round() as usize;
+    let mut b = GraphBuilder::with_capacity(cfg.n, m * 2);
+    let (mut placed, mut attempts) = (0usize, 0usize);
+    while placed < m && attempts < m * 20 {
+        attempts += 1;
+        let u = pick(&everyone, &global_cdf, &mut rng);
+        let v = if rng.random::<f64>() < cfg.homophily {
+            let c = labels[u as usize] as usize;
+            pick(&members[c], &member_cdfs[c], &mut rng)
+        } else {
+            pick(&everyone, &global_cdf, &mut rng)
+        };
+        if u == v {
+            continue;
+        }
+        b.add_undirected(u, v);
+        placed += 1;
+    }
+    let out = b.build_symmetric();
+
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5151_5151);
+    let centroids: Vec<Vec<f32>> = (0..cfg.num_classes)
+        .map(|_| (0..cfg.feat_dim).map(|_| normal(&mut rng) as f32).collect())
+        .collect();
+    let mut features = FeatureTable::zeros(cfg.n, cfg.feat_dim);
+    for (v, &l) in labels.iter().enumerate() {
+        for (x, &c) in features.row_mut(v as VId).iter_mut().zip(&centroids[l as usize]) {
+            *x = c + cfg.feat_noise * normal(&mut rng) as f32;
+        }
+    }
+
+    Graph {
+        inn: out.clone(),
+        out,
+        features,
+        labels,
+        num_classes: cfg.num_classes,
+        split: SplitMask::paper_default(cfg.n, cfg.seed ^ 0xabcd),
+    }
 }

@@ -399,6 +399,40 @@ fn training_epoch_bitwise_equal_across_thread_counts() {
     }
 }
 
+/// Graph synthesis draws every random number off one serial stream and
+/// fans out only the work on the drawn numbers, so the generated graph —
+/// both CSRs, labels, split and every feature bit — is the serial
+/// generator's (`tests/common`) at every thread count: each dataset
+/// stand-in at 700 vertices (four of them past the edge chunk, every
+/// 600-wide one past several feature chunks), plus two vertices, full
+/// homophily, no skew, and one- and zero-wide features.
+#[test]
+fn planted_partition_bitwise_equal_across_thread_counts() {
+    use gnn_dm::graph::datasets::DatasetSpec;
+    let base = PplConfig { n: 300, avg_degree: 8.0, num_classes: 3, feat_dim: 16, ..Default::default() };
+    let mut configs: Vec<PplConfig> =
+        DatasetSpec::all().iter().map(|d| d.scaled_config(700, 7)).collect();
+    configs.extend([
+        PplConfig { n: 2, num_classes: 2, ..base.clone() },
+        PplConfig { homophily: 1.0, ..base.clone() },
+        PplConfig { skew: 0.0, ..base.clone() },
+        PplConfig { feat_dim: 1, ..base.clone() },
+        PplConfig { feat_dim: 0, ..base },
+    ]);
+    let bits = |g: &Graph| {
+        let features: Vec<u32> = g.features.as_slice().iter().map(|x| x.to_bits()).collect();
+        let shape = (g.features.num_rows(), g.feat_dim(), g.num_classes);
+        (g.out.clone(), g.inn.clone(), g.labels.clone(), g.split.clone(), features, shape)
+    };
+    for cfg in &configs {
+        let oracle = bits(&common::seed_planted_partition(cfg));
+        for n in THREAD_COUNTS {
+            let got = with_threads(n, || bits(&planted_partition(cfg)));
+            assert!(got == oracle, "threads={n}: {cfg:?} diverged from the serial generator");
+        }
+    }
+}
+
 /// Multilevel partitioning: parallel matching proposals, chunked
 /// contraction and speculate-validate refinement must reproduce the serial
 /// assignment exactly for every constraint variant.

@@ -50,6 +50,21 @@ fn empty_and_singleton_graphs() {
     assert_eq!(b.build_symmetric().num_edges(), 0);
 }
 
+/// A zero-width feature table is a table of empty rows, one per vertex:
+/// generation, validation and an I/O round trip accept it.
+#[test]
+fn zero_width_features_are_empty_rows() {
+    let g = planted_partition(&PplConfig { n: 60, num_classes: 3, feat_dim: 0, ..Default::default() });
+    assert!(g.validate().is_ok());
+    assert_eq!((g.features.num_rows(), g.feat_dim()), (60, 0));
+    assert_eq!(g.features.row(59), &[] as &[f32]);
+    let mut buf = Vec::new();
+    io::write_graph(&g, &mut buf).expect("write to a Vec");
+    let back = io::read_graph(&mut buf.as_slice()).expect("a zero-width graph reads back");
+    assert_eq!((back.features.num_rows(), back.feat_dim()), (60, 0));
+    assert_eq!(back.out, g.out);
+}
+
 #[test]
 fn isolated_vertices_survive_sampling_and_training() {
     // A graph where many vertices have no edges at all.
