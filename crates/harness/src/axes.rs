@@ -289,7 +289,8 @@ enum Selection {
 /// Axis 2 — batch preparation: sampler, batch-size schedule, and batch
 /// selection policy (§6, Figures 9–12). Batch sizes are at least 1, an
 /// adaptive schedule grows by a finite factor above 1 every `≥ 1` epochs;
-/// a step table's epochs may be zero (the entry applies from the start).
+/// a step table's epochs are strictly ascending and may start at zero
+/// (the entry applies from the start).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchPrep {
     sampler: Sampler,
@@ -352,7 +353,12 @@ fn parse_schedule(cx: Spec<'_>, part: &str) -> Result<BatchSizeSchedule, Harness
                     entry.split_once(':').ok_or_else(|| cx.err("steps entries are `epoch:batch`"))?;
                 Ok((cx.int(epoch)?, cx.count(batch)?))
             };
-            Ok(BatchSizeSchedule::Steps(args.split(',').map(entry).collect::<Result<_, _>>()?))
+            let table: Vec<(usize, usize)> = args.split(',').map(entry).collect::<Result<_, _>>()?;
+            // Entry `i` applies from its epoch until the next entry's.
+            if table.windows(2).any(|w| w[0].0 >= w[1].0) {
+                return Err(cx.err("steps epochs must be strictly ascending"));
+            }
+            Ok(BatchSizeSchedule::Steps(table))
         }
         _ => Err(cx.err("unknown schedule")),
     }

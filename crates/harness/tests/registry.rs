@@ -130,6 +130,8 @@ fn hostile_specs_are_errors_not_panics() {
                 "fanout(5,5)+steps()",
                 "fanout(5,5)+steps(0:0)",
                 "fanout(5,5)+steps(0)",
+                "fanout(5,5)+steps(5:64,0:128)",
+                "fanout(5,5)+steps(0:64,0:128)",
             ],
         ),
         (
@@ -232,6 +234,7 @@ fn hostile_specs_are_errors_not_panics() {
     for id in [
         "metis-raw(refine=0)/rate(0.5;min=0)+fixed(1)/hybrid(0)/degree(0)/cluster(1)/uniform(0,0)/hedge(1)",
         "hash/hybrid(8;1;thr=0)+steps(0:1)/zero-copy+eff(1)/presample(1,1)/single/none/redispatch(0)+stale(0)",
+        "hash/fanout(5,5)+steps(0:128,4:512,10:2048)/extract-load/none/single/none/none",
     ] {
         let cfg = SystemConfig::from_id(&reg, id).expect("boundary values are in range");
         assert_eq!(cfg.id(), id);

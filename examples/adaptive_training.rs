@@ -1,15 +1,13 @@
 //! The paper's two training proposals in action: adaptive batch sizing
 //! (§6.3.1) and fanout-rate hybrid sampling (§6.3.4), against their fixed
-//! counterparts.
+//! counterparts. Each run is one harness batch-prep spec trained with the
+//! suite's convergence setup (`TrainExperiment::paper`: GCN, hidden 64,
+//! lr 0.01, seed 5).
 //!
 //! Run: `cargo run --release --example adaptive_training`
 
-use gnn_dm::core::config::ModelKind;
-use gnn_dm::core::convergence::train_single;
 use gnn_dm::graph::generate::{planted_partition, PplConfig};
-use gnn_dm::sampling::{
-    BatchSelection, BatchSizeSchedule, FanoutSampler, HybridSampler, NeighborSampler,
-};
+use gnn_dm::harness::{GridSpec, Registry, SystemConfig, TrainExperiment};
 
 fn main() {
     // A deliberately hard task (high feature noise, moderate homophily) so
@@ -24,25 +22,22 @@ fn main() {
         feat_noise: 10.0,
         seed: 42,
     });
-    let selection = BatchSelection::Random;
+    let reg = Registry::builtin();
+    let exp = TrainExperiment::paper(&graph, 20);
+    let train = |prep: &str| {
+        let spec = GridSpec { batch_prep: prep.to_string(), ..GridSpec::default() };
+        exp.run(&SystemConfig::from_spec(&reg, &spec).expect("batch-prep specs resolve"))
+    };
 
     println!("--- adaptive batch size (paper §6.3.1) ---");
-    let fanout = FanoutSampler::new(vec![5, 5]);
-    let schedules: Vec<(&str, BatchSizeSchedule)> = vec![
-        ("fixed 128", BatchSizeSchedule::Fixed(128)),
-        ("fixed 2048", BatchSizeSchedule::Fixed(2048)),
-        (
-            "adaptive 128→2048",
-            BatchSizeSchedule::Adaptive { start: 128, max: 2048, growth: 2.0, grow_every: 3 },
-        ),
-    ];
-    let mut results = Vec::new();
-    for (label, schedule) in &schedules {
-        let r = train_single(
-            &graph, ModelKind::Gcn, 64, &fanout, &selection, schedule, 0.01, 20, 5,
-        );
-        results.push((*label, r));
-    }
+    let results: Vec<_> = [
+        ("fixed 128", "fanout(5,5)+fixed(128)"),
+        ("fixed 2048", "fanout(5,5)+fixed(2048)"),
+        ("adaptive 128→2048", "fanout(5,5)+adaptive(128,2048,x2,every3)"),
+    ]
+    .into_iter()
+    .map(|(label, prep)| (label, train(prep)))
+    .collect();
     let best = results.iter().map(|(_, r)| r.best_acc).fold(0.0f64, f64::max);
     for (label, r) in &results {
         println!(
@@ -54,28 +49,12 @@ fn main() {
     }
 
     println!("\n--- fanout-rate hybrid sampling (paper §6.3.4) ---");
-    let samplers: Vec<(&str, Box<dyn NeighborSampler + Sync>)> = vec![
-        ("fanout (8,8)", Box::new(FanoutSampler::new(vec![8, 8]))),
-        ("rate 0.5", Box::new(gnn_dm::sampling::RateSampler::new(vec![0.5, 0.5], 1))),
-        (
-            "hybrid f=8 / r=0.3",
-            Box::new(HybridSampler::new(vec![8, 8], vec![0.3, 0.3], 24)),
-        ),
-    ];
-    let schedule = BatchSizeSchedule::Fixed(512);
-    for (label, sampler) in &samplers {
-        let r = train_single(
-            &graph,
-            ModelKind::Gcn,
-            64,
-            sampler.as_ref(),
-            &selection,
-            &schedule,
-            0.01,
-            20,
-            5,
-        );
-        println!("  {:<18} best acc {:.3}", label, r.best_acc);
+    for (label, prep) in [
+        ("fanout (8,8)", "fanout(8,8)+fixed(512)"),
+        ("rate 0.5", "rate(0.5,0.5;min=1)+fixed(512)"),
+        ("hybrid f=8 / r=0.3", "hybrid(8,8;0.3,0.3;thr=24)+fixed(512)"),
+    ] {
+        println!("  {:<18} best acc {:.3}", label, train(prep).best_acc);
     }
     println!("\nTakeaway (paper §6.4): grow the batch during training; sample low-degree");
     println!("vertices by fanout and high-degree vertices by rate.");

@@ -6,12 +6,9 @@ use gnn_dm::cluster::dist::dist_train_epoch;
 use gnn_dm::cluster::ClusterSim;
 use gnn_dm::core::config::ModelKind;
 use gnn_dm::core::convergence::{train_distributed, train_single};
-use gnn_dm::core::trainer::{HeteroTrainer, HeteroTrainerConfig};
-use gnn_dm::device::cache::CachePolicy;
-use gnn_dm::device::pipeline::PipelineMode;
-use gnn_dm::device::transfer::TransferMethod;
 use gnn_dm::graph::datasets::{DatasetId, DatasetSpec};
 use gnn_dm::graph::generate::{planted_partition, PplConfig};
+use gnn_dm::harness::{Registry, SystemConfig};
 use gnn_dm::nn::optim::Adam;
 use gnn_dm::nn::train::evaluate;
 use gnn_dm::nn::{AggKind, GnnModel};
@@ -83,18 +80,16 @@ fn transfer_stack_improves_monotonically() {
     // §7's optimization stack must improve at every step on a
     // transfer-bound workload.
     let g = DatasetSpec::get(DatasetId::LiveJournal).generate_scaled(4000, 11);
-    let run = |transfer, pipeline, cache: Option<CachePolicy>| {
-        let mut cfg = HeteroTrainerConfig::baseline(&g, 512);
-        cfg.transfer = transfer;
-        cfg.pipeline = pipeline;
-        cfg.cache_policy = cache;
-        cfg.cache_ratio = if cache.is_some() { 0.3 } else { 0.0 };
-        HeteroTrainer::new(&g, cfg).run_epoch_model(0).makespan
+    let reg = Registry::builtin();
+    let run = |transfer: &str, cache: &str| {
+        let id = format!("hash/fanout(25,10)+fixed(512)/{transfer}/{cache}/single/none/none");
+        let cfg = SystemConfig::from_id(&reg, &id).expect("stack ids resolve");
+        cfg.hetero_trainer(&g).run_epoch_model(0).makespan
     };
-    let base = run(TransferMethod::ExtractLoad, PipelineMode::None, None);
-    let z = run(TransferMethod::ZeroCopy, PipelineMode::None, None);
-    let zp = run(TransferMethod::ZeroCopy, PipelineMode::Full, None);
-    let zpc = run(TransferMethod::ZeroCopy, PipelineMode::Full, Some(CachePolicy::PreSample));
+    let base = run("extract-load", "none");
+    let z = run("zero-copy", "none");
+    let zp = run("zero-copy+pipe(full)", "none");
+    let zpc = run("zero-copy+pipe(full)", "presample(0.3,1)");
     assert!(z < base, "zero-copy {z} vs baseline {base}");
     assert!(zp < z, "pipeline {zp} vs zero-copy {z}");
     assert!(zpc < zp, "cache {zpc} vs pipeline {zp}");

@@ -88,23 +88,18 @@ fn fig6_shape_partition_cost_ordering() {
 /// materially worse than degree-based, on either graph shape.
 #[test]
 fn fig17_shape_presample_robust() {
-    use gnn_dm::core::trainer::{HeteroTrainer, HeteroTrainerConfig};
-    use gnn_dm::device::cache::CachePolicy;
-    use gnn_dm::device::transfer::TransferMethod;
+    use gnn_dm::harness::{Registry, SystemConfig};
+    let reg = Registry::builtin();
     for id in [DatasetId::Amazon, DatasetId::OgbPapers] {
         let mut g = DatasetSpec::get(id).generate_scaled(4000, 42);
         g.split = gnn_dm::graph::SplitMask::random(g.num_vertices(), 0.08, 0.1, 0.82, 7);
-        let hit = |policy| {
-            let mut cfg = HeteroTrainerConfig::baseline(&g, 64);
-            cfg.fanouts = vec![10, 5];
-            cfg.transfer = TransferMethod::ZeroCopy;
-            cfg.cache_policy = Some(policy);
-            cfg.cache_ratio = 0.2;
-            cfg.presample_epochs = 3;
-            HeteroTrainer::new(&g, cfg).run_epoch_model(0).cache_hit_rate
+        let hit = |cache: &str| {
+            let id = format!("hash/fanout(10,5)+fixed(64)/zero-copy/{cache}/single/none/none");
+            let cfg = SystemConfig::from_id(&reg, &id).expect("cache ids resolve");
+            cfg.hetero_trainer(&g).run_epoch_model(0).cache_hit_rate
         };
-        let degree = hit(CachePolicy::Degree);
-        let sample = hit(CachePolicy::PreSample);
+        let degree = hit("degree(0.2)");
+        let sample = hit("presample(0.2,3)");
         assert!(
             sample >= degree - 0.02,
             "{id:?}: pre-sampling {sample} should not lose to degree {degree}"

@@ -310,28 +310,15 @@ fn streamed_epoch_batches_equal_materialised_across_thread_counts() {
 /// plain, pipelined and cached/hybrid configurations alike.
 #[test]
 fn hetero_epoch_bitwise_equal_across_thread_counts() {
-    use gnn_dm::core::trainer::{HeteroTrainer, HeteroTrainerConfig};
-    use gnn_dm::device::cache::CachePolicy;
-    use gnn_dm::device::pipeline::PipelineMode;
-    use gnn_dm::device::transfer::TransferMethod;
+    use gnn_dm::harness::{Registry, SystemConfig};
     let g = graph();
-    let base = HeteroTrainerConfig { fanouts: vec![5, 3], ..HeteroTrainerConfig::baseline(&g, 32) };
-    let configs = [
-        base.clone(),
-        HeteroTrainerConfig {
-            transfer: TransferMethod::ZeroCopy,
-            pipeline: PipelineMode::Full,
-            ..base.clone()
-        },
-        HeteroTrainerConfig {
-            transfer: TransferMethod::Hybrid { threshold: 0.5 },
-            cache_policy: Some(CachePolicy::PreSample),
-            cache_ratio: 0.3,
-            ..base
-        },
-    ];
-    for cfg in configs {
-        let mut trainer = HeteroTrainer::new(&g, cfg);
+    let reg = Registry::builtin();
+    for (transfer, cache) in
+        [("extract-load", "none"), ("zero-copy+pipe(full)", "none"), ("hybrid(0.5)", "presample(0.3,1)")]
+    {
+        let id = format!("hash/fanout(5,3)+fixed(32)/{transfer}/{cache}/single/none/none");
+        let cfg = SystemConfig::from_id(&reg, &id).expect("trainer ids resolve");
+        let mut trainer = cfg.hetero_trainer(&g);
         let serial = with_threads(1, || trainer.run_epoch_traced(1));
         assert!(serial.0.num_batches > 8, "more batches than workers at every thread count");
         for n in THREAD_COUNTS {

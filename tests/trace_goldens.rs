@@ -6,12 +6,11 @@
 
 use gnn_dm::cluster::ledger::{comm_ledger_from_spans, compute_ledger_from_spans};
 use gnn_dm::cluster::sim::{ClusterSim, TimeModel};
-use gnn_dm::core::trainer::{HeteroTrainer, HeteroTrainerConfig};
 use gnn_dm::device::pipeline::{makespan, replay_epoch, BatchMeta, PipelineMode};
-use gnn_dm::device::transfer::TransferMethod;
 use gnn_dm::faults::{FaultPlan, ResiliencePolicy};
 use gnn_dm::graph::generate::{planted_partition, PplConfig};
 use gnn_dm::graph::Graph;
+use gnn_dm::harness::{Registry, SystemConfig};
 use gnn_dm::par::with_threads;
 use gnn_dm::partition::{partition_graph, PartitionMethod};
 use gnn_dm::sampling::FanoutSampler;
@@ -221,15 +220,11 @@ fn trainer_epoch_bytes_live_on_the_timeline() {
         skew: 0.8,
         ..Default::default()
     });
-    for (transfer, pipeline) in [
-        (TransferMethod::ExtractLoad, PipelineMode::None),
-        (TransferMethod::ZeroCopy, PipelineMode::Full),
-    ] {
-        let mut cfg = HeteroTrainerConfig::baseline(&g, 256);
-        cfg.fanouts = vec![10, 5];
-        cfg.transfer = transfer;
-        cfg.pipeline = pipeline;
-        let mut trainer = HeteroTrainer::new(&g, cfg);
+    let reg = Registry::builtin();
+    for transfer in ["extract-load", "zero-copy+pipe(full)"] {
+        let id = format!("hash/fanout(10,5)+fixed(256)/{transfer}/none/single/none/none");
+        let cfg = SystemConfig::from_id(&reg, &id).expect("trainer ids resolve");
+        let mut trainer = cfg.hetero_trainer(&g);
         let (timings, tl) = trainer.run_epoch_traced(0);
         // The reported byte total IS the timeline's PCIe-lane byte total.
         assert_eq!(timings.pcie_bytes, tl.bytes_on(Resource::PcieLink).0);
@@ -240,7 +235,7 @@ fn trainer_epoch_bytes_live_on_the_timeline() {
         assert_eq!(timings.dt.to_bits(), tl.busy(Resource::PcieLink).to_bits());
         assert_eq!(timings.nn.to_bits(), tl.busy(Resource::GpuCompute).to_bits());
         // Export is stable across identical runs.
-        let mut again = HeteroTrainer::new(&g, trainer.cfg.clone());
+        let mut again = cfg.hetero_trainer(&g);
         let (_, tl2) = again.run_epoch_traced(0);
         assert_eq!(tl.to_chrome_trace(), tl2.to_chrome_trace());
     }
