@@ -35,7 +35,7 @@ use gnn_dm_faults::{
 };
 use gnn_dm_graph::Graph;
 use gnn_dm_trace::units::Seconds;
-use gnn_dm_partition::metis::{constraint_vectors, multilevel_partition, MetisConfig, MetisVariant};
+use gnn_dm_partition::metis::{metis_extend_with, MetisVariant};
 use gnn_dm_partition::stream::{stream_b, stream_b_fast, stream_v, stream_v_fast, DEFAULT_BLOCK_SIZE};
 use gnn_dm_partition::{metis_clusters, partition_graph, GnnPartitioning, PartitionMethod};
 use gnn_dm_sampling::epoch::AccessTracker;
@@ -152,8 +152,8 @@ pub enum Partitioner {
         /// The indexed implementation rather than the faithful one.
         fast: bool,
     },
-    /// Raw multilevel Metis (`ablate_metis_refine`): VE constraints, the
-    /// same adjacency rebuild as `metis_extend`, coarsening floor 64.
+    /// Metis-VE with its boundary-refinement passes per level overridden
+    /// (`ablate_metis_refine`, through [`metis_extend_with`]).
     MetisRaw {
         /// Boundary-refinement passes per level; zero is meaningful
         /// (coarsen and project back without refining).
@@ -239,16 +239,7 @@ impl Partitioner {
                 stream_b_fast(graph, k, DEFAULT_BLOCK_SIZE, seed)
             }
             Partitioner::MetisRaw { refine_passes } => {
-                let (vwgt, eps) = constraint_vectors(graph, MetisVariant::VE);
-                // Rebuild the adjacency the same way metis_extend does.
-                let mut adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); graph.num_vertices()];
-                for v in 0..graph.num_vertices() as u32 {
-                    for &u in graph.out.neighbors(v) {
-                        adj[v as usize].push((u, 1.0));
-                    }
-                }
-                let cfg = MetisConfig { k, eps, coarsen_until: 64, refine_passes, seed };
-                GnnPartitioning::new(multilevel_partition(&adj, vwgt, &cfg), k)
+                metis_extend_with(graph, MetisVariant::VE, k, seed, refine_passes)
             }
         }
     }

@@ -24,6 +24,7 @@ use std::collections::BTreeSet;
 /// The dispatch entry points whose closure arguments run on worker threads.
 pub(crate) const PAR_FNS: &[&str] = &[
     "par_chunks_mut",
+    "par_chunks_mut_init",
     "par_for_each_init",
     "par_lookahead_init",
     "par_map_collect",
@@ -57,7 +58,7 @@ const LOOKAHEAD_CONSUME_ARG: usize = 4;
 /// scratch constructor.
 fn scratch_init_arg(dispatcher: &str) -> Option<usize> {
     match dispatcher {
-        "par_lookahead_init" => Some(2),
+        "par_lookahead_init" | "par_chunks_mut_init" => Some(2),
         d if d.ends_with("_init") => Some(1),
         _ => None,
     }
@@ -452,6 +453,19 @@ mod tests {
              }\n",
         )]);
         assert!(diags.is_empty(), "diags: {diags:?}");
+    }
+
+    #[test]
+    fn chunks_mut_init_exempts_init_and_checks_the_body() {
+        let diags = run_r003(&[(
+            "crates/partition/src/metis.rs",
+            "pub fn fill(xs: &mut [u32]) {\n\
+                 par_chunks_mut_init(xs, 8, || vec![0u32; 64],\n\
+                     |acc, _, c| { let tmp: Vec<u32> = c.to_vec(); acc[0] = tmp[0]; });\n\
+             }\n",
+        )]);
+        assert_eq!(diags.len(), 1, "only the body allocates on a worker: {diags:?}");
+        assert_eq!(diags[0].line, 3);
     }
 
     #[test]

@@ -26,6 +26,7 @@ const GOLDEN: &str = "\
 | `claim_ahead` | lock | no |
 | `dispatch` | alloc+lock | no |
 | `par_chunks_mut` | alloc+lock | no |
+| `par_chunks_mut_init` | alloc+lock | no |
 | `par_for_each_init` | alloc+lock | no |
 | `par_lookahead_init` | alloc+lock | no |
 | `par_map_collect` | alloc+lock | no |

@@ -137,12 +137,27 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
+    par_chunks_mut_init(data, chunk_len, || (), |(), i, c| f(i, c));
+}
+
+/// [`par_chunks_mut`] with a per-thread scratch state: each participating
+/// thread builds `state = init()` once and `f(&mut state, chunk_index,
+/// chunk)` reuses it across every chunk that thread claims. The arena
+/// contract from the crate docs applies: what `f` writes must depend only
+/// on the chunk index and the chunk, never on leftover state.
+pub fn par_chunks_mut_init<T, S, N, F>(data: &mut [T], chunk_len: usize, init: N, f: F)
+where
+    T: Send,
+    N: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut [T]) + Sync,
+{
     let chunk_len = chunk_len.max(1);
     let num_chunks = data.len().div_ceil(chunk_len);
     let threads = thread_count().min(num_chunks);
     if threads <= 1 {
+        let mut state = init();
         for (i, c) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, c);
+            f(&mut state, i, c);
         }
         return;
     }
@@ -151,9 +166,10 @@ where
     // they exist to hand `&mut` access across threads safely.
     let slots: Vec<Mutex<&mut [T]>> = data.chunks_mut(chunk_len).map(Mutex::new).collect();
     pool::dispatch(threads, num_chunks, |cursor| {
+        let mut state = init();
         while let Some(ci) = cursor.claim() {
             let mut guard = lock_or_recover(&slots[ci]);
-            f(ci, &mut **guard);
+            f(&mut state, ci, &mut **guard);
         }
     });
 }
@@ -487,6 +503,23 @@ mod tests {
                 });
                 assert_eq!(got, expect, "len {len} chunk {chunk} threads {t}");
             }
+        }
+    }
+
+    #[test]
+    fn par_chunks_mut_init_reuses_state_without_observing_it() {
+        let mut expect = vec![0u64; 1000];
+        serial_chunks(&mut expect, 7);
+        for &t in &[1usize, 2, 3, 8] {
+            let mut got = vec![0u64; 1000];
+            with_threads(t, || {
+                par_chunks_mut_init(&mut got, 7, Vec::<u64>::new, |scratch, i, c| {
+                    scratch.clear();
+                    scratch.extend((0..c.len() as u64).map(|j| split_seed(i as u64, j)));
+                    c.copy_from_slice(scratch);
+                });
+            });
+            assert_eq!(got, expect, "threads {t}");
         }
     }
 

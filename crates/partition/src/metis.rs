@@ -20,7 +20,7 @@
 use crate::types::GnnPartitioning;
 use gnn_dm_graph::csr::VId;
 use gnn_dm_graph::{Graph, Split};
-use gnn_dm_par::{par_chunks_mut, par_map_collect, par_map_collect_init};
+use gnn_dm_par::{par_chunks_mut, par_chunks_mut_init, par_map_collect, par_map_collect_init};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -37,52 +37,196 @@ pub enum MetisVariant {
 }
 
 /// Tunables for the multilevel partitioner.
-#[derive(Debug, Clone)]
-pub struct MetisConfig {
+struct MetisConfig {
     /// Number of partitions.
-    pub k: usize,
+    k: usize,
     /// Per-constraint imbalance tolerance; partition weight may reach
-    /// `(1 + eps) * total / k`.
-    pub eps: Vec<f64>,
+    /// `(1 + eps) * total / k`. Its length is the number of constraints.
+    eps: Vec<f64>,
     /// Stop coarsening below this many vertices.
-    pub coarsen_until: usize,
-    /// Boundary-refinement passes per level (ablated in
-    /// `ablate_metis_refine`).
-    pub refine_passes: usize,
+    coarsen_until: usize,
+    /// Boundary-refinement passes per level.
+    refine_passes: usize,
     /// RNG seed.
-    pub seed: u64,
+    seed: u64,
 }
 
-/// One level of the multilevel hierarchy: a weighted symmetric graph.
-struct WeightedLevel {
-    /// Adjacency with merged parallel-edge weights.
-    adj: Vec<Vec<(u32, f64)>>,
-    /// Per-vertex constraint vectors (all the same length).
-    vwgt: Vec<Vec<f64>>,
+/// One level of the multilevel hierarchy: a weighted symmetric graph in
+/// compressed rows. Row `v` is `targets[offsets[v]..offsets[v + 1]]`, and
+/// `weights` holds each entry's edge weight at the same position.
+///
+/// A weight counts the unit finest-level edges merged into it, so `u32`
+/// holds it exactly, and every `f64` sum of weights the algorithm forms
+/// (connectivity, gains) stays below 2^53 and is exact in any order: each
+/// matching, region-growing and refinement decision is the one `f64`
+/// weights would give.
+struct Level {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+    weights: Vec<u32>,
+    /// Per-vertex constraint vectors, `c_len` values each, row-major.
+    vwgt: Vec<f64>,
+    c_len: usize,
     /// Map from the *finer* level's vertices to this level's vertices
     /// (empty for the finest level).
     fine_to_coarse: Vec<u32>,
 }
 
-impl WeightedLevel {
-    fn n(&self) -> usize {
-        self.adj.len()
+impl Level {
+    /// The finest level: row `v` holds `v`'s out-neighbours, then the
+    /// in-neighbours it has no out-edge to (so a directed graph becomes
+    /// symmetric), each with weight 1.
+    fn finest(graph: &Graph, vwgt: Vec<f64>, c_len: usize) -> Level {
+        let (offsets, targets, weights) = build_rows(graph.num_vertices(), || (), |(), v, row| {
+            let out = graph.out.neighbors(v as VId);
+            for &u in out {
+                row.push(u, 1);
+            }
+            // Both rows are sorted, so one merge walk finds the
+            // in-neighbours missing from `out`.
+            let mut i = 0;
+            for &u in graph.inn.neighbors(v as VId) {
+                while out.get(i).is_some_and(|&o| o < u) {
+                    i += 1;
+                }
+                if out.get(i) != Some(&u) {
+                    row.push(u, 1);
+                }
+            }
+        });
+        Level { offsets, targets, weights, vwgt, c_len, fine_to_coarse: Vec::new() }
     }
+
+    fn n(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn neighbors(&self, v: u32) -> &[u32] {
+        &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+
+    /// `(neighbour, weight)` over row `v`.
+    fn edges(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let row = self.offsets[v as usize]..self.offsets[v as usize + 1];
+        self.targets[row.clone()].iter().copied().zip(self.weights[row].iter().copied())
+    }
+
+    fn vwgt(&self, v: u32) -> &[f64] {
+        &self.vwgt[v as usize * self.c_len..][..self.c_len]
+    }
+
+    /// Sum of every vertex's constraint vector, in vertex order.
+    fn totals(&self) -> Vec<f64> {
+        let mut totals = vec![0.0; self.c_len];
+        for w in self.vwgt.chunks_exact(self.c_len) {
+            for (t, &x) in totals.iter_mut().zip(w) {
+                *t += x;
+            }
+        }
+        totals
+    }
+}
+
+/// One row's output slot while [`build_rows`] builds a level: the sizing
+/// pass hands it empty slices, so `push` only counts; the filling pass
+/// hands it the row's exactly-sized slices.
+struct RowOut<'a> {
+    len: usize,
+    targets: &'a mut [u32],
+    weights: &'a mut [u32],
+}
+
+impl RowOut<'_> {
+    fn push(&mut self, target: u32, weight: u32) {
+        if let Some(t) = self.targets.get_mut(self.len) {
+            *t = target;
+        }
+        if let Some(w) = self.weights.get_mut(self.len) {
+            *w = weight;
+        }
+        self.len += 1;
+    }
+}
+
+/// Rows per parallel work item while a level is built.
+const ROW_BLOCK: usize = 256;
+
+/// Builds `n` compressed rows: `row(scratch, v, out)` pushes row `v`'s
+/// entries. It runs twice per row, in parallel blocks of [`ROW_BLOCK`]
+/// rows: first to count the entries (sizing `offsets` and the entry
+/// arrays exactly, so no row owns a heap block and no array carries growth
+/// slack), then to write them into the row's own slice. `init` builds one
+/// scratch state per worker; a row must not depend on what earlier rows
+/// left in it. Each row depends only on `v`, so the level is identical at
+/// any thread count.
+fn build_rows<S, N, R>(n: usize, init: N, row: R) -> (Vec<usize>, Vec<u32>, Vec<u32>)
+where
+    N: Fn() -> S + Sync,
+    R: Fn(&mut S, usize, &mut RowOut<'_>) + Sync,
+{
+    let mut offsets = vec![0usize; n + 1];
+    par_chunks_mut_init(&mut offsets[1..], ROW_BLOCK, &init, |s, bi, lens| {
+        for (j, len) in lens.iter_mut().enumerate() {
+            let mut out = RowOut { len: 0, targets: &mut [], weights: &mut [] };
+            row(s, bi * ROW_BLOCK + j, &mut out);
+            *len = out.len;
+        }
+    });
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut targets = vec![0u32; offsets[n]];
+    let mut weights = vec![0u32; offsets[n]];
+    // Each block of rows owns one contiguous run of the entry arrays.
+    let mut blocks: Vec<(usize, &mut [u32], &mut [u32])> =
+        Vec::with_capacity(n.div_ceil(ROW_BLOCK));
+    let (mut ts, mut ws) = (&mut targets[..], &mut weights[..]);
+    for lo in (0..n).step_by(ROW_BLOCK) {
+        let len = offsets[(lo + ROW_BLOCK).min(n)] - offsets[lo];
+        let (t, t_rest) = ts.split_at_mut(len);
+        let (w, w_rest) = ws.split_at_mut(len);
+        blocks.push((lo, t, w));
+        (ts, ws) = (t_rest, w_rest);
+    }
+    par_chunks_mut_init(&mut blocks, 1, &init, |s, _, block| {
+        for (lo, ts, ws) in block.iter_mut() {
+            let (mut ts, mut ws) = (&mut **ts, &mut **ws);
+            for v in *lo..(*lo + ROW_BLOCK).min(n) {
+                let len = offsets[v + 1] - offsets[v];
+                let (t, t_rest) = std::mem::take(&mut ts).split_at_mut(len);
+                let (w, w_rest) = std::mem::take(&mut ws).split_at_mut(len);
+                let mut out = RowOut { len: 0, targets: t, weights: w };
+                row(s, v, &mut out);
+                debug_assert_eq!(out.len, len, "row {v} changed length between passes");
+                (ts, ws) = (t_rest, w_rest);
+            }
+        }
+    });
+    (offsets, targets, weights)
 }
 
 /// Runs Metis-extend with the given variant on a graph.
 pub fn metis_extend(graph: &Graph, variant: MetisVariant, k: usize, seed: u64) -> GnnPartitioning {
+    metis_extend_with(graph, variant, k, seed, 4)
+}
+
+/// [`metis_extend`] with `refine_passes` boundary-refinement passes per
+/// level instead of 4 (ablated in `ablate_metis_refine`).
+pub fn metis_extend_with(
+    graph: &Graph,
+    variant: MetisVariant,
+    k: usize,
+    seed: u64,
+    refine_passes: usize,
+) -> GnnPartitioning {
     let (vwgt, eps) = constraint_vectors(graph, variant);
-    let cfg = MetisConfig { k, eps, coarsen_until: (8 * k).max(64), refine_passes: 4, seed };
-    let assignment = multilevel_partition(&adjacency_of(graph), vwgt, &cfg);
-    GnnPartitioning::new(assignment, k)
+    let cfg = MetisConfig { k, eps, coarsen_until: (8 * k).max(64), refine_passes, seed };
+    GnnPartitioning::new(multilevel_partition(graph, vwgt, &cfg), k)
 }
 
 /// Plain Metis clustering (count balance only) — used for cluster-based
 /// batch selection (§6.3.2) and as the Legion/DistDGL clustering substrate.
 pub fn metis_clusters(graph: &Graph, k: usize, seed: u64) -> Vec<u32> {
-    let n = graph.num_vertices();
-    let vwgt: Vec<Vec<f64>> = (0..n).map(|_| vec![1.0]).collect();
     let cfg = MetisConfig {
         k,
         eps: vec![0.3],
@@ -90,63 +234,40 @@ pub fn metis_clusters(graph: &Graph, k: usize, seed: u64) -> Vec<u32> {
         refine_passes: 2,
         seed,
     };
-    multilevel_partition(&adjacency_of(graph), vwgt, &cfg)
+    multilevel_partition(graph, vec![1.0; graph.num_vertices()], &cfg)
 }
 
-/// Builds the per-vertex constraint vectors for a variant. Returns
-/// `(vwgt, eps)`; constraint 0 is always the (loosely balanced) vertex
-/// count so partitions cannot degenerate.
-pub fn constraint_vectors(graph: &Graph, variant: MetisVariant) -> (Vec<Vec<f64>>, Vec<f64>) {
+/// Builds the per-vertex constraint vectors for a variant, row-major.
+/// Returns `(vwgt, eps)`; constraint 0 is always the (loosely balanced)
+/// vertex count so partitions cannot degenerate.
+fn constraint_vectors(graph: &Graph, variant: MetisVariant) -> (Vec<f64>, Vec<f64>) {
+    let eps = match variant {
+        MetisVariant::V => vec![1.0, 0.05],
+        MetisVariant::VE => vec![1.0, 0.05, 0.10],
+        MetisVariant::VET => vec![1.0, 0.05, 0.05, 0.05, 0.10],
+    };
     let n = graph.num_vertices();
-    let mut vwgt = Vec::with_capacity(n);
+    let mut vwgt = Vec::with_capacity(n * eps.len());
     for v in 0..n {
         let s = graph.split.split_of(v as VId);
         let train = (s == Split::Train) as u8 as f64;
         let val = (s == Split::Val) as u8 as f64;
         let test = (s == Split::Test) as u8 as f64;
         let deg = graph.out.degree(v as VId) as f64;
-        let row = match variant {
-            MetisVariant::V => vec![1.0, train],
-            MetisVariant::VE => vec![1.0, train, deg],
-            MetisVariant::VET => vec![1.0, train, val, test, deg],
-        };
-        vwgt.push(row);
+        match variant {
+            MetisVariant::V => vwgt.extend_from_slice(&[1.0, train]),
+            MetisVariant::VE => vwgt.extend_from_slice(&[1.0, train, deg]),
+            MetisVariant::VET => vwgt.extend_from_slice(&[1.0, train, val, test, deg]),
+        }
     }
-    let eps = match variant {
-        MetisVariant::V => vec![1.0, 0.05],
-        MetisVariant::VE => vec![1.0, 0.05, 0.10],
-        MetisVariant::VET => vec![1.0, 0.05, 0.05, 0.05, 0.10],
-    };
     (vwgt, eps)
 }
 
-fn adjacency_of(graph: &Graph) -> Vec<Vec<(u32, f64)>> {
-    // Pure per-vertex rows — parallel construction is trivially identical.
-    let ids: Vec<u32> = (0..graph.num_vertices() as u32).collect();
-    par_map_collect(&ids, |_, &v| {
-        let mut row: Vec<(u32, f64)> = Vec::new(); // lint:allow(R003) each row is the closure's return value; adjacency is built once per coarsening level, not per epoch
-        for &u in graph.out.neighbors(v as VId) {
-            row.push((u, 1.0));
-        }
-        // Make symmetric for directed graphs: also add reverse edges.
-        for &u in graph.inn.neighbors(v as VId) {
-            if !graph.out.has_edge(v as VId, u) {
-                row.push((u, 1.0));
-            }
-        }
-        row
-    })
-}
-
-/// The full multilevel pipeline over a weighted adjacency.
-#[allow(clippy::needless_range_loop, reason = "parallel-array indexing is the clear form here")]
-pub fn multilevel_partition(
-    adj: &[Vec<(u32, f64)>],
-    vwgt: Vec<Vec<f64>>,
-    cfg: &MetisConfig,
-) -> Vec<u32> {
+/// The full multilevel pipeline over `graph` with row-major constraint
+/// vectors `vwgt` (`cfg.eps.len()` per vertex).
+fn multilevel_partition(graph: &Graph, vwgt: Vec<f64>, cfg: &MetisConfig) -> Vec<u32> {
     assert!(cfg.k >= 1, "need at least one partition");
-    let n = adj.len();
+    let n = graph.num_vertices();
     if cfg.k == 1 {
         return vec![0; n];
     }
@@ -154,62 +275,57 @@ pub fn multilevel_partition(
         return (0..n as u32).map(|v| v % cfg.k as u32).collect();
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-    // --- Coarsening ---
-    let mut levels: Vec<WeightedLevel> = vec![WeightedLevel {
-        adj: adj.to_vec(),
-        vwgt,
-        fine_to_coarse: Vec::new(),
-    }];
-    // `top` indexes the current coarsest level; levels[0] exists above, so
-    // the indexing can never miss.
-    let mut top = 0usize;
-    while levels[top].n() > cfg.coarsen_until {
-        let coarse = coarsen_once(&levels[top], &mut rng);
-        let shrink = coarse.n() as f64 / levels[top].n() as f64;
-        let done = coarse.n() <= cfg.coarsen_until || shrink > 0.95;
-        levels.push(coarse);
-        top += 1;
-        if done {
-            break;
-        }
-    }
+    let finest = Level::finest(graph, vwgt, cfg.eps.len());
+    let mut levels = coarsen(finest, cfg.coarsen_until, &mut rng);
 
     // --- Initial partition on the coarsest level ---
-    let mut assignment = initial_region_growing(&levels[top], cfg, &mut rng);
+    let mut assignment = initial_region_growing(&levels[levels.len() - 1], cfg, &mut rng);
 
-    // --- Uncoarsen + refine ---
+    // --- Uncoarsen + refine, coarsest level first ---
     let caps = capacities(&levels[0], cfg);
-    for li in (0..levels.len()).rev() {
-        if li + 1 < levels.len() {
-            // Project from level li+1 down to li.
-            let map = &levels[li + 1].fine_to_coarse;
-            assignment = (0..levels[li].n()).map(|v| assignment[map[v] as usize]).collect();
+    while let Some(level) = levels.pop() {
+        refine(&level, &mut assignment, cfg, &caps, &mut rng);
+        if !levels.is_empty() {
+            // Project down to the next finer level; this one is done.
+            assignment = level.fine_to_coarse.iter().map(|&c| assignment[c as usize]).collect();
         }
-        refine(&levels[li], &mut assignment, cfg, &caps, &mut rng);
     }
     assignment
 }
 
-/// Per-constraint capacity limits on the finest level.
-fn capacities(level: &WeightedLevel, cfg: &MetisConfig) -> Vec<f64> {
-    let c = level.vwgt[0].len();
-    let mut totals = vec![0.0; c];
-    for w in &level.vwgt {
-        for (t, &x) in totals.iter_mut().zip(w) {
-            *t += x;
+/// The hierarchy: `finest`, then one heavy-edge-matched contraction after
+/// another until a level has at most `coarsen_until` vertices or a round
+/// shrinks it by less than 5 %.
+fn coarsen(finest: Level, coarsen_until: usize, rng: &mut StdRng) -> Vec<Level> {
+    let mut levels = vec![finest];
+    loop {
+        let top = &levels[levels.len() - 1];
+        if top.n() <= coarsen_until {
+            break;
+        }
+        let coarse = coarsen_once(top, rng);
+        let stalled = coarse.n() as f64 / top.n() as f64 > 0.95;
+        levels.push(coarse);
+        if stalled {
+            break;
         }
     }
-    totals
+    levels
+}
+
+/// Per-constraint capacity limits on the finest level.
+fn capacities(level: &Level, cfg: &MetisConfig) -> Vec<f64> {
+    level
+        .totals()
         .iter()
         .zip(&cfg.eps)
         .map(|(&t, &e)| (t / cfg.k as f64) * (1.0 + e))
         .collect()
 }
 
-/// Coarse vertices per parallel work item during contraction. Fixed (never
-/// derived from the thread count) so chunk boundaries — and results — are
-/// identical at any parallelism level.
+/// Coarse vertices per parallel work item during the constraint-vector
+/// contraction. Fixed (never derived from the thread count) so chunk
+/// boundaries — and results — are identical at any parallelism level.
 const CONTRACT_CHUNK: usize = 256;
 
 /// One round of heavy-edge matching + contraction.
@@ -223,16 +339,15 @@ const CONTRACT_CHUNK: usize = 256;
 /// when the proposal was already taken does the commit fall back to the
 /// original serial scan. The matching — and hence the whole hierarchy — is
 /// therefore bitwise-identical to the serial algorithm at any thread count.
-#[allow(clippy::needless_range_loop, reason = "parallel-array indexing is the clear form here")]
-fn coarsen_once(level: &WeightedLevel, rng: &mut StdRng) -> WeightedLevel {
+fn coarsen_once(level: &Level, rng: &mut StdRng) -> Level {
     let n = level.n();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
     // Parallel proposal phase: heaviest neighbor ignoring matched state.
     let vertex_ids: Vec<u32> = (0..n as u32).collect();
     let proposals: Vec<u32> = par_map_collect(&vertex_ids, |_, &v| {
-        let mut best: Option<(u32, f64)> = None;
-        for &(u, w) in &level.adj[v as usize] {
+        let mut best: Option<(u32, u32)> = None;
+        for (u, w) in level.edges(v) {
             if u != v && best.is_none_or(|(_, bw)| w > bw) {
                 best = Some((u, w));
             }
@@ -252,8 +367,8 @@ fn coarsen_once(level: &WeightedLevel, rng: &mut StdRng) -> WeightedLevel {
             continue;
         }
         // Heaviest unmatched neighbor.
-        let mut best: Option<(u32, f64)> = None;
-        for &(u, w) in &level.adj[v as usize] {
+        let mut best: Option<(u32, u32)> = None;
+        for (u, w) in level.edges(v) {
             if u != v && matched[u as usize] == u32::MAX && best.is_none_or(|(_, bw)| w > bw) {
                 best = Some((u, w));
             }
@@ -266,73 +381,67 @@ fn coarsen_once(level: &WeightedLevel, rng: &mut StdRng) -> WeightedLevel {
             None => matched[v as usize] = v,
         }
     }
-    // Assign coarse ids: pair representative = min(v, match).
+    // Assign coarse ids: pair representative = min(v, match). The fine
+    // members of each coarse vertex are `[v, match]` in ascending order (a
+    // singleton is `[v, v]`) — the same per-coarse-vertex visit order the
+    // serial `for v in 0..n` loops used, so the f64 summation order below
+    // is unchanged.
     let mut coarse_of: Vec<u32> = vec![u32::MAX; n];
-    let mut next = 0u32;
+    let mut members: Vec<[u32; 2]> = Vec::new();
     for v in 0..n as u32 {
         if coarse_of[v as usize] != u32::MAX {
             continue;
         }
         let m = matched[v as usize];
-        coarse_of[v as usize] = next;
-        if m != v {
-            coarse_of[m as usize] = next;
-        }
-        next += 1;
+        coarse_of[v as usize] = members.len() as u32;
+        coarse_of[m as usize] = members.len() as u32;
+        members.push([v, m]);
     }
-    let cn = next as usize;
-    // Fine members of each coarse vertex (pairs or singletons), in
-    // ascending fine order — the same per-coarse-vertex visit order the
-    // serial `for v in 0..n` loops used, so the f64 summation order below
-    // is unchanged.
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); cn];
-    for v in 0..n {
-        members[coarse_of[v] as usize].push(v as u32);
-    }
+    let cn = members.len();
+    let members_of = |cv: usize| {
+        let [a, b] = members[cv];
+        std::iter::once(a).chain((b != a).then_some(b))
+    };
     // Contraction: each coarse vertex's weight sum and merged edge list
-    // depend only on its own members, so coarse row blocks contract in
-    // parallel (disjoint writes, fixed chunks).
-    let c_len = level.vwgt[0].len();
-    let mut vwgt = vec![vec![0.0; c_len]; cn];
-    par_chunks_mut(&mut vwgt, CONTRACT_CHUNK, |ci, rows| {
+    // depend only on its own members, so coarse rows contract in parallel.
+    let c_len = level.c_len;
+    let mut vwgt = vec![0.0; cn * c_len];
+    par_chunks_mut(&mut vwgt, CONTRACT_CHUNK * c_len, |ci, rows| {
         let base = ci * CONTRACT_CHUNK;
-        for (j, row) in rows.iter_mut().enumerate() {
-            for &v in &members[base + j] {
-                for (t, &x) in row.iter_mut().zip(&level.vwgt[v as usize]) {
+        for (j, row) in rows.chunks_exact_mut(c_len).enumerate() {
+            for v in members_of(base + j) {
+                for (t, &x) in row.iter_mut().zip(level.vwgt(v)) {
                     *t += x;
                 }
             }
         }
     });
-    let mut adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); cn];
-    par_chunks_mut(&mut adj, CONTRACT_CHUNK, |ci, rows| {
-        // Chunk-local scratch, reset via `touched` exactly like the serial
-        // merge; entry order stays first-occurrence order.
-        let base = ci * CONTRACT_CHUNK;
-        let mut acc: Vec<f64> = vec![0.0; cn]; // lint:allow(R003) chunk-local scratch (par_chunks_mut has no init variant), amortized over CONTRACT_CHUNK rows
-        let mut touched: Vec<u32> = Vec::new();
-        for (j, out) in rows.iter_mut().enumerate() {
-            let cv = base + j;
-            for &v in &members[cv] {
-                for &(u, w) in &level.adj[v as usize] {
+    // Merged edge rows, in first-occurrence order. `acc` is per-worker
+    // scratch, reset through `touched` after every row.
+    let (offsets, targets, weights) = build_rows(
+        cn,
+        || (vec![0u32; cn], Vec::<u32>::new()),
+        |(acc, touched), cv, row| {
+            for v in members_of(cv) {
+                for (u, w) in level.edges(v) {
                     let cu = coarse_of[u as usize];
                     if cu as usize == cv {
                         continue;
                     }
-                    if acc[cu as usize] == 0.0 {
+                    if acc[cu as usize] == 0 {
                         touched.push(cu);
                     }
                     acc[cu as usize] += w;
                 }
             }
-            for &cu in &touched {
-                out.push((cu, acc[cu as usize]));
-                acc[cu as usize] = 0.0;
+            for &cu in touched.iter() {
+                row.push(cu, acc[cu as usize]);
+                acc[cu as usize] = 0;
             }
             touched.clear();
-        }
-    });
-    WeightedLevel { adj, vwgt, fine_to_coarse: coarse_of }
+        },
+    );
+    Level { offsets, targets, weights, vwgt, c_len, fine_to_coarse: coarse_of }
 }
 
 /// BFS region growing: fill partitions one at a time until any *tight*
@@ -341,16 +450,11 @@ fn coarsen_once(level: &WeightedLevel, rng: &mut StdRng) -> WeightedLevel {
 /// fills, even if its vertex-count quota has room. This is what makes the
 /// V / VE / VET variants genuinely different partitionings, not just
 /// different refinement vetoes.
-fn initial_region_growing(level: &WeightedLevel, cfg: &MetisConfig, rng: &mut StdRng) -> Vec<u32> {
+fn initial_region_growing(level: &Level, cfg: &MetisConfig, rng: &mut StdRng) -> Vec<u32> {
     let n = level.n();
     let k = cfg.k;
-    let c_len = level.vwgt[0].len();
-    let mut totals = vec![0.0f64; c_len];
-    for w in &level.vwgt {
-        for (t, &x) in totals.iter_mut().zip(w) {
-            *t += x;
-        }
-    }
+    let c_len = level.c_len;
+    let totals = level.totals();
     let targets: Vec<f64> = totals.iter().map(|&t| t / k as f64).collect();
     let tight: Vec<bool> = cfg.eps.iter().map(|&e| e <= 0.5).collect();
 
@@ -378,7 +482,7 @@ fn initial_region_growing(level: &WeightedLevel, cfg: &MetisConfig, rng: &mut St
         }
         assignment[v as usize] = part;
         assigned += 1;
-        for (p, &x) in pw.iter_mut().zip(&level.vwgt[v as usize]) {
+        for (p, &x) in pw.iter_mut().zip(level.vwgt(v)) {
             *p += x;
         }
         let quota_full = pw[0] >= targets[0]
@@ -388,7 +492,7 @@ fn initial_region_growing(level: &WeightedLevel, cfg: &MetisConfig, rng: &mut St
             pw.iter_mut().for_each(|p| *p = 0.0);
             queue.clear();
         } else {
-            for &(u, _) in &level.adj[v as usize] {
+            for &u in level.neighbors(v) {
                 if assignment[u as usize] == u32::MAX {
                     queue.push_back(u);
                 }
@@ -408,7 +512,7 @@ const REFINE_BLOCK: usize = 256;
 /// maximum-gain target that fits every capacity. Pure — exactly the body
 /// of the original serial pass — so it can run speculatively in parallel.
 fn kl_best_move(
-    level: &WeightedLevel,
+    level: &Level,
     k: usize,
     caps: &[f64],
     assignment: &[u32],
@@ -422,9 +526,9 @@ fn kl_best_move(
     let a = assignment[v as usize] as usize;
     // Connectivity to each partition.
     let mut boundary = false;
-    for &(u, w) in &level.adj[v as usize] {
+    for (u, w) in level.edges(v) {
         let pu = assignment[u as usize] as usize;
-        conn[pu] += w;
+        conn[pu] += f64::from(w);
         if pu != a {
             boundary = true;
         }
@@ -438,14 +542,14 @@ fn kl_best_move(
             let gain = conn[b] - conn[a];
             if gain > 0.0
                 && best.is_none_or(|(_, bg)| gain > bg)
-                && fits(b, &level.vwgt[v as usize])
+                && fits(b, level.vwgt(v))
             {
                 best = Some((b, gain));
             }
         }
     }
     // Reset the touched entries.
-    for &(u, _) in &level.adj[v as usize] {
+    for &u in level.neighbors(v) {
         conn[assignment[u as usize] as usize] = 0.0;
     }
     conn[a] = 0.0;
@@ -467,7 +571,7 @@ fn kl_best_move(
 /// rare, parallelize almost entirely.
 #[allow(clippy::needless_range_loop, reason = "parallel-array indexing is the clear form here")]
 fn refine(
-    level: &WeightedLevel,
+    level: &Level,
     assignment: &mut [u32],
     cfg: &MetisConfig,
     caps: &[f64],
@@ -480,7 +584,7 @@ fn refine(
     let mut pw = vec![vec![0.0f64; c_len]; k];
     for v in 0..n {
         let p = assignment[v] as usize;
-        for (t, &x) in pw[p].iter_mut().zip(&level.vwgt[v]) {
+        for (t, &x) in pw[p].iter_mut().zip(level.vwgt(v as u32)) {
             *t += x;
         }
     }
@@ -512,7 +616,7 @@ fn refine(
                 if let Some(b) = decision {
                     let a = assignment[v as usize] as usize;
                     assignment[v as usize] = b as u32;
-                    for (c, &x) in level.vwgt[v as usize].iter().enumerate() {
+                    for (c, &x) in level.vwgt(v).iter().enumerate() {
                         pw[a][c] -= x;
                         pw[b][c] += x;
                     }
@@ -554,14 +658,14 @@ fn refine(
         for (p, c) in violated {
             // Move vertices contributing to constraint c out of p until it fits.
             let mut members: Vec<u32> = (0..n as u32)
-                .filter(|&v| assignment[v as usize] == p as u32 && level.vwgt[v as usize][c] > 0.0)
+                .filter(|&v| assignment[v as usize] == p as u32 && level.vwgt(v)[c] > 0.0)
                 .collect();
             members.shuffle(rng);
             for v in members {
                 if pw[p][c] <= caps[c] {
                     break;
                 }
-                let w = &level.vwgt[v as usize];
+                let w = level.vwgt(v);
                 // Receiver: max headroom on c; strict fit on c, slack fit
                 // elsewhere.
                 let mut best: Option<(usize, f64)> = None;
@@ -611,6 +715,42 @@ mod tests {
             skew: 0.6,
             ..Default::default()
         })
+    }
+
+    fn cap_bytes<T>(v: &Vec<T>) -> usize {
+        v.capacity() * std::mem::size_of::<T>()
+    }
+
+    /// Heap bytes of a level, from its `Vec` capacities.
+    fn heap_bytes(level: &Level) -> usize {
+        let Level { offsets, targets, weights, vwgt, c_len: _, fine_to_coarse } = level;
+        cap_bytes(offsets)
+            + cap_bytes(targets)
+            + cap_bytes(weights)
+            + cap_bytes(vwgt)
+            + cap_bytes(fine_to_coarse)
+    }
+
+    /// Every level stays within 8 B per adjacency entry (a `u32` target
+    /// and a `u32` weight), 8 B per offset, 8 B per constraint value and
+    /// 4 B per finer-level vertex in the projection map, plus a small
+    /// constant: `f64` weights, `(u32, f64)` rows or growth slack exceed it.
+    #[test]
+    fn hierarchy_stays_compact() {
+        let g = graph();
+        let (vwgt, eps) = constraint_vectors(&g, MetisVariant::VET);
+        let finest = Level::finest(&g, vwgt, eps.len());
+        let levels = coarsen(finest, 64, &mut StdRng::seed_from_u64(7));
+        assert!(levels.len() >= 4, "only {} levels", levels.len());
+        for (i, level) in levels.iter().enumerate() {
+            let budget = 8 * level.targets.len()
+                + 8 * level.offsets.len()
+                + 8 * level.vwgt.len()
+                + 4 * level.fine_to_coarse.len()
+                + 64;
+            let used = heap_bytes(level);
+            assert!(used <= budget, "level {i}: {used} heap bytes over a budget of {budget}");
+        }
     }
 
     #[test]

@@ -1,0 +1,78 @@
+//! Pins every Metis assignment bit for bit: 64-bit FNV-1a fingerprints of
+//! `metis_extend` (all three variants, k ∈ {4, 8}) and `metis_clusters`
+//! (k ∈ {8, 16, 64}) on small generated graphs, recorded before the
+//! hierarchy moved to compressed rows with integer edge weights. Any change
+//! to a matching, contraction, region-growing or refinement decision moves
+//! a fingerprint.
+
+use gnn_dm_graph::datasets::{DatasetId, DatasetSpec};
+use gnn_dm_graph::generate::{planted_partition, PplConfig};
+use gnn_dm_graph::{Csr, Graph};
+use gnn_dm_partition::metis::{metis_clusters, metis_extend, MetisVariant};
+
+/// 64-bit FNV-1a with one step per assignment entry (the entry as `u64`).
+fn fnv1a(assignment: &[u32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &a in assignment {
+        h ^= u64::from(a);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Keeps only the `u < v` edges, so the reverse-only in-neighbours the
+/// partitioner adds to symmetrize a directed graph are exercised.
+fn directed(g: Graph) -> Graph {
+    let edges: Vec<(u32, u32)> = g.out.edges().filter(|&(u, v)| u < v).collect();
+    let out = Csr::from_edges(g.num_vertices(), &edges);
+    Graph { inn: out.transpose(), out, ..g }
+}
+
+#[test]
+fn metis_extend_fingerprints() {
+    let planted = planted_partition(&PplConfig {
+        n: 2000,
+        avg_degree: 12.0,
+        num_classes: 8,
+        homophily: 0.9,
+        skew: 0.6,
+        ..Default::default()
+    });
+    let arxiv_directed = directed(DatasetSpec::get(DatasetId::OgbArxiv).generate_scaled(3000, 5));
+    let mut got = Vec::new();
+    for g in [&planted, &arxiv_directed] {
+        for variant in [MetisVariant::V, MetisVariant::VE, MetisVariant::VET] {
+            for k in [4, 8] {
+                got.push(fnv1a(&metis_extend(g, variant, k, 7).assignment));
+            }
+        }
+    }
+    let expect: [u64; 12] = [
+        0x255a_5ceb_41ab_8fc8, // planted, V, k = 4
+        0x1763_d74f_4638_6d0e, // planted, V, k = 8
+        0x03d9_0bb4_075c_c328, // planted, VE, k = 4
+        0xe11f_ec92_e5e6_a786, // planted, VE, k = 8
+        0x882f_3f5b_1206_0841, // planted, VET, k = 4
+        0x71a0_f76a_2946_316f, // planted, VET, k = 8
+        0xc096_f83e_b222_e82e, // directed Arxiv, V, k = 4
+        0xe11e_8198_d60c_efb6, // directed Arxiv, V, k = 8
+        0xaa42_c865_e022_11ea, // directed Arxiv, VE, k = 4
+        0x0c9e_a0a9_3fb1_cbfd, // directed Arxiv, VE, k = 8
+        0xad21_a95c_8b76_cd37, // directed Arxiv, VET, k = 4
+        0x203b_3813_7310_767e, // directed Arxiv, VET, k = 8
+    ];
+    assert_eq!(got, expect);
+}
+
+#[test]
+fn metis_clusters_fingerprints() {
+    let cases = [(DatasetId::OgbArxiv, 16), (DatasetId::Reddit, 64), (DatasetId::OgbPapers, 8)];
+    let got: Vec<u64> = cases
+        .iter()
+        .map(|&(id, k)| {
+            let g = DatasetSpec::get(id).generate_scaled(3000, 5);
+            fnv1a(&metis_clusters(&g, k, 1))
+        })
+        .collect();
+    assert_eq!(got, [0x02e0_5fdc_36da_946d, 0xa088_a67d_80c5_246a, 0x0301_a386_f807_15e2]);
+}

@@ -13,7 +13,7 @@ use gnn_dm::graph::Graph;
 use gnn_dm::nn::train::{evaluate, gather_input_features, train_epoch};
 use gnn_dm::nn::{Adam, AggKind, GnnModel};
 use gnn_dm::par::with_threads;
-use gnn_dm::partition::metis::{metis_extend, MetisVariant};
+use gnn_dm::partition::metis::{metis_clusters, metis_extend, MetisVariant};
 use gnn_dm::sampling::sampler::{build_minibatch_seeded, FanoutSampler};
 use gnn_dm::sampling::epoch::EpochPlan;
 use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule};
@@ -420,14 +420,18 @@ fn planted_partition_bitwise_equal_across_thread_counts() {
     }
 }
 
-/// Multilevel partitioning: parallel matching proposals, chunked
-/// contraction and speculate-validate refinement must reproduce the serial
-/// assignment exactly for every constraint variant.
+/// Multilevel partitioning: parallel matching proposals, the two-pass
+/// parallel level builder and speculate-validate refinement must reproduce
+/// the serial assignment exactly for every constraint variant and for the
+/// count-balanced clustering.
 #[test]
 fn metis_bitwise_equal_across_thread_counts() {
     let g = graph();
     for variant in [MetisVariant::V, MetisVariant::VE, MetisVariant::VET] {
         assert_threadcount_invariant(|| metis_extend(&g, variant, 4, 7).assignment);
+    }
+    for k in [8, 16, 64] {
+        assert_threadcount_invariant(|| metis_clusters(&g, k, 1));
     }
 }
 
