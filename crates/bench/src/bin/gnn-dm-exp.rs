@@ -12,9 +12,18 @@
 //! `chaos_grid` reads `--smoke` (the reduced grid `scripts/check.sh`
 //! regenerates its golden trace from); no other flag exists.
 
+use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
 
 use gnn_dm_bench::experiments::{Experiment, EXPERIMENTS};
+
+/// Writes the `--list` table, one row per line.
+fn list(out: &mut impl Write) -> io::Result<()> {
+    for e in &EXPERIMENTS {
+        writeln!(out, "{}\t{}\t{}", e.name, e.output.unwrap_or("-"), e.paper_ref)?;
+    }
+    out.flush()
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,10 +34,15 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     if flags.contains(&"--list") {
-        for e in &EXPERIMENTS {
-            println!("{}\t{}\t{}", e.name, e.output.unwrap_or("-"), e.paper_ref);
-        }
-        return ExitCode::SUCCESS;
+        return match list(&mut io::stdout().lock()) {
+            // The reader went away (`gnn-dm-exp --list | head -1`): it wants
+            // no more output, which is not a failure.
+            Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+                eprintln!("gnn-dm-exp: {e}");
+                ExitCode::FAILURE
+            }
+            _ => ExitCode::SUCCESS,
+        };
     }
     let mut selected: Vec<&Experiment> = Vec::new();
     for name in names {

@@ -4,10 +4,11 @@ use std::time::Instant;
 
 use gnn_dm_core::results::{f, pct, Table};
 use gnn_dm_device::blocks::block_activity;
+use gnn_dm_device::cache::{CachePolicy, FeatureCache};
 use gnn_dm_device::Bytes;
 use gnn_dm_graph::datasets::DatasetId;
 use gnn_dm_graph::{Graph, SplitMask};
-use gnn_dm_harness::{Axis, Cache, GridSpec, Registry, TrainExperiment};
+use gnn_dm_harness::{Axis, GridSpec, Registry, TrainExperiment, PART_SEED};
 use gnn_dm_partition::metrics;
 use gnn_dm_sampling::sampler::{build_minibatch, NeighborSampler};
 use gnn_dm_sampling::BatchSelection;
@@ -57,7 +58,7 @@ pub fn ablate_metis_refine() {
     for (p, cfg) in passes.iter().zip(&configs) {
         #[expect(clippy::disallowed_methods, reason = "partitioning wall time is this ablation's time_s column")]
         let start = Instant::now();
-        let part = cfg.partitioner.build(&g, 4, 7);
+        let part = cfg.partitioner.build(&g, 4, PART_SEED);
         let elapsed = start.elapsed().as_secs_f64();
         let cut = metrics::edge_cut(&g, &part);
         let imb = metrics::imbalance(&part.train_counts(&g));
@@ -200,15 +201,16 @@ pub fn ablate_stream_impl() {
     );
 }
 
-/// Hit rate of `policy` at `ratio` of the vertices over one epoch of
+/// Hit rate of `policy` at its ratio of the vertices over one epoch of
 /// 128-seed batches drawn by `sampler`.
-fn hit_rate(g: &Graph, sampler: &(dyn NeighborSampler + Sync), policy: Cache, ratio: f64) -> f64 {
+fn hit_rate(g: &Graph, sampler: &(dyn NeighborSampler + Sync), policy: Option<CachePolicy>) -> f64 {
+    let ratio = policy.map_or(0.0, |p| p.ratio());
     let capacity = (g.num_vertices() as f64 * ratio) as usize;
     let batches = BatchSelection::Random.select(&g.train_vertices(), 128, 1, 0);
     // Profiling epochs for the pre-sampling policy (skipped by degree).
-    let mut cache = policy.build(g, capacity, |tracker| {
+    let mut cache = FeatureCache::build(policy, g, capacity, |tracker, epochs| {
         let mut rng = StdRng::seed_from_u64(99);
-        for _ in 0..3 {
+        for _ in 0..epochs {
             for seeds in &batches {
                 tracker.record_batch(&build_minibatch(&g.inn, seeds, sampler, &mut rng));
             }
@@ -240,8 +242,8 @@ pub fn ablate_importance_cache() {
     {
         let sampler = config(with_prep(&format!("{sampler}+fixed(128)"))).batch_prep.sampler(&g);
         for (pname, cache) in [("degree", "degree(0.2)"), ("sample", "presample(0.2,3)")] {
-            let policy = reg.cache(cache).expect("cache specs are in the harness grammar");
-            table.row(&[sname.into(), pname.into(), pct(hit_rate(&g, &*sampler, policy, 0.2))]);
+            let policy = reg.cache(cache).expect("cache specs are in the harness grammar").policy();
+            table.row(&[sname.into(), pname.into(), pct(hit_rate(&g, &*sampler, policy))]);
         }
     }
     table.print("Ablation: cache policies under uniform vs importance sampling (Amazon-class)");

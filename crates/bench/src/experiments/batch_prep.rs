@@ -2,12 +2,13 @@
 
 use std::collections::BTreeSet;
 
-use gnn_dm_core::config::ModelKind;
 use gnn_dm_core::convergence::modeled_epoch_seconds;
 use gnn_dm_core::results::{f, Table};
 use gnn_dm_graph::datasets::DatasetId;
 use gnn_dm_graph::stats;
-use gnn_dm_harness::{Axis, GridSpec, SystemConfig, TrainExperiment};
+use gnn_dm_harness::{
+    Axis, GridSpec, SystemConfig, TrainExperiment, TRAIN_HIDDEN, TRAIN_LR, TRAIN_MODEL, TRAIN_SEED,
+};
 use gnn_dm_nn::metrics::accuracy_by_degree;
 use gnn_dm_nn::optim::Adam;
 use gnn_dm_nn::train::{full_logits, train_epoch};
@@ -251,10 +252,10 @@ pub fn tab7_degree_accuracy() {
     let configs = prep_sweep(fanouts.map(|k| format!("fanout({k},{k})+fixed(256)")));
     let mut table = Table::new(&["fanout", "low_degree_acc", "high_degree_acc"]);
     for (k, cfg) in fanouts.iter().zip(&configs) {
-        let mut model =
-            GnnModel::new(ModelKind::Gcn.agg(), &[g.feat_dim(), 64, g.num_classes], 5);
-        let mut opt = Adam::new(0.01);
-        with_epoch_plan(&g, cfg, 5, |plan| {
+        let dims = [g.feat_dim(), TRAIN_HIDDEN, g.num_classes];
+        let mut model = GnnModel::new(TRAIN_MODEL.agg(), &dims, TRAIN_SEED);
+        let mut opt = Adam::new(TRAIN_LR);
+        with_epoch_plan(&g, cfg, TRAIN_SEED, |plan| {
             for e in 0..16 {
                 train_epoch(&mut model, &mut opt, &g, plan, e);
             }

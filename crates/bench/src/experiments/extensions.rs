@@ -3,14 +3,16 @@
 use gnn_dm_cluster::dist::local_sgd_epoch;
 use gnn_dm_cluster::network::allreduce_time;
 use gnn_dm_cluster::p3::compare_epoch;
-use gnn_dm_core::config::ModelKind;
 use gnn_dm_core::convergence::{modeled_epoch_seconds, train_full_batch};
 use gnn_dm_core::results::{f, mib, Table};
 use gnn_dm_device::pipeline::{makespan, BatchStageTimes, PipelineMode};
 use gnn_dm_device::{Bytes, LinkModel};
 use gnn_dm_graph::datasets::{DatasetId, DatasetSpec};
 use gnn_dm_graph::Graph;
-use gnn_dm_harness::{Axis, ClusterExperiment, GridSpec, TrainExperiment};
+use gnn_dm_harness::{
+    Axis, ClusterExperiment, GridSpec, TrainExperiment, PART_SEED, TRAIN_HIDDEN, TRAIN_LR,
+    TRAIN_MODEL, TRAIN_SEED,
+};
 use gnn_dm_nn::optim::{Adam, Optimizer};
 use gnn_dm_nn::train::{evaluate, gather_input_features, seed_labels, train_epoch, train_step};
 use gnn_dm_nn::{AggKind, GnnModel};
@@ -45,7 +47,7 @@ pub fn ext_fullbatch_vs_minibatch() {
     for id in [DatasetId::Reddit, DatasetId::OgbArxiv] {
         let g = convergence_graph(id, 42);
         let mini = TrainExperiment::paper(&g, EPOCHS).run(&cfg);
-        let full = train_full_batch(&g, ModelKind::Gcn, 64, 0.01, EPOCHS, 5);
+        let full = train_full_batch(&g, TRAIN_MODEL, TRAIN_HIDDEN, TRAIN_LR, EPOCHS, TRAIN_SEED);
         let target = 0.9 * mini.best_acc.max(full.best_acc);
         for (label, r) in [("mini-batch (512, fanout 5,5)", &mini), ("full-batch", &full)] {
             table.row(&[
@@ -73,9 +75,9 @@ pub fn ext_three_layer() {
     let exp = TrainExperiment::paper(&g, EPOCHS);
     // (label, batch-prep spec, hidden widths)
     let configs = [
-        ("2-layer (10,5)", "fanout(10,5)+fixed(256)", vec![64]),
-        ("2-layer (25,10)", "fanout(25,10)+fixed(256)", vec![64]),
-        ("3-layer (15,10,5)", "fanout(15,10,5)+fixed(256)", vec![64, 64]),
+        ("2-layer (10,5)", "fanout(10,5)+fixed(256)", vec![TRAIN_HIDDEN]),
+        ("2-layer (25,10)", "fanout(25,10)+fixed(256)", vec![TRAIN_HIDDEN]),
+        ("3-layer (15,10,5)", "fanout(15,10,5)+fixed(256)", vec![TRAIN_HIDDEN, TRAIN_HIDDEN]),
     ];
     let resolved = sweep(GridSpec::default(), Axis::BatchPrep, configs.iter().map(|c| c.1));
     let mut table = Table::new(&[
@@ -86,7 +88,7 @@ pub fn ext_three_layer() {
         "sim_epoch_s",
     ]);
     for ((label, _, hiddens), cfg) in configs.iter().zip(&resolved) {
-        let (stats, best_acc) = with_epoch_plan(&g, cfg, 5, |plan| {
+        let (stats, best_acc) = with_epoch_plan(&g, cfg, TRAIN_SEED, |plan| {
             // Batch statistics for the cost columns.
             let stats = plan.run_for_stats(0, None);
             // Real training. train_single assumes one hidden layer; build
@@ -97,8 +99,8 @@ pub fn ext_three_layer() {
             let mut dims = vec![g.feat_dim()];
             dims.extend_from_slice(hiddens);
             dims.push(g.num_classes);
-            let mut model = GnnModel::new(AggKind::Gcn, &dims, 5);
-            let mut opt = Adam::new(0.01);
+            let mut model = GnnModel::new(TRAIN_MODEL.agg(), &dims, TRAIN_SEED);
+            let mut opt = Adam::new(TRAIN_LR);
             let mut best = 0.0f64;
             for e in 0..EPOCHS {
                 train_epoch(&mut model, &mut opt, &g, plan, e);
@@ -107,7 +109,7 @@ pub fn ext_three_layer() {
             (stats, best)
         });
         let epoch_s =
-            modeled_epoch_seconds(&g, stats.involved_vertices, stats.involved_edges, 64);
+            modeled_epoch_seconds(&g, stats.involved_vertices, stats.involved_edges, TRAIN_HIDDEN);
         table.row(&[
             (*label).into(),
             f(best_acc),
@@ -126,8 +128,9 @@ fn train_with(
     g: &Graph,
     mut make_batches: impl FnMut(usize, &mut StdRng) -> Vec<MiniBatch>,
 ) -> (f64, usize, usize) {
-    let mut model = GnnModel::new(AggKind::Gcn, &[g.feat_dim(), 64, g.num_classes], 5);
-    let mut opt = Adam::new(0.01);
+    let dims = [g.feat_dim(), TRAIN_HIDDEN, g.num_classes];
+    let mut model = GnnModel::new(TRAIN_MODEL.agg(), &dims, TRAIN_SEED);
+    let mut opt = Adam::new(TRAIN_LR);
     let mut best = 0.0f64;
     let mut edges = 0usize;
     let mut verts = 0usize;
@@ -274,7 +277,7 @@ pub fn ext_local_sgd() {
         parallel: "cluster(4)".to_string(),
         ..with_prep("fanout(8,4)+fixed(128)")
     });
-    let part = cfg.partitioner.build(&g, cfg.parallel.workers(), 7);
+    let part = cfg.partitioner.build(&g, cfg.parallel.workers(), PART_SEED);
     let sampler = cfg.batch_prep.sampler(&g);
     let batch = cfg.batch_prep.batch_size(0);
     let nic = LinkModel::nic_10gbps();
@@ -339,12 +342,12 @@ pub fn ext_pipeline_bp() {
     for (label, id, vertices, feat_dim, prep, hiddens, kind) in shapes {
         let g = one_graph_slim(id, vertices, feat_dim, 42);
         let dims = [vec![feat_dim], hiddens, vec![g.num_classes]].concat();
-        let mut reference = GnnModel::new(kind, &dims, 5);
+        let mut reference = GnnModel::new(kind, &dims, TRAIN_SEED);
         let mut streamed = reference.clone();
-        let (mut opt_r, mut opt_s) = (Adam::new(0.01), Adam::new(0.01));
+        let (mut opt_r, mut opt_s) = (Adam::new(TRAIN_LR), Adam::new(TRAIN_LR));
         let mut stages: Vec<BatchStageTimes> = Vec::new();
         let mut wall = 0.0f64;
-        with_epoch_plan(&g, &config(with_prep(prep)), 5, |plan| {
+        with_epoch_plan(&g, &config(with_prep(prep)), TRAIN_SEED, |plan| {
             for e in 0..EPOCHS {
                 // The twins never meet, so either may go first; alternating
                 // spreads warm-cache luck over both columns.

@@ -10,7 +10,9 @@ use gnn_dm_cluster::ledger::{
 use gnn_dm_core::results::{f, Table};
 use gnn_dm_faults::{ResilienceReport, TailStats};
 use gnn_dm_graph::datasets::DatasetId;
-use gnn_dm_harness::{run_composed, run_config, Axis, ClusterExperiment, Grid, GridSpec, Registry};
+use gnn_dm_harness::{
+    run_composed, run_config, Axis, ClusterExperiment, Grid, GridSpec, Registry, SIM_EPOCH,
+};
 
 use super::{cluster4, config, for_each_cluster_run, sweep, with_prep, VALID};
 use crate::{one_graph, one_graph_slim, SCALE_LOAD, SCALE_TRAIN, TRAIN_FEAT_DIM};
@@ -55,9 +57,9 @@ pub fn ext_faults_epoch_time() {
     let mut export: Option<String> = None;
     for_each_cluster_run(|name, exp, cfg, run| {
         // `cfg` sweeps the partitioner only: its fault axis is neutral.
-        let healthy = exp.timeline_resilient_at(run, cfg, exp.epoch);
+        let healthy = exp.timeline_resilient_at(run, cfg, SIM_EPOCH);
         for (rate, fault_cfg) in rates.iter().zip(&fault_cfgs) {
-            let faulted = exp.timeline_resilient_at(run, fault_cfg, exp.epoch);
+            let faulted = exp.timeline_resilient_at(run, fault_cfg, SIM_EPOCH);
             let res = ResilienceReport::compare(&healthy, &faulted);
             table.row(&[
                 name.into(),

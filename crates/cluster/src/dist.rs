@@ -6,17 +6,16 @@
 //! simulated equivalent of the parameter all-reduce — and one optimizer
 //! step is taken.
 
-use gnn_dm_graph::csr::VId;
+use crate::sim::ClusterSim;
 use gnn_dm_graph::Graph;
 use gnn_dm_nn::loss::softmax_cross_entropy;
 use gnn_dm_nn::model::{GnnModel, Gradients};
-use gnn_dm_nn::optim::Optimizer;
+use gnn_dm_nn::optim::{Optimizer, Sgd};
 use gnn_dm_nn::train::{forward_batch, seed_labels};
 use gnn_dm_partition::GnnPartitioning;
 use gnn_dm_sampling::sampler::{build_minibatch, NeighborSampler};
-use gnn_dm_sampling::BatchSelection;
 use gnn_dm_tensor::ops;
-use gnn_dm_trace::convert::{u32_of_index, u64_of_u32, u64_of_usize};
+use gnn_dm_trace::convert::u64_of_usize;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -65,26 +64,7 @@ pub fn dist_train_epoch(
     seed: u64,
     epoch: usize,
 ) -> DistEpochResult {
-    let k = part.k;
-    // Per-worker batch schedules from local training vertices.
-    let mut schedules: Vec<Vec<Vec<VId>>> = Vec::with_capacity(k);
-    for w in 0..u32_of_index(k) {
-        let train_w: Vec<VId> = graph
-            .train_vertices()
-            .into_iter()
-            .filter(|&v| part.part_of(v) == w)
-            .collect();
-        if train_w.is_empty() {
-            schedules.push(Vec::new());
-        } else {
-            schedules.push(BatchSelection::Random.select(
-                &train_w,
-                batch_size,
-                seed ^ (u64_of_u32(w) << 32),
-                epoch,
-            ));
-        }
-    }
+    let schedules = ClusterSim { graph, part, batch_size, seed }.worker_batches(epoch);
     let rounds = schedules.iter().map(Vec::len).max().unwrap_or(0);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD15C_0B41u64 ^ u64_of_usize(epoch) << 8);
 
@@ -94,7 +74,7 @@ pub fn dist_train_epoch(
     for r in 0..rounds {
         let mut sum: Option<Gradients> = None;
         let mut participants = 0usize;
-        for sched in schedules.iter().take(k) {
+        for sched in &schedules {
             let Some(seeds) = sched.get(r) else { continue };
             let mb = build_minibatch(&graph.inn, seeds, sampler, &mut rng);
             total_edges += mb.involved_edges();
@@ -151,21 +131,8 @@ pub fn local_sgd_epoch(
     let sync_every = sync_every.max(1);
     let k = part.k;
     let mut replicas: Vec<GnnModel> = (0..k).map(|_| model.clone()).collect();
-    let mut opts: Vec<dist_support::SgdBox> =
-        (0..k).map(|_| dist_support::SgdBox::new(lr)).collect();
-    let mut schedules: Vec<Vec<Vec<VId>>> = Vec::with_capacity(k);
-    for w in 0..u32_of_index(k) {
-        let train_w: Vec<VId> = graph
-            .train_vertices()
-            .into_iter()
-            .filter(|&v| part.part_of(v) == w)
-            .collect();
-        schedules.push(if train_w.is_empty() {
-            Vec::new()
-        } else {
-            BatchSelection::Random.select(&train_w, batch_size, seed ^ (u64_of_u32(w) << 32), epoch)
-        });
-    }
+    let mut opts: Vec<Sgd> = (0..k).map(|_| Sgd::new(lr)).collect();
+    let schedules = ClusterSim { graph, part, batch_size, seed }.worker_batches(epoch);
     let rounds = schedules.iter().map(Vec::len).max().unwrap_or(0);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x10CA_15D6u64 ^ u64_of_usize(epoch) << 8);
     let mut total_loss = 0.0f64;
@@ -226,24 +193,6 @@ fn average_replicas(replicas: &mut [GnnModel]) {
     let averaged = first[0].clone();
     for r in rest {
         *r = averaged.clone();
-    }
-}
-
-/// Small support shims for the local-SGD driver.
-pub(crate) mod dist_support {
-    use gnn_dm_nn::optim::{Optimizer, Sgd};
-
-    /// A boxed SGD optimizer with a stable per-replica identity.
-    pub struct SgdBox(Sgd);
-
-    impl SgdBox {
-        pub fn new(lr: f32) -> Self {
-            SgdBox(Sgd::new(lr))
-        }
-
-        pub fn step(&mut self, params: Vec<&mut [f32]>, grads: Vec<&[f32]>) {
-            self.0.step(params, grads);
-        }
     }
 }
 

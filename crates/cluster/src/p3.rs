@@ -15,9 +15,8 @@
 
 use crate::sim::ClusterSim;
 use gnn_dm_sampling::sampler::{build_minibatch, NeighborSampler};
-use gnn_dm_trace::convert::{u32_of_index, u64_of_f64_model, u64_of_u32, u64_of_usize};
+use gnn_dm_trace::convert::{u64_of_f64_model, u64_of_u32, u64_of_usize};
 use gnn_dm_trace::units::Bytes;
-use gnn_dm_sampling::BatchSelection;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -62,17 +61,10 @@ pub fn compare_epoch(
     let locality = sim.part.locality();
     let mut dp_bytes = Bytes(0);
     let mut p3_bytes = Bytes(0);
-    for w in 0..u32_of_index(k) {
-        let train_w = sim.local_train(w);
-        if train_w.is_empty() {
+    for (w, batches) in (0u32..).zip(sim.worker_batches(epoch)) {
+        if batches.is_empty() {
             continue;
         }
-        let batches = BatchSelection::Random.select(
-            &train_w,
-            sim.batch_size,
-            sim.seed ^ u64_of_u32(w) << 32,
-            epoch,
-        );
         let mut rng = StdRng::seed_from_u64(
             sim.seed ^ 0xC0FF_EE00u64 ^ (u64_of_u32(w) << 40) ^ u64_of_usize(epoch),
         );

@@ -101,12 +101,30 @@ impl TimeModel {
 }
 
 impl<'g> ClusterSim<'g> {
-    /// Training vertices homed on worker `w`.
-    pub fn local_train(&self, w: u32) -> Vec<VId> {
-        self.graph
-            .train_vertices()
-            .into_iter()
-            .filter(|&v| self.part.part_of(v) == w)
+    /// Every worker's batch schedule for `epoch`: worker `w` shuffles the
+    /// training vertices homed on it (in `train_vertices` order, bucketed
+    /// by one scan of the split mask) with seed `seed ^ (w << 32)` and
+    /// chunks them into `batch_size` batches. A worker with no training
+    /// vertex has no batch.
+    pub fn worker_batches(&self, epoch: usize) -> Vec<Vec<Vec<VId>>> {
+        let mut local_train: Vec<Vec<VId>> = vec![Vec::new(); self.part.k];
+        for v in self.graph.train_vertices() {
+            local_train[usize_of_u32(self.part.part_of(v))].push(v);
+        }
+        local_train
+            .iter()
+            .zip(0u32..)
+            .map(|(train_w, w)| {
+                if train_w.is_empty() {
+                    return Vec::new();
+                }
+                BatchSelection::Random.select(
+                    train_w,
+                    self.batch_size,
+                    self.seed ^ u64_of_u32(w) << 32,
+                    epoch,
+                )
+            })
             .collect()
     }
 
@@ -146,27 +164,7 @@ impl<'g> ClusterSim<'g> {
         epoch: usize,
     ) -> (EpochLoadReport, Timeline) {
         let k = self.part.k;
-        // One scan of the split mask buckets the training vertices by home
-        // worker (in `train_vertices` order, as `local_train` returns them).
-        let mut local_train: Vec<Vec<VId>> = vec![Vec::new(); k];
-        for v in self.graph.train_vertices() {
-            local_train[usize_of_u32(self.part.part_of(v))].push(v);
-        }
-        let worker_batches: Vec<Vec<Vec<VId>>> = local_train
-            .iter()
-            .zip(0u32..)
-            .map(|(train_w, w)| {
-                if train_w.is_empty() {
-                    return Vec::new();
-                }
-                BatchSelection::Random.select(
-                    train_w,
-                    self.batch_size,
-                    self.seed ^ u64_of_u32(w) << 32,
-                    epoch,
-                )
-            })
-            .collect();
+        let worker_batches = self.worker_batches(epoch);
         let epoch_seed = gnn_dm_par::split_seed(self.seed, u64_of_usize(epoch));
         let locality = self.part.locality();
         let partials = gnn_dm_par::par_map_collect(&worker_batches, |i, batches| {
@@ -329,12 +327,8 @@ impl<'g> ClusterSim<'g> {
             report.comm.worker_sent(w),
             report.comm.bytes_received[w],
         );
-        // Forward+backward FLOPs: aggregation over block edges at
-        // feature width plus hidden width, doubled for backward.
-        let flops = report.compute.aggregation_edges[w] as f64
-            * 2.0
-            * (tm.feat_dim + tm.hidden) as f64
-            * 2.0;
+        let flops =
+            compute::aggregation_flops(report.compute.aggregation_edges[w], tm.feat_dim, tm.hidden);
         let nn_t = Seconds(tm.gpu.seconds_for_flops(flops));
         (sample_edges, sample_t, comm_t, nn_t)
     }
@@ -853,17 +847,25 @@ mod tests {
     fn every_train_vertex_processed_once() {
         let g = graph();
         let (report, part) = simulate(&g, PartitionMethod::MetisVE);
-        let batches_total: usize = report.num_batches.iter().sum();
-        let train_total = g.train_vertices().len();
+        let train = g.train_vertices();
+        assert!(!train.is_empty());
         // ceil(train_w / batch) per worker.
-        let expect: usize = (0..4u32)
-            .map(|w| {
-                let sim = ClusterSim { graph: &g, part: &part, batch_size: 64, seed: 3 };
-                sim.local_train(w).len().div_ceil(64)
-            })
-            .sum();
-        assert_eq!(batches_total, expect);
-        assert!(train_total > 0);
+        let expect: Vec<usize> = (0..4u32)
+            .map(|w| train.iter().filter(|&&v| part.part_of(v) == w).count().div_ceil(64))
+            .collect();
+        assert_eq!(report.num_batches, expect);
+        // The schedule holds each training vertex once, on its home worker.
+        let sim = ClusterSim { graph: &g, part: &part, batch_size: 64, seed: 3 };
+        let mut seen: Vec<VId> = Vec::new();
+        for (w, batches) in (0u32..).zip(sim.worker_batches(0)) {
+            assert_eq!(batches.len(), expect[usize_of_u32(w)]);
+            for v in batches.into_iter().flatten() {
+                assert_eq!(part.part_of(v), w);
+                seen.push(v);
+            }
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, train);
     }
 
     #[test]

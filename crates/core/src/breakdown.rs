@@ -47,7 +47,7 @@ impl StepBreakdown {
 /// One GNN training epoch's breakdown under the §7 baseline configuration
 /// (extract-load, sequential, no cache).
 pub fn gnn_breakdown(graph: &Graph, batch_size: usize, fanouts: Vec<usize>) -> StepBreakdown {
-    let mut cfg = HeteroTrainerConfig::baseline(graph, batch_size);
+    let mut cfg = HeteroTrainerConfig::baseline(batch_size);
     cfg.fanouts = fanouts;
     let mut trainer = HeteroTrainer::new(graph, cfg);
     let t = trainer.run_epoch_model(0);

@@ -87,7 +87,7 @@ pub fn modeled_epoch_seconds(
     };
     // lint:allow(A002) an analytic time-to-accuracy axis, with no timeline by design
     let dt = engine.time(TransferMethod::ExtractLoad, &bt, None).total().0;
-    let flops = involved_edges as f64 * 2.0 * (graph.feat_dim() + hidden) as f64 * 2.0;
+    let flops = compute::aggregation_flops(involved_edges as u64, graph.feat_dim(), hidden);
     let nn = ComputeModel::gpu_t4().seconds_for_flops(flops);
     // Pipelined: bounded by the slowest stage (plus the serial remainder,
     // approximated by a 10% startup margin).
@@ -159,8 +159,7 @@ pub fn train_full_batch(
     );
     let mut opt = Adam::new(lr);
     let val = graph.val_vertices();
-    let flops =
-        graph.num_edges() as f64 * 2.0 * (graph.feat_dim() + hidden) as f64 * 2.0;
+    let flops = compute::aggregation_flops(graph.num_edges() as u64, graph.feat_dim(), hidden);
     let engine = TransferEngine::default();
     let bt = BatchTransfer {
         rows: graph.num_vertices(),

@@ -15,15 +15,16 @@ use gnn_dm_device::compute::{self, ComputeModel};
 use gnn_dm_device::memory::DeviceMemory;
 use gnn_dm_device::pipeline::{
     makespan_with_contention, replay_epoch, BatchMeta, BatchStageTimes, PipelineMode,
-    DEFAULT_OVERLAP_EFFICIENCY,
 };
 use gnn_dm_device::transfer::{BatchTransfer, TransferEngine, TransferMethod};
 use gnn_dm_faults::{FaultPlan, ResiliencePolicy};
 use gnn_dm_graph::Graph;
-use gnn_dm_sampling::epoch::{AccessTracker, EpochPlan};
+use gnn_dm_sampling::epoch::EpochPlan;
 use gnn_dm_sampling::{BatchSelection, BatchSizeSchedule, FanoutSampler};
 use gnn_dm_trace::units::Bytes;
 use gnn_dm_trace::{Resource, SpanKind, Timeline};
+
+use crate::config::PAPER_HIDDEN;
 
 /// Configuration of the heterogeneous trainer.
 #[derive(Debug, Clone)]
@@ -32,20 +33,13 @@ pub struct HeteroTrainerConfig {
     pub fanouts: Vec<usize>,
     /// Mini-batch size (paper default 6000).
     pub batch_size: usize,
-    /// Hidden width (paper default 128).
-    pub hidden: usize,
-    /// Number of classes (drives the output GEMM).
-    pub num_classes: usize,
     /// Data-transfer method.
     pub transfer: TransferMethod,
     /// Pipeline mode.
     pub pipeline: PipelineMode,
-    /// GPU cache policy (`None` disables caching).
+    /// GPU cache policy with its ratio and profiling epochs (`None`
+    /// disables caching).
     pub cache_policy: Option<CachePolicy>,
-    /// Fraction of vertices to cache (clamped by device memory).
-    pub cache_ratio: f64,
-    /// Profiling epochs for the pre-sampling policy.
-    pub presample_epochs: usize,
     /// Batch selection policy (which training vertices form each batch).
     pub selection: BatchSelection,
     /// RNG seed.
@@ -54,17 +48,13 @@ pub struct HeteroTrainerConfig {
 
 impl HeteroTrainerConfig {
     /// The §7 baseline: extract-load, no pipeline, no cache.
-    pub fn baseline(graph: &Graph, batch_size: usize) -> Self {
+    pub fn baseline(batch_size: usize) -> Self {
         HeteroTrainerConfig {
             fanouts: vec![25, 10],
             batch_size,
-            hidden: 128,
-            num_classes: graph.num_classes,
             transfer: TransferMethod::ExtractLoad,
             pipeline: PipelineMode::None,
             cache_policy: None,
-            cache_ratio: 0.0,
-            presample_epochs: 1,
             selection: BatchSelection::Random,
             seed: 42,
         }
@@ -109,35 +99,29 @@ impl<'g> HeteroTrainer<'g> {
     /// Builds the trainer, constructing the GPU cache per the configured
     /// policy (running profiling epochs for the pre-sampling policy).
     pub fn new(graph: &'g Graph, cfg: HeteroTrainerConfig) -> Self {
-        let n = graph.num_vertices();
-        let capacity = DeviceMemory::t4().rows_for_ratio(
-            n,
-            row_bytes(graph),
-            cfg.cache_ratio.clamp(0.0, 1.0),
-        );
-        let cache = match cfg.cache_policy {
-            None => FeatureCache::disabled(n),
-            Some(CachePolicy::Degree) => FeatureCache::degree_based(&graph.out, capacity),
-            Some(CachePolicy::PreSample) => {
-                let mut tracker = AccessTracker::new(n);
-                let train = graph.train_vertices();
-                let sampler = FanoutSampler::new(cfg.fanouts.clone());
-                let selection = cfg.selection.clone();
-                let schedule = BatchSizeSchedule::Fixed(cfg.batch_size);
-                let plan = EpochPlan {
-                    in_csr: &graph.inn,
-                    train: &train,
-                    selection: &selection,
-                    schedule: &schedule,
-                    sampler: &sampler,
-                    seed: cfg.seed ^ 0xFEED,
-                };
-                for e in 0..cfg.presample_epochs.max(1) {
-                    plan.run_for_stats(e, Some(&mut tracker));
-                }
-                FeatureCache::presample_based(&tracker, capacity)
+        let capacity = cfg.cache_policy.map_or(0, |policy| {
+            DeviceMemory::t4().rows_for_ratio(
+                graph.num_vertices(),
+                row_bytes(graph),
+                policy.ratio().clamp(0.0, 1.0),
+            )
+        });
+        let cache = FeatureCache::build(cfg.cache_policy, graph, capacity, |tracker, epochs| {
+            let train = graph.train_vertices();
+            let sampler = FanoutSampler::new(cfg.fanouts.clone());
+            let schedule = BatchSizeSchedule::Fixed(cfg.batch_size);
+            let plan = EpochPlan {
+                in_csr: &graph.inn,
+                train: &train,
+                selection: &cfg.selection,
+                schedule: &schedule,
+                sampler: &sampler,
+                seed: cfg.seed ^ 0xFEED,
+            };
+            for e in 0..epochs {
+                plan.run_for_stats(e, Some(tracker));
             }
-        };
+        });
         HeteroTrainer {
             graph,
             cfg,
@@ -156,9 +140,9 @@ impl<'g> HeteroTrainer<'g> {
     fn dims(&self) -> Vec<usize> {
         let mut dims = vec![self.graph.feat_dim()];
         for _ in 1..self.cfg.fanouts.len() {
-            dims.push(self.cfg.hidden);
+            dims.push(PAPER_HIDDEN);
         }
-        dims.push(self.cfg.num_classes);
+        dims.push(self.graph.num_classes);
         dims
     }
 
@@ -232,7 +216,7 @@ impl<'g> HeteroTrainer<'g> {
             };
             // lint:allow(A002) these prices become `replay_epoch` spans
             let report = self.engine.time(self.cfg.transfer, &bt, activity.as_ref());
-            let nn = self.gpu.seconds_for_flops(compute::minibatch_flops(&mb, &dims, false));
+            let nn = self.gpu.seconds_for_flops(compute::minibatch_flops(&mb, &dims));
             let stage = BatchStageTimes { bp, dt: report.total().0, nn };
             let meta = BatchMeta {
                 gather: report.gather_sec.0,
@@ -263,7 +247,7 @@ impl<'g> HeteroTrainer<'g> {
             dt: tl.busy(Resource::PcieLink),
             gather: tl.busy_of_kind(SpanKind::Gather),
             nn: tl.busy(Resource::GpuCompute),
-            makespan: makespan_with_contention(sequential, ideal, DEFAULT_OVERLAP_EFFICIENCY),
+            makespan: makespan_with_contention(sequential, ideal),
             pcie_bytes: tl.bytes_on(Resource::PcieLink).0,
             cache_hit_rate: self.cache.hit_rate(),
             num_batches: stage_times.len(),
@@ -307,19 +291,15 @@ mod tests {
         })
     }
 
-    fn cfg(graph: &Graph) -> HeteroTrainerConfig {
-        HeteroTrainerConfig {
-            fanouts: vec![10, 5],
-            batch_size: 256,
-            ..HeteroTrainerConfig::baseline(graph, 256)
-        }
+    fn cfg() -> HeteroTrainerConfig {
+        HeteroTrainerConfig { fanouts: vec![10, 5], ..HeteroTrainerConfig::baseline(256) }
     }
 
     #[test]
     fn zero_copy_beats_baseline() {
         let g = graph();
-        let base = HeteroTrainer::new(&g, cfg(&g)).run_epoch_model(0);
-        let mut zc_cfg = cfg(&g);
+        let base = HeteroTrainer::new(&g, cfg()).run_epoch_model(0);
+        let mut zc_cfg = cfg();
         zc_cfg.transfer = TransferMethod::ZeroCopy;
         let zc = HeteroTrainer::new(&g, zc_cfg).run_epoch_model(0);
         assert!(zc.makespan < base.makespan, "zc {} vs base {}", zc.makespan, base.makespan);
@@ -330,7 +310,7 @@ mod tests {
     #[test]
     fn pipeline_beats_sequential() {
         let g = graph();
-        let mut c = cfg(&g);
+        let mut c = cfg();
         c.transfer = TransferMethod::ZeroCopy;
         let seq = HeteroTrainer::new(&g, c.clone()).run_epoch_model(0);
         c.pipeline = PipelineMode::Full;
@@ -344,11 +324,10 @@ mod tests {
     #[test]
     fn cache_reduces_bus_bytes() {
         let g = graph();
-        let mut c = cfg(&g);
+        let mut c = cfg();
         c.transfer = TransferMethod::ZeroCopy;
         let without = HeteroTrainer::new(&g, c.clone()).run_epoch_model(0);
-        c.cache_policy = Some(CachePolicy::PreSample);
-        c.cache_ratio = 0.3;
+        c.cache_policy = Some(CachePolicy::PreSample { ratio: 0.3, epochs: 1 });
         let with = HeteroTrainer::new(&g, c).run_epoch_model(0);
         assert!(with.pcie_bytes < without.pcie_bytes);
         assert!(with.cache_hit_rate > 0.2, "hit rate {}", with.cache_hit_rate);
@@ -370,14 +349,12 @@ mod tests {
             ..Default::default()
         });
         g.split = gnn_dm_graph::SplitMask::random(g.num_vertices(), 0.05, 0.10, 0.85, 9);
-        let mut c = cfg(&g);
+        let mut c = cfg();
         c.batch_size = 32;
-        c.cache_ratio = 0.2;
-        c.presample_epochs = 4;
         c.transfer = TransferMethod::ZeroCopy;
-        c.cache_policy = Some(CachePolicy::Degree);
+        c.cache_policy = Some(CachePolicy::Degree { ratio: 0.2 });
         let deg = HeteroTrainer::new(&g, c.clone()).run_epoch_model(0);
-        c.cache_policy = Some(CachePolicy::PreSample);
+        c.cache_policy = Some(CachePolicy::PreSample { ratio: 0.2, epochs: 4 });
         let pre = HeteroTrainer::new(&g, c).run_epoch_model(0);
         assert!(
             pre.cache_hit_rate >= deg.cache_hit_rate,
@@ -390,9 +367,8 @@ mod tests {
     #[test]
     fn activity_shrinks_after_caching() {
         let g = graph();
-        let mut c = cfg(&g);
-        c.cache_policy = Some(CachePolicy::PreSample);
-        c.cache_ratio = 0.4;
+        let mut c = cfg();
+        c.cache_policy = Some(CachePolicy::PreSample { ratio: 0.4, epochs: 1 });
         let mut t = HeteroTrainer::new(&g, c);
         let before = t.first_batch_activity(0, false);
         let after = t.first_batch_activity(0, true);
@@ -404,9 +380,8 @@ mod tests {
     #[test]
     fn first_batch_activity_matches_full_epoch() {
         let g = graph();
-        let mut c = cfg(&g);
-        c.cache_policy = Some(CachePolicy::Degree);
-        c.cache_ratio = 0.3;
+        let mut c = cfg();
+        c.cache_policy = Some(CachePolicy::Degree { ratio: 0.3 });
         let mut t = HeteroTrainer::new(&g, c);
         for epoch in [0, 3] {
             let first = t.with_plan(|plan| plan.batches(epoch)).swap_remove(0);
@@ -426,8 +401,8 @@ mod tests {
     #[test]
     fn deterministic_epoch_model() {
         let g = graph();
-        let a = HeteroTrainer::new(&g, cfg(&g)).run_epoch_model(1);
-        let b = HeteroTrainer::new(&g, cfg(&g)).run_epoch_model(1);
+        let a = HeteroTrainer::new(&g, cfg()).run_epoch_model(1);
+        let b = HeteroTrainer::new(&g, cfg()).run_epoch_model(1);
         assert_eq!(a, b);
     }
 }

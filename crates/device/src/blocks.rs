@@ -28,13 +28,17 @@ pub struct BlockActivity {
 ///
 /// `n` is the total number of feature rows; the feature array is split into
 /// blocks of `block_bytes / row_bytes` rows (at least one row per block).
+/// Zero-byte rows (a zero-width feature table) all fit in one block.
 ///
 /// # Panics
 ///
-/// Panics if `row_bytes` is zero or an id is out of range.
+/// Panics if an id is out of range.
 pub fn block_activity(ids: &[VId], n: usize, row_bytes: Bytes, block_bytes: Bytes) -> BlockActivity {
-    assert!(row_bytes > Bytes(0), "row_bytes must be positive");
-    let rows_per_block = usize_of_u64_sat(block_bytes / row_bytes).max(1);
+    let rows_per_block = if row_bytes == Bytes(0) {
+        n.max(1)
+    } else {
+        usize_of_u64_sat(block_bytes / row_bytes).max(1)
+    };
     let num_blocks = n.div_ceil(rows_per_block);
     let mut active = vec![0u32; num_blocks];
     let mut seen = vec![false; n];
@@ -143,6 +147,13 @@ mod tests {
         let a = block_activity(&[0, 1], 3, Bytes(4096), Bytes(1024));
         assert_eq!(a.rows_per_block, 1);
         assert_eq!(a.num_blocks(), 3);
+    }
+
+    #[test]
+    fn zero_byte_rows_share_one_block() {
+        let a = block_activity(&[0, 2, 2], 5, Bytes(0), Bytes(128));
+        assert_eq!((a.rows_per_block, a.num_blocks()), (5, 1));
+        assert_eq!(a.active, vec![2]);
     }
 
     #[test]

@@ -12,24 +12,36 @@
 //!   both graph shapes.
 
 use gnn_dm_graph::csr::{Csr, VId};
+use gnn_dm_graph::Graph;
 use gnn_dm_sampling::epoch::AccessTracker;
 use gnn_dm_trace::convert::{u32_of_index, u64_of_usize, usize_of_u32};
 
-/// Which ranking decides cache residency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A GPU cache policy: which ranking decides residency, and the parameters
+/// that ranking needs. Caching disabled is `Option::<CachePolicy>::None`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CachePolicy {
-    /// Rank vertices by out-degree (PaGraph).
-    Degree,
-    /// Rank vertices by profiled access frequency (GNNLab).
-    PreSample,
+    /// Rank vertices by out-degree (PaGraph) and cache `ratio` of them.
+    Degree {
+        /// Fraction of vertices to cache (the trainer clamps it to
+        /// `[0, 1]` and to device memory).
+        ratio: f64,
+    },
+    /// Rank vertices by access frequency profiled over `epochs` epochs
+    /// (GNNLab) and cache `ratio` of them.
+    PreSample {
+        /// Fraction of vertices to cache (the trainer clamps it to
+        /// `[0, 1]` and to device memory).
+        ratio: f64,
+        /// Profiling epochs (at least one runs).
+        epochs: usize,
+    },
 }
 
 impl CachePolicy {
-    /// Display name used in Figure 17.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CachePolicy::Degree => "degree",
-            CachePolicy::PreSample => "sample",
+    /// Fraction of vertices to cache.
+    pub fn ratio(&self) -> f64 {
+        match *self {
+            CachePolicy::Degree { ratio } | CachePolicy::PreSample { ratio, .. } => ratio,
         }
     }
 }
@@ -67,13 +79,34 @@ pub struct FeatureCache {
 
 impl FeatureCache {
     /// An empty (disabled) cache over `n` vertices.
-    pub fn disabled(n: usize) -> Self {
+    fn disabled(n: usize) -> Self {
         FeatureCache { cached: vec![false; n], capacity_rows: 0, hits: 0, misses: 0 }
+    }
+
+    /// Builds the cache `policy` describes, holding at most
+    /// `capacity_rows` rows. Only the pre-sampling policy calls `profile`,
+    /// with the tracker to record into and the number of profiling epochs
+    /// to run (at least one); the caller decides what an epoch replays.
+    pub fn build(
+        policy: Option<CachePolicy>,
+        graph: &Graph,
+        capacity_rows: usize,
+        profile: impl FnOnce(&mut AccessTracker, usize),
+    ) -> Self {
+        match policy {
+            None => Self::disabled(graph.num_vertices()),
+            Some(CachePolicy::Degree { .. }) => Self::degree_based(&graph.out, capacity_rows),
+            Some(CachePolicy::PreSample { epochs, .. }) => {
+                let mut tracker = AccessTracker::new(graph.num_vertices());
+                profile(&mut tracker, epochs.max(1));
+                Self::presample_based(&tracker, capacity_rows)
+            }
+        }
     }
 
     /// Builds a degree-policy cache holding the `capacity_rows`
     /// highest-out-degree vertices.
-    pub fn degree_based(out_csr: &Csr, capacity_rows: usize) -> Self {
+    fn degree_based(out_csr: &Csr, capacity_rows: usize) -> Self {
         let n = out_csr.num_vertices();
         let mut order: Vec<VId> = (0..u32_of_index(n)).collect();
         order.sort_by(|&a, &b| {
@@ -83,7 +116,7 @@ impl FeatureCache {
     }
 
     /// Builds a pre-sampling-policy cache from profiled access counts.
-    pub fn presample_based(tracker: &AccessTracker, capacity_rows: usize) -> Self {
+    fn presample_based(tracker: &AccessTracker, capacity_rows: usize) -> Self {
         let ranking = tracker.ranking();
         Self::from_ranking(&ranking, ranking.len(), capacity_rows)
     }
@@ -201,6 +234,30 @@ mod tests {
         let c = FeatureCache::presample_based(&t, 1);
         assert!(c.contains(3));
         assert!(!c.contains(1));
+    }
+
+    #[test]
+    fn build_follows_the_policy() {
+        let g = gnn_dm_graph::generate::planted_partition(&gnn_dm_graph::generate::PplConfig {
+            n: 50,
+            num_classes: 2,
+            feat_dim: 4,
+            ..Default::default()
+        });
+        let mut profiled = Vec::new();
+        let none = FeatureCache::build(None, &g, 10, |_, epochs| profiled.push(epochs));
+        assert_eq!(none.capacity_rows(), 0);
+        let degree = Some(CachePolicy::Degree { ratio: 0.2 });
+        let deg = FeatureCache::build(degree, &g, 10, |_, epochs| profiled.push(epochs));
+        assert_eq!(deg.capacity_rows(), 10);
+        assert!(profiled.is_empty(), "only the pre-sampling policy profiles");
+        let presample = Some(CachePolicy::PreSample { ratio: 0.2, epochs: 0 });
+        let pre = FeatureCache::build(presample, &g, 1, |tracker, epochs| {
+            profiled.push(epochs);
+            tracker.record(7);
+        });
+        assert_eq!(profiled, [1], "at least one profiling epoch runs");
+        assert!(pre.contains(7));
     }
 
     #[test]

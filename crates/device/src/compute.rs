@@ -39,18 +39,25 @@ pub fn gemm_flops(m: usize, k: usize, n: usize) -> f64 {
     2.0 * m as f64 * k as f64 * n as f64
 }
 
+/// Forward+backward FLOPs of aggregating over `edges` edges at feature
+/// width plus hidden width: `edges · 2 · (feat_dim + hidden) · 2`. The
+/// edge-count model of NN compute the cluster time model and the
+/// convergence runners price epochs with.
+pub fn aggregation_flops(edges: u64, feat_dim: usize, hidden: usize) -> f64 {
+    edges as f64 * 2.0 * (feat_dim + hidden) as f64 * 2.0
+}
+
 /// FLOPs of one forward+backward pass over a sampled mini-batch for a model
 /// with layer widths `dims` (`dims[0]` = feature width). Aggregation costs
 /// `2 · edges · width` per layer; the dense part costs a GEMM per layer;
 /// backward roughly doubles everything.
-pub fn minibatch_flops(mb: &MiniBatch, dims: &[usize], sage_concat: bool) -> f64 {
+pub fn minibatch_flops(mb: &MiniBatch, dims: &[usize]) -> f64 {
     assert_eq!(mb.num_layers(), dims.len() - 1, "layer count mismatch");
     let mut total = 0.0;
     for (l, block) in mb.blocks.iter().enumerate() {
         let width_in = dims[l];
-        let agg_width = if sage_concat { 2 * width_in } else { width_in };
         total += 2.0 * block.num_edges() as f64 * width_in as f64; // aggregation
-        total += gemm_flops(block.num_dst(), agg_width, dims[l + 1]); // dense
+        total += gemm_flops(block.num_dst(), width_in, dims[l + 1]); // dense
     }
     2.0 * total // backward ≈ forward
 }
@@ -98,10 +105,13 @@ mod tests {
         // layer 0: agg 2*3*8 = 48, gemm 2*2*8*4 = 128
         // layer 1: agg 2*1*4 = 8, gemm 2*1*4*2 = 16
         // total fwd = 200, fwd+bwd = 400
-        assert_eq!(minibatch_flops(&mb, &dims, false), 400.0);
-        // SAGE doubles the GEMM fan-in.
-        let sage = minibatch_flops(&mb, &dims, true);
-        assert!(sage > 400.0);
+        assert_eq!(minibatch_flops(&mb, &dims), 400.0);
+    }
+
+    #[test]
+    fn aggregation_flops_formula() {
+        // 10 edges · 2 · (8 + 4) · 2
+        assert_eq!(aggregation_flops(10, 8, 4), 480.0);
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl LinkModel {
     }
 
     /// PCIe 3.0 x16 — the paper's CPU↔GPU interconnect (16 GB/s, §1/§7.1).
-    pub fn pcie_gen3_x16() -> Self {
+    pub const fn pcie_gen3_x16() -> Self {
         LinkModel { bandwidth: BytesPerSec(16.0e9), latency: Seconds(10.0e-6), efficiency: 1.0 }
     }
 

@@ -35,9 +35,12 @@ impl DeviceMemory {
         self.total.saturating_sub(self.model_reserved + self.batch_reserved)
     }
 
-    /// How many feature rows fit in the cache budget.
+    /// How many feature rows fit in the cache budget. A zero-byte row (a
+    /// zero-width feature table) fits without limit: `usize::MAX`.
     pub fn cache_capacity_rows(&self, row_bytes: Bytes) -> usize {
-        assert!(row_bytes > Bytes(0), "row_bytes must be positive");
+        if row_bytes == Bytes(0) {
+            return usize::MAX;
+        }
         usize_of_u64_sat(self.cache_budget() / row_bytes)
     }
 
@@ -86,5 +89,12 @@ mod tests {
         let m = DeviceMemory { total: Bytes(1000), model_reserved: Bytes(0), batch_reserved: Bytes(0) };
         assert_eq!(m.rows_for_ratio(100, Bytes(10), 0.5), 50);
         assert_eq!(m.rows_for_ratio(1000, Bytes(10), 1.0), 100, "memory-limited");
+    }
+
+    #[test]
+    fn zero_byte_rows_fit_without_limit() {
+        let m = DeviceMemory::t4();
+        assert_eq!(m.cache_capacity_rows(Bytes(0)), usize::MAX);
+        assert_eq!(m.rows_for_ratio(300, Bytes(0), 0.3), 90, "only the ratio limits");
     }
 }

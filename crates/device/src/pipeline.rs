@@ -185,17 +185,12 @@ pub fn makespan(batches: &[BatchStageTimes], mode: PipelineMode) -> f64 {
 /// this discount is calibrated to that gap.
 pub const DEFAULT_OVERLAP_EFFICIENCY: f64 = 0.6;
 
-/// Epoch makespan with imperfect overlap: only `overlap_efficiency` of the
-/// ideal saving — `sequential` ([`PipelineMode::None`]) minus `ideal` (the
-/// configured mode), both makespans of the same batches, plan and policy —
-/// is realized.
-///
-/// The efficiency is saturated into `[0, 1]` instead of asserted (library
-/// panic-freedom); `NaN` saturates to 0, the no-overlap end.
-pub fn makespan_with_contention(sequential: f64, ideal: f64, overlap_efficiency: f64) -> f64 {
-    // `max` then `min` is total: a NaN efficiency lands on 0.0.
-    let eff = overlap_efficiency.max(0.0).min(1.0);
-    sequential - (sequential - ideal) * eff
+/// Epoch makespan with imperfect overlap: only
+/// [`DEFAULT_OVERLAP_EFFICIENCY`] of the ideal saving — `sequential`
+/// ([`PipelineMode::None`]) minus `ideal` (the configured mode), both
+/// makespans of the same batches, plan and policy — is realized.
+pub fn makespan_with_contention(sequential: f64, ideal: f64) -> f64 {
+    sequential - (sequential - ideal) * DEFAULT_OVERLAP_EFFICIENCY
 }
 
 /// Fraction of the makespan each resource is busy under full pipelining —
@@ -297,9 +292,8 @@ mod tests {
         let b = uniform(20, 1.0, 1.5, 1.2);
         let seq = makespan(&b, PipelineMode::None);
         let ideal = makespan(&b, PipelineMode::Full);
-        let real = makespan_with_contention(seq, ideal, DEFAULT_OVERLAP_EFFICIENCY);
+        let real = makespan_with_contention(seq, ideal);
         assert!(real > ideal && real < seq, "ideal {ideal} < real {real} < seq {seq}");
-        assert!((makespan_with_contention(seq, ideal, 1.0) - ideal).abs() < 1e-12);
-        assert!((makespan_with_contention(seq, ideal, 0.0) - seq).abs() < 1e-12);
+        assert_eq!(makespan_with_contention(seq, seq), seq, "nothing to overlap");
     }
 }

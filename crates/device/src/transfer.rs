@@ -81,32 +81,30 @@ impl TransferReport {
     }
 }
 
-/// The calibrated transfer cost model.
+/// The CPU→GPU bus.
+const PCIE: LinkModel = LinkModel::pcie_gen3_x16();
+
+/// Effective bandwidth of CPU random row gathering. Far below memcpy speed
+/// because every row is a cache-missing random access.
+pub const GATHER_BANDWIDTH: BytesPerSec = BytesPerSec(6.0e9);
+
+/// Fixed per-row gather overhead (pointer chase + bounds).
+pub const GATHER_ROW_OVERHEAD: Seconds = Seconds(80.0e-9);
+
+/// The calibrated transfer cost model over the paper's PCIe 3.0 ×16 bus.
 ///
 /// Calibration targets the paper's measured ratios: feature extraction is
 /// 31.2% and data loading 42.2% of baseline training time (Fig. 2), and
 /// zero-copy yields ≈ 1.74× end-to-end over extract-load (Fig. 13).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferEngine {
-    /// The CPU→GPU bus.
-    pub pcie: LinkModel,
-    /// Effective bandwidth of CPU random row gathering. Far below memcpy
-    /// speed because every row is a cache-missing random access.
-    pub gather_bandwidth: BytesPerSec,
-    /// Fixed per-row gather overhead (pointer chase + bounds).
-    pub gather_row_overhead: Seconds,
     /// Fraction of peak PCIe bandwidth zero-copy sustains.
     pub zero_copy_efficiency: f64,
 }
 
 impl Default for TransferEngine {
     fn default() -> Self {
-        TransferEngine {
-            pcie: LinkModel::pcie_gen3_x16(),
-            gather_bandwidth: BytesPerSec(6.0e9),
-            gather_row_overhead: Seconds(80.0e-9),
-            zero_copy_efficiency: 0.70,
-        }
+        TransferEngine { zero_copy_efficiency: 0.70 }
     }
 }
 
@@ -116,9 +114,7 @@ impl TransferEngine {
     /// public field) falls back to the full-efficiency link rather than
     /// panicking on the hot path.
     fn zero_copy_link(&self) -> LinkModel {
-        self.pcie
-            .with_efficiency(self.zero_copy_efficiency)
-            .unwrap_or_else(|_| self.pcie.clone())
+        PCIE.with_efficiency(self.zero_copy_efficiency).unwrap_or(PCIE)
     }
 
     /// Prices one batch under the chosen method. `activity` is required for
@@ -148,9 +144,9 @@ impl TransferEngine {
     /// Explicit gather + bulk DMA.
     pub fn time_extract_load(&self, batch: &BatchTransfer) -> TransferReport {
         let fb = batch.feature_bytes();
-        let gather_sec = fb / self.gather_bandwidth + self.gather_row_overhead * batch.rows as f64;
+        let gather_sec = fb / GATHER_BANDWIDTH + GATHER_ROW_OVERHEAD * batch.rows as f64;
         let bytes = fb + batch.topo_bytes;
-        let link_sec = self.pcie.transfer_time(bytes);
+        let link_sec = PCIE.transfer_time(bytes);
         TransferReport { gather_sec, link_sec, bytes }
     }
 
@@ -159,7 +155,7 @@ impl TransferEngine {
     pub fn time_zero_copy(&self, batch: &BatchTransfer) -> TransferReport {
         let zc = self.zero_copy_link();
         let link_sec =
-            zc.transfer_time(batch.feature_bytes()) + self.pcie.transfer_time(batch.topo_bytes);
+            zc.transfer_time(batch.feature_bytes()) + PCIE.transfer_time(batch.topo_bytes);
         TransferReport {
             gather_sec: Seconds(0.0),
             link_sec,
@@ -189,12 +185,12 @@ impl TransferEngine {
                 zc_rows += u64_of_u32(activity.active[b]);
             }
         }
-        let gather_sec = batch.row_bytes * explicit_rows_active / self.gather_bandwidth
-            + self.gather_row_overhead * explicit_rows_active as f64;
+        let gather_sec = batch.row_bytes * explicit_rows_active / GATHER_BANDWIDTH
+            + GATHER_ROW_OVERHEAD * explicit_rows_active as f64;
         let explicit_bytes = batch.row_bytes * explicit_rows_total;
         let zc_bytes = batch.row_bytes * zc_rows;
         let zc = self.zero_copy_link();
-        let link_sec = self.pcie.transfer_time(explicit_bytes + batch.topo_bytes)
+        let link_sec = PCIE.transfer_time(explicit_bytes + batch.topo_bytes)
             + zc.transfer_time(zc_bytes);
         TransferReport {
             gather_sec,

@@ -70,13 +70,12 @@ proptest! {
     #[test]
     fn contention_interpolates(
         stages in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 1..30),
-        eff in 0.0f64..1.0,
     ) {
         let batches: Vec<BatchStageTimes> =
             stages.iter().map(|&(bp, dt, nn)| BatchStageTimes { bp, dt, nn }).collect();
         let seq = makespan(&batches, PipelineMode::None);
         let ideal = makespan(&batches, PipelineMode::Full);
-        let real = makespan_with_contention(seq, ideal, eff);
+        let real = makespan_with_contention(seq, ideal);
         prop_assert!(real <= seq + 1e-9);
         prop_assert!(real >= ideal - 1e-9);
     }

@@ -26,7 +26,7 @@
 //! | faults      | `none`, `uniform(SEED,RATE)`                                          |
 //! | resilience  | `none`, or `hedge(F)`, `deadline(T,skip\|ckpt)`, `redispatch(S)`, `stale(K)` composed with `+` in that order |
 
-use gnn_dm_device::cache::{CachePolicy, FeatureCache};
+use gnn_dm_device::cache::CachePolicy;
 use gnn_dm_device::pipeline::PipelineMode;
 use gnn_dm_device::transfer::TransferMethod;
 use gnn_dm_faults::{
@@ -38,7 +38,6 @@ use gnn_dm_trace::units::Seconds;
 use gnn_dm_partition::metis::{metis_extend_with, MetisVariant};
 use gnn_dm_partition::stream::{stream_b, stream_b_fast, stream_v, stream_v_fast, DEFAULT_BLOCK_SIZE};
 use gnn_dm_partition::{metis_clusters, partition_graph, GnnPartitioning, PartitionMethod};
-use gnn_dm_sampling::epoch::AccessTracker;
 use gnn_dm_sampling::sampler::ImportanceSampler;
 use gnn_dm_sampling::{
     BatchSelection, BatchSizeSchedule, FanoutSampler, HybridSampler, NeighborSampler, RateSampler,
@@ -541,90 +540,44 @@ impl Transfer {
 // Axis 4 — cache
 // ---------------------------------------------------------------------------
 
-/// Axis 4 — GPU feature caching (§7.3, Figure 17): disabled, degree-ranked,
-/// or profiling-based pre-sampling. The cached fraction lies in `[0, 1]`
-/// (zero is an empty cache) and profiling runs for at least one epoch.
+/// Axis 4 — GPU feature caching (§7.3, Figure 17): disabled (`None`),
+/// degree-ranked, or profiling-based pre-sampling. The cached fraction lies
+/// in `[0, 1]` (zero is an empty cache) and profiling runs for at least one
+/// epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Cache(CacheKind);
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CacheKind {
-    None,
-    Degree { ratio: f64 },
-    PreSample { ratio: f64, epochs: usize },
-}
+pub struct Cache(Option<CachePolicy>);
 
 impl Cache {
     /// Parses a cache spec: `none`, `degree(R)`, or `presample(R,E)`.
     pub fn parse(spec: &str) -> Result<Self, HarnessError> {
         let cx = Spec { axis: "cache", text: spec };
-        let kind = match call_args(spec) {
-            None if spec == "none" => CacheKind::None,
-            Some(("degree", ratio)) => CacheKind::Degree { ratio: cx.unit(ratio)? },
+        let policy = match call_args(spec) {
+            None if spec == "none" => None,
+            Some(("degree", ratio)) => Some(CachePolicy::Degree { ratio: cx.unit(ratio)? }),
             Some(("presample", args)) => {
                 let (ratio, epochs) = args
                     .split_once(',')
                     .ok_or_else(|| cx.err("presample needs `ratio,epochs`"))?;
-                CacheKind::PreSample { ratio: cx.unit(ratio)?, epochs: cx.count(epochs)? }
+                Some(CachePolicy::PreSample { ratio: cx.unit(ratio)?, epochs: cx.count(epochs)? })
             }
             _ => return Err(cx.err("unknown cache policy")),
         };
-        cx.canonical(&Cache(kind).spec())?;
-        Ok(Cache(kind))
+        cx.canonical(&Cache(policy).spec())?;
+        Ok(Cache(policy))
     }
 
     /// Canonical spec (e.g. `degree(0.3)`).
     pub fn spec(&self) -> String {
         match self.0 {
-            CacheKind::None => "none".to_string(),
-            CacheKind::Degree { ratio } => format!("degree({ratio})"),
-            CacheKind::PreSample { ratio, epochs } => format!("presample({ratio},{epochs})"),
+            None => "none".to_string(),
+            Some(CachePolicy::Degree { ratio }) => format!("degree({ratio})"),
+            Some(CachePolicy::PreSample { ratio, epochs }) => format!("presample({ratio},{epochs})"),
         }
     }
 
-    /// The device-crate policy enum, `None` when caching is disabled.
-    pub fn device_policy(&self) -> Option<CachePolicy> {
-        match self.0 {
-            CacheKind::None => None,
-            CacheKind::Degree { .. } => Some(CachePolicy::Degree),
-            CacheKind::PreSample { .. } => Some(CachePolicy::PreSample),
-        }
-    }
-
-    /// Fraction of vertices to cache.
-    pub fn ratio(&self) -> f64 {
-        match self.0 {
-            CacheKind::None => 0.0,
-            CacheKind::Degree { ratio } | CacheKind::PreSample { ratio, .. } => ratio,
-        }
-    }
-
-    /// Profiling epochs for the pre-sampling policy (1 otherwise).
-    pub fn presample_epochs(&self) -> usize {
-        match self.0 {
-            CacheKind::PreSample { epochs, .. } => epochs,
-            _ => 1,
-        }
-    }
-
-    /// Builds the cache. `profile` runs the profiling workload against an
-    /// [`AccessTracker`] — only the pre-sampling policy invokes it; the
-    /// caller decides what a "profiling epoch" replays.
-    pub fn build(
-        &self,
-        graph: &Graph,
-        capacity: usize,
-        profile: impl FnOnce(&mut AccessTracker),
-    ) -> FeatureCache {
-        match self.0 {
-            CacheKind::None => FeatureCache::disabled(graph.num_vertices()),
-            CacheKind::Degree { .. } => FeatureCache::degree_based(&graph.out, capacity),
-            CacheKind::PreSample { .. } => {
-                let mut tracker = AccessTracker::new(graph.num_vertices());
-                profile(&mut tracker);
-                FeatureCache::presample_based(&tracker, capacity)
-            }
-        }
+    /// The device cache policy, `None` when caching is disabled.
+    pub fn policy(&self) -> Option<CachePolicy> {
+        self.0
     }
 }
 

@@ -73,16 +73,14 @@ impl SystemConfig {
     /// `graph`: the §7 baseline with every axis applied on top. Epoch-0
     /// batch size; fanouts only when the prep is fanout-shaped.
     pub fn hetero_config(&self, graph: &Graph) -> HeteroTrainerConfig {
-        let mut cfg = HeteroTrainerConfig::baseline(graph, self.batch_prep.batch_size(0));
+        let mut cfg = HeteroTrainerConfig::baseline(self.batch_prep.batch_size(0));
         if let Some(fanouts) = self.batch_prep.fanouts() {
             cfg.fanouts = fanouts;
         }
         cfg.selection = self.batch_prep.selection(graph);
         cfg.transfer = self.transfer.method();
         cfg.pipeline = self.transfer.pipeline();
-        cfg.cache_policy = self.cache.device_policy();
-        cfg.cache_ratio = self.cache.ratio();
-        cfg.presample_epochs = self.cache.presample_epochs();
+        cfg.cache_policy = self.cache.policy();
         cfg
     }
 

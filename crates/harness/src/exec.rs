@@ -5,11 +5,12 @@
 //! path (Figures 9–12, Tables 4/8) — plus [`run_config`], the grid
 //! runner's per-config driver, which reports **cost and accuracy
 //! together** in a [`ConfigReport`]. Every constant here (seeds, hidden
-//! widths, parameter bytes) replicates the pre-harness experiments exactly.
+//! widths, parameter bytes) replicates the pre-harness experiments exactly;
+//! the harness specs are the knobs, these are not.
 
 use gnn_dm_cluster::sim::TimeModel;
 use gnn_dm_cluster::{ClusterSim, EpochLoadReport};
-use gnn_dm_core::config::ModelKind;
+use gnn_dm_core::config::{ModelKind, PAPER_HIDDEN};
 use gnn_dm_core::convergence::{train_distributed, train_single, ConvergenceResult};
 use gnn_dm_core::trainer::HeteroTrainer;
 use gnn_dm_graph::Graph;
@@ -19,21 +20,36 @@ use gnn_dm_trace::Timeline;
 
 use crate::config::SystemConfig;
 
-/// The cluster-simulation harness: partitions with the experiment's seed,
-/// simulates one epoch, and prices it with the paper's time model
-/// (Figures 4–8 wiring: partition seed 7, simulation seed 3, hidden 128,
-/// 1 MB of parameters).
+/// Partitioning seed of every experiment (cluster and distributed
+/// training runs alike).
+pub const PART_SEED: u64 = 7;
+
+/// Cluster-simulation seed.
+pub const SIM_SEED: u64 = 3;
+
+/// Epoch index the cluster harness simulates (and reads batch-size
+/// schedules at).
+pub const SIM_EPOCH: usize = 0;
+
+/// Model the convergence harness trains.
+pub const TRAIN_MODEL: ModelKind = ModelKind::Gcn;
+
+/// Hidden width of the convergence harness's model.
+pub const TRAIN_HIDDEN: usize = 64;
+
+/// Learning rate of the convergence harness.
+pub const TRAIN_LR: f32 = 0.01;
+
+/// Model/init/training seed of the convergence harness.
+pub const TRAIN_SEED: u64 = 5;
+
+/// The cluster-simulation harness: partitions with [`PART_SEED`],
+/// simulates epoch [`SIM_EPOCH`] with [`SIM_SEED`], and prices it with the
+/// paper's time model at [`PAPER_HIDDEN`] (Figures 4–8 wiring, 1 MB of
+/// parameters unless an experiment sets its model's own).
 pub struct ClusterExperiment<'g> {
     /// The graph under test.
     pub graph: &'g Graph,
-    /// Partitioning seed.
-    pub part_seed: u64,
-    /// Cluster-simulation seed.
-    pub sim_seed: u64,
-    /// Epoch index simulated (and used for batch-size schedules).
-    pub epoch: usize,
-    /// Hidden width for the time model.
-    pub hidden: usize,
     /// Model parameter bytes for the time model's allreduce term.
     pub param_bytes: u64,
 }
@@ -51,26 +67,19 @@ pub struct ClusterRun {
 impl<'g> ClusterExperiment<'g> {
     /// The paper's cluster setup for `graph`.
     pub fn paper(graph: &'g Graph) -> Self {
-        ClusterExperiment {
-            graph,
-            part_seed: 7,
-            sim_seed: 3,
-            epoch: 0,
-            hidden: 128,
-            param_bytes: 1_000_000,
-        }
+        ClusterExperiment { graph, param_bytes: 1_000_000 }
     }
 
     /// The epoch time model (paper defaults over this graph's feature
     /// width).
     pub fn time_model(&self) -> TimeModel {
-        TimeModel::paper_default(self.graph.feat_dim(), self.hidden, self.param_bytes)
+        TimeModel::paper_default(self.graph.feat_dim(), PAPER_HIDDEN, self.param_bytes)
     }
 
     /// Builds the config's partitioning (worker count from the parallel
     /// axis).
     pub fn partition(&self, cfg: &SystemConfig) -> GnnPartitioning {
-        cfg.partitioner.build(self.graph, cfg.parallel.workers(), self.part_seed)
+        cfg.partitioner.build(self.graph, cfg.parallel.workers(), PART_SEED)
     }
 
     /// A cluster simulator over an executed run.
@@ -81,15 +90,15 @@ impl<'g> ClusterExperiment<'g> {
     /// A cluster simulator over an explicit partitioning and batch size
     /// (for drivers that need the simulator itself, e.g. P3 comparison).
     pub fn sim_with<'p>(&'p self, part: &'p GnnPartitioning, batch_size: usize) -> ClusterSim<'p> {
-        ClusterSim { graph: self.graph, part, batch_size, seed: self.sim_seed }
+        ClusterSim { graph: self.graph, part, batch_size, seed: SIM_SEED }
     }
 
     /// Partitions and simulates one epoch under the config.
     pub fn run(&self, cfg: &SystemConfig) -> ClusterRun {
         let part = self.partition(cfg);
         let sampler = cfg.batch_prep.sampler(self.graph);
-        let batch_size = cfg.batch_prep.batch_size(self.epoch);
-        let report = self.sim_with(&part, batch_size).simulate_epoch(&*sampler, self.epoch);
+        let batch_size = cfg.batch_prep.batch_size(SIM_EPOCH);
+        let report = self.sim_with(&part, batch_size).simulate_epoch(&*sampler, SIM_EPOCH);
         ClusterRun { part, report, batch_size }
     }
 
@@ -117,29 +126,20 @@ impl<'g> ClusterExperiment<'g> {
 }
 
 /// The convergence harness: actually trains a model under the config's
-/// batch prep (Figures 9–12 / Tables 4, 8 wiring: GCN, hidden 64,
-/// lr 0.01, training seed 5, partition seed 7).
+/// batch prep (Figures 9–12 / Tables 4, 8 wiring: [`TRAIN_MODEL`] at
+/// [`TRAIN_HIDDEN`], [`TRAIN_LR`], [`TRAIN_SEED`], partitions with
+/// [`PART_SEED`]).
 pub struct TrainExperiment<'g> {
     /// The graph under test.
     pub graph: &'g Graph,
-    /// Model kind.
-    pub model: ModelKind,
-    /// Hidden width.
-    pub hidden: usize,
-    /// Learning rate.
-    pub lr: f32,
     /// Training epochs.
     pub epochs: usize,
-    /// Model/init/training seed.
-    pub seed: u64,
-    /// Partitioning seed (distributed runs).
-    pub part_seed: u64,
 }
 
 impl<'g> TrainExperiment<'g> {
     /// The suite's convergence setup for `graph`.
     pub fn paper(graph: &'g Graph, epochs: usize) -> Self {
-        TrainExperiment { graph, model: ModelKind::Gcn, hidden: 64, lr: 0.01, epochs, seed: 5, part_seed: 7 }
+        TrainExperiment { graph, epochs }
     }
 
     /// Single-node convergence under the config's batch prep.
@@ -159,32 +159,32 @@ impl<'g> TrainExperiment<'g> {
     ) -> ConvergenceResult {
         train_single(
             self.graph,
-            self.model,
-            self.hidden,
+            TRAIN_MODEL,
+            TRAIN_HIDDEN,
             sampler,
             selection,
             cfg.batch_prep.schedule(),
-            self.lr,
+            TRAIN_LR,
             self.epochs,
-            self.seed,
+            TRAIN_SEED,
         )
     }
 
     /// Distributed convergence under the config's partitioner and batch
     /// prep; returns the result plus modeled epoch seconds.
     pub fn run_distributed(&self, cfg: &SystemConfig) -> (ConvergenceResult, f64) {
-        let part = cfg.partitioner.build(self.graph, cfg.parallel.workers(), self.part_seed);
+        let part = cfg.partitioner.build(self.graph, cfg.parallel.workers(), PART_SEED);
         let sampler = cfg.batch_prep.sampler(self.graph);
         train_distributed(
             self.graph,
             &part,
-            self.model,
-            self.hidden,
+            TRAIN_MODEL,
+            TRAIN_HIDDEN,
             &*sampler,
             cfg.batch_prep.batch_size(0),
-            self.lr,
+            TRAIN_LR,
             self.epochs,
-            self.seed,
+            TRAIN_SEED,
         )
     }
 }
@@ -243,7 +243,7 @@ pub fn run_config(graph: &Graph, cfg: &SystemConfig, epochs: usize) -> ConfigRep
     let (res, _) = train.run_distributed(cfg);
     ConfigReport {
         id: cfg.id(),
-        epoch_s: exp.timeline_resilient_at(&run, cfg, exp.epoch).makespan(),
+        epoch_s: exp.timeline_resilient_at(&run, cfg, SIM_EPOCH).makespan(),
         bytes: run.report.comm.total_volume(),
         cache_hit_rate: 0.0,
         num_batches: run.report.num_batches.iter().sum(),
@@ -258,7 +258,7 @@ pub fn run_config(graph: &Graph, cfg: &SystemConfig, epochs: usize) -> ConfigRep
 /// resilience axes on the single-node engine. `k` is the
 /// partition/cluster count.
 pub fn run_composed(graph: &Graph, cfg: &SystemConfig, k: usize, epochs: usize) -> ConfigReport {
-    let part = cfg.partitioner.build(graph, k, 7);
+    let part = cfg.partitioner.build(graph, k, PART_SEED);
     let selection = BatchSelection::ClusterBased { clusters: part.assignment };
     let mut tcfg = cfg.hetero_config(graph);
     tcfg.selection = selection.clone();

@@ -30,6 +30,9 @@ pub mod registry;
 pub use axes::{BatchPrep, Cache, Faults, Parallel, Partitioner, Resilience, Transfer};
 pub use config::{GridSpec, SystemConfig};
 pub use error::HarnessError;
-pub use exec::{run_composed, run_config, ClusterExperiment, ClusterRun, ConfigReport, TrainExperiment};
+pub use exec::{
+    run_composed, run_config, ClusterExperiment, ClusterRun, ConfigReport, TrainExperiment,
+    PART_SEED, SIM_EPOCH, SIM_SEED, TRAIN_HIDDEN, TRAIN_LR, TRAIN_MODEL, TRAIN_SEED,
+};
 pub use grid::{Axis, Grid};
 pub use registry::Registry;

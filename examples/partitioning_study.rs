@@ -24,7 +24,7 @@ fn main() {
         .expect("partitioner sweep is a valid grid");
     let configs = grid.configs(&reg).expect("registered partitioners resolve");
 
-    let exp = ClusterExperiment { sim_seed: 3, ..ClusterExperiment::paper(&graph) };
+    let exp = ClusterExperiment::paper(&graph);
     println!(
         "{:<10} {:>8} {:>9} {:>10} {:>10} {:>10} {:>9}",
         "method", "cut%", "locality", "comp_imb", "comm_MiB", "repl", "part_s"
@@ -58,7 +58,7 @@ fn main() {
     // Convergence under two contrasting methods (§5.3.4) — the same grid
     // machinery, restricted to the extremes.
     println!("\ndistributed training (4 workers, GCN):");
-    let train = TrainExperiment { seed: 3, ..TrainExperiment::paper(&graph, 5) };
+    let train = TrainExperiment::paper(&graph, 5);
     for cfg in configs
         .iter()
         .filter(|c| matches!(c.partitioner.spec().as_str(), "hash" | "metis-vet"))

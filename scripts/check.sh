@@ -90,6 +90,12 @@ golden_check ext_faults_epoch_time results/trace_faults.json
 # The smoke grid contains the golden cell, so it re-derives the full run's trace.
 golden_check chaos_grid results/trace_chaos.json --smoke
 
+echo "==> benchmark lockfile (benchmark/run.sh builds without --locked, so a stale benchmark/Cargo.lock would be rewritten silently)"
+if ! cargo metadata --offline --locked --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null; then
+    echo "FAIL: benchmark/Cargo.lock no longer matches the workspace manifests: a library Cargo.toml changed its dependencies, and the frozen benchmark lockfile would be rewritten" >&2
+    exit 1
+fi
+
 echo "==> benchmark smoke (every workload's output checks; BENCHMARK.json == the tables it prints)"
 # Without this script's RUSTFLAGS: the benchmark package is built the way its
 # own run.sh documents (root .cargo/config.toml), into its own target dir, so

@@ -63,7 +63,7 @@ fn training_is_deterministic() {
 fn hetero_epoch_model_is_deterministic() {
     let g = DatasetSpec::get(DatasetId::LiveJournal).generate_scaled(2000, 3);
     let run = || {
-        let cfg = HeteroTrainerConfig::baseline(&g, 256);
+        let cfg = HeteroTrainerConfig::baseline(256);
         HeteroTrainer::new(&g, cfg).run_epoch_model(2)
     };
     assert_eq!(run(), run());

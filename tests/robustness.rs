@@ -26,9 +26,11 @@ use gnn_dm::faults::{
 use gnn_dm::graph::csr::Csr;
 use gnn_dm::graph::generate::{planted_partition, PplConfig};
 use gnn_dm::graph::{io, GraphBuilder, SplitMask};
+use gnn_dm::harness::{Axis, Grid, GridSpec, Registry};
 use gnn_dm::nn::{AggKind, GnnModel};
 use gnn_dm::partition::{partition_graph, PartitionMethod};
 use gnn_dm::sampling::sampler::{build_minibatch, FanoutSampler};
+use gnn_dm::sampling::epoch::EpochPlan;
 use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule};
 use gnn_dm::trace::units::{Bytes, Seconds};
 use gnn_dm::trace::{Resource, SpanKind, Timeline};
@@ -51,7 +53,10 @@ fn empty_and_singleton_graphs() {
 }
 
 /// A zero-width feature table is a table of empty rows, one per vertex:
-/// generation, validation and an I/O round trip accept it.
+/// generation, validation and an I/O round trip accept it, and the hetero
+/// trainer prices it under every builtin transfer and cache spec — a
+/// zero-byte row fits the cache without limit and one transfer block holds
+/// every row, so only topology crosses the bus.
 #[test]
 fn zero_width_features_are_empty_rows() {
     let g = planted_partition(&PplConfig { n: 60, num_classes: 3, feat_dim: 0, ..Default::default() });
@@ -63,6 +68,34 @@ fn zero_width_features_are_empty_rows() {
     let back = io::read_graph(&mut buf.as_slice()).expect("a zero-width graph reads back");
     assert_eq!((back.features.num_rows(), back.feat_dim()), (60, 0));
     assert_eq!(back.out, g.out);
+
+    let g = planted_partition(&PplConfig { n: 300, num_classes: 3, feat_dim: 0, ..Default::default() });
+    let reg = Registry::builtin();
+    let configs = Grid::over(GridSpec::default())
+        .vary(Axis::Transfer, reg.specs(Axis::Transfer))
+        .and_then(|grid| grid.vary(Axis::Cache, reg.specs(Axis::Cache)))
+        .and_then(|grid| grid.configs(&reg))
+        .expect("builtin specs resolve");
+    assert_eq!(configs.len(), 15);
+    // Every config shares the batch prep, so one epoch plan gives the
+    // topology bytes all of them move.
+    let prep = configs[0].hetero_config(&g);
+    let train = g.train_vertices();
+    let plan = EpochPlan {
+        in_csr: &g.inn,
+        train: &train,
+        selection: &prep.selection,
+        schedule: &BatchSizeSchedule::Fixed(prep.batch_size),
+        sampler: &FanoutSampler::new(prep.fanouts.clone()),
+        seed: prep.seed,
+    };
+    let topo_bytes: u64 = plan.batches(0).iter().map(|mb| mb.topo_bytes()).sum();
+    assert!(topo_bytes > 0);
+    for cfg in &configs {
+        let t = cfg.hetero_trainer(&g).run_epoch_model(0);
+        assert!(t.makespan.is_finite() && t.makespan > 0.0, "{}: makespan {}", cfg.id(), t.makespan);
+        assert_eq!(t.pcie_bytes, topo_bytes, "{}: only topology crosses the bus", cfg.id());
+    }
 }
 
 #[test]
@@ -290,7 +323,7 @@ fn zero_fault_plan_is_bitwise_identity() {
 
     // Heterogeneous trainer (the fault epoch is the batch epoch, so only
     // the plan differs here).
-    let cfg = HeteroTrainerConfig::baseline(&g, 128);
+    let cfg = HeteroTrainerConfig::baseline(128);
     let (t_healthy, tl_healthy) = HeteroTrainer::new(&g, cfg.clone()).run_epoch_traced(0);
     let (t_zeroed, tl_zeroed) =
         HeteroTrainer::new(&g, cfg).run_epoch_faulted(0, &zero, &unprotected);
