@@ -203,13 +203,15 @@ pub fn planted_partition(cfg: &PplConfig) -> Graph {
     let out = b.build_directed();
     let inn = out.clone(); // symmetric
 
-    let features = class_centroid_features(
-        &labels,
-        cfg.num_classes,
-        cfg.feat_dim,
-        cfg.feat_noise,
-        cfg.seed ^ 0x5151_5151,
-    );
+    // Deferred: the table has its own stream, so drawing it on first read
+    // gives the bits drawing it here would.
+    let recipe = CentroidRecipe {
+        labels: labels.clone(),
+        num_classes: cfg.num_classes,
+        noise: cfg.feat_noise,
+        stream: StdRng::seed_from_u64(cfg.seed ^ 0x5151_5151),
+    };
+    let features = FeatureTable::deferred(recipe, cfg.feat_dim);
     let split = SplitMask::paper_default(cfg.n, cfg.seed ^ 0xabcd);
 
     let g = Graph { out, inn, features, labels, num_classes: cfg.num_classes, split };
@@ -274,11 +276,36 @@ pub fn class_centroid_features(
     noise: f32,
     seed: u64,
 ) -> FeatureTable {
-    centroid_features(&mut StdRng::seed_from_u64(seed), labels, num_classes, dim, noise)
+    let data = centroid_features(&mut StdRng::seed_from_u64(seed), labels, num_classes, dim, noise);
+    if dim == 0 {
+        FeatureTable::zeros(labels.len(), 0)
+    } else {
+        FeatureTable::from_vec(data, dim)
+    }
 }
 
-/// [`class_centroid_features`] off a given stream: the centroids, then the
-/// table in row-major order, each element taking exactly the draws
+/// The arguments of one [`class_centroid_features`] call but the width,
+/// with the seed already turned into the table's stream: what a deferred
+/// [`FeatureTable`] keeps until its first value read. The stream is cloned,
+/// never advanced, so every build draws the same values.
+#[derive(Debug, Clone)]
+pub(crate) struct CentroidRecipe {
+    pub(crate) labels: Vec<u32>,
+    pub(crate) num_classes: usize,
+    pub(crate) noise: f32,
+    pub(crate) stream: StdRng,
+}
+
+impl CentroidRecipe {
+    /// The row-major values of [`class_centroid_features`] at width `dim`.
+    pub(crate) fn values(&self, dim: usize) -> Vec<f32> {
+        let rng = &mut self.stream.clone();
+        centroid_features(rng, &self.labels, self.num_classes, dim, self.noise)
+    }
+}
+
+/// [`class_centroid_features`]' values off a given stream: the centroids,
+/// then the table in row-major order, each element taking exactly the draws
 /// [`sample_normal`] would. Chunk by chunk, the uniforms are drawn serially
 /// into one reused buffer and the rows transformed in parallel.
 fn centroid_features(
@@ -287,12 +314,12 @@ fn centroid_features(
     num_classes: usize,
     dim: usize,
     noise: f32,
-) -> FeatureTable {
+) -> Vec<f32> {
     let centroids: Vec<Vec<f32>> = (0..num_classes)
         .map(|_| (0..dim).map(|_| sample_normal(rng) as f32).collect())
         .collect();
     if dim == 0 {
-        return FeatureTable::zeros(labels.len(), 0);
+        return Vec::new();
     }
     let rows_per_chunk = (FEATURE_CHUNK / dim).max(1);
     let mut data = vec![0.0f32; labels.len() * dim];
@@ -309,7 +336,7 @@ fn centroid_features(
             }
         });
     }
-    FeatureTable::from_vec(data, dim)
+    data
 }
 
 #[cfg(test)]
@@ -429,7 +456,7 @@ mod tests {
             let got = gnn_dm_par::with_threads(threads, || {
                 centroid_features(&mut script, &labels, num_classes, dim, noise)
             });
-            let got: Vec<u32> = got.as_slice().iter().map(|x| x.to_bits()).collect();
+            let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
             assert!(got == expect, "threads {threads}: features diverged from sample_normal");
             assert_eq!(script.drawn, serial.drawn, "threads {threads}: draws consumed");
         }

@@ -35,7 +35,7 @@ pub mod traversal;
 
 pub use builder::GraphBuilder;
 pub use csr::{Csr, VId};
-pub use features::FeatureTable;
+pub use features::{FeatureRows, FeatureTable};
 pub use mask::{Split, SplitMask};
 
 /// A labelled graph with vertex features and a train/val/test split.

@@ -18,9 +18,10 @@
 //! output row `i`) and a *row source* (`row(s)` is input row `s`): copy the
 //! self row, add the neighbors in adjacency order, scale, and the output
 //! row is written once. The row source is what lets the first layer read
-//! the feature table in place (`|s| features.row(ids[s])`) instead of a
-//! gathered copy; a `&Matrix` input is the `|s| h.row(s)` instance of the
-//! same loop. Output rows are independent, so the loops run in parallel
+//! the feature table in place (`|s| rows.of(ids[s])`, off a
+//! [`gnn_dm_graph::features::FeatureRows`] view) instead of a gathered
+//! copy; a `&Matrix` input is the `|s| h.row(s)` instance of the same
+//! loop. Output rows are independent, so the loops run in parallel
 //! over fixed `ROW_CHUNK`-row chunks; every output element accumulates
 //! the same terms in the same order as the serial per-edge loop, so the
 //! result is bitwise-identical at any thread count.

@@ -7,6 +7,7 @@ use crate::model::{ForwardCache, GnnModel};
 use crate::optim::Optimizer;
 use crate::workspace::Workspace;
 use gnn_dm_graph::csr::VId;
+use gnn_dm_graph::features::FeatureRows;
 use gnn_dm_graph::Graph;
 use gnn_dm_sampling::epoch::EpochPlan;
 use gnn_dm_sampling::MiniBatch;
@@ -33,11 +34,12 @@ pub fn gather_input_features(graph: &Graph, mb: &MiniBatch) -> Matrix {
     const GATHER_BLOCK: usize = 256;
     let dim = graph.feat_dim();
     let ids = mb.input_ids();
+    let rows = graph.features.view();
     let mut x = Matrix::zeros(ids.len(), dim);
     gnn_dm_par::par_chunks_mut(x.as_mut_slice(), GATHER_BLOCK * dim.max(1), |ci, chunk| {
         let base = ci * GATHER_BLOCK;
         for (j, dst) in chunk.chunks_mut(dim.max(1)).enumerate() {
-            dst.copy_from_slice(graph.features.row(ids[base + j]));
+            dst.copy_from_slice(rows.of(ids[base + j]));
         }
     });
     x
@@ -50,23 +52,23 @@ pub fn seed_labels(graph: &Graph, mb: &MiniBatch) -> Vec<u32> {
 
 /// The forward pass every trainer runs on a sampled batch: the first layer
 /// aggregates straight out of the graph's feature table
-/// (`features.row(input_ids[s])`), so the gathered input matrix
+/// (`rows.of(input_ids[s])`), so the gathered input matrix
 /// [`gather_input_features`] builds is never materialised. Bitwise equal to
 /// `model.forward_minibatch(mb, &gather_input_features(graph, mb))`.
 pub fn forward_batch(model: &GnnModel, graph: &Graph, mb: &MiniBatch) -> (Matrix, ForwardCache) {
-    forward_batch_in(model, graph, mb, &mut Workspace::default())
+    forward_batch_in(model, graph.features.view(), mb, &mut Workspace::default())
 }
 
-/// [`forward_batch`] on `ws`'s storage.
+/// [`forward_batch`] off the feature rows `rows`, on `ws`'s storage.
 fn forward_batch_in(
     model: &GnnModel,
-    graph: &Graph,
+    rows: FeatureRows<'_>,
     mb: &MiniBatch,
     ws: &mut Workspace,
 ) -> (Matrix, ForwardCache) {
-    assert_eq!(graph.feat_dim(), model.dims()[0], "feature width mismatch");
+    assert_eq!(rows.dim(), model.dims()[0], "feature width mismatch");
     let ids = mb.input_ids();
-    model.forward_minibatch_in(mb, |s| graph.features.row(ids[s]), ws)
+    model.forward_minibatch_in(mb, |s| rows.of(ids[s]), ws)
 }
 
 /// Runs forward, loss, backward, and one optimizer step on a mini-batch.
@@ -76,22 +78,23 @@ pub fn train_step(
     graph: &Graph,
     mb: &MiniBatch,
 ) -> StepResult {
-    step_in(model, opt, graph, mb, &mut Workspace::default(), true)
+    step_in(model, opt, graph, graph.features.view(), mb, &mut Workspace::default(), true)
 }
 
-/// [`train_step`] on `ws`'s storage, every matrix returned to it at the
-/// end — so the next step on the same workspace allocates none. `first`
-/// marks the first step on `ws`.
+/// [`train_step`] off the feature rows `rows` (`graph`'s), on `ws`'s
+/// storage, every matrix returned to it at the end — so the next step on
+/// the same workspace allocates none. `first` marks the first step on `ws`.
 fn step_in(
     model: &mut GnnModel,
     opt: &mut dyn Optimizer,
     graph: &Graph,
+    rows: FeatureRows<'_>,
     mb: &MiniBatch,
     ws: &mut Workspace,
     first: bool,
 ) -> StepResult {
     let labels = seed_labels(graph, mb);
-    let (logits, cache) = forward_batch_in(model, graph, mb, ws);
+    let (logits, cache) = forward_batch_in(model, rows, mb, ws);
     let batch_accuracy = metrics::batch_accuracy(&logits, &labels);
     let mut d_logits = ws.take(logits.rows(), logits.cols());
     let loss = softmax_cross_entropy_into(&logits, &labels, &mut d_logits);
@@ -133,7 +136,8 @@ pub struct EpochResult {
 /// ([`EpochPlan::for_each_batch`]), so the steps see the batches of
 /// `plan.batches(epoch)` in the same order and the model is bit-identical.
 /// The steps share one workspace: after the first, a step writes its
-/// matrices into the storage of the one before.
+/// matrices into the storage of the one before. A deferred feature table
+/// is built before the first batch is sampled.
 pub fn train_epoch(
     model: &mut GnnModel,
     opt: &mut dyn Optimizer,
@@ -148,12 +152,13 @@ pub fn train_epoch(
         involved_vertices: 0,
         involved_edges: 0,
     };
+    let rows = graph.features.view();
     let mut ws = Workspace::default();
     plan.for_each_batch(epoch, |_, mb| {
         result.num_batches += 1;
         result.involved_vertices += mb.involved_vertices();
         result.involved_edges += mb.involved_edges();
-        let step = step_in(model, opt, graph, &mb, &mut ws, result.num_batches == 1);
+        let step = step_in(model, opt, graph, rows, &mb, &mut ws, result.num_batches == 1);
         result.mean_loss += step.loss;
         result.mean_grad_norm += step.grad_norm;
     });
@@ -188,10 +193,11 @@ pub fn full_batch_step(model: &mut GnnModel, opt: &mut dyn Optimizer, graph: &Gr
 }
 
 /// The graph's feature table as a full-graph row source: vertex `v`'s row,
-/// read in place.
+/// read in place. The table is built here, before any kernel reads it.
 fn table_rows<'g>(graph: &'g Graph) -> impl Fn(usize) -> &'g [f32] + Sync {
     assert_eq!(graph.features.num_rows(), graph.num_vertices(), "one feature row per vertex");
-    |v| graph.features.row(v as VId)
+    let rows = graph.features.view();
+    move |v| rows.of(v as VId)
 }
 
 /// Exact full-graph logits for every vertex, straight off the feature table.

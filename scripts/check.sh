@@ -44,12 +44,13 @@ cargo test --workspace -q
 echo "==> cargo doc (rustdoc warnings are errors: a doc link to a deleted or private item fails here)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "==> look-ahead stress (its failures are schedule-dependent: 20 more rounds of the gnn-dm-par look-ahead tests)"
+echo "==> schedule stress (failures are schedule-dependent: 20 more rounds of the gnn-dm-par look-ahead tests and of a deferred feature table's first read inside a parallel closure)"
 stress_start="${SECONDS}"
 for round in $(seq 1 20); do
-    if ! stress_out="$(cargo test -q -p gnn-dm-par lookahead 2>&1)"; then
+    if ! stress_out="$(cargo test -q -p gnn-dm-par lookahead 2>&1 &&
+        cargo test -q -p gnn-dm-graph --lib first_read_inside_a_parallel_closure 2>&1)"; then
         echo "${stress_out}"
-        echo "FAIL: look-ahead tests failed in stress round ${round}" >&2
+        echo "FAIL: schedule-dependent tests failed in stress round ${round}" >&2
         exit 1
     fi
 done
