@@ -5,12 +5,16 @@
 /// transfer experiments use.
 pub type VId = u32;
 
+/// Rows one parallel sort-and-deduplicate task owns. Fixed, so the work
+/// split never depends on the thread count.
+const ROW_CHUNK: usize = 2048;
+
 /// Compressed sparse row adjacency.
 ///
 /// `offsets` has `n + 1` entries; the neighbors of vertex `v` are
 /// `targets[offsets[v] .. offsets[v + 1]]`, sorted ascending and free of
 /// duplicates when built through [`Csr::from_edges`] or
-/// [`crate::GraphBuilder`].
+/// [`Csr::from_undirected_edges`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<usize>,
@@ -33,30 +37,52 @@ impl Csr {
     ///
     /// Panics if any endpoint is out of range.
     pub fn from_edges(n: usize, edges: &[(VId, VId)]) -> Self {
-        for &(u, v) in edges {
-            assert!(
-                (u as usize) < n && (v as usize) < n,
-                "edge ({u}, {v}) out of range for {n} vertices"
-            );
-        }
-        // Counting sort by source: O(n + m) and cache-friendly.
-        let mut counts = vec![0usize; n + 1];
-        for &(u, v) in edges {
-            if u != v {
-                counts[u as usize + 1] += 1;
-            }
-        }
+        Csr::fill(row_counts(n, edges, false), edges, false)
+    }
+
+    /// [`Csr::from_edges`] with each `(u, v)` standing for both `u -> v`
+    /// and `v -> u`: the result is symmetric, and an edge listed in either
+    /// direction, or in both, or more than once, appears once per row.
+    ///
+    /// ```
+    /// use gnn_dm_graph::Csr;
+    /// let csr = Csr::from_undirected_edges(3, &[(0, 2), (2, 0), (1, 2)]);
+    /// assert_eq!(csr.neighbors(2), &[0, 1]);
+    /// assert!(csr.is_symmetric());
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if any endpoint is out of range.
+    pub fn from_undirected_edges(n: usize, edges: &[(VId, VId)]) -> Self {
+        Csr::fill(row_counts(n, edges, true), edges, true)
+    }
+
+    /// The counting-sort build behind both constructors. `counts[v + 1]`
+    /// must be the number of entries `edges` gives row `v` — its
+    /// non-self-loop edges leaving `v`, plus those entering `v` when
+    /// `mirror` is set — and endpoints must be in range. Each edge is
+    /// written straight into its row (and, mirrored, its reverse into the
+    /// other endpoint's row), then the rows are sorted and deduplicated in
+    /// parallel and compacted.
+    pub(crate) fn fill(mut counts: Vec<usize>, edges: &[(VId, VId)], mirror: bool) -> Self {
+        let n = counts.len() - 1;
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
         let mut targets = vec![0 as VId; counts[n]];
-        let mut cursor = counts.clone();
+        let mut cursor = counts[..n].to_vec();
         for &(u, v) in edges {
             if u != v {
                 targets[cursor[u as usize]] = v;
                 cursor[u as usize] += 1;
+                if mirror {
+                    targets[cursor[v as usize]] = u;
+                    cursor[v as usize] += 1;
+                }
             }
         }
+        drop(cursor);
         let mut csr = Csr { offsets: counts, targets };
         csr.sort_and_dedup();
         csr
@@ -90,26 +116,44 @@ impl Csr {
         Csr { offsets: vec![0; n + 1], targets: Vec::new() }
     }
 
+    /// Sorts every row and drops repeats, then closes the gaps. Rows are
+    /// sorted and deduplicated in place, [`ROW_CHUNK`] rows per parallel
+    /// task; the compaction is one serial pass that only moves each kept
+    /// prefix left.
     fn sort_and_dedup(&mut self) {
         let n = self.num_vertices();
-        let mut write = 0usize;
-        let mut new_offsets = vec![0usize; n + 1];
-        for v in 0..n {
-            let (start, end) = (self.offsets[v], self.offsets[v + 1]);
-            self.targets[start..end].sort_unstable();
-            let mut prev: Option<VId> = None;
-            for i in start..end {
-                let t = self.targets[i];
-                if prev != Some(t) {
-                    self.targets[write] = t;
-                    write += 1;
-                    prev = Some(t);
+        let Csr { offsets, targets } = self;
+        let mut kept = vec![0usize; n];
+        let mut tasks = Vec::with_capacity(n.div_ceil(ROW_CHUNK));
+        let mut rest: &mut [VId] = targets;
+        for (ci, kept) in kept.chunks_mut(ROW_CHUNK).enumerate() {
+            let rows = &offsets[ci * ROW_CHUNK..=ci * ROW_CHUNK + kept.len()];
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(rows[kept.len()] - rows[0]);
+            rest = tail;
+            tasks.push((rows, chunk, kept));
+        }
+        gnn_dm_par::par_chunks_mut(&mut tasks, 1, |_, task| {
+            for (rows, chunk, kept) in task {
+                let base = rows[0];
+                for (r, kept) in kept.iter_mut().enumerate() {
+                    let row = &mut chunk[rows[r] - base..rows[r + 1] - base];
+                    row.sort_unstable();
+                    *kept = dedup_sorted(row);
                 }
             }
-            new_offsets[v + 1] = write;
+        });
+
+        let mut write = 0usize;
+        for (v, &k) in kept.iter().enumerate() {
+            let start = offsets[v];
+            if start != write {
+                targets.copy_within(start..start + k, write);
+            }
+            offsets[v] = write;
+            write += k;
         }
-        self.targets.truncate(write);
-        self.offsets = new_offsets;
+        offsets[n] = write;
+        targets.truncate(write);
     }
 
     /// Number of vertices.
@@ -200,6 +244,38 @@ impl Csr {
     }
 }
 
+/// `counts[v + 1]` = the entries [`Csr::fill`] gives row `v` for `edges`
+/// over `n` vertices (self-loops skipped), checking every endpoint.
+fn row_counts(n: usize, edges: &[(VId, VId)], mirror: bool) -> Vec<usize> {
+    let mut counts = vec![0usize; n + 1];
+    for &(u, v) in edges {
+        assert!(
+            (u as usize) < n && (v as usize) < n,
+            "edge ({u}, {v}) out of range for {n} vertices"
+        );
+        if u != v {
+            counts[u as usize + 1] += 1;
+            if mirror {
+                counts[v as usize + 1] += 1;
+            }
+        }
+    }
+    counts
+}
+
+/// Moves the distinct values of the sorted `row` to its front, in order,
+/// and returns how many there are.
+fn dedup_sorted(row: &mut [VId]) -> usize {
+    let mut kept = 0usize;
+    for i in 0..row.len() {
+        if kept == 0 || row[i] != row[kept - 1] {
+            row[kept] = row[i];
+            kept += 1;
+        }
+    }
+    kept
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,6 +338,46 @@ mod tests {
         assert_eq!(csr.degree(1), 1);
         assert_eq!(csr.degree(3), 0);
         assert_eq!(csr.max_degree(), 3);
+    }
+
+    #[test]
+    fn undirected_build_mirrors() {
+        let csr = Csr::from_undirected_edges(3, &[(0, 1), (1, 2)]);
+        assert_eq!(csr.num_edges(), 4);
+        assert!(csr.is_symmetric());
+        assert_eq!(csr.neighbors(1), &[0, 2]);
+        let directed = Csr::from_edges(3, &[(0, 1), (1, 2)]);
+        assert!(!directed.is_symmetric());
+    }
+
+    #[test]
+    fn duplicate_undirected_edges_collapse() {
+        let csr = Csr::from_undirected_edges(2, &[(0, 1), (1, 0), (0, 1)]);
+        assert_eq!(csr.num_edges(), 2);
+        assert_eq!((csr.neighbors(0), csr.neighbors(1)), (&[1][..], &[0][..]));
+    }
+
+    #[test]
+    fn rows_past_one_chunk_sort_and_dedup_at_any_thread_count() {
+        // Rows spanning several `ROW_CHUNK`s, each listed backwards and
+        // twice, plus empty rows between them.
+        let n = 2 * ROW_CHUNK + 7;
+        let edges: Vec<(VId, VId)> = (0..n as VId)
+            .rev()
+            .flat_map(|u| [(u, (u * 7 + 1) % n as VId), (u, (u * 3 + 2) % n as VId)])
+            .filter(|&(u, _)| u % 5 != 0)
+            .flat_map(|e| [e, e])
+            .collect();
+        let serial = gnn_dm_par::with_threads(1, || Csr::from_undirected_edges(n, &edges));
+        let mut expect: Vec<(VId, VId)> =
+            edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).filter(|&(u, v)| u != v).collect();
+        expect.sort_unstable();
+        expect.dedup();
+        assert_eq!(serial.edges().collect::<Vec<_>>(), expect);
+        for threads in [2, 3] {
+            let got = gnn_dm_par::with_threads(threads, || Csr::from_undirected_edges(n, &edges));
+            assert_eq!(got, serial, "threads {threads}");
+        }
     }
 
     #[test]

@@ -101,9 +101,6 @@ pub fn parse_edge_list<R: BufRead>(
                 let du = dense(u, &mut id_map, &mut original_ids);
                 let dv = dense(v, &mut id_map, &mut original_ids);
                 edges.push((du, dv));
-                if options.symmetrize {
-                    edges.push((dv, du));
-                }
             }
             _ => {
                 return Err(ParseError::BadLine {
@@ -113,7 +110,11 @@ pub fn parse_edge_list<R: BufRead>(
             }
         }
     }
-    let csr = Csr::from_edges(original_ids.len(), &edges);
+    let csr = if options.symmetrize {
+        Csr::from_undirected_edges(original_ids.len(), &edges)
+    } else {
+        Csr::from_edges(original_ids.len(), &edges)
+    };
     Ok(ParsedEdgeList { csr, original_ids, skipped_lines: skipped })
 }
 

@@ -19,8 +19,7 @@
 //! numbers — the Box–Muller transform, the weighted-sampler lookups — fans
 //! out through `gnn-dm-par`.
 
-use crate::builder::GraphBuilder;
-use crate::csr::VId;
+use crate::csr::{Csr, VId};
 use crate::features::FeatureTable;
 use crate::mask::SplitMask;
 use crate::Graph;
@@ -69,14 +68,27 @@ pub fn zipf_weights(n: usize, alpha: f64, seed: u64) -> Vec<f64> {
     w
 }
 
+/// Guide-table buckets per item, before rounding the table up to a power
+/// of two.
+const BUCKETS_PER_ITEM: usize = 2;
+
 /// Cumulative-distribution sampler over non-negative weights.
 ///
-/// Draws are `O(log n)` via binary search on the prefix sums; building is
-/// `O(n)`. Used by every weighted generator in this module.
+/// A draw `r` selects the first item whose prefix sum exceeds
+/// `r * total` (the last item if none does). A guide table splits `[0, 1)`
+/// into `B` equal buckets, a power of two, and stores for each bucket
+/// boundary the index that boundary itself selects; a draw then searches
+/// only between its bucket's two entries — usually none or one item — so
+/// it costs `O(1)` on average instead of a binary search over every
+/// prefix sum. Building is `O(n)`. Used by every weighted generator in
+/// this module.
 #[derive(Debug, Clone)]
 pub struct WeightedSampler {
     cumulative: Vec<f64>,
     items: Vec<VId>,
+    /// `B + 1` entries: `guide[b]` is the number of prefix sums at most
+    /// `(b / B) * total`, so `guide[B]` is the item count.
+    guide: Vec<u32>,
 }
 
 impl WeightedSampler {
@@ -85,19 +97,34 @@ impl WeightedSampler {
     ///
     /// # Panics
     ///
-    /// Panics if the weights are empty or sum to zero.
+    /// Panics if the weights are empty, if one is negative or not finite,
+    /// or if they sum to zero or overflow to infinity.
     pub fn new(items: Vec<VId>, weights: &[f64]) -> Self {
         assert_eq!(items.len(), weights.len());
         assert!(!items.is_empty(), "cannot sample from an empty set");
+        assert!(items.len() < u32::MAX as usize, "too many items for a u32 guide table");
         let mut cumulative = Vec::with_capacity(weights.len());
         let mut total = 0.0;
         for &w in weights {
-            assert!(w >= 0.0, "weights must be non-negative");
+            assert!(w.is_finite() && w >= 0.0, "weights must be non-negative and finite");
             total += w;
             cumulative.push(total);
         }
+        assert!(total.is_finite(), "weights must sum to a finite total");
         assert!(total > 0.0, "weights must not all be zero");
-        WeightedSampler { cumulative, items }
+
+        let buckets = (items.len() * BUCKETS_PER_ITEM).next_power_of_two();
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut i = 0usize;
+        for b in 0..=buckets {
+            // `b / buckets` is exact: the bucket count is a power of two.
+            let x = b as f64 / buckets as f64 * total;
+            while i < cumulative.len() && cumulative[i] <= x {
+                i += 1;
+            }
+            guide.push(i as u32);
+        }
+        WeightedSampler { cumulative, items, guide }
     }
 
     /// Draws one item proportionally to its weight.
@@ -105,12 +132,21 @@ impl WeightedSampler {
         self.at(rng.random::<f64>())
     }
 
-    /// The item a uniform draw `r` in `[0, 1)` selects.
+    /// The item a uniform draw `r` in `[0, 1)` selects: the binary search
+    /// `partition_point(|&c| c <= r * total).min(len - 1)`, exactly.
+    ///
+    /// Scaling by the power-of-two bucket count is exact, so `r` lies in
+    /// `[b / B, (b + 1) / B)` for its bucket `b`, and rounding is monotone:
+    /// `r * total` falls between the two boundaries' products, so the
+    /// search's answer lies between `guide[b]` and `guide[b + 1]`.
     fn at(&self, r: f64) -> VId {
-        let total = self.cumulative.last().copied().unwrap_or(0.0);
+        let total = self.cumulative[self.cumulative.len() - 1];
         let x = r * total;
-        let idx = self.cumulative.partition_point(|&c| c <= x).min(self.items.len() - 1);
-        self.items[idx]
+        let buckets = self.guide.len() - 1;
+        let b = ((r * buckets as f64) as usize).min(buckets - 1);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        let idx = lo + self.cumulative[lo..hi].partition_point(|&c| c <= x);
+        self.items[idx.min(self.items.len() - 1)]
     }
 }
 
@@ -194,13 +230,19 @@ pub fn planted_partition(cfg: &PplConfig) -> Graph {
     let global = WeightedSampler::new((0..cfg.n as VId).collect(), &weights);
 
     let m = ((cfg.n as f64) * cfg.avg_degree / 2.0).round() as usize;
-    // Both directions are queued as each edge is placed, so the list is
-    // already symmetric and the build must not mirror it again.
-    let mut b = GraphBuilder::with_capacity(cfg.n, m * 2);
+    // Each placed pair is kept once, with both endpoints' row counts, and
+    // the mirrored build writes its two directions.
+    let mut pairs: Vec<(VId, VId)> = Vec::with_capacity(m);
+    let mut counts = vec![0usize; cfg.n + 1];
     place_edges(&mut rng, m, cfg.homophily, &labels, &global, &community_samplers, |u, v| {
-        b.add_undirected(u, v);
+        pairs.push((u, v));
+        counts[u as usize + 1] += 1;
+        counts[v as usize + 1] += 1;
     });
-    let out = b.build_directed();
+    // Freed before the build, so they do not sit beside its target array.
+    drop((global, community_samplers));
+    let out = Csr::fill(counts, &pairs, true);
+    drop(pairs);
     let inn = out.clone(); // symmetric
 
     // Deferred: the table has its own stream, so drawing it on first read
@@ -397,6 +439,77 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let draws = (0..10_000).filter(|_| s.sample(&mut rng) == 1).count();
         assert!((draws as f64 / 10_000.0 - 0.9).abs() < 0.03, "p(1) = {}", draws as f64 / 10_000.0);
+    }
+
+    /// The binary search the guide table replaced.
+    fn searched(s: &WeightedSampler, r: f64) -> VId {
+        let x = r * s.cumulative[s.cumulative.len() - 1];
+        s.items[s.cumulative.partition_point(|&c| c <= x).min(s.items.len() - 1)]
+    }
+
+    #[test]
+    fn guide_lookup_is_the_binary_search() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let ramp = |n: usize| (1..=n).map(|i| i as f64).collect::<Vec<f64>>();
+        let with_zeros = |at: usize| {
+            let mut w = ramp(40);
+            w[at..at + 7].fill(0.0);
+            w
+        };
+        let mut dominant = vec![1.0; 50];
+        dominant[17] = 1e12;
+        let weight_sets = [
+            zipf_weights(3000, 0.9, 3),
+            zipf_weights(777, 0.0, 4),
+            (0..500).map(|_| rng.random::<f64>() * 3.0).collect(),
+            with_zeros(0),
+            with_zeros(20),
+            with_zeros(33),
+            dominant,
+            vec![0.25; 64],
+            vec![2.5],
+        ];
+        for weights in &weight_sets {
+            let items: Vec<VId> = (0..weights.len() as VId).map(|i| i * 3 + 1).collect();
+            let s = WeightedSampler::new(items, weights);
+            let buckets = s.guide.len() - 1;
+            let mut rs = vec![0.0, 1.0 - f64::EPSILON / 2.0, f64::MIN_POSITIVE, 1e-300];
+            // Every bucket boundary and the float just below it.
+            for b in 1..buckets {
+                let edge = b as f64 / buckets as f64;
+                rs.extend([edge, f64::from_bits(edge.to_bits() - 1)]);
+            }
+            // Every prefix sum's own draw and its neighbours, where `<=`
+            // and `<` part ways.
+            let total = s.cumulative[s.cumulative.len() - 1];
+            for &c in &s.cumulative {
+                let r = c / total;
+                rs.extend([r, f64::from_bits(r.to_bits() + 1)]);
+                if r > 0.0 {
+                    rs.push(f64::from_bits(r.to_bits() - 1));
+                }
+            }
+            rs.retain(|r| *r < 1.0);
+            rs.extend((0..20_000).map(|_| rng.random::<f64>()));
+            // Any bit pattern below 1.0, off the 2^-53 grid too.
+            rs.extend((0..20_000).map(|_| f64::from_bits(rng.next_u64() % 1.0f64.to_bits())));
+            for r in rs {
+                assert!((0.0..1.0).contains(&r), "{r}");
+                assert_eq!(s.at(r), searched(&s, r), "r = {r:e}, {} weights", weights.len());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn weighted_sampler_rejects_an_infinite_weight() {
+        let _ = WeightedSampler::new(vec![0, 1], &[f64::INFINITY, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite total")]
+    fn weighted_sampler_rejects_an_overflowing_total() {
+        let _ = WeightedSampler::new(vec![0, 1], &[1e308, 1e308]);
     }
 
     /// A replayed `next_u64` sequence: `split_seed(0, k)` for draw `k`,

@@ -4,9 +4,8 @@
 //! This crate provides everything the evaluation needs from the graph side:
 //!
 //! * [`Csr`] — compressed sparse row adjacency, the storage format shared by
-//!   every other crate in the workspace;
-//! * [`builder::GraphBuilder`] — edge-list ingestion with deduplication and
-//!   optional symmetrization;
+//!   every other crate in the workspace, built from directed or undirected
+//!   edge lists with deduplication;
 //! * [`Graph`] — a labelled, feature-carrying graph with train/val/test
 //!   splits, the unit every experiment operates on;
 //! * [`generate`] — the synthetic planted-partition power-law generator
@@ -20,7 +19,6 @@
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
-pub mod builder;
 pub mod components;
 pub mod csr;
 pub mod datasets;
@@ -33,7 +31,6 @@ pub mod relabel;
 pub mod stats;
 pub mod traversal;
 
-pub use builder::GraphBuilder;
 pub use csr::{Csr, VId};
 pub use features::{FeatureRows, FeatureTable};
 pub use mask::{Split, SplitMask};

@@ -4,7 +4,7 @@ use gnn_dm_graph::csr::{Csr, VId};
 use gnn_dm_graph::generate::{planted_partition, zipf_weights, PplConfig, WeightedSampler};
 use gnn_dm_graph::stats;
 use gnn_dm_graph::traversal;
-use gnn_dm_graph::{GraphBuilder, SplitMask};
+use gnn_dm_graph::SplitMask;
 use proptest::prelude::*;
 
 fn arb_edges() -> impl Strategy<Value = (usize, Vec<(VId, VId)>)> {
@@ -17,21 +17,17 @@ fn arb_edges() -> impl Strategy<Value = (usize, Vec<(VId, VId)>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Builder symmetrization really is symmetric and idempotent.
+    /// A mirrored build really is symmetric and idempotent, and equals the
+    /// directed build of the list with every edge also reversed.
     #[test]
-    fn builder_symmetrize((n, edges) in arb_edges()) {
-        let mut b = GraphBuilder::new(n);
-        for &(u, v) in &edges {
-            b.add_edge(u, v);
-        }
-        let sym = b.build_symmetric();
+    fn undirected_build_is_symmetric((n, edges) in arb_edges()) {
+        let sym = Csr::from_undirected_edges(n, &edges);
         prop_assert!(sym.is_symmetric());
         // Symmetrizing again changes nothing.
-        let mut b2 = GraphBuilder::new(n);
-        for (u, v) in sym.edges() {
-            b2.add_edge(u, v);
-        }
-        prop_assert_eq!(b2.build_symmetric(), sym);
+        let again: Vec<(VId, VId)> = sym.edges().collect();
+        prop_assert_eq!(&Csr::from_undirected_edges(n, &again), &sym);
+        let both: Vec<(VId, VId)> = edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
+        prop_assert_eq!(Csr::from_edges(n, &both), sym);
     }
 
     /// Degree sum equals edge count; has_edge agrees with the edge iterator.

@@ -205,20 +205,19 @@ impl MiniBatch {
 ///
 /// The batch builders look up and assign block-local indices for every
 /// sampled vertex; a tree map pays an allocation per node and a pointer
-/// chase per probe, every batch. This map instead keeps two flat arrays
-/// indexed by vertex id — a payload and a generation stamp — so a probe is
-/// one compare and "clear" is a generation bump ([`DenseMap::begin`],
-/// O(1)). The arrays grow lazily to the largest id touched and are then
-/// recycled for every subsequent batch by the scratch arenas in
-/// [`crate::sampler::SampleScratch`].
+/// chase per probe, every batch. This map instead keeps one flat array
+/// indexed by vertex id of `(generation stamp, payload)` pairs, so a probe
+/// is one compare on one cache line and "clear" is a generation bump
+/// ([`DenseMap::begin`], O(1)). The array grows lazily to the largest id
+/// touched and is then recycled for every subsequent batch by the scratch
+/// arenas in [`crate::sampler::SampleScratch`].
 ///
 /// Behavior is identical to a fresh map per batch: an entry is visible
 /// only when its stamp equals the current generation, and the stamp space
 /// is wiped on the (u32) generation wraparound.
 #[derive(Debug, Default)]
 pub(crate) struct DenseMap {
-    stamp: Vec<u32>,
-    val: Vec<u32>,
+    slots: Vec<(u32, u32)>,
     gen: u32,
 }
 
@@ -227,7 +226,7 @@ impl DenseMap {
     /// `gen` starts at 0, which no stamp can match after this runs.
     pub(crate) fn begin(&mut self) {
         if self.gen == u32::MAX {
-            self.stamp.fill(0);
+            self.slots.fill((0, 0));
             self.gen = 1;
         } else {
             self.gen += 1;
@@ -235,18 +234,18 @@ impl DenseMap {
     }
 
     pub(crate) fn get(&self, v: VId) -> Option<u32> {
-        let i = v as usize;
-        (self.stamp.get(i) == Some(&self.gen)).then(|| self.val[i])
+        match self.slots.get(v as usize) {
+            Some(&(stamp, x)) if stamp == self.gen => Some(x),
+            _ => None,
+        }
     }
 
     pub(crate) fn insert(&mut self, v: VId, x: u32) {
         let i = v as usize;
-        if i >= self.stamp.len() {
-            self.stamp.resize(i + 1, 0);
-            self.val.resize(i + 1, 0);
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, (0, 0));
         }
-        self.stamp[i] = self.gen;
-        self.val[i] = x;
+        self.slots[i] = (self.gen, x);
     }
 }
 

@@ -471,6 +471,7 @@ fn assemble_blocks(
             DrawRng::Stream(_) => 0, // unused
         };
         for (d_local, &d) in dst_ids.iter().enumerate() {
+            prefetch_row(in_csr, &dst_ids, d_local);
             let mut derived;
             let rng: &mut StdRng = match &mut draws {
                 DrawRng::Stream(rng) => rng,
@@ -502,6 +503,46 @@ fn assemble_blocks(
     let mb = MiniBatch { blocks: blocks_rev, seeds: seeds_dedup };
     debug_assert!(mb.validate().is_ok(), "{:?}", mb.validate());
     mb
+}
+
+/// How many destinations ahead [`assemble_blocks`] prefetches a row's
+/// offset, and then its first targets: the offset's line has arrived by
+/// the time the nearer prefetch reads it.
+const PREFETCH_OFFSET_AHEAD: usize = 16;
+/// See [`PREFETCH_OFFSET_AHEAD`].
+const PREFETCH_TARGETS_AHEAD: usize = 8;
+
+/// Starts the loads of the CSR rows the draw loop reaches soon: the offset
+/// of the destination [`PREFETCH_OFFSET_AHEAD`] places after `d_local`, and
+/// the first two target lines of the one [`PREFETCH_TARGETS_AHEAD`] places
+/// after it. A hint only, so every value is the same with or without it.
+#[inline(always)]
+fn prefetch_row(csr: &Csr, dst_ids: &[VId], d_local: usize) {
+    let offsets = csr.offsets();
+    if let Some(&v) = dst_ids.get(d_local + PREFETCH_OFFSET_AHEAD) {
+        prefetch(&offsets[v as usize]);
+    }
+    if let Some(&v) = dst_ids.get(d_local + PREFETCH_TARGETS_AHEAD) {
+        let row = &csr.targets()[offsets[v as usize]..offsets[v as usize + 1]];
+        for line in row.chunks(64 / std::mem::size_of::<VId>()).take(2) {
+            prefetch(&line[0]);
+        }
+    }
+}
+
+/// Asks the cache for the line holding `*x`; a no-op off x86-64.
+#[inline(always)]
+fn prefetch<T>(x: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` needs SSE, which every x86-64 target has. It
+    // is a hint that reads and writes nothing and cannot fault, and its
+    // pointer comes from a live reference anyway.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((x as *const T).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = x;
 }
 
 /// Layer-wise sampling (FastGCN-style): each layer keeps a fixed *budget* of

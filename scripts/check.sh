@@ -41,6 +41,9 @@ RUSTFLAGS="${clippy_rustflags}" cargo clippy --workspace --all-targets -q --targ
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> full-size generator pins (release, topology only: the benchmark's four graphs and a 200 000-vertex LiveJournal stand-in equal the serial generator's at 1 and 3 threads; ignored in the debug suite for their run time)"
+cargo test --release -q --test par_equivalence full_size -- --ignored
+
 echo "==> cargo doc (rustdoc warnings are errors: a doc link to a deleted or private item fails here)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -15,7 +15,7 @@ use gnn_dm::device::pipeline::{BatchStageTimes, PipelineMode};
 use gnn_dm::faults::{FaultPlan, ResiliencePolicy};
 use gnn_dm::graph::csr::{Csr, VId};
 use gnn_dm::graph::generate::{zipf_weights, PplConfig};
-use gnn_dm::graph::{FeatureTable, Graph, GraphBuilder, SplitMask};
+use gnn_dm::graph::{FeatureTable, Graph, SplitMask};
 use gnn_dm::par::split_seed;
 use gnn_dm::sampling::{BatchSelection, Block, MiniBatch, NeighborSampler};
 use gnn_dm::trace::units::Seconds;
@@ -194,26 +194,14 @@ pub fn seed_epoch_batches(
 }
 
 /// The serial `planted_partition` the parallel one replaced: one loop over
-/// edge attempts drawing straight off the stream, `add_undirected` then
-/// `build_symmetric` (which mirrors the list a second time), and one
-/// Box–Muller draw per feature element in row-major order. The weighted
-/// lookups and the normal transform are written out here; it shares only
-/// `zipf_weights`, the builder and `SplitMask::paper_default` with the live
-/// generator, whose output it must equal bit for bit.
+/// edge attempts drawing straight off the stream, each weighted pick a
+/// binary search over prefix sums, the CSR read off a `BTreeSet` of both
+/// directions of every placed pair, and one Box–Muller draw per feature
+/// element in row-major order. It shares only `zipf_weights`,
+/// `Csr::from_parts` (which checks the rows are sorted and duplicate-free)
+/// and `SplitMask::paper_default` with the live generator, whose output it
+/// must equal bit for bit.
 pub fn seed_planted_partition(cfg: &PplConfig) -> Graph {
-    fn cumulative(weights: impl Iterator<Item = f64>) -> Vec<f64> {
-        let mut total = 0.0;
-        weights
-            .map(|w| {
-                total += w;
-                total
-            })
-            .collect()
-    }
-    fn pick(items: &[VId], cumulative: &[f64], rng: &mut StdRng) -> VId {
-        let x = rng.random::<f64>() * cumulative.last().copied().unwrap_or(0.0);
-        items[cumulative.partition_point(|&c| c <= x).min(items.len() - 1)]
-    }
     fn normal(rng: &mut StdRng) -> f64 {
         loop {
             let u1: f64 = rng.random::<f64>();
@@ -225,39 +213,7 @@ pub fn seed_planted_partition(cfg: &PplConfig) -> Graph {
         }
     }
 
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut labels: Vec<u32> = (0..cfg.n).map(|i| (i % cfg.num_classes) as u32).collect();
-    labels.shuffle(&mut rng);
-    let weights = zipf_weights(cfg.n, cfg.skew, cfg.seed ^ 0x9e37_79b9);
-    let mut members: Vec<Vec<VId>> = vec![Vec::new(); cfg.num_classes];
-    for (v, &l) in labels.iter().enumerate() {
-        members[l as usize].push(v as VId);
-    }
-    let member_cdfs: Vec<Vec<f64>> =
-        members.iter().map(|m| cumulative(m.iter().map(|&v| weights[v as usize]))).collect();
-    let everyone: Vec<VId> = (0..cfg.n as VId).collect();
-    let global_cdf = cumulative(weights.iter().copied());
-
-    let m = ((cfg.n as f64) * cfg.avg_degree / 2.0).round() as usize;
-    let mut b = GraphBuilder::with_capacity(cfg.n, m * 2);
-    let (mut placed, mut attempts) = (0usize, 0usize);
-    while placed < m && attempts < m * 20 {
-        attempts += 1;
-        let u = pick(&everyone, &global_cdf, &mut rng);
-        let v = if rng.random::<f64>() < cfg.homophily {
-            let c = labels[u as usize] as usize;
-            pick(&members[c], &member_cdfs[c], &mut rng)
-        } else {
-            pick(&everyone, &global_cdf, &mut rng)
-        };
-        if u == v {
-            continue;
-        }
-        b.add_undirected(u, v);
-        placed += 1;
-    }
-    let out = b.build_symmetric();
-
+    let (out, labels) = seed_planted_topology(cfg);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5151_5151);
     let centroids: Vec<Vec<f32>> = (0..cfg.num_classes)
         .map(|_| (0..cfg.feat_dim).map(|_| normal(&mut rng) as f32).collect())
@@ -277,4 +233,67 @@ pub fn seed_planted_partition(cfg: &PplConfig) -> Graph {
         num_classes: cfg.num_classes,
         split: SplitMask::paper_default(cfg.n, cfg.seed ^ 0xabcd),
     }
+}
+
+/// The adjacency and labels of [`seed_planted_partition`], without the
+/// feature table: what the full-size pins compare.
+pub fn seed_planted_topology(cfg: &PplConfig) -> (Csr, Vec<u32>) {
+    fn cumulative(weights: impl Iterator<Item = f64>) -> Vec<f64> {
+        let mut total = 0.0;
+        weights
+            .map(|w| {
+                total += w;
+                total
+            })
+            .collect()
+    }
+    fn pick(items: &[VId], cumulative: &[f64], rng: &mut StdRng) -> VId {
+        let x = rng.random::<f64>() * cumulative.last().copied().unwrap_or(0.0);
+        items[cumulative.partition_point(|&c| c <= x).min(items.len() - 1)]
+    }
+
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut labels: Vec<u32> = (0..cfg.n).map(|i| (i % cfg.num_classes) as u32).collect();
+    labels.shuffle(&mut rng);
+    let weights = zipf_weights(cfg.n, cfg.skew, cfg.seed ^ 0x9e37_79b9);
+    let mut members: Vec<Vec<VId>> = vec![Vec::new(); cfg.num_classes];
+    for (v, &l) in labels.iter().enumerate() {
+        members[l as usize].push(v as VId);
+    }
+    let member_cdfs: Vec<Vec<f64>> =
+        members.iter().map(|m| cumulative(m.iter().map(|&v| weights[v as usize]))).collect();
+    let everyone: Vec<VId> = (0..cfg.n as VId).collect();
+    let global_cdf = cumulative(weights.iter().copied());
+
+    let m = ((cfg.n as f64) * cfg.avg_degree / 2.0).round() as usize;
+    let mut edges: BTreeSet<(VId, VId)> = BTreeSet::new();
+    let (mut placed, mut attempts) = (0usize, 0usize);
+    while placed < m && attempts < m * 20 {
+        attempts += 1;
+        let u = pick(&everyone, &global_cdf, &mut rng);
+        let v = if rng.random::<f64>() < cfg.homophily {
+            let c = labels[u as usize] as usize;
+            pick(&members[c], &member_cdfs[c], &mut rng)
+        } else {
+            pick(&everyone, &global_cdf, &mut rng)
+        };
+        if u == v {
+            continue;
+        }
+        edges.insert((u, v));
+        edges.insert((v, u));
+        placed += 1;
+    }
+
+    // The set iterates in (source, target) order: rows in order, each
+    // sorted and duplicate-free.
+    let mut offsets = vec![0usize; cfg.n + 1];
+    for &(u, _) in &edges {
+        offsets[u as usize + 1] += 1;
+    }
+    for v in 0..cfg.n {
+        offsets[v + 1] += offsets[v];
+    }
+    let targets: Vec<VId> = edges.iter().map(|&(_, v)| v).collect();
+    (Csr::from_parts(offsets, targets), labels)
 }

@@ -420,6 +420,56 @@ fn planted_partition_bitwise_equal_across_thread_counts() {
     }
 }
 
+/// The benchmark's four graphs at full size, topology only (their feature
+/// tables stay deferred): `mb_wide`'s Reddit 5 000 at degree 15, `mb_deep`'s
+/// Products 20 000 at degree 30, `cluster_epoch`'s Products 20 000 and
+/// `hetero_transfer`'s LiveJournal 40 000. Both CSRs, the labels and the
+/// split equal the serial generator's at 1 and 3 threads. Ignored in the
+/// debug suite for its run time; `scripts/check.sh` runs it in release.
+#[test]
+#[ignore = "full size; scripts/check.sh runs it in release"]
+fn planted_partition_full_size_topology_matches_the_serial_generator() {
+    use gnn_dm::graph::datasets::{DatasetId, DatasetSpec};
+    let trained = |id, n, avg_degree| {
+        let mut cfg = DatasetSpec::get(id).scaled_config(n, 42);
+        cfg.num_classes = cfg.num_classes.min(16);
+        PplConfig { avg_degree, homophily: 0.60, ..cfg }
+    };
+    for cfg in [
+        trained(DatasetId::Reddit, 5_000, 15.0),
+        trained(DatasetId::OgbProducts, 20_000, 30.0),
+        DatasetSpec::get(DatasetId::OgbProducts).scaled_config(20_000, 42),
+        DatasetSpec::get(DatasetId::LiveJournal).scaled_config(40_000, 42),
+    ] {
+        assert_topology_matches_the_serial_generator(&cfg);
+    }
+}
+
+/// [`planted_partition_full_size_topology_matches_the_serial_generator`]
+/// for one 200 000-vertex LiveJournal stand-in: guide tables and row
+/// chunks many times the benchmark graphs' sizes.
+#[test]
+#[ignore = "full size; scripts/check.sh runs it in release"]
+fn planted_partition_full_size_200k_livejournal_matches_the_serial_generator() {
+    use gnn_dm::graph::datasets::{DatasetId, DatasetSpec};
+    let cfg = DatasetSpec::get(DatasetId::LiveJournal).scaled_config(200_000, 42);
+    assert_topology_matches_the_serial_generator(&cfg);
+}
+
+fn assert_topology_matches_the_serial_generator(cfg: &PplConfig) {
+    let (oracle, labels) = common::seed_planted_topology(cfg);
+    for n in [1, 3] {
+        let g = with_threads(n, || planted_partition(cfg));
+        assert!(!g.features.is_materialized(), "topology pins must not draw the feature table");
+        assert!(g.out == oracle && g.inn == oracle, "threads={n}: {cfg:?} adjacency diverged");
+        assert!(g.labels == labels, "threads={n}: {cfg:?} labels diverged");
+        assert!(
+            g.split == gnn_dm::graph::SplitMask::paper_default(cfg.n, cfg.seed ^ 0xabcd),
+            "threads={n}: {cfg:?} split diverged"
+        );
+    }
+}
+
 /// Multilevel partitioning: parallel matching proposals, the two-pass
 /// parallel level builder and speculate-validate refinement must reproduce
 /// the serial assignment exactly for every constraint variant and for the

@@ -25,7 +25,7 @@ use gnn_dm::faults::{
 };
 use gnn_dm::graph::csr::Csr;
 use gnn_dm::graph::generate::{planted_partition, PplConfig};
-use gnn_dm::graph::{io, GraphBuilder, SplitMask};
+use gnn_dm::graph::{io, SplitMask};
 use gnn_dm::harness::{Axis, Grid, GridSpec, Registry};
 use gnn_dm::nn::{AggKind, GnnModel};
 use gnn_dm::partition::{partition_graph, PartitionMethod};
@@ -48,8 +48,8 @@ fn empty_and_singleton_graphs() {
 
     let single = Csr::empty(1);
     assert_eq!(single.neighbors(0), &[] as &[u32]);
-    let b = GraphBuilder::new(1);
-    assert_eq!(b.build_symmetric().num_edges(), 0);
+    assert_eq!(Csr::from_undirected_edges(1, &[]).num_edges(), 0);
+    assert_eq!(Csr::from_undirected_edges(1, &[(0, 0)]).num_edges(), 0);
 }
 
 /// A zero-width feature table is a table of empty rows, one per vertex:
