@@ -25,7 +25,7 @@ use gnn_dm_graph::{Graph, SplitMask};
 use gnn_dm_harness::{Axis, ClusterExperiment, ClusterRun, Grid, GridSpec, Registry, SystemConfig};
 use gnn_dm_sampling::epoch::EpochPlan;
 
-use crate::{labelled_graphs, SCALE_LOAD};
+use crate::{named_graphs, one_graph, LABELLED, SCALE_LOAD};
 
 /// One experiment of the suite.
 pub struct Experiment {
@@ -351,7 +351,7 @@ fn for_each_cluster_run(
     mut visit: impl FnMut(&'static str, &ClusterExperiment<'_>, &SystemConfig, &ClusterRun),
 ) {
     let configs = partitioner_sweep(cluster4());
-    for (name, g) in labelled_graphs(SCALE_LOAD, 42) {
+    for (name, g) in named_graphs(&LABELLED, |id| one_graph(id, SCALE_LOAD, 42)) {
         let exp = ClusterExperiment::paper(&g);
         for cfg in &configs {
             visit(name, &exp, cfg, &exp.run(cfg));

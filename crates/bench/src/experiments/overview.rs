@@ -13,7 +13,7 @@ use gnn_dm_nn::{AggKind, GnnModel};
 use gnn_dm_partition::PartitionMethod;
 
 use super::{config, with_prep};
-use crate::{labelled_graphs, SCALE_LOAD};
+use crate::{named_graphs, one_graph, LABELLED, SCALE_LOAD};
 
 fn platform_name(p: Platform) -> &'static str {
     match p {
@@ -140,7 +140,7 @@ pub fn fig2_breakdown() {
         "nn_compute",
         "epoch_s",
     ]);
-    for (name, g) in labelled_graphs(SCALE_LOAD, 42) {
+    for (name, g) in named_graphs(&LABELLED, |id| one_graph(id, SCALE_LOAD, 42)) {
         let workloads = [
             ("GNN (GCN 2-layer)", gnn_breakdown(&g, batch, fanouts.clone())),
             ("DNN (MLP 2-layer)", dnn_breakdown(&g, batch, 128)),

@@ -11,7 +11,7 @@ use gnn_dm_harness::{ClusterExperiment, ClusterRun, GridSpec, SystemConfig, Trai
 use super::{
     best_acc, cluster4, dataset_name, for_each_cluster_run, partitioner_sweep, time_to, with_prep,
 };
-use crate::{labelled_graphs_slim, one_graph_slim, SCALE_LOAD, SCALE_TRAIN, TRAIN_FEAT_DIM};
+use crate::{named_graphs, one_graph_slim, LABELLED, SCALE_LOAD, SCALE_TRAIN, TRAIN_FEAT_DIM};
 
 /// Figure 4 — per-machine computational load under the six partitioning
 /// methods.
@@ -100,7 +100,7 @@ pub fn fig6_part_time() {
         "train_s(model)",
         "partition_share",
     ]);
-    for (name, g) in labelled_graphs_slim(SCALE_LOAD, 42) {
+    for (name, g) in named_graphs(&LABELLED, |id| one_graph_slim(id, SCALE_LOAD, TRAIN_FEAT_DIM, 42)) {
         let exp = ClusterExperiment::paper(&g);
         for cfg in &configs {
             // Time the partitioner build itself; the rest of the run is

@@ -8,7 +8,7 @@ use gnn_dm_graph::SplitMask;
 use gnn_dm_harness::{Axis, GridSpec};
 
 use super::{config, dataset_name, sparse_train_split, sweep, with_prep};
-use crate::{one_graph, transfer_graphs, SCALE_TRANSFER};
+use crate::{named_graphs, one_graph, SCALE_TRANSFER, UNLABELLED};
 
 /// Figure 13 — stacked data-transfer optimizations: Baseline (extract-load,
 /// sequential), +Z (zero-copy), +Z+P (zero-copy + pipelining).
@@ -26,7 +26,7 @@ pub fn fig13_transfer_opts() {
     let mut table = Table::new(&["dataset", "config", "epoch_s", "speedup_vs_baseline"]);
     let mut gains_z = Vec::new();
     let mut gains_zp = Vec::new();
-    for (name, g) in transfer_graphs(SCALE_TRANSFER, 42) {
+    for (name, g) in named_graphs(&UNLABELLED, |id| one_graph(id, SCALE_TRANSFER, 42)) {
         let times: Vec<f64> =
             configs.iter().map(|cfg| cfg.hetero_trainer(&g).run_epoch_model(0).makespan).collect();
         let (base, z, zp) = (times[0], times[1], times[2]);
@@ -63,7 +63,7 @@ pub fn fig14_pipeline_ablation() {
     );
     let mut table = Table::new(&["dataset", "mode", "epoch_s", "speedup"]);
     let mut frac_table = Table::new(&["dataset", "bp_busy", "dt_busy", "nn_busy"]);
-    for (name, g) in transfer_graphs(SCALE_TRANSFER, 42) {
+    for (name, g) in named_graphs(&UNLABELLED, |id| one_graph(id, SCALE_TRANSFER, 42)) {
         let times: Vec<_> = configs
             .iter()
             .map(|cfg| (cfg.transfer.pipeline(), cfg.hetero_trainer(&g).run_epoch_model(0)))

@@ -24,20 +24,23 @@ pub const SCALE_TRANSFER: usize = 20_000;
 /// transfer experiments keep each dataset's real width).
 pub const TRAIN_FEAT_DIM: usize = 64;
 
-/// The labelled datasets used by §5/§6 (Reddit, OGB-Arxiv, OGB-Products,
-/// Amazon), scaled.
-pub fn labelled_graphs(scale: usize, seed: u64) -> Vec<(&'static str, Graph)> {
-    [DatasetId::Reddit, DatasetId::OgbArxiv, DatasetId::OgbProducts, DatasetId::Amazon]
-        .into_iter()
-        .map(|id| {
-            let spec = DatasetSpec::get(id);
-            (spec.name, spec.generate_scaled(scale, seed))
-        })
-        .collect()
+/// The labelled datasets used by §5/§6.
+pub(crate) const LABELLED: [DatasetId; 4] =
+    [DatasetId::Reddit, DatasetId::OgbArxiv, DatasetId::OgbProducts, DatasetId::Amazon];
+
+/// The large unlabelled datasets used by the §7 transfer experiments.
+pub(crate) const UNLABELLED: [DatasetId; 4] =
+    [DatasetId::LiveJournal, DatasetId::LjLarge, DatasetId::LjLinks, DatasetId::EnwikiLinks];
+
+/// Each dataset of `ids` by name, with the graph `build(id)` makes for it.
+pub(crate) fn named_graphs(
+    ids: &[DatasetId],
+    build: impl Fn(DatasetId) -> Graph,
+) -> Vec<(&'static str, Graph)> {
+    ids.iter().map(|&id| (DatasetSpec::get(id).name, build(id))).collect()
 }
 
-/// The labelled datasets in the *hard training regime* used by the
-/// convergence experiments.
+/// The hard-regime generator configuration for one dataset.
 ///
 /// Scaled-down planted partitions are far easier than the real datasets (a
 /// 2-layer GCN saturates in one epoch), which would hide every batch-size /
@@ -45,18 +48,6 @@ pub fn labelled_graphs(scale: usize, seed: u64) -> Vec<(&'static str, Graph)> {
 /// feature noise and lowers homophily until the learning curves span the
 /// experiment horizon, restoring the phenomenology: accuracy in the 0.7–0.9
 /// band after ~15 epochs, visible convergence-speed differences.
-pub fn labelled_graphs_slim(scale: usize, seed: u64) -> Vec<(&'static str, Graph)> {
-    [DatasetId::Reddit, DatasetId::OgbArxiv, DatasetId::OgbProducts, DatasetId::Amazon]
-        .into_iter()
-        .map(|id| {
-            let spec = DatasetSpec::get(id);
-            (spec.name, gnn_dm_graph::generate::planted_partition(&hard_config(spec, scale, seed)))
-        })
-        .collect()
-}
-
-/// The hard-regime generator configuration for one dataset (see
-/// [`labelled_graphs_slim`]).
 pub fn hard_config(spec: &DatasetSpec, scale: usize, seed: u64) -> gnn_dm_graph::generate::PplConfig {
     let mut cfg = spec.scaled_config(scale, seed);
     cfg.feat_dim = TRAIN_FEAT_DIM;
@@ -65,18 +56,6 @@ pub fn hard_config(spec: &DatasetSpec, scale: usize, seed: u64) -> gnn_dm_graph:
     cfg.homophily = 0.60;
     cfg.feat_noise = 10.0;
     cfg
-}
-
-/// The large unlabelled datasets used by the §7 transfer experiments
-/// (LiveJournal, Lj-large, Lj-links, Enwiki-links), scaled.
-pub fn transfer_graphs(scale: usize, seed: u64) -> Vec<(&'static str, Graph)> {
-    [DatasetId::LiveJournal, DatasetId::LjLarge, DatasetId::LjLinks, DatasetId::EnwikiLinks]
-        .into_iter()
-        .map(|id| {
-            let spec = DatasetSpec::get(id);
-            (spec.name, spec.generate_scaled(scale, seed))
-        })
-        .collect()
 }
 
 /// One scaled graph by dataset id.
@@ -107,17 +86,17 @@ mod tests {
 
     #[test]
     fn graph_sets_have_expected_members() {
-        let l = labelled_graphs(500, 1);
+        let l = named_graphs(&LABELLED, |id| one_graph(id, 500, 1));
         assert_eq!(l.len(), 4);
         assert_eq!(l[0].0, "Reddit");
-        let t = transfer_graphs(500, 1);
+        let t = named_graphs(&UNLABELLED, |id| one_graph(id, 500, 1));
         assert_eq!(t.len(), 4);
         assert!(t.iter().all(|(_, g)| g.feat_dim() == 600));
     }
 
     #[test]
     fn slim_graphs_use_reduced_features() {
-        let l = labelled_graphs_slim(500, 1);
+        let l = named_graphs(&LABELLED, |id| one_graph_slim(id, 500, TRAIN_FEAT_DIM, 1));
         assert!(l.iter().all(|(_, g)| g.feat_dim() == TRAIN_FEAT_DIM));
     }
 }

@@ -19,7 +19,7 @@
 //! exhaustive `match` in [`ledger_of`]; every `*_from_spans` reduction
 //! selects through it.
 
-use gnn_dm_trace::convert::usize_of_u32;
+use gnn_dm_trace::convert::{usize_of_u32, usize_of_u64_sat};
 use gnn_dm_trace::units::Bytes;
 use gnn_dm_trace::{Resource, SpanKind, Timeline};
 use std::iter::Sum;
@@ -129,8 +129,8 @@ impl<'a, T: Copy + Sum + Into<u64>, const C: usize> WorkerLedger<'a, T, C> {
 
     /// Max-over-average imbalance of per-worker totals.
     pub fn imbalance(&self) -> f64 {
-        let totals: Vec<u64> = self.totals().into_iter().map(Into::into).collect();
-        imbalance_u64(&totals)
+        let totals: Vec<usize> = self.totals().into_iter().map(|t| usize_of_u64_sat(t.into())).collect();
+        gnn_dm_partition::metrics::imbalance(&totals)
     }
 }
 
@@ -364,23 +364,6 @@ fn bytes_by_worker(tl: &Timeline, k: usize, ledger: Ledger) -> Vec<u64> {
         }
     }
     out.into_iter().map(u64::from).collect()
-}
-
-fn imbalance_u64(xs: &[u64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    let max = xs.iter().max().copied().unwrap_or(0) as f64;
-    let avg = xs.iter().sum::<u64>() as f64 / xs.len() as f64;
-    if avg == 0.0 {
-        if max == 0.0 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        max / avg
-    }
 }
 
 #[cfg(test)]

@@ -186,11 +186,11 @@ impl FeatureCache {
 
     /// Hit rate over everything filtered so far (0 when nothing seen).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
+        match self.hits.checked_add(self.misses) {
+            Some(0) => 0.0,
+            Some(total) => self.hits as f64 / total as f64,
+            // Saturated counters: the sum exceeds u64, so take it in f64.
+            None => self.hits as f64 / (self.hits as f64 + self.misses as f64),
         }
     }
 
@@ -287,6 +287,20 @@ mod tests {
         assert_eq!(m.filter_misses(&[0, 1, 2, 0]), cls.misses);
         assert_eq!(m.hits(), cls.hit_count);
         assert_eq!(m.misses(), cls.miss_count);
+    }
+
+    /// The counters saturate, so their sum may not fit a `u64`.
+    #[test]
+    fn hit_rate_survives_saturated_counters() {
+        let mut c = FeatureCache::disabled(3);
+        c.record(3, 1);
+        assert_eq!(c.hit_rate(), 0.75);
+        c.record(u64::MAX, 0);
+        c.record(0, 1);
+        assert_eq!(c.hits(), u64::MAX);
+        assert_eq!(c.hit_rate(), 1.0);
+        c.record(0, u64::MAX);
+        assert_eq!(c.hit_rate(), 0.5);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 ///
 /// A table from [`crate::generate::planted_partition`] is *deferred*: its
 /// values are drawn the first time one is read ([`Self::row`],
-/// [`Self::as_slice`], [`Self::view`], [`Self::gather`], [`Self::row_mut`]),
+/// [`Self::as_slice`], [`Self::view`], [`Self::row_mut`]),
 /// from the table's own RNG stream, so they are the same bits whenever
 /// that happens. [`Self::dim`], [`Self::num_rows`] and [`Self::row_bytes`]
 /// never build it. Every other constructor is eager.
@@ -141,25 +141,6 @@ impl FeatureTable {
         let data = self.data.get_mut().map(Vec::as_mut_slice).unwrap_or_default();
         &mut data[start..start + self.dim]
     }
-
-    /// Copies the rows named by `ids` into a fresh contiguous buffer, in
-    /// order — the "extract" half of the extract-load transfer method. Row
-    /// blocks are copied in parallel; pure disjoint copies, so the result is
-    /// bitwise-identical at any thread count. The result is eager.
-    pub fn gather(&self, ids: &[u32]) -> FeatureTable {
-        /// Rows per parallel work item; fixed so chunk boundaries never
-        /// depend on the thread count.
-        const GATHER_BLOCK: usize = 256;
-        let rows = self.view();
-        let mut out = vec![0.0f32; ids.len() * self.dim];
-        gnn_dm_par::par_chunks_mut(&mut out, GATHER_BLOCK * self.dim, |ci, chunk| {
-            let base = ci * GATHER_BLOCK;
-            for (j, dst) in chunk.chunks_mut(self.dim).enumerate() {
-                dst.copy_from_slice(rows.of(ids[base + j]));
-            }
-        });
-        Self::built(out, ids.len(), self.dim)
-    }
 }
 
 /// The shape and whether the values are built — never the values, which
@@ -200,8 +181,6 @@ mod tests {
         let t = FeatureTable::zeros(3, 0);
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.row(2), &[] as &[f32]);
-        let g = t.gather(&[2, 0]);
-        assert_eq!((g.num_rows(), g.dim()), (2, 0));
     }
 
     #[test]
@@ -210,14 +189,6 @@ mod tests {
         t.row_mut(1).copy_from_slice(&[1.0, 2.0]);
         assert_eq!(t.row(0), &[0.0, 0.0]);
         assert_eq!(t.row(1), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn gather_orders_rows_by_ids() {
-        let t = FeatureTable::from_vec(vec![0.0, 0.1, 1.0, 1.1, 2.0, 2.1], 2);
-        let g = t.gather(&[2, 0]);
-        assert_eq!(g.as_slice(), &[2.0, 2.1, 0.0, 0.1]);
-        assert_eq!(g.num_rows(), 2);
     }
 
     #[test]
@@ -296,15 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_builds_and_returns_an_eager_table() {
-        let (t, eager) = deferred(500, 7);
-        let g = t.gather(&[3, 499, 3]);
-        assert!(t.is_materialized() && g.is_materialized());
-        assert_eq!(g, eager.gather(&[3, 499, 3]));
-        assert_eq!(g.row(1), eager.row(499));
-    }
-
-    #[test]
     fn row_mut_builds_then_writes_one_row() {
         let (mut t, eager) = deferred(500, 7);
         t.row_mut(4).fill(0.5);
@@ -318,8 +280,6 @@ mod tests {
         assert_eq!((t.num_rows(), t.dim(), t.row_bytes()), (60, 0, 0));
         assert_eq!(t.row(59), &[] as &[f32]);
         assert_eq!(t, FeatureTable::zeros(60, 0));
-        let g = t.gather(&[59, 0]);
-        assert_eq!((g.num_rows(), g.dim()), (2, 0));
     }
 
     #[test]

@@ -26,23 +26,10 @@ pub struct StepResult {
 
 /// Gathers the feature rows for a mini-batch's input vertices into a
 /// contiguous matrix — the "extract" operation the transfer experiments
-/// price (§7). Row blocks are copied in parallel; pure disjoint copies, so
-/// the result is bitwise-identical at any thread count.
+/// price (§7), through the one row gather [`Matrix::gather_from`].
 pub fn gather_input_features(graph: &Graph, mb: &MiniBatch) -> Matrix {
-    /// Rows per parallel work item; fixed so chunk boundaries never depend
-    /// on the thread count.
-    const GATHER_BLOCK: usize = 256;
-    let dim = graph.feat_dim();
-    let ids = mb.input_ids();
     let rows = graph.features.view();
-    let mut x = Matrix::zeros(ids.len(), dim);
-    gnn_dm_par::par_chunks_mut(x.as_mut_slice(), GATHER_BLOCK * dim.max(1), |ci, chunk| {
-        let base = ci * GATHER_BLOCK;
-        for (j, dst) in chunk.chunks_mut(dim.max(1)).enumerate() {
-            dst.copy_from_slice(rows.of(ids[base + j]));
-        }
-    });
-    x
+    Matrix::gather_from(rows.dim(), mb.input_ids(), |v| rows.of(v))
 }
 
 /// Labels for a batch's seeds, in batch order.

@@ -7,7 +7,6 @@
 //! explicitly (§2: "the sampled vertices may be deduplicated").
 
 use gnn_dm_graph::csr::VId;
-use std::collections::BTreeMap;
 
 /// One bipartite layer of a sampled mini-batch, stored destination-major
 /// (CSR): the sources feeding destination `d` are
@@ -249,38 +248,6 @@ impl DenseMap {
     }
 }
 
-/// Builds the local-index mapping for one block: destinations first (in
-/// order), then each new sampled source. Returns `(src_ids, local_of)`.
-pub(crate) struct LocalIndexer {
-    pub src_ids: Vec<VId>,
-    pub(crate) map: BTreeMap<VId, u32>,
-}
-
-impl LocalIndexer {
-    pub(crate) fn new(dst_ids: &[VId]) -> Self {
-        let mut map = BTreeMap::new();
-        let mut src_ids = Vec::with_capacity(dst_ids.len() * 2);
-        for &d in dst_ids {
-            let next = src_ids.len() as u32;
-            if map.insert(d, next).is_none() {
-                src_ids.push(d);
-            }
-        }
-        LocalIndexer { src_ids, map }
-    }
-
-    #[inline]
-    pub(crate) fn local(&mut self, v: VId) -> u32 {
-        if let Some(&i) = self.map.get(&v) {
-            return i;
-        }
-        let i = self.src_ids.len() as u32;
-        self.map.insert(v, i);
-        self.src_ids.push(v);
-        i
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,16 +337,6 @@ mod tests {
         m.insert(9, 1);
         assert_eq!(m.get(9), Some(1));
         assert_eq!(m.get(1_000), None, "out-of-range probe is a miss");
-    }
-
-    #[test]
-    fn indexer_dedups_and_prefixes() {
-        let mut ix = LocalIndexer::new(&[7, 2]);
-        assert_eq!(ix.local(7), 0);
-        assert_eq!(ix.local(4), 2);
-        assert_eq!(ix.local(2), 1);
-        assert_eq!(ix.local(4), 2);
-        assert_eq!(ix.src_ids, vec![7, 2, 4]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! uses — while [`LayerwiseSampler`] and [`subgraph_restricted_minibatch`]
 //! cover the two alternatives the taxonomy lists.
 
-use crate::block::{Block, DenseMap, LocalIndexer, MiniBatch};
+use crate::block::{Block, DenseMap, MiniBatch};
 use gnn_dm_graph::csr::{Csr, VId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -41,24 +41,17 @@ pub trait NeighborSampler {
 
     /// Appends a sample of `v`'s in-neighbors (from `csr`) for GNN layer
     /// `layer` into `out`. `layer` counts from the *output*: layer 0 samples
-    /// for the seeds themselves.
-    fn sample_neighbors(&self, csr: &Csr, v: VId, layer: usize, rng: &mut StdRng, out: &mut Vec<VId>);
-
-    /// [`NeighborSampler::sample_neighbors`] with caller-owned scratch
-    /// buffers. Draws the *same* vertices from the same RNG stream; the
-    /// scratch only replaces per-call temporaries. Samplers that need no
-    /// temporaries keep this default.
-    fn sample_neighbors_with(
+    /// for the seeds themselves. `scratch` only holds per-call temporaries:
+    /// the draws are the same whatever it held before.
+    fn sample_neighbors(
         &self,
         csr: &Csr,
         v: VId,
         layer: usize,
         rng: &mut StdRng,
         out: &mut Vec<VId>,
-        _scratch: &mut SamplerScratch,
-    ) {
-        self.sample_neighbors(csr, v, layer, rng, out);
-    }
+        scratch: &mut SamplerScratch,
+    );
 }
 
 /// Reservoir-samples `k` items from `items` into `out` (all of them when
@@ -108,11 +101,7 @@ impl NeighborSampler for FanoutSampler {
         self.fanouts.len()
     }
 
-    fn sample_neighbors(&self, csr: &Csr, v: VId, layer: usize, rng: &mut StdRng, out: &mut Vec<VId>) {
-        self.sample_neighbors_with(csr, v, layer, rng, out, &mut SamplerScratch::new());
-    }
-
-    fn sample_neighbors_with(
+    fn sample_neighbors(
         &self,
         csr: &Csr,
         v: VId,
@@ -151,11 +140,7 @@ impl NeighborSampler for RateSampler {
         self.rates.len()
     }
 
-    fn sample_neighbors(&self, csr: &Csr, v: VId, layer: usize, rng: &mut StdRng, out: &mut Vec<VId>) {
-        self.sample_neighbors_with(csr, v, layer, rng, out, &mut SamplerScratch::new());
-    }
-
-    fn sample_neighbors_with(
+    fn sample_neighbors(
         &self,
         csr: &Csr,
         v: VId,
@@ -201,11 +186,7 @@ impl NeighborSampler for HybridSampler {
         self.fanouts.len()
     }
 
-    fn sample_neighbors(&self, csr: &Csr, v: VId, layer: usize, rng: &mut StdRng, out: &mut Vec<VId>) {
-        self.sample_neighbors_with(csr, v, layer, rng, out, &mut SamplerScratch::new());
-    }
-
-    fn sample_neighbors_with(
+    fn sample_neighbors(
         &self,
         csr: &Csr,
         v: VId,
@@ -262,11 +243,7 @@ impl NeighborSampler for ImportanceSampler {
         self.fanouts.len()
     }
 
-    fn sample_neighbors(&self, csr: &Csr, v: VId, layer: usize, rng: &mut StdRng, out: &mut Vec<VId>) {
-        self.sample_neighbors_with(csr, v, layer, rng, out, &mut SamplerScratch::new());
-    }
-
-    fn sample_neighbors_with(
+    fn sample_neighbors(
         &self,
         csr: &Csr,
         v: VId,
@@ -294,24 +271,6 @@ impl NeighborSampler for ImportanceSampler {
         }));
         keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         out.extend(keyed.iter().take(k).map(|&(_, u)| u));
-    }
-}
-
-/// Full-neighbor "sampler" — no sampling at all; used by full-batch systems
-/// and for exact inference.
-#[derive(Debug, Clone)]
-pub struct FullNeighborSampler {
-    /// Number of layers to expand.
-    pub layers: usize,
-}
-
-impl NeighborSampler for FullNeighborSampler {
-    fn num_layers(&self) -> usize {
-        self.layers
-    }
-
-    fn sample_neighbors(&self, csr: &Csr, v: VId, _layer: usize, _rng: &mut StdRng, out: &mut Vec<VId>) {
-        out.extend_from_slice(csr.neighbors(v));
     }
 }
 
@@ -423,14 +382,9 @@ pub fn build_minibatch_seeded_with(
     assemble_blocks(in_csr, seeds, sampler, DrawRng::Seeded(base_seed), scratch)
 }
 
-/// The block-assembly loop behind every vertex-wise builder. Per layer the
-/// destinations take the first local indices, in order; then each
-/// destination's neighbors are drawn and resolved against the one index map
-/// while its edges are pushed, so a new source is numbered at its first
-/// appearance in destination order — the numbering `LocalIndexer` assigns.
-/// Destinations are visited in ascending local index, so the edges land in
-/// the block's destination-major layout as they are drawn: one source
-/// index per edge, one closed offset per destination.
+/// The vertex-wise builders' loop: each layer's block is
+/// [`assemble_block`] over the previous block's sources, with each
+/// destination's neighbors drawn by `sampler` from `draws`.
 fn assemble_blocks(
     in_csr: &Csr,
     seeds: &[VId],
@@ -441,37 +395,13 @@ fn assemble_blocks(
     use rand::SeedableRng;
 
     let SampleScratch { map, nbr, sampler: draw_scratch } = scratch;
-    map.begin();
-    let mut seeds_dedup: Vec<VId> = Vec::with_capacity(seeds.len());
-    for &s in seeds {
-        if map.get(s).is_none() {
-            map.insert(s, 0);
-            seeds_dedup.push(s);
-        }
-    }
-
-    let mut blocks_rev: Vec<Block> = Vec::with_capacity(sampler.num_layers());
-    let mut frontier = seeds_dedup.clone();
-    for layer in 0..sampler.num_layers() {
-        // The frontier is duplicate-free (deduplicated seeds, then a block's
-        // `src_ids`), so destination `j` has local index `j`.
-        let dst_ids = frontier;
-        map.begin();
-        for (d_local, &d) in dst_ids.iter().enumerate() {
-            map.insert(d, d_local as u32);
-        }
-        let mut src_ids: Vec<VId> = Vec::with_capacity(dst_ids.len() * 2);
-        src_ids.extend_from_slice(&dst_ids);
-        let mut dst_offsets: Vec<u32> = Vec::with_capacity(dst_ids.len() + 1);
-        dst_offsets.push(0);
-        let mut edge_src: Vec<u32> = Vec::new();
+    chain_blocks(seeds, sampler.num_layers(), map, |layer, dst_ids, map| {
         // The seeded builder's layer split, once per layer.
         let layer_seed = match draws {
             DrawRng::Seeded(base_seed) => gnn_dm_par::split_seed(base_seed, layer as u64),
             DrawRng::Stream(_) => 0, // unused
         };
-        for (d_local, &d) in dst_ids.iter().enumerate() {
-            prefetch_row(in_csr, &dst_ids, d_local);
+        assemble_block(in_csr, dst_ids, map, nbr, |d_local, d, out| {
             let mut derived;
             let rng: &mut StdRng = match &mut draws {
                 DrawRng::Stream(rng) => rng,
@@ -480,24 +410,35 @@ fn assemble_blocks(
                     &mut derived
                 }
             };
-            nbr.clear();
-            sampler.sample_neighbors_with(in_csr, d, layer, rng, nbr, draw_scratch);
-            for &s in nbr.iter() {
-                let s_local = match map.get(s) {
-                    Some(i) => i,
-                    None => {
-                        let i = src_ids.len() as u32;
-                        map.insert(s, i);
-                        src_ids.push(s);
-                        i
-                    }
-                };
-                edge_src.push(s_local);
-            }
-            dst_offsets.push(edge_src.len() as u32);
+            sampler.sample_neighbors(in_csr, d, layer, rng, out, draw_scratch);
+        })
+    })
+}
+
+/// The mini-batch over the deduplicated `seeds` whose `layers` blocks are
+/// `block(layer, dst_ids, map)`, output layer first: layer 0's destinations
+/// are the seeds, and each later layer's are the previous block's sources.
+/// `map` is the builder's index map, handed on to `block`.
+fn chain_blocks(
+    seeds: &[VId],
+    layers: usize,
+    map: &mut DenseMap,
+    mut block: impl FnMut(usize, Vec<VId>, &mut DenseMap) -> Block,
+) -> MiniBatch {
+    map.begin();
+    let mut seeds_dedup: Vec<VId> = Vec::with_capacity(seeds.len());
+    for &s in seeds {
+        if map.get(s).is_none() {
+            map.insert(s, 0);
+            seeds_dedup.push(s);
         }
-        frontier = src_ids.clone();
-        blocks_rev.push(Block { src_ids, dst_ids, dst_offsets, edge_src });
+    }
+    let mut blocks_rev: Vec<Block> = Vec::with_capacity(layers);
+    let mut frontier = seeds_dedup.clone();
+    for layer in 0..layers {
+        let b = block(layer, frontier, map);
+        frontier = b.src_ids.clone();
+        blocks_rev.push(b);
     }
     blocks_rev.reverse();
     let mb = MiniBatch { blocks: blocks_rev, seeds: seeds_dedup };
@@ -505,7 +446,51 @@ fn assemble_blocks(
     mb
 }
 
-/// How many destinations ahead [`assemble_blocks`] prefetches a row's
+/// The one block-assembly loop. The duplicate-free `dst_ids` take the first
+/// local indices, in order; then `draw(d_local, d, nbr)` appends the sources
+/// of each destination in turn, and each is resolved against `map` while
+/// its edge is pushed, so a new source is numbered at its first appearance
+/// in destination order. Destinations are visited in ascending local index,
+/// so the edges land in the block's destination-major layout as they are
+/// drawn: one source index per edge, one closed offset per destination.
+fn assemble_block(
+    in_csr: &Csr,
+    dst_ids: Vec<VId>,
+    map: &mut DenseMap,
+    nbr: &mut Vec<VId>,
+    mut draw: impl FnMut(usize, VId, &mut Vec<VId>),
+) -> Block {
+    map.begin();
+    for (d_local, &d) in dst_ids.iter().enumerate() {
+        map.insert(d, d_local as u32);
+    }
+    let mut src_ids: Vec<VId> = Vec::with_capacity(dst_ids.len() * 2);
+    src_ids.extend_from_slice(&dst_ids);
+    let mut dst_offsets: Vec<u32> = Vec::with_capacity(dst_ids.len() + 1);
+    dst_offsets.push(0);
+    let mut edge_src: Vec<u32> = Vec::new();
+    for (d_local, &d) in dst_ids.iter().enumerate() {
+        prefetch_row(in_csr, &dst_ids, d_local);
+        nbr.clear();
+        draw(d_local, d, nbr);
+        for &s in nbr.iter() {
+            let s_local = match map.get(s) {
+                Some(i) => i,
+                None => {
+                    let i = src_ids.len() as u32;
+                    map.insert(s, i);
+                    src_ids.push(s);
+                    i
+                }
+            };
+            edge_src.push(s_local);
+        }
+        dst_offsets.push(edge_src.len() as u32);
+    }
+    Block { src_ids, dst_ids, dst_offsets, edge_src }
+}
+
+/// How many destinations ahead [`assemble_block`] prefetches a row's
 /// offset, and then its first targets: the offset's line has arrived by
 /// the time the nearer prefetch reads it.
 const PREFETCH_OFFSET_AHEAD: usize = 16;
@@ -562,51 +547,35 @@ impl LayerwiseSampler {
         LayerwiseSampler { budgets }
     }
 
-    /// Builds a mini-batch under the layer-budget regime.
+    /// Builds a mini-batch under the layer-budget regime: per layer, the
+    /// destinations' distinct neighbors in first-appearance order are
+    /// shuffled and the first `budget` kept, and every edge from a kept
+    /// neighbor enters the block, numbered as [`build_minibatch`] numbers
+    /// its draws.
     pub fn build(&self, in_csr: &Csr, seeds: &[VId], rng: &mut StdRng) -> MiniBatch {
-        let mut seeds_dedup: Vec<VId> = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for &s in seeds {
-            if seen.insert(s) {
-                seeds_dedup.push(s);
-            }
-        }
-        let mut blocks_rev = Vec::with_capacity(self.budgets.len());
-        let mut frontier = seeds_dedup.clone();
-        for &budget in &self.budgets {
-            let dst_ids = frontier;
-            // Union of candidate neighbors, deduplicated.
+        let (mut map, mut mark, mut nbr) = (DenseMap::default(), DenseMap::default(), Vec::new());
+        chain_blocks(seeds, self.budgets.len(), &mut map, |layer, dst_ids, map| {
+            // `mark` first holds the neighbors seen, then the ones kept.
+            mark.begin();
             let mut candidates: Vec<VId> = Vec::new();
-            let mut cand_seen = std::collections::BTreeSet::new();
             for &d in &dst_ids {
                 for &u in in_csr.neighbors(d) {
-                    if cand_seen.insert(u) {
+                    if mark.get(u).is_none() {
+                        mark.insert(u, 0);
                         candidates.push(u);
                     }
                 }
             }
             candidates.shuffle(rng);
-            candidates.truncate(budget);
-            let chosen: std::collections::BTreeSet<VId> = candidates.iter().copied().collect();
-
-            let mut ix = LocalIndexer::new(&dst_ids);
-            let mut edges = Vec::new();
-            for (d_local, &d) in dst_ids.iter().enumerate() {
-                for &u in in_csr.neighbors(d) {
-                    if chosen.contains(&u) {
-                        let s_local = ix.local(u);
-                        edges.push((s_local, d_local as u32));
-                    }
-                }
+            candidates.truncate(self.budgets[layer]);
+            mark.begin();
+            for &u in &candidates {
+                mark.insert(u, 0);
             }
-            let src_ids = ix.src_ids;
-            frontier = src_ids.clone();
-            blocks_rev.push(Block::from_edges(src_ids, dst_ids, &edges));
-        }
-        blocks_rev.reverse();
-        let mb = MiniBatch { blocks: blocks_rev, seeds: seeds_dedup };
-        debug_assert!(mb.validate().is_ok());
-        mb
+            assemble_block(in_csr, dst_ids, map, &mut nbr, |_, d, out| {
+                out.extend(in_csr.neighbors(d).iter().filter(|&&u| mark.get(u).is_some()));
+            })
+        })
     }
 }
 
@@ -726,7 +695,8 @@ mod tests {
     fn full_neighbor_matches_degree_sum() {
         let g = test_graph();
         let mut rng = StdRng::seed_from_u64(6);
-        let sampler = FullNeighborSampler { layers: 1 };
+        // A fanout no neighborhood reaches draws nothing: every in-neighbor.
+        let sampler = FanoutSampler::new(vec![usize::MAX]);
         let seeds = vec![0, 1, 2];
         let mb = build_minibatch(&g.inn, &seeds, &sampler, &mut rng);
         let expect: usize = seeds.iter().map(|&s| g.inn.degree(s)).sum();
@@ -831,7 +801,7 @@ mod tests {
         let in_csr = Csr::from_edges(n + 2, &edges);
         let (lone_a, lone_b) = (n as VId, n as VId + 1);
         assert_eq!(in_csr.degree(lone_a) + in_csr.degree(lone_b), 0);
-        let sampler = FullNeighborSampler { layers: 2 };
+        let sampler = FanoutSampler::new(vec![usize::MAX; 2]);
         let seeds = [17, lone_a, 3, 17, 250, 3, lone_b, 399, lone_a];
         let mut scratch = SampleScratch::new();
         for k in 0..5u64 {

@@ -44,8 +44,9 @@ impl BatchSizeSchedule {
             BatchSizeSchedule::Adaptive { start, max, growth, grow_every } => {
                 assert!(*growth > 1.0, "growth must exceed 1");
                 assert!(*grow_every >= 1, "grow_every must be >= 1");
-                let steps = epoch / grow_every;
-                let size = (*start as f64) * growth.powi(steps as i32);
+                // Saturated, not wrapped, so the size never falls as epochs grow.
+                let steps = i32::try_from(epoch / grow_every).unwrap_or(i32::MAX);
+                let size = (*start as f64) * growth.powi(steps);
                 (size.round() as usize).min(*max).max(1)
             }
             BatchSizeSchedule::Steps(table) => {
@@ -84,6 +85,16 @@ mod tests {
         assert_eq!(s.batch_size_at(4), 2048);
         assert_eq!(s.batch_size_at(8), 8192);
         assert_eq!(s.batch_size_at(50), 8192, "capped");
+    }
+
+    /// The growth exponent saturates instead of wrapping to a negative one.
+    #[test]
+    fn adaptive_stays_capped_at_huge_epochs() {
+        let s = BatchSizeSchedule::Adaptive { start: 128, max: 1024, growth: 2.0, grow_every: 1 };
+        let wrap = 1usize << 31;
+        for epoch in [wrap - 1, wrap, wrap + 1, 1 << 32, usize::MAX] {
+            assert_eq!(s.batch_size_at(epoch), 1024, "epoch {epoch}");
+        }
     }
 
     #[test]

@@ -94,19 +94,24 @@ impl Matrix {
         self.data
     }
 
-    /// Gathers rows named by `ids` into a fresh matrix, in order. Row
-    /// blocks are copied in parallel — pure disjoint copies, so the result
-    /// is bitwise-identical at any thread count.
+    /// Gathers rows named by `ids` into a fresh matrix, in order.
     pub fn gather_rows(&self, ids: &[u32]) -> Matrix {
+        Matrix::gather_from(self.cols, ids, |v| self.row(v as usize))
+    }
+
+    /// The `ids.len() x cols` matrix whose row `i` is `row(ids[i])` — the
+    /// one row gather behind [`Matrix::gather_rows`] and the feature
+    /// "extract" step. Row blocks are copied in parallel; pure disjoint
+    /// copies, so the result is bitwise-identical at any thread count.
+    pub fn gather_from<'a>(cols: usize, ids: &[u32], row: impl Fn(u32) -> &'a [f32] + Sync) -> Matrix {
         /// Rows per parallel work item; fixed so chunk boundaries never
         /// depend on the thread count.
         const GATHER_BLOCK: usize = 256;
-        let cols = self.cols;
         let mut out = vec![0.0f32; ids.len() * cols];
-        gnn_dm_par::par_chunks_mut(&mut out, GATHER_BLOCK * cols.max(1), |ci, chunk| {
+        gnn_dm_par::par_chunks_mut(&mut out, GATHER_BLOCK * cols, |ci, chunk| {
             let base = ci * GATHER_BLOCK;
             for (j, dst) in chunk.chunks_mut(cols).enumerate() {
-                dst.copy_from_slice(self.row(ids[base + j] as usize));
+                dst.copy_from_slice(row(ids[base + j]));
             }
         });
         Matrix { rows: ids.len(), cols, data: out }
@@ -179,6 +184,8 @@ mod tests {
         assert_eq!(g.row(0), &[2.0, 2.0]);
         assert_eq!(g.row(1), &[0.0, 0.0]);
         assert_eq!(g.row(2), &[2.0, 2.0]);
+        let empty_rows = Matrix::zeros(3, 0).gather_rows(&[2, 0]);
+        assert_eq!(empty_rows.shape(), (2, 0));
     }
 
     #[test]

@@ -94,6 +94,25 @@ golden_check ext_faults_epoch_time results/trace_faults.json
 # The smoke grid contains the golden cell, so it re-derives the full run's trace.
 golden_check chaos_grid results/trace_chaos.json --smoke
 
+echo "==> grid smoke (one config per registered axis value against results/grid_smoke.txt)"
+bash scripts/run_all.sh grid_smoke
+
+# result_check <experiment>: reruns one experiment and fails unless its
+# stdout is its results/ file byte for byte.
+result_check() {
+    local experiment="$1"
+    echo "==> results/${experiment}.txt (gnn-dm-exp ${experiment} must reproduce it byte for byte)"
+    if ! cargo run --release -q -p gnn-dm-bench --bin gnn-dm-exp -- "${experiment}" |
+        cmp -s - "results/${experiment}.txt"; then
+        echo "FAIL: gnn-dm-exp ${experiment} differs from results/${experiment}.txt" >&2
+        exit 1
+    fi
+}
+# Rows the test suite never regenerates: the sampling-algorithm families
+# (layer-wise, unbounded fanout, subgraph-wise) and full-batch training.
+result_check ext_sampling_algorithms
+result_check ext_fullbatch_vs_minibatch
+
 echo "==> benchmark lockfile (benchmark/run.sh builds without --locked, so a stale benchmark/Cargo.lock would be rewritten silently)"
 if ! cargo metadata --offline --locked --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null; then
     echo "FAIL: benchmark/Cargo.lock no longer matches the workspace manifests: a library Cargo.toml changed its dependencies, and the frozen benchmark lockfile would be rewritten" >&2

@@ -17,6 +17,7 @@ use gnn_dm::graph::csr::{Csr, VId};
 use gnn_dm::graph::generate::{zipf_weights, PplConfig};
 use gnn_dm::graph::{FeatureTable, Graph, SplitMask};
 use gnn_dm::par::split_seed;
+use gnn_dm::sampling::sampler::SamplerScratch;
 use gnn_dm::sampling::{BatchSelection, Block, MiniBatch, NeighborSampler};
 use gnn_dm::trace::units::Seconds;
 use rand::rngs::StdRng;
@@ -146,7 +147,7 @@ pub fn seed_build_minibatch(
             .map(|(d_local, &d)| {
                 let mut rng = StdRng::seed_from_u64(split_seed(layer_seed, d_local));
                 let mut out = Vec::new();
-                sampler.sample_neighbors(in_csr, d, layer, &mut rng, &mut out);
+                sampler.sample_neighbors(in_csr, d, layer, &mut rng, &mut out, &mut SamplerScratch::new());
                 out
             })
             .collect();

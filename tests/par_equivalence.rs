@@ -328,8 +328,8 @@ fn hetero_epoch_bitwise_equal_across_thread_counts() {
     }
 }
 
-/// Feature gathers through both the nn entry point and the graph-side
-/// extract step.
+/// The feature "extract" gather: the same bits at every thread count, and
+/// row `i` is the feature row of input vertex `i`.
 #[test]
 fn feature_gather_bitwise_equal_across_thread_counts() {
     let g = graph();
@@ -337,7 +337,10 @@ fn feature_gather_bitwise_equal_across_thread_counts() {
     let seeds: Vec<u32> = (0..300).map(|i| (i * 2) % 700).collect();
     let mb = build_minibatch_seeded(&g.inn, &seeds, &sampler, 7);
     assert_threadcount_invariant(|| gather_input_features(&g, &mb));
-    assert_threadcount_invariant(|| g.features.gather(mb.input_ids()));
+    let x = gather_input_features(&g, &mb);
+    for (i, &v) in mb.input_ids().iter().enumerate() {
+        assert_eq!(x.row(i), g.features.row(v), "row {i}");
+    }
 }
 
 /// A whole NN step, end to end: aggregation (row chunks), the GEMMs

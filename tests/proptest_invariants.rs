@@ -7,12 +7,14 @@ use gnn_dm::faults::{FaultPlan, ResiliencePolicy};
 use gnn_dm::graph::csr::{Csr, VId};
 use gnn_dm::graph::generate::{planted_partition, PplConfig};
 use gnn_dm::partition::{partition_graph, PartitionMethod};
-use gnn_dm::sampling::sampler::{build_minibatch, FanoutSampler, RateSampler};
-use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule};
+use gnn_dm::sampling::sampler::{build_minibatch, FanoutSampler, LayerwiseSampler, RateSampler};
+use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule, Block, MiniBatch};
 use gnn_dm::trace::units::Bytes;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 
 mod common;
 
@@ -21,6 +23,89 @@ fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(V
         let edge = (0..n as VId, 0..n as VId);
         (Just(n), proptest::collection::vec(edge, 0..max_m))
     })
+}
+
+/// The layer-wise builder written out with ordered sets, as it stood before
+/// it shared the vertex-wise builders' block assembly: per layer, the
+/// destinations' distinct neighbors in first-appearance order are
+/// shuffled and cut to the budget, a `BTreeMap` numbers the destinations
+/// and then each kept source at its first appearance, and
+/// `Block::from_edges` groups the edge list by destination.
+fn tree_set_layerwise_build(in_csr: &Csr, seeds: &[VId], budgets: &[usize], rng: &mut StdRng) -> MiniBatch {
+    let mut seen = BTreeSet::new();
+    let seeds_dedup: Vec<VId> = seeds.iter().copied().filter(|&s| seen.insert(s)).collect();
+    let mut blocks = Vec::new();
+    let mut frontier = seeds_dedup.clone();
+    for &budget in budgets {
+        let dst_ids = frontier;
+        let mut cand_seen = BTreeSet::new();
+        let mut candidates: Vec<VId> = dst_ids
+            .iter()
+            .flat_map(|&d| in_csr.neighbors(d).iter().copied())
+            .filter(|&u| cand_seen.insert(u))
+            .collect();
+        candidates.shuffle(rng);
+        candidates.truncate(budget);
+        let chosen: BTreeSet<VId> = candidates.into_iter().collect();
+        let mut src_ids: Vec<VId> = Vec::new();
+        let mut local: BTreeMap<VId, u32> = BTreeMap::new();
+        let mut number = |v: VId, src_ids: &mut Vec<VId>| {
+            *local.entry(v).or_insert_with(|| {
+                src_ids.push(v);
+                src_ids.len() as u32 - 1
+            })
+        };
+        for &d in &dst_ids {
+            number(d, &mut src_ids);
+        }
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for (d_local, &d) in (0u32..).zip(&dst_ids) {
+            for &u in in_csr.neighbors(d).iter().filter(|u| chosen.contains(u)) {
+                edges.push((number(u, &mut src_ids), d_local));
+            }
+        }
+        frontier = src_ids.clone();
+        blocks.push(Block::from_edges(src_ids, dst_ids, &edges));
+    }
+    blocks.reverse();
+    MiniBatch { blocks, seeds: seeds_dedup }
+}
+
+/// `LayerwiseSampler::build` equals [`tree_set_layerwise_build`] bit for
+/// bit, and both leave the caller's generator in the same state.
+fn assert_layerwise_matches_tree_sets(in_csr: &Csr, seeds: &[VId], budgets: &[usize], rng_seed: u64) {
+    let (mut live_rng, mut oracle_rng) = (StdRng::seed_from_u64(rng_seed), StdRng::seed_from_u64(rng_seed));
+    let live = LayerwiseSampler::new(budgets.to_vec()).build(in_csr, seeds, &mut live_rng);
+    let oracle = tree_set_layerwise_build(in_csr, seeds, budgets, &mut oracle_rng);
+    assert!(live.validate().is_ok(), "{:?}", live.validate());
+    assert_eq!(live, oracle, "seeds {seeds:?}, budgets {budgets:?}, rng seed {rng_seed}");
+    assert_eq!(live_rng.random::<u64>(), oracle_rng.random::<u64>(), "generator states differ");
+}
+
+/// Budgets of 0, small, and above every candidate count; duplicate seeds,
+/// seeds with no in-neighbors, and an empty seed list.
+#[test]
+fn layerwise_builder_matches_its_tree_set_oracle() {
+    let g = planted_partition(&PplConfig { n: 400, avg_degree: 12.0, num_classes: 4, ..Default::default() });
+    let n = g.num_vertices();
+    let mut edges: Vec<(VId, VId)> = Vec::new();
+    for v in 0..n as VId {
+        edges.extend(g.inn.neighbors(v).iter().map(|&u| (v, u)));
+    }
+    // Two extra vertices nothing points at and that point at nothing.
+    let in_csr = Csr::from_edges(n + 2, &edges);
+    let (lone_a, lone_b) = (n as VId, n as VId + 1);
+    let batch: Vec<VId> = (0..64).map(|i| i * 37 % n as VId).collect();
+    let seed_lists: [&[VId]; 5] =
+        [&[17, lone_a, 3, 17, 250, 3, lone_b, 399, lone_a], &batch, &[lone_a, lone_a], &[5], &[]];
+    let budget_lists: [&[usize]; 5] = [&[0], &[0, 6], &[8, 4], &[3, 1000], &[usize::MAX, 2, usize::MAX]];
+    for seeds in seed_lists {
+        for budgets in budget_lists {
+            for rng_seed in 0..4 {
+                assert_layerwise_matches_tree_sets(&in_csr, seeds, budgets, rng_seed);
+            }
+        }
+    }
 }
 
 proptest! {
@@ -39,6 +124,20 @@ proptest! {
         }
         prop_assert_eq!(csr.transpose().transpose(), csr.clone());
         prop_assert_eq!(csr.transpose().num_edges(), csr.num_edges());
+    }
+
+    /// The layer-wise builder equals its ordered-set oracle on random
+    /// graphs, seed lists (duplicates included) and budgets.
+    #[test]
+    fn layerwise_builder_matches_its_tree_set_oracle_on_random_graphs(
+        (n, edges) in arb_edges(60, 300),
+        seeds in proptest::collection::vec(0..VId::MAX, 0..24),
+        budgets in proptest::collection::vec(0usize..80, 1..4),
+        rng_seed in 0u64..1000,
+    ) {
+        let in_csr = Csr::from_edges(n, &edges);
+        let seeds: Vec<VId> = seeds.iter().map(|&s| s % n as VId).collect();
+        assert_layerwise_matches_tree_sets(&in_csr, &seeds, &budgets, rng_seed);
     }
 
     /// Batch selection covers each training vertex exactly once, for both
