@@ -111,7 +111,7 @@ pub fn ablate_block_size() {
     g.split = SplitMask::random(g.num_vertices(), 0.05, 0.10, 0.85, 7);
     let g = gnn_dm_graph::relabel::by_label(&g);
     let cfg = config(with_prep("fanout(10,5)+fixed(64)"));
-    let mb = with_epoch_plan(&g, &cfg, 3, |plan| plan.batches(0).into_iter().next())
+    let mb = with_epoch_plan(&g, &cfg, 3, |plan| plan.first_batch(0))
         .expect("one batch");
     let row_bytes = Bytes(g.features.row_bytes() as u64);
     let mut table =

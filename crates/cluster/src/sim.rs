@@ -244,8 +244,8 @@ impl<'g> ClusterSim<'g> {
                 feature_bytes.fill(Bytes(0));
                 let mut recv_bytes = Bytes(0);
                 // Sampling-request routing, block by block.
-                for block in &mb.blocks {
-                    for (d_local, &d) in block.dst_ids.iter().enumerate() {
+                for (l, block) in mb.blocks.iter().enumerate() {
+                    for (d_local, &d) in mb.dst_ids(l).iter().enumerate() {
                         let edges = u64_of_usize(block.in_degree(d_local));
                         if edges == 0 {
                             continue;

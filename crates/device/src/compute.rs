@@ -88,9 +88,9 @@ mod tests {
     }
 
     fn tiny_mb_with(input_edges: &[(u32, u32)]) -> MiniBatch {
-        let b0 = Block::from_edges(vec![0, 1, 2, 3], vec![0, 1], input_edges);
-        let b1 = Block::from_edges(vec![0, 1], vec![0], &[(1, 0)]);
-        MiniBatch { blocks: vec![b0, b1], seeds: vec![0] }
+        let b0 = Block::from_edges(4, 2, input_edges);
+        let b1 = Block::from_edges(2, 1, &[(1, 0)]);
+        MiniBatch::new(vec![0, 1, 2, 3], vec![b0, b1])
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Compressed sparse row adjacency storage.
 
+use std::sync::Arc;
+
 /// Vertex identifier. `u32` keeps adjacency arrays half the size of `usize`
 /// on 64-bit targets, which matters for the large synthetic graphs the
 /// transfer experiments use.
@@ -15,10 +17,14 @@ const ROW_CHUNK: usize = 2048;
 /// `targets[offsets[v] .. offsets[v + 1]]`, sorted ascending and free of
 /// duplicates when built through [`Csr::from_edges`] or
 /// [`Csr::from_undirected_edges`].
+///
+/// A `Csr` is immutable once built, and its two arrays are shared: `clone`
+/// copies two pointers, so a symmetric graph's in- and out-adjacency are
+/// one pair of arrays ([`Csr::shares_storage`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
-    offsets: Vec<usize>,
-    targets: Vec<VId>,
+    offsets: Arc<[usize]>,
+    targets: Arc<[VId]>,
 }
 
 impl Csr {
@@ -37,7 +43,7 @@ impl Csr {
     ///
     /// Panics if any endpoint is out of range.
     pub fn from_edges(n: usize, edges: &[(VId, VId)]) -> Self {
-        Csr::fill(row_counts(n, edges, false), edges, false)
+        Rows::fill(row_counts(n, edges, false), edges, false).sorted().into()
     }
 
     /// [`Csr::from_edges`] with each `(u, v)` standing for both `u -> v`
@@ -55,37 +61,7 @@ impl Csr {
     ///
     /// Panics if any endpoint is out of range.
     pub fn from_undirected_edges(n: usize, edges: &[(VId, VId)]) -> Self {
-        Csr::fill(row_counts(n, edges, true), edges, true)
-    }
-
-    /// The counting-sort build behind both constructors. `counts[v + 1]`
-    /// must be the number of entries `edges` gives row `v` — its
-    /// non-self-loop edges leaving `v`, plus those entering `v` when
-    /// `mirror` is set — and endpoints must be in range. Each edge is
-    /// written straight into its row (and, mirrored, its reverse into the
-    /// other endpoint's row), then the rows are sorted and deduplicated in
-    /// parallel and compacted.
-    pub(crate) fn fill(mut counts: Vec<usize>, edges: &[(VId, VId)], mirror: bool) -> Self {
-        let n = counts.len() - 1;
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let mut targets = vec![0 as VId; counts[n]];
-        let mut cursor = counts[..n].to_vec();
-        for &(u, v) in edges {
-            if u != v {
-                targets[cursor[u as usize]] = v;
-                cursor[u as usize] += 1;
-                if mirror {
-                    targets[cursor[v as usize]] = u;
-                    cursor[v as usize] += 1;
-                }
-            }
-        }
-        drop(cursor);
-        let mut csr = Csr { offsets: counts, targets };
-        csr.sort_and_dedup();
-        csr
+        Rows::fill(row_counts(n, edges, true), edges, true).sorted().mirror()
     }
 
     /// Builds a CSR directly from parts. `offsets` must be monotone with
@@ -100,7 +76,7 @@ impl Csr {
         assert_eq!(offsets[0], 0, "offsets[0] must be 0");
         assert_eq!(offsets.last().copied(), Some(targets.len()), "offsets must end at targets.len()");
         assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must be monotone");
-        let csr = Csr { offsets, targets };
+        let csr: Csr = Rows { offsets, targets }.into();
         for v in 0..csr.num_vertices() {
             let nbrs = csr.neighbors(v as VId);
             assert!(
@@ -113,47 +89,7 @@ impl Csr {
 
     /// An empty graph over `n` isolated vertices.
     pub fn empty(n: usize) -> Self {
-        Csr { offsets: vec![0; n + 1], targets: Vec::new() }
-    }
-
-    /// Sorts every row and drops repeats, then closes the gaps. Rows are
-    /// sorted and deduplicated in place, [`ROW_CHUNK`] rows per parallel
-    /// task; the compaction is one serial pass that only moves each kept
-    /// prefix left.
-    fn sort_and_dedup(&mut self) {
-        let n = self.num_vertices();
-        let Csr { offsets, targets } = self;
-        let mut kept = vec![0usize; n];
-        let mut tasks = Vec::with_capacity(n.div_ceil(ROW_CHUNK));
-        let mut rest: &mut [VId] = targets;
-        for (ci, kept) in kept.chunks_mut(ROW_CHUNK).enumerate() {
-            let rows = &offsets[ci * ROW_CHUNK..=ci * ROW_CHUNK + kept.len()];
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(rows[kept.len()] - rows[0]);
-            rest = tail;
-            tasks.push((rows, chunk, kept));
-        }
-        gnn_dm_par::par_chunks_mut(&mut tasks, 1, |_, task| {
-            for (rows, chunk, kept) in task {
-                let base = rows[0];
-                for (r, kept) in kept.iter_mut().enumerate() {
-                    let row = &mut chunk[rows[r] - base..rows[r + 1] - base];
-                    row.sort_unstable();
-                    *kept = dedup_sorted(row);
-                }
-            }
-        });
-
-        let mut write = 0usize;
-        for (v, &k) in kept.iter().enumerate() {
-            let start = offsets[v];
-            if start != write {
-                targets.copy_within(start..start + k, write);
-            }
-            offsets[v] = write;
-            write += k;
-        }
-        offsets[n] = write;
-        targets.truncate(write);
+        Csr { offsets: std::iter::repeat_n(0, n + 1).collect(), targets: Arc::new([]) }
     }
 
     /// Number of vertices.
@@ -197,6 +133,12 @@ impl Csr {
         &self.targets
     }
 
+    /// `true` if `self` and `other` read the same two arrays — one is a
+    /// clone of the other — rather than merely equal ones.
+    pub fn shares_storage(&self, other: &Csr) -> bool {
+        Arc::ptr_eq(&self.offsets, &other.offsets) && Arc::ptr_eq(&self.targets, &other.targets)
+    }
+
     /// Iterates `(source, target)` over every directed edge.
     pub fn edges(&self) -> impl Iterator<Item = (VId, VId)> + '_ {
         (0..self.num_vertices()).flat_map(move |v| {
@@ -205,26 +147,29 @@ impl Csr {
     }
 
     /// Reverse adjacency: `transpose().neighbors(v)` are the in-neighbors
-    /// of `v` in `self`.
+    /// of `v` in `self`. Both arrays are written in place at their final
+    /// length.
     pub fn transpose(&self) -> Csr {
         let n = self.num_vertices();
-        let mut counts = vec![0usize; n + 1];
-        for &t in &self.targets {
+        let mut offsets: Arc<[usize]> = std::iter::repeat_n(0, n + 1).collect();
+        let counts = Arc::make_mut(&mut offsets);
+        for &t in self.targets.iter() {
             counts[t as usize + 1] += 1;
         }
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
-        let mut targets = vec![0 as VId; self.targets.len()];
-        let mut cursor = counts.clone();
+        let mut targets: Arc<[VId]> = std::iter::repeat_n(0, self.targets.len()).collect();
+        let rows = Arc::make_mut(&mut targets);
+        let mut cursor = counts[..n].to_vec();
         // Walking sources in ascending order makes each output list sorted.
         for v in 0..n {
             for &t in self.neighbors(v as VId) {
-                targets[cursor[t as usize]] = v as VId;
+                rows[cursor[t as usize]] = v as VId;
                 cursor[t as usize] += 1;
             }
         }
-        Csr { offsets: counts, targets }
+        Csr { offsets, targets }
     }
 
     /// `true` if for every edge `u -> v` the edge `v -> u` also exists.
@@ -232,7 +177,10 @@ impl Csr {
         self.edges().all(|(u, v)| self.has_edge(v, u))
     }
 
-    /// Bytes of memory used by the adjacency arrays.
+    /// Bytes of the two adjacency arrays this CSR reads. Storage shared
+    /// with a clone is counted by each holder, so a symmetric graph's `out`
+    /// and `inn` each report the whole adjacency; add the two only when
+    /// they do not [`Csr::shares_storage`].
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<usize>()
             + self.targets.len() * std::mem::size_of::<VId>()
@@ -244,9 +192,138 @@ impl Csr {
     }
 }
 
-/// `counts[v + 1]` = the entries [`Csr::fill`] gives row `v` for `edges`
+/// A CSR while it is being built: rows filled unsorted, then sorted and
+/// deduplicated. Directed rows become a [`Csr`]'s shared arrays by one copy
+/// of the kept entries, made after the spare capacity is released; upper
+/// rows are [`Rows::mirror`]ed straight into them. A caller that drops its
+/// edge list once the rows are filled never holds it beside anything but
+/// the unsorted rows.
+pub(crate) struct Rows {
+    offsets: Vec<usize>,
+    targets: Vec<VId>,
+}
+
+impl From<Rows> for Csr {
+    fn from(Rows { offsets, mut targets }: Rows) -> Self {
+        targets.shrink_to_fit();
+        Csr { offsets: offsets.into(), targets: targets.into() }
+    }
+}
+
+impl Rows {
+    /// The counting-sort fill behind both constructors; [`Rows::sorted`]
+    /// finishes the rows. Without `mirror` each edge `(u, v)` goes to row
+    /// `u`; with it, each edge is taken undirected and goes once, as its
+    /// larger endpoint, to the row of its smaller one (the upper triangle
+    /// [`Rows::mirror`] expects). `counts[v + 1]` must be the number of
+    /// non-self-loop edges that go to row `v`, and endpoints must be in
+    /// range. Each edge is written straight into its row.
+    pub(crate) fn fill(mut counts: Vec<usize>, edges: &[(VId, VId)], mirror: bool) -> Self {
+        let n = counts.len() - 1;
+        for i in 0..n {
+            counts[i + 1] += counts[i];
+        }
+        let mut targets = vec![0 as VId; counts[n]];
+        // Each row's start is its write cursor, which ends at the next
+        // row's start; shifting right by one restores the starts.
+        for &(u, v) in edges {
+            if u != v {
+                let (row, target) = if mirror { (u.min(v), u.max(v)) } else { (u, v) };
+                targets[counts[row as usize]] = target;
+                counts[row as usize] += 1;
+            }
+        }
+        counts.copy_within(..n, 1);
+        counts[0] = 0;
+        Rows { offsets: counts, targets }
+    }
+
+    /// The rows, each sorted and duplicate-free.
+    pub(crate) fn sorted(mut self) -> Self {
+        self.sort_and_dedup();
+        self
+    }
+
+    /// Sorts every row and drops repeats, then closes the gaps. Rows are
+    /// sorted and deduplicated in place, [`ROW_CHUNK`] rows per parallel
+    /// task; the compaction is one serial pass that only moves each kept
+    /// prefix left.
+    fn sort_and_dedup(&mut self) {
+        let n = self.offsets.len() - 1;
+        let Rows { offsets, targets } = self;
+        let mut kept = vec![0usize; n];
+        let mut tasks = Vec::with_capacity(n.div_ceil(ROW_CHUNK));
+        let mut rest: &mut [VId] = targets;
+        for (ci, kept) in kept.chunks_mut(ROW_CHUNK).enumerate() {
+            let rows = &offsets[ci * ROW_CHUNK..=ci * ROW_CHUNK + kept.len()];
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(rows[kept.len()] - rows[0]);
+            rest = tail;
+            tasks.push((rows, chunk, kept));
+        }
+        gnn_dm_par::par_chunks_mut(&mut tasks, 1, |_, task| {
+            for (rows, chunk, kept) in task {
+                let base = rows[0];
+                for (r, kept) in kept.iter_mut().enumerate() {
+                    let row = &mut chunk[rows[r] - base..rows[r + 1] - base];
+                    row.sort_unstable();
+                    *kept = dedup_sorted(row);
+                }
+            }
+        });
+
+        let mut write = 0usize;
+        for (v, &k) in kept.iter().enumerate() {
+            let start = offsets[v];
+            if start != write {
+                targets.copy_within(start..start + k, write);
+            }
+            offsets[v] = write;
+            write += k;
+        }
+        offsets[n] = write;
+        targets.truncate(write);
+    }
+
+    /// The symmetric CSR of sorted upper rows (every entry above its row,
+    /// as [`Rows::fill`] leaves them under `mirror`), written in place into
+    /// arrays of their final length: row `r` is each `w < r` whose upper
+    /// row holds `r`, ascending, then `r`'s own upper row. Walking rows in
+    /// ascending order appends those lower entries in order and reaches
+    /// row `r` just after the last of them, so every row comes out sorted
+    /// and duplicate-free.
+    pub(crate) fn mirror(self) -> Csr {
+        let n = self.offsets.len() - 1;
+        let upper = |w: usize| &self.targets[self.offsets[w]..self.offsets[w + 1]];
+        let mut offsets: Arc<[usize]> = std::iter::repeat_n(0, n + 1).collect();
+        let ends = Arc::make_mut(&mut offsets);
+        for &x in &self.targets {
+            ends[x as usize + 1] += 1;
+        }
+        for w in 0..n {
+            ends[w + 1] += ends[w] + upper(w).len();
+        }
+        let mut targets: Arc<[VId]> = std::iter::repeat_n(0, ends[n]).collect();
+        let rows = Arc::make_mut(&mut targets);
+        // Each row's start is its write cursor, as in [`Rows::fill`]: row
+        // `w`'s has passed its lower entries when the walk reaches it.
+        for w in 0..n {
+            for &x in upper(w) {
+                rows[ends[x as usize]] = w as VId;
+                ends[x as usize] += 1;
+            }
+            let at = ends[w];
+            rows[at..at + upper(w).len()].copy_from_slice(upper(w));
+            ends[w] += upper(w).len();
+        }
+        ends.copy_within(..n, 1);
+        ends[0] = 0;
+        Csr { offsets, targets }
+    }
+}
+
+/// `counts[v + 1]` = the entries [`Rows::fill`] gives row `v` for `edges`
 /// over `n` vertices (self-loops skipped), checking every endpoint.
-fn row_counts(n: usize, edges: &[(VId, VId)], mirror: bool) -> Vec<usize> {
+pub(crate) fn row_counts(n: usize, edges: &[(VId, VId)], mirror: bool) -> Vec<usize> {
     let mut counts = vec![0usize; n + 1];
     for &(u, v) in edges {
         assert!(
@@ -254,10 +331,8 @@ fn row_counts(n: usize, edges: &[(VId, VId)], mirror: bool) -> Vec<usize> {
             "edge ({u}, {v}) out of range for {n} vertices"
         );
         if u != v {
-            counts[u as usize + 1] += 1;
-            if mirror {
-                counts[v as usize + 1] += 1;
-            }
+            let row = if mirror { u.min(v) } else { u };
+            counts[row as usize + 1] += 1;
         }
     }
     counts
@@ -348,6 +423,16 @@ mod tests {
         assert_eq!(csr.neighbors(1), &[0, 2]);
         let directed = Csr::from_edges(3, &[(0, 1), (1, 2)]);
         assert!(!directed.is_symmetric());
+    }
+
+    #[test]
+    fn clones_share_storage_and_equal_builds_do_not() {
+        let csr = Csr::from_undirected_edges(3, &[(0, 1), (1, 2)]);
+        assert!(csr.clone().shares_storage(&csr));
+        let rebuilt = Csr::from_edges(3, &[(0, 1), (1, 0), (1, 2), (2, 1)]);
+        assert_eq!(rebuilt, csr);
+        assert!(!rebuilt.shares_storage(&csr));
+        assert_eq!(csr.memory_bytes(), 4 * std::mem::size_of::<usize>() + 4 * std::mem::size_of::<VId>());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! numbers — the Box–Muller transform, the weighted-sampler lookups — fans
 //! out through `gnn-dm-par`.
 
-use crate::csr::{Csr, VId};
+use crate::csr::{row_counts, Rows, VId};
 use crate::features::FeatureTable;
 use crate::mask::SplitMask;
 use crate::Graph;
@@ -72,28 +72,38 @@ pub fn zipf_weights(n: usize, alpha: f64, seed: u64) -> Vec<f64> {
 /// of two.
 const BUCKETS_PER_ITEM: usize = 2;
 
-/// Cumulative-distribution sampler over non-negative weights.
+/// Cumulative-distribution samplers over non-negative weights, one per
+/// group of items, held in three flat arrays however many groups there
+/// are. [`WeightedSampler::new`] builds a single group; the generator
+/// builds one group per community.
 ///
-/// A draw `r` selects the first item whose prefix sum exceeds
-/// `r * total` (the last item if none does). A guide table splits `[0, 1)`
-/// into `B` equal buckets, a power of two, and stores for each bucket
-/// boundary the index that boundary itself selects; a draw then searches
-/// only between its bucket's two entries — usually none or one item — so
-/// it costs `O(1)` on average instead of a binary search over every
-/// prefix sum. Building is `O(n)`. Used by every weighted generator in
-/// this module.
+/// A draw `r` from a group selects the first of its items whose prefix sum
+/// (each group's restart at zero) exceeds `r * total` (the group's last
+/// item if none does). A guide table splits `[0, 1)` into `B` equal
+/// buckets, a power of two, and stores for each bucket boundary the index
+/// that boundary itself selects; a draw then searches only between its
+/// bucket's two entries — usually none or one item — so it costs `O(1)` on
+/// average instead of a binary search over every prefix sum. Building is
+/// `O(n)`. Used by every weighted generator in this module.
 #[derive(Debug, Clone)]
 pub struct WeightedSampler {
+    /// Each group's prefix sums, group after group.
     cumulative: Vec<f64>,
+    /// The item each position of `cumulative` draws; empty when position
+    /// `i` is item `i`.
     items: Vec<VId>,
-    /// `B + 1` entries: `guide[b]` is the number of prefix sums at most
-    /// `(b / B) * total`, so `guide[B]` is the item count.
+    /// Each group's `B + 1` entries, group after group: entry `b` is the
+    /// number of the group's prefix sums at most `(b / B) * total`, so the
+    /// last is the group's item count.
     guide: Vec<u32>,
+    /// Where each group starts in `cumulative` and in `guide`, then where
+    /// the last one ends.
+    starts: Vec<(usize, usize)>,
 }
 
 impl WeightedSampler {
-    /// Builds a sampler over `(item, weight)` pairs. Zero-weight items are
-    /// kept but never drawn.
+    /// Builds a sampler over `(item, weight)` pairs, as one group.
+    /// Zero-weight items are kept but never drawn.
     ///
     /// # Panics
     ///
@@ -101,52 +111,81 @@ impl WeightedSampler {
     /// or if they sum to zero or overflow to infinity.
     pub fn new(items: Vec<VId>, weights: &[f64]) -> Self {
         assert_eq!(items.len(), weights.len());
-        assert!(!items.is_empty(), "cannot sample from an empty set");
-        assert!(items.len() < u32::MAX as usize, "too many items for a u32 guide table");
+        Self::grouped(items, weights, &[weights.len()])
+    }
+
+    /// One group per run of positions ending at each of `ends`
+    /// (ascending, the last equal to `weights.len()`): position `i` weighs
+    /// `weights[i]` and draws `items[i]`, or `i` when `items` is empty.
+    /// Panics as [`WeightedSampler::new`] does, for every group.
+    fn grouped(items: Vec<VId>, weights: &[f64], ends: &[usize]) -> Self {
+        assert!(items.is_empty() || items.len() == weights.len());
+        let buckets = |len: usize| (len * BUCKETS_PER_ITEM).next_power_of_two();
+        let guide_len: usize = std::iter::once(0)
+            .chain(ends.iter().copied())
+            .zip(ends)
+            .map(|(start, &end)| buckets(end - start) + 1)
+            .sum();
         let mut cumulative = Vec::with_capacity(weights.len());
-        let mut total = 0.0;
-        for &w in weights {
-            assert!(w.is_finite() && w >= 0.0, "weights must be non-negative and finite");
-            total += w;
-            cumulative.push(total);
-        }
-        assert!(total.is_finite(), "weights must sum to a finite total");
-        assert!(total > 0.0, "weights must not all be zero");
-
-        let buckets = (items.len() * BUCKETS_PER_ITEM).next_power_of_two();
-        let mut guide = Vec::with_capacity(buckets + 1);
-        let mut i = 0usize;
-        for b in 0..=buckets {
-            // `b / buckets` is exact: the bucket count is a power of two.
-            let x = b as f64 / buckets as f64 * total;
-            while i < cumulative.len() && cumulative[i] <= x {
-                i += 1;
+        let mut guide = Vec::with_capacity(guide_len);
+        let mut starts = Vec::with_capacity(ends.len() + 1);
+        for &end in ends {
+            let group_start = cumulative.len();
+            starts.push((group_start, guide.len()));
+            let group = &weights[group_start..end];
+            assert!(!group.is_empty(), "cannot sample from an empty set");
+            assert!(group.len() < u32::MAX as usize, "too many items for a u32 guide table");
+            let mut total = 0.0;
+            for &w in group {
+                assert!(w.is_finite() && w >= 0.0, "weights must be non-negative and finite");
+                total += w;
+                cumulative.push(total);
             }
-            guide.push(i as u32);
+            assert!(total.is_finite(), "weights must sum to a finite total");
+            assert!(total > 0.0, "weights must not all be zero");
+
+            let sums = &cumulative[group_start..];
+            let buckets = buckets(group.len());
+            let mut i = 0usize;
+            for b in 0..=buckets {
+                // `b / buckets` is exact: the bucket count is a power of two.
+                let x = b as f64 / buckets as f64 * total;
+                while i < sums.len() && sums[i] <= x {
+                    i += 1;
+                }
+                guide.push(i as u32);
+            }
         }
-        WeightedSampler { cumulative, items, guide }
+        starts.push((cumulative.len(), guide.len()));
+        WeightedSampler { cumulative, items, guide, starts }
     }
 
-    /// Draws one item proportionally to its weight.
+    /// Draws one item of the first group proportionally to its weight.
     pub fn sample(&self, rng: &mut impl Rng) -> VId {
-        self.at(rng.random::<f64>())
+        self.at(0, rng.random::<f64>())
     }
 
-    /// The item a uniform draw `r` in `[0, 1)` selects: the binary search
-    /// `partition_point(|&c| c <= r * total).min(len - 1)`, exactly.
+    /// The item a uniform draw `r` in `[0, 1)` selects from `group`: the
+    /// binary search `partition_point(|&c| c <= r * total).min(len - 1)`
+    /// over the group's prefix sums, exactly.
     ///
     /// Scaling by the power-of-two bucket count is exact, so `r` lies in
     /// `[b / B, (b + 1) / B)` for its bucket `b`, and rounding is monotone:
     /// `r * total` falls between the two boundaries' products, so the
     /// search's answer lies between `guide[b]` and `guide[b + 1]`.
-    fn at(&self, r: f64) -> VId {
-        let total = self.cumulative[self.cumulative.len() - 1];
-        let x = r * total;
-        let buckets = self.guide.len() - 1;
+    fn at(&self, group: usize, r: f64) -> VId {
+        let ((c0, g0), (c1, g1)) = (self.starts[group], self.starts[group + 1]);
+        let (cumulative, guide) = (&self.cumulative[c0..c1], &self.guide[g0..g1]);
+        let x = r * cumulative[cumulative.len() - 1];
+        let buckets = guide.len() - 1;
         let b = ((r * buckets as f64) as usize).min(buckets - 1);
-        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
-        let idx = lo + self.cumulative[lo..hi].partition_point(|&c| c <= x);
-        self.items[idx.min(self.items.len() - 1)]
+        let (lo, hi) = (guide[b] as usize, guide[b + 1] as usize);
+        let at = c0 + (lo + cumulative[lo..hi].partition_point(|&c| c <= x)).min(cumulative.len() - 1);
+        if self.items.is_empty() {
+            at as VId
+        } else {
+            self.items[at]
+        }
     }
 }
 
@@ -215,35 +254,46 @@ pub fn planted_partition(cfg: &PplConfig) -> Graph {
 
     let weights = zipf_weights(cfg.n, cfg.skew, cfg.seed ^ 0x9e37_79b9);
 
-    // Per-community and global weighted samplers.
-    let mut members: Vec<Vec<VId>> = vec![Vec::new(); cfg.num_classes];
-    for (v, &l) in labels.iter().enumerate() {
-        members[l as usize].push(v as VId);
+    // The global sampler over vertex ids, and one sampler per community
+    // over its members in ascending order, held as groups of one: a few
+    // large arrays rather than three per community, so dropping them
+    // before the build frees whole allocations, not scattered small ones.
+    let global = WeightedSampler::grouped(Vec::new(), &weights, &[cfg.n]);
+    // The members, community after community, by a counting sort on the
+    // label: each community's size becomes its start, its write cursor,
+    // which ends at its end.
+    let mut ends = vec![0usize; cfg.num_classes];
+    for &l in &labels {
+        ends[l as usize] += 1;
     }
-    let community_samplers: Vec<WeightedSampler> = members
-        .iter()
-        .map(|m| {
-            let w: Vec<f64> = m.iter().map(|&v| weights[v as usize]).collect();
-            WeightedSampler::new(m.clone(), &w)
-        })
-        .collect();
-    let global = WeightedSampler::new((0..cfg.n as VId).collect(), &weights);
+    let mut start = 0;
+    for e in &mut ends {
+        start += std::mem::replace(e, start);
+    }
+    let mut members = vec![0 as VId; cfg.n];
+    for (v, &l) in labels.iter().enumerate() {
+        members[ends[l as usize]] = v as VId;
+        ends[l as usize] += 1;
+    }
+    let member_weights: Vec<f64> = members.iter().map(|&v| weights[v as usize]).collect();
+    let communities = WeightedSampler::grouped(members, &member_weights, &ends);
+    // The samplers hold what placement needs; the weights do not sit
+    // beside the pairs.
+    drop((member_weights, weights));
 
     let m = ((cfg.n as f64) * cfg.avg_degree / 2.0).round() as usize;
-    // Each placed pair is kept once, with both endpoints' row counts, and
-    // the mirrored build writes its two directions.
+    // Each placed pair is kept once; the mirrored build files it in the
+    // row of its smaller endpoint.
     let mut pairs: Vec<(VId, VId)> = Vec::with_capacity(m);
-    let mut counts = vec![0usize; cfg.n + 1];
-    place_edges(&mut rng, m, cfg.homophily, &labels, &global, &community_samplers, |u, v| {
-        pairs.push((u, v));
-        counts[u as usize + 1] += 1;
-        counts[v as usize + 1] += 1;
-    });
-    // Freed before the build, so they do not sit beside its target array.
-    drop((global, community_samplers));
-    let out = Csr::fill(counts, &pairs, true);
+    place_edges(&mut rng, m, cfg.homophily, &labels, &global, &communities, |u, v| pairs.push((u, v)));
+    // Freed before the build, so they do not sit beside its arrays.
+    drop((global, communities));
+    let upper = Rows::fill(row_counts(cfg.n, &pairs, true), &pairs, true);
+    // Dropped once the rows hold them, so the pairs never sit beside the
+    // sort's counts or the final arrays.
     drop(pairs);
-    let inn = out.clone(); // symmetric
+    let out = upper.sorted().mirror();
+    let inn = out.clone(); // symmetric: one adjacency, shared
 
     // Deferred: the table has its own stream, so drawing it on first read
     // gives the bits drawing it here would.
@@ -276,7 +326,7 @@ fn place_edges(
     homophily: f64,
     labels: &[u32],
     global: &WeightedSampler,
-    communities: &[WeightedSampler],
+    communities: &WeightedSampler,
     mut accept: impl FnMut(VId, VId),
 ) {
     let max_attempts = m * 20;
@@ -289,11 +339,11 @@ fn place_edges(
         draws.clear();
         draws.extend((0..len).map(|_| [rng.random::<f64>(), rng.random(), rng.random()]));
         let pairs = gnn_dm_par::par_map_collect(&draws, |_, &[first, coin, second]| {
-            let u = global.at(first);
+            let u = global.at(0, first);
             let v = if coin < homophily {
-                communities[labels[u as usize] as usize].at(second)
+                communities.at(labels[u as usize] as usize, second)
             } else {
-                global.at(second)
+                global.at(0, second)
             };
             (u, v)
         });
@@ -469,9 +519,23 @@ mod tests {
             vec![0.25; 64],
             vec![2.5],
         ];
-        for weights in &weight_sets {
-            let items: Vec<VId> = (0..weights.len() as VId).map(|i| i * 3 + 1).collect();
-            let s = WeightedSampler::new(items, weights);
+        // Every set again as one group of a single sampler.
+        let items_of = |w: &[f64]| (0..w.len() as VId).map(|i| i * 3 + 1).collect::<Vec<VId>>();
+        let ends: Vec<usize> = weight_sets
+            .iter()
+            .scan(0, |end, w| {
+                *end += w.len();
+                Some(*end)
+            })
+            .collect();
+        let grouped = WeightedSampler::grouped(
+            weight_sets.iter().flat_map(|w| items_of(w)).collect(),
+            &weight_sets.concat(),
+            &ends,
+        );
+        for (g, weights) in weight_sets.iter().enumerate() {
+            let s = WeightedSampler::new(items_of(weights), weights);
+            let positions = WeightedSampler::grouped(Vec::new(), weights, &[weights.len()]);
             let buckets = s.guide.len() - 1;
             let mut rs = vec![0.0, 1.0 - f64::EPSILON / 2.0, f64::MIN_POSITIVE, 1e-300];
             // Every bucket boundary and the float just below it.
@@ -495,7 +559,10 @@ mod tests {
             rs.extend((0..20_000).map(|_| f64::from_bits(rng.next_u64() % 1.0f64.to_bits())));
             for r in rs {
                 assert!((0.0..1.0).contains(&r), "{r}");
-                assert_eq!(s.at(r), searched(&s, r), "r = {r:e}, {} weights", weights.len());
+                let drawn = searched(&s, r);
+                assert_eq!(s.at(0, r), drawn, "r = {r:e}, {} weights", weights.len());
+                assert_eq!(grouped.at(g, r), drawn, "group {g}, r = {r:e}");
+                assert_eq!(positions.at(0, r) * 3 + 1, drawn, "positions, r = {r:e}");
             }
         }
     }
@@ -586,6 +653,10 @@ mod tests {
             WeightedSampler::new(vec![0, 2], &[1.0, 3.0]),
             WeightedSampler::new(vec![1, 3], &[2.0, 4.0]),
         ];
+        // What the generator builds: the global sampler over positions, the
+        // communities as groups of one sampler.
+        let positions = WeightedSampler::grouped(Vec::new(), &[1.0, 2.0, 3.0, 4.0], &[4]);
+        let grouped = WeightedSampler::grouped(vec![0, 2, 1, 3], &[1.0, 3.0, 2.0, 4.0], &[2, 4]);
         for (m, homophily) in [(EDGE_CHUNK + 100, 0.6), (7, 0.6), (300, 1.0)] {
             let mut serial = Script::new(Vec::new());
             let mut expect = Vec::new();
@@ -611,7 +682,7 @@ mod tests {
             let mut got = Vec::new();
             let mut script = Script::new(Vec::new());
             gnn_dm_par::with_threads(3, || {
-                place_edges(&mut script, m, homophily, &labels, &global, &communities, |u, v| {
+                place_edges(&mut script, m, homophily, &labels, &positions, &grouped, |u, v| {
                     got.push((u, v));
                 });
             });

@@ -162,6 +162,8 @@ pub fn read_graph<R: Read>(r: &mut R) -> Result<Graph, GraphIoError> {
     }
     let out = read_csr(r, n, m)?;
     let inn = read_csr(r, n, m)?;
+    // A symmetric graph keeps one adjacency, as it did before it was written.
+    let inn = if inn == out { out.clone() } else { inn };
     let mut feats = Vec::with_capacity(n * dim);
     for _ in 0..n * dim {
         feats.push(f32::from_le_bytes(read_exact::<R, 4>(r)?));
@@ -235,6 +237,7 @@ mod tests {
         let r = read_graph(&mut buf.as_slice())?;
         assert_eq!(r.out, g.out);
         assert_eq!(r.inn, g.inn);
+        assert!(g.inn.shares_storage(&g.out) && r.inn.shares_storage(&r.out), "one symmetric adjacency");
         assert_eq!(r.features, g.features);
         assert_eq!(r.labels, g.labels);
         assert_eq!(r.split, g.split);

@@ -36,7 +36,8 @@ pub fn apply_permutation(graph: &Graph, perm: &[VId]) -> Graph {
         Csr::from_edges(n, &edges)
     };
     let out = remap_csr(&graph.out);
-    let inn = remap_csr(&graph.inn);
+    // A symmetric graph's two adjacencies are one: remap it once.
+    let inn = if graph.inn.shares_storage(&graph.out) { out.clone() } else { remap_csr(&graph.inn) };
 
     let dim = graph.feat_dim();
     let mut features = FeatureTable::zeros(n, dim);
@@ -103,6 +104,7 @@ mod tests {
         let r = by_label(&g);
         assert_eq!(r.num_edges(), g.num_edges());
         assert_eq!(r.num_vertices(), g.num_vertices());
+        assert!(r.inn.shares_storage(&r.out), "a symmetric graph is remapped once");
         // Degree multiset is invariant.
         let mut dg: Vec<usize> = (0..g.num_vertices()).map(|v| g.out.degree(v as VId)).collect();
         let mut dr: Vec<usize> = (0..r.num_vertices()).map(|v| r.out.degree(v as VId)).collect();

@@ -422,7 +422,7 @@ mod tests {
     /// Block: sources [10, 11, 12, 13], dsts [10, 11];
     /// edges 12→10, 13→10, 12→11.
     fn block() -> Block {
-        Block::from_edges(vec![10, 11, 12, 13], vec![10, 11], &[(2, 0), (3, 0), (2, 1)])
+        Block::from_edges(4, 2, &[(2, 0), (3, 0), (2, 1)])
     }
 
     fn h4() -> Matrix {
@@ -478,7 +478,7 @@ mod tests {
 
     #[test]
     fn isolated_destination_keeps_self_only() {
-        let b = Block::from_edges(vec![5], vec![5], &[]);
+        let b = Block::from_edges(1, 1, &[]);
         let h = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
         let gcn = gcn_block_forward(&b, &h);
         assert_eq!(gcn.row(0), &[3.0, 4.0]);
@@ -517,7 +517,7 @@ mod tests {
         let h = Matrix::from_vec(3, 2, vec![1.0, 1.0, 2.0, 0.0, 0.0, 4.0]);
         let full = gcn_full_forward(&in_csr, &h);
         // Block equivalent over all three vertices with every in-edge.
-        let b = Block::from_edges(vec![0, 1, 2], vec![0, 1, 2], &[(1, 0), (2, 0), (2, 1)]);
+        let b = Block::from_edges(3, 3, &[(1, 0), (2, 0), (2, 1)]);
         let blk = gcn_block_forward(&b, &h);
         for i in 0..6 {
             assert!((full.as_slice()[i] - blk.as_slice()[i]).abs() < 1e-6);

@@ -157,10 +157,10 @@ fn sage_backward_ref(block: &Block, d_out: &Matrix) -> Matrix {
 /// The whole in-CSR as one block over every vertex, so the block
 /// references double as the full-graph references.
 fn full_block(in_csr: &Csr) -> Block {
-    let ids: Vec<VId> = (0..in_csr.num_vertices() as VId).collect();
+    let n = in_csr.num_vertices();
     let edges: Vec<(u32, u32)> =
-        ids.iter().flat_map(|&v| in_csr.neighbors(v).iter().map(move |&u| (u, v))).collect();
-    Block::from_edges(ids.clone(), ids, &edges)
+        (0..n as VId).flat_map(|v| in_csr.neighbors(v).iter().map(move |&u| (u, v))).collect();
+    Block::from_edges(n, n, &edges)
 }
 
 #[test]

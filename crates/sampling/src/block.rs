@@ -3,33 +3,35 @@
 //! A 2-layer GNN batch is a chain of two bipartite *blocks*. Each block maps
 //! a set of source vertices (whose embeddings exist) to a smaller set of
 //! destination vertices (whose next-layer embeddings are being computed).
-//! Sampled vertices are deduplicated within a block — the paper notes this
-//! explicitly (§2: "the sampled vertices may be deduplicated").
+//! Sampled vertices are deduplicated — the paper notes this explicitly
+//! (§2: "the sampled vertices may be deduplicated") — across the whole
+//! batch, which stores each vertex id once.
 
 use gnn_dm_graph::csr::VId;
 
-/// One bipartite layer of a sampled mini-batch, stored destination-major
-/// (CSR): the sources feeding destination `d` are
-/// `edge_src[dst_offsets[d]..dst_offsets[d + 1]]`, in the order they were
-/// drawn. Aggregation walks one destination's sources at a time and writes
-/// each output row once; an in-degree is a subtraction, not a count.
+/// One bipartite layer of a sampled mini-batch: its topology only. The
+/// vertex ids live once, in the owning [`MiniBatch`]'s id list: a block's
+/// sources are the first [`Block::num_src`] ids of that list and its
+/// destinations the first [`Block::num_dst`] (every destination is also a
+/// source, as GCN self-loops and GraphSAGE concatenation need), read
+/// through [`MiniBatch::src_ids`] and [`MiniBatch::dst_ids`].
+///
+/// Edges are stored destination-major (CSR): the sources feeding
+/// destination `d` are `edge_src[dst_offsets[d]..dst_offsets[d + 1]]`, in
+/// the order they were drawn. Aggregation walks one destination's sources
+/// at a time and writes each output row once; an in-degree is a
+/// subtraction, not a count.
 ///
 /// Invariants (checked by [`Block::validate`]):
-/// * `src_ids[..dst_ids.len()] == dst_ids` — every destination is also a
-///   source (self-features are needed by GCN self-loops and GraphSAGE
-///   concatenation);
-/// * `src_ids` contains no duplicates;
-/// * `dst_offsets` has `dst_ids.len() + 1` entries, starts at 0, never
+/// * there are at least as many sources as destinations;
+/// * `dst_offsets` has `num_dst() + 1` entries, starts at 0, never
 ///   decreases and ends at `edge_src.len()`;
 /// * every `edge_src` entry is a valid local source index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
-    /// Global ids of source vertices (deduplicated). The first
-    /// `dst_ids.len()` entries are exactly `dst_ids`.
-    pub src_ids: Vec<VId>,
-    /// Global ids of destination vertices.
-    pub dst_ids: Vec<VId>,
-    /// Edge range of each destination: `dst_ids.len() + 1` ascending
+    /// Number of source vertices: a prefix of the batch's id list.
+    pub(crate) num_src: usize,
+    /// Edge range of each destination: `num_dst() + 1` ascending
     /// positions into `edge_src`.
     pub dst_offsets: Vec<u32>,
     /// Local source index of every message edge, grouped by destination;
@@ -38,19 +40,20 @@ pub struct Block {
 }
 
 impl Block {
-    /// Builds a block from `(src_local_index, dst_local_index)` pairs in any
-    /// order. Edges are grouped by destination with a stable counting sort,
-    /// so each destination keeps its edges in input order.
+    /// Builds a block over `num_src` sources and `num_dst` destinations
+    /// from `(src_local_index, dst_local_index)` pairs in any order. Edges
+    /// are grouped by destination with a stable counting sort, so each
+    /// destination keeps its edges in input order.
     ///
     /// # Panics
     ///
-    /// Panics if an edge names a destination index `>= dst_ids.len()`.
-    pub fn from_edges(src_ids: Vec<VId>, dst_ids: Vec<VId>, edges: &[(u32, u32)]) -> Self {
-        let mut dst_offsets = vec![0u32; dst_ids.len() + 1];
+    /// Panics if an edge names a destination index `>= num_dst`.
+    pub fn from_edges(num_src: usize, num_dst: usize, edges: &[(u32, u32)]) -> Self {
+        let mut dst_offsets = vec![0u32; num_dst + 1];
         for &(_, d) in edges {
             dst_offsets[d as usize + 1] += 1;
         }
-        for d in 0..dst_ids.len() {
+        for d in 0..num_dst {
             dst_offsets[d + 1] += dst_offsets[d];
         }
         let mut next = dst_offsets.clone();
@@ -59,17 +62,17 @@ impl Block {
             edge_src[next[d as usize] as usize] = s;
             next[d as usize] += 1;
         }
-        Block { src_ids, dst_ids, dst_offsets, edge_src }
+        Block { num_src, dst_offsets, edge_src }
     }
 
     /// Number of source vertices.
     pub fn num_src(&self) -> usize {
-        self.src_ids.len()
+        self.num_src
     }
 
     /// Number of destination vertices.
     pub fn num_dst(&self) -> usize {
-        self.dst_ids.len()
+        self.dst_offsets.len() - 1
     }
 
     /// Number of message edges.
@@ -97,35 +100,22 @@ impl Block {
 
     /// Checks the structural invariants; returns the first violation.
     pub fn validate(&self) -> Result<(), String> {
-        if self.src_ids.len() < self.dst_ids.len() {
+        let Some((&first, &last)) = self.dst_offsets.first().zip(self.dst_offsets.last()) else {
+            return Err("offset table needs one entry per destination plus one".into());
+        };
+        if self.num_src < self.num_dst() {
             return Err("src set smaller than dst set".into());
         }
-        if self.src_ids[..self.dst_ids.len()] != self.dst_ids[..] {
-            return Err("src_ids must start with dst_ids".into());
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        for &s in &self.src_ids {
-            if !seen.insert(s) {
-                return Err(format!("duplicate source id {s}"));
-            }
-        }
-        if self.dst_offsets.len() != self.dst_ids.len() + 1 {
-            return Err(format!(
-                "offset table has {} entries for {} destinations",
-                self.dst_offsets.len(),
-                self.dst_ids.len()
-            ));
-        }
-        if self.dst_offsets[0] != 0 {
+        if first != 0 {
             return Err("offset table must start at 0".into());
         }
         if let Some(d) = self.dst_offsets.windows(2).position(|w| w[0] > w[1]) {
             return Err(format!("offset table decreases at destination {d}"));
         }
-        if self.dst_offsets[self.dst_ids.len()] as usize != self.edge_src.len() {
+        if last as usize != self.edge_src.len() {
             return Err("offset table must end at the edge count".into());
         }
-        if let Some(&s) = self.edge_src.iter().find(|&&s| s as usize >= self.src_ids.len()) {
+        if let Some(&s) = self.edge_src.iter().find(|&&s| s as usize >= self.num_src) {
             return Err(format!("edge source index {s} out of range"));
         }
         Ok(())
@@ -135,12 +125,19 @@ impl Block {
 /// A sampled mini-batch: blocks ordered input-most first, so a forward pass
 /// consumes `blocks[0]`, then `blocks[1]`, …; `blocks.last()` produces
 /// embeddings for exactly `seeds`.
+///
+/// The batch stores each vertex id once: `ids` lists the input vertices in
+/// first-appearance order (the deduplicated seeds, then each layer's new
+/// sources), and every block's sources and destinations are prefixes of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MiniBatch {
     /// Blocks from the input layer to the output layer.
     pub blocks: Vec<Block>,
-    /// The training vertices this batch computes predictions for.
+    /// The training vertices this batch computes predictions for: the first
+    /// `blocks.last().num_dst()` ids.
     pub seeds: Vec<VId>,
+    /// Every vertex of the batch, duplicate-free, in first-appearance order.
+    pub(crate) ids: Vec<VId>,
 }
 
 /// Bytes to encode one sampled edge on the wire or bus (two u32 vertex
@@ -149,10 +146,28 @@ pub struct MiniBatch {
 pub const BYTES_PER_EDGE: u64 = 8;
 
 impl MiniBatch {
+    /// The batch over the id list `ids` and `blocks` (input-most first);
+    /// the seeds are the output block's destinations, or every id when
+    /// there is no block.
+    pub fn new(ids: Vec<VId>, blocks: Vec<Block>) -> Self {
+        let num_seeds = blocks.last().map_or(ids.len(), Block::num_dst).min(ids.len());
+        MiniBatch { seeds: ids[..num_seeds].to_vec(), blocks, ids }
+    }
+
     /// Global ids whose raw features must be loaded — the sources of the
-    /// input-most block.
+    /// input-most block, which is every vertex of the batch.
     pub fn input_ids(&self) -> &[VId] {
-        &self.blocks[0].src_ids
+        &self.ids
+    }
+
+    /// Global ids of `blocks[l]`'s sources.
+    pub fn src_ids(&self, l: usize) -> &[VId] {
+        &self.ids[..self.blocks[l].num_src()]
+    }
+
+    /// Global ids of `blocks[l]`'s destinations.
+    pub fn dst_ids(&self, l: usize) -> &[VId] {
+        &self.ids[..self.blocks[l].num_dst()]
     }
 
     /// Bytes of sampled topology this batch ships ([`BYTES_PER_EDGE`] per
@@ -164,9 +179,7 @@ impl MiniBatch {
     /// Total distinct vertices appearing anywhere in the batch
     /// (the paper's "involved #V", Table 6).
     pub fn involved_vertices(&self) -> usize {
-        // blocks[0].src_ids is a superset of every later layer's vertices by
-        // construction (each layer's sources include its destinations).
-        self.blocks.first().map_or(0, |b| b.num_src())
+        self.ids.len()
     }
 
     /// Total message edges across all blocks (the paper's "involved #E").
@@ -179,22 +192,40 @@ impl MiniBatch {
         self.blocks.len()
     }
 
-    /// Validates every block plus the cross-block chaining invariant:
-    /// `blocks[l].dst_ids == blocks[l + 1]`'s sources' prefix… i.e. each
-    /// block's destinations are the next block's `dst`-extended sources.
+    /// Validates every block, the id list and how the blocks chain: the
+    /// ids are duplicate-free, the input block's sources are every id, each
+    /// block's destinations are the next block's sources, and the seeds are
+    /// the output block's destinations. (Every block reads its ids as a
+    /// prefix of one list, so chaining is a matter of counts.)
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_shape()?;
+        let mut seen = std::collections::BTreeSet::new();
+        if let Some(&v) = self.ids.iter().find(|&&v| !seen.insert(v)) {
+            return Err(format!("duplicate vertex id {v}"));
+        }
+        Ok(())
+    }
+
+    /// Every check of [`MiniBatch::validate`] but the duplicate scan. It
+    /// allocates nothing unless it fails, so the batch builders
+    /// debug-assert it on every batch they hand out.
+    pub(crate) fn validate_shape(&self) -> Result<(), String> {
         for (l, b) in self.blocks.iter().enumerate() {
             b.validate().map_err(|e| format!("block {l}: {e}"))?;
         }
-        for l in 0..self.blocks.len().saturating_sub(1) {
-            if self.blocks[l].dst_ids != self.blocks[l + 1].src_ids {
+        if let Some(first) = self.blocks.first() {
+            if first.num_src() != self.ids.len() {
+                return Err("input block sources != the batch's ids".into());
+            }
+        }
+        for (l, w) in self.blocks.windows(2).enumerate() {
+            if w[0].num_dst() != w[1].num_src() {
                 return Err(format!("block {l} destinations != block {} sources", l + 1));
             }
         }
-        if let Some(last) = self.blocks.last() {
-            if last.dst_ids != self.seeds {
-                return Err("output block destinations != seeds".into());
-            }
+        let num_seeds = self.blocks.last().map_or(self.ids.len(), Block::num_dst);
+        if self.ids.get(..num_seeds) != Some(&self.seeds[..]) {
+            return Err("output block destinations != seeds".into());
         }
         Ok(())
     }
@@ -253,7 +284,7 @@ mod tests {
     use super::*;
 
     fn simple_block() -> Block {
-        Block::from_edges(vec![5, 9, 1, 3], vec![5, 9], &[(2, 0), (3, 0), (2, 1)])
+        Block::from_edges(4, 2, &[(2, 0), (3, 0), (2, 1)])
     }
 
     #[test]
@@ -273,7 +304,7 @@ mod tests {
     #[test]
     fn from_edges_is_stable_by_destination() {
         let unsorted = [(3, 1), (2, 0), (1, 2), (3, 0), (0, 1), (2, 1), (3, 0)];
-        let b = Block::from_edges(vec![7, 8, 9, 4], vec![7, 8, 9], &unsorted);
+        let b = Block::from_edges(4, 3, &unsorted);
         assert!(b.validate().is_ok());
         assert_eq!(b.dst_offsets, vec![0, 3, 6, 7]);
         assert_eq!(b.sources_of(0), &[2, 3, 3], "parallel edges kept, in input order");
@@ -282,13 +313,13 @@ mod tests {
         let mut by_dst = unsorted.to_vec();
         by_dst.sort_by_key(|&(_, d)| d); // stable
         assert_eq!(b.edges().collect::<Vec<_>>(), by_dst);
-        assert_eq!(Block::from_edges(b.src_ids.clone(), b.dst_ids.clone(), &by_dst), b);
+        assert_eq!(Block::from_edges(4, 3, &by_dst), b);
     }
 
     #[test]
     fn block_validate_catches_bad_offset_table() {
         let mut short = simple_block();
-        short.dst_offsets.pop();
+        short.dst_offsets.clear();
         assert!(short.validate().is_err(), "one offset per destination plus one");
         let mut decreasing = simple_block();
         decreasing.dst_offsets[1] = 3;
@@ -300,20 +331,8 @@ mod tests {
         let mut shifted = simple_block();
         shifted.dst_offsets[0] = 1;
         assert!(shifted.validate().is_err(), "offsets must start at 0");
-    }
-
-    #[test]
-    fn block_validate_catches_prefix_violation() {
-        let mut b = simple_block();
-        b.src_ids.swap(0, 1);
-        assert!(b.validate().is_err());
-    }
-
-    #[test]
-    fn block_validate_catches_duplicates() {
-        let mut b = simple_block();
-        b.src_ids[3] = 1;
-        assert!(b.validate().is_err());
+        let too_few_sources = Block::from_edges(1, 2, &[]);
+        assert!(too_few_sources.validate().is_err(), "every destination is a source");
     }
 
     #[test]
@@ -340,21 +359,33 @@ mod tests {
     }
 
     #[test]
-    fn minibatch_involved_counts() {
-        let b0 = Block::from_edges(vec![1, 2, 3, 4], vec![1, 2], &[(2, 0), (3, 1)]);
-        let b1 = Block::from_edges(vec![1, 2], vec![1], &[(1, 0)]);
-        let mb = MiniBatch { blocks: vec![b0, b1], seeds: vec![1] };
+    fn minibatch_reads_each_block_as_a_prefix_of_one_id_list() {
+        let b0 = Block::from_edges(4, 2, &[(2, 0), (3, 1)]);
+        let b1 = Block::from_edges(2, 1, &[(1, 0)]);
+        let mb = MiniBatch::new(vec![1, 2, 3, 4], vec![b0, b1]);
         assert!(mb.validate().is_ok());
+        assert_eq!(mb.seeds, vec![1]);
         assert_eq!(mb.involved_vertices(), 4);
         assert_eq!(mb.involved_edges(), 3);
         assert_eq!(mb.input_ids(), &[1, 2, 3, 4]);
+        assert_eq!((mb.src_ids(0), mb.dst_ids(0)), (&[1, 2, 3, 4][..], &[1, 2][..]));
+        assert_eq!((mb.src_ids(1), mb.dst_ids(1)), (&[1, 2][..], &[1][..]));
     }
 
     #[test]
-    fn minibatch_validate_checks_chaining() {
-        let b0 = Block::from_edges(vec![1, 2, 3], vec![1, 2], &[]);
-        let b1 = Block::from_edges(vec![2, 1], vec![2], &[]);
-        let mb = MiniBatch { blocks: vec![b0, b1], seeds: vec![2] };
-        assert!(mb.validate().is_err());
+    fn minibatch_validate_checks_chaining_ids_and_seeds() {
+        let chain = |b1_src| {
+            let b0 = Block::from_edges(3, 2, &[]);
+            MiniBatch::new(vec![1, 2, 3], vec![b0, Block::from_edges(b1_src, 1, &[])])
+        };
+        assert!(chain(2).validate().is_ok());
+        assert!(chain(3).validate().is_err(), "block 0 has 2 destinations, block 1 3 sources");
+        let duplicate = MiniBatch::new(vec![1, 2, 1], vec![Block::from_edges(3, 2, &[])]);
+        assert!(duplicate.validate().is_err(), "an id appears once");
+        let short = MiniBatch::new(vec![1, 2], vec![Block::from_edges(3, 2, &[])]);
+        assert!(short.validate().is_err(), "the input block's sources are every id");
+        let mut stale_seeds = chain(2);
+        stale_seeds.seeds = vec![2];
+        assert!(stale_seeds.validate().is_err(), "the seeds lead the id list");
     }
 }

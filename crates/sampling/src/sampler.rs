@@ -303,16 +303,18 @@ pub fn build_minibatch(
 
 /// Reusable arena for mini-batch construction. One lives per sampling
 /// thread for a whole epoch (or a whole cluster simulation), so the
-/// per-batch index map and draw buffers are allocated once and recycled:
-/// only the returned [`MiniBatch`] itself is freshly allocated per batch.
+/// per-batch index map, the growing id list and edge buffer and the draw
+/// buffers are allocated once and recycled: only the returned
+/// [`MiniBatch`] itself is freshly allocated per batch, each of its arrays
+/// once and at its exact length.
 ///
 /// The arena never changes what is sampled — [`build_minibatch_with`] and
 /// [`build_minibatch_seeded_with`] produce byte-identical batches whether
 /// the scratch is fresh or has been through a thousand batches.
 #[derive(Debug, Default)]
 pub struct SampleScratch {
-    /// Global id → block-local index (stamp-versioned; O(1) reset).
-    map: DenseMap,
+    /// The batch being built: index map, id list and edge buffer.
+    chain: Chain,
     /// Per-destination neighbor draw buffer.
     nbr: Vec<VId>,
     /// Draw-routine temporaries.
@@ -324,6 +326,20 @@ impl SampleScratch {
     pub fn new() -> Self {
         SampleScratch::default()
     }
+}
+
+/// The growable state of one batch build: the batch's id list so far, the
+/// map from each of those ids to its position, and the current block's
+/// edge buffer. A block's destinations are the ids present when it starts,
+/// and its new sources are appended as they are first drawn.
+#[derive(Debug, Default)]
+struct Chain {
+    /// Global id → position in `ids` (stamp-versioned; O(1) reset).
+    map: DenseMap,
+    /// The batch's vertices, duplicate-free, in first-appearance order.
+    ids: Vec<VId>,
+    /// The current block's local source index per edge.
+    edges: Vec<u32>,
 }
 
 /// Where a builder's neighbor draws come from — the only thing the stream
@@ -383,8 +399,8 @@ pub fn build_minibatch_seeded_with(
 }
 
 /// The vertex-wise builders' loop: each layer's block is
-/// [`assemble_block`] over the previous block's sources, with each
-/// destination's neighbors drawn by `sampler` from `draws`.
+/// [`assemble_block`] over the batch's ids so far, with each destination's
+/// neighbors drawn by `sampler` from `draws`.
 fn assemble_blocks(
     in_csr: &Csr,
     seeds: &[VId],
@@ -394,14 +410,14 @@ fn assemble_blocks(
 ) -> MiniBatch {
     use rand::SeedableRng;
 
-    let SampleScratch { map, nbr, sampler: draw_scratch } = scratch;
-    chain_blocks(seeds, sampler.num_layers(), map, |layer, dst_ids, map| {
+    let SampleScratch { chain, nbr, sampler: draw_scratch } = scratch;
+    chain_blocks(seeds, sampler.num_layers(), chain, |layer, chain| {
         // The seeded builder's layer split, once per layer.
         let layer_seed = match draws {
             DrawRng::Seeded(base_seed) => gnn_dm_par::split_seed(base_seed, layer as u64),
             DrawRng::Stream(_) => 0, // unused
         };
-        assemble_block(in_csr, dst_ids, map, nbr, |d_local, d, out| {
+        assemble_block(in_csr, chain, nbr, |d_local, d, out| {
             let mut derived;
             let rng: &mut StdRng = match &mut draws {
                 DrawRng::Stream(rng) => rng,
@@ -416,78 +432,74 @@ fn assemble_blocks(
 }
 
 /// The mini-batch over the deduplicated `seeds` whose `layers` blocks are
-/// `block(layer, dst_ids, map)`, output layer first: layer 0's destinations
-/// are the seeds, and each later layer's are the previous block's sources.
-/// `map` is the builder's index map, handed on to `block`.
+/// `block(layer, chain)`, output layer first: layer 0's destinations are
+/// the seeds, and each later layer's are every id the earlier layers
+/// numbered. The id list is copied out once, at its exact length.
 fn chain_blocks(
     seeds: &[VId],
     layers: usize,
-    map: &mut DenseMap,
-    mut block: impl FnMut(usize, Vec<VId>, &mut DenseMap) -> Block,
+    chain: &mut Chain,
+    mut block: impl FnMut(usize, &mut Chain) -> Block,
 ) -> MiniBatch {
+    let Chain { map, ids, .. } = chain;
     map.begin();
-    let mut seeds_dedup: Vec<VId> = Vec::with_capacity(seeds.len());
+    ids.clear();
     for &s in seeds {
         if map.get(s).is_none() {
-            map.insert(s, 0);
-            seeds_dedup.push(s);
+            map.insert(s, ids.len() as u32);
+            ids.push(s);
         }
     }
-    let mut blocks_rev: Vec<Block> = Vec::with_capacity(layers);
-    let mut frontier = seeds_dedup.clone();
+    let seeds_dedup = ids.to_vec();
+    let mut blocks: Vec<Block> = Vec::with_capacity(layers);
     for layer in 0..layers {
-        let b = block(layer, frontier, map);
-        frontier = b.src_ids.clone();
-        blocks_rev.push(b);
+        blocks.push(block(layer, chain));
     }
-    blocks_rev.reverse();
-    let mb = MiniBatch { blocks: blocks_rev, seeds: seeds_dedup };
-    debug_assert!(mb.validate().is_ok(), "{:?}", mb.validate());
+    blocks.reverse();
+    let mb = MiniBatch { blocks, seeds: seeds_dedup, ids: chain.ids.to_vec() };
+    debug_assert!(mb.validate_shape().is_ok(), "{:?}", mb.validate_shape());
     mb
 }
 
-/// The one block-assembly loop. The duplicate-free `dst_ids` take the first
-/// local indices, in order; then `draw(d_local, d, nbr)` appends the sources
-/// of each destination in turn, and each is resolved against `map` while
-/// its edge is pushed, so a new source is numbered at its first appearance
-/// in destination order. Destinations are visited in ascending local index,
-/// so the edges land in the block's destination-major layout as they are
-/// drawn: one source index per edge, one closed offset per destination.
+/// The one block-assembly loop. The destinations are the ids `chain` holds
+/// when it starts, at their positions; then `draw(d_local, d, nbr)`
+/// appends the sources of each destination in turn, and each is resolved
+/// against the map while its edge is pushed, so a new source is appended
+/// to the id list at its first appearance in destination order.
+/// Destinations are visited in ascending local index, so the edges land in
+/// the block's destination-major layout as they are drawn: one source index
+/// per edge, one closed offset per destination.
 fn assemble_block(
     in_csr: &Csr,
-    dst_ids: Vec<VId>,
-    map: &mut DenseMap,
+    chain: &mut Chain,
     nbr: &mut Vec<VId>,
     mut draw: impl FnMut(usize, VId, &mut Vec<VId>),
 ) -> Block {
-    map.begin();
-    for (d_local, &d) in dst_ids.iter().enumerate() {
-        map.insert(d, d_local as u32);
-    }
-    let mut src_ids: Vec<VId> = Vec::with_capacity(dst_ids.len() * 2);
-    src_ids.extend_from_slice(&dst_ids);
-    let mut dst_offsets: Vec<u32> = Vec::with_capacity(dst_ids.len() + 1);
+    let Chain { map, ids, edges } = chain;
+    let num_dst = ids.len();
+    let mut dst_offsets: Vec<u32> = Vec::with_capacity(num_dst + 1);
     dst_offsets.push(0);
-    let mut edge_src: Vec<u32> = Vec::new();
-    for (d_local, &d) in dst_ids.iter().enumerate() {
-        prefetch_row(in_csr, &dst_ids, d_local);
+    edges.clear();
+    for d_local in 0..num_dst {
+        prefetch_row(in_csr, &ids[..num_dst], d_local);
+        let d = ids[d_local];
         nbr.clear();
         draw(d_local, d, nbr);
         for &s in nbr.iter() {
             let s_local = match map.get(s) {
                 Some(i) => i,
                 None => {
-                    let i = src_ids.len() as u32;
+                    let i = ids.len() as u32;
                     map.insert(s, i);
-                    src_ids.push(s);
+                    ids.push(s);
                     i
                 }
             };
-            edge_src.push(s_local);
+            edges.push(s_local);
         }
-        dst_offsets.push(edge_src.len() as u32);
+        dst_offsets.push(edges.len() as u32);
     }
-    Block { src_ids, dst_ids, dst_offsets, edge_src }
+    Block { num_src: ids.len(), dst_offsets, edge_src: edges.to_vec() }
 }
 
 /// How many destinations ahead [`assemble_block`] prefetches a row's
@@ -553,12 +565,12 @@ impl LayerwiseSampler {
     /// neighbor enters the block, numbered as [`build_minibatch`] numbers
     /// its draws.
     pub fn build(&self, in_csr: &Csr, seeds: &[VId], rng: &mut StdRng) -> MiniBatch {
-        let (mut map, mut mark, mut nbr) = (DenseMap::default(), DenseMap::default(), Vec::new());
-        chain_blocks(seeds, self.budgets.len(), &mut map, |layer, dst_ids, map| {
+        let (mut chain, mut mark, mut nbr) = (Chain::default(), DenseMap::default(), Vec::new());
+        chain_blocks(seeds, self.budgets.len(), &mut chain, |layer, chain| {
             // `mark` first holds the neighbors seen, then the ones kept.
             mark.begin();
             let mut candidates: Vec<VId> = Vec::new();
-            for &d in &dst_ids {
+            for &d in &chain.ids {
                 for &u in in_csr.neighbors(d) {
                     if mark.get(u).is_none() {
                         mark.insert(u, 0);
@@ -572,7 +584,7 @@ impl LayerwiseSampler {
             for &u in &candidates {
                 mark.insert(u, 0);
             }
-            assemble_block(in_csr, dst_ids, map, &mut nbr, |_, d, out| {
+            assemble_block(in_csr, chain, &mut nbr, |_, d, out| {
                 out.extend(in_csr.neighbors(d).iter().filter(|&&u| mark.get(u).is_some()));
             })
         })
@@ -608,15 +620,7 @@ pub fn subgraph_restricted_minibatch(
     let local_seeds: Vec<VId> = seeds.iter().filter_map(|&s| local_of(s).map(|l| l as VId)).collect();
     let mut mb = build_minibatch(&induced, &local_seeds, sampler, rng);
     // Map local ids back to global ids.
-    for b in &mut mb.blocks {
-        for v in &mut b.src_ids {
-            *v = sorted[*v as usize];
-        }
-        for v in &mut b.dst_ids {
-            *v = sorted[*v as usize];
-        }
-    }
-    for v in &mut mb.seeds {
+    for v in mb.ids.iter_mut().chain(&mut mb.seeds) {
         *v = sorted[*v as usize];
     }
     debug_assert!(mb.validate().is_ok());
@@ -643,7 +647,7 @@ mod tests {
         assert_eq!(mb.num_layers(), 2);
         // Output block: each of the 4 seeds has at most 5 sampled in-neighbors.
         let out_block = &mb.blocks[1];
-        for (d_local, &v) in out_block.dst_ids.iter().enumerate() {
+        for (d_local, &v) in mb.dst_ids(1).iter().enumerate() {
             assert!(out_block.in_degree(d_local) <= 5.min(g.inn.degree(v)));
         }
     }
@@ -755,7 +759,7 @@ mod tests {
         let mut hits = 0;
         for _ in 0..300 {
             let mb = build_minibatch(&in_csr, &[0], &s, &mut rng);
-            if mb.blocks[0].src_ids.contains(&1) {
+            if mb.input_ids().contains(&1) {
                 hits += 1;
             }
         }
@@ -778,7 +782,7 @@ mod tests {
         let mut hub_draws = 0;
         for _ in 0..300 {
             let mb = build_minibatch(&in_csr, &[0], &s, &mut rng);
-            if mb.blocks[0].src_ids.contains(&1) {
+            if mb.input_ids().contains(&1) {
                 hub_draws += 1;
             }
         }

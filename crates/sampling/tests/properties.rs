@@ -42,11 +42,11 @@ proptest! {
         prop_assert!(mb.validate().is_ok());
         prop_assert_eq!(mb.num_layers(), layers);
         // Seeds are exactly the last block's destinations.
-        prop_assert_eq!(&mb.seeds, &mb.blocks[layers - 1].dst_ids);
+        prop_assert_eq!(&mb.seeds[..], mb.dst_ids(layers - 1));
         // Every destination's in-degree is bounded by fanout and by its
         // true degree.
-        for block in &mb.blocks {
-            for (i, &d) in block.dst_ids.iter().enumerate() {
+        for (l, block) in mb.blocks.iter().enumerate() {
+            for (i, &d) in mb.dst_ids(l).iter().enumerate() {
                 prop_assert!(block.in_degree(i) <= fanout.min(g.inn.degree(d)));
             }
         }
@@ -68,7 +68,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(1);
         let seeds: Vec<VId> = (0..10.min(n) as VId).collect();
         let mb = build_minibatch(&g.inn, &seeds, &sampler, &mut rng);
-        for (i, &v) in mb.blocks[0].dst_ids.iter().enumerate() {
+        for (i, &v) in mb.dst_ids(0).iter().enumerate() {
             let deg = g.inn.degree(v);
             let expect = ((deg as f64 * rate).round() as usize).max(min_nbrs).min(deg);
             prop_assert_eq!(mb.blocks[0].in_degree(i), expect, "vertex {} degree {}", v, deg);
@@ -88,7 +88,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(2);
         let seeds: Vec<VId> = (0..8.min(n) as VId).collect();
         let mb = build_minibatch(&g.inn, &seeds, &sampler, &mut rng);
-        for (i, &v) in mb.blocks[0].dst_ids.iter().enumerate() {
+        for (i, &v) in mb.dst_ids(0).iter().enumerate() {
             prop_assert_eq!(mb.blocks[0].in_degree(i), fanout.min(g.inn.degree(v)));
         }
     }

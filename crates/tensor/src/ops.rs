@@ -431,11 +431,19 @@ pub fn matmul_tiled_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 }
 
 /// Rows of `C = Aᵀ · B` owned by one parallel work item, from the shape
-/// alone (never the thread count): about eight panels whatever `m` is,
-/// each a whole number of `MR`-row register tiles — so a 64×32 or a 128×16
-/// `dW` still fans out, where a fixed `TILE_M` panel would be one item.
-fn tn_panel_rows(m: usize) -> usize {
-    m.div_ceil(8).div_ceil(MR).max(1) * MR
+/// alone (never the thread count), each a whole number of `MR`-row register
+/// tiles. A panel's pass reads its `m / panels` columns of `A` and streams
+/// all of `B`, so `B`'s `k × n` is read once per panel: the panel count is
+/// the most, up to eight, that keeps those re-reads (`panels · n` values
+/// per row of `B`) within the `m` values of a row of `A`, and at least two
+/// so a `dW` still fans out. A deep `dW` with few outputs (`k ≫ m`, such
+/// as 9 541 × 64ᵀ · 32) streams its `dY` twice; a wide one (1 204 × 64
+/// outputs) keeps eight panels. The floor of two was measured at 1 and 2
+/// threads only: with more threads it caps a `dW` with `m ≤ 2n` at 2-way
+/// parallelism, which is unmeasured (DESIGN §13.4).
+fn tn_panel_rows(m: usize, n: usize) -> usize {
+    let panels = (m / n.max(1)).clamp(2, 8);
+    m.div_ceil(panels).div_ceil(MR).max(1) * MR
 }
 
 /// `C = Aᵀ · B` without materializing or packing the transpose (the
@@ -467,7 +475,7 @@ pub fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     }
     let a_slice = a.as_slice();
     let b_view = InPlaceB::new(b);
-    let panel = tn_panel_rows(m);
+    let panel = tn_panel_rows(m, n);
     par_chunks_mut(out.as_mut_slice(), panel * n, |ci, c_chunk| {
         let i0 = ci * panel;
         let rows = c_chunk.len() / n;
@@ -847,16 +855,17 @@ mod tests {
 
     #[test]
     fn panel_height_depends_on_the_shape_alone() {
-        // About eight panels of whole register tiles, so narrow outputs
-        // still fan out — whatever tile height this build uses.
-        for m in [1usize, 32, 64, 128, 602, 1204] {
-            let rows = tn_panel_rows(m);
-            assert_eq!(rows % MR, 0, "m = {m}");
-            assert!(rows >= m.div_ceil(8) && rows < m.div_ceil(8) + MR, "m = {m}: {rows}");
+        // Whole register tiles in two to eight panels, fewer as `B` widens
+        // next to `A` — whatever tile height this build uses.
+        let panels = |m: usize, n: usize| m.div_ceil(tn_panel_rows(m, n));
+        for (m, n) in [(1usize, 1usize), (32, 32), (64, 32), (128, 16), (602, 128), (1204, 64), (64, 256)] {
+            let rows = tn_panel_rows(m, n);
+            assert_eq!(rows % MR, 0, "{m}x{n}");
+            assert!(rows >= m.div_ceil(8) && panels(m, n) <= 8, "{m}x{n}: {rows}");
         }
-        assert!(
-            64usize.div_ceil(tn_panel_rows(64)) >= 6 && 128usize.div_ceil(tn_panel_rows(128)) >= 6
-        );
+        assert_eq!(panels(64, 32), 2, "a deep 64-wide dW streams dY twice");
+        assert_eq!(panels(64, 256), 2, "B wider than A: the fewest panels that still fan out");
+        assert!(panels(128, 16) >= 6 && panels(1204, 64) >= 6, "narrow B next to wide A still fans out");
     }
 
     /// The 512-bit tile body against the portable one, through everything

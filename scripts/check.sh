@@ -109,9 +109,14 @@ result_check() {
     fi
 }
 # Rows the test suite never regenerates: the sampling-algorithm families
-# (layer-wise, unbounded fanout, subgraph-wise) and full-batch training.
+# (layer-wise, unbounded fanout, subgraph-wise) and full-batch training,
+# and the rows that read batch shapes — involved #V/#E, a batch's input
+# ids, first-batch block activity.
 result_check ext_sampling_algorithms
 result_check ext_fullbatch_vs_minibatch
+result_check tab6_selection_cost
+result_check ablate_block_size
+result_check fig15_active_blocks
 
 echo "==> benchmark lockfile (benchmark/run.sh builds without --locked, so a stale benchmark/Cargo.lock would be rewritten silently)"
 if ! cargo metadata --offline --locked --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null; then

@@ -119,6 +119,27 @@ pub fn makespan_closed_form(
     }
 }
 
+/// A batch written out layer by layer, each layer with its own source and
+/// destination id lists beside its topology: what the batch-builder oracles
+/// produce, numbering every layer afresh, and what [`unroll`] reads a live
+/// batch as through its accessors.
+#[derive(Debug, PartialEq)]
+pub struct Unrolled {
+    pub seeds: Vec<VId>,
+    /// Input-most layer first: `(source ids, destination ids, topology)`.
+    pub layers: Vec<(Vec<VId>, Vec<VId>, Block)>,
+}
+
+/// `mb` layer by layer through `MiniBatch::src_ids` / `dst_ids`.
+pub fn unroll(mb: &MiniBatch) -> Unrolled {
+    Unrolled {
+        seeds: mb.seeds.clone(),
+        layers: (0..mb.num_layers())
+            .map(|l| (mb.src_ids(l).to_vec(), mb.dst_ids(l).to_vec(), mb.blocks[l].clone()))
+            .collect(),
+    }
+}
+
 /// The seed's three-phase mini-batch builder, serial: a fresh draw `Vec`
 /// per destination, a `BTreeMap` numbering each layer's sources
 /// (destinations first, then new sources in first-appearance order over
@@ -131,11 +152,11 @@ pub fn seed_build_minibatch(
     seeds: &[VId],
     sampler: &dyn NeighborSampler,
     base_seed: u64,
-) -> MiniBatch {
+) -> Unrolled {
     let mut seen = BTreeSet::new();
     let seeds_dedup: Vec<VId> = seeds.iter().copied().filter(|&s| seen.insert(s)).collect();
 
-    let mut blocks = Vec::with_capacity(sampler.num_layers());
+    let mut layers = Vec::with_capacity(sampler.num_layers());
     let mut frontier = seeds_dedup.clone();
     for layer in 0..sampler.num_layers() {
         let dst_ids = frontier;
@@ -169,10 +190,11 @@ pub fn seed_build_minibatch(
         }
 
         frontier = src_ids.clone();
-        blocks.push(Block::from_edges(src_ids, dst_ids, &edges));
+        let block = Block::from_edges(src_ids.len(), dst_ids.len(), &edges);
+        layers.push((src_ids, dst_ids, block));
     }
-    blocks.reverse();
-    MiniBatch { blocks, seeds: seeds_dedup }
+    layers.reverse();
+    Unrolled { seeds: seeds_dedup, layers }
 }
 
 /// The seed's `EpochPlan::batches` under `BatchSelection::Random` and a
@@ -186,7 +208,7 @@ pub fn seed_epoch_batches(
     sampler: &dyn NeighborSampler,
     seed: u64,
     epoch: usize,
-) -> Vec<MiniBatch> {
+) -> Vec<Unrolled> {
     let epoch_seed = seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(epoch as u64 + 1);
     (0u64..)
         .zip(BatchSelection::Random.select(train, batch_size, seed, epoch))

@@ -225,7 +225,7 @@ fn minibatch_sampling_bitwise_equal_across_thread_counts() {
         assert_threadcount_equal(&oracle, || {
             let mb = build_minibatch_seeded(&g.inn, &seeds, &sampler, 0xBEEF);
             mb.validate().expect("minibatch invariants");
-            mb
+            common::unroll(&mb)
         });
     }
 }
@@ -252,8 +252,8 @@ fn epoch_batches_bitwise_equal_across_thread_counts() {
         };
         let oracle = common::seed_epoch_batches(&g.inn, &train, 48, &sampler, 11, 2);
         assert!(oracle.len() > 8, "more batches than workers at every thread count");
-        assert_threadcount_equal(&oracle, || plan.batches(2));
-        let indexed: Vec<_> = (0..).zip(oracle).collect();
+        assert_threadcount_equal(&oracle, || plan.batches(2).iter().map(common::unroll).collect());
+        let indexed: Vec<_> = (0..).zip(plan.batches(2)).collect();
         for n in THREAD_COUNTS {
             let got = with_threads(n, || plan.map_batches(2, |b, mb| (b, mb)));
             assert!(got == indexed, "threads={n}: map_batches diverged from batches");

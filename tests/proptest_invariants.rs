@@ -8,7 +8,8 @@ use gnn_dm::graph::csr::{Csr, VId};
 use gnn_dm::graph::generate::{planted_partition, PplConfig};
 use gnn_dm::partition::{partition_graph, PartitionMethod};
 use gnn_dm::sampling::sampler::{build_minibatch, FanoutSampler, LayerwiseSampler, RateSampler};
-use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule, Block, MiniBatch};
+use common::{unroll, Unrolled};
+use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule, Block};
 use gnn_dm::trace::units::Bytes;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -31,10 +32,10 @@ fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(V
 /// shuffled and cut to the budget, a `BTreeMap` numbers the destinations
 /// and then each kept source at its first appearance, and
 /// `Block::from_edges` groups the edge list by destination.
-fn tree_set_layerwise_build(in_csr: &Csr, seeds: &[VId], budgets: &[usize], rng: &mut StdRng) -> MiniBatch {
+fn tree_set_layerwise_build(in_csr: &Csr, seeds: &[VId], budgets: &[usize], rng: &mut StdRng) -> Unrolled {
     let mut seen = BTreeSet::new();
     let seeds_dedup: Vec<VId> = seeds.iter().copied().filter(|&s| seen.insert(s)).collect();
-    let mut blocks = Vec::new();
+    let mut layers = Vec::new();
     let mut frontier = seeds_dedup.clone();
     for &budget in budgets {
         let dst_ids = frontier;
@@ -65,10 +66,11 @@ fn tree_set_layerwise_build(in_csr: &Csr, seeds: &[VId], budgets: &[usize], rng:
             }
         }
         frontier = src_ids.clone();
-        blocks.push(Block::from_edges(src_ids, dst_ids, &edges));
+        let block = Block::from_edges(src_ids.len(), dst_ids.len(), &edges);
+        layers.push((src_ids, dst_ids, block));
     }
-    blocks.reverse();
-    MiniBatch { blocks, seeds: seeds_dedup }
+    layers.reverse();
+    Unrolled { seeds: seeds_dedup, layers }
 }
 
 /// `LayerwiseSampler::build` equals [`tree_set_layerwise_build`] bit for
@@ -78,7 +80,7 @@ fn assert_layerwise_matches_tree_sets(in_csr: &Csr, seeds: &[VId], budgets: &[us
     let live = LayerwiseSampler::new(budgets.to_vec()).build(in_csr, seeds, &mut live_rng);
     let oracle = tree_set_layerwise_build(in_csr, seeds, budgets, &mut oracle_rng);
     assert!(live.validate().is_ok(), "{:?}", live.validate());
-    assert_eq!(live, oracle, "seeds {seeds:?}, budgets {budgets:?}, rng seed {rng_seed}");
+    assert_eq!(unroll(&live), oracle, "seeds {seeds:?}, budgets {budgets:?}, rng seed {rng_seed}");
     assert_eq!(live_rng.random::<u64>(), oracle_rng.random::<u64>(), "generator states differ");
 }
 
@@ -281,7 +283,7 @@ proptest! {
         let mb = build_minibatch(&g.inn, &seeds, &fanout, &mut rng);
         prop_assert!(mb.validate().is_ok());
         let out_block = &mb.blocks[1];
-        for (i, &v) in out_block.dst_ids.iter().enumerate() {
+        for (i, &v) in mb.dst_ids(1).iter().enumerate() {
             prop_assert!(out_block.in_degree(i) <= 4.min(g.inn.degree(v)));
         }
         let rate = RateSampler::new(vec![0.5, 0.5], 1);
