@@ -13,8 +13,8 @@ use gnn_dm_harness::{
     Axis, ClusterExperiment, GridSpec, TrainExperiment, PART_SEED, TRAIN_HIDDEN, TRAIN_LR,
     TRAIN_MODEL, TRAIN_SEED,
 };
-use gnn_dm_nn::optim::{Adam, Optimizer};
-use gnn_dm_nn::train::{evaluate, gather_input_features, seed_labels, train_epoch, train_step};
+use gnn_dm_nn::optim::Adam;
+use gnn_dm_nn::train::{evaluate, train_epoch, train_step};
 use gnn_dm_nn::{AggKind, GnnModel};
 use gnn_dm_sampling::sampler::{
     build_minibatch, subgraph_restricted_minibatch, FanoutSampler, LayerwiseSampler,
@@ -144,13 +144,7 @@ fn train_with(
                 edges += mb.involved_edges();
                 verts += mb.involved_vertices();
             }
-            let x = gather_input_features(g, &mb);
-            let labels = seed_labels(g, &mb);
-            let (logits, cache) = model.forward_minibatch(&mb, &x);
-            let (_, d) = gnn_dm_nn::loss::softmax_cross_entropy(&logits, &labels);
-            let grads = model.backward_minibatch(&mb, &cache, d);
-            let gv: Vec<&[f32]> = grads.flat_views();
-            opt.step(model.param_views_mut(), gv);
+            train_step(&mut model, &mut opt, g, &mb);
         }
         best = best.max(evaluate(&model, g, &g.val_vertices()));
     }

@@ -11,7 +11,7 @@ use gnn_dm_graph::Graph;
 use gnn_dm_nn::loss::softmax_cross_entropy;
 use gnn_dm_nn::model::{GnnModel, Gradients};
 use gnn_dm_nn::optim::{Optimizer, Sgd};
-use gnn_dm_nn::train::{forward_batch, seed_labels};
+use gnn_dm_nn::train::{forward_batch, seed_labels, train_step};
 use gnn_dm_partition::GnnPartitioning;
 use gnn_dm_sampling::sampler::{build_minibatch, NeighborSampler};
 use gnn_dm_tensor::ops;
@@ -142,23 +142,19 @@ pub fn local_sgd_epoch(
         for (w, sched) in schedules.iter().enumerate() {
             let Some(seeds) = sched.get(r) else { continue };
             let mb = build_minibatch(&graph.inn, seeds, sampler, &mut rng);
-            let labels = seed_labels(graph, &mb);
-            let (logits, cache) = forward_batch(&replicas[w], graph, &mb);
-            let (loss, d_logits) = softmax_cross_entropy(&logits, &labels);
-            total_loss += loss as f64;
+            total_loss += train_step(&mut replicas[w], &mut opts[w], graph, &mb).loss as f64;
             total_batches += 1;
-            let grads = replicas[w].backward_minibatch(&mb, &cache, d_logits);
-            let gv: Vec<&[f32]> = grads.flat_views();
-            opts[w].step(replicas[w].param_views_mut(), gv);
         }
         if (r + 1) % sync_every == 0 || r + 1 == rounds {
             average_replicas(&mut replicas);
             syncs += 1;
         }
     }
-    #[expect(clippy::expect_used, reason = "replicas has one entry per worker and workers >= 1 is asserted on entry")]
-    let averaged = replicas.into_iter().next().expect("at least one replica");
-    *model = averaged;
+    // All replicas are equal after the last average; a partitioning
+    // without workers (`k == 0`) trained nothing and leaves `model` as is.
+    if let Some(averaged) = replicas.into_iter().next() {
+        *model = averaged;
+    }
     (
         if total_batches == 0 { 0.0 } else { (total_loss / total_batches as f64) as f32 },
         syncs,

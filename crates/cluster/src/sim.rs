@@ -27,14 +27,16 @@
 
 use crate::ledger::{CommLedger, ComputeLedger};
 use crate::network;
-use gnn_dm_device::compute::{self, ComputeModel};
+use gnn_dm_device::compute;
 use gnn_dm_device::LinkModel;
 use gnn_dm_graph::csr::VId;
 use gnn_dm_graph::Graph;
 use gnn_dm_partition::{GnnPartitioning, Locality};
 use gnn_dm_sampling::sampler::{build_minibatch_with, NeighborSampler, SampleScratch};
 use gnn_dm_sampling::BatchSelection;
-use gnn_dm_faults::{DeadlineAction, FaultPlan, PolicyOutcome, ResiliencePolicy};
+use gnn_dm_faults::{
+    backoff_delay, DeadlineAction, FaultPlan, PolicyOutcome, ResiliencePolicy, RETRY_TIMEOUT,
+};
 use gnn_dm_trace::convert::{u32_of_index, u64_of_u32, u64_of_usize, usize_of_u32};
 use gnn_dm_trace::units::{Bytes, Seconds};
 use gnn_dm_trace::{Pending, Resource, SpanKind, SpanMeta, Timeline};
@@ -71,13 +73,14 @@ pub struct EpochLoadReport {
     pub input_vertices: Vec<u64>,
 }
 
-/// Hardware constants for the epoch time model.
+/// The paper's inter-node link: 10 Gbps Ethernet.
+const NIC: LinkModel = LinkModel::nic_10gbps();
+
+/// Model sizes for the epoch time model; the hardware is the paper's
+/// testbed, fixed: a 10 Gbps NIC between workers and a T4 GPU in each
+/// ([`compute::gpu_seconds`]).
 #[derive(Debug, Clone)]
 pub struct TimeModel {
-    /// Inter-node link.
-    pub nic: LinkModel,
-    /// GPU compute model.
-    pub gpu: ComputeModel,
     /// Feature width (drives per-edge NN FLOPs).
     pub feat_dim: usize,
     /// Hidden width.
@@ -87,12 +90,10 @@ pub struct TimeModel {
 }
 
 impl TimeModel {
-    /// The paper's environment: 10 Gbps NIC, T4 GPU, `param_bytes` bytes of
-    /// model parameters.
+    /// A model of `feat_dim`-wide features, `hidden`-wide layers and
+    /// `param_bytes` bytes of parameters on the paper's testbed.
     pub fn paper_default(feat_dim: usize, hidden: usize, param_bytes: u64) -> Self {
         TimeModel {
-            nic: LinkModel::nic_10gbps(),
-            gpu: ComputeModel::gpu_t4(),
             feat_dim,
             hidden,
             param_bytes: Bytes(param_bytes),
@@ -323,13 +324,13 @@ impl<'g> ClusterSim<'g> {
                 + report.input_vertices[w] as f64 * compute::SAMPLE_SECONDS_PER_VERTEX,
         );
         let comm_t = network::exchange_time(
-            &tm.nic,
+            &NIC,
             report.comm.worker_sent(w),
             report.comm.bytes_received[w],
         );
         let flops =
             compute::aggregation_flops(report.compute.aggregation_edges[w], tm.feat_dim, tm.hidden);
-        let nn_t = Seconds(tm.gpu.seconds_for_flops(flops));
+        let nn_t = Seconds(compute::gpu_seconds(flops));
         (sample_edges, sample_t, comm_t, nn_t)
     }
 
@@ -368,7 +369,7 @@ impl<'g> ClusterSim<'g> {
     ///   `Cancel` span (the abandoned attempt's wasted wire bytes) instead
     ///   of the `Retry`/`Backoff` pair, and a transfer rescued by hedging
     ///   lands as a `Hedge` span instead of an `Exchange`
-    ///   ([`gnn_dm_faults::RetryPolicy::schedule_failed_attempts`]);
+    ///   ([`FaultPlan::schedule_failed_attempts`]);
     /// * **stage deadlines** — a worker whose exchange stage would exceed
     ///   `stage_timeout_s` cuts it off at the timeout (`Cancel` span;
     ///   `meta.edges` carries the skipped batches for the skip-batch
@@ -457,9 +458,8 @@ impl<'g> ClusterSim<'g> {
             // Stage-deadline check: the analytic cost of the exchange
             // stage as it would be emitted below (hedge-shortened rounds
             // included), against the budget.
-            let retry = &plan.link.retry;
             let killed = policy.deadline.filter(|dl| {
-                retry.failed_attempts_cost(policy.hedge, comm_t, failures) + comm_t
+                plan.failed_attempts_cost(policy.hedge, comm_t, failures) + comm_t
                     > dl.stage_timeout_s
             });
 
@@ -487,14 +487,14 @@ impl<'g> ClusterSim<'g> {
                         Resource::WorkerNic(wid),
                         SpanKind::Restore,
                         c_end,
-                        network::snapshot_time(&tm.nic, tm.param_bytes, 1),
+                        network::snapshot_time(&NIC, tm.param_bytes, 1),
                         SpanMeta { bytes: tm.param_bytes, worker, ..SpanMeta::default() },
                     ),
                 }
             } else {
                 // Failed rounds first, hedged or retried per round
                 // whichever is cheaper; then the final transfer.
-                let (ready, kind) = retry.schedule_failed_attempts(
+                let (ready, kind) = plan.schedule_failed_attempts(
                     policy.hedge,
                     &mut tl,
                     Resource::WorkerNic(wid),
@@ -537,24 +537,24 @@ impl<'g> ClusterSim<'g> {
                 },
             );
             let mut w_end = n_end;
-            let snapshots = plan.crash.checkpoint.snapshots(report.num_batches[w]);
+            let snapshots = plan.snapshots(report.num_batches[w]);
             if snapshots > 0 {
                 let n_snap = u64_of_usize(snapshots);
                 w_end = tl.schedule(
                     Resource::WorkerNic(wid),
                     SpanKind::Checkpoint,
                     w_end,
-                    network::snapshot_time(&tm.nic, tm.param_bytes, n_snap),
+                    network::snapshot_time(&NIC, tm.param_bytes, n_snap),
                     SpanMeta { bytes: tm.param_bytes * n_snap, worker, ..SpanMeta::default() },
                 );
             }
             if let Some(crash_batch) = plan.crash_batch(epoch, wid, report.num_batches[w]) {
-                let replayed = plan.crash.checkpoint.replayed_batches(crash_batch);
+                let replayed = plan.replayed_batches(crash_batch);
                 let r_end = tl.schedule(
                     Resource::WorkerNic(wid),
                     SpanKind::Restore,
                     w_end,
-                    network::snapshot_time(&tm.nic, tm.param_bytes, 1),
+                    network::snapshot_time(&NIC, tm.param_bytes, 1),
                     SpanMeta { bytes: tm.param_bytes, worker, ..SpanMeta::default() },
                 );
                 // crash_batch is Some only when num_batches[w] > 0.
@@ -588,7 +588,7 @@ impl<'g> ClusterSim<'g> {
                     Resource::WorkerNic(rid),
                     SpanKind::Redispatch,
                     exch_end[w],
-                    tm.nic.transfer_time(moved_bytes),
+                    NIC.transfer_time(moved_bytes),
                     SpanMeta { bytes: moved_bytes, worker: Some(rid), ..SpanMeta::default() },
                 );
                 let (_, _, _, nn_h) = self.stage_times(report, tm, w);
@@ -607,7 +607,7 @@ impl<'g> ClusterSim<'g> {
         match policy.stale_sync {
             None => {
                 let worst = tl.makespan();
-                let dur = network::allreduce_time(&tm.nic, tm.param_bytes, k) * sync_rounds as f64;
+                let dur = network::allreduce_time(&NIC, tm.param_bytes, k) * sync_rounds as f64;
                 tl.schedule(
                     Resource::AllReduce,
                     SpanKind::AllReduce,
@@ -645,7 +645,7 @@ impl<'g> ClusterSim<'g> {
                         sync_ready = sync_ready.max(chain_end[w]);
                     }
                 }
-                let dur = network::stale_allreduce_time(&tm.nic, tm.param_bytes, k, excluded)
+                let dur = network::stale_allreduce_time(&NIC, tm.param_bytes, k, excluded)
                     * sync_rounds as f64;
                 tl.schedule(
                     Resource::AllReduce,
@@ -705,25 +705,25 @@ impl<'g> ClusterSim<'g> {
             let nn_t = nn_h * cf;
             let mut t = sample_t;
             for attempt in 0..plan.nic_failures(epoch, wid) {
-                t += comm_t + plan.link.retry.timeout_s;
-                t += plan.link.retry.backoff_delay(attempt);
+                t += comm_t + RETRY_TIMEOUT;
+                t += backoff_delay(attempt);
             }
             t += comm_t;
             t += nn_t;
-            let snapshots = plan.crash.checkpoint.snapshots(report.num_batches[w]);
+            let snapshots = plan.snapshots(report.num_batches[w]);
             if snapshots > 0 {
-                t += network::snapshot_time(&tm.nic, tm.param_bytes, u64_of_usize(snapshots));
+                t += network::snapshot_time(&NIC, tm.param_bytes, u64_of_usize(snapshots));
             }
             if let Some(crash_batch) = plan.crash_batch(epoch, wid, report.num_batches[w]) {
-                let replayed = plan.crash.checkpoint.replayed_batches(crash_batch);
-                t += network::snapshot_time(&tm.nic, tm.param_bytes, 1);
+                let replayed = plan.replayed_batches(crash_batch);
+                t += network::snapshot_time(&NIC, tm.param_bytes, 1);
                 let per_batch = (sample_t + comm_t + nn_t) / report.num_batches[w] as f64;
                 t += per_batch * replayed as f64;
             }
             worst = worst.max(t);
         }
         let sync_rounds = *report.num_batches.iter().max().unwrap_or(&0);
-        (worst + network::allreduce_time(&tm.nic, tm.param_bytes, k) * sync_rounds as f64).0
+        (worst + network::allreduce_time(&NIC, tm.param_bytes, k) * sync_rounds as f64).0
     }
 
     /// Policy-on-vs-policy-off comparison of one faulted epoch: replays

@@ -9,7 +9,7 @@
 //! one-off permutation (no gather).
 
 use crate::trainer::{HeteroTrainer, HeteroTrainerConfig};
-use gnn_dm_device::compute::{gemm_flops, ComputeModel};
+use gnn_dm_device::compute::gemm_flops;
 use gnn_dm_device::{traced, LinkModel};
 use gnn_dm_graph::Graph;
 use gnn_dm_trace::units::{Bytes, Seconds};
@@ -72,7 +72,6 @@ pub fn dnn_breakdown(graph: &Graph, batch_size: usize, hidden: usize) -> StepBre
     let classes = graph.num_classes;
     let row_bytes = Bytes(graph.features.row_bytes() as u64);
     let pcie = LinkModel::pcie_gen3_x16();
-    let gpu = ComputeModel::gpu_t4();
     let num_batches = n_train.div_ceil(batch_size.max(1));
 
     // Replay the epoch on the span timeline and read the breakdown off
@@ -106,7 +105,6 @@ pub fn dnn_breakdown(graph: &Graph, batch_size: usize, hidden: usize) -> StepBre
             &mut tl,
             Resource::GpuCompute,
             0.0,
-            &gpu,
             3.0 * fwd,
             SpanMeta { batch, ..SpanMeta::default() },
         );

@@ -9,7 +9,7 @@
 use crate::config::ModelKind;
 use gnn_dm_cluster::dist::dist_train_epoch;
 use gnn_dm_cluster::sim::{ClusterSim, TimeModel};
-use gnn_dm_device::compute::{self, ComputeModel};
+use gnn_dm_device::compute;
 use gnn_dm_device::transfer::{BatchTransfer, TransferEngine, TransferMethod};
 use gnn_dm_trace::units::Bytes;
 use gnn_dm_graph::Graph;
@@ -88,7 +88,7 @@ pub fn modeled_epoch_seconds(
     // lint:allow(A002) an analytic time-to-accuracy axis, with no timeline by design
     let dt = engine.time(TransferMethod::ExtractLoad, &bt, None).total().0;
     let flops = compute::aggregation_flops(involved_edges as u64, graph.feat_dim(), hidden);
-    let nn = ComputeModel::gpu_t4().seconds_for_flops(flops);
+    let nn = compute::gpu_seconds(flops);
     // Pipelined: bounded by the slowest stage (plus the serial remainder,
     // approximated by a 10% startup margin).
     bp.max(dt).max(nn) * 1.1
@@ -168,8 +168,7 @@ pub fn train_full_batch(
     };
     // lint:allow(A002) an analytic time-to-accuracy axis, with no timeline by design
     let transfer_seconds = engine.time(TransferMethod::ExtractLoad, &bt, None).total().0;
-    let epoch_seconds =
-        (ComputeModel::gpu_t4().seconds_for_flops(flops) + transfer_seconds) * 1.1;
+    let epoch_seconds = (compute::gpu_seconds(flops) + transfer_seconds) * 1.1;
     let mut curve = Vec::with_capacity(epochs);
     let mut best_acc = 0.0f64;
     for epoch in 0..epochs {

@@ -11,8 +11,8 @@
 
 use gnn_dm_device::blocks::{block_activity, BlockActivity, PAPER_BLOCK_BYTES};
 use gnn_dm_device::cache::{CachePolicy, FeatureCache};
-use gnn_dm_device::compute::{self, ComputeModel};
-use gnn_dm_device::memory::DeviceMemory;
+use gnn_dm_device::compute;
+use gnn_dm_device::memory;
 use gnn_dm_device::pipeline::{
     makespan_with_contention, replay_epoch, BatchMeta, BatchStageTimes, PipelineMode,
 };
@@ -90,8 +90,6 @@ pub struct HeteroTrainer<'g> {
     pub cfg: HeteroTrainerConfig,
     /// Transfer cost model.
     pub engine: TransferEngine,
-    /// GPU compute model.
-    pub gpu: ComputeModel,
     cache: FeatureCache,
 }
 
@@ -100,7 +98,7 @@ impl<'g> HeteroTrainer<'g> {
     /// policy (running profiling epochs for the pre-sampling policy).
     pub fn new(graph: &'g Graph, cfg: HeteroTrainerConfig) -> Self {
         let capacity = cfg.cache_policy.map_or(0, |policy| {
-            DeviceMemory::t4().rows_for_ratio(
+            memory::rows_for_ratio(
                 graph.num_vertices(),
                 row_bytes(graph),
                 policy.ratio().clamp(0.0, 1.0),
@@ -126,7 +124,6 @@ impl<'g> HeteroTrainer<'g> {
             graph,
             cfg,
             engine: TransferEngine::default(),
-            gpu: ComputeModel::gpu_t4(),
             cache,
         }
     }
@@ -216,7 +213,7 @@ impl<'g> HeteroTrainer<'g> {
             };
             // lint:allow(A002) these prices become `replay_epoch` spans
             let report = self.engine.time(self.cfg.transfer, &bt, activity.as_ref());
-            let nn = self.gpu.seconds_for_flops(compute::minibatch_flops(&mb, &dims));
+            let nn = compute::gpu_seconds(compute::minibatch_flops(&mb, &dims));
             let stage = BatchStageTimes { bp, dt: report.total().0, nn };
             let meta = BatchMeta {
                 gather: report.gather_sec.0,

@@ -8,30 +8,20 @@
 
 use gnn_dm_sampling::MiniBatch;
 
-/// Throughput model of one processor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComputeModel {
-    /// Sustained floating-point throughput, FLOP/s.
-    pub flops: f64,
-    /// Fixed per-kernel (or per-batch) launch overhead, seconds.
-    pub launch_overhead: f64,
-}
+/// Sustained GPU floating-point throughput, FLOP/s, of an NVIDIA T4: 8.1
+/// TFLOPS peak fp32, but GNN workloads mix irregular gather/scatter
+/// aggregation with skinny GEMMs and sustain only a few percent of peak
+/// (calibrated against Figure 14's stage proportions, where NN compute
+/// exceeds batch preparation but stays well below data transfer).
+pub const GPU_FLOPS: f64 = 1.2e12;
 
-impl ComputeModel {
-    /// An NVIDIA T4-class GPU: 8.1 TFLOPS peak fp32, but GNN workloads mix
-    /// irregular gather/scatter aggregation with skinny GEMMs and sustain
-    /// only a few percent of peak (calibrated against Figure 14's stage
-    /// proportions, where NN compute exceeds batch preparation but stays
-    /// well below data transfer).
-    pub fn gpu_t4() -> Self {
-        ComputeModel { flops: 1.2e12, launch_overhead: 30.0e-6 }
-    }
+/// Fixed per-kernel (or per-batch) GPU launch overhead, seconds.
+pub const GPU_LAUNCH_OVERHEAD_S: f64 = 30.0e-6;
 
-    /// Seconds to execute `flops` floating-point operations.
-    pub fn seconds_for_flops(&self, flops: f64) -> f64 {
-        assert!(flops >= 0.0, "negative flops");
-        self.launch_overhead + flops / self.flops
-    }
+/// Seconds the T4 takes to execute `flops` floating-point operations.
+pub fn gpu_seconds(flops: f64) -> f64 {
+    assert!(flops >= 0.0, "negative flops");
+    GPU_LAUNCH_OVERHEAD_S + flops / GPU_FLOPS
 }
 
 /// FLOPs of a dense `m x k · k x n` product.

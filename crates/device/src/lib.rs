@@ -8,7 +8,7 @@
 //!
 //! * [`link`] — bandwidth/latency models of the PCIe bus and the 10 Gbps
 //!   NIC;
-//! * [`compute`] — FLOP-count models of GPU NN compute and CPU sampling;
+//! * [`compute`] — FLOP-count models of T4 NN compute and CPU sampling;
 //! * [`transfer`] — the three data-transfer methods: extract-load
 //!   (explicit), zero-copy (UVA implicit), and HyTGraph-style hybrid;
 //! * [`blocks`] — 256 KB-block activity analysis (Figures 15/16);
@@ -16,12 +16,12 @@
 //!   pre-sampling-based policies (Figure 17);
 //! * [`pipeline`] — the 3-stage (batch preparation / data transfer / NN
 //!   compute) pipeline scheduler (Figures 13/14): stage spans replayed on
-//!   `gnn-dm-trace` lanes, plus a real threaded executor for the same
-//!   stage graph;
+//!   `gnn-dm-trace` lanes;
 //! * [`traced`] — adapters that price link/GPU work and record it as
 //!   timeline spans in one step (lint rule A002 enforces their use
 //!   outside this crate);
-//! * [`memory`] — device memory budgeting for cache sizing.
+//! * [`memory`] — the T4's 16 GiB budget as constants, and the feature
+//!   cache rows it leaves room for.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]

@@ -68,7 +68,7 @@ impl LinkModel {
     }
 
     /// 10 Gbps Ethernet — the paper's inter-node network (§4).
-    pub fn nic_10gbps() -> Self {
+    pub const fn nic_10gbps() -> Self {
         LinkModel { bandwidth: BytesPerSec(1.25e9), latency: Seconds(50.0e-6), efficiency: 1.0 }
     }
 

@@ -90,7 +90,7 @@ pub struct BatchMeta {
 /// `i`'s data transfer suffers `plan.pcie_failures(epoch, i)` failed
 /// attempts first — `Retry` + `Backoff` spans, or with `policy.hedge`
 /// armed a `Cancel` at the hedge deadline and a `Hedge` delivery
-/// ([`gnn_dm_faults::RetryPolicy::schedule_failed_attempts`]); the
+/// ([`FaultPlan::schedule_failed_attempts`]); the
 /// healthy epoch is `FaultPlan::none()` with `ResiliencePolicy::none()`,
 /// which schedules none of them. The scheduling rule
 /// `t_start = lane_free.max(ready)` reproduces the closed-form recurrences
@@ -128,7 +128,7 @@ pub fn replay_epoch(
             PipelineMode::OverlapBp => cursor.max(bp_end),
             PipelineMode::None | PipelineMode::Full => tl.start_time(Resource::PcieLink, bp_end),
         };
-        let (dt_start, kind) = plan.link.retry.schedule_failed_attempts(
+        let (dt_start, kind) = plan.schedule_failed_attempts(
             policy.hedge,
             &mut tl,
             Resource::PcieLink,

@@ -9,7 +9,7 @@
 //! `pipeline::replay_epoch`), which compute the duration *and* record the
 //! span in one step.
 
-use crate::compute::ComputeModel;
+use crate::compute;
 use crate::link::LinkModel;
 use gnn_dm_trace::units::{Bytes, Seconds};
 use gnn_dm_trace::{Resource, SpanKind, SpanMeta, Timeline};
@@ -31,17 +31,17 @@ pub fn link_transfer(
     tl.schedule(resource, kind, ready, link.transfer_time(bytes), meta)
 }
 
-/// Prices `flops` of GPU work on `gpu` and schedules it as an
-/// [`SpanKind::NnCompute`] span on `resource`. Returns the span end time.
+/// Prices `flops` of T4 GPU work ([`compute::gpu_seconds`]) and
+/// schedules it as an [`SpanKind::NnCompute`] span on `resource`. Returns
+/// the span end time.
 pub fn gpu_compute(
     tl: &mut Timeline,
     resource: Resource,
     ready: f64,
-    gpu: &ComputeModel,
     flops: f64,
     meta: SpanMeta,
 ) -> f64 {
-    tl.schedule(resource, SpanKind::NnCompute, ready, Seconds(gpu.seconds_for_flops(flops)), meta)
+    tl.schedule(resource, SpanKind::NnCompute, ready, Seconds(compute::gpu_seconds(flops)), meta)
 }
 
 #[cfg(test)]
@@ -68,10 +68,9 @@ mod tests {
 
     #[test]
     fn gpu_adapter_matches_model() {
-        let gpu = ComputeModel::gpu_t4();
         let mut tl = Timeline::new();
-        let end = gpu_compute(&mut tl, Resource::GpuCompute, 0.0, &gpu, 1e9, SpanMeta::default());
-        assert_eq!(end.to_bits(), gpu.seconds_for_flops(1e9).to_bits());
+        let end = gpu_compute(&mut tl, Resource::GpuCompute, 0.0, 1e9, SpanMeta::default());
+        assert_eq!(end.to_bits(), compute::gpu_seconds(1e9).to_bits());
         assert_eq!(tl.spans()[0].kind, SpanKind::NnCompute);
     }
 }

@@ -15,20 +15,23 @@
 //!   `Backoff` span on the cost timeline, so the byte ledgers stay exact
 //!   reductions over spans;
 //! * **worker crash + recovery** — a worker dies at a planned batch
-//!   boundary; a [`CheckpointPolicy`] (every-N-batches parameter snapshot
-//!   priced over the NIC) bounds how many batches are replayed.
+//!   boundary; every-N-batches parameter snapshots (priced over the NIC)
+//!   bound how many batches are replayed.
 //!
-//! Everything a [`FaultPlan`] decides is a pure function of
+//! A [`FaultPlan`] is a seed and one rate; the severities — slowdown
+//! factors, crash share, snapshot cadence, retry budget, timeout and
+//! backoff — are the named constants below, fixed like the paper's
+//! testbed. Everything a plan decides is a pure function of
 //! `(seed, epoch, worker/link id, attempt)` via the splitmix-style
 //! [`gnn_dm_par::split_seed`] — no ambient entropy, no wall clock, no
 //! global state — so a faulted epoch is exactly as reproducible (and
 //! thread-count-independent) as a healthy one. [`FaultPlan::none`] is the
-//! neutral element: zero fault rates inject no spans and every slowdown
-//! factor is 1.0 (an exact multiplicative identity for finite IEEE-754
-//! costs), so the simulators have one replay each and the healthy epoch is
-//! simply that replay under the neutral plan. What a failed transfer
-//! attempt costs, and which spans it leaves on a lane, is decided here for
-//! both of them ([`RetryPolicy::schedule_failed_attempts`]).
+//! neutral element: it injects no spans and every slowdown factor is 1.0
+//! (an exact multiplicative identity for finite IEEE-754 costs), so the
+//! simulators have one replay each and the healthy epoch is simply that
+//! replay under the neutral plan. What a failed transfer attempt costs,
+//! and which spans it leaves on a lane, is decided here for both of them
+//! ([`FaultPlan::schedule_failed_attempts`]).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
 
@@ -66,77 +69,54 @@ fn unit_from_bits(x: u64) -> f64 {
     (x >> 11) as f64 * SCALE
 }
 
-/// Per-worker straggler model: with probability `rate` (drawn once per
-/// `(epoch, worker)`), the worker's compute stages stretch by
-/// `compute_factor` and its link stages by `bandwidth_factor`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StragglerModel {
-    /// Probability a worker straggles in a given epoch, in `[0, 1]`.
-    pub rate: f64,
-    /// Multiplier on sampling / NN-compute stage durations (≥ 1 to model
-    /// degradation; 1.0 is a no-op).
-    pub compute_factor: f64,
-    /// Multiplier on link-stage durations (effective bandwidth shrinks by
-    /// this factor; 1.0 is a no-op).
-    pub bandwidth_factor: f64,
+/// Duration multiplier on a straggler's sampling and NN-compute stages.
+pub const STRAGGLER_COMPUTE_FACTOR: f64 = 2.5;
+/// Duration multiplier on a straggler's link stages (its effective
+/// bandwidth shrinks by this factor).
+pub const STRAGGLER_BANDWIDTH_FACTOR: f64 = 2.0;
+/// A worker's crash probability per epoch, as a multiple of the plan's
+/// rate.
+pub const CRASH_RATE_FACTOR: f64 = 0.5;
+/// Parameter-snapshot cadence in batches of a faulted plan (the neutral
+/// plan takes no snapshots).
+pub const CHECKPOINT_EVERY_BATCHES: usize = 8;
+/// Failed attempts allowed per transfer; the attempt after the last
+/// allowed failure always succeeds, so a retry loop always terminates.
+pub const MAX_RETRIES: u32 = 4;
+/// Time until a failed transfer is detected.
+pub const RETRY_TIMEOUT: Seconds = Seconds(0.05);
+/// First backoff wait after a failed transfer; doubles per failed attempt.
+pub const BACKOFF_BASE: Seconds = Seconds(0.01);
+/// Upper bound on a single backoff wait.
+pub const BACKOFF_CAP: Seconds = Seconds(0.5);
+
+/// Backoff wait after failed attempt `attempt` (0-based):
+/// `min(BACKOFF_BASE · 2^attempt, BACKOFF_CAP)` — 10 ms doubling up to
+/// 500 ms. The doubling is an integer shift saturated at `2^62`, so any
+/// `attempt` (even `u32::MAX`) gives a finite wait, the cap.
+pub fn backoff_delay(attempt: u32) -> Seconds {
+    RETRY.backoff_delay(attempt)
 }
 
-impl StragglerModel {
-    /// No stragglers: zero rate, identity factors.
-    pub const fn none() -> StragglerModel {
-        StragglerModel { rate: 0.0, compute_factor: 1.0, bandwidth_factor: 1.0 }
-    }
+/// The retry discipline of a failed transfer: each failed attempt costs
+/// the full transfer duration plus `timeout_s` (the failure is only
+/// detected at the timeout), then waits `backoff_delay(attempt)` before
+/// retrying. One value, [`RETRY`], built from the public constants; the
+/// struct exists so a unit test can swap in exact-sum (dyadic) values.
+struct Retry {
+    timeout_s: Seconds,
+    backoff_base_s: Seconds,
+    backoff_cap_s: Seconds,
 }
 
-/// Retry discipline for a failed transfer: each failed attempt costs the
-/// full transfer duration plus `timeout_s` (the failure is only detected
-/// at the timeout), then waits `backoff_delay(attempt)` before retrying.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum failed attempts per transfer; the attempt after the last
-    /// allowed failure always succeeds (the plan never livelocks).
-    pub max_retries: u32,
-    /// Time until a failed transfer is detected.
-    pub timeout_s: Seconds,
-    /// First backoff wait; doubles per failed attempt.
-    pub backoff_base_s: Seconds,
-    /// Upper bound on a single backoff wait.
-    pub backoff_cap_s: Seconds,
-}
+/// The retry discipline every plan uses.
+const RETRY: Retry =
+    Retry { timeout_s: RETRY_TIMEOUT, backoff_base_s: BACKOFF_BASE, backoff_cap_s: BACKOFF_CAP };
 
-impl RetryPolicy {
-    /// A TCP-flavored default: up to 4 retries, 50 ms timeout, 10 ms base
-    /// backoff capped at 500 ms.
-    pub const fn paper_default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 4,
-            timeout_s: Seconds(0.05),
-            backoff_base_s: Seconds(0.01),
-            backoff_cap_s: Seconds(0.5),
-        }
-    }
-
-    /// Backoff wait after failed attempt `attempt` (0-based):
-    /// `min(backoff_base_s · 2^attempt, backoff_cap_s)`, clamped to be
-    /// non-negative.
-    ///
-    /// Contract (total for every input, no overflow, no panic):
-    ///
-    /// * the doubling is an integer shift saturated at `2^62`, so a huge
-    ///   `attempt` saturates the wait at `backoff_cap_s` instead of
-    ///   overflowing;
-    /// * `backoff_base_s · 2^62` may round to `+inf` for extreme bases —
-    ///   the `min` then returns `backoff_cap_s`, never `inf`;
-    /// * degenerate parameters stay sane: a zero base yields zero waits, a
-    ///   negative base or cap clamps to `0.0` (a wait cannot be negative),
-    ///   and `max_retries: 0` means this is never called by the retry
-    ///   loops at all;
-    /// * for the all-positive [`RetryPolicy::paper_default`] parameters
-    ///   the clamp is an exact identity, so the default backoff sequence
-    ///   is bitwise-unchanged.
-    pub fn backoff_delay(&self, attempt: u32) -> Seconds {
+impl Retry {
+    fn backoff_delay(&self, attempt: u32) -> Seconds {
         let doublings = 1u64 << attempt.min(62);
-        (self.backoff_base_s * doublings as f64).min(self.backoff_cap_s).max(Seconds(0.0))
+        (self.backoff_base_s * doublings as f64).min(self.backoff_cap_s)
     }
 
     /// How failed attempt `attempt` of a transfer with healthy duration
@@ -158,12 +138,7 @@ impl RetryPolicy {
         (hedge_at, retry_dur, backoff_dur)
     }
 
-    /// Seconds `failures` failed attempts add in front of a transfer's
-    /// delivery: per attempt the hedge deadline if that wins the round,
-    /// else `retry_dur + backoff_dur` — the analytic cost of the spans
-    /// [`RetryPolicy::schedule_failed_attempts`] emits, for budget checks
-    /// that must decide before anything is scheduled.
-    pub fn failed_attempts_cost(
+    fn failed_attempts_cost(
         &self,
         hedge: Option<HedgePolicy>,
         transfer_s: Seconds,
@@ -178,17 +153,8 @@ impl RetryPolicy {
         cost
     }
 
-    /// Schedules `failures` failed attempts of a transfer on `lane`, the
-    /// first one ready at `ready`. A retried attempt is a `Retry` span
-    /// carrying the retransmitted `bytes` followed by a `Backoff` span; an
-    /// attempt the hedge wins is one `Cancel` span (the abandoned
-    /// primary's wasted `bytes`) ending at the hedge deadline. `tag` names
-    /// the batch or worker on every span. Returns when the delivery may
-    /// start and its kind: `delivery`, or `Hedge` once a duplicate rescued
-    /// the transfer. Zero failures schedule nothing and return
-    /// `(ready, delivery)`.
     #[allow(clippy::too_many_arguments, reason = "every parameter is one field of the span this schedules; a struct would only rename them")]
-    pub fn schedule_failed_attempts(
+    fn schedule_failed_attempts(
         &self,
         hedge: Option<HedgePolicy>,
         tl: &mut Timeline,
@@ -224,96 +190,22 @@ impl RetryPolicy {
     }
 }
 
-/// Flaky-link model: each transfer fails independently with
-/// `failure_rate`, recovered per `retry`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkFaultModel {
-    /// Per-attempt transfer failure probability, in `[0, 1]`.
-    pub failure_rate: f64,
-    /// Recovery discipline.
-    pub retry: RetryPolicy,
-}
-
-impl LinkFaultModel {
-    /// Reliable links: zero failure rate.
-    pub const fn none() -> LinkFaultModel {
-        LinkFaultModel { failure_rate: 0.0, retry: RetryPolicy::paper_default() }
-    }
-}
-
-/// Every-N-batches parameter snapshot. A snapshot costs `param_bytes`
-/// over the NIC; on a crash, only the batches since the last snapshot are
-/// replayed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Snapshot cadence in batches; 0 disables checkpointing (a crash
-    /// then replays the whole epoch so far).
-    pub every_batches: usize,
-}
-
-impl CheckpointPolicy {
-    /// No checkpointing.
-    pub const fn disabled() -> CheckpointPolicy {
-        CheckpointPolicy { every_batches: 0 }
-    }
-
-    /// Snapshot every `n` batches (`0` is [`CheckpointPolicy::disabled`]).
-    pub const fn every(n: usize) -> CheckpointPolicy {
-        CheckpointPolicy { every_batches: n }
-    }
-
-    /// Snapshots taken over an epoch of `batches` batches.
-    pub fn snapshots(&self, batches: usize) -> usize {
-        if self.every_batches == 0 {
-            0
-        } else {
-            batches / self.every_batches
-        }
-    }
-
-    /// Batches lost (to be replayed) when a worker dies right before
-    /// completing batch `crash_batch`: everything since the last snapshot.
-    pub fn replayed_batches(&self, crash_batch: usize) -> usize {
-        if self.every_batches == 0 {
-            crash_batch
-        } else {
-            crash_batch % self.every_batches
-        }
-    }
-}
-
-/// Worker-crash model: with probability `rate` (drawn once per
-/// `(epoch, worker)`), the worker dies at a planned batch boundary and
-/// recovers by restoring the last snapshot and replaying lost batches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrashModel {
-    /// Probability a worker crashes in a given epoch, in `[0, 1]`.
-    pub rate: f64,
-    /// Snapshot cadence and cost model for recovery.
-    pub checkpoint: CheckpointPolicy,
-}
-
-impl CrashModel {
-    /// No crashes, no checkpoint overhead.
-    pub const fn none() -> CrashModel {
-        CrashModel { rate: 0.0, checkpoint: CheckpointPolicy::disabled() }
-    }
-}
-
-/// The complete fault schedule of a simulation run. Pure data plus pure
-/// functions: every decision derives from `seed` and the coordinates of
-/// the question (`epoch`, worker or batch index, attempt number), so two
-/// evaluations can never disagree.
+/// The complete fault schedule of a simulation run: a root `seed` and one
+/// `rate`. With probability `rate` a worker straggles in an epoch (its
+/// compute stretches by [`STRAGGLER_COMPUTE_FACTOR`], its links by
+/// [`STRAGGLER_BANDWIDTH_FACTOR`]) and each transfer attempt fails (at
+/// most [`MAX_RETRIES`] times in a row); with probability
+/// `rate ·` [`CRASH_RATE_FACTOR`] a worker crashes, and a faulted plan
+/// snapshots parameters every [`CHECKPOINT_EVERY_BATCHES`] batches.
+///
+/// Pure data plus pure functions: every decision derives from `seed` and
+/// the coordinates of the question (`epoch`, worker or batch index,
+/// attempt number), so two evaluations can never disagree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
-    /// Root seed all fault draws derive from.
-    pub seed: u64,
-    /// Straggler injection.
-    pub straggler: StragglerModel,
-    /// Flaky-link injection (NIC and PCIe).
-    pub link: LinkFaultModel,
-    /// Crash + recovery injection.
-    pub crash: CrashModel,
+    seed: u64,
+    /// In `(0, ∞)` for a faulted plan, exactly `0.0` for a neutral one.
+    rate: f64,
 }
 
 impl FaultPlan {
@@ -321,49 +213,40 @@ impl FaultPlan {
     /// checkpoint overhead. Simulators fed this plan perform the exact
     /// floating-point operation sequence of their pre-fault versions.
     pub const fn none() -> FaultPlan {
-        FaultPlan {
-            seed: 0,
-            straggler: StragglerModel::none(),
-            link: LinkFaultModel::none(),
-            crash: CrashModel::none(),
-        }
+        FaultPlan { seed: 0, rate: 0.0 }
+    }
+
+    /// A plan injecting every fault kind at probability `rate` under
+    /// `seed`. A rate that is not positive — zero, negative or NaN — is
+    /// the neutral plan under that seed: it injects nothing and takes no
+    /// snapshots. Rates above 1 saturate: every straggler and link draw
+    /// fires, and every crash draw from 2 up.
+    pub fn uniform(seed: u64, rate: f64) -> FaultPlan {
+        FaultPlan { seed, rate: if rate > 0.0 { rate } else { 0.0 } }
     }
 
     /// True when the plan can never inject anything.
     pub fn is_none(&self) -> bool {
-        self.straggler.rate <= 0.0
-            && self.link.failure_rate <= 0.0
-            && self.crash.rate <= 0.0
-            && self.crash.checkpoint.every_batches == 0
+        self.rate == 0.0
     }
 
-    /// A one-knob stress preset: straggler and link-failure probability
-    /// `rate`, crash probability `rate / 2`, checkpoints every 8 batches
-    /// (disabled at `rate <= 0` so the zero-rate plan is neutral).
-    /// Severities are fixed: 2.5× compute and 2× bandwidth degradation.
-    pub fn uniform(seed: u64, rate: f64) -> FaultPlan {
-        let checkpoint =
-            if rate > 0.0 { CheckpointPolicy::every(8) } else { CheckpointPolicy::disabled() };
-        FaultPlan {
-            seed,
-            straggler: StragglerModel { rate, compute_factor: 2.5, bandwidth_factor: 2.0 },
-            link: LinkFaultModel { failure_rate: rate, retry: RetryPolicy::paper_default() },
-            crash: CrashModel { rate: rate * 0.5, checkpoint },
-        }
+    /// One draw in `[0, 1)` for `(domain, epoch, unit)` against
+    /// `probability`: fires iff the draw is below it, so a zero
+    /// probability never fires and one above 1 always does.
+    fn fires(&self, probability: f64, domain: u64, epoch: usize, unit: u64) -> bool {
+        unit_from_bits(mix(self.seed, domain, epoch, unit)) < probability
     }
 
     /// True when worker `worker` straggles in `epoch`.
     pub fn is_straggler(&self, epoch: usize, worker: u32) -> bool {
-        self.straggler.rate > 0.0
-            && unit_from_bits(mix(self.seed, DOMAIN_STRAGGLER, epoch, u64::from(worker)))
-                < self.straggler.rate
+        self.fires(self.rate, DOMAIN_STRAGGLER, epoch, u64::from(worker))
     }
 
     /// Duration multiplier for worker `worker`'s compute stages in
     /// `epoch` (1.0 unless the worker straggles).
     pub fn compute_slowdown(&self, epoch: usize, worker: u32) -> f64 {
         if self.is_straggler(epoch, worker) {
-            self.straggler.compute_factor
+            STRAGGLER_COMPUTE_FACTOR
         } else {
             1.0
         }
@@ -373,15 +256,14 @@ impl FaultPlan {
     /// (1.0 unless the worker straggles).
     pub fn bandwidth_slowdown(&self, epoch: usize, worker: u32) -> f64 {
         if self.is_straggler(epoch, worker) {
-            self.straggler.bandwidth_factor
+            STRAGGLER_BANDWIDTH_FACTOR
         } else {
             1.0
         }
     }
 
     /// Failed attempts before worker `worker`'s epoch NIC exchange goes
-    /// through (0 ⇒ first attempt succeeds; capped at
-    /// `retry.max_retries`).
+    /// through (0 ⇒ first attempt succeeds; at most [`MAX_RETRIES`]).
     pub fn nic_failures(&self, epoch: usize, worker: u32) -> u32 {
         self.link_failures(DOMAIN_LINK_NIC, epoch, u64::from(worker))
     }
@@ -391,22 +273,19 @@ impl FaultPlan {
         self.link_failures(DOMAIN_LINK_PCIE, epoch, batch as u64)
     }
 
-    /// Consecutive failure draws below `failure_rate`, capped at
-    /// `max_retries` (so the attempt after the last allowed failure always
-    /// succeeds and the retry loop provably terminates).
+    /// Consecutive failure draws below the rate, capped at
+    /// [`MAX_RETRIES`] (so the attempt after the last allowed failure
+    /// always succeeds and the retry loop provably terminates).
     fn link_failures(&self, domain: u64, epoch: usize, unit: u64) -> u32 {
-        let rate = self.link.failure_rate;
-        if rate <= 0.0 {
+        if self.is_none() {
             return 0;
         }
         let base = mix(self.seed, domain, epoch, unit);
         let mut failures = 0u32;
-        while failures < self.link.retry.max_retries {
-            if unit_from_bits(split_seed(base, u64::from(failures))) < rate {
-                failures += 1;
-            } else {
-                break;
-            }
+        while failures < MAX_RETRIES
+            && unit_from_bits(split_seed(base, u64::from(failures))) < self.rate
+        {
+            failures += 1;
         }
         failures
     }
@@ -416,17 +295,79 @@ impl FaultPlan {
     /// The returned index is in `0..num_batches`: the worker completes
     /// that many batches before dying.
     pub fn crash_batch(&self, epoch: usize, worker: u32, num_batches: usize) -> Option<usize> {
-        if num_batches == 0 || self.crash.rate <= 0.0 {
-            return None;
-        }
-        let occurs = unit_from_bits(mix(self.seed, DOMAIN_CRASH, epoch, u64::from(worker)));
-        if occurs >= self.crash.rate {
+        let crash_rate = self.rate * CRASH_RATE_FACTOR;
+        if num_batches == 0 || !self.fires(crash_rate, DOMAIN_CRASH, epoch, u64::from(worker)) {
             return None;
         }
         let pick = mix(self.seed, DOMAIN_CRASH_BATCH, epoch, u64::from(worker));
         // Modulo keeps the choice an exact integer function of the draw;
         // num_batches > 0 was checked above.
         Some((pick % num_batches as u64) as usize)
+    }
+
+    /// Parameter snapshots taken over an epoch of `batches` batches: one
+    /// per [`CHECKPOINT_EVERY_BATCHES`] under a faulted plan, none under
+    /// the neutral one.
+    pub fn snapshots(&self, batches: usize) -> usize {
+        if self.is_none() {
+            0
+        } else {
+            batches / CHECKPOINT_EVERY_BATCHES
+        }
+    }
+
+    /// Batches lost (to be replayed) when a worker dies right before
+    /// completing batch `crash_batch`: everything since the last snapshot
+    /// (the whole epoch so far when the plan takes none).
+    pub fn replayed_batches(&self, crash_batch: usize) -> usize {
+        if self.is_none() {
+            crash_batch
+        } else {
+            crash_batch % CHECKPOINT_EVERY_BATCHES
+        }
+    }
+
+    /// Seconds `failures` failed attempts add in front of a transfer's
+    /// delivery: per attempt the hedge deadline if that wins the round,
+    /// else the transfer plus [`RETRY_TIMEOUT`] plus
+    /// [`backoff_delay`]`(attempt)` — the analytic cost of the spans
+    /// [`FaultPlan::schedule_failed_attempts`] emits, for budget checks
+    /// that must decide before anything is scheduled.
+    pub fn failed_attempts_cost(
+        &self,
+        hedge: Option<HedgePolicy>,
+        transfer_s: Seconds,
+        failures: u32,
+    ) -> Seconds {
+        RETRY.failed_attempts_cost(hedge, transfer_s, failures)
+    }
+
+    /// Schedules `failures` failed attempts of a transfer on `lane`, the
+    /// first one ready at `ready`. A retried attempt is a `Retry` span
+    /// carrying the retransmitted `bytes` (held for the transfer plus
+    /// [`RETRY_TIMEOUT`]) followed by a `Backoff` span; with `hedge` armed,
+    /// an attempt whose hedge deadline is strictly earlier than that round
+    /// is one `Cancel` span (the abandoned primary's wasted `bytes`)
+    /// ending at the deadline — a tie retries. `tag` names the batch or
+    /// worker on every span. Returns when the delivery may start and its
+    /// kind: `delivery`, or `Hedge` once a duplicate rescued the transfer.
+    /// Zero failures schedule nothing and return `(ready, delivery)`.
+    #[allow(clippy::too_many_arguments, reason = "every parameter is one field of the span this schedules; a struct would only rename them")]
+    pub fn schedule_failed_attempts(
+        &self,
+        hedge: Option<HedgePolicy>,
+        tl: &mut Timeline,
+        lane: Resource,
+        ready: f64,
+        transfer_s: Seconds,
+        failures: u32,
+        bytes: Bytes,
+        tag: SpanMeta,
+        delivery: SpanKind,
+    ) -> (f64, SpanKind) {
+        RETRY.schedule_failed_attempts(
+            hedge, tl, lane, ready, transfer_s, failures, bytes, tag, delivery,
+        )
     }
 }
 
@@ -808,26 +749,29 @@ mod tests {
 
     #[test]
     fn certain_failure_saturates_at_max_retries() {
-        let p = FaultPlan::uniform(5, 1.0);
-        assert_eq!(p.nic_failures(0, 0), p.link.retry.max_retries);
-        assert_eq!(p.pcie_failures(3, 12), p.link.retry.max_retries);
+        // Rates above 1 saturate like 1 does.
+        for rate in [1.0, 7.0] {
+            let p = FaultPlan::uniform(5, rate);
+            assert_eq!(p.nic_failures(0, 0), MAX_RETRIES);
+            assert_eq!(p.pcie_failures(3, 12), MAX_RETRIES);
+            assert!((0..8).all(|w| p.is_straggler(0, w)));
+        }
     }
 
     #[test]
     fn backoff_doubles_then_caps() {
-        let r = RetryPolicy::paper_default();
-        assert!((r.backoff_delay(0).0 - 0.01).abs() < 1e-15);
-        assert!((r.backoff_delay(1).0 - 0.02).abs() < 1e-15);
-        assert!((r.backoff_delay(2).0 - 0.04).abs() < 1e-15);
-        assert_eq!(r.backoff_delay(10).0.to_bits(), 0.5f64.to_bits(), "capped");
-        assert_eq!(r.backoff_delay(400).0.to_bits(), 0.5f64.to_bits(), "shift saturates");
+        assert!((backoff_delay(0).0 - 0.01).abs() < 1e-15);
+        assert!((backoff_delay(1).0 - 0.02).abs() < 1e-15);
+        assert!((backoff_delay(2).0 - 0.04).abs() < 1e-15);
+        assert_eq!(backoff_delay(10).0.to_bits(), 0.5f64.to_bits(), "capped");
+        assert_eq!(backoff_delay(400).0.to_bits(), 0.5f64.to_bits(), "shift saturates");
+        assert_eq!(backoff_delay(u32::MAX), BACKOFF_CAP, "never overflows");
     }
 
     /// Dyadic parameters, so every sum below is exact: a failed 1 s
     /// transfer costs 1.5 s on the wire plus 0.25 / 0.5 / 1 / 2 / 2 s of
     /// backoff.
-    const DYADIC: RetryPolicy = RetryPolicy {
-        max_retries: 5,
+    const DYADIC: Retry = Retry {
         timeout_s: Seconds(0.5),
         backoff_base_s: Seconds(0.25),
         backoff_cap_s: Seconds(2.0),
@@ -879,7 +823,7 @@ mod tests {
     #[test]
     fn failed_attempts_cost_is_the_emitted_span_time() {
         for hedge in [None, Some(HedgePolicy { deadline_factor: 1.75 })] {
-            for failures in 0..=DYADIC.max_retries {
+            for failures in 0..=5 {
                 let (spans, ready, _) = failed_attempts(hedge, failures);
                 let cost = DYADIC.failed_attempts_cost(hedge, Seconds(1.0), failures).0;
                 let emitted = spans.iter().fold(0.0f64, |sum, s| sum + s.duration());
@@ -920,7 +864,7 @@ mod tests {
     #[test]
     fn every_failed_attempt_ledgers_its_bytes_once() {
         for hedge in [None, Some(HedgePolicy { deadline_factor: 1.75 })] {
-            for failures in 0..=DYADIC.max_retries {
+            for failures in 0..=5 {
                 let (spans, _, _) = failed_attempts(hedge, failures);
                 let bytes = |kind| -> Bytes {
                     spans.iter().filter(|s| s.kind == kind).map(|s| s.meta.bytes).sum()
@@ -936,8 +880,8 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_policy_arithmetic() {
-        let c = CheckpointPolicy::every(8);
+    fn checkpoint_arithmetic() {
+        let c = FaultPlan::uniform(1, 0.3);
         assert_eq!(c.snapshots(0), 0);
         assert_eq!(c.snapshots(7), 0);
         assert_eq!(c.snapshots(8), 1);
@@ -946,19 +890,15 @@ mod tests {
         assert_eq!(c.replayed_batches(7), 7);
         assert_eq!(c.replayed_batches(8), 0);
         assert_eq!(c.replayed_batches(21), 5);
-        let d = CheckpointPolicy::disabled();
+        let d = FaultPlan::none();
         assert_eq!(d.snapshots(100), 0);
         assert_eq!(d.replayed_batches(42), 42, "no snapshots: replay everything");
     }
 
     #[test]
     fn crash_batch_is_in_range_and_gated_by_rate() {
-        // `uniform(_, 1.0)` halves the crash rate to 0.5, so build a
-        // certain-crash plan explicitly.
-        let certain = FaultPlan {
-            crash: CrashModel { rate: 1.0, checkpoint: CheckpointPolicy::every(8) },
-            ..FaultPlan::uniform(11, 1.0)
-        };
+        // The crash rate is half the plan's rate, so 2.0 crashes for sure.
+        let certain = FaultPlan::uniform(11, 2.0);
         for w in 0..16 {
             let cb = certain.crash_batch(0, w, 13);
             assert!(cb.is_some_and(|b| b < 13), "crash batch out of range: {cb:?}");
@@ -1092,36 +1032,24 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_retry_policies_saturate() {
-        // max_retries: 0 — the failure loop never runs.
-        let no_retries = FaultPlan {
-            link: LinkFaultModel {
-                failure_rate: 1.0,
-                retry: RetryPolicy { max_retries: 0, ..RetryPolicy::paper_default() },
-            },
-            ..FaultPlan::uniform(3, 1.0)
-        };
-        assert_eq!(no_retries.nic_failures(0, 0), 0);
-        // timeout_s: 0.0 and zero backoff are fine — delays are zero.
-        let instant = RetryPolicy {
-            max_retries: 4,
-            timeout_s: Seconds(0.0),
-            backoff_base_s: Seconds(0.0),
-            backoff_cap_s: Seconds(0.0),
-        };
-        assert_eq!(instant.backoff_delay(0).0.to_bits(), 0.0f64.to_bits());
-        assert_eq!(instant.backoff_delay(u32::MAX).0.to_bits(), 0.0f64.to_bits());
-        // Huge attempts saturate at the cap, never overflow.
-        let r = RetryPolicy::paper_default();
-        assert_eq!(r.backoff_delay(u32::MAX).0.to_bits(), r.backoff_cap_s.0.to_bits());
-        // Negative parameters clamp to a non-negative wait.
-        let broken = RetryPolicy {
-            max_retries: 4,
-            timeout_s: Seconds(0.0),
-            backoff_base_s: Seconds(-1.0),
-            backoff_cap_s: Seconds(0.5),
-        };
-        assert_eq!(broken.backoff_delay(3).0.to_bits(), 0.0f64.to_bits());
+    fn a_rate_that_is_not_positive_is_the_neutral_plan() {
+        for rate in [f64::NAN, -f64::NAN, 0.0, -0.0, -0.5, f64::NEG_INFINITY] {
+            let p = FaultPlan::uniform(13, rate);
+            assert!(p.is_none(), "rate {rate}");
+            assert_eq!(p, FaultPlan::uniform(13, 0.0), "rate {rate}");
+            for epoch in 0..8 {
+                for w in 0..4 {
+                    assert!(!p.is_straggler(epoch, w));
+                    assert_eq!(p.compute_slowdown(epoch, w).to_bits(), 1.0f64.to_bits());
+                    assert_eq!(p.bandwidth_slowdown(epoch, w).to_bits(), 1.0f64.to_bits());
+                    assert_eq!(p.nic_failures(epoch, w), 0);
+                    assert_eq!(p.pcie_failures(epoch, w as usize), 0);
+                    assert_eq!(p.crash_batch(epoch, w, 20), None, "rate {rate}");
+                }
+            }
+            assert_eq!(p.snapshots(20), 0);
+            assert_eq!(p.replayed_batches(13), 13);
+        }
     }
 
     #[test]

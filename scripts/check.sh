@@ -71,28 +71,38 @@ if [[ "$(uname -m)" == x86_64 ]]; then
     echo "    portable build and tests added $((SECONDS - portable_start)) s"
 fi
 
-# golden_check <experiment> <file> [args]: regenerates a checked-in golden
-# trace with the experiment that writes it and fails on any byte of drift,
-# leaving the golden as it was.
+# golden_check <experiment> <file> <table|-> [args]: regenerates a checked-in
+# golden trace with the experiment that writes it and fails on any byte of
+# drift, leaving the golden as it was. Unless <table> is `-`, the same run's
+# stdout must be that results/ table byte for byte too.
 golden_check() {
-    local experiment="$1" file="$2" golden
-    shift 2
+    local experiment="$1" file="$2" table="$3" golden out
+    shift 3
     [ -f "${file}" ] || return 0
     echo "==> golden trace ${file} (gnn-dm-exp ${experiment} $* must reproduce it byte for byte)"
+    [ "${table}" = - ] || echo "    and print ${table} byte for byte"
     golden="$(mktemp)"
+    out="$(mktemp)"
     cp "${file}" "${golden}"
-    cargo run --release -q -p gnn-dm-bench --bin gnn-dm-exp -- "${experiment}" "$@" >/dev/null
+    cargo run --release -q -p gnn-dm-bench --bin gnn-dm-exp -- "${experiment}" "$@" >"${out}"
     if ! cmp -s "${file}" "${golden}"; then
         cp "${golden}" "${file}"
-        rm -f "${golden}"
+        rm -f "${golden}" "${out}"
         echo "FAIL: regenerated ${file} differs from the checked-in golden" >&2
         exit 1
     fi
-    rm -f "${golden}"
+    if [ "${table}" != - ] && ! cmp -s "${out}" "${table}"; then
+        rm -f "${golden}" "${out}"
+        echo "FAIL: gnn-dm-exp ${experiment} differs from ${table}" >&2
+        exit 1
+    fi
+    rm -f "${golden}" "${out}"
 }
-golden_check ext_faults_epoch_time results/trace_faults.json
+# Every fault constant (slowdowns, crash share, snapshot cadence, retry
+# budget, timeout, backoff) ends up in the faulted epoch-time table.
+golden_check ext_faults_epoch_time results/trace_faults.json results/ext_faults_epoch_time.txt
 # The smoke grid contains the golden cell, so it re-derives the full run's trace.
-golden_check chaos_grid results/trace_chaos.json --smoke
+golden_check chaos_grid results/trace_chaos.json - --smoke
 
 echo "==> grid smoke (one config per registered axis value against results/grid_smoke.txt)"
 bash scripts/run_all.sh grid_smoke
@@ -117,6 +127,8 @@ result_check ext_fullbatch_vs_minibatch
 result_check tab6_selection_cost
 result_check ablate_block_size
 result_check fig15_active_blocks
+# Local SGD trains worker replicas through the one mini-batch step (~1 s).
+result_check ext_local_sgd
 
 echo "==> benchmark lockfile (benchmark/run.sh builds without --locked, so a stale benchmark/Cargo.lock would be rewritten silently)"
 if ! cargo metadata --offline --locked --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null; then

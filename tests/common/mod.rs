@@ -5,14 +5,14 @@
 //!
 //! The pipeline oracle is the original makespan recurrences — no timeline,
 //! no spans, no lanes — extended with failed transfer attempts written from
-//! the `RetryPolicy` / `HedgePolicy` definitions. It deliberately shares no
-//! code with `RetryPolicy::schedule_failed_attempts`; it only has to fold
-//! in the same order, because float addition is not associative and the
-//! tests compare bits.
+//! the retry constants, `backoff_delay` and the `HedgePolicy` definition.
+//! It deliberately shares no code with `FaultPlan::schedule_failed_attempts`;
+//! it only has to fold in the same order, because float addition is not
+//! associative and the tests compare bits.
 #![allow(dead_code, reason = "each test crate uses its own subset")]
 
 use gnn_dm::device::pipeline::{BatchStageTimes, PipelineMode};
-use gnn_dm::faults::{FaultPlan, ResiliencePolicy};
+use gnn_dm::faults::{backoff_delay, FaultPlan, ResiliencePolicy, RETRY_TIMEOUT};
 use gnn_dm::graph::csr::{Csr, VId};
 use gnn_dm::graph::generate::{zipf_weights, PplConfig};
 use gnn_dm::graph::{FeatureTable, Graph, SplitMask};
@@ -53,11 +53,10 @@ fn delivery_start(
     epoch: usize,
     policy: &ResiliencePolicy,
 ) -> f64 {
-    let retry = plan.link.retry;
     let hedged = policy.hedge.map_or(f64::INFINITY, |h| h.deadline_s(Seconds(dt)).0);
     for attempt in 0..plan.pcie_failures(epoch, index) {
-        let held = dt + retry.timeout_s.0;
-        let waited = retry.backoff_delay(attempt).0;
+        let held = dt + RETRY_TIMEOUT.0;
+        let waited = backoff_delay(attempt).0;
         if hedged < held + waited {
             t += hedged;
         } else {

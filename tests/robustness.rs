@@ -287,10 +287,9 @@ fn fault_graph() -> gnn_dm::graph::Graph {
 }
 
 /// The replay has no healthy special case to fall back on: healthy is the
-/// plan that injects nothing. So a *constructed* zero-rate plan — armed
-/// severities (2.5× compute, 2× bandwidth, the default retry discipline),
-/// another seed, another epoch — must reproduce `FaultPlan::none()` down
-/// to the Chrome-trace bytes, on every simulator.
+/// plan that injects nothing. So a *constructed* zero-rate plan — another
+/// seed, another epoch — must reproduce `FaultPlan::none()` down to the
+/// Chrome-trace bytes, on every simulator.
 #[test]
 fn zero_fault_plan_is_bitwise_identity() {
     let none = FaultPlan::none();
@@ -395,7 +394,7 @@ fn crash_recovery_replays_exactly_the_uncheckpointed_batches() {
         match planned {
             Some(crash_batch) => {
                 crashes += 1;
-                let expect = plan.crash.checkpoint.replayed_batches(crash_batch) as u64;
+                let expect = plan.replayed_batches(crash_batch) as u64;
                 let got = replay.expect("crashed worker must emit a Replay span").meta.edges;
                 assert_eq!(got, expect, "worker {w}: crash at batch {crash_batch}");
                 assert_eq!(expect, (crash_batch % 8) as u64, "uniform plan checkpoints every 8");
@@ -429,7 +428,7 @@ fn fault_bytes_reduce_exactly_from_spans() {
         total_failures += failures;
         assert_eq!(retry[w], failures * report.comm.worker_traffic(w).0, "worker {w} retry bytes");
         let nb = report.num_batches[w];
-        let mut expect = tm.param_bytes * plan.crash.checkpoint.snapshots(nb) as u64;
+        let mut expect = tm.param_bytes * plan.snapshots(nb) as u64;
         if plan.crash_batch(0, wid, nb).is_some() {
             expect += tm.param_bytes; // the restore read-back
         }
