@@ -11,6 +11,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Randomly assigns each of `n` vertices to one of `k` partitions.
+///
+/// # Panics
+///
+/// Panics if `k` is 0 ("need at least one partition").
 pub fn hash_vertices(n: usize, k: usize, seed: u64) -> GnnPartitioning {
     assert!(k >= 1, "need at least one partition");
     let mut rng = StdRng::seed_from_u64(seed);

@@ -44,6 +44,10 @@ use gnn_dm_graph::Graph;
 /// // Metis minimizes edge cut (§5's goal 1); hash ignores structure.
 /// assert!(metrics::edge_cut(&g, &metis) < metrics::edge_cut(&g, &hash));
 /// ```
+///
+/// # Panics
+///
+/// Panics if `k` is 0 ("need at least one partition").
 pub fn partition_graph(graph: &Graph, method: PartitionMethod, k: usize, seed: u64) -> GnnPartitioning {
     match method {
         PartitionMethod::Hash => hash::hash_vertices(graph.num_vertices(), k, seed),

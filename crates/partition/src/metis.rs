@@ -20,10 +20,11 @@
 use crate::types::GnnPartitioning;
 use gnn_dm_graph::csr::VId;
 use gnn_dm_graph::{Graph, Split};
-use gnn_dm_par::{par_chunks_mut, par_chunks_mut_init, par_map_collect, par_map_collect_init};
+use gnn_dm_par::{par_chunks_mut, par_chunks_mut_init, par_map_collect_init};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// Which constraint set to apply (Table 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,31 +54,53 @@ struct MetisConfig {
 
 /// One level of the multilevel hierarchy: a weighted symmetric graph in
 /// compressed rows. Row `v` is `targets[offsets[v]..offsets[v + 1]]`, and
-/// `weights` holds each entry's edge weight at the same position.
+/// `weights` holds each entry's edge weight at the same position, or is
+/// `None` when every weight is 1 (the finest level).
 ///
 /// A weight counts the unit finest-level edges merged into it, so `u32`
 /// holds it exactly, and every `f64` sum of weights the algorithm forms
 /// (connectivity, gains) stays below 2^53 and is exact in any order: each
 /// matching, region-growing and refinement decision is the one `f64`
-/// weights would give.
-struct Level {
-    offsets: Vec<usize>,
-    targets: Vec<u32>,
-    weights: Vec<u32>,
+/// weights would give. The constraint values are counts too (1 per vertex,
+/// a split flag, a degree), so the same holds for `vwgt`.
+///
+/// The finest level of a graph whose `inn` is its `out` borrows that
+/// adjacency. A level whose adjacency was dropped ([`Level::thin`]) keeps
+/// its size, constraint vectors and projection map, which is all
+/// [`Level::restore`] needs to rebuild it from the finer level.
+#[cfg_attr(test, derive(Debug, PartialEq))]
+struct Level<'g> {
+    n: usize,
+    offsets: Cow<'g, [usize]>,
+    targets: Cow<'g, [u32]>,
+    weights: Option<Vec<u32>>,
     /// Per-vertex constraint vectors, `c_len` values each, row-major.
-    vwgt: Vec<f64>,
+    vwgt: Vec<u32>,
     c_len: usize,
     /// Map from the *finer* level's vertices to this level's vertices
     /// (empty for the finest level).
     fine_to_coarse: Vec<u32>,
 }
 
-impl Level {
+impl<'g> Level<'g> {
     /// The finest level: row `v` holds `v`'s out-neighbours, then the
     /// in-neighbours it has no out-edge to (so a directed graph becomes
-    /// symmetric), each with weight 1.
-    fn finest(graph: &Graph, vwgt: Vec<f64>, c_len: usize) -> Level {
-        let (offsets, targets, weights) = build_rows(graph.num_vertices(), || (), |(), v, row| {
+    /// symmetric), each with weight 1. When `inn` is `out`, no
+    /// in-neighbour is missing and the rows are `out`'s own.
+    fn finest(graph: &'g Graph, vwgt: Vec<u32>, c_len: usize) -> Level<'g> {
+        let n = graph.num_vertices();
+        if graph.inn.shares_storage(&graph.out) {
+            return Level {
+                n,
+                offsets: Cow::Borrowed(graph.out.offsets()),
+                targets: Cow::Borrowed(graph.out.targets()),
+                weights: None,
+                vwgt,
+                c_len,
+                fine_to_coarse: Vec::new(),
+            };
+        }
+        let (offsets, targets, weights) = build_rows(n, false, || (), |(), v, row| {
             let out = graph.out.neighbors(v as VId);
             for &u in out {
                 row.push(u, 1);
@@ -94,11 +117,15 @@ impl Level {
                 }
             }
         });
-        Level { offsets, targets, weights, vwgt, c_len, fine_to_coarse: Vec::new() }
-    }
-
-    fn n(&self) -> usize {
-        self.offsets.len() - 1
+        Level {
+            n,
+            offsets: offsets.into(),
+            targets: targets.into(),
+            weights,
+            vwgt,
+            c_len,
+            fine_to_coarse: Vec::new(),
+        }
     }
 
     fn neighbors(&self, v: u32) -> &[u32] {
@@ -108,10 +135,11 @@ impl Level {
     /// `(neighbour, weight)` over row `v`.
     fn edges(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
         let row = self.offsets[v as usize]..self.offsets[v as usize + 1];
-        self.targets[row.clone()].iter().copied().zip(self.weights[row].iter().copied())
+        let weights = self.weights.as_ref().map(|w| &w[row.clone()]);
+        (0..).zip(&self.targets[row]).map(move |(i, &u)| (u, weights.map_or(1, |w| w[i])))
     }
 
-    fn vwgt(&self, v: u32) -> &[f64] {
+    fn vwgt(&self, v: u32) -> &[u32] {
         &self.vwgt[v as usize * self.c_len..][..self.c_len]
     }
 
@@ -120,16 +148,39 @@ impl Level {
         let mut totals = vec![0.0; self.c_len];
         for w in self.vwgt.chunks_exact(self.c_len) {
             for (t, &x) in totals.iter_mut().zip(w) {
-                *t += x;
+                *t += f64::from(x);
             }
         }
         totals
+    }
+
+    /// Drops the adjacency, keeping what [`Level::restore`] needs.
+    fn thin(&mut self) {
+        self.offsets = Cow::Borrowed(&[]);
+        self.targets = Cow::Borrowed(&[]);
+        self.weights = None;
+    }
+
+    /// `true` once [`Level::thin`] has dropped the adjacency (a kept level
+    /// always has `n + 1` offsets).
+    fn is_thin(&self) -> bool {
+        self.offsets.is_empty()
+    }
+
+    /// Rebuilds a thinned level's adjacency by contracting `finer`, the
+    /// level it was first contracted from, through the stored map.
+    /// Contraction is pure, so the rows are the ones first built.
+    fn restore(&mut self, finer: &Level<'_>) {
+        let (offsets, targets, weights) =
+            contract_rows(finer, &self.fine_to_coarse, &members(&self.fine_to_coarse));
+        (self.offsets, self.targets, self.weights) = (offsets.into(), targets.into(), weights);
     }
 }
 
 /// One row's output slot while [`build_rows`] builds a level: the sizing
 /// pass hands it empty slices, so `push` only counts; the filling pass
-/// hands it the row's exactly-sized slices.
+/// hands it the row's exactly-sized slices (the weight slice stays empty
+/// in an unweighted build).
 struct RowOut<'a> {
     len: usize,
     targets: &'a mut [u32],
@@ -148,18 +199,21 @@ impl RowOut<'_> {
     }
 }
 
-/// Rows per parallel work item while a level is built.
+/// Rows per parallel work item while a level is matched or built.
 const ROW_BLOCK: usize = 256;
 
+/// Offsets, targets and (when weighted) weights of a level's rows.
+type Rows = (Vec<usize>, Vec<u32>, Option<Vec<u32>>);
+
 /// Builds `n` compressed rows: `row(scratch, v, out)` pushes row `v`'s
-/// entries. It runs twice per row, in parallel blocks of [`ROW_BLOCK`]
-/// rows: first to count the entries (sizing `offsets` and the entry
-/// arrays exactly, so no row owns a heap block and no array carries growth
-/// slack), then to write them into the row's own slice. `init` builds one
-/// scratch state per worker; a row must not depend on what earlier rows
-/// left in it. Each row depends only on `v`, so the level is identical at
-/// any thread count.
-fn build_rows<S, N, R>(n: usize, init: N, row: R) -> (Vec<usize>, Vec<u32>, Vec<u32>)
+/// entries, whose weights are kept only when `weighted`. It runs twice per
+/// row, in parallel blocks of [`ROW_BLOCK`] rows: first to count the
+/// entries (sizing `offsets` and the entry arrays exactly, so no row owns
+/// a heap block and no array carries growth slack), then to write them
+/// into the row's own slice. `init` builds one scratch state per worker; a
+/// row must not depend on what earlier rows left in it. Each row depends
+/// only on `v`, so the level is identical at any thread count.
+fn build_rows<S, N, R>(n: usize, weighted: bool, init: N, row: R) -> Rows
 where
     N: Fn() -> S + Sync,
     R: Fn(&mut S, usize, &mut RowOut<'_>) + Sync,
@@ -176,15 +230,17 @@ where
         offsets[v + 1] += offsets[v];
     }
     let mut targets = vec![0u32; offsets[n]];
-    let mut weights = vec![0u32; offsets[n]];
-    // Each block of rows owns one contiguous run of the entry arrays.
+    let mut weights = vec![0u32; if weighted { offsets[n] } else { 0 }];
+    // Each block of rows owns one contiguous run of the entry arrays. An
+    // unweighted build's weight array is empty, so every run of it is too
+    // (`len.min(ws.len())`); a weighted one always has `len` left.
     let mut blocks: Vec<(usize, &mut [u32], &mut [u32])> =
         Vec::with_capacity(n.div_ceil(ROW_BLOCK));
     let (mut ts, mut ws) = (&mut targets[..], &mut weights[..]);
     for lo in (0..n).step_by(ROW_BLOCK) {
         let len = offsets[(lo + ROW_BLOCK).min(n)] - offsets[lo];
         let (t, t_rest) = ts.split_at_mut(len);
-        let (w, w_rest) = ws.split_at_mut(len);
+        let (w, w_rest) = ws.split_at_mut(len.min(ws.len()));
         blocks.push((lo, t, w));
         (ts, ws) = (t_rest, w_rest);
     }
@@ -193,8 +249,9 @@ where
             let (mut ts, mut ws) = (&mut **ts, &mut **ws);
             for v in *lo..(*lo + ROW_BLOCK).min(n) {
                 let len = offsets[v + 1] - offsets[v];
+                let w_len = len.min(ws.len());
                 let (t, t_rest) = std::mem::take(&mut ts).split_at_mut(len);
-                let (w, w_rest) = std::mem::take(&mut ws).split_at_mut(len);
+                let (w, w_rest) = std::mem::take(&mut ws).split_at_mut(w_len);
                 let mut out = RowOut { len: 0, targets: t, weights: w };
                 row(s, v, &mut out);
                 debug_assert_eq!(out.len, len, "row {v} changed length between passes");
@@ -202,16 +259,24 @@ where
             }
         }
     });
-    (offsets, targets, weights)
+    (offsets, targets, weighted.then_some(weights))
 }
 
 /// Runs Metis-extend with the given variant on a graph.
+///
+/// # Panics
+///
+/// Panics if `k` is 0 ("need at least one partition").
 pub fn metis_extend(graph: &Graph, variant: MetisVariant, k: usize, seed: u64) -> GnnPartitioning {
     metis_extend_with(graph, variant, k, seed, 4)
 }
 
 /// [`metis_extend`] with `refine_passes` boundary-refinement passes per
 /// level instead of 4 (ablated in `ablate_metis_refine`).
+///
+/// # Panics
+///
+/// Panics if `k` is 0 ("need at least one partition").
 pub fn metis_extend_with(
     graph: &Graph,
     variant: MetisVariant,
@@ -226,6 +291,10 @@ pub fn metis_extend_with(
 
 /// Plain Metis clustering (count balance only) — used for cluster-based
 /// batch selection (§6.3.2) and as the Legion/DistDGL clustering substrate.
+///
+/// # Panics
+///
+/// Panics if `k` is 0 ("need at least one partition").
 pub fn metis_clusters(graph: &Graph, k: usize, seed: u64) -> Vec<u32> {
     let cfg = MetisConfig {
         k,
@@ -234,13 +303,13 @@ pub fn metis_clusters(graph: &Graph, k: usize, seed: u64) -> Vec<u32> {
         refine_passes: 2,
         seed,
     };
-    multilevel_partition(graph, vec![1.0; graph.num_vertices()], &cfg)
+    multilevel_partition(graph, vec![1; graph.num_vertices()], &cfg)
 }
 
 /// Builds the per-vertex constraint vectors for a variant, row-major.
 /// Returns `(vwgt, eps)`; constraint 0 is always the (loosely balanced)
 /// vertex count so partitions cannot degenerate.
-fn constraint_vectors(graph: &Graph, variant: MetisVariant) -> (Vec<f64>, Vec<f64>) {
+fn constraint_vectors(graph: &Graph, variant: MetisVariant) -> (Vec<u32>, Vec<f64>) {
     let eps = match variant {
         MetisVariant::V => vec![1.0, 0.05],
         MetisVariant::VE => vec![1.0, 0.05, 0.10],
@@ -250,14 +319,14 @@ fn constraint_vectors(graph: &Graph, variant: MetisVariant) -> (Vec<f64>, Vec<f6
     let mut vwgt = Vec::with_capacity(n * eps.len());
     for v in 0..n {
         let s = graph.split.split_of(v as VId);
-        let train = (s == Split::Train) as u8 as f64;
-        let val = (s == Split::Val) as u8 as f64;
-        let test = (s == Split::Test) as u8 as f64;
-        let deg = graph.out.degree(v as VId) as f64;
+        let train = u32::from(s == Split::Train);
+        let val = u32::from(s == Split::Val);
+        let test = u32::from(s == Split::Test);
+        let deg = graph.out.degree(v as VId) as u32;
         match variant {
-            MetisVariant::V => vwgt.extend_from_slice(&[1.0, train]),
-            MetisVariant::VE => vwgt.extend_from_slice(&[1.0, train, deg]),
-            MetisVariant::VET => vwgt.extend_from_slice(&[1.0, train, val, test, deg]),
+            MetisVariant::V => vwgt.extend_from_slice(&[1, train]),
+            MetisVariant::VE => vwgt.extend_from_slice(&[1, train, deg]),
+            MetisVariant::VET => vwgt.extend_from_slice(&[1, train, val, test, deg]),
         }
     }
     (vwgt, eps)
@@ -265,7 +334,7 @@ fn constraint_vectors(graph: &Graph, variant: MetisVariant) -> (Vec<f64>, Vec<f6
 
 /// The full multilevel pipeline over `graph` with row-major constraint
 /// vectors `vwgt` (`cfg.eps.len()` per vertex).
-fn multilevel_partition(graph: &Graph, vwgt: Vec<f64>, cfg: &MetisConfig) -> Vec<u32> {
+fn multilevel_partition(graph: &Graph, vwgt: Vec<u32>, cfg: &MetisConfig) -> Vec<u32> {
     assert!(cfg.k >= 1, "need at least one partition");
     let n = graph.num_vertices();
     if cfg.k == 1 {
@@ -283,9 +352,13 @@ fn multilevel_partition(graph: &Graph, vwgt: Vec<f64>, cfg: &MetisConfig) -> Vec
 
     // --- Uncoarsen + refine, coarsest level first ---
     let caps = capacities(&levels[0], cfg);
-    while let Some(level) = levels.pop() {
+    while let Some(mut level) = levels.pop() {
+        let finer = levels.last();
+        if let Some(finer) = finer.filter(|_| level.is_thin()) {
+            level.restore(finer);
+        }
         refine(&level, &mut assignment, cfg, &caps, &mut rng);
-        if !levels.is_empty() {
+        if finer.is_some() {
             // Project down to the next finer level; this one is done.
             assignment = level.fine_to_coarse.iter().map(|&c| assignment[c as usize]).collect();
         }
@@ -296,15 +369,24 @@ fn multilevel_partition(graph: &Graph, vwgt: Vec<f64>, cfg: &MetisConfig) -> Vec
 /// The hierarchy: `finest`, then one heavy-edge-matched contraction after
 /// another until a level has at most `coarsen_until` vertices or a round
 /// shrinks it by less than 5 %.
-fn coarsen(finest: Level, coarsen_until: usize, rng: &mut StdRng) -> Vec<Level> {
+///
+/// Every odd level is thinned once the next is contracted from it:
+/// refinement rebuilds it from the even level below, which is always kept,
+/// so the hierarchy never holds more than every second level's adjacency
+/// (plus the coarsest), and its peak is about levels 1 and 2 together.
+fn coarsen<'g>(finest: Level<'g>, coarsen_until: usize, rng: &mut StdRng) -> Vec<Level<'g>> {
     let mut levels = vec![finest];
     loop {
         let top = &levels[levels.len() - 1];
-        if top.n() <= coarsen_until {
+        if top.n <= coarsen_until {
             break;
         }
-        let coarse = coarsen_once(top, rng);
-        let stalled = coarse.n() as f64 / top.n() as f64 > 0.95;
+        let coarse = contract(top, heavy_edge_matching(top, rng));
+        let stalled = coarse.n as f64 / top.n as f64 > 0.95;
+        let odd = levels.len() % 2 == 0;
+        if let Some(top) = levels.last_mut().filter(|_| odd) {
+            top.thin();
+        }
         levels.push(coarse);
         if stalled {
             break;
@@ -314,7 +396,7 @@ fn coarsen(finest: Level, coarsen_until: usize, rng: &mut StdRng) -> Vec<Level> 
 }
 
 /// Per-constraint capacity limits on the finest level.
-fn capacities(level: &Level, cfg: &MetisConfig) -> Vec<f64> {
+fn capacities(level: &Level<'_>, cfg: &MetisConfig) -> Vec<f64> {
     level
         .totals()
         .iter()
@@ -328,7 +410,8 @@ fn capacities(level: &Level, cfg: &MetisConfig) -> Vec<f64> {
 /// boundaries — and results — are identical at any parallelism level.
 const CONTRACT_CHUNK: usize = 256;
 
-/// One round of heavy-edge matching + contraction.
+/// One round of heavy-edge matching: the only part of coarsening that
+/// draws from `rng`. Returns each vertex's coarse vertex.
 ///
 /// Matching is two-phase: a parallel *proposal* phase computes each
 /// vertex's heaviest neighbor overall (first occurrence on ties — a pure
@@ -339,20 +422,22 @@ const CONTRACT_CHUNK: usize = 256;
 /// when the proposal was already taken does the commit fall back to the
 /// original serial scan. The matching — and hence the whole hierarchy — is
 /// therefore bitwise-identical to the serial algorithm at any thread count.
-fn coarsen_once(level: &Level, rng: &mut StdRng) -> Level {
-    let n = level.n();
+fn heavy_edge_matching(level: &Level<'_>, rng: &mut StdRng) -> Vec<u32> {
+    let n = level.n;
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
     // Parallel proposal phase: heaviest neighbor ignoring matched state.
-    let vertex_ids: Vec<u32> = (0..n as u32).collect();
-    let proposals: Vec<u32> = par_map_collect(&vertex_ids, |_, &v| {
-        let mut best: Option<(u32, u32)> = None;
-        for (u, w) in level.edges(v) {
-            if u != v && best.is_none_or(|(_, bw)| w > bw) {
-                best = Some((u, w));
+    let mut proposals: Vec<u32> = vec![u32::MAX; n];
+    par_chunks_mut(&mut proposals, ROW_BLOCK, |bi, block| {
+        for (v, prop) in (bi as u32 * ROW_BLOCK as u32..).zip(block) {
+            let mut best: Option<(u32, u32)> = None;
+            for (u, w) in level.edges(v) {
+                if u != v && best.is_none_or(|(_, bw)| w > bw) {
+                    best = Some((u, w));
+                }
             }
+            *prop = best.map_or(u32::MAX, |(u, _)| u);
         }
-        best.map_or(u32::MAX, |(u, _)| u)
     });
     // Serial commit in shuffled order, with the original scan as fallback.
     let mut matched: Vec<u32> = vec![u32::MAX; n];
@@ -381,48 +466,81 @@ fn coarsen_once(level: &Level, rng: &mut StdRng) -> Level {
             None => matched[v as usize] = v,
         }
     }
-    // Assign coarse ids: pair representative = min(v, match). The fine
-    // members of each coarse vertex are `[v, match]` in ascending order (a
-    // singleton is `[v, v]`) — the same per-coarse-vertex visit order the
-    // serial `for v in 0..n` loops used, so the f64 summation order below
-    // is unchanged.
+    // Coarse ids in order of each pair's smaller member.
     let mut coarse_of: Vec<u32> = vec![u32::MAX; n];
-    let mut members: Vec<[u32; 2]> = Vec::new();
-    for v in 0..n as u32 {
-        if coarse_of[v as usize] != u32::MAX {
-            continue;
+    let mut cn = 0u32;
+    for v in 0..n {
+        if coarse_of[v] == u32::MAX {
+            coarse_of[v] = cn;
+            coarse_of[matched[v] as usize] = cn;
+            cn += 1;
         }
-        let m = matched[v as usize];
-        coarse_of[v as usize] = members.len() as u32;
-        coarse_of[m as usize] = members.len() as u32;
-        members.push([v, m]);
     }
-    let cn = members.len();
-    let members_of = |cv: usize| {
-        let [a, b] = members[cv];
-        std::iter::once(a).chain((b != a).then_some(b))
-    };
-    // Contraction: each coarse vertex's weight sum and merged edge list
-    // depend only on its own members, so coarse rows contract in parallel.
+    coarse_of
+}
+
+/// The fine members of each coarse vertex, `[v, match]` in ascending order
+/// (a singleton is `[v, v]`): the order their rows are merged in, which
+/// fixes each coarse row's entry order. Coarse ids are numbered in order
+/// of their smaller member, so an id not seen before is always the next
+/// one.
+fn members(coarse_of: &[u32]) -> Vec<[u32; 2]> {
+    let mut members: Vec<[u32; 2]> = Vec::new();
+    for (v, &c) in (0u32..).zip(coarse_of) {
+        match members.get_mut(c as usize) {
+            Some(pair) => pair[1] = v,
+            None => members.push([v, v]),
+        }
+    }
+    members
+}
+
+/// The coarser level `coarse_of` maps `level` onto: each coarse vertex's
+/// constraint vector sums its members', its row merges theirs. Pure — it
+/// draws nothing — so [`Level::restore`] rebuilds the same rows later.
+fn contract<'g>(level: &Level<'_>, coarse_of: Vec<u32>) -> Level<'g> {
+    let members = members(&coarse_of);
+    // Each coarse vertex's weight sum depends only on its own members, so
+    // coarse rows contract in parallel.
     let c_len = level.c_len;
-    let mut vwgt = vec![0.0; cn * c_len];
+    let mut vwgt = vec![0u32; members.len() * c_len];
     par_chunks_mut(&mut vwgt, CONTRACT_CHUNK * c_len, |ci, rows| {
-        let base = ci * CONTRACT_CHUNK;
-        for (j, row) in rows.chunks_exact_mut(c_len).enumerate() {
-            for v in members_of(base + j) {
+        for (row, pair) in rows.chunks_exact_mut(c_len).zip(&members[ci * CONTRACT_CHUNK..]) {
+            for v in pair_members(*pair) {
                 for (t, &x) in row.iter_mut().zip(level.vwgt(v)) {
                     *t += x;
                 }
             }
         }
     });
-    // Merged edge rows, in first-occurrence order. `acc` is per-worker
-    // scratch, reset through `touched` after every row.
-    let (offsets, targets, weights) = build_rows(
+    let (offsets, targets, weights) = contract_rows(level, &coarse_of, &members);
+    Level {
+        n: members.len(),
+        offsets: offsets.into(),
+        targets: targets.into(),
+        weights,
+        vwgt,
+        c_len,
+        fine_to_coarse: coarse_of,
+    }
+}
+
+/// A coarse vertex's one or two fine members.
+fn pair_members([a, b]: [u32; 2]) -> impl Iterator<Item = u32> {
+    std::iter::once(a).chain((b != a).then_some(b))
+}
+
+/// The merged, weighted rows of the coarse vertices `members` lists, in
+/// first-occurrence order. `acc` is per-worker scratch, reset through
+/// `touched` after every row.
+fn contract_rows(level: &Level<'_>, coarse_of: &[u32], members: &[[u32; 2]]) -> Rows {
+    let cn = members.len();
+    build_rows(
         cn,
+        true,
         || (vec![0u32; cn], Vec::<u32>::new()),
         |(acc, touched), cv, row| {
-            for v in members_of(cv) {
+            for v in pair_members(members[cv]) {
                 for (u, w) in level.edges(v) {
                     let cu = coarse_of[u as usize];
                     if cu as usize == cv {
@@ -440,8 +558,7 @@ fn coarsen_once(level: &Level, rng: &mut StdRng) -> Level {
             }
             touched.clear();
         },
-    );
-    Level { offsets, targets, weights, vwgt, c_len, fine_to_coarse: coarse_of }
+    )
 }
 
 /// BFS region growing: fill partitions one at a time until any *tight*
@@ -450,8 +567,8 @@ fn coarsen_once(level: &Level, rng: &mut StdRng) -> Level {
 /// fills, even if its vertex-count quota has room. This is what makes the
 /// V / VE / VET variants genuinely different partitionings, not just
 /// different refinement vetoes.
-fn initial_region_growing(level: &Level, cfg: &MetisConfig, rng: &mut StdRng) -> Vec<u32> {
-    let n = level.n();
+fn initial_region_growing(level: &Level<'_>, cfg: &MetisConfig, rng: &mut StdRng) -> Vec<u32> {
+    let n = level.n;
     let k = cfg.k;
     let c_len = level.c_len;
     let totals = level.totals();
@@ -483,7 +600,7 @@ fn initial_region_growing(level: &Level, cfg: &MetisConfig, rng: &mut StdRng) ->
         assignment[v as usize] = part;
         assigned += 1;
         for (p, &x) in pw.iter_mut().zip(level.vwgt(v)) {
-            *p += x;
+            *p += f64::from(x);
         }
         let quota_full = pw[0] >= targets[0]
             || (1..c_len).any(|c| tight[c] && targets[c] > 0.0 && pw[c] >= targets[c]);
@@ -512,7 +629,7 @@ const REFINE_BLOCK: usize = 256;
 /// maximum-gain target that fits every capacity. Pure — exactly the body
 /// of the original serial pass — so it can run speculatively in parallel.
 fn kl_best_move(
-    level: &Level,
+    level: &Level<'_>,
     k: usize,
     caps: &[f64],
     assignment: &[u32],
@@ -520,8 +637,8 @@ fn kl_best_move(
     v: u32,
     conn: &mut [f64],
 ) -> Option<usize> {
-    let fits = |b: usize, w: &[f64]| -> bool {
-        pw[b].iter().zip(w).zip(caps).all(|((&have, &add), &cap)| have + add <= cap)
+    let fits = |b: usize, w: &[u32]| -> bool {
+        pw[b].iter().zip(w).zip(caps).all(|((&have, &add), &cap)| have + f64::from(add) <= cap)
     };
     let a = assignment[v as usize] as usize;
     // Connectivity to each partition.
@@ -571,13 +688,13 @@ fn kl_best_move(
 /// rare, parallelize almost entirely.
 #[allow(clippy::needless_range_loop, reason = "parallel-array indexing is the clear form here")]
 fn refine(
-    level: &Level,
+    level: &Level<'_>,
     assignment: &mut [u32],
     cfg: &MetisConfig,
     caps: &[f64],
     rng: &mut StdRng,
 ) {
-    let n = level.n();
+    let n = level.n;
     let k = cfg.k;
     let c_len = caps.len();
     // Current partition weights.
@@ -585,7 +702,7 @@ fn refine(
     for v in 0..n {
         let p = assignment[v] as usize;
         for (t, &x) in pw[p].iter_mut().zip(level.vwgt(v as u32)) {
-            *t += x;
+            *t += f64::from(x);
         }
     }
 
@@ -617,8 +734,8 @@ fn refine(
                     let a = assignment[v as usize] as usize;
                     assignment[v as usize] = b as u32;
                     for (c, &x) in level.vwgt(v).iter().enumerate() {
-                        pw[a][c] -= x;
-                        pw[b][c] += x;
+                        pw[a][c] -= f64::from(x);
+                        pw[b][c] += f64::from(x);
                     }
                     moved += 1;
                     committed = true;
@@ -658,7 +775,7 @@ fn refine(
         for (p, c) in violated {
             // Move vertices contributing to constraint c out of p until it fits.
             let mut members: Vec<u32> = (0..n as u32)
-                .filter(|&v| assignment[v as usize] == p as u32 && level.vwgt(v)[c] > 0.0)
+                .filter(|&v| assignment[v as usize] == p as u32 && level.vwgt(v)[c] > 0)
                 .collect();
             members.shuffle(rng);
             for v in members {
@@ -673,11 +790,13 @@ fn refine(
                     if b == p {
                         continue;
                     }
-                    let strict_on_c = pw[b][c] + w[c] <= caps[c];
+                    let strict_on_c = pw[b][c] + f64::from(w[c]) <= caps[c];
                     // Only constraints the move actually increases can veto
                     // the receiver (a zero-weight constraint is unaffected).
                     let slack_elsewhere = (0..c_len).all(|cc| {
-                        cc == c || w[cc] == 0.0 || pw[b][cc] + w[cc] <= caps[cc] * REPAIR_SLACK
+                        cc == c
+                            || w[cc] == 0
+                            || pw[b][cc] + f64::from(w[cc]) <= caps[cc] * REPAIR_SLACK
                     });
                     let headroom = caps[c] - pw[b][c];
                     if strict_on_c
@@ -690,8 +809,8 @@ fn refine(
                 if let Some((b, _)) = best {
                     assignment[v as usize] = b as u32;
                     for (cc, &x) in w.iter().enumerate() {
-                        pw[p][cc] -= x;
-                        pw[b][cc] += x;
+                        pw[p][cc] -= f64::from(x);
+                        pw[b][cc] += f64::from(x);
                     }
                 }
             }
@@ -721,35 +840,77 @@ mod tests {
         v.capacity() * std::mem::size_of::<T>()
     }
 
-    /// Heap bytes of a level, from its `Vec` capacities.
-    fn heap_bytes(level: &Level) -> usize {
-        let Level { offsets, targets, weights, vwgt, c_len: _, fine_to_coarse } = level;
-        cap_bytes(offsets)
-            + cap_bytes(targets)
-            + cap_bytes(weights)
+    /// Heap bytes of a level, from its `Vec` capacities (a borrowed
+    /// array owns none).
+    fn heap_bytes(level: &Level<'_>) -> usize {
+        let Level { n: _, offsets, targets, weights, vwgt, c_len: _, fine_to_coarse } = level;
+        let offsets = if let Cow::Owned(v) = offsets { cap_bytes(v) } else { 0 };
+        let targets = if let Cow::Owned(v) = targets { cap_bytes(v) } else { 0 };
+        offsets
+            + targets
+            + weights.as_ref().map_or(0, cap_bytes)
             + cap_bytes(vwgt)
             + cap_bytes(fine_to_coarse)
     }
 
-    /// Every level stays within 8 B per adjacency entry (a `u32` target
-    /// and a `u32` weight), 8 B per offset, 8 B per constraint value and
-    /// 4 B per finer-level vertex in the projection map, plus a small
-    /// constant: `f64` weights, `(u32, f64)` rows or growth slack exceed it.
+    /// The VET hierarchy of `g` (coarsened to 64 vertices, seed 7).
+    fn hierarchy(g: &Graph) -> Vec<Level<'_>> {
+        let (vwgt, eps) = constraint_vectors(g, MetisVariant::VET);
+        coarsen(Level::finest(g, vwgt, eps.len()), 64, &mut StdRng::seed_from_u64(7))
+    }
+
+    /// Every level that holds an adjacency stays within 8 B per adjacency
+    /// entry (a `u32` target and a `u32` weight), 8 B per offset, 4 B per
+    /// constraint value and 4 B per finer-level vertex in the projection
+    /// map, plus a small constant: `f64` weights or constraints, `(u32,
+    /// f64)` rows or growth slack exceed it. A thinned level holds only
+    /// its constraint values and map. The finest level of a symmetric
+    /// graph borrows the graph's rows and holds no weights at all.
     #[test]
     fn hierarchy_stays_compact() {
         let g = graph();
-        let (vwgt, eps) = constraint_vectors(&g, MetisVariant::VET);
-        let finest = Level::finest(&g, vwgt, eps.len());
-        let levels = coarsen(finest, 64, &mut StdRng::seed_from_u64(7));
+        assert!(g.inn.shares_storage(&g.out));
+        let levels = hierarchy(&g);
         assert!(levels.len() >= 4, "only {} levels", levels.len());
+        assert!(levels[0].weights.is_none() && matches!(levels[0].targets, Cow::Borrowed(_)));
         for (i, level) in levels.iter().enumerate() {
+            let thin = i % 2 == 1 && i + 1 < levels.len();
+            assert_eq!(level.is_thin(), thin, "level {i} of {}", levels.len());
             let budget = 8 * level.targets.len()
                 + 8 * level.offsets.len()
-                + 8 * level.vwgt.len()
+                + 4 * level.vwgt.len()
                 + 4 * level.fine_to_coarse.len()
                 + 64;
             let used = heap_bytes(level);
             assert!(used <= budget, "level {i}: {used} heap bytes over a budget of {budget}");
+        }
+    }
+
+    /// A thinned level restored from the level below it is the level first
+    /// contracted, array for array, on a symmetric and a directed graph.
+    #[test]
+    fn restored_levels_are_the_contracted_ones() {
+        let symmetric = graph();
+        let edges: Vec<(u32, u32)> = symmetric.out.edges().filter(|&(u, v)| u < v).collect();
+        let out = gnn_dm_graph::Csr::from_edges(symmetric.num_vertices(), &edges);
+        let directed = Graph { inn: out.transpose(), out, ..symmetric.clone() };
+        for g in [&symmetric, &directed] {
+            let mut levels = hierarchy(g);
+            let (vwgt, eps) = constraint_vectors(g, MetisVariant::VET);
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut kept = vec![Level::finest(g, vwgt, eps.len())];
+            while kept.len() < levels.len() {
+                let top = &kept[kept.len() - 1];
+                let coarse = contract(top, heavy_edge_matching(top, &mut rng));
+                kept.push(coarse);
+            }
+            for i in 1..levels.len() {
+                let (finer, rest) = levels.split_at_mut(i);
+                if rest[0].is_thin() {
+                    rest[0].restore(&finer[i - 1]);
+                }
+                assert_eq!(rest[0], kept[i], "level {i}");
+            }
         }
     }
 

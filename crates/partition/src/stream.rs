@@ -33,6 +33,10 @@ pub const DEFAULT_BLOCK_SIZE: usize = 32;
 /// paper blames for streaming's 99% partitioning-time share (§5.3.3). See
 /// [`stream_v_fast`] for a bitmap-indexed variant that removes that cost,
 /// used by the `ablate_stream_impl` study.
+///
+/// # Panics
+///
+/// Panics if `k` is 0 ("need at least one partition").
 pub fn stream_v(graph: &Graph, k: usize, hops: usize) -> GnnPartitioning {
     stream_v_impl(graph, k, hops, false)
 }
@@ -40,6 +44,10 @@ pub fn stream_v(graph: &Graph, k: usize, hops: usize) -> GnnPartitioning {
 /// [`stream_v`] with O(1) bitmap membership tests instead of sorted-set
 /// intersections — identical output, far cheaper. Demonstrates that the
 /// published cost is an implementation artifact (paper lesson 5.4-(4)).
+///
+/// # Panics
+///
+/// Panics if `k` is 0 ("need at least one partition").
 pub fn stream_v_fast(graph: &Graph, k: usize, hops: usize) -> GnnPartitioning {
     stream_v_impl(graph, k, hops, true)
 }
@@ -138,12 +146,22 @@ fn stream_v_impl(graph: &Graph, k: usize, hops: usize, fast: bool) -> GnnPartiti
 /// each block goes to the partition with the most edges connecting to it,
 /// subject to balance caps on train/val/test vertex counts (goals 1 and 2 at
 /// block granularity).
+///
+/// # Panics
+///
+/// Panics if `k` is 0 ("need at least one partition") or `block_size` is
+/// 0.
 pub fn stream_b(graph: &Graph, k: usize, block_size: usize, seed: u64) -> GnnPartitioning {
     stream_b_impl(graph, k, block_size, seed, false)
 }
 
 /// [`stream_b`] with O(1) assignment-array lookups instead of sorted-set
 /// intersections — identical output, far cheaper (see `ablate_stream_impl`).
+///
+/// # Panics
+///
+/// Panics if `k` is 0 ("need at least one partition") or `block_size` is
+/// 0.
 pub fn stream_b_fast(graph: &Graph, k: usize, block_size: usize, seed: u64) -> GnnPartitioning {
     stream_b_impl(graph, k, block_size, seed, true)
 }

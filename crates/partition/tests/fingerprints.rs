@@ -76,3 +76,60 @@ fn metis_clusters_fingerprints() {
         .collect();
     assert_eq!(got, [0x02e0_5fdc_36da_946d, 0xa088_a67d_80c5_246a, 0x0301_a386_f807_15e2]);
 }
+
+/// `(edge cut, FNV-1a)` of Metis-V, -VE and -VET (k = 4, seed 7) and of
+/// `metis_clusters` (k = 16, seed 7) on one graph. A cluster assignment's
+/// cut counts the directed `out` edges whose endpoints differ.
+fn pins(g: &Graph) -> Vec<(usize, u64)> {
+    let cut = |assignment: &[u32]| {
+        g.out.edges().filter(|&(u, v)| assignment[u as usize] != assignment[v as usize]).count()
+    };
+    let mut got: Vec<(usize, u64)> = [MetisVariant::V, MetisVariant::VE, MetisVariant::VET]
+        .into_iter()
+        .map(|variant| metis_extend(g, variant, 4, 7).assignment)
+        .map(|a| (cut(&a), fnv1a(&a)))
+        .collect();
+    let clusters = metis_clusters(g, 16, 7);
+    got.push((cut(&clusters), fnv1a(&clusters)));
+    got
+}
+
+/// The benchmark's `cluster_epoch` graph (a symmetric graph, whose finest
+/// level is its own adjacency), a power-law LiveJournal stand-in, and a
+/// directed variant of the first (whose finest level merges `out` and
+/// `inn`), at 1 and 3 threads. Recorded before the hierarchy stopped
+/// holding every level at once. About 25 s in a debug build, so it runs in
+/// release from `scripts/check.sh`.
+#[test]
+#[ignore = "benchmark-sized graphs; run in release by scripts/check.sh"]
+fn metis_pins_on_benchmark_sized_graphs() {
+    let products = DatasetSpec::get(DatasetId::OgbProducts).generate_scaled(20_000, 42);
+    let livejournal = DatasetSpec::get(DatasetId::LiveJournal).generate_scaled(40_000, 42);
+    let products_directed = directed(products.clone());
+    let expect: [[(usize, u64); 4]; 3] = [
+        [
+            (89_308, 0xfdd3_af83_77ca_096e), // Products, V
+            (89_308, 0xfdd3_af83_77ca_096e), // Products, VE
+            (96_454, 0x7f3c_c7a9_2707_4433), // Products, VET
+            (129_334, 0x6296_2f8e_2724_2b94), // Products, clusters
+        ],
+        [
+            (247_438, 0x4073_5265_aaf7_5aa8), // LiveJournal, V
+            (234_182, 0xcf86_bf35_d75d_c8f8), // LiveJournal, VE
+            (233_972, 0x3faa_ebbe_0420_c429), // LiveJournal, VET
+            (295_648, 0xac5f_1228_aada_5fe4), // LiveJournal, clusters
+        ],
+        [
+            (44_464, 0x1ef0_13c0_4798_effc), // directed Products, V
+            (44_464, 0x1ef0_13c0_4798_effc), // directed Products, VE
+            (48_466, 0x93e0_121a_8fcc_dcce), // directed Products, VET
+            (68_077, 0xa1ab_e2c8_0b12_5ded), // directed Products, clusters
+        ],
+    ];
+    for threads in [1, 3] {
+        let got = gnn_dm_par::with_threads(threads, || {
+            [&products, &livejournal, &products_directed].map(pins)
+        });
+        assert_eq!(got, expect.map(Vec::from), "{threads} threads");
+    }
+}

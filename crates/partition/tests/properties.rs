@@ -116,3 +116,17 @@ fn locality_is_is_local_for_every_vertex() {
         }
     }
 }
+
+/// `k = 0` is the one precondition the entry points document: every
+/// method panics with the same message rather than returning an
+/// assignment no partition can hold.
+#[test]
+fn zero_partitions_panic_with_one_message() {
+    let g = graph(100, 1);
+    for method in PartitionMethod::all() {
+        let err = std::panic::catch_unwind(|| partition_graph(&g, method, 0, 7))
+            .expect_err("k = 0 must panic");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(msg, "need at least one partition", "{method:?}");
+    }
+}

@@ -44,6 +44,9 @@ cargo test --workspace -q
 echo "==> full-size generator pins (release, topology only: the benchmark's four graphs and a 200 000-vertex LiveJournal stand-in equal the serial generator's at 1 and 3 threads; ignored in the debug suite for their run time)"
 cargo test --release -q --test par_equivalence full_size -- --ignored
 
+echo "==> Metis pins on benchmark-sized graphs (release: edge cut and assignment fingerprint of Metis-V/VE/VET and metis_clusters on the cluster_epoch graph, a LiveJournal stand-in and a directed graph, at 1 and 3 threads; ignored in the debug suite for their run time)"
+cargo test --release -q -p gnn-dm-partition --test fingerprints -- --ignored
+
 echo "==> cargo doc (rustdoc warnings are errors: a doc link to a deleted or private item fails here)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
@@ -129,6 +132,10 @@ result_check ablate_block_size
 result_check fig15_active_blocks
 # Local SGD trains worker replicas through the one mini-batch step (~1 s).
 result_check ext_local_sgd
+# Per-worker communication bytes of all six partitionings on every labelled
+# dataset, with no wall-clock column: a moved Metis assignment shows here
+# at full dataset scale (~5 s).
+result_check fig5_comm_load
 
 echo "==> benchmark lockfile (benchmark/run.sh builds without --locked, so a stale benchmark/Cargo.lock would be rewritten silently)"
 if ! cargo metadata --offline --locked --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null; then
