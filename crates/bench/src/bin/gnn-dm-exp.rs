@@ -14,12 +14,14 @@
 
 use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
+#[expect(clippy::disallowed_types, reason = "READER_GONE is written by the panic hook and read after the run")]
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use gnn_dm_bench::experiments::{Experiment, EXPERIMENTS};
 
 /// Set by the panic hook when the panic came from printing to a stdout
 /// whose reader has gone.
+#[expect(clippy::disallowed_types, reason = "the panic hook sets it on whichever thread panicked; one flag, read once")]
 static READER_GONE: AtomicBool = AtomicBool::new(false);
 
 fn main() -> ExitCode {

@@ -170,7 +170,7 @@ impl<'g> ClusterSim<'g> {
         let locality = self.part.locality();
         let partials = gnn_dm_par::par_map_collect(&worker_batches, |i, batches| {
             let mut rng = StdRng::seed_from_u64(gnn_dm_par::split_seed(epoch_seed, u64_of_usize(i)));
-            self.simulate_worker(sampler, &locality, u32_of_index(i), batches, &mut rng) // lint:allow(R003) per-worker epoch ledgers are the closure's return value, one set per worker per epoch
+            self.simulate_worker(sampler, &locality, u32_of_index(i), batches, &mut rng)
         });
         let mut report = EpochLoadReport {
             compute: ComputeLedger::new(k),

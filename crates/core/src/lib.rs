@@ -19,7 +19,7 @@
 //!   binaries.
 
 #![warn(missing_docs)]
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod breakdown;
 pub mod config;

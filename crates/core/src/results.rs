@@ -82,6 +82,7 @@ impl Table {
     }
 
     /// Prints both renderings with a title banner.
+    #[expect(clippy::print_stdout, reason = "the experiment drivers' one way to emit a table; never called from a parallel closure")]
     pub fn print(&self, title: &str) {
         println!("== {title} ==");
         println!("{}", self.render());

@@ -15,6 +15,7 @@ use gnn_dm_graph::csr::{Csr, VId};
 use gnn_dm_graph::Graph;
 use gnn_dm_sampling::epoch::AccessTracker;
 use gnn_dm_trace::convert::{u32_of_index, u64_of_usize, usize_of_u32};
+use std::cmp::Reverse;
 
 /// A GPU cache policy: which ranking decides residency, and the parameters
 /// that ranking needs. Caching disabled is `Option::<CachePolicy>::None`.
@@ -109,9 +110,9 @@ impl FeatureCache {
     fn degree_based(out_csr: &Csr, capacity_rows: usize) -> Self {
         let n = out_csr.num_vertices();
         let mut order: Vec<VId> = (0..u32_of_index(n)).collect();
-        order.sort_by(|&a, &b| {
-            out_csr.degree(b).cmp(&out_csr.degree(a)).then(a.cmp(&b))
-        });
+        // Descending degree, ties by ascending id: the id makes every key
+        // distinct, so an unstable sort is exact.
+        order.sort_unstable_by_key(|&v| (Reverse(out_csr.degree(v)), v));
         Self::from_ranking(&order, n, capacity_rows)
     }
 

@@ -24,7 +24,7 @@
 //!   cache rows it leaves room for.
 
 #![warn(missing_docs)]
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod blocks;
 pub mod cache;

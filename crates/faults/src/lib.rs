@@ -33,7 +33,7 @@
 //! and which spans it leaves on a lane, is decided here for both of them
 //! ([`FaultPlan::schedule_failed_attempts`]).
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::print_stdout, clippy::print_stderr)]
 
 use gnn_dm_par::split_seed;
 use gnn_dm_trace::units::{Bytes, Seconds};

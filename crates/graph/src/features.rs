@@ -8,6 +8,8 @@
 //! value read: until then it holds the recipe that draws it, and
 //! `tests/widths_only.rs` checks that the simulators leave it unbuilt.
 
+#![expect(clippy::disallowed_types, reason = "a deferred table is built once, on its first read, by whichever thread reads first; the values come from the table's own RNG stream, so they are the same bits whoever builds them")]
+
 use crate::generate::CentroidRecipe;
 use std::fmt;
 use std::sync::OnceLock;

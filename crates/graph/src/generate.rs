@@ -319,7 +319,10 @@ pub fn planted_partition(cfg: &PplConfig) -> Graph {
 ///
 /// Every attempt consumes exactly three draws whichever way its coin
 /// falls, so each chunk's draws come off `rng` serially, the lookups run in
-/// parallel, and the pairs are accepted serially in attempt order.
+/// parallel, and the pairs are accepted serially in attempt order. A chunk
+/// holds at most the `m - placed` attempts that could still be accepted,
+/// so `rng` gives exactly the serial loop's draws and no lookup runs past
+/// the `m`-th edge; a self-loop among them leaves a shorter chunk to follow.
 fn place_edges(
     rng: &mut impl Rng,
     m: usize,
@@ -332,9 +335,9 @@ fn place_edges(
     let max_attempts = m * 20;
     let mut attempts = 0usize;
     let mut placed = 0usize;
-    let mut draws: Vec<[f64; 3]> = Vec::with_capacity(EDGE_CHUNK.min(max_attempts));
+    let mut draws: Vec<[f64; 3]> = Vec::with_capacity(EDGE_CHUNK.min(m));
     while placed < m && attempts < max_attempts {
-        let len = EDGE_CHUNK.min(max_attempts - attempts);
+        let len = EDGE_CHUNK.min(m - placed).min(max_attempts - attempts);
         attempts += len;
         draws.clear();
         draws.extend((0..len).map(|_| [rng.random::<f64>(), rng.random(), rng.random()]));
@@ -351,9 +354,6 @@ fn place_edges(
             if u != v {
                 accept(u, v);
                 placed += 1;
-                if placed == m {
-                    break;
-                }
             }
         }
     }
@@ -645,8 +645,9 @@ mod tests {
     #[test]
     fn chunked_edge_placement_places_the_serial_loops_edges() {
         // Four vertices in two communities, so self-loops are rejected
-        // often; the largest `m` needs a second chunk, and every case stops
-        // inside a chunk at `placed == m`.
+        // often; the largest `m` needs a second full chunk, and in every
+        // case a self-loop in a trimmed chunk leaves a shorter one to
+        // follow. Placement draws exactly the serial loop's attempts.
         let labels = [0u32, 1, 0, 1];
         let global = WeightedSampler::new(vec![0, 1, 2, 3], &[1.0, 2.0, 3.0, 4.0]);
         let communities = [
@@ -657,7 +658,7 @@ mod tests {
         // communities as groups of one sampler.
         let positions = WeightedSampler::grouped(Vec::new(), &[1.0, 2.0, 3.0, 4.0], &[4]);
         let grouped = WeightedSampler::grouped(vec![0, 2, 1, 3], &[1.0, 3.0, 2.0, 4.0], &[2, 4]);
-        for (m, homophily) in [(EDGE_CHUNK + 100, 0.6), (7, 0.6), (300, 1.0)] {
+        for (m, homophily) in [(EDGE_CHUNK + 100, 0.6), (7, 0.6), (300, 1.0), (3, 1.0)] {
             let mut serial = Script::new(Vec::new());
             let mut expect = Vec::new();
             let (mut placed, mut attempts) = (0usize, 0usize);
@@ -675,6 +676,7 @@ mod tests {
                 }
             }
             assert_eq!(expect.len(), m);
+            assert!(attempts > m, "m {m}: no self-loop, so no follow-up chunk");
             if m > EDGE_CHUNK {
                 assert!(attempts > EDGE_CHUNK, "m {m}: the serial loop fit in one chunk");
             }
@@ -687,6 +689,7 @@ mod tests {
                 });
             });
             assert!(got == expect, "m {m}, homophily {homophily}: edges diverged");
+            assert_eq!(script.drawn, serial.drawn, "m {m}, homophily {homophily}: draws taken");
         }
     }
 

@@ -18,7 +18,7 @@
 //! a cost table without the accuracy it bought is exactly the evaluation
 //! trap the harness exists to close.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod axes;
 pub mod config;

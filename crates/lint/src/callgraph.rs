@@ -13,13 +13,13 @@
 //! `impl Type` block, a method name declared in some impl/trait of the
 //! caller's crate or its referenced crates, or a free fn of the caller's
 //! own crate. `Vec::new()`, `std::fs::read`, and friends resolve to
-//! nothing, so external calls never pollute the effect inference. Where a
+//! nothing, so external calls never pollute the raw-seed inference. Where a
 //! name is genuinely ambiguous (several impls declare it) the edge goes to
 //! *every* candidate — the downstream rules over-approximate rather than
 //! miss.
 
 use crate::items::{parse_items, Item, ItemKind};
-use crate::races::{find_par_closures, ParClosure};
+use crate::seeds::{find_par_closures, ParClosure};
 use crate::rules::FileCtx;
 use crate::tokenizer::{lex, Lexed, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
@@ -38,7 +38,7 @@ pub struct SourceFile {
     pub items: Vec<Item>,
     /// Per-token `#[cfg(test)]` / `#[test]` region marks.
     pub in_test: Vec<bool>,
-    /// Closures handed to the par dispatchers (R001, R002, R003).
+    /// Closures handed to the par dispatchers (R002).
     pub(crate) closures: Vec<ParClosure>,
 }
 
@@ -200,8 +200,6 @@ pub struct FnNode {
     pub crate_key: String,
     /// 1-based declaration line.
     pub line: usize,
-    /// Declared `pub`.
-    pub is_pub: bool,
     /// Inside a `#[cfg(test)]` / `#[test]` region.
     pub in_test: bool,
     /// The innermost enclosing `impl` block's type name, when any.
@@ -232,8 +230,8 @@ pub struct CallGraph {
     pub nodes: Vec<FnNode>,
     /// Resolved callee ids per node.
     pub edges: Vec<BTreeSet<usize>>,
-    /// All call sites per node, resolved or not (the race/seed passes need
-    /// the unresolved ones too).
+    /// All call sites per node, resolved or not (the seed pass needs the
+    /// unresolved ones too).
     pub calls: Vec<Vec<CallSite>>,
     /// Node ids per file, for token→owner lookups.
     by_file: BTreeMap<String, Vec<usize>>,
@@ -271,7 +269,6 @@ impl CallGraph {
                     file: file.rel_path.clone(),
                     crate_key: file.ctx.layer_key().to_string(),
                     line: item.line,
-                    is_pub: item.is_pub,
                     in_test,
                     impl_type,
                     in_trait,

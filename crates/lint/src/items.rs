@@ -2,11 +2,11 @@
 //!
 //! The call graph ([`crate::callgraph`]) needs to know **what a file
 //! declares** — functions, the traits and impl blocks that own methods, and
-//! `use` imports, with their spans and visibility — but not full Rust
-//! semantics. This parser recovers exactly that from [`crate::tokenizer`]'s
-//! output. Like the tokenizer it is *total*: any byte sequence produces a
-//! (possibly empty) item list, never a panic, so it is safe to run on
-//! arbitrary files.
+//! `use` imports, with their spans — but not full Rust semantics. This
+//! parser recovers exactly that from [`crate::tokenizer`]'s output. Like
+//! the tokenizer it is *total*: any byte sequence produces a (possibly
+//! empty) item list, never a panic, so it is safe to run on arbitrary
+//! files.
 //!
 //! Heuristics are deliberately shallow and err towards silence: a keyword
 //! is only treated as an item head when it sits in item position (after
@@ -37,8 +37,6 @@ pub struct Item {
     /// (e.g. `gnn_dm_graph::csr::Csr`); for [`ItemKind::Impl`] the type
     /// the block implements for.
     pub name: String,
-    /// True when declared `pub` (any visibility restriction counts).
-    pub is_pub: bool,
     /// 1-based line of the item keyword.
     pub line: usize,
     /// Index of the item keyword in the token stream.
@@ -141,7 +139,6 @@ pub fn parse_items(tokens: &[Token]) -> Vec<Item> {
         items.push(Item {
             kind,
             name,
-            is_pub: has_pub_modifier(tokens, i),
             line: t.line,
             tok_start: i,
             tok_end: ended_at.map_or(i + 1, |j| j + 1),
@@ -200,41 +197,6 @@ fn in_item_position(tokens: &[Token], i: usize) -> bool {
             _ => return false,
         }
     }
-}
-
-/// True when the declaration at `tokens[i]` carries a `pub` modifier.
-fn has_pub_modifier(tokens: &[Token], i: usize) -> bool {
-    let mut k = i;
-    while k > 0 {
-        let p = &tokens[k - 1];
-        match p.kind {
-            TokenKind::Ident if p.text == "pub" => return true,
-            TokenKind::Ident if MODIFIERS.contains(&p.text.as_str()) => k -= 1,
-            TokenKind::Str => k -= 1,
-            TokenKind::Op if p.text == ")" => {
-                let mut d = 1usize;
-                let mut m = k - 1;
-                while m > 0 && d > 0 {
-                    m -= 1;
-                    match (tokens[m].kind, tokens[m].text.as_str()) {
-                        (TokenKind::Op, ")") => d += 1,
-                        (TokenKind::Op, "(") => d -= 1,
-                        _ => {}
-                    }
-                }
-                if d == 0
-                    && m > 0
-                    && tokens[m - 1].kind == TokenKind::Ident
-                    && tokens[m - 1].text == "pub"
-                {
-                    return true;
-                }
-                return false;
-            }
-            _ => return false,
-        }
-    }
-    false
 }
 
 /// Name of a plain item: the first identifier after the keyword.
@@ -381,8 +343,7 @@ type Alias = u32;\n";
                 (ItemKind::Use, "gnn_dm_graph::csr::Csr"),
             ]
         );
-        assert!(its[0].is_pub && its[0].line == 1);
-        assert!(!its[1].is_pub);
+        assert_eq!(its[0].line, 1);
     }
 
     #[test]
@@ -412,14 +373,6 @@ type Alias = u32;\n";
         assert_eq!(its.len(), 1);
         assert_eq!(its[0].kind, ItemKind::Fn);
         assert_eq!(its[0].name, "cf");
-        assert!(its[0].is_pub);
-    }
-
-    #[test]
-    fn pub_crate_visibility_counts_as_pub() {
-        let its = items_of("pub(crate) fn g() {}\n#[inline]\npub fn h() {}\n");
-        assert!(its[0].is_pub && its[0].name == "g");
-        assert!(its[1].is_pub && its[1].name == "h");
     }
 
     #[test]

@@ -2,26 +2,25 @@
 //!
 //! The paper's experiments stand on invariants no single-file check can
 //! see: cost-model pricing that lands on the span timeline, a layered
-//! crate graph, and parallel work closures that share no state, seed every
-//! unit from `split_seed` and allocate nothing on the hot path. This crate
-//! walks every `.rs` file in the workspace with its own
-//! comment/string-aware tokenizer and enforces the per-file rule in
-//! [`rules`] (A002), the manifest check in [`workspace`] (L001), and the
-//! call-graph rules in [`races`] (R001, R003) and [`seeds`] (R002);
-//! `tests/workspace_clean.rs` pins the workspace at zero violations.
-//! What a type can say — bytes vs. seconds, `Fn + Sync` work closures —
-//! is left to the compiler, and what a path-resolving per-file check can
-//! say — wall clock, hash collections, raw threads, library panics — to
-//! clippy (the root `clippy.toml` and each library's `lib.rs`).
+//! crate graph, and parallel work closures that seed every unit from
+//! `split_seed`. This crate walks every `.rs` file in the workspace with
+//! its own comment/string-aware tokenizer and enforces the per-file rule
+//! in [`rules`] (A002), the manifest check in [`workspace`] (L001), and the
+//! call-graph rule in [`seeds`] (R002); `tests/workspace_clean.rs` pins the
+//! workspace at zero violations. What a type can say — bytes vs. seconds,
+//! `Fn + Sync` work closures — is left to the compiler; what a
+//! path-resolving per-file check can say — wall clock, hash collections,
+//! raw threads, sync primitives, library panics and console output — to
+//! clippy (the root `clippy.toml` and each library's `lib.rs`); and what a
+//! run can count — allocations on the hot paths — to the counting-allocator
+//! tests (`crates/*/tests/allocations.rs`).
 //!
 //! Run it directly with `cargo run -p gnn-dm-lint`.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod callgraph;
-pub mod effects;
 pub mod items;
-pub mod races;
 pub mod rules;
 pub mod seeds;
 pub mod tokenizer;
@@ -31,7 +30,7 @@ pub use rules::Diagnostic;
 
 /// Every rule ID the linter can emit, sorted. `tests/workspace_clean.rs`
 /// checks it against the DESIGN.md §7 catalog in both directions.
-pub const RULE_IDS: &[&str] = &["A002", "L001", "R001", "R002", "R003", "S001", "S002"];
+pub const RULE_IDS: &[&str] = &["A002", "L001", "R002", "S001", "S002"];
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -87,7 +86,7 @@ pub fn lint_workspace(root: &Path) -> Report {
     Report { diagnostics, files_scanned: set.files.len(), read_errors }
 }
 
-/// Runs the full A002 + interprocedural pipeline over in-memory
+/// Runs the full A002 + R002 pipeline over in-memory
 /// sources: `(rel_path, source)` pairs. This is what fixtures and property
 /// tests drive; [`lint_workspace`] is the same pipeline fed from disk.
 pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
@@ -101,7 +100,7 @@ fn sort_diagnostics(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 }
 
-/// Shared core: A002, the dataflow passes, then one suppression
+/// Shared core: A002, the dataflow pass (R002), then one suppression
 /// application per file over the merged diagnostics (so a `lint:allow`
 /// covers a site no matter which pass flagged it, and S002 sees the full
 /// picture).
@@ -112,12 +111,7 @@ fn dataflow_lint(set: &callgraph::FileSet) -> Vec<Diagnostic> {
         per_file.insert(file.rel_path.as_str(), rules::check_a002(&file.ctx, &file.lexed.tokens));
     }
     let graph = callgraph::CallGraph::build(set);
-    let fx = effects::infer(set, &graph);
-    let interprocedural = races::check_r001(set, &graph, &fx)
-        .into_iter()
-        .chain(seeds::check_r002(set, &graph, &fx))
-        .chain(races::check_r003(set, &graph, &fx));
-    for d in interprocedural {
+    for d in seeds::check_r002(set, &graph, &seeds::raw_seed_sites(set, &graph)) {
         if let Some(bucket) = per_file.get_mut(d.file.as_str()) {
             bucket.push(d);
         }

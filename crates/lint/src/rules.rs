@@ -12,7 +12,7 @@ use crate::tokenizer::{Lexed, Suppression, Token, TokenKind};
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Stable rule identifier (`A002`, `R003`, …).
+    /// Stable rule identifier (`A002`, `R002`, …).
     pub rule: &'static str,
     /// Workspace-relative path with `/` separators.
     pub file: String,
@@ -48,7 +48,7 @@ pub struct FileCtx {
     /// `crates/graph/...`), or `None` for root-package files.
     pub crate_dir: Option<String>,
     /// True for non-library code: integration tests, benches, examples,
-    /// binaries. R003 does not apply there.
+    /// binaries. Direct pricing calls are legitimate there (A002).
     pub non_library: bool,
     /// True where direct cost-model pricing calls are legitimate (A002
     /// scope): the device crate (where the models and the traced adapters

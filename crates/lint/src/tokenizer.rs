@@ -386,8 +386,8 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Parses `lint:allow(A002, R003) reason…` out of a line comment's text.
-/// Only rule-ID-shaped names (uppercase letters then digits, e.g. `R003`)
+/// Parses `lint:allow(A002, R002) reason…` out of a line comment's text.
+/// Only rule-ID-shaped names (uppercase letters then digits, e.g. `R002`)
 /// count, so prose like `lint:allow(RULE)` in an ordinary comment is not a
 /// directive; a comment with no valid rule IDs is not a suppression.
 fn parse_suppression(comment: &str, line: usize) -> Option<Suppression> {
@@ -407,7 +407,7 @@ fn parse_suppression(comment: &str, line: usize) -> Option<Suppression> {
 }
 
 /// True for rule-ID-shaped names: one or more uppercase ASCII letters
-/// followed by one or more ASCII digits (`A002`, `R003`, …).
+/// followed by one or more ASCII digits (`A002`, `R002`, …).
 fn is_rule_id(s: &str) -> bool {
     let letters: String = s.chars().take_while(|c| c.is_ascii_uppercase()).collect();
     let rest = &s[letters.len()..];
@@ -532,11 +532,11 @@ mod tests {
 
     #[test]
     fn suppressions_parse_rules_and_reason() {
-        let lx = lex("let x = 1; // lint:allow(A002, R003) justified because reasons\n");
+        let lx = lex("let x = 1; // lint:allow(A002, R002) justified because reasons\n");
         assert_eq!(lx.suppressions.len(), 1);
         let s = &lx.suppressions[0];
         assert_eq!(s.line, 1);
-        assert_eq!(s.rules, vec!["A002", "R003"]);
+        assert_eq!(s.rules, vec!["A002", "R002"]);
         assert_eq!(s.reason, "justified because reasons");
     }
 

@@ -28,8 +28,8 @@ fn s002_fires_and_clean() {
     let fires = include_str!("fixtures/s002_fires.rs");
     assert_eq!(rules_fired(LIB_PATH, fires), vec!["S002"]);
     assert_eq!(count(LIB_PATH, fires, "S002"), 1);
-    // A multi-rule marker is audited per rule: A002 fires, R003 never does.
-    let mixed = "// lint:allow(A002, R003) an analytic bound\nfn f(l: &LinkModel) -> f64 { l.transfer_time(1) }\n";
+    // A multi-rule marker is audited per rule: A002 fires, R002 never does.
+    let mixed = "// lint:allow(A002, R002) an analytic bound\nfn f(l: &LinkModel) -> f64 { l.transfer_time(1) }\n";
     assert_eq!(rules_fired(LIB_PATH, mixed), vec!["S002"]);
 
     let clean = include_str!("fixtures/s002_clean.rs");
@@ -57,20 +57,6 @@ fn a002_fires_and_clean() {
     // Mentioning the name without calling it (docs, re-exports) is fine.
     let no_call = "pub use gnn_dm_device::transfer::time_extract_load;\n";
     assert!(rules_fired("crates/core/src/fixture.rs", no_call).is_empty());
-}
-
-#[test]
-fn r001_fires_and_clean() {
-    let fires = include_str!("fixtures/r001_fires.rs");
-    assert_eq!(rules_fired(LIB_PATH, fires), vec!["R001"]);
-    // One lock call and one io-reaching call. (A `&mut` capture or a
-    // captured `Cell` does not compile: see `gnn_dm_par::par_map_collect`.)
-    assert_eq!(count(LIB_PATH, fires, "R001"), 2);
-    // The substrate's own internals are exempt.
-    assert!(rules_fired("crates/par/src/fixture.rs", fires).is_empty());
-
-    let clean = include_str!("fixtures/r001_clean.rs");
-    assert!(rules_fired(LIB_PATH, clean).is_empty());
 }
 
 #[test]
@@ -134,7 +120,7 @@ fn l001_mini_workspaces() {
 fn diagnostics_carry_location_and_rule() {
     for (fires, rule, hint) in [
         (include_str!("fixtures/a002_fires.rs"), "A002", "gnn_dm_device::traced"),
-        (include_str!("fixtures/r003_fires.rs"), "R003", "scratch arena"),
+        (include_str!("fixtures/r002_fires.rs"), "R002", "split_seed"),
     ] {
         let diags = lint_sources(&[(LIB_PATH, fires)]);
         let first = diags.first().expect("fixture must produce a diagnostic");
@@ -142,37 +128,4 @@ fn diagnostics_carry_location_and_rule() {
         assert!(first.line > 1, "line numbers are 1-based and past the header");
         assert!(first.message.contains(hint), "{first:?}");
     }
-}
-
-#[test]
-fn r003_fires_and_clean() {
-    let fires = include_str!("fixtures/r003_fires.rs");
-    // A direct in-closure allocation and a transitive one with a witness.
-    assert_eq!(rules_fired(LIB_PATH, fires), vec!["R003"]);
-    assert_eq!(count(LIB_PATH, fires, "R003"), 2);
-    let diags = lint_sources(&[(LIB_PATH, fires)]);
-    assert!(
-        diags.iter().any(|d| d.message.contains("make_buf") && d.message.contains("alloc site")),
-        "{diags:?}"
-    );
-    // Non-library scopes (tests, benches, examples, bins) are exempt.
-    for path in [
-        "crates/graph/tests/fixture.rs",
-        "crates/bench/src/fixture.rs",
-        "crates/graph/benches/fixture.rs",
-        "examples/fixture.rs",
-        "src/bin/fixture.rs",
-        "src/main.rs",
-    ] {
-        assert!(rules_fired(path, fires).is_empty(), "{path}");
-    }
-    // So is `#[cfg(test)]` code; `#[cfg(not(test))]` is not a test region.
-    let in_test = format!("#[cfg(test)]\nmod t {{\n{fires}}}\n");
-    assert!(rules_fired(LIB_PATH, &in_test).is_empty());
-    let not_test = format!("#[cfg(not(test))]\nmod t {{\n{fires}}}\n");
-    assert_eq!(rules_fired(LIB_PATH, &not_test), vec!["R003"]);
-    assert_eq!(count(LIB_PATH, &not_test, "R003"), 2);
-
-    let clean = include_str!("fixtures/r003_clean.rs");
-    assert!(rules_fired(LIB_PATH, clean).is_empty());
 }

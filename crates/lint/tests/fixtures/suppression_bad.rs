@@ -6,6 +6,6 @@ pub fn unjustified(link: &LinkModel) -> f64 {
 }
 
 pub fn wrong_rule(link: &LinkModel) -> f64 {
-    // lint:allow(R003) suppressing a rule that is not the one firing here
+    // lint:allow(R002) suppressing a rule that is not the one firing here
     link.transfer_time(1 << 20)
 }

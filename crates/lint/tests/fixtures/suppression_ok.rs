@@ -10,9 +10,9 @@ pub fn preceding(link: &LinkModel) -> f64 {
     link.transfer_time(1 << 20)
 }
 
-pub fn multi_rule(items: &[u64], link: &LinkModel) -> Vec<Vec<f64>> {
+pub fn multi_rule(items: &[u64], link: &LinkModel) -> Vec<f64> {
     par_map_collect(items, |_, &x| {
-        // lint:allow(A002, R003) one priced row per unit is the closure's return value
-        vec![link.transfer_time(x)]
+        // lint:allow(A002, R002) one fixed-seed probe transfer per unit, priced with no timeline by design
+        link.transfer_time(StdRng::seed_from_u64(x).next_u64())
     })
 }

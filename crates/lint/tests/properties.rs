@@ -8,8 +8,8 @@
 //! gate down with it.
 
 use gnn_dm_lint::callgraph::{CallGraph, FileSet};
-use gnn_dm_lint::effects::{infer, reach, transitive_mask};
 use gnn_dm_lint::items::parse_items;
+use gnn_dm_lint::seeds::{raw_seed_sites, reach};
 use gnn_dm_lint::tokenizer::lex;
 use proptest::prelude::*;
 
@@ -20,7 +20,7 @@ const FRAGMENTS: &[&str] = &[
     "fn f() {",
     "}",
     "pub struct S;",
-    "// lint:allow(R003) the row is the closure's return value",
+    "// lint:allow(R002) the unit index is the split index",
     "// lint:allow(A002)",
     "/// doc about lint:allow(RULE) syntax",
     "let x = y.unwrap();",
@@ -153,14 +153,15 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Interprocedural layer: the call graph and effect inference are total over
-// arbitrary sources, deterministic, and independent of file order.
+// Interprocedural layer: the call graph and raw-seed inference are total
+// over arbitrary sources, deterministic, and independent of file order.
 // ---------------------------------------------------------------------------
 
-/// Function-name pool for generated mini-workspaces. Includes names that
-/// collide with witnesses (`lock` is a *method* witness only, so a free fn
-/// named `lock` must not confuse the passes).
-const FN_POOL: &[&str] = &["alpha", "beta", "gamma", "delta", "lock", "unwrap_all"];
+/// Function-name pool for generated mini-workspaces. Includes a name that
+/// collides with a witness: a generated call to the free fn
+/// `seed_from_u64()` is also an RNG constructor with a raw seed, so raw-seed
+/// sites appear and propagate.
+const FN_POOL: &[&str] = &["alpha", "beta", "gamma", "delta", "seed_from_u64", "unwrap_all"];
 
 /// Files generated workspaces spread their fns across — two crates plus a
 /// test tree, so cross-crate and test-visibility rules are exercised.
@@ -221,8 +222,9 @@ fn build(files: &[(String, String)]) -> (FileSet, CallGraph) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The graph builder and effect inference never panic, even on sources
-    /// that are not valid Rust, and every edge/call target is in bounds.
+    /// The graph builder and raw-seed inference never panic, even on
+    /// sources that are not valid Rust, and every edge/call target is in
+    /// bounds.
     #[test]
     fn call_graph_total_on_arbitrary_sources(src in arb_source(), src2 in arb_byte_source()) {
         let files = vec![
@@ -239,18 +241,13 @@ proptest! {
                 prop_assert!(site.targets.iter().all(|&t| t < n));
             }
         }
-        let fx = infer(&set, &graph);
-        let mask = transitive_mask(&graph, &fx);
-        prop_assert_eq!(mask.len(), n);
-        // Reachability only ever adds effects to a node's own base mask,
-        // and closing through `par` reaches at least what skipping it does.
+        let sites = raw_seed_sites(&set, &graph);
+        prop_assert_eq!(sites.len(), n);
+        // Reachability keeps every seed and is closed over call edges.
+        let raw = reach(&graph, |id| sites[id].is_some());
         for id in 0..n {
-            prop_assert_eq!(mask[id] & fx.base[id], fx.base[id]);
-        }
-        let through = reach(&graph, |id| fx.base[id] != 0, true);
-        let outside = reach(&graph, |id| fx.base[id] != 0, false);
-        for id in 0..n {
-            prop_assert!(through[id] || !outside[id]);
+            prop_assert!(raw[id] || sites[id].is_none());
+            prop_assert!(raw[id] || !graph.edges[id].iter().any(|&m| raw[m]));
         }
     }
 
@@ -262,10 +259,7 @@ proptest! {
         let (set_b, graph_b) = build(&files);
         prop_assert_eq!(&graph_a.nodes, &graph_b.nodes);
         prop_assert_eq!(&graph_a.edges, &graph_b.edges);
-        let fx_a = infer(&set_a, &graph_a);
-        let fx_b = infer(&set_b, &graph_b);
-        prop_assert_eq!(transitive_mask(&graph_a, &fx_a), transitive_mask(&graph_b, &fx_b));
-        prop_assert_eq!(fx_a.own_raw_seed, fx_b.own_raw_seed);
+        prop_assert_eq!(raw_seed_sites(&set_a, &graph_a), raw_seed_sites(&set_b, &graph_b));
     }
 
     /// The graph is a function of the file *set*, not the order files are

@@ -3,20 +3,24 @@
 //!
 //! `cargo test --workspace` runs this alongside the unit suites, so any
 //! commit that adds an untraced cost-model call, a non-DAG or unused
-//! gnn-dm dependency, shared state or a raw seed in a parallel closure, a
-//! hot-path allocation, or a stale or reason-less `lint:allow` fails CI
-//! with the full diagnostic list. (Wall clocks, hash collections, raw
-//! threads and library panics are clippy's: `scripts/check.sh`. What this
-//! file pins of them is that every library declares the panic ban and that
-//! no `allow` exempts a site from them.)
+//! gnn-dm dependency, a raw seed in a parallel closure, or a stale or
+//! reason-less `lint:allow` fails CI with the full diagnostic list. (Wall
+//! clocks, hash collections, raw threads, sync primitives, library panics
+//! and library console output are clippy's: `scripts/check.sh`. What this
+//! file pins of them is that every library declares the panic and print
+//! bans and that no `allow` exempts a site from them. It also confines
+//! library file and stream access to the graph crate's file format.)
 
 use gnn_dm_lint::tokenizer::TokenKind;
 use gnn_dm_lint::RULE_IDS;
 use std::path::PathBuf;
 
-/// The panic ban every library crate declares (P001's clippy form).
+/// The panic and console ban every library crate declares. A library
+/// does not print: a parallel work unit's output would interleave with
+/// every other unit's.
 const PANIC_DENY: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, \
-                          clippy::todo, clippy::unimplemented)]";
+                          clippy::todo, clippy::unimplemented, clippy::print_stdout, \
+                          clippy::print_stderr)]";
 
 /// Clippy lints whose exemptions must be a site-level `#[expect]`: an
 /// `#[allow]` of one of them is never reported stale.
@@ -28,7 +32,17 @@ const EXPECT_ONLY: &[&str] = &[
     "panic",
     "todo",
     "unimplemented",
+    "print_stdout",
+    "print_stderr",
 ];
+
+/// Names through which code reaches files and the process's standard
+/// streams. `fs` counts only as a path segment (`std::fs`, `fs::read`): a
+/// binding may be called `fs`.
+const IO_NAMES: &[&str] = &["File", "OpenOptions", "stdin", "stdout", "stderr"];
+
+/// The one library source that reads and writes files: the graph format.
+const IO_HOME: &str = "crates/graph/src/io.rs";
 
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -65,7 +79,8 @@ fn workspace_has_zero_violations() {
 }
 
 /// Every library crate (each `crates/*` but `bench`, plus the root
-/// package) carries the panic ban: a new crate that forgets it fails here.
+/// package) carries the panic and print ban: a new crate that forgets it
+/// fails here.
 #[test]
 fn every_library_denies_panics() {
     let mut libs = vec![root().join("src/lib.rs")];
@@ -128,6 +143,40 @@ fn clippy_owned_rules_are_exempted_only_by_expect() {
     assert!(
         offenders.is_empty(),
         "use #[expect(.., reason = \"..\")] for these, not #[allow]:\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// Library code touches no file and no standard stream outside the graph
+/// format: a parallel work unit that writes one orders its bytes by the
+/// schedule. The drivers (`bench`, the root package's binaries) and the
+/// lint tooling are not libraries.
+#[test]
+fn library_io_is_confined_to_the_graph_format() {
+    let (set, read_errors) = gnn_dm_lint::callgraph::FileSet::load(&root());
+    assert!(read_errors.is_empty(), "unreadable files: {read_errors:?}");
+    let mut offenders = Vec::new();
+    let mut libraries = 0;
+    for file in set.files.values() {
+        if file.ctx.non_library || file.ctx.layer_key() == "lint" || file.rel_path == IO_HOME {
+            continue;
+        }
+        libraries += 1;
+        let tokens = &file.lexed.tokens;
+        let path_sep = |j: usize| tokens.get(j).is_some_and(|t| t.text == "::");
+        for (i, t) in tokens.iter().enumerate() {
+            let names_io = t.kind == TokenKind::Ident
+                && (IO_NAMES.contains(&t.text.as_str())
+                    || (t.text == "fs" && ((i > 0 && path_sep(i - 1)) || path_sep(i + 1))));
+            if names_io {
+                offenders.push(format!("{}:{} `{}`", file.rel_path, t.line, t.text));
+            }
+        }
+    }
+    assert!(libraries > 50, "found only {libraries} library sources");
+    assert!(
+        offenders.is_empty(),
+        "library code reaches files or streams outside {IO_HOME}:\n{}",
         offenders.join("\n")
     );
 }

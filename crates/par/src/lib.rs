@@ -45,7 +45,8 @@
 //! kernels of its own — in index order. Same contract: the scheduler picks
 //! who builds item `i` and when, never what it is or when it is consumed.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::print_stdout, clippy::print_stderr)]
+#![expect(clippy::disallowed_types, reason = "the pool, its result slots and the process default are the one sanctioned shared state: this crate is what the sync-primitive ban routes every other crate to")]
 
 use std::cell::Cell;
 use std::sync::{Mutex, OnceLock, PoisonError};

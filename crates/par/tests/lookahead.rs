@@ -4,6 +4,8 @@
 //! producing once it returns. Interleavings a test depends on are forced
 //! with flags and counters the closures wait on (bounded), not with timing.
 
+#![expect(clippy::disallowed_types, reason = "the flags and counters that force an interleaving are shared across threads on purpose")]
+
 use gnn_dm_par::{par_chunks_mut, par_lookahead_init, par_map_collect, split_seed, with_threads};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -2,6 +2,8 @@
 //! test binary so the pool holds exactly the workers this test spawns and
 //! every one of them can be pinned inside a fork-join generation.
 
+#![expect(clippy::disallowed_types, reason = "the flags that pin every helper are shared across threads on purpose")]
+
 use gnn_dm_par::{par_for_each_init, par_lookahead_init, with_threads};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;

@@ -14,6 +14,7 @@ use crate::sampler::{
 use crate::schedule::BatchSizeSchedule;
 use crate::selection::BatchSelection;
 use gnn_dm_graph::csr::{Csr, VId};
+use std::cmp::Reverse;
 
 /// Counts feature accesses per vertex.
 #[derive(Debug, Clone)]
@@ -59,9 +60,8 @@ impl AccessTracker {
     /// prefix of this ranking.
     pub fn ranking(&self) -> Vec<VId> {
         let mut order: Vec<VId> = (0..self.counts.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            self.counts[b as usize].cmp(&self.counts[a as usize]).then(a.cmp(&b))
-        });
+        // The id makes every key distinct, so an unstable sort is exact.
+        order.sort_unstable_by_key(|&v| (Reverse(self.counts[v as usize]), v));
         order
     }
 }
@@ -127,7 +127,6 @@ impl<'a> EpochPlan<'a> {
     {
         let batches = self.seeded_batches(epoch);
         gnn_dm_par::par_map_collect_init(&batches, SampleScratch::new, |scratch, b, (batch_seed, seeds)| {
-            // lint:allow(R003) the builder allocates only the owned MiniBatch it hands to `f`; draw scratch is reused through this worker arena
             f(b, build_minibatch_seeded_with(self.in_csr, seeds, self.sampler, *batch_seed, scratch))
         })
     }
@@ -146,7 +145,6 @@ impl<'a> EpochPlan<'a> {
             SampleScratch::new,
             |scratch, b| {
                 let (batch_seed, seeds) = &batches[b];
-                // lint:allow(R003) as in `map_batches`: only the owned MiniBatch handed to `consume` is allocated; draw scratch is this thread's arena
                 build_minibatch_seeded_with(self.in_csr, seeds, self.sampler, *batch_seed, scratch)
             },
             consume,

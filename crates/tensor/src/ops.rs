@@ -329,7 +329,9 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// [`matmul`] into `out` (`a.rows() × b.cols()`), whose contents are
-/// ignored: every element is written once, nothing of it is read.
+/// ignored: every element is written once, nothing of it is read. Its one
+/// allocation is the zero-padded copy of `b`'s ragged last 32 columns,
+/// when `b.cols() % 32 != 0` (`tests/allocations.rs`).
 ///
 /// # Panics
 ///
@@ -463,7 +465,8 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// [`matmul_tn`] into `out` (`a.cols() × b.cols()`), written once and never
-/// read before it is written.
+/// read before it is written. Like [`matmul_into`], its one allocation is
+/// the ragged-tail copy of `b`, when `b.cols() % 32 != 0`.
 pub fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.rows(), b.rows(), "matmul_tn shape mismatch: {:?}ᵀ x {:?}", a.shape(), b.shape());
     let (k, m, n) = (a.rows(), a.cols(), b.cols());
@@ -508,7 +511,7 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// [`matmul_nt`] into `out` (`a.rows() × b.rows()`), written once and never
-/// read before it is written.
+/// read before it is written. Its one allocation is `Bᵀ`'s packed panels.
 pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols(), b.cols(), "matmul_nt shape mismatch: {:?} x {:?}ᵀ", a.shape(), b.shape());
     PackedB::new(b.cols(), b.rows(), |panel, k0, kk, j0, w| {
@@ -584,7 +587,7 @@ pub fn column_sums(a: &Matrix) -> Vec<f32> {
         COL_CHUNK,
         |_, ids| {
             let c0 = ids[0] as usize;
-            let mut part = vec![0.0f32; ids.len()]; // lint:allow(R003) the block partial IS the reduction's return value, one per COL_CHUNK columns
+            let mut part = vec![0.0f32; ids.len()];
             for r in 0..rows {
                 let seg = &a.row(r)[c0..c0 + ids.len()];
                 for (s, &x) in part.iter_mut().zip(seg) {

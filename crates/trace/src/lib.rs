@@ -32,7 +32,7 @@
 //! `chrome://tracing`; [`Timeline::summary`] gives the aggregate
 //! per-resource busy/idle/bytes view used by reports and tests.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod convert;
 pub mod units;

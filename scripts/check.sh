@@ -20,9 +20,12 @@ echo "==> cargo build --release (warnings are errors)"
 cargo build --workspace --release
 
 # Only the chosen lints, not a clippy::all sweep: clippy.toml's bans (wall
-# clock, hash collections, raw threads), the panic-family denies in each
-# library lib.rs, a reason on every allow/expect, and (through -D warnings)
-# rustc's unfulfilled_lint_expectations for a stale #[expect]. Clippy lints
+# clock, hash collections, raw threads, and the sync primitives — Mutex,
+# RwLock, Condvar, Barrier, Once, OnceLock, every Atomic*, mpsc channels —
+# outside gnn-dm-par), the panic-family and print_stdout/print_stderr
+# denies in each library lib.rs, a reason on every allow/expect, and
+# (through -D warnings) rustc's unfulfilled_lint_expectations for a stale
+# #[expect]. Clippy lints
 # only cfg-enabled code, so on x86-64 it also enables avx512f: the 512-bit
 # GEMM tile body (crates/tensor/src/ops.rs) is then checked on every host,
 # and the portable body is compiled regardless. Clippy only type-checks the
@@ -33,7 +36,7 @@ clippy_rustflags="${RUSTFLAGS}"
 if [[ "${host}" == x86_64-* ]]; then
     clippy_rustflags+=" -C target-feature=+avx512f"
 fi
-echo "==> cargo clippy (clippy.toml bans, library panic denies, reasons on every allow/expect)"
+echo "==> cargo clippy (clippy.toml bans: wall clock, hash order, raw threads, sync primitives; library panic and print denies; reasons on every allow/expect)"
 RUSTFLAGS="${clippy_rustflags}" cargo clippy --workspace --all-targets -q --target "${host}" -- -A clippy::all \
     -D clippy::disallowed_methods -D clippy::disallowed_types \
     -D clippy::allow_attributes_without_reason

@@ -22,7 +22,7 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
-#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::print_stdout, clippy::print_stderr)]
 
 pub use gnn_dm_cluster as cluster;
 pub use gnn_dm_core as core;
