@@ -183,7 +183,7 @@ impl<'g> ClusterSim<'g> {
                 *a += b;
             }
         }
-        let mut tl = Timeline::new();
+        let mut tl = Timeline::with_capacity(partials.iter().map(|(_, pendings)| pendings.len()).sum());
         for (p, pendings) in &partials {
             add(&mut report.compute.local_sample_edges, &p.compute.local_sample_edges);
             add(&mut report.compute.remote_sample_edges, &p.compute.remote_sample_edges);
@@ -224,7 +224,9 @@ impl<'g> ClusterSim<'g> {
         let mut comm = CommLedger::new(k);
         let mut num_batches = vec![0usize; k];
         let mut input_vertices = vec![0u64; k];
-        let mut pendings: Vec<Pending> = Vec::new();
+        // A batch emits at most 3 + 3k spans: local sampling, three per
+        // owner worker, receive and aggregate.
+        let mut pendings: Vec<Pending> = Vec::with_capacity(batches.len() * (3 + 3 * k));
 
         if !batches.is_empty() {
             num_batches[usize_of_u32(w)] = batches.len();

@@ -66,7 +66,8 @@ impl Csr {
 
     /// Builds a CSR directly from parts. `offsets` must be monotone with
     /// `offsets[0] == 0` and `offsets[n] == targets.len()`, and each
-    /// neighbor list must be sorted and duplicate-free.
+    /// neighbor list must be sorted, duplicate-free and made of vertices
+    /// (`< n`).
     ///
     /// # Panics
     ///
@@ -77,11 +78,16 @@ impl Csr {
         assert_eq!(offsets.last().copied(), Some(targets.len()), "offsets must end at targets.len()");
         assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must be monotone");
         let csr: Csr = Rows { offsets, targets }.into();
-        for v in 0..csr.num_vertices() {
+        let n = csr.num_vertices();
+        for v in 0..n {
             let nbrs = csr.neighbors(v as VId);
             assert!(
                 nbrs.windows(2).all(|w| w[0] < w[1]),
                 "neighbors of {v} must be strictly sorted"
+            );
+            assert!(
+                nbrs.last().is_none_or(|&u| (u as usize) < n),
+                "neighbors of {v} must be vertices of a {n}-vertex graph"
             );
         }
         csr
@@ -481,5 +487,11 @@ mod tests {
     #[should_panic(expected = "strictly sorted")]
     fn from_parts_rejects_unsorted() {
         let _ = Csr::from_parts(vec![0, 2], vec![1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be vertices")]
+    fn from_parts_rejects_out_of_range_targets() {
+        let _ = Csr::from_parts(vec![0, 1, 1], vec![5]);
     }
 }

@@ -8,51 +8,89 @@
 
 use crate::csr::{Csr, VId};
 
-/// Vertices reachable from `seeds` within exactly each hop level.
+/// A set of vertex ids held as one bit per vertex: the partitioners'
+/// sorted, deduplicated vertex sets, built without a sort.
 ///
-/// Returns `levels[0] = seeds (deduplicated)`, `levels[h]` = vertices first
-/// reached at hop `h`, for `h <= max_hops`. Traverses `csr` edges forward;
-/// pass the in-CSR to expand in-neighborhoods.
-pub fn hop_levels(csr: &Csr, seeds: &[VId], max_hops: usize) -> Vec<Vec<VId>> {
+/// Inserting sets a bit; [`VertexBits::drain_into`] reads the ids back in
+/// ascending order one 64-bit word at a time, clearing each word as it
+/// reads it, so one set serves any number of successive vertex sets. A read
+/// visits every word, n/64 of them for `n` vertices.
+#[derive(Debug)]
+pub struct VertexBits {
+    words: Vec<u64>,
+}
+
+impl VertexBits {
+    /// An empty set over the vertices `0..n`.
+    pub fn new(n: usize) -> VertexBits {
+        VertexBits { words: vec![0; n.div_ceil(64)] }
+    }
+
+    /// Adds `v`; returns whether it was absent. Ids must be vertices of the
+    /// `n` given to [`VertexBits::new`].
+    #[inline]
+    pub fn insert(&mut self, v: VId) -> bool {
+        let word = &mut self.words[(v >> 6) as usize];
+        let bit = 1u64 << (v & 63);
+        let absent = *word & bit == 0;
+        *word |= bit;
+        absent
+    }
+
+    /// Appends the set's ids to `out` in ascending order and empties the
+    /// set.
+    pub fn drain_into(&mut self, out: &mut Vec<VId>) {
+        out.reserve(self.words.iter().map(|w| w.count_ones() as usize).sum());
+        for (i, word) in (0u32..).zip(&mut self.words) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push((i << 6) | bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// The union of all vertices within `max_hops` of `seeds` (including the
+/// seeds), sorted ascending. Traverses `csr` edges forward; pass the in-CSR
+/// to expand in-neighborhoods.
+///
+/// The set is read off a [`VertexBits`]: every hop but the last grows a
+/// frontier of newly reached vertices, and the last hop only sets bits.
+///
+/// # Panics
+///
+/// Panics if a seed is not a vertex of `csr`, whatever `max_hops` is.
+pub fn l_hop_set(csr: &Csr, seeds: &[VId], max_hops: usize) -> Vec<VId> {
     let n = csr.num_vertices();
-    let mut seen = vec![false; n];
-    let mut levels: Vec<Vec<VId>> = Vec::with_capacity(max_hops + 1);
-    let mut frontier: Vec<VId> = Vec::new();
+    let mut set = VertexBits::new(n);
+    let mut frontier = Vec::with_capacity(seeds.len());
     for &s in seeds {
-        if !seen[s as usize] {
-            seen[s as usize] = true;
+        assert!((s as usize) < n, "seed {s} is not a vertex of a {n}-vertex graph");
+        if set.insert(s) {
             frontier.push(s);
         }
     }
-    levels.push(frontier.clone());
-    for _ in 0..max_hops {
+    for _ in 1..max_hops {
         let mut next = Vec::new();
         for &v in &frontier {
             for &u in csr.neighbors(v) {
-                if !seen[u as usize] {
-                    seen[u as usize] = true;
+                if set.insert(u) {
                     next.push(u);
                 }
             }
         }
-        if next.is_empty() {
-            levels.push(next);
-            break;
-        }
-        levels.push(next.clone());
         frontier = next;
     }
-    while levels.len() < max_hops + 1 {
-        levels.push(Vec::new());
+    if max_hops > 0 {
+        for &v in &frontier {
+            for &u in csr.neighbors(v) {
+                set.insert(u);
+            }
+        }
     }
-    levels
-}
-
-/// The union of all vertices within `max_hops` of `seeds` (including the
-/// seeds), sorted ascending.
-pub fn l_hop_set(csr: &Csr, seeds: &[VId], max_hops: usize) -> Vec<VId> {
-    let mut all: Vec<VId> = hop_levels(csr, seeds, max_hops).into_iter().flatten().collect();
-    all.sort_unstable();
+    let mut all = Vec::new();
+    set.drain_into(&mut all);
     all
 }
 
@@ -100,21 +138,18 @@ mod tests {
     }
 
     #[test]
-    fn hop_levels_on_path() {
-        let g = path_graph(6);
-        let levels = hop_levels(&g, &[0], 3);
-        assert_eq!(levels[0], vec![0]);
-        assert_eq!(levels[1], vec![1]);
-        assert_eq!(levels[2], vec![2]);
-        assert_eq!(levels[3], vec![3]);
-    }
-
-    #[test]
-    fn hop_levels_dedups_seeds() {
-        let g = path_graph(4);
-        let levels = hop_levels(&g, &[1, 1, 2], 1);
-        assert_eq!(levels[0], vec![1, 2]);
-        assert_eq!(levels[1], vec![0, 3]);
+    fn vertex_bits_read_back_sorted_and_empty() {
+        let mut set = VertexBits::new(130);
+        for v in [129, 3, 64, 3, 0, 63, 129] {
+            set.insert(v);
+        }
+        assert!(!set.insert(64), "64 is already present");
+        let mut out = vec![7];
+        set.drain_into(&mut out);
+        assert_eq!(out, [7, 0, 3, 63, 64, 129]);
+        out.clear();
+        set.drain_into(&mut out);
+        assert!(out.is_empty(), "a read empties the set");
     }
 
     #[test]
@@ -137,13 +172,5 @@ mod tests {
         for v in &b3 {
             assert!(!b1.contains(v), "blocks must not overlap");
         }
-    }
-
-    #[test]
-    fn hop_levels_terminates_on_exhaustion() {
-        let g = path_graph(3);
-        let levels = hop_levels(&g, &[0], 10);
-        assert_eq!(levels.len(), 11);
-        assert!(levels[3..].iter().all(|l| l.is_empty()));
     }
 }

@@ -14,6 +14,101 @@ fn arb_edges() -> impl Strategy<Value = (usize, Vec<(VId, VId)>)> {
     })
 }
 
+/// A graph (edgeless in a quarter of the cases) and a seed list of up to 11
+/// vertices whose second half repeats the first.
+fn arb_graph_and_seeds() -> impl Strategy<Value = (Csr, Vec<VId>)> {
+    arb_edges()
+        .prop_flat_map(|(n, edges)| (Just(n), Just(edges), proptest::collection::vec(0..n as VId, 0..8), 0u8..4))
+        .prop_map(|(n, edges, mut seeds, edgeless)| {
+            let csr = if edgeless == 0 { Csr::empty(n) } else { Csr::from_edges(n, &edges) };
+            seeds.extend_from_within(..seeds.len() / 2);
+            (csr, seeds)
+        })
+}
+
+/// The definition `traversal::l_hop_set` replaced with a bitmap read: the
+/// vertices reached from `seeds` at each hop level. `levels[0]` holds the
+/// deduplicated seeds and `levels[h]` the vertices first reached at hop
+/// `h`, for `h <= max_hops`; edges are followed forward.
+fn hop_levels(csr: &Csr, seeds: &[VId], max_hops: usize) -> Vec<Vec<VId>> {
+    let n = csr.num_vertices();
+    let mut seen = vec![false; n];
+    let mut levels: Vec<Vec<VId>> = Vec::with_capacity(max_hops + 1);
+    let mut frontier: Vec<VId> = Vec::new();
+    for &s in seeds {
+        if !seen[s as usize] {
+            seen[s as usize] = true;
+            frontier.push(s);
+        }
+    }
+    levels.push(frontier.clone());
+    for _ in 0..max_hops {
+        let mut next = Vec::new();
+        for &v in &frontier {
+            for &u in csr.neighbors(v) {
+                if !seen[u as usize] {
+                    seen[u as usize] = true;
+                    next.push(u);
+                }
+            }
+        }
+        if next.is_empty() {
+            levels.push(next);
+            break;
+        }
+        levels.push(next.clone());
+        frontier = next;
+    }
+    while levels.len() < max_hops + 1 {
+        levels.push(Vec::new());
+    }
+    levels
+}
+
+/// The sort-and-deduplicate union of the hop levels.
+fn l_hop_oracle(csr: &Csr, seeds: &[VId], max_hops: usize) -> Vec<VId> {
+    let mut all: Vec<VId> = hop_levels(csr, seeds, max_hops).into_iter().flatten().collect();
+    all.sort_unstable();
+    all.dedup();
+    all
+}
+
+fn path_graph(n: usize) -> Csr {
+    let edges: Vec<(VId, VId)> = (1..n as VId).map(|v| (v - 1, v)).collect();
+    Csr::from_undirected_edges(n, &edges)
+}
+
+#[test]
+fn hop_levels_on_path() {
+    let levels = hop_levels(&path_graph(6), &[0], 3);
+    assert_eq!(levels, [vec![0], vec![1], vec![2], vec![3]]);
+}
+
+#[test]
+fn hop_levels_dedups_seeds() {
+    let levels = hop_levels(&path_graph(4), &[1, 1, 2], 1);
+    assert_eq!(levels, [vec![1, 2], vec![0, 3]]);
+}
+
+#[test]
+fn hop_levels_terminates_on_exhaustion() {
+    let levels = hop_levels(&path_graph(3), &[0], 10);
+    assert_eq!(levels.len(), 11);
+    assert!(levels[3..].iter().all(|l| l.is_empty()));
+}
+
+/// A seed that is not a vertex panics at every hop count, also at
+/// `max_hops = 0` and for an id inside the bitmap's last word.
+#[test]
+fn l_hop_set_panics_on_an_out_of_range_seed() {
+    for max_hops in [0, 1, 2] {
+        for seed in [5, 63, 64, VId::MAX] {
+            let caught = std::panic::catch_unwind(|| traversal::l_hop_set(&path_graph(5), &[1, seed], max_hops));
+            assert!(caught.is_err(), "seed {seed} at {max_hops} hops did not panic");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -41,17 +136,13 @@ proptest! {
         }
     }
 
-    /// Hop levels are disjoint and their union equals the L-hop set.
+    /// Hop levels are disjoint, and the L-hop set is their sorted union.
     #[test]
-    fn hop_levels_partition((n, edges) in arb_edges(), hops in 0usize..4) {
-        let csr = Csr::from_edges(n, &edges);
-        let levels = traversal::hop_levels(&csr, &[0], hops);
-        let mut all: Vec<VId> = levels.iter().flatten().copied().collect();
-        let before = all.len();
-        all.sort_unstable();
-        all.dedup();
-        prop_assert_eq!(all.len(), before, "levels must be disjoint");
-        prop_assert_eq!(all, traversal::l_hop_set(&csr, &[0], hops));
+    fn l_hop_set_is_the_union_of_hop_levels((csr, seeds) in arb_graph_and_seeds(), hops in 0usize..5) {
+        let levels: usize = hop_levels(&csr, &seeds, hops).iter().map(Vec::len).sum();
+        let oracle = l_hop_oracle(&csr, &seeds, hops);
+        prop_assert_eq!(oracle.len(), levels, "levels must be disjoint");
+        prop_assert_eq!(traversal::l_hop_set(&csr, &seeds, hops), oracle);
     }
 
     /// Splits cover every vertex exactly once for arbitrary ratios.

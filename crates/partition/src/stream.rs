@@ -4,13 +4,21 @@
 //! Both assign work greedily in a single pass using set-intersection scores
 //! — which is exactly why the paper measures them as the *slowest*
 //! partitioners by far (§5.3.3: Stream-V ≈ 99% and Stream-B ≈ 85% of total
-//! training time). The implementations here intentionally follow the
-//! published algorithms rather than optimizing them away; their cost is part
-//! of the phenomenon under study.
+//! training time). The faithful variants intentionally follow the published
+//! algorithms rather than optimizing them away; their cost is part of the
+//! phenomenon under study.
+//!
+//! The sorted vertex sets they score — Stream-V's L-hop hoods
+//! ([`traversal::l_hop_set`]) and Stream-B's block neighbour sets — are read
+//! off a [`VertexBits`] bitmap rather than sorted, so building a set is not
+//! mistaken for the algorithm's cost. What remains of the faithful cost is
+//! the published part: the sorted-set intersections against each
+//! partition's member list and the merges that keep those lists sorted.
 
 use crate::types::GnnPartitioning;
 use gnn_dm_graph::csr::VId;
-use gnn_dm_graph::{traversal, Graph, Split};
+use gnn_dm_graph::traversal::{self, VertexBits};
+use gnn_dm_graph::{Graph, Split};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -244,18 +252,21 @@ fn stream_b_impl(
     // intersects against (ByteGNN's published cost profile, §5.3.3).
     let mut members: Vec<Vec<VId>> = vec![Vec::new(); k];
     let mut conn = vec![0usize; k];
+    let mut nbr_bits = VertexBits::new(n);
+    let mut nbrs: Vec<VId> = Vec::new();
     for full_block in &blocks {
         conn.iter_mut().for_each(|c| *c = 0);
         let mut block_counts = [0usize; 3];
         // Score the block as generated — a streaming partitioner has
         // already paid for the block's neighbor set before it can see how
         // much of the block is still unassigned.
-        let mut nbrs: Vec<VId> = Vec::new();
         for &v in full_block {
-            nbrs.extend_from_slice(graph.out.neighbors(v));
+            for &u in graph.out.neighbors(v) {
+                nbr_bits.insert(u);
+            }
         }
-        nbrs.sort_unstable();
-        nbrs.dedup();
+        nbrs.clear();
+        nbr_bits.drain_into(&mut nbrs);
         // Blocks overlap: only vertices not yet assigned by an earlier
         // block are (re-)assigned.
         let block: Vec<VId> =

@@ -1,14 +1,17 @@
-//! Pins every Metis assignment bit for bit: 64-bit FNV-1a fingerprints of
-//! `metis_extend` (all three variants, k ∈ {4, 8}) and `metis_clusters`
-//! (k ∈ {8, 16, 64}) on small generated graphs, recorded before the
-//! hierarchy moved to compressed rows with integer edge weights. Any change
-//! to a matching, contraction, region-growing or refinement decision moves
-//! a fingerprint.
+//! Pins every Metis and streaming assignment bit for bit: 64-bit FNV-1a
+//! fingerprints of `metis_extend` (all three variants, k ∈ {4, 8}) and
+//! `metis_clusters` (k ∈ {8, 16, 64}) on small generated graphs, recorded
+//! before the hierarchy moved to compressed rows with integer edge weights,
+//! and of Stream-V's assignment and halos and Stream-B's assignment (both
+//! scorers, k ∈ {4, 8}), recorded before their vertex sets were read off a
+//! bitmap. Any change to a matching, contraction, region-growing,
+//! refinement or streaming decision moves a fingerprint.
 
 use gnn_dm_graph::datasets::{DatasetId, DatasetSpec};
 use gnn_dm_graph::generate::{planted_partition, PplConfig};
 use gnn_dm_graph::{Csr, Graph};
 use gnn_dm_partition::metis::{metis_clusters, metis_extend, MetisVariant};
+use gnn_dm_partition::stream::{stream_b, stream_b_fast, stream_v, stream_v_fast, DEFAULT_BLOCK_SIZE};
 
 /// 64-bit FNV-1a with one step per assignment entry (the entry as `u64`).
 fn fnv1a(assignment: &[u32]) -> u64 {
@@ -28,8 +31,9 @@ fn directed(g: Graph) -> Graph {
     Graph { inn: out.transpose(), out, ..g }
 }
 
-#[test]
-fn metis_extend_fingerprints() {
+/// The two small graphs the Metis and streaming pins share: a planted
+/// partition and a directed OGB-Arxiv stand-in.
+fn small_graphs() -> [Graph; 2] {
     let planted = planted_partition(&PplConfig {
         n: 2000,
         avg_degree: 12.0,
@@ -39,8 +43,13 @@ fn metis_extend_fingerprints() {
         ..Default::default()
     });
     let arxiv_directed = directed(DatasetSpec::get(DatasetId::OgbArxiv).generate_scaled(3000, 5));
+    [planted, arxiv_directed]
+}
+
+#[test]
+fn metis_extend_fingerprints() {
     let mut got = Vec::new();
-    for g in [&planted, &arxiv_directed] {
+    for g in &small_graphs() {
         for variant in [MetisVariant::V, MetisVariant::VE, MetisVariant::VET] {
             for k in [4, 8] {
                 got.push(fnv1a(&metis_extend(g, variant, k, 7).assignment));
@@ -61,6 +70,36 @@ fn metis_extend_fingerprints() {
         0xad21_a95c_8b76_cd37, // directed Arxiv, VET, k = 4
         0x203b_3813_7310_767e, // directed Arxiv, VET, k = 8
     ];
+    assert_eq!(got, expect);
+}
+
+/// Stream-V (2 hops; assignment, then its halos one after the other, so a
+/// halo that gains, loses or reorders a vertex moves the pin) and Stream-B
+/// (default block size, seed 7; assignment), k ∈ {4, 8}. The faithful and
+/// the fast scorer must both give the recorded values.
+#[test]
+fn stream_fingerprints() {
+    let mut got = Vec::new();
+    for g in &small_graphs() {
+        for k in [4, 8] {
+            for fast in [false, true] {
+                let (v, b) = if fast {
+                    (stream_v_fast(g, k, 2), stream_b_fast(g, k, DEFAULT_BLOCK_SIZE, 7))
+                } else {
+                    (stream_v(g, k, 2), stream_b(g, k, DEFAULT_BLOCK_SIZE, 7))
+                };
+                got.push((fast, [fnv1a(&v.assignment), fnv1a(&v.halos.concat()), fnv1a(&b.assignment)]));
+            }
+        }
+    }
+    let expect: [[u64; 3]; 4] = [
+        [0x69dd_7d8b_2cf4_dbbd, 0x4796_af73_eadd_de4f, 0x379f_34f1_c5e3_fdc3], // planted, k = 4
+        [0x92dd_32f3_b556_ab9e, 0x2698_e801_327b_e061, 0x3814_7b43_e26b_bb0e], // planted, k = 8
+        [0x12d7_c5cf_ea0a_c5d3, 0x16a6_019a_d205_874a, 0x1a33_0deb_44c3_6110], // directed Arxiv, k = 4
+        [0xe6f4_dbf1_eff6_dba8, 0x0d3c_1ab6_2b3a_5d30, 0x3d81_5581_fc25_be4a], // directed Arxiv, k = 8
+    ];
+    let expect: Vec<(bool, [u64; 3])> =
+        expect.into_iter().flat_map(|pins| [(false, pins), (true, pins)]).collect();
     assert_eq!(got, expect);
 }
 

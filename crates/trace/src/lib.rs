@@ -351,6 +351,11 @@ impl Timeline {
         Timeline::default()
     }
 
+    /// An empty timeline at t = 0 with room for `spans` spans.
+    pub fn with_capacity(spans: usize) -> Timeline {
+        Timeline { spans: Vec::with_capacity(spans), lanes: BTreeMap::new() }
+    }
+
     /// When `resource`'s lane next becomes free (0 if never used).
     pub fn lane_free(&self, resource: Resource) -> f64 {
         self.lanes.get(&resource).copied().unwrap_or(0.0)

@@ -139,6 +139,16 @@ result_check ext_local_sgd
 # dataset, with no wall-clock column: a moved Metis assignment shows here
 # at full dataset scale (~5 s).
 result_check fig5_comm_load
+# The faithful and fast streaming partitioners through the harness specs, at
+# the ablation's own scale (~1 s): the fast scorers exist on the promise of
+# identical partitions, so every identical_output cell must read true.
+echo "==> ablate_stream_impl (every identical_output cell must be true)"
+if ! cargo run --release -q -p gnn-dm-bench --bin gnn-dm-exp -- ablate_stream_impl |
+    awk -F, 'NF == 4 && $1 ~ /^Stream-/ && $4 != "-" { rows++; if ($4 != "true") bad++ }
+             END { exit !(rows > 0 && bad == 0) }'; then
+    echo "FAIL: gnn-dm-exp ablate_stream_impl reports a fast variant whose partition differs from the faithful one" >&2
+    exit 1
+fi
 
 echo "==> benchmark lockfile (benchmark/run.sh builds without --locked, so a stale benchmark/Cargo.lock would be rewritten silently)"
 if ! cargo metadata --offline --locked --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null; then
