@@ -24,12 +24,14 @@ pub fn allreduce_time(link: &LinkModel, bytes: Bytes, workers: usize) -> Seconds
 /// Time for `count` sequential full-size parameter snapshots of `bytes`
 /// each over the link — the cost model for checkpoint writes and
 /// crash-recovery restores (each snapshot is one bulk transfer).
+#[expect(clippy::disallowed_methods, reason = "a network model is priced on the link model (or another network model)")]
 pub fn snapshot_time(link: &LinkModel, bytes: Bytes, count: u64) -> Seconds {
     link.transfer_time(bytes) * count as f64
 }
 
 /// Time for worker `w` to exchange its epoch traffic over the NIC
 /// (send and receive are full duplex; the slower direction bounds).
+#[expect(clippy::disallowed_methods, reason = "a network model is priced on the link model (or another network model)")]
 pub fn exchange_time(link: &LinkModel, sent: Bytes, received: Bytes) -> Seconds {
     link.transfer_time(sent.max(received))
 }
@@ -38,6 +40,7 @@ pub fn exchange_time(link: &LinkModel, sent: Bytes, received: Bytes) -> Seconds 
 /// `excluded` lagging workers: the ring shrinks to the included
 /// participants, so both the latency steps and the wire share reprice.
 /// With `excluded == 0` this is exactly [`allreduce_time`].
+#[expect(clippy::disallowed_methods, reason = "a network model is priced on the link model (or another network model)")]
 pub fn stale_allreduce_time(
     link: &LinkModel,
     bytes: Bytes,
@@ -48,6 +51,7 @@ pub fn stale_allreduce_time(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "unit tests of the network models price them directly")]
 mod tests {
     use super::*;
 

@@ -85,7 +85,7 @@ pub fn modeled_epoch_seconds(
         row_bytes: Bytes(graph.features.row_bytes() as u64),
         topo_bytes: Bytes(involved_edges as u64 * BYTES_PER_EDGE),
     };
-    // lint:allow(A002) an analytic time-to-accuracy axis, with no timeline by design
+    #[expect(clippy::disallowed_methods, reason = "an analytic time-to-accuracy axis, with no timeline by design")]
     let dt = engine.time(TransferMethod::ExtractLoad, &bt, None).total().0;
     let flops = compute::aggregation_flops(involved_edges as u64, graph.feat_dim(), hidden);
     let nn = compute::gpu_seconds(flops);
@@ -166,7 +166,7 @@ pub fn train_full_batch(
         row_bytes: Bytes(graph.features.row_bytes() as u64),
         topo_bytes: Bytes(graph.num_edges() as u64 * BYTES_PER_EDGE),
     };
-    // lint:allow(A002) an analytic time-to-accuracy axis, with no timeline by design
+    #[expect(clippy::disallowed_methods, reason = "an analytic time-to-accuracy axis, with no timeline by design")]
     let transfer_seconds = engine.time(TransferMethod::ExtractLoad, &bt, None).total().0;
     let epoch_seconds = (compute::gpu_seconds(flops) + transfer_seconds) * 1.1;
     let mut curve = Vec::with_capacity(epochs);

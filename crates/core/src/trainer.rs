@@ -211,7 +211,7 @@ impl<'g> HeteroTrainer<'g> {
                 }
                 _ => None,
             };
-            // lint:allow(A002) these prices become `replay_epoch` spans
+            #[expect(clippy::disallowed_methods, reason = "these prices become `replay_epoch` spans")]
             let report = self.engine.time(self.cfg.transfer, &bt, activity.as_ref());
             let nn = compute::gpu_seconds(compute::minibatch_flops(&mb, &dims));
             let stage = BatchStageTimes { bp, dt: report.total().0, nn };

@@ -18,8 +18,8 @@
 //!   compute) pipeline scheduler (Figures 13/14): stage spans replayed on
 //!   `gnn-dm-trace` lanes;
 //! * [`traced`] — adapters that price link/GPU work and record it as
-//!   timeline spans in one step (lint rule A002 enforces their use
-//!   outside this crate);
+//!   timeline spans in one step (`clippy.toml` bans the raw pricing
+//!   methods they wrap, so other crates price through them);
 //! * [`memory`] — the T4's 16 GiB budget as constants, and the feature
 //!   cache rows it leaves room for.
 

@@ -117,6 +117,7 @@ impl LinkModel {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "unit tests of the link model price transfers directly")]
 mod tests {
     use super::*;
 

@@ -1,13 +1,14 @@
 //! Traced cost adapters — the sanctioned bridge from analytic price
 //! models to timeline spans.
 //!
-//! Lint rule A002 flags raw `transfer_time`/`time_*` pricing calls
-//! outside `crates/device`, so that every modelled second and byte lands
-//! on a [`Timeline`] lane instead of being summed by hand at scattered
-//! call sites. Code elsewhere in the workspace prices work through these
+//! The root `clippy.toml` bans the raw pricing methods
+//! (`LinkModel::transfer_time`, `TransferEngine::time`), so that every
+//! modelled second and byte lands on a [`Timeline`] lane instead of being
+//! summed by hand at scattered call sites. Code prices work through these
 //! adapters (or through higher-level traced entry points like
 //! `pipeline::replay_epoch`), which compute the duration *and* record the
-//! span in one step.
+//! span in one step; a site that must price raw says why with
+//! `#[expect(clippy::disallowed_methods, reason = "…")]`.
 
 use crate::compute;
 use crate::link::LinkModel;
@@ -18,6 +19,7 @@ use gnn_dm_trace::{Resource, SpanKind, SpanMeta, Timeline};
 /// span on `resource` (FIFO lane, dependency `ready`). The span's meta
 /// carries `bytes` on top of the caller's annotations. Returns the span
 /// end time.
+#[expect(clippy::disallowed_methods, reason = "the adapter: prices the transfer and records its span in one step")]
 pub fn link_transfer(
     tl: &mut Timeline,
     resource: Resource,
@@ -45,6 +47,7 @@ pub fn gpu_compute(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the adapter tests compare each span with the raw price")]
 mod tests {
     use super::*;
 

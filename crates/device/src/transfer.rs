@@ -142,7 +142,8 @@ impl TransferEngine {
     }
 
     /// Explicit gather + bulk DMA.
-    pub fn time_extract_load(&self, batch: &BatchTransfer) -> TransferReport {
+    #[expect(clippy::disallowed_methods, reason = "a transfer method is priced on the link model it moves bytes over")]
+    fn time_extract_load(&self, batch: &BatchTransfer) -> TransferReport {
         let fb = batch.feature_bytes();
         let gather_sec = fb / GATHER_BANDWIDTH + GATHER_ROW_OVERHEAD * batch.rows as f64;
         let bytes = fb + batch.topo_bytes;
@@ -152,7 +153,8 @@ impl TransferEngine {
 
     /// UVA zero-copy: no gather; features cross at reduced efficiency.
     /// Topology still moves in bulk (it is packed by construction).
-    pub fn time_zero_copy(&self, batch: &BatchTransfer) -> TransferReport {
+    #[expect(clippy::disallowed_methods, reason = "a transfer method is priced on the link model it moves bytes over")]
+    fn time_zero_copy(&self, batch: &BatchTransfer) -> TransferReport {
         let zc = self.zero_copy_link();
         let link_sec =
             zc.transfer_time(batch.feature_bytes()) + PCIE.transfer_time(batch.topo_bytes);
@@ -165,7 +167,8 @@ impl TransferEngine {
 
     /// HyTGraph-style hybrid: dense blocks go explicit (whole block moved in
     /// bulk, inactive rows included), sparse blocks go zero-copy.
-    pub fn time_hybrid(
+    #[expect(clippy::disallowed_methods, reason = "a transfer method is priced on the link model it moves bytes over")]
+    fn time_hybrid(
         &self,
         batch: &BatchTransfer,
         activity: &BlockActivity,

@@ -7,7 +7,7 @@ use gnn_dm_device::memory::{rows_for_ratio, CACHE_BUDGET};
 use gnn_dm_device::pipeline::{
     makespan, makespan_with_contention, BatchStageTimes, PipelineMode,
 };
-use gnn_dm_device::transfer::{BatchTransfer, TransferEngine};
+use gnn_dm_device::transfer::{BatchTransfer, TransferEngine, TransferMethod};
 use gnn_dm_device::{Bytes, Seconds};
 use proptest::prelude::*;
 
@@ -17,6 +17,7 @@ proptest! {
     /// Link transfer time is monotone in bytes and superadditive under
     /// splitting (two transfers pay latency twice).
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "properties of the raw cost models price them directly")]
     fn link_monotone_and_superadditive(a in 0u64..1_000_000, b in 0u64..1_000_000) {
         let link = LinkModel::pcie_gen3_x16();
         let (a, b) = (Bytes(a), Bytes(b));
@@ -29,6 +30,7 @@ proptest! {
     /// Extract-load vs zero-copy: extract-load always has the lower pure
     /// bus time (full efficiency), zero-copy always has zero gather.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "properties of the raw cost models price them directly")]
     fn transfer_methods_structural(
         rows in 0usize..100_000,
         row_bytes in 4u64..4096,
@@ -36,8 +38,8 @@ proptest! {
     ) {
         let e = TransferEngine::default();
         let bt = BatchTransfer { rows, row_bytes: Bytes(row_bytes), topo_bytes: Bytes(topo) };
-        let el = e.time_extract_load(&bt);
-        let zc = e.time_zero_copy(&bt);
+        let el = e.time(TransferMethod::ExtractLoad, &bt, None);
+        let zc = e.time(TransferMethod::ZeroCopy, &bt, None);
         prop_assert_eq!(zc.gather_sec, Seconds(0.0));
         prop_assert!(el.link_sec <= zc.link_sec + Seconds(1e-12));
         prop_assert_eq!(el.bytes, zc.bytes);
@@ -47,6 +49,7 @@ proptest! {
     /// Hybrid transfer at threshold 0 degenerates to explicit-on-touched
     /// blocks; above 1.0 it degenerates to zero-copy.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "properties of the raw cost models price them directly")]
     fn hybrid_degenerate_thresholds(
         ids_raw in proptest::collection::vec(0u32..5000, 1..200),
         row_bytes in 32u64..512,
@@ -58,10 +61,10 @@ proptest! {
         distinct.sort_unstable();
         distinct.dedup();
         let bt = BatchTransfer { rows: distinct.len(), row_bytes, topo_bytes: Bytes(0) };
-        let all_zc = e.time_hybrid(&bt, &act, 1.1);
-        let zc = e.time_zero_copy(&bt);
+        let all_zc = e.time(TransferMethod::Hybrid { threshold: 1.1 }, &bt, Some(&act));
+        let zc = e.time(TransferMethod::ZeroCopy, &bt, None);
         prop_assert!((all_zc.total() - zc.total()).0.abs() < 1e-12);
-        let all_explicit = e.time_hybrid(&bt, &act, 0.0);
+        let all_explicit = e.time(TransferMethod::Hybrid { threshold: 0.0 }, &bt, Some(&act));
         // Whole touched blocks move: bytes ≥ the active rows' bytes.
         prop_assert!(all_explicit.bytes >= bt.feature_bytes());
     }
@@ -123,6 +126,7 @@ proptest! {
     /// The hybrid transfer report's bytes never exceed explicit whole-array
     /// movement and never undercut the zero-copy minimum.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "properties of the raw cost models price them directly")]
     fn hybrid_byte_bounds(
         ids_raw in proptest::collection::vec(0u32..2000, 1..150),
         threshold in 0.0f64..1.0,
@@ -135,7 +139,7 @@ proptest! {
         distinct.sort_unstable();
         distinct.dedup();
         let bt = BatchTransfer { rows: distinct.len(), row_bytes, topo_bytes: Bytes(0) };
-        let hy = e.time_hybrid(&bt, &act, threshold);
+        let hy = e.time(TransferMethod::Hybrid { threshold }, &bt, Some(&act));
         prop_assert!(hy.bytes >= bt.feature_bytes(), "must move at least the active rows");
         prop_assert!(hy.bytes <= row_bytes * n as u64, "cannot exceed the whole array");
     }

@@ -83,12 +83,12 @@ impl SplitMask {
 
     /// All vertices in the given split, ascending.
     pub fn vertices_in(&self, split: Split) -> Vec<VId> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s == split)
-            .map(|(v, _)| v as VId)
-            .collect()
+        let len = self.assignment.iter().filter(|&&s| s == split).count();
+        let mut out = Vec::with_capacity(len);
+        out.extend(
+            self.assignment.iter().enumerate().filter(|(_, &s)| s == split).map(|(v, _)| v as VId),
+        );
+        out
     }
 
     /// `(train, val, test)` counts.

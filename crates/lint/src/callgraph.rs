@@ -21,7 +21,7 @@
 use crate::items::{parse_items, Item, ItemKind};
 use crate::seeds::{find_par_closures, ParClosure};
 use crate::rules::FileCtx;
-use crate::tokenizer::{lex, Lexed, Token, TokenKind};
+use crate::tokenizer::{lex, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -32,8 +32,8 @@ pub struct SourceFile {
     pub rel_path: String,
     /// Path-derived rule scoping.
     pub ctx: FileCtx,
-    /// Token stream + suppression markers.
-    pub lexed: Lexed,
+    /// Code tokens in source order.
+    pub tokens: Vec<Token>,
     /// Parsed item list.
     pub items: Vec<Item>,
     /// Per-token `#[cfg(test)]` / `#[test]` region marks.
@@ -56,14 +56,9 @@ impl FileSet {
     /// Loads every `.rs` file under `root`'s scan roots. Returns the set
     /// plus `(path, error)` pairs for unreadable files.
     pub fn load(root: &Path) -> (FileSet, Vec<(String, String)>) {
-        let mut paths = Vec::new();
-        for top in crate::SCAN_ROOTS {
-            crate::collect_rs_files(&root.join(top), &mut paths);
-        }
-        paths.sort();
         let mut read_errors = Vec::new();
         let mut set = FileSet::default();
-        for path in paths {
+        for path in crate::source_files(root) {
             let rel = crate::relative_path(root, &path);
             match std::fs::read_to_string(&path) {
                 Ok(src) => set.insert(&rel, &src),
@@ -88,13 +83,13 @@ impl FileSet {
 
     fn insert(&mut self, rel_path: &str, src: &str) {
         let ctx = FileCtx::from_rel_path(rel_path);
-        let lexed = lex(src);
-        let items = parse_items(&lexed.tokens);
-        let in_test = test_region_marks(&lexed.tokens);
-        let closures = find_par_closures(&lexed);
+        let tokens = lex(src);
+        let items = parse_items(&tokens);
+        let in_test = test_region_marks(&tokens);
+        let closures = find_par_closures(&tokens);
         self.files.insert(
             rel_path.to_string(),
-            SourceFile { rel_path: rel_path.to_string(), ctx, lexed, items, in_test, closures },
+            SourceFile { rel_path: rel_path.to_string(), ctx, tokens, items, in_test, closures },
         );
     }
 
@@ -102,7 +97,7 @@ impl FileSet {
         for file in self.files.values() {
             let key = file.ctx.layer_key().to_string();
             let refs = self.refs.entry(key.clone()).or_default();
-            for t in &file.lexed.tokens {
+            for t in &file.tokens {
                 if t.kind != TokenKind::Ident {
                     continue;
                 }
@@ -294,23 +289,23 @@ impl CallGraph {
             // fn-pointer invocation shadowing any same-named fn, so it
             // resolves to nothing rather than to a spurious target.
             let mut shadowed: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
-            for (i, t) in file.lexed.tokens.iter().enumerate() {
+            for (i, t) in file.tokens.iter().enumerate() {
                 if t.kind != TokenKind::Ident || NON_CALL_WORDS.contains(&t.text.as_str()) {
                     continue;
                 }
-                if !matches!(file.lexed.tokens.get(i + 1), Some(n) if n.kind == TokenKind::Op && n.text == "(")
+                if !matches!(file.tokens.get(i + 1), Some(n) if n.kind == TokenKind::Op && n.text == "(")
                 {
                     continue;
                 }
                 let Some(owner) = owners.get(i).copied().flatten() else { continue };
                 // A declaration's own name is not a call.
                 if g.nodes[owner].body.0 + 1 == i
-                    || matches!(file.lexed.tokens.get(i.wrapping_sub(1)), Some(p) if i > 0 && p.text == "fn")
+                    || matches!(file.tokens.get(i.wrapping_sub(1)), Some(p) if i > 0 && p.text == "fn")
                 {
                     continue;
                 }
                 let locals = shadowed.entry(owner).or_insert_with(|| {
-                    local_bindings(&file.lexed, g.nodes[owner].body)
+                    local_bindings(&file.tokens, g.nodes[owner].body)
                 });
                 let (_, is_method) = qualifier(file, i);
                 if !is_method && locals.contains(&t.text) {
@@ -377,8 +372,7 @@ impl CallGraph {
 /// patterns, and nested-closure parameters. Over-approximate (pattern
 /// constructors like `Some` land in the set too): a call through one of
 /// them is a local closure, not a fn.
-fn local_bindings(lexed: &Lexed, body: (usize, usize)) -> BTreeSet<String> {
-    let toks = &lexed.tokens;
+fn local_bindings(toks: &[Token], body: (usize, usize)) -> BTreeSet<String> {
     let mut locals = BTreeSet::new();
     let mut i = body.0;
     while i < body.1.min(toks.len()) {
@@ -455,7 +449,7 @@ fn enclosing_owner(items: &[Item], it: &Item) -> (Option<String>, bool) {
 
 /// Innermost-fn owner per token index (None outside any fn body).
 fn token_owners(g: &CallGraph, file: &SourceFile) -> Vec<Option<usize>> {
-    let mut owners = vec![None; file.lexed.tokens.len()];
+    let mut owners = vec![None; file.tokens.len()];
     // Items are emitted outer-first, so assigning in order leaves the
     // innermost fn as the final owner of its tokens.
     for &id in g.nodes_in_file(&file.rel_path) {
@@ -493,7 +487,7 @@ fn use_imports(items: &[Item]) -> BTreeMap<String, String> {
 /// immediately before it, innermost last, plus whether it is a `.method()`
 /// call.
 fn qualifier(file: &SourceFile, i: usize) -> (Vec<String>, bool) {
-    let toks = &file.lexed.tokens;
+    let toks = &file.tokens;
     if i > 0 && toks[i - 1].kind == TokenKind::Op && toks[i - 1].text == "." {
         return (Vec::new(), true);
     }

@@ -313,7 +313,7 @@ mod tests {
     use crate::tokenizer::lex;
 
     fn items_of(src: &str) -> Vec<Item> {
-        parse_items(&lex(src).tokens)
+        parse_items(&lex(src))
     }
 
     #[test]
@@ -349,12 +349,12 @@ type Alias = u32;\n";
     #[test]
     fn spans_cover_bodies() {
         let src = "pub fn long() {\n    let x = 1;\n    x;\n}\nmod m {\n    fn inner() {}\n}\n";
-        let lexed = lex(src);
-        let its = parse_items(&lexed.tokens);
+        let toks = lex(src);
+        let its = parse_items(&toks);
         assert_eq!(its[0].name, "long");
-        assert_eq!(lexed.tokens[its[0].tok_end - 1].line, 4, "span ends at the closing brace");
+        assert_eq!(toks[its[0].tok_end - 1].line, 4, "span ends at the closing brace");
         assert_eq!((its[1].name.as_str(), its[1].line), ("inner", 6));
-        assert_eq!(lexed.tokens[its[1].tok_end - 1].line, 6);
+        assert_eq!(toks[its[1].tok_end - 1].line, 6);
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! gnn-dm-lint: a zero-dependency static-analysis pass over the workspace.
 //!
 //! The paper's experiments stand on invariants no single-file check can
-//! see: cost-model pricing that lands on the span timeline, a layered
-//! crate graph, and parallel work closures that seed every unit from
-//! `split_seed`. This crate walks every `.rs` file in the workspace with
-//! its own comment/string-aware tokenizer and enforces the per-file rule
-//! in [`rules`] (A002), the manifest check in [`workspace`] (L001), and the
-//! call-graph rule in [`seeds`] (R002); `tests/workspace_clean.rs` pins the
-//! workspace at zero violations. What a type can say — bytes vs. seconds,
-//! `Fn + Sync` work closures — is left to the compiler; what a
-//! path-resolving per-file check can say — wall clock, hash collections,
-//! raw threads, sync primitives, library panics and console output — to
-//! clippy (the root `clippy.toml` and each library's `lib.rs`); and what a
-//! run can count — allocations on the hot paths — to the counting-allocator
-//! tests (`crates/*/tests/allocations.rs`).
+//! see: a layered crate graph, and parallel work closures that seed every
+//! unit from `split_seed`. This crate walks every `.rs` file in the
+//! workspace with its own comment/string-aware tokenizer and enforces the
+//! manifest check in [`workspace`] (L001) and the call-graph rule in
+//! [`seeds`] (R002); `tests/workspace_clean.rs` pins the workspace at zero
+//! violations. What a type can say — bytes vs. seconds, `Fn + Sync` work
+//! closures — is left to the compiler; what a path-resolving per-file
+//! check can say — wall clock, hash collections, raw threads, sync
+//! primitives, library panics, console output and raw cost-model pricing —
+//! to clippy (the root `clippy.toml` and each library's `lib.rs`), whose
+//! exemptions are `#[expect(.., reason = "..")]` attributes that rustc
+//! reports once stale; and what a run can count — allocations on the hot
+//! paths — to the counting-allocator tests (`crates/*/tests/allocations.rs`).
 //!
 //! Run it directly with `cargo run -p gnn-dm-lint`.
 
@@ -30,13 +30,13 @@ pub use rules::Diagnostic;
 
 /// Every rule ID the linter can emit, sorted. `tests/workspace_clean.rs`
 /// checks it against the DESIGN.md §7 catalog in both directions.
-pub const RULE_IDS: &[&str] = &["A002", "L001", "R002", "S001", "S002"];
+pub const RULE_IDS: &[&str] = &["L001", "R002"];
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Top-level directories scanned relative to the workspace root.
-pub(crate) const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
+const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
 
 /// Directory names skipped wherever they appear: build output, vendored
 /// stand-in deps (external idiom, not project code), and lint fixtures
@@ -86,9 +86,9 @@ pub fn lint_workspace(root: &Path) -> Report {
     Report { diagnostics, files_scanned: set.files.len(), read_errors }
 }
 
-/// Runs the full A002 + R002 pipeline over in-memory
-/// sources: `(rel_path, source)` pairs. This is what fixtures and property
-/// tests drive; [`lint_workspace`] is the same pipeline fed from disk.
+/// Runs R002 over in-memory sources: `(rel_path, source)` pairs. This is
+/// what fixtures and property tests drive; [`lint_workspace`] is the same
+/// pass fed from disk.
 pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
     let mut diags = dataflow_lint(&callgraph::FileSet::from_sources(sources));
     sort_diagnostics(&mut diags);
@@ -100,32 +100,24 @@ fn sort_diagnostics(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 }
 
-/// Shared core: A002, the dataflow pass (R002), then one suppression
-/// application per file over the merged diagnostics (so a `lint:allow`
-/// covers a site no matter which pass flagged it, and S002 sees the full
-/// picture).
+/// The dataflow pass (R002) over a loaded file set.
 fn dataflow_lint(set: &callgraph::FileSet) -> Vec<Diagnostic> {
-    use std::collections::BTreeMap;
-    let mut per_file: BTreeMap<&str, Vec<Diagnostic>> = BTreeMap::new();
-    for file in set.files.values() {
-        per_file.insert(file.rel_path.as_str(), rules::check_a002(&file.ctx, &file.lexed.tokens));
-    }
     let graph = callgraph::CallGraph::build(set);
-    for d in seeds::check_r002(set, &graph, &seeds::raw_seed_sites(set, &graph)) {
-        if let Some(bucket) = per_file.get_mut(d.file.as_str()) {
-            bucket.push(d);
-        }
+    seeds::check_r002(set, &graph, &seeds::raw_seed_sites(set, &graph))
+}
+
+/// Every workspace `.rs` file under `root`'s scan roots, in path order.
+pub fn source_files(root: &Path) -> Vec<PathBuf> {
+    let mut paths = Vec::new();
+    for top in SCAN_ROOTS {
+        collect_rs_files(&root.join(top), &mut paths);
     }
-    let mut out = Vec::new();
-    for file in set.files.values() {
-        let diags = per_file.remove(file.rel_path.as_str()).unwrap_or_default();
-        out.extend(rules::apply_suppressions(&file.ctx, &file.lexed, diags));
-    }
-    out
+    paths.sort();
+    paths
 }
 
 /// Recursively gathers `.rs` files, skipping [`SKIP_DIRS`] and dotdirs.
-pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else { return };
     for entry in entries.flatten() {
         let path = entry.path();

@@ -22,7 +22,7 @@
 
 use crate::callgraph::{CallGraph, FileSet};
 use crate::rules::Diagnostic;
-use crate::tokenizer::{Lexed, Token, TokenKind};
+use crate::tokenizer::{Token, TokenKind};
 use std::collections::BTreeSet;
 
 /// The dispatch entry points whose closure arguments run on worker threads.
@@ -58,9 +58,8 @@ pub(crate) struct ParClosure {
 const LOOKAHEAD_CONSUME_ARG: usize = 4;
 
 /// Finds every closure passed (at top argument level) to a [`PAR_FNS`]
-/// call in `lexed`.
-pub(crate) fn find_par_closures(lexed: &Lexed) -> Vec<ParClosure> {
-    let toks = &lexed.tokens;
+/// call in `toks`.
+pub(crate) fn find_par_closures(toks: &[Token]) -> Vec<ParClosure> {
     let mut out = Vec::new();
     for i in 0..toks.len() {
         let t = &toks[i];
@@ -72,7 +71,7 @@ pub(crate) fn find_par_closures(lexed: &Lexed) -> Vec<ParClosure> {
             continue;
         }
         // Walk the argument list; depth 1 is the call's own arg level.
-        let end = balanced_args_end(lexed, i + 1);
+        let end = balanced_args_end(toks, i + 1);
         let mut depth = 0usize;
         let mut arg_idx = 0usize;
         let mut k = i + 1;
@@ -158,11 +157,10 @@ pub fn reach(g: &CallGraph, seed: impl Fn(usize) -> bool) -> Vec<bool> {
 /// chain. Keeping every split gives the file's seed-taint set; keeping
 /// splits of a closure parameter gives R002's per-unit seeds.
 fn split_seed_bindings(
-    lexed: &Lexed,
+    toks: &[Token],
     range: (usize, usize),
     keep: impl Fn(&[Token], &BTreeSet<String>) -> bool,
 ) -> BTreeSet<String> {
-    let toks = &lexed.tokens;
     let end = range.1.min(toks.len());
     let mut bound = BTreeSet::new();
     for i in range.0..end {
@@ -181,7 +179,7 @@ fn split_seed_bindings(
                 (TokenKind::Op, ";") | (TokenKind::Ident, "let") => break,
                 (TokenKind::Op, "=") => saw_eq = true,
                 (TokenKind::Ident, "split_seed") if saw_eq => {
-                    derived |= keep(&toks[k + 1..balanced_args_end(lexed, k + 1)], &bound);
+                    derived |= keep(&toks[k + 1..balanced_args_end(toks, k + 1)], &bound);
                 }
                 _ => {}
             }
@@ -195,8 +193,7 @@ fn split_seed_bindings(
 
 /// Token span of the balanced `(…)` argument list opening at `open` (the
 /// index of the `(`); returns the exclusive end index.
-fn balanced_args_end(lexed: &Lexed, open: usize) -> usize {
-    let toks = &lexed.tokens;
+fn balanced_args_end(toks: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     let mut k = open;
     while let Some(t) = toks.get(k) {
@@ -218,16 +215,15 @@ fn balanced_args_end(lexed: &Lexed, open: usize) -> usize {
 }
 
 /// The line of the first raw-seed site in the token range `body` of
-/// `lexed`: an RNG constructor whose arguments involve neither
+/// `toks`: an RNG constructor whose arguments involve neither
 /// `split_seed(..)` nor a name in the file's seed-taint set `tainted`.
 /// Tokens marked in `skip` (a nested fn's) are not this body's.
 fn own_raw_seed(
-    lexed: &Lexed,
+    toks: &[Token],
     body: (usize, usize),
     tainted: &BTreeSet<String>,
     skip: &[bool],
 ) -> Option<usize> {
-    let toks = &lexed.tokens;
     (body.0..body.1.min(toks.len())).find_map(|i| {
         let t = &toks[i];
         let ctor = !skip[i]
@@ -237,7 +233,7 @@ fn own_raw_seed(
         if !ctor {
             return None;
         }
-        let disciplined = (i + 1..balanced_args_end(lexed, i + 1)).any(|k| {
+        let disciplined = (i + 1..balanced_args_end(toks, i + 1)).any(|k| {
             toks[k].kind == TokenKind::Ident
                 && (toks[k].text == "split_seed" || tainted.contains(&toks[k].text))
         });
@@ -250,11 +246,11 @@ fn own_raw_seed(
 pub fn raw_seed_sites(set: &FileSet, g: &CallGraph) -> Vec<Option<usize>> {
     let mut sites = vec![None; g.nodes.len()];
     for file in set.files.values() {
-        let tainted = split_seed_bindings(&file.lexed, (0, usize::MAX), |_, _| true);
+        let tainted = split_seed_bindings(&file.tokens, (0, usize::MAX), |_, _| true);
         let ids = g.nodes_in_file(&file.rel_path);
         for &id in ids {
             let (s, e) = g.nodes[id].body;
-            let mut skip = vec![false; file.lexed.tokens.len()];
+            let mut skip = vec![false; file.tokens.len()];
             for &other in ids {
                 let (os, oe) = g.nodes[other].body;
                 if other != id && s < os && oe <= e {
@@ -264,7 +260,7 @@ pub fn raw_seed_sites(set: &FileSet, g: &CallGraph) -> Vec<Option<usize>> {
                     }
                 }
             }
-            sites[id] = own_raw_seed(&file.lexed, (s, e), &tainted, &skip);
+            sites[id] = own_raw_seed(&file.tokens, (s, e), &tainted, &skip);
         }
     }
     sites
@@ -279,12 +275,12 @@ pub fn check_r002(set: &FileSet, g: &CallGraph, own_raw_seed: &[Option<usize>]) 
         if file.ctx.layer_key() == "par" {
             continue;
         }
-        let toks = &file.lexed.tokens;
-        let file_tainted = split_seed_bindings(&file.lexed, (0, usize::MAX), |_, _| true);
+        let toks = &file.tokens;
+        let file_tainted = split_seed_bindings(&file.tokens, (0, usize::MAX), |_, _| true);
         for cl in &file.closures {
             // Per-unit seeds under a name: splits of a closure parameter or
             // of an earlier per-unit binding.
-            let unit_bound = split_seed_bindings(&file.lexed, cl.body, |args, bound| {
+            let unit_bound = split_seed_bindings(&file.tokens, cl.body, |args, bound| {
                 args.iter().any(|t| {
                     t.kind == TokenKind::Ident
                         && (cl.params.contains(&t.text) || bound.contains(&t.text))
@@ -298,7 +294,7 @@ pub fn check_r002(set: &FileSet, g: &CallGraph, own_raw_seed: &[Option<usize>]) 
                 {
                     continue;
                 }
-                let end = balanced_args_end(&file.lexed, i + 1);
+                let end = balanced_args_end(&file.tokens, i + 1);
                 let span = i + 1..end;
                 // Case 1: split_seed appears directly — require a closure
                 // param in at least one split_seed argument list.
@@ -307,7 +303,7 @@ pub fn check_r002(set: &FileSet, g: &CallGraph, own_raw_seed: &[Option<usize>]) 
                 for k in span.clone() {
                     if toks[k].kind == TokenKind::Ident && toks[k].text == "split_seed" {
                         saw_split = true;
-                        let sp_end = balanced_args_end(&file.lexed, k + 1);
+                        let sp_end = balanced_args_end(&file.tokens, k + 1);
                         per_unit |= (k + 1..sp_end).any(|m| {
                             toks[m].kind == TokenKind::Ident && cl.params.contains(&toks[m].text)
                         });
@@ -403,10 +399,10 @@ mod tests {
 
     #[test]
     fn closure_finder_extracts_params_and_bodies() {
-        let lexed = crate::tokenizer::lex(
+        let toks = crate::tokenizer::lex(
             "par_reduce(&xs, 64, |_, c| c.iter().sum::<f32>(), |a, b| a + b);",
         );
-        let cls = find_par_closures(&lexed);
+        let cls = find_par_closures(&toks);
         assert_eq!(cls.len(), 2);
         assert!(cls[0].params.contains("c"));
         assert!(cls[1].params.contains("a") && cls[1].params.contains("b"));

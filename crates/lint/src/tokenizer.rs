@@ -4,8 +4,7 @@
 //! so this lexer's single job is to never mistake prose for code: text
 //! inside `//` and `/* */` comments (nested), string literals (including
 //! raw `r#"…"#`, byte and C variants), and char literals must produce no
-//! identifier tokens. Line comments are additionally scanned for
-//! `lint:allow(RULE, …) reason` suppression markers.
+//! identifier tokens.
 
 /// Lexical class of a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,26 +35,6 @@ pub struct Token {
     pub line: usize,
 }
 
-/// A `lint:allow(...)` marker found in a line comment.
-#[derive(Debug, Clone)]
-pub struct Suppression {
-    /// 1-based line of the comment.
-    pub line: usize,
-    /// Rule IDs listed between the parentheses.
-    pub rules: Vec<String>,
-    /// Free text after the closing parenthesis (the justification).
-    pub reason: String,
-}
-
-/// Result of lexing one source file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Code tokens in source order.
-    pub tokens: Vec<Token>,
-    /// Suppression markers in source order.
-    pub suppressions: Vec<Suppression>,
-}
-
 /// Multi-char operators, longest first so maximal munch is a prefix scan.
 const OPERATORS: &[&str] = &[
     "..=", "<<=", ">>=", "==", "!=", "<=", ">=", "::", "->", "=>", "..", "&&", "||", "<<", ">>",
@@ -65,12 +44,12 @@ struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
     line: usize,
-    out: Lexed,
+    out: Vec<Token>,
 }
 
-/// Lexes `src`, returning tokens and suppression markers.
-pub fn lex(src: &str) -> Lexed {
-    let mut lx = Lexer { src: src.as_bytes(), pos: 0, line: 1, out: Lexed::default() };
+/// Lexes `src` into its code tokens, in source order.
+pub fn lex(src: &str) -> Vec<Token> {
+    let mut lx = Lexer { src: src.as_bytes(), pos: 0, line: 1, out: Vec::new() };
     lx.run();
     lx.out
 }
@@ -90,7 +69,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn push(&mut self, kind: TokenKind, text: String, line: usize) {
-        self.out.tokens.push(Token { kind, text, line });
+        self.out.push(Token { kind, text, line });
     }
 
     fn run(&mut self) {
@@ -112,22 +91,8 @@ impl<'a> Lexer<'a> {
     }
 
     fn line_comment(&mut self) {
-        let line = self.line;
-        let start = self.pos;
-        while let Some(b) = self.peek(0) {
-            if b == b'\n' {
-                break;
-            }
+        while self.peek(0).is_some_and(|b| b != b'\n') {
             self.bump();
-        }
-        let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        // Doc comments (`///`, `//!`) are documentation, not directives:
-        // prose *describing* the suppression syntax must not suppress.
-        let is_doc = text.starts_with("///") || text.starts_with("//!");
-        if !is_doc {
-            if let Some(sup) = parse_suppression(&text, line) {
-                self.out.suppressions.push(sup);
-            }
         }
     }
 
@@ -386,41 +351,12 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Parses `lint:allow(A002, R002) reason…` out of a line comment's text.
-/// Only rule-ID-shaped names (uppercase letters then digits, e.g. `R002`)
-/// count, so prose like `lint:allow(RULE)` in an ordinary comment is not a
-/// directive; a comment with no valid rule IDs is not a suppression.
-fn parse_suppression(comment: &str, line: usize) -> Option<Suppression> {
-    let idx = comment.find("lint:allow(")?;
-    let after = &comment[idx + "lint:allow(".len()..];
-    let close = after.find(')')?;
-    let rules: Vec<String> = after[..close]
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| is_rule_id(r))
-        .collect();
-    if rules.is_empty() {
-        return None;
-    }
-    let reason = after[close + 1..].trim().to_string();
-    Some(Suppression { line, rules, reason })
-}
-
-/// True for rule-ID-shaped names: one or more uppercase ASCII letters
-/// followed by one or more ASCII digits (`A002`, `R002`, …).
-fn is_rule_id(s: &str) -> bool {
-    let letters: String = s.chars().take_while(|c| c.is_ascii_uppercase()).collect();
-    let rest = &s[letters.len()..];
-    !letters.is_empty() && !rest.is_empty() && rest.chars().all(|c| c.is_ascii_digit())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .into_iter()
             .filter(|t| t.kind == TokenKind::Ident)
             .map(|t| t.text)
@@ -443,9 +379,9 @@ mod tests {
     fn raw_string_with_hashes_and_quotes() {
         let src = "r#\"a \" b\"# x";
         let toks = lex(src);
-        assert_eq!(toks.tokens.len(), 2);
-        assert_eq!(toks.tokens[0].kind, TokenKind::Str);
-        assert_eq!(toks.tokens[1].text, "x");
+        assert_eq!(toks.len(), 2);
+        assert_eq!(toks[0].kind, TokenKind::Str);
+        assert_eq!(toks[1].text, "x");
     }
 
     #[test]
@@ -457,7 +393,7 @@ mod tests {
     fn multi_hash_raw_strings_terminate_correctly() {
         // `"#` inside an `r##…##` string is content, not a terminator.
         let toks = lex("let s = r##\"a \"# b\"##; x");
-        let kinds: Vec<TokenKind> = toks.tokens.iter().map(|t| t.kind).collect();
+        let kinds: Vec<TokenKind> = toks.iter().map(|t| t.kind).collect();
         assert_eq!(
             kinds,
             vec![TokenKind::Ident, TokenKind::Ident, TokenKind::Op, TokenKind::Str, TokenKind::Op, TokenKind::Ident]
@@ -490,7 +426,7 @@ mod tests {
     #[test]
     fn char_vs_lifetime() {
         let toks = lex("'a' 'x 'static '\\n'");
-        let kinds: Vec<TokenKind> = toks.tokens.iter().map(|t| t.kind).collect();
+        let kinds: Vec<TokenKind> = toks.iter().map(|t| t.kind).collect();
         assert_eq!(
             kinds,
             vec![TokenKind::Char, TokenKind::Lifetime, TokenKind::Lifetime, TokenKind::Char]
@@ -500,7 +436,6 @@ mod tests {
     #[test]
     fn numbers_are_single_tokens() {
         let texts: Vec<String> = lex("1.5 1. 1e-9 2f64 0x1E 1_000 0.5f32 7usize 1.max(2) 0..5")
-            .tokens
             .into_iter()
             .map(|t| t.text)
             .collect();
@@ -512,7 +447,6 @@ mod tests {
     #[test]
     fn multichar_operators_are_single_tokens() {
         let texts: Vec<String> = lex("a == b != c :: d .. e ..= f")
-            .tokens
             .into_iter()
             .filter(|t| t.kind == TokenKind::Op)
             .map(|t| t.text)
@@ -524,31 +458,9 @@ mod tests {
     fn lines_are_tracked_through_multiline_constructs() {
         let src = "let a = 1;\n/* two\nlines */\nlet b = \"x\ny\";\nlet c = 3;";
         let toks = lex(src);
-        let line_of = |name: &str| toks.tokens.iter().find(|t| t.text == name).unwrap().line;
+        let line_of = |name: &str| toks.iter().find(|t| t.text == name).unwrap().line;
         assert_eq!(line_of("a"), 1);
         assert_eq!(line_of("b"), 4);
         assert_eq!(line_of("c"), 6);
-    }
-
-    #[test]
-    fn suppressions_parse_rules_and_reason() {
-        let lx = lex("let x = 1; // lint:allow(A002, R002) justified because reasons\n");
-        assert_eq!(lx.suppressions.len(), 1);
-        let s = &lx.suppressions[0];
-        assert_eq!(s.line, 1);
-        assert_eq!(s.rules, vec!["A002", "R002"]);
-        assert_eq!(s.reason, "justified because reasons");
-    }
-
-    #[test]
-    fn suppression_without_reason_has_empty_reason() {
-        let lx = lex("// lint:allow(A002)\n");
-        assert_eq!(lx.suppressions[0].reason, "");
-    }
-
-    #[test]
-    fn lint_allow_inside_string_is_not_a_suppression() {
-        let lx = lex("let s = \"// lint:allow(A002) nope\";\n");
-        assert!(lx.suppressions.is_empty());
     }
 }

@@ -24,42 +24,6 @@ fn count(rel_path: &str, src: &str, rule: &str) -> usize {
 const LIB_PATH: &str = "crates/graph/src/fixture.rs";
 
 #[test]
-fn s002_fires_and_clean() {
-    let fires = include_str!("fixtures/s002_fires.rs");
-    assert_eq!(rules_fired(LIB_PATH, fires), vec!["S002"]);
-    assert_eq!(count(LIB_PATH, fires, "S002"), 1);
-    // A multi-rule marker is audited per rule: A002 fires, R002 never does.
-    let mixed = "// lint:allow(A002, R002) an analytic bound\nfn f(l: &LinkModel) -> f64 { l.transfer_time(1) }\n";
-    assert_eq!(rules_fired(LIB_PATH, mixed), vec!["S002"]);
-
-    let clean = include_str!("fixtures/s002_clean.rs");
-    assert!(rules_fired(LIB_PATH, clean).is_empty());
-}
-
-#[test]
-fn a002_fires_and_clean() {
-    let fires = include_str!("fixtures/a002_fires.rs");
-    assert_eq!(rules_fired("crates/core/src/fixture.rs", fires), vec!["A002"]);
-    assert_eq!(count("crates/core/src/fixture.rs", fires, "A002"), 5);
-    // Cluster code outside the network helper and the simulator fires too.
-    assert_eq!(rules_fired("crates/cluster/src/fixture.rs", fires), vec!["A002"]);
-    // The device crate (where the models and adapters live), the network
-    // pricing helper, the span-emitting cluster simulator, and
-    // non-library code may price directly.
-    assert!(rules_fired("crates/device/src/fixture.rs", fires).is_empty());
-    assert!(rules_fired("crates/cluster/src/network.rs", fires).is_empty());
-    assert!(rules_fired("crates/cluster/src/sim.rs", fires).is_empty());
-    assert!(rules_fired("crates/core/tests/fixture.rs", fires).is_empty());
-    assert!(rules_fired("crates/bench/src/fixture.rs", fires).is_empty());
-
-    let clean = include_str!("fixtures/a002_clean.rs");
-    assert!(rules_fired("crates/core/src/fixture.rs", clean).is_empty());
-    // Mentioning the name without calling it (docs, re-exports) is fine.
-    let no_call = "pub use gnn_dm_device::transfer::time_extract_load;\n";
-    assert!(rules_fired("crates/core/src/fixture.rs", no_call).is_empty());
-}
-
-#[test]
 fn r002_fires_and_clean() {
     let fires = include_str!("fixtures/r002_fires.rs");
     assert_eq!(rules_fired(LIB_PATH, fires), vec!["R002"]);
@@ -75,23 +39,6 @@ fn r002_fires_and_clean() {
 
     let clean = include_str!("fixtures/r002_clean.rs");
     assert!(rules_fired(LIB_PATH, clean).is_empty());
-}
-
-#[test]
-fn suppressions_round_trip() {
-    // Reasoned suppressions silence exactly their rules…
-    let ok = include_str!("fixtures/suppression_ok.rs");
-    assert!(rules_fired(LIB_PATH, ok).is_empty());
-
-    // …while reason-less or mis-targeted ones leave the violation standing.
-    let bad = include_str!("fixtures/suppression_bad.rs");
-    assert_eq!(rules_fired(LIB_PATH, bad), vec!["A002", "S001", "S002"]);
-    // Both calls still reported: neither suppression was valid for them.
-    assert_eq!(count(LIB_PATH, bad, "A002"), 2);
-    // One reason-less marker (S001), one reasoned marker naming a rule
-    // that never fires on its lines (S002).
-    assert_eq!(count(LIB_PATH, bad, "S001"), 1);
-    assert_eq!(count(LIB_PATH, bad, "S002"), 1);
 }
 
 #[test]
@@ -118,14 +65,9 @@ fn l001_mini_workspaces() {
 
 #[test]
 fn diagnostics_carry_location_and_rule() {
-    for (fires, rule, hint) in [
-        (include_str!("fixtures/a002_fires.rs"), "A002", "gnn_dm_device::traced"),
-        (include_str!("fixtures/r002_fires.rs"), "R002", "split_seed"),
-    ] {
-        let diags = lint_sources(&[(LIB_PATH, fires)]);
-        let first = diags.first().expect("fixture must produce a diagnostic");
-        assert_eq!((first.file.as_str(), first.rule), (LIB_PATH, rule));
-        assert!(first.line > 1, "line numbers are 1-based and past the header");
-        assert!(first.message.contains(hint), "{first:?}");
-    }
+    let diags = lint_sources(&[(LIB_PATH, include_str!("fixtures/r002_fires.rs"))]);
+    let first = diags.first().expect("fixture must produce a diagnostic");
+    assert_eq!((first.file.as_str(), first.rule), (LIB_PATH, "R002"));
+    assert!(first.line > 1, "line numbers are 1-based and past the header");
+    assert!(first.message.contains("split_seed"), "{first:?}");
 }

@@ -14,15 +14,14 @@ use gnn_dm_lint::tokenizer::lex;
 use proptest::prelude::*;
 
 /// Rust-ish source fragments, including the constructs the tokenizer has
-/// special cases for: comments, suppressions, strings, raw strings, chars,
+/// special cases for: comments, strings, raw strings, chars,
 /// lifetimes, non-ASCII text, and unterminated delimiters.
 const FRAGMENTS: &[&str] = &[
     "fn f() {",
     "}",
     "pub struct S;",
-    "// lint:allow(R002) the unit index is the split index",
-    "// lint:allow(A002)",
-    "/// doc about lint:allow(RULE) syntax",
+    "// a line comment: fn g() {",
+    "/// a doc comment about `r#\"raw\"#` syntax",
     "let x = y.unwrap();",
     "\"string with // not a comment\"",
     "r#\"raw \"quoted\" string\"#",
@@ -88,10 +87,10 @@ fn arb_byte_source() -> impl Strategy<Value = String> {
 /// and report 1-based line numbers that never exceed the line count and
 /// never decrease token-to-token.
 fn check_front_end_total(src: &str) {
-    let lexed = lex(src);
+    let tokens = lex(src);
     let num_lines = src.split('\n').count();
     let mut prev_line = 1;
-    for t in &lexed.tokens {
+    for t in &tokens {
         prop_assert!(t.line >= 1, "line numbers are 1-based");
         prop_assert!(
             t.line <= num_lines,
@@ -102,25 +101,18 @@ fn check_front_end_total(src: &str) {
         prop_assert!(t.line >= prev_line, "token lines must be nondecreasing");
         prev_line = t.line;
     }
-    for s in &lexed.suppressions {
-        prop_assert!(s.line >= 1 && s.line <= num_lines);
-    }
 
     // Determinism: the same source lexes to the same stream.
     let again = lex(src);
-    prop_assert_eq!(&lexed.tokens, &again.tokens);
-    prop_assert_eq!(
-        format!("{:?}", lexed.suppressions),
-        format!("{:?}", again.suppressions)
-    );
+    prop_assert_eq!(&tokens, &again);
 
     // The item parser is total over any token stream and keeps spans sane.
-    let items = parse_items(&lexed.tokens);
+    let items = parse_items(&tokens);
     for it in &items {
         prop_assert!(it.line >= 1 && it.line <= num_lines);
-        prop_assert!(it.tok_start < it.tok_end && it.tok_end <= lexed.tokens.len());
+        prop_assert!(it.tok_start < it.tok_end && it.tok_end <= tokens.len());
     }
-    prop_assert_eq!(format!("{:?}", items), format!("{:?}", parse_items(&again.tokens)));
+    prop_assert_eq!(format!("{:?}", items), format!("{:?}", parse_items(&again)));
 }
 
 proptest! {
@@ -138,16 +130,15 @@ proptest! {
 
     /// Any content that cannot contain the closing delimiter, wrapped in an
     /// `r##"…"##` literal, lexes to exactly one `Str` token — nothing inside
-    /// (quotes, `//`, `/*`, `lint:allow`) may leak tokens or suppressions —
+    /// (quotes, `//`, `/*`) may leak tokens —
     /// and code after the literal still lexes.
     #[test]
     fn raw_strings_with_hashes_are_opaque(picks in proptest::collection::vec(0usize..RAW_POOL.len(), 0..40)) {
         let content: String = picks.iter().map(|&i| RAW_POOL[i]).collect();
         let content = content.replace("\"##", "'");
         let src = format!("let s = r##\"{content}\"##; tail");
-        let lexed = lex(&src);
-        prop_assert!(lexed.suppressions.is_empty());
-        let texts: Vec<&str> = lexed.tokens.iter().map(|t| t.text.as_str()).collect();
+        let tokens = lex(&src);
+        let texts: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
         prop_assert_eq!(texts, vec!["let", "s", "=", "", ";", "tail"]);
     }
 }

@@ -2,14 +2,15 @@
 //! rule catalog and layering DAG in DESIGN.md must match the code.
 //!
 //! `cargo test --workspace` runs this alongside the unit suites, so any
-//! commit that adds an untraced cost-model call, a non-DAG or unused
-//! gnn-dm dependency, a raw seed in a parallel closure, or a stale or
-//! reason-less `lint:allow` fails CI with the full diagnostic list. (Wall
-//! clocks, hash collections, raw threads, sync primitives, library panics
-//! and library console output are clippy's: `scripts/check.sh`. What this
-//! file pins of them is that every library declares the panic and print
-//! bans and that no `allow` exempts a site from them. It also confines
-//! library file and stream access to the graph crate's file format.)
+//! commit that adds a non-DAG or unused gnn-dm dependency or a raw seed in
+//! a parallel closure fails CI with the full diagnostic list. (Wall clocks,
+//! hash collections, raw threads, sync primitives, library panics, library
+//! console output and raw cost-model pricing are clippy's:
+//! `scripts/check.sh`. What this file pins of them is that every library
+//! declares the panic and print bans, that `clippy.toml` still bans every
+//! raw pricing entry point, and that no `allow` exempts a site from them.
+//! It also confines library file and stream access to the graph crate's
+//! file format.)
 
 use gnn_dm_lint::tokenizer::TokenKind;
 use gnn_dm_lint::RULE_IDS;
@@ -102,6 +103,66 @@ fn every_library_denies_panics() {
     }
 }
 
+/// The raw cost-model pricing entry points. A call to one outside a
+/// span-emitting entry point prices seconds that never reach the trace
+/// timeline, so `clippy.toml` bans each and the sanctioned sites carry an
+/// `#[expect(clippy::disallowed_methods, ..)]`.
+const PRICING_BANS: &[&str] = &[
+    "gnn_dm_device::link::LinkModel::transfer_time",
+    "gnn_dm_device::transfer::TransferEngine::time",
+    "gnn_dm_cluster::network::exchange_time",
+    "gnn_dm_cluster::network::allreduce_time",
+    "gnn_dm_cluster::network::stale_allreduce_time",
+    "gnn_dm_cluster::network::snapshot_time",
+];
+
+/// Tier-1 runs no clippy, so dropping a pricing ban from `clippy.toml`
+/// fails here: each path is an entry of the `disallowed-methods` list.
+#[test]
+fn clippy_toml_bans_every_raw_pricing_entry_point() {
+    let toml = std::fs::read_to_string(root().join("clippy.toml"))
+        .expect("clippy.toml must exist at the workspace root");
+    let methods = toml
+        .split_once("disallowed-methods = [")
+        .and_then(|(_, rest)| rest.split_once("\n]"))
+        .map(|(list, _)| list)
+        .expect("clippy.toml must carry a `disallowed-methods = [ .. ]` list");
+    let entries: Vec<&str> =
+        methods.lines().map(str::trim).filter(|line| !line.starts_with('#')).collect();
+    for path in PRICING_BANS {
+        let entry = format!("{{ path = \"{path}\",");
+        assert!(
+            entries.iter().any(|line| line.starts_with(&entry)),
+            "clippy.toml's disallowed-methods must ban `{path}`"
+        );
+    }
+}
+
+/// The lint reads no suppression comments any more: a leftover marker
+/// exempts nothing, so none may remain. (The needle is spelled in two
+/// halves so this file does not match itself.)
+#[test]
+fn no_suppression_markers_remain() {
+    let marker = concat!("lint", ":allow(");
+    let root = root();
+    let files = gnn_dm_lint::source_files(&root);
+    assert!(files.len() > 50, "walker found only {} files", files.len());
+    let offenders: Vec<String> = files
+        .iter()
+        .filter(|path| {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            text.contains(marker)
+        })
+        .map(|path| path.strip_prefix(&root).unwrap_or(path).display().to_string())
+        .collect();
+    assert!(
+        offenders.is_empty(),
+        "replace these markers with #[expect(.., reason = \"..\")]:\n{}",
+        offenders.join("\n")
+    );
+}
+
 /// Exemptions from the clippy-owned rules are `#[expect]`, which
 /// `unfulfilled_lint_expectations` reports once stale; an `allow(..)` of
 /// one of them (plain or inside `cfg_attr`) would silently outlive its
@@ -112,7 +173,7 @@ fn clippy_owned_rules_are_exempted_only_by_expect() {
     assert!(read_errors.is_empty(), "unreadable files: {read_errors:?}");
     let mut offenders = Vec::new();
     for file in set.files.values() {
-        let tokens = &file.lexed.tokens;
+        let tokens = &file.tokens;
         for (i, t) in tokens.iter().enumerate() {
             let opens_list = t.kind == TokenKind::Ident
                 && t.text == "allow"
@@ -162,7 +223,7 @@ fn library_io_is_confined_to_the_graph_format() {
             continue;
         }
         libraries += 1;
-        let tokens = &file.lexed.tokens;
+        let tokens = &file.tokens;
         let path_sep = |j: usize| tokens.get(j).is_some_and(|t| t.text == "::");
         for (i, t) in tokens.iter().enumerate() {
             let names_io = t.kind == TokenKind::Ident

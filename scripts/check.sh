@@ -22,7 +22,9 @@ cargo build --workspace --release
 # Only the chosen lints, not a clippy::all sweep: clippy.toml's bans (wall
 # clock, hash collections, raw threads, and the sync primitives — Mutex,
 # RwLock, Condvar, Barrier, Once, OnceLock, every Atomic*, mpsc channels —
-# outside gnn-dm-par), the panic-family and print_stdout/print_stderr
+# outside gnn-dm-par; and raw cost-model pricing — LinkModel::transfer_time,
+# TransferEngine::time, the cluster network models — outside the sites that
+# put its seconds on a span timeline), the panic-family and print_stdout/print_stderr
 # denies in each library lib.rs, a reason on every allow/expect, and
 # (through -D warnings) rustc's unfulfilled_lint_expectations for a stale
 # #[expect]. Clippy lints
@@ -36,7 +38,7 @@ clippy_rustflags="${RUSTFLAGS}"
 if [[ "${host}" == x86_64-* ]]; then
     clippy_rustflags+=" -C target-feature=+avx512f"
 fi
-echo "==> cargo clippy (clippy.toml bans: wall clock, hash order, raw threads, sync primitives; library panic and print denies; reasons on every allow/expect)"
+echo "==> cargo clippy (clippy.toml bans: wall clock, hash order, raw threads, sync primitives, raw cost-model pricing; library panic and print denies; reasons on every allow/expect)"
 RUSTFLAGS="${clippy_rustflags}" cargo clippy --workspace --all-targets -q --target "${host}" -- -A clippy::all \
     -D clippy::disallowed_methods -D clippy::disallowed_types \
     -D clippy::allow_attributes_without_reason
