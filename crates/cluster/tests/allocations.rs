@@ -11,66 +11,11 @@ use gnn_dm_cluster::ClusterSim;
 use gnn_dm_graph::generate::{planted_partition, PplConfig};
 use gnn_dm_partition::metis::{metis_extend, MetisVariant};
 use gnn_dm_sampling::FanoutSampler;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// Allocation events of the counting thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Tally {
-    allocs: usize,
-    reallocs: usize,
-}
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static TALLY: Cell<Option<Tally>> = const { Cell::new(None) };
-}
-
-/// Adds `f` of the current tally, when this thread is counting.
-fn record(f: impl FnOnce(&mut Tally)) {
-    // `try_with`: the allocator also runs while thread locals are torn down.
-    let _ = TALLY.try_with(|t| {
-        if let Some(mut tally) = t.get() {
-            f(&mut tally);
-            t.set(Some(tally));
-        }
-    });
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded to `System` unchanged; the tally only
-// counts the calls.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(|t| t.allocs += 1);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(|t| t.allocs += 1);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(|t| t.reallocs += 1);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` with this thread's allocations counted.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
-    TALLY.with(|t| t.set(Some(Tally::default())));
-    let out = f();
-    let tally = TALLY.with(|t| t.take()).unwrap_or_default();
-    (out, tally)
-}
+use counting_alloc::counted;
 
 /// Epoch 1 of four workers on a 2 000-vertex planted graph under Metis-V,
 /// 32-seed batches and fanout (10, 5), after epoch 0 warmed the process.
@@ -85,5 +30,5 @@ fn a_warm_cluster_epoch_allocation_count_is_pinned() {
         counted(|| sim.simulate_epoch(&sampler, 1))
     });
     assert_eq!(report.num_batches.iter().sum::<usize>(), 42);
-    assert_eq!(tally, Tally { allocs: 434, reallocs: 85 });
+    assert_eq!((tally.allocs, tally.reallocs), (434, 85));
 }

@@ -101,10 +101,8 @@ impl FileSet {
                 if t.kind != TokenKind::Ident {
                     continue;
                 }
-                if let Some(to) = crate::workspace::gnn_ident_key(&t.text) {
-                    if to != key {
-                        refs.push(to.to_string());
-                    }
+                if let Some(to) = t.text.strip_prefix("gnn_dm_").filter(|to| !to.is_empty() && *to != key) {
+                    refs.push(to.to_string());
                 }
             }
         }

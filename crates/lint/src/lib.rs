@@ -1,12 +1,12 @@
 //! gnn-dm-lint: a zero-dependency static-analysis pass over the workspace.
 //!
-//! The paper's experiments stand on invariants no single-file check can
-//! see: a layered crate graph, and parallel work closures that seed every
-//! unit from `split_seed`. This crate walks every `.rs` file in the
-//! workspace with its own comment/string-aware tokenizer and enforces the
-//! manifest check in [`workspace`] (L001) and the call-graph rule in
+//! The paper's experiments stand on an invariant no single-file check can
+//! see: parallel work closures that seed every unit from `split_seed`.
+//! This crate walks every `.rs` file in the workspace with its own
+//! comment/string-aware tokenizer and enforces the call-graph rule in
 //! [`seeds`] (R002); `tests/workspace_clean.rs` pins the workspace at zero
-//! violations. What a type can say — bytes vs. seconds, `Fn + Sync` work
+//! violations and checks every `Cargo.toml` against the layering DAG in
+//! DESIGN.md §10. What a type can say — bytes vs. seconds, `Fn + Sync` work
 //! closures — is left to the compiler; what a path-resolving per-file
 //! check can say — wall clock, hash collections, raw threads, sync
 //! primitives, library panics, console output and raw cost-model pricing —
@@ -15,7 +15,7 @@
 //! reports once stale; and what a run can count — allocations on the hot
 //! paths — to the counting-allocator tests (`crates/*/tests/allocations.rs`).
 //!
-//! Run it directly with `cargo run -p gnn-dm-lint`.
+//! Run it with `cargo test -p gnn-dm-lint --test workspace_clean`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::print_stdout, clippy::print_stderr)]
 
@@ -24,13 +24,12 @@ pub mod items;
 pub mod rules;
 pub mod seeds;
 pub mod tokenizer;
-pub mod workspace;
 
 pub use rules::Diagnostic;
 
 /// Every rule ID the linter can emit, sorted. `tests/workspace_clean.rs`
 /// checks it against the DESIGN.md §7 catalog in both directions.
-pub const RULE_IDS: &[&str] = &["L001", "R002"];
+pub const RULE_IDS: &[&str] = &["R002"];
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -63,25 +62,10 @@ impl Report {
 }
 
 /// Lints every workspace `.rs` file under `root`'s scan roots through
-/// [`lint_sources`]' pipeline, then L001's manifest half: the root
-/// `Cargo.toml` and every `crates/*` member's, against the source
-/// references the same file set collected (sources are lexed once per run).
+/// [`lint_sources`]' pipeline.
 pub fn lint_workspace(root: &Path) -> Report {
     let (set, read_errors) = callgraph::FileSet::load(root);
     let mut diagnostics = dataflow_lint(&set);
-    let mut manifests = vec![(workspace::ROOT_KEY.to_string(), "Cargo.toml".to_string())];
-    if let Ok(entries) = fs::read_dir(root.join("crates")) {
-        for entry in entries.flatten() {
-            let key = entry.file_name().to_string_lossy().into_owned();
-            let rel = format!("crates/{key}/Cargo.toml");
-            manifests.push((key, rel));
-        }
-    }
-    for (key, rel) in manifests {
-        let Ok(text) = fs::read_to_string(root.join(&rel)) else { continue };
-        let refs = set.refs.get(&key).map_or(&[][..], Vec::as_slice);
-        diagnostics.extend(workspace::check_manifest(&key, &rel, &text, refs));
-    }
     sort_diagnostics(&mut diagnostics);
     Report { diagnostics, files_scanned: set.files.len(), read_errors }
 }

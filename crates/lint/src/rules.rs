@@ -4,10 +4,13 @@
 //! hash collections, raw threads, library panics, raw cost-model pricing)
 //! are clippy's: see DESIGN.md "Determinism & lint rule catalog".
 
+/// Layer key of the workspace's root package (DESIGN.md §10).
+pub const ROOT_KEY: &str = "gnn-dm";
+
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Stable rule identifier (`L001`, `R002`).
+    /// Stable rule identifier (`R002`).
     pub rule: &'static str,
     /// Workspace-relative path with `/` separators.
     pub file: String,
@@ -49,9 +52,9 @@ impl FileCtx {
     }
 
     /// Key of this file's crate in the layering DAG: the `crates/` dir
-    /// name, or [`crate::workspace::ROOT_KEY`] for root-package files.
+    /// name, or [`ROOT_KEY`] for root-package files.
     pub fn layer_key(&self) -> &str {
-        self.crate_dir.as_deref().unwrap_or(crate::workspace::ROOT_KEY)
+        self.crate_dir.as_deref().unwrap_or(ROOT_KEY)
     }
 }
 
@@ -66,7 +69,7 @@ mod tests {
         let bench = FileCtx::from_rel_path("crates/bench/src/harness.rs");
         assert!(bench.non_library);
         let main = FileCtx::from_rel_path("src/main.rs");
-        assert!(main.non_library && main.layer_key() == crate::workspace::ROOT_KEY);
+        assert!(main.non_library && main.layer_key() == ROOT_KEY);
         let test = FileCtx::from_rel_path("crates/graph/tests/properties.rs");
         assert!(test.non_library && test.layer_key() == "graph");
         let example = FileCtx::from_rel_path("examples/partitioning_study.rs");

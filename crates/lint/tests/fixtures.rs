@@ -42,28 +42,6 @@ fn r002_fires_and_clean() {
 }
 
 #[test]
-fn l001_mini_workspaces() {
-    let fixtures = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let lint = |name: &str| {
-        let report = gnn_dm_lint::lint_workspace(&fixtures.join(name));
-        assert!(report.read_errors.is_empty() && report.files_scanned > 0, "{name}: {report:?}");
-        report.diagnostics
-    };
-
-    // Fires: gnn-dm-nn is a forbidden edge AND unused (two diagnostics),
-    // gnn-dm-graph is allowed but unused (one diagnostic).
-    let diags = lint("l001_ws_fires");
-    assert_eq!(diags.len(), 3, "{diags:?}");
-    assert!(diags.iter().all(|d| d.rule == "L001"));
-    assert!(diags.iter().all(|d| d.file == "crates/partition/Cargo.toml"));
-    assert_eq!(diags.iter().filter(|d| d.message.contains("not an edge")).count(), 1);
-    assert_eq!(diags.iter().filter(|d| d.message.contains("never referenced")).count(), 2);
-
-    // Clean: the one declared gnn-dm dep is allowed and referenced.
-    assert!(lint("l001_ws_clean").is_empty());
-}
-
-#[test]
 fn diagnostics_carry_location_and_rule() {
     let diags = lint_sources(&[(LIB_PATH, include_str!("fixtures/r002_fires.rs"))]);
     let first = diags.first().expect("fixture must produce a diagnostic");

@@ -1,5 +1,6 @@
-//! Tier-1 gate: the whole workspace must stay lint-clean forever, and the
-//! rule catalog and layering DAG in DESIGN.md must match the code.
+//! Tier-1 gate: the whole workspace must stay lint-clean forever, every
+//! manifest must follow the layering DAG in DESIGN.md §10, and the rule
+//! catalog in DESIGN.md must match the code.
 //!
 //! `cargo test --workspace` runs this alongside the unit suites, so any
 //! commit that adds a non-DAG or unused gnn-dm dependency or a raw seed in
@@ -12,8 +13,11 @@
 //! It also confines library file and stream access to the graph crate's
 //! file format.)
 
+use gnn_dm_lint::callgraph::FileSet;
+use gnn_dm_lint::rules::ROOT_KEY;
 use gnn_dm_lint::tokenizer::TokenKind;
 use gnn_dm_lint::RULE_IDS;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// The panic and console ban every library crate declares. A library
@@ -169,7 +173,7 @@ fn no_suppression_markers_remain() {
 /// site.
 #[test]
 fn clippy_owned_rules_are_exempted_only_by_expect() {
-    let (set, read_errors) = gnn_dm_lint::callgraph::FileSet::load(&root());
+    let (set, read_errors) = FileSet::load(&root());
     assert!(read_errors.is_empty(), "unreadable files: {read_errors:?}");
     let mut offenders = Vec::new();
     for file in set.files.values() {
@@ -214,7 +218,7 @@ fn clippy_owned_rules_are_exempted_only_by_expect() {
 /// lint tooling are not libraries.
 #[test]
 fn library_io_is_confined_to_the_graph_format() {
-    let (set, read_errors) = gnn_dm_lint::callgraph::FileSet::load(&root());
+    let (set, read_errors) = FileSet::load(&root());
     assert!(read_errors.is_empty(), "unreadable files: {read_errors:?}");
     let mut offenders = Vec::new();
     let mut libraries = 0;
@@ -242,14 +246,190 @@ fn library_io_is_confined_to_the_graph_format() {
     );
 }
 
+/// The layering DAG, read from the DESIGN.md §10 table (the one place it
+/// is written): each row's crate key and the keys it may depend on.
+fn dag_rows(design: &str) -> BTreeMap<&str, Vec<&str>> {
+    fn key(cell: &str) -> &str {
+        cell.trim().trim_matches('`')
+    }
+    design
+        .lines()
+        .skip_while(|line| *line != "| crate | layer | may depend on |")
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .filter_map(|line| {
+            let cells: Vec<&str> = line.trim_matches('|').split('|').collect();
+            let deps = cells.get(2)?.split(',').map(key).filter(|d| *d != "—").collect();
+            Some((key(cells[0]), deps))
+        })
+        .collect()
+}
+
+/// The dependency kind and, for the dotted `[dependencies.<name>]` form,
+/// the one dependency a table header (brackets stripped) declares:
+/// `Ok(None)` for a table that declares none, `Err` for a header that
+/// names dependencies in a form this reader does not follow.
+fn dependency_table(header: &str) -> Result<Option<(&str, Option<&str>)>, ()> {
+    if !header.contains("dependencies") || header.starts_with("workspace.dependencies") {
+        return Ok(None);
+    }
+    // `target.<cfg>.<table>`, where a quoted cfg may itself hold dots.
+    let table = match header.strip_prefix("target.") {
+        Some(rest) => {
+            let cfg_end = match rest.chars().next() {
+                Some(q @ ('\'' | '"')) => rest[1..].find(q).map(|end| end + 2),
+                _ => rest.find('.'),
+            };
+            cfg_end.and_then(|end| rest[end..].strip_prefix('.')).ok_or(())?
+        }
+        None => header,
+    };
+    let (kind, name) = match table.split_once('.') {
+        Some((kind, name)) => (kind, Some(name.trim_matches('"'))),
+        None => (table, None),
+    };
+    let kinds = ["dependencies", "dev-dependencies", "build-dependencies"];
+    let plain_name = name.is_none_or(|n| !n.is_empty() && !n.contains(['.', '\'']));
+    (kinds.contains(&kind) && plain_name).then_some(Some((kind, name))).ok_or(())
+}
+
+/// Every way `manifests` (`(crate key, path, text)`) break the DESIGN.md
+/// §10 DAG, as `path:line message`: a crate with no row, a declared
+/// `gnn-dm-*` dependency its row does not allow, one its sources (`refs`:
+/// crate key → the `gnn_dm_*` keys they name) never name, and a dependency
+/// table this reader cannot follow.
+fn layering_violations(
+    design: &str,
+    manifests: &[(&str, &str, &str)],
+    refs: &BTreeMap<String, Vec<String>>,
+) -> Vec<String> {
+    let dag = dag_rows(design);
+    let mut out = Vec::new();
+    if dag.is_empty() {
+        out.push("DESIGN.md: no `| crate | layer | may depend on |` table".to_string());
+    }
+    for &(key, path, text) in manifests {
+        let Some(allowed) = dag.get(key) else {
+            out.push(format!("{path}:1 crate `{key}` has no row in the DESIGN.md §10 table"));
+            continue;
+        };
+        let named = refs.get(key).map_or(&[][..], Vec::as_slice);
+        let mut table = None;
+        for (idx, raw) in text.lines().enumerate() {
+            let at = format!("{path}:{}", idx + 1);
+            let line = raw.split('#').next().unwrap_or("").trim();
+            let name = if line.starts_with('[') {
+                table = dependency_table(line.trim_matches(['[', ']'])).unwrap_or_else(|()| {
+                    out.push(format!("{at} cannot read dependency table `{line}`"));
+                    None
+                });
+                match table {
+                    Some((_, Some(name))) => name,
+                    _ => continue,
+                }
+            } else if table.is_some() && line.split(['{', ',']).any(|kv| kv.trim().starts_with("package")) {
+                out.push(format!("{at} cannot follow a renamed dependency: `{line}`"));
+                continue;
+            } else if let Some((_, None)) = table {
+                let key_chars = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+                line.trim_start_matches('"').split(|c| !key_chars(c)).next().unwrap_or("")
+            } else {
+                continue;
+            };
+            let dep = if name == ROOT_KEY { Some(ROOT_KEY) } else { name.strip_prefix("gnn-dm-") };
+            let Some(dep) = dep else { continue };
+            let kind = table.map_or("", |(kind, _)| kind);
+            if dep != key && !allowed.contains(&dep) {
+                out.push(format!("{at} `{key}` → `{dep}` ([{kind}]) is not an edge of the DESIGN.md §10 DAG"));
+            }
+            if !named.iter().any(|r| r == dep) {
+                out.push(format!("{at} [{kind}] `{name}` is never named by `{key}` sources; delete it"));
+            }
+        }
+    }
+    out
+}
+
+/// The root manifest and every `crates/*` one, each read in full, against
+/// the DESIGN.md §10 table and the references the call graph's scan finds.
 #[test]
-fn design_doc_carries_the_normative_dag_table() {
-    let table = gnn_dm_lint::workspace::allowed_edges_markdown();
+fn manifests_follow_the_layering_dag() {
+    let root = root();
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ must be readable");
+    let keys = crates.flatten().map(|entry| entry.file_name().to_string_lossy().into_owned());
+    let texts: Vec<(String, String, String)> = std::iter::once(ROOT_KEY.to_string())
+        .chain(keys)
+        .map(|key| {
+            let path = if key == ROOT_KEY { "Cargo.toml".into() } else { format!("crates/{key}/Cargo.toml") };
+            let text = std::fs::read_to_string(root.join(&path)).unwrap_or_else(|e| panic!("{path}: {e}"));
+            (key, path, text)
+        })
+        .collect();
+    assert!(texts.len() > 10, "found only {} manifests", texts.len());
+    let manifests: Vec<(&str, &str, &str)> =
+        texts.iter().map(|(key, path, text)| (key.as_str(), path.as_str(), text.as_str())).collect();
+    let (set, read_errors) = FileSet::load(&root);
+    assert!(read_errors.is_empty(), "unreadable files: {read_errors:?}");
+    let violations = layering_violations(&design_md(), &manifests, &set.refs);
     assert!(
-        design_md().contains(&table),
-        "DESIGN.md §10 must contain the ALLOWED_EDGES table byte-for-byte; \
-         re-render it with workspace::allowed_edges_markdown():\n{table}"
+        violations.is_empty(),
+        "manifests break the DESIGN.md §10 layering DAG:\n{}",
+        violations.join("\n")
     );
+}
+
+/// A three-crate DAG for the checker's own cases.
+const MINI_DAG: &str = "\
+| crate | layer | may depend on |
+|---|---|---|
+| `par` | 0 · substrate | — |
+| `graph` | 1 · data | `par` |
+| `nn` | 3 · execution | `par`, `graph` |
+";
+
+/// What [`layering_violations`] finds in crate `graph`'s `manifest` against
+/// [`MINI_DAG`] when its sources name `refs`.
+fn graph_violations(manifest: &str, refs: &[&str]) -> Vec<String> {
+    let refs = BTreeMap::from([("graph".to_string(), refs.iter().map(|r| r.to_string()).collect())]);
+    layering_violations(MINI_DAG, &[("graph", "crates/graph/Cargo.toml", manifest)], &refs)
+}
+
+#[test]
+fn layering_check_flags_unnamed_and_missing_crates_and_ignores_the_workspace_table() {
+    let manifest = "[workspace.dependencies]\ngnn-dm-nn = { path = \"crates/nn\" }\n\n\
+                    [package]\nname = \"gnn-dm-graph\" # the crate\n\n\
+                    [dependencies]\ngnn-dm-par.workspace = true\nrand.workspace = true\n";
+    assert_eq!(graph_violations(manifest, &["par"]), Vec::<String>::new());
+    assert_eq!(
+        graph_violations(manifest, &[]),
+        ["crates/graph/Cargo.toml:8 [dependencies] `gnn-dm-par` is never named by `graph` sources; delete it"]
+    );
+    let missing = layering_violations(MINI_DAG, &[("device", "crates/device/Cargo.toml", "")], &BTreeMap::new());
+    assert_eq!(missing, ["crates/device/Cargo.toml:1 crate `device` has no row in the DESIGN.md §10 table"]);
+}
+
+#[test]
+fn layering_check_reads_every_dependency_table() {
+    for (manifest, at, kind) in [
+        ("[dependencies]\ngnn-dm-nn.workspace = true\n", 2, "dependencies"),
+        ("[build-dependencies]\ngnn-dm-nn.workspace = true\n", 2, "build-dependencies"),
+        ("[target.'cfg(unix)'.dependencies]\ngnn-dm-nn.workspace = true\n", 2, "dependencies"),
+        ("[target.x86_64-unknown-linux-gnu.dev-dependencies]\ngnn-dm-nn.workspace = true\n", 2, "dev-dependencies"),
+        ("[dependencies.gnn-dm-nn]\nworkspace = true\n", 1, "dependencies"),
+        ("[dependencies]\n\"gnn-dm-nn\" = { path = \"../nn\" }\n", 2, "dependencies"),
+    ] {
+        assert_eq!(
+            graph_violations(manifest, &["nn"]),
+            [format!("crates/graph/Cargo.toml:{at} `graph` → `nn` ([{kind}]) is not an edge of the DESIGN.md §10 DAG")],
+            "{manifest}"
+        );
+    }
+    let unreadable =
+        ["[tool-dependencies]\n", "[target.'cfg(unix.dependencies]\n", "[dependencies]\nnn = { package = \"gnn-dm-nn\" }\n"];
+    for manifest in unreadable {
+        let found = graph_violations(manifest, &["nn"]);
+        assert!(found.len() == 1 && found[0].contains("cannot"), "{manifest}: {found:?}");
+    }
 }
 
 /// Every shipped rule has a DESIGN.md §7 row with non-empty scope and

@@ -16,80 +16,11 @@ use gnn_dm_nn::optim::Adam;
 use gnn_dm_nn::train::{evaluate, train_epoch};
 use gnn_dm_sampling::epoch::EpochPlan;
 use gnn_dm_sampling::{BatchSelection, BatchSizeSchedule, FanoutSampler};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// Allocation events of the counting thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Tally {
-    allocs: usize,
-    reallocs: usize,
-    /// Allocations and reallocations to at least [`LARGE`] bytes.
-    large: usize,
-}
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
-/// glibc's default mmap threshold.
-const LARGE: usize = 128 << 10;
-
-thread_local! {
-    static TALLY: Cell<Option<Tally>> = const { Cell::new(None) };
-}
-
-/// Adds `f` of the current tally, when this thread is counting.
-fn record(f: impl FnOnce(&mut Tally)) {
-    // `try_with`: the allocator also runs while thread locals are torn down.
-    let _ = TALLY.try_with(|t| {
-        if let Some(mut tally) = t.get() {
-            f(&mut tally);
-            t.set(Some(tally));
-        }
-    });
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded to `System` unchanged; the tally only
-// reads the layouts.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(|t| {
-            t.allocs += 1;
-            t.large += usize::from(layout.size() >= LARGE);
-        });
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(|t| {
-            t.allocs += 1;
-            t.large += usize::from(layout.size() >= LARGE);
-        });
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(|t| {
-            t.reallocs += 1;
-            t.large += usize::from(new_size >= LARGE);
-        });
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` with this thread's allocations counted.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
-    TALLY.with(|t| t.set(Some(Tally::default())));
-    let out = f();
-    let tally = TALLY.with(|t| t.take()).unwrap_or_default();
-    (out, tally)
-}
+use counting_alloc::{counted, Tally};
 
 /// What epochs 1 and 2 of a three-layer `kind` model and the evaluation
 /// after them allocate, on a 3 000-vertex, 48-wide planted graph with
@@ -130,16 +61,16 @@ fn warm_tallies(kind: AggKind) -> [Tally; 3] {
 }
 
 /// `(allocs, reallocs, large)` of epoch 1, epoch 2 and the evaluation.
-fn tallies(pins: [(usize, usize, usize); 3]) -> [Tally; 3] {
-    pins.map(|(allocs, reallocs, large)| Tally { allocs, reallocs, large })
+fn pinned(kind: AggKind) -> [(usize, usize, usize); 3] {
+    warm_tallies(kind).map(|t| (t.allocs, t.reallocs, t.large))
 }
 
 #[test]
 fn gcn_epoch_and_evaluation_allocations_are_pinned() {
-    assert_eq!(warm_tallies(AggKind::Gcn), tallies([(573, 34, 12), (603, 34, 18), (8, 0, 5)]));
+    assert_eq!(pinned(AggKind::Gcn), [(573, 34, 12), (603, 34, 18), (8, 0, 5)]);
 }
 
 #[test]
 fn sage_epoch_and_evaluation_allocations_are_pinned() {
-    assert_eq!(warm_tallies(AggKind::SageMean), tallies([(578, 34, 21), (591, 34, 27), (8, 0, 5)]));
+    assert_eq!(pinned(AggKind::SageMean), [(578, 34, 21), (591, 34, 27), (8, 0, 5)]);
 }

@@ -6,68 +6,11 @@
 
 use gnn_dm_graph::datasets::{DatasetId, DatasetSpec};
 use gnn_dm_partition::metis::{metis_extend, MetisVariant};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// Live bytes of the counting thread and their high-water mark.
-#[derive(Debug, Clone, Copy, Default)]
-struct Tally {
-    live_bytes: isize,
-    peak_bytes: isize,
-}
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static TALLY: Cell<Option<Tally>> = const { Cell::new(None) };
-}
-
-/// Moves the live byte count by `delta`, when this thread is counting.
-fn record(delta: isize) {
-    // `try_with`: the allocator also runs while thread locals are torn down.
-    let _ = TALLY.try_with(|t| {
-        if let Some(mut tally) = t.get() {
-            tally.live_bytes += delta;
-            tally.peak_bytes = tally.peak_bytes.max(tally.live_bytes);
-            t.set(Some(tally));
-        }
-    });
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded to `System` unchanged; the tally only
-// reads the layouts.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(layout.size() as isize);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(layout.size() as isize);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        record(-(layout.size() as isize));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(new_size as isize - layout.size() as isize);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` with this thread's allocations counted.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
-    TALLY.with(|t| t.set(Some(Tally::default())));
-    let out = f();
-    let tally = TALLY.with(|t| t.take()).unwrap_or_default();
-    (out, tally)
-}
+use counting_alloc::counted;
 
 /// Metis-VET (k = 4, seed 7) on the benchmark's `cluster_epoch` graph, a
 /// 20 000-vertex Products stand-in with 623 594 adjacency entries, holds at

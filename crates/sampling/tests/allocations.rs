@@ -10,77 +10,11 @@ use gnn_dm_graph::csr::VId;
 use gnn_dm_graph::generate::{planted_partition, PplConfig};
 use gnn_dm_sampling::sampler::{build_minibatch_seeded_with, FanoutSampler, SampleScratch};
 use gnn_dm_sampling::{Block, MiniBatch};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// Allocation events and live bytes of the counting thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Tally {
-    allocs: usize,
-    reallocs: usize,
-    live_bytes: isize,
-}
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static TALLY: Cell<Option<Tally>> = const { Cell::new(None) };
-}
-
-/// Adds `f` of the current tally, when this thread is counting.
-fn record(f: impl FnOnce(&mut Tally)) {
-    // `try_with`: the allocator also runs while thread locals are torn down.
-    let _ = TALLY.try_with(|t| {
-        if let Some(mut tally) = t.get() {
-            f(&mut tally);
-            t.set(Some(tally));
-        }
-    });
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded to `System` unchanged; the tally only
-// reads the layouts.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(|t| {
-            t.allocs += 1;
-            t.live_bytes += layout.size() as isize;
-        });
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(|t| {
-            t.allocs += 1;
-            t.live_bytes += layout.size() as isize;
-        });
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        record(|t| t.live_bytes -= layout.size() as isize);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(|t| {
-            t.reallocs += 1;
-            t.live_bytes += new_size as isize - layout.size() as isize;
-        });
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` with this thread's allocations counted.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
-    TALLY.with(|t| t.set(Some(Tally::default())));
-    let out = f();
-    let tally = TALLY.with(|t| t.take()).unwrap_or_default();
-    (out, tally)
-}
+use counting_alloc::counted;
 
 /// Bytes of the batch's arrays at their lengths.
 fn exact_bytes(mb: &MiniBatch) -> isize {
@@ -103,8 +37,8 @@ fn assert_exact_build(n: usize, avg_degree: f64, fanouts: &[usize], batch: usize
     assert_eq!(mb, warm, "the arena changes nothing that is drawn");
     mb.validate().expect("batch invariants");
     let layers = fanouts.len();
-    let expect = Tally { allocs: 2 * layers + 3, reallocs: 0, live_bytes: exact_bytes(&mb) };
-    assert_eq!(tally, expect, "{layers} layers, {} ids, {} edges", mb.input_ids().len(), mb.involved_edges());
+    let expect = (2 * layers + 3, 0, exact_bytes(&mb));
+    assert_eq!((tally.allocs, tally.reallocs, tally.live_bytes), expect, "{layers} layers, {} ids, {} edges", mb.input_ids().len(), mb.involved_edges());
 }
 
 /// The `mb_deep` benchmark's batch: a 20 000-vertex, degree-30 graph, 256

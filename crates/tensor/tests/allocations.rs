@@ -9,84 +9,21 @@
 //! is allocated per tile.
 
 use gnn_dm_tensor::{ops, Matrix};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-/// Allocation events and bytes of the counting thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Tally {
-    allocs: usize,
-    reallocs: usize,
-    bytes: usize,
-}
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    static TALLY: Cell<Option<Tally>> = const { Cell::new(None) };
-}
-
-/// Adds `f` of the current tally, when this thread is counting.
-fn record(f: impl FnOnce(&mut Tally)) {
-    // `try_with`: the allocator also runs while thread locals are torn down.
-    let _ = TALLY.try_with(|t| {
-        if let Some(mut tally) = t.get() {
-            f(&mut tally);
-            t.set(Some(tally));
-        }
-    });
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded to `System` unchanged; the tally only
-// reads the layouts.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(|t| {
-            t.allocs += 1;
-            t.bytes += layout.size();
-        });
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(|t| {
-            t.allocs += 1;
-            t.bytes += layout.size();
-        });
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(|t| t.reallocs += 1);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` with this thread's allocations counted, on one thread.
-fn counted(f: impl FnOnce()) -> Tally {
-    gnn_dm_par::with_threads(1, || {
-        TALLY.with(|t| t.set(Some(Tally::default())));
-        f();
-        TALLY.with(|t| t.take()).unwrap_or_default()
-    })
-}
+use counting_alloc::counted;
 
 /// Register-tile width and k-tile depth of the GEMM (`ops.rs`'s `NR` and
 /// `TILE_K`).
 const NR: usize = 32;
 const TILE_K: usize = 128;
 
-/// One allocation of `floats` `f32`s, or none for zero floats.
-fn buffer(floats: usize) -> Tally {
-    let allocs = usize::from(floats > 0);
-    Tally { allocs, reallocs: 0, bytes: floats * size_of::<f32>() }
+/// `(allocs, reallocs, bytes)` of one allocation of `floats` `f32`s, or of
+/// none for zero floats.
+fn buffer(floats: usize) -> (usize, usize, usize) {
+    (usize::from(floats > 0), 0, floats * size_of::<f32>())
 }
 
 fn matrix(rows: usize, cols: usize, salt: usize) -> Matrix {
@@ -99,15 +36,17 @@ const M: usize = 300;
 const K: usize = 400;
 const WIDTHS: [usize; 2] = [96, 80];
 
-/// Warms `product` once, then counts a second run into the same output.
-fn warm_tally(product: impl Fn(&mut Matrix), out_shape: (usize, usize)) -> Tally {
+/// Warms `product` once, then counts a second run into the same output:
+/// `(allocs, reallocs, bytes)`.
+fn warm_tally(product: impl Fn(&mut Matrix), out_shape: (usize, usize)) -> (usize, usize, usize) {
     let mut out = Matrix::zeros(out_shape.0, out_shape.1);
     gnn_dm_par::with_threads(1, || product(&mut out));
-    counted(|| product(&mut out))
+    let ((), t) = gnn_dm_par::with_threads(1, || counted(|| product(&mut out)));
+    (t.allocs, t.reallocs, t.bytes)
 }
 
 /// The copy of `B`'s ragged last strip: `k` rows of `NR` floats.
-fn ragged_tail(k: usize, n: usize) -> Tally {
+fn ragged_tail(k: usize, n: usize) -> (usize, usize, usize) {
     buffer(if n % NR == 0 { 0 } else { k * NR })
 }
 

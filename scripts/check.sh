@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a commit must pass.
 #
-#   scripts/check.sh            # release build + clippy + full test suite + rustdoc + lint
+#   scripts/check.sh            # release build + clippy + full test suite + rustdoc + goldens + benchmark smoke
 #
-# The lint run is technically redundant (crates/lint/tests/workspace_clean.rs
-# runs it under `cargo test` too) but invoking the binary directly prints the
-# diagnostics and the violation count even when everything else is green.
+# The workspace lint (gnn-dm-lint's R002) and the layering-DAG check of every
+# manifest run inside the test suite: crates/lint/tests/workspace_clean.rs.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -170,11 +169,5 @@ env -u RUSTFLAGS MALLOC_MMAP_THRESHOLD_=131072 MALLOC_TRIM_THRESHOLD_=131072 \
     benchmark/run.sh --smoke >/dev/null
 echo "    unpinned smoke added $((SECONDS - unpinned_start)) s"
 
-echo "==> gnn-dm-lint (exit status: 0 clean, 1 violations, 2 usage or I/O error)"
-if ! cargo run -q -p gnn-dm-lint; then
-    echo "FAIL: lint reported violations or could not read the workspace" >&2
-    exit 1
-fi
-
-echo "OK: build, clippy, tests and lint all green"
+echo "OK: build, clippy, tests, rustdoc, goldens and benchmark smoke all green"
 echo "(performance numbers: bash benchmark/run.sh)"
