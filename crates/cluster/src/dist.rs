@@ -66,6 +66,7 @@ pub fn dist_train_epoch(
 ) -> DistEpochResult {
     let schedules = ClusterSim { graph, part, batch_size, seed }.worker_batches(epoch);
     let rounds = schedules.iter().map(Vec::len).max().unwrap_or(0);
+    #[expect(clippy::disallowed_methods, reason = "one serial stream per epoch, mixed from the seed and the epoch; the lock-step rounds draw from it in worker order on one thread")]
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD15C_0B41u64 ^ u64_of_usize(epoch) << 8);
 
     let mut total_loss = 0.0f64;
@@ -134,6 +135,7 @@ pub fn local_sgd_epoch(
     let mut opts: Vec<Sgd> = (0..k).map(|_| Sgd::new(lr)).collect();
     let schedules = ClusterSim { graph, part, batch_size, seed }.worker_batches(epoch);
     let rounds = schedules.iter().map(Vec::len).max().unwrap_or(0);
+    #[expect(clippy::disallowed_methods, reason = "one serial stream per epoch, mixed from the seed and the epoch; the local-SGD rounds draw from it in worker order on one thread")]
     let mut rng = StdRng::seed_from_u64(seed ^ 0x10CA_15D6u64 ^ u64_of_usize(epoch) << 8);
     let mut total_loss = 0.0f64;
     let mut total_batches = 0usize;

@@ -65,6 +65,7 @@ pub fn compare_epoch(
         if batches.is_empty() {
             continue;
         }
+        #[expect(clippy::disallowed_methods, reason = "one serial stream per worker, mixed from the seed, the worker and the epoch, drawn in the serial worker loop")]
         let mut rng = StdRng::seed_from_u64(
             sim.seed ^ 0xC0FF_EE00u64 ^ (u64_of_u32(w) << 40) ^ u64_of_usize(epoch),
         );

@@ -174,6 +174,7 @@ impl<'g> ClusterSim<'g> {
         let epoch_seed = gnn_dm_par::split_seed(self.seed, u64_of_usize(epoch));
         let locality = self.part.locality();
         let partials = gnn_dm_par::par_map_collect(&worker_batches, |i, batches| {
+            #[expect(clippy::disallowed_methods, reason = "each worker unit seeds from split_seed(epoch_seed, i), its own unit index, so its stream is the same at any thread count")]
             let mut rng = StdRng::seed_from_u64(gnn_dm_par::split_seed(epoch_seed, u64_of_usize(i)));
             self.simulate_worker(sampler, &locality, u32_of_index(i), batches, &mut rng)
         });
@@ -211,8 +212,8 @@ impl<'g> ClusterSim<'g> {
     /// remote sampling and feature serving are accounted to the *owner*
     /// worker, which may differ from `w`), plus its per-batch accounting
     /// spans (zero-duration, on the responsible worker's lane). The batch
-    /// list and the sampling RNG are prepared by the caller so that every
-    /// seed derivation happens outside the parallel region (R002), and so
+    /// list and the sampling RNG are prepared by the caller, which seeds
+    /// each worker's RNG from `split_seed(epoch_seed, worker)`, and so
     /// is `locality`, the partitioning's halo membership unpacked once per
     /// epoch for all workers.
     fn simulate_worker(

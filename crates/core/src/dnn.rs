@@ -109,6 +109,7 @@ impl Mlp {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "unit tests seed their fixtures directly")]
 mod tests {
     use super::*;
     use gnn_dm_nn::Adam;

@@ -165,6 +165,7 @@ impl PartialEq for FeatureTable {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "unit tests seed their fixtures directly")]
 mod tests {
     use super::*;
     use crate::generate::class_centroid_features;

@@ -63,6 +63,7 @@ fn box_muller((u1, u2): (f64, f64)) -> f64 {
 /// `alpha = 0` yields uniform weights.
 pub fn zipf_weights(n: usize, alpha: f64, seed: u64) -> Vec<f64> {
     let mut w: Vec<f64> = (0..n).map(|r| ((r + 1) as f64).powf(-alpha)).collect();
+    #[expect(clippy::disallowed_methods, reason = "a serial root: one stream from the caller's seed")]
     let mut rng = StdRng::seed_from_u64(seed);
     w.shuffle(&mut rng);
     w
@@ -246,6 +247,7 @@ pub fn planted_partition(cfg: &PplConfig) -> Graph {
     assert!(cfg.n >= cfg.num_classes, "need at least one vertex per class");
     assert!(cfg.num_classes >= 2, "need at least two classes");
     assert!((0.0..=1.0).contains(&cfg.homophily), "homophily must be in [0, 1]");
+    #[expect(clippy::disallowed_methods, reason = "the generator's one serial stream; its parallel phases draw nothing")]
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // Balanced community assignment, then shuffled so ids carry no signal.
@@ -297,6 +299,7 @@ pub fn planted_partition(cfg: &PplConfig) -> Graph {
 
     // Deferred: the table has its own stream, so drawing it on first read
     // gives the bits drawing it here would.
+    #[expect(clippy::disallowed_methods, reason = "the deferred feature table's own stream, mixed from the config seed; it is drawn whole on first read")]
     let recipe = CentroidRecipe {
         labels: labels.clone(),
         num_classes: cfg.num_classes,
@@ -368,6 +371,7 @@ pub fn class_centroid_features(
     noise: f32,
     seed: u64,
 ) -> FeatureTable {
+    #[expect(clippy::disallowed_methods, reason = "a serial root: the feature table's stream from the caller's seed")]
     let data = centroid_features(&mut StdRng::seed_from_u64(seed), labels, num_classes, dim, noise);
     if dim == 0 {
         FeatureTable::zeros(labels.len(), 0)
@@ -432,6 +436,7 @@ fn centroid_features(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "unit tests seed their fixtures directly")]
 mod tests {
     use super::*;
     use crate::stats;

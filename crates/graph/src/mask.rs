@@ -40,6 +40,7 @@ impl SplitMask {
         let n_val = n_val.min(n - n_train);
 
         let mut order: Vec<usize> = (0..n).collect();
+        #[expect(clippy::disallowed_methods, reason = "a serial shuffle from the caller's seed")]
         let mut rng = StdRng::seed_from_u64(seed);
         order.shuffle(&mut rng);
 

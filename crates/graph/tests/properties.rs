@@ -7,6 +7,13 @@ use gnn_dm_graph::traversal;
 use gnn_dm_graph::SplitMask;
 use proptest::prelude::*;
 
+/// A generator seeded straight from `seed`: this test crate's one raw
+/// seeding site.
+#[expect(clippy::disallowed_methods, reason = "test fixtures seed their generator directly")]
+fn rng(seed: u64) -> rand::rngs::StdRng {
+    rand::SeedableRng::seed_from_u64(seed)
+}
+
 fn arb_edges() -> impl Strategy<Value = (usize, Vec<(VId, VId)>)> {
     (2usize..80).prop_flat_map(|n| {
         let edge = (0..n as VId, 0..n as VId);
@@ -172,7 +179,7 @@ proptest! {
         prop_assume!(weights.iter().any(|&w| w > 0.0));
         let items: Vec<VId> = (0..weights.len() as VId).collect();
         let sampler = WeightedSampler::new(items, &weights);
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+        let mut rng = rng(seed);
         for _ in 0..50 {
             let drawn = sampler.sample(&mut rng);
             prop_assert!(weights[drawn as usize] > 0.0, "drew zero-weight item {drawn}");

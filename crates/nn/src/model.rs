@@ -401,6 +401,7 @@ impl Gradients {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "unit tests seed their fixtures directly")]
 mod tests {
     use super::*;
     use crate::loss::softmax_cross_entropy;

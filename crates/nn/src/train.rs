@@ -198,6 +198,7 @@ pub fn evaluate(model: &GnnModel, graph: &Graph, subset: &[VId]) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "unit tests seed their fixtures directly")]
 mod tests {
     use super::*;
     use crate::model::AggKind;

@@ -23,6 +23,13 @@ use gnn_dm_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// A generator seeded straight from `seed`: this test crate's one raw
+/// seeding site.
+#[expect(clippy::disallowed_methods, reason = "test fixtures seed their generator directly")]
+fn rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed)
+}
+
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 const WIDTHS: [usize; 5] = [1, 5, 32, 33, 602];
 
@@ -67,7 +74,7 @@ fn batches(in_csr: &Csr, lone: [VId; 2]) -> Vec<MiniBatch> {
         .map(|k| {
             let mut seeds: Vec<VId> = (0..70).map(|i| (i * 13 + k as VId * 7) % 300).collect();
             seeds.extend([lone[0], seeds[3], lone[1], seeds[10], lone[0]]);
-            let mb = build_minibatch(in_csr, &seeds, &sampler, &mut StdRng::seed_from_u64(k));
+            let mb = build_minibatch(in_csr, &seeds, &sampler, &mut rng(k));
             assert!(mb.validate().is_ok());
             assert!(mb.seeds.len() < seeds.len(), "duplicate seeds were given");
             let out = &mb.blocks[2];
@@ -244,7 +251,7 @@ fn fused_train_step_equals_the_piecewise_drive() {
         let (mut opt_f, mut opt_p) = (Adam::new(0.01), Adam::new(0.01));
         for step in 0..3u64 {
             let seeds: Vec<VId> = (0..64).map(|i| (i * 5 + step as VId * 11) % 300).collect();
-            let mb = build_minibatch(&g.inn, &seeds, &sampler, &mut StdRng::seed_from_u64(step));
+            let mb = build_minibatch(&g.inn, &seeds, &sampler, &mut rng(step));
 
             let fused_loss = train_step(&mut fused, &mut opt_f, &g, &mb).loss;
 

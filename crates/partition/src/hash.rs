@@ -17,6 +17,7 @@ use rand::{Rng, SeedableRng};
 /// Panics if `k` is 0 ("need at least one partition").
 pub fn hash_vertices(n: usize, k: usize, seed: u64) -> GnnPartitioning {
     assert!(k >= 1, "need at least one partition");
+    #[expect(clippy::disallowed_methods, reason = "a serial root: one stream from the partitioner's seed")]
     let mut rng = StdRng::seed_from_u64(seed);
     let assignment = (0..n).map(|_| rng.random_range(0..k) as u32).collect();
     GnnPartitioning::new(assignment, k)

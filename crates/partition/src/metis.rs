@@ -343,6 +343,7 @@ fn multilevel_partition(graph: &Graph, vwgt: Vec<u32>, cfg: &MetisConfig) -> Vec
     if n <= cfg.k {
         return (0..n as u32).map(|v| v % cfg.k as u32).collect();
     }
+    #[expect(clippy::disallowed_methods, reason = "a serial root: coarsening, region growing and refinement share one stream from the config seed")]
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let finest = Level::finest(graph, vwgt, cfg.eps.len());
     let mut levels = coarsen(finest, cfg.coarsen_until, &mut rng);
@@ -819,6 +820,7 @@ fn refine(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "unit tests seed their fixtures directly")]
 mod tests {
     use super::*;
     use crate::metrics;

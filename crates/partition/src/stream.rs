@@ -184,6 +184,7 @@ fn stream_b_impl(
     assert!(k >= 1, "need at least one partition");
     assert!(block_size >= 1, "block size must be positive");
     let n = graph.num_vertices();
+    #[expect(clippy::disallowed_methods, reason = "a serial root: one stream from the partitioner's seed")]
     let mut rng = StdRng::seed_from_u64(seed);
 
     // ByteGNN generates one block per *training vertex*: a capped BFS over

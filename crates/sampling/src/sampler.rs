@@ -419,6 +419,7 @@ fn assemble_blocks(
         };
         assemble_block(in_csr, chain, nbr, |d_local, d, out| {
             let mut derived;
+            #[expect(clippy::disallowed_methods, reason = "each destination unit seeds from split_seed(layer_seed, d_local), its own unit index, so a batch is the same at any thread count")]
             let rng: &mut StdRng = match &mut draws {
                 DrawRng::Stream(rng) => rng,
                 DrawRng::Seeded(_) => {
@@ -628,6 +629,7 @@ pub fn subgraph_restricted_minibatch(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "unit tests seed their fixtures directly")]
 mod tests {
     use super::*;
     use gnn_dm_graph::generate::{planted_partition, PplConfig};

@@ -41,6 +41,7 @@ impl BatchSelection {
         epoch: usize,
     ) -> Vec<Vec<VId>> {
         assert!(batch_size > 0, "batch size must be positive");
+        #[expect(clippy::disallowed_methods, reason = "a serial shuffle from the seed mixed with the epoch")]
         let mut rng = StdRng::seed_from_u64(seed ^ (epoch as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let ordered: Vec<VId> = match self {
             BatchSelection::Random => {

@@ -9,6 +9,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// A generator seeded straight from `seed`: this test crate's one raw
+/// seeding site.
+#[expect(clippy::disallowed_methods, reason = "test fixtures seed their generator directly")]
+fn rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed)
+}
+
 fn graph(n: usize, seed: u64) -> gnn_dm_graph::Graph {
     planted_partition(&PplConfig {
         n,
@@ -36,7 +43,7 @@ proptest! {
     ) {
         let g = graph(n, gseed);
         let seeds: Vec<VId> = (0..num_seeds.min(n) as VId).collect();
-        let mut rng = StdRng::seed_from_u64(sseed);
+        let mut rng = rng(sseed);
         let sampler = FanoutSampler::new(vec![fanout; layers]);
         let mb = build_minibatch(&g.inn, &seeds, &sampler, &mut rng);
         prop_assert!(mb.validate().is_ok());
@@ -65,7 +72,7 @@ proptest! {
         let g = graph(n, gseed);
         let rate = rate_pct as f64 / 100.0;
         let sampler = RateSampler::new(vec![rate], min_nbrs);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = rng(1);
         let seeds: Vec<VId> = (0..10.min(n) as VId).collect();
         let mb = build_minibatch(&g.inn, &seeds, &sampler, &mut rng);
         for (i, &v) in mb.dst_ids(0).iter().enumerate() {
@@ -85,7 +92,7 @@ proptest! {
     ) {
         let g = graph(n, gseed);
         let sampler = ImportanceSampler::new(vec![fanout], vec![1.0; n]);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = rng(2);
         let seeds: Vec<VId> = (0..8.min(n) as VId).collect();
         let mb = build_minibatch(&g.inn, &seeds, &sampler, &mut rng);
         for (i, &v) in mb.dst_ids(0).iter().enumerate() {

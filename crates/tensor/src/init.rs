@@ -8,6 +8,7 @@ use rand::{Rng, SeedableRng};
 /// `U(-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out)))`.
 pub fn glorot_uniform(fan_in: usize, fan_out: usize, seed: u64) -> Matrix {
     let limit = (6.0 / (fan_in + fan_out) as f64).sqrt();
+    #[expect(clippy::disallowed_methods, reason = "a serial root: weights from the caller's seed")]
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::from_fn(fan_in, fan_out, |_, _| {
         (rng.random::<f64>() * 2.0 * limit - limit) as f32
@@ -16,6 +17,7 @@ pub fn glorot_uniform(fan_in: usize, fan_out: usize, seed: u64) -> Matrix {
 
 /// Uniform in `[-limit, limit]`.
 pub fn uniform(rows: usize, cols: usize, limit: f64, seed: u64) -> Matrix {
+    #[expect(clippy::disallowed_methods, reason = "a serial root: weights from the caller's seed")]
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::from_fn(rows, cols, |_, _| (rng.random::<f64>() * 2.0 * limit - limit) as f32)
 }

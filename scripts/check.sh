@@ -3,8 +3,9 @@
 #
 #   scripts/check.sh            # release build + clippy + full test suite + rustdoc + goldens + benchmark smoke
 #
-# The workspace lint (gnn-dm-lint's R002) and the layering-DAG check of every
-# manifest run inside the test suite: crates/lint/tests/workspace_clean.rs.
+# The workspace invariants clippy cannot see (the layering DAG of every
+# manifest, the library deny lines, the clippy.toml bans tier-1 relies on,
+# library I/O confinement) run inside the test suite: tests/workspace.rs.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,7 +22,8 @@ cargo build --workspace --release
 # Only the chosen lints, not a clippy::all sweep: clippy.toml's bans (wall
 # clock, hash collections, raw threads, and the sync primitives — Mutex,
 # RwLock, Condvar, Barrier, Once, OnceLock, every Atomic*, mpsc channels —
-# outside gnn-dm-par; and raw cost-model pricing — LinkModel::transfer_time,
+# outside gnn-dm-par; raw RNG seeding — SeedableRng::seed_from_u64 — outside
+# the roots whose #[expect] says how the seed is derived; and raw cost-model pricing — LinkModel::transfer_time,
 # TransferEngine::time, the cluster network models — outside the sites that
 # put its seconds on a span timeline), the panic-family and print_stdout/print_stderr
 # denies in each library lib.rs, a reason on every allow/expect, and
@@ -37,7 +39,7 @@ clippy_rustflags="${RUSTFLAGS}"
 if [[ "${host}" == x86_64-* ]]; then
     clippy_rustflags+=" -C target-feature=+avx512f"
 fi
-echo "==> cargo clippy (clippy.toml bans: wall clock, hash order, raw threads, sync primitives, raw cost-model pricing; library panic and print denies; reasons on every allow/expect)"
+echo "==> cargo clippy (clippy.toml bans: wall clock, hash order, raw threads, sync primitives, raw RNG seeding, raw cost-model pricing; library panic and print denies; reasons on every allow/expect)"
 RUSTFLAGS="${clippy_rustflags}" cargo clippy --workspace --all-targets -q --target "${host}" -- -A clippy::all \
     -D clippy::disallowed_methods -D clippy::disallowed_types \
     -D clippy::allow_attributes_without_reason

@@ -25,13 +25,20 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// A generator seeded straight from `seed`: the root test crates' one raw
+/// seeding site.
+#[expect(clippy::disallowed_methods, reason = "test fixtures and oracles seed their generator directly")]
+pub fn rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed)
+}
+
 pub const MODES: [PipelineMode; 3] =
     [PipelineMode::None, PipelineMode::OverlapBp, PipelineMode::Full];
 
 /// Awkward, non-round stage durations: sums of these expose any deviation
 /// in float-op order between the closed form and the replay.
 pub fn jagged_batches(n: usize, seed: u64) -> Vec<BatchStageTimes> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = rng(seed);
     (0..n)
         .map(|_| BatchStageTimes {
             bp: rng.random::<f64>() * 0.013 + 1e-7,
@@ -165,7 +172,7 @@ pub fn seed_build_minibatch(
         let sampled: Vec<Vec<VId>> = (0u64..)
             .zip(&dst_ids)
             .map(|(d_local, &d)| {
-                let mut rng = StdRng::seed_from_u64(split_seed(layer_seed, d_local));
+                let mut rng = rng(split_seed(layer_seed, d_local));
                 let mut out = Vec::new();
                 sampler.sample_neighbors(in_csr, d, layer, &mut rng, &mut out, &mut SamplerScratch::new());
                 out
@@ -236,7 +243,7 @@ pub fn seed_planted_partition(cfg: &PplConfig) -> Graph {
     }
 
     let (out, labels) = seed_planted_topology(cfg);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5151_5151);
+    let mut rng = rng(cfg.seed ^ 0x5151_5151);
     let centroids: Vec<Vec<f32>> = (0..cfg.num_classes)
         .map(|_| (0..cfg.feat_dim).map(|_| normal(&mut rng) as f32).collect())
         .collect();
@@ -274,7 +281,7 @@ pub fn seed_planted_topology(cfg: &PplConfig) -> (Csr, Vec<u32>) {
         items[cumulative.partition_point(|&c| c <= x).min(items.len() - 1)]
     }
 
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = rng(cfg.seed);
     let mut labels: Vec<u32> = (0..cfg.n).map(|i| (i % cfg.num_classes) as u32).collect();
     labels.shuffle(&mut rng);
     let weights = zipf_weights(cfg.n, cfg.skew, cfg.seed ^ 0x9e37_79b9);

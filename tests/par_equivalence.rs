@@ -21,7 +21,7 @@ use gnn_dm::tensor::ops::{matmul, matmul_nt, matmul_tiled, matmul_tn};
 use gnn_dm::tensor::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Thread counts every kernel is exercised at. 1 is the serial reference;
 /// 3 leaves remainders on power-of-two chunk grids; 8 oversubscribes small
@@ -76,7 +76,7 @@ proptest! {
         n in 1usize..70,
         seed in 0u64..1000,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = common::rng(seed);
         let a = rand_matrix(&mut rng, m, k);
         let b = rand_matrix(&mut rng, k, n);
         let at = rand_matrix(&mut rng, k, m); // for matmul_tn: (k x m)^T * (k x n)
@@ -96,7 +96,7 @@ proptest! {
         picks in 0usize..600,
         seed in 0u64..1000,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = common::rng(seed);
         let m = rand_matrix(&mut rng, rows, cols);
         let ids: Vec<u32> =
             (0..picks).map(|_| rng.random_range(0..rows as u32)).collect();
@@ -108,7 +108,7 @@ proptest! {
 /// tiling reorders the *iteration*, never the per-element addition order.
 #[test]
 fn tiled_variants_match_naive_exactly() {
-    let mut rng = StdRng::seed_from_u64(41);
+    let mut rng = common::rng(41);
     for (m, k, n) in [(1, 1, 1), (7, 3, 5), (33, 65, 17), (64, 128, 32), (100, 77, 31)] {
         let a = rand_matrix(&mut rng, m, k);
         let b = rand_matrix(&mut rng, k, n);
@@ -122,7 +122,7 @@ fn tiled_variants_match_naive_exactly() {
 /// i.e. no state leaks from one generation into the next.
 #[test]
 fn pool_reuse_is_bitwise_invisible() {
-    let mut rng = StdRng::seed_from_u64(17);
+    let mut rng = common::rng(17);
     let a = rand_matrix(&mut rng, 130, 70);
     let b = rand_matrix(&mut rng, 70, 45);
     let serial = with_threads(1, || matmul_tiled(&a, &b));
@@ -160,16 +160,16 @@ fn scratch_reuse_is_bitwise_invisible() {
         &g.inn,
         &seeds_b,
         &sampler,
-        &mut StdRng::seed_from_u64(23),
+        &mut common::rng(23),
         &mut SampleScratch::new(),
     );
     let mut dirty = SampleScratch::new();
-    build_minibatch_with(&g.inn, &seeds_a, &sampler, &mut StdRng::seed_from_u64(1), &mut dirty);
+    build_minibatch_with(&g.inn, &seeds_a, &sampler, &mut common::rng(1), &mut dirty);
     let reused = build_minibatch_with(
         &g.inn,
         &seeds_b,
         &sampler,
-        &mut StdRng::seed_from_u64(23),
+        &mut common::rng(23),
         &mut dirty,
     );
     assert!(reused == fresh, "stream builder: reused scratch diverged from fresh");
@@ -190,7 +190,7 @@ fn scratch_reuse_is_bitwise_invisible() {
 #[test]
 fn optimizer_steps_bitwise_equal_across_thread_counts() {
     use gnn_dm::nn::optim::{Adam, Optimizer, Sgd};
-    let mut rng = StdRng::seed_from_u64(29);
+    let mut rng = common::rng(29);
     let p0: Vec<f32> = (0..9000).map(|_| rng.random::<f64>() as f32 - 0.5).collect();
     let gr: Vec<f32> = (0..9000).map(|_| rng.random::<f64>() as f32 - 0.5).collect();
     assert_threadcount_invariant(|| {

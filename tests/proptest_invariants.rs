@@ -14,7 +14,7 @@ use gnn_dm::trace::units::Bytes;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 
 mod common;
@@ -76,7 +76,7 @@ fn tree_set_layerwise_build(in_csr: &Csr, seeds: &[VId], budgets: &[usize], rng:
 /// `LayerwiseSampler::build` equals [`tree_set_layerwise_build`] bit for
 /// bit, and both leave the caller's generator in the same state.
 fn assert_layerwise_matches_tree_sets(in_csr: &Csr, seeds: &[VId], budgets: &[usize], rng_seed: u64) {
-    let (mut live_rng, mut oracle_rng) = (StdRng::seed_from_u64(rng_seed), StdRng::seed_from_u64(rng_seed));
+    let (mut live_rng, mut oracle_rng) = (common::rng(rng_seed), common::rng(rng_seed));
     let live = LayerwiseSampler::new(budgets.to_vec()).build(in_csr, seeds, &mut live_rng);
     let oracle = tree_set_layerwise_build(in_csr, seeds, budgets, &mut oracle_rng);
     assert!(live.validate().is_ok(), "{:?}", live.validate());
@@ -278,7 +278,7 @@ proptest! {
         });
         // Samplers.
         let seeds: Vec<VId> = (0..(n as VId / 4).max(1)).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = common::rng(seed);
         let fanout = FanoutSampler::new(vec![4, 3]);
         let mb = build_minibatch(&g.inn, &seeds, &fanout, &mut rng);
         prop_assert!(mb.validate().is_ok());

@@ -34,7 +34,6 @@ use gnn_dm::sampling::epoch::EpochPlan;
 use gnn_dm::sampling::{BatchSelection, BatchSizeSchedule};
 use gnn_dm::trace::units::{Bytes, Seconds};
 use gnn_dm::trace::{Resource, SpanKind, Timeline};
-use rand::SeedableRng;
 
 mod common;
 use common::{jagged_batches, MODES};
@@ -111,7 +110,7 @@ fn isolated_vertices_survive_sampling_and_training() {
     // Force split so isolated vertices are certainly in train.
     g.split = SplitMask::random(g.num_vertices(), 0.8, 0.1, 0.1, 1);
     let sampler = FanoutSampler::new(vec![4, 4]);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let mut rng = common::rng(1);
     let isolated: Vec<u32> =
         (0..g.num_vertices() as u32).filter(|&v| g.inn.degree(v) == 0).collect();
     if !isolated.is_empty() {
@@ -180,7 +179,7 @@ fn zero_degree_fanout_layers() {
         ..Default::default()
     });
     let sampler = FanoutSampler::new(vec![0, 0]);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    let mut rng = common::rng(0);
     let mb = build_minibatch(&g.inn, &[0, 1, 2], &sampler, &mut rng);
     assert!(mb.validate().is_ok());
     assert_eq!(mb.involved_edges(), 0);
@@ -258,7 +257,7 @@ fn extreme_feature_values_stay_finite() {
         }
     }
     let sampler = FanoutSampler::new(vec![4, 4]);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+    let mut rng = common::rng(2);
     let mb = build_minibatch(&g.inn, &[0, 1, 2], &sampler, &mut rng);
     let model = GnnModel::new(AggKind::Gcn, &[4, 4, 3], 1);
     let x = gnn_dm::nn::train::gather_input_features(&g, &mb);
