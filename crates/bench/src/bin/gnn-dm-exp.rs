@@ -8,9 +8,8 @@
 //!
 //! Each run prints its tables and then the row's paper shape to stdout;
 //! the `=== name ===` separators go to stderr, so redirecting stdout of a
-//! single experiment gives exactly its `results/<stem>.txt`.
-//! `chaos_grid` reads `--smoke` (the reduced grid `scripts/check.sh`
-//! regenerates its golden trace from); no other flag exists.
+//! single experiment gives exactly its `results/<stem>.txt`. Measured
+//! seconds go to stderr too. `--list` is the only flag; any other exits 2.
 
 use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
@@ -28,7 +27,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (flags, names): (Vec<&str>, Vec<&str>) =
         args.iter().map(String::as_str).partition(|a| a.starts_with("--"));
-    if let Some(bad) = flags.iter().find(|f| !["--list", "--smoke"].contains(f)) {
+    if let Some(bad) = flags.iter().find(|&&f| f != "--list") {
         eprintln!("gnn-dm-exp: unknown flag `{bad}` (usage: <name>... | all | --list)");
         return ExitCode::from(2);
     }

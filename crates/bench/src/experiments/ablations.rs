@@ -15,7 +15,10 @@ use gnn_dm_sampling::BatchSelection;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use super::{best_acc, config, sparse_train_split, sweep, time_to, with_epoch_plan, with_prep};
+use super::{
+    best_acc, config, print_wall_clock, sparse_train_split, sweep, time_to, with_epoch_plan,
+    with_prep,
+};
 use crate::{convergence_graph, one_graph, SCALE_LOAD, SCALE_TRANSFER};
 
 /// Ablation 1 — zero-copy bandwidth efficiency vs the extract-load
@@ -44,7 +47,8 @@ pub fn ablate_zerocopy_eff() {
     table.print("Ablation: zero-copy efficiency vs extract-load crossover (LiveJournal-class)");
 }
 
-/// Ablation 2 — Metis refinement passes vs edge cut and partitioning time.
+/// Ablation 2 — Metis refinement passes vs edge cut and partitioning time
+/// (the time prints to stderr).
 pub fn ablate_metis_refine() {
     let g = one_graph(DatasetId::OgbProducts, SCALE_LOAD, 42);
     let passes = [0usize, 1, 2, 4, 8];
@@ -53,10 +57,10 @@ pub fn ablate_metis_refine() {
         Axis::Partitioner,
         passes.map(|p| format!("metis-raw(refine={p})")),
     );
-    let mut table =
-        Table::new(&["refine_passes", "edge_cut", "cut_frac", "train_imbalance", "time_s"]);
+    let mut table = Table::new(&["refine_passes", "edge_cut", "cut_frac", "train_imbalance"]);
+    let mut wall = Table::new(&["refine_passes", "time_s"]);
     for (p, cfg) in passes.iter().zip(&configs) {
-        #[expect(clippy::disallowed_methods, reason = "partitioning wall time is this ablation's time_s column")]
+        #[expect(clippy::disallowed_methods, reason = "partitioning wall time is this ablation's time_s column, printed to stderr")]
         let start = Instant::now();
         let part = cfg.partitioner.build(&g, 4, PART_SEED);
         let elapsed = start.elapsed().as_secs_f64();
@@ -67,10 +71,12 @@ pub fn ablate_metis_refine() {
             cut.to_string(),
             f(cut as f64 / g.num_edges() as f64),
             f(imb),
-            f(elapsed),
         ]);
+        wall.row(&[p.to_string(), f(elapsed)]);
     }
-    table.print("Ablation: Metis boundary-refinement passes (Products-class, VE constraints)");
+    let title = "Ablation: Metis boundary-refinement passes (Products-class, VE constraints)";
+    table.print(title);
+    print_wall_clock(title, &wall);
 }
 
 /// Ablation 3 — profiling epochs for the pre-sampling cache policy vs hit
@@ -165,10 +171,11 @@ pub fn ablate_adaptive_schedule() {
 /// and produce *identical partitions*.
 pub fn ablate_stream_impl() {
     let g = one_graph(DatasetId::OgbProducts, SCALE_LOAD, 42);
-    let mut table = Table::new(&["method", "implementation", "time_s", "identical_output"]);
+    let mut table = Table::new(&["method", "implementation", "identical_output"]);
+    let mut wall = Table::new(&["method", "implementation", "time_s"]);
     let timed = |partitioner: &str| {
         let cfg = config(GridSpec { partitioner: partitioner.to_string(), ..GridSpec::default() });
-        #[expect(clippy::disallowed_methods, reason = "faithful vs fast wall time is what this ablation compares")]
+        #[expect(clippy::disallowed_methods, reason = "faithful vs fast wall time is what this ablation compares, printed to stderr")]
         let start = Instant::now();
         let p = cfg.partitioner.build(&g, 4, 3);
         (p, start.elapsed().as_secs_f64())
@@ -179,22 +186,18 @@ pub fn ablate_stream_impl() {
     {
         let (faithful, t_faithful) = timed(&format!("{stream}(faithful)"));
         let (fast, t_fast) = timed(&format!("{stream}(fast)"));
-        table.row(&[
-            method.into(),
-            "faithful (set intersections)".into(),
-            format!("{t_faithful:.3}"),
-            "-".into(),
-        ]);
-        table.row(&[
-            method.into(),
-            format!("optimized ({lookups})"),
-            format!("{t_fast:.3}"),
-            (faithful == fast).to_string(),
-        ]);
+        let (slow_impl, fast_impl) =
+            ("faithful (set intersections)".to_string(), format!("optimized ({lookups})"));
+        table.row(&[method.into(), slow_impl.clone(), "-".into()]);
+        table.row(&[method.into(), fast_impl.clone(), (faithful == fast).to_string()]);
+        wall.row(&[method.into(), slow_impl, format!("{t_faithful:.3}")]);
+        wall.row(&[method.into(), fast_impl, format!("{t_fast:.3}")]);
         speedups.push(t_faithful / t_fast.max(1e-9));
     }
-    table.print("Ablation: streaming partitioner implementation cost (Products-class)");
-    println!(
+    let title = "Ablation: streaming partitioner implementation cost (Products-class)";
+    table.print(title);
+    print_wall_clock(title, &wall);
+    eprintln!(
         "Reading: the published algorithms' cost is an implementation artifact —\n\
          indexed variants produce identical partitions {:.0}x / {:.0}x faster.",
         speedups[0], speedups[1]

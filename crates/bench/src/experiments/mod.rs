@@ -9,6 +9,10 @@
 //! The helpers below are the loop nests and formatting the experiments
 //! share; each `run` assembles its systems under test as harness
 //! `SystemConfig` values, never from an axis constructor.
+//!
+//! Stdout is a pure function of the seeds: a run's measured seconds, and
+//! anything computed from them or from the thread count, go to stderr
+//! through `print_wall_clock`, so every `results/` file is a golden.
 
 mod ablations;
 mod batch_prep;
@@ -19,7 +23,7 @@ mod robustness;
 mod transfer;
 
 use gnn_dm_core::convergence::ConvergenceResult;
-use gnn_dm_core::results::f;
+use gnn_dm_core::results::{f, Table};
 use gnn_dm_graph::datasets::{DatasetId, DatasetSpec};
 use gnn_dm_graph::{Graph, SplitMask};
 use gnn_dm_harness::{Axis, ClusterExperiment, ClusterRun, Grid, GridSpec, Registry, SystemConfig};
@@ -79,8 +83,8 @@ pub static EXPERIMENTS: [Experiment; 38] = [
     row(
         "fig6_part_time",
         "Figure 6",
-        "Paper shape: Hash ≈ 0.1% share; Metis-extend < 10%; streaming methods\n\
-         dominate total time (Stream-V ≈ 99%, Stream-B ≈ 85% in the paper).",
+        "Paper shape (partition_share, on stderr): Hash ≈ 0.1% share; Metis-extend < 10%;\n\
+         streaming methods dominate total time (Stream-V ≈ 99%, Stream-B ≈ 85% in the paper).",
         partitioning::fig6_part_time,
     ),
     row(
@@ -203,7 +207,13 @@ pub static EXPERIMENTS: [Experiment; 38] = [
         "Reading: the proposal is robust to the schedule shape; growing too fast forfeits the small-batch phase.",
         ablations::ablate_adaptive_schedule,
     ),
-    row("ablate_stream_impl", "Ablation 6 (§5.4 lesson 4)", "", ablations::ablate_stream_impl),
+    row(
+        "ablate_stream_impl",
+        "Ablation 6 (§5.4 lesson 4)",
+        "Reading: the indexed variants reproduce the published algorithms' partitions\n\
+         exactly; how much faster they run is measured, so it prints to stderr.",
+        ablations::ablate_stream_impl,
+    ),
     row(
         "ablate_importance_cache",
         "Ablation 7 (§7.3.3)",
@@ -258,8 +268,9 @@ pub static EXPERIMENTS: [Experiment; 38] = [
     row(
         "ext_pipeline_bp",
         "Extension (§7.3.2 / Figure 14, executed)",
-        "Reading: on the deep-sampling shape BP is ~30% of a sequential epoch and\n\
-         the streamed epoch recovers most of it (`hidden` 0.8-1.0 on two vCPUs):\n\
+        "Reading (stage seconds and `hidden` are wall clock, printed to stderr):\n\
+         on the deep-sampling shape BP is ~30% of a sequential epoch and the\n\
+         streamed epoch recovers most of it (`hidden` 0.8-1.0 on two vCPUs):\n\
          a batch builds on an idle worker in a fraction of the time it trains,\n\
          so one ready batch hides the sampler, as Figure 14's Pipeline BP says.\n\
          On the wide shape BP is ~4% of the epoch; there is little to hide and\n\
@@ -393,6 +404,13 @@ fn dataset_name(id: DatasetId) -> &'static str {
 /// The best validation accuracy any of the runs reached.
 fn best_acc<'a>(results: impl IntoIterator<Item = &'a ConvergenceResult>) -> f64 {
     results.into_iter().map(|r| r.best_acc).fold(0.0f64, f64::max)
+}
+
+/// Prints a table of measured wall-clock seconds to stderr: they differ
+/// from run to run and from host to host, so they stay out of `results/`.
+fn print_wall_clock(title: &str, table: &Table) {
+    eprintln!("== {title} (wall clock) ==");
+    eprintln!("{}", table.render());
 }
 
 /// Simulated seconds until `r` first reaches `target`, as a table cell.

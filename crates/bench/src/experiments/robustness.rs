@@ -142,9 +142,9 @@ pub fn ext_grid_composition() {
 /// held at the default [`GridSpec`]), runs every resulting `SystemConfig`
 /// end to end through [`run_config`], and prints cost **and** accuracy for
 /// each — the §14 reporting rule, exercised over the whole registry. The
-/// output is a golden: `scripts/run_all.sh grid_smoke` diffs it against
-/// `results/grid_smoke.txt`, so any drift in a registered axis value (or
-/// in the registry's pinned order) fails the gate.
+/// output is `results/grid_smoke.txt`, one file of the `results/` golden
+/// `scripts/check.sh` regenerates and diffs whole, so any drift in a
+/// registered axis value (or in the registry's pinned order) fails it.
 pub fn grid_smoke() {
     let g = one_graph_slim(DatasetId::OgbArxiv, SCALE_TRAIN, TRAIN_FEAT_DIM, 42);
     let mut table = Table::new(&[
@@ -200,8 +200,6 @@ pub fn grid_smoke() {
 
 /// Epochs sampled per grid cell (the tail statistics' sample count).
 const EPOCHS: usize = 32;
-/// Epochs per cell in `--smoke` mode (still past the golden epoch).
-const SMOKE_EPOCHS: usize = 8;
 /// Fault seeds swept (two independent degradation schedules).
 const FAULT_SEEDS: [u64; 2] = [13, 29];
 /// Uniform stress rates swept per seed.
@@ -264,17 +262,8 @@ struct Cell {
 ///   epoch by epoch, on the exported golden config.
 ///
 /// Also exports one hedged timeline as `results/trace_chaos.json`
-/// (Chrome trace, canonical bytes — pinned by `scripts/check.sh`; the
-/// `--smoke` grid contains the same config, so smoke regeneration must
-/// reproduce the full run's golden exactly).
+/// (Chrome trace, canonical bytes — a `results/` golden like the tables).
 pub fn chaos_grid() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (epochs, seeds, rates, policies): (usize, &[u64], &[f64], &[&str]) = if smoke {
-        (SMOKE_EPOCHS, &FAULT_SEEDS[..1], &[GOLDEN_RATE], &["none", GOLDEN_POLICY])
-    } else {
-        (EPOCHS, &FAULT_SEEDS, &RATES, &POLICIES)
-    };
-
     let g = one_graph(DatasetId::OgbArxiv, SCALE_LOAD, 42);
     let exp = ClusterExperiment::paper(&g);
     let cfg0 = config(cluster4());
@@ -290,14 +279,14 @@ pub fn chaos_grid() {
     let mut export: Option<String> = None;
     let mut grid_hedged_bytes = 0u64;
 
-    for &seed in seeds {
-        for &rate in rates {
+    for seed in FAULT_SEEDS {
+        for rate in RATES {
             // The `none` policy is swept first within each (seed, rate)
             // cell group, so its per-epoch makespans are the baseline the
             // hedging gates compare against.
             let mut none_samples: Vec<f64> = Vec::new();
             let mut none_p999 = 0.0f64;
-            for &policy in policies {
+            for policy in POLICIES {
                 let cfg = config(GridSpec {
                     faults: format!("uniform({seed},{rate})"),
                     resilience: policy.to_string(),
@@ -306,9 +295,9 @@ pub fn chaos_grid() {
                 let golden_cell =
                     seed == GOLDEN_SEED && rate == GOLDEN_RATE && policy == GOLDEN_POLICY;
 
-                let mut samples = Vec::with_capacity(epochs);
+                let mut samples = Vec::with_capacity(EPOCHS);
                 let (mut wasted, mut hedged, mut moved) = (0u64, 0u64, 0u64);
-                for e in 0..epochs {
+                for e in 0..EPOCHS {
                     let tl = exp.timeline_resilient_at(&run, &cfg, e);
                     let m = tl.makespan();
                     let e_wasted: u64 = wasted_bytes_from_spans(&tl, workers).iter().sum();
@@ -402,9 +391,7 @@ pub fn chaos_grid() {
         }
     }
     assert!(grid_hedged_bytes > 0, "no hedge ever fired across the grid");
-    if !smoke {
-        assert_eq!(cells.len(), 64, "the full chaos grid must sweep 64 cells");
-    }
+    assert_eq!(cells.len(), 64, "the chaos grid must sweep 64 cells");
 
     table.print("Extension: chaos grid — resilience policy × fault plan");
 

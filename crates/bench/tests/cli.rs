@@ -1,6 +1,7 @@
 //! `gnn-dm-exp`'s output is meant for pipes: a reader that closes early
 //! (`gnn-dm-exp --list | head -1`, `gnn-dm-exp grid_smoke | true`) is a
-//! quiet exit 0, never a panic.
+//! quiet exit 0, never a panic. A flag it does not know is exit 2 before
+//! any experiment runs.
 
 use std::process::{Command, Output};
 
@@ -34,4 +35,19 @@ fn experiments_into_a_closed_pipe_are_a_quiet_success() {
         assert!(!err.contains("panicked") && !err.contains("Broken pipe"), "{name}: {err}");
         assert_eq!(out.status.code(), Some(0), "{name}: {err}");
     }
+}
+
+/// `--list` is the only flag: any other, such as `--smoke`,
+/// is a usage error that prints nothing to stdout and runs no experiment.
+#[test]
+fn an_unknown_flag_exits_2_and_runs_nothing() {
+    let out = Command::new(env!("CARGO_BIN_EXE_gnn-dm-exp"))
+        .args(["tables_taxonomy", "--smoke"])
+        .output()
+        .expect("the gnn-dm-exp binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown flag `--smoke`"), "{err}");
+    assert!(!err.contains("==="), "an experiment ran: {err}");
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
 }

@@ -18,8 +18,8 @@ use crate::error::HarnessError;
 use crate::grid::Axis;
 
 /// The builtin registry. The per-axis lists double as the `grid_smoke`
-/// sweep, so each listed value is exercised by
-/// `scripts/run_all.sh grid_smoke`.
+/// sweep, so each listed value is exercised by the `grid_smoke` experiment,
+/// whose `results/grid_smoke.txt` `scripts/check.sh` byte-compares.
 #[derive(Debug, Clone, Copy)]
 pub struct Registry;
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a commit must pass.
 #
-#   scripts/check.sh            # release build + clippy + full test suite + rustdoc + goldens + benchmark smoke
+#   scripts/check.sh            # release build + clippy + full test suite + rustdoc + results/ golden + benchmark smoke
 #
 # The workspace invariants clippy cannot see (the layering DAG of every
 # manifest, the library deny lines, the clippy.toml bans tier-1 relies on,
@@ -80,78 +80,28 @@ if [[ "$(uname -m)" == x86_64 ]]; then
     echo "    portable build and tests added $((SECONDS - portable_start)) s"
 fi
 
-# golden_check <experiment> <file> <table|-> [args]: regenerates a checked-in
-# golden trace with the experiment that writes it and fails on any byte of
-# drift, leaving the golden as it was. Unless <table> is `-`, the same run's
-# stdout must be that results/ table byte for byte too.
-golden_check() {
-    local experiment="$1" file="$2" table="$3" golden out
-    shift 3
-    [ -f "${file}" ] || return 0
-    echo "==> golden trace ${file} (gnn-dm-exp ${experiment} $* must reproduce it byte for byte)"
-    [ "${table}" = - ] || echo "    and print ${table} byte for byte"
-    golden="$(mktemp)"
-    out="$(mktemp)"
-    cp "${file}" "${golden}"
-    cargo run --release -q -p gnn-dm-bench --bin gnn-dm-exp -- "${experiment}" "$@" >"${out}"
-    if ! cmp -s "${file}" "${golden}"; then
-        cp "${golden}" "${file}"
-        rm -f "${golden}" "${out}"
-        echo "FAIL: regenerated ${file} differs from the checked-in golden" >&2
-        exit 1
-    fi
-    if [ "${table}" != - ] && ! cmp -s "${out}" "${table}"; then
-        rm -f "${golden}" "${out}"
-        echo "FAIL: gnn-dm-exp ${experiment} differs from ${table}" >&2
-        exit 1
-    fi
-    rm -f "${golden}" "${out}"
+echo "==> results/ (scripts/run_all.sh regenerates every table and trace; the new tree must equal the checked-in one, file for file and byte for byte)"
+# run_all.sh is the only writer of results/: the checked-in tree is moved
+# aside, the suite writes a fresh one, and diff -r fails on a changed,
+# missing or extra file. The checked-in tree is put back however this ends.
+results_start="${SECONDS}"
+golden="$(mktemp -d)"
+mv results "${golden}/results"
+restore_results() {
+    rm -rf results
+    mv "${golden}/results" results
+    rmdir "${golden}"
+    trap - EXIT INT TERM
 }
-# Every fault constant (slowdowns, crash share, snapshot cadence, retry
-# budget, timeout, backoff) ends up in the faulted epoch-time table.
-golden_check ext_faults_epoch_time results/trace_faults.json results/ext_faults_epoch_time.txt
-# The smoke grid contains the golden cell, so it re-derives the full run's trace.
-golden_check chaos_grid results/trace_chaos.json - --smoke
-
-echo "==> grid smoke (one config per registered axis value against results/grid_smoke.txt)"
-bash scripts/run_all.sh grid_smoke
-
-# result_check <experiment>: reruns one experiment and fails unless its
-# stdout is its results/ file byte for byte.
-result_check() {
-    local experiment="$1"
-    echo "==> results/${experiment}.txt (gnn-dm-exp ${experiment} must reproduce it byte for byte)"
-    if ! cargo run --release -q -p gnn-dm-bench --bin gnn-dm-exp -- "${experiment}" |
-        cmp -s - "results/${experiment}.txt"; then
-        echo "FAIL: gnn-dm-exp ${experiment} differs from results/${experiment}.txt" >&2
-        exit 1
-    fi
-}
-# Rows the test suite never regenerates: the sampling-algorithm families
-# (layer-wise, unbounded fanout, subgraph-wise) and full-batch training,
-# and the rows that read batch shapes — involved #V/#E, a batch's input
-# ids, first-batch block activity.
-result_check ext_sampling_algorithms
-result_check ext_fullbatch_vs_minibatch
-result_check tab6_selection_cost
-result_check ablate_block_size
-result_check fig15_active_blocks
-# Local SGD trains worker replicas through the one mini-batch step (~1 s).
-result_check ext_local_sgd
-# Per-worker communication bytes of all six partitionings on every labelled
-# dataset, with no wall-clock column: a moved Metis assignment shows here
-# at full dataset scale (~5 s).
-result_check fig5_comm_load
-# The faithful and fast streaming partitioners through the harness specs, at
-# the ablation's own scale (~1 s): the fast scorers exist on the promise of
-# identical partitions, so every identical_output cell must read true.
-echo "==> ablate_stream_impl (every identical_output cell must be true)"
-if ! cargo run --release -q -p gnn-dm-bench --bin gnn-dm-exp -- ablate_stream_impl |
-    awk -F, 'NF == 4 && $1 ~ /^Stream-/ && $4 != "-" { rows++; if ($4 != "true") bad++ }
-             END { exit !(rows > 0 && bad == 0) }'; then
-    echo "FAIL: gnn-dm-exp ablate_stream_impl reports a fast variant whose partition differs from the faithful one" >&2
+trap restore_results EXIT
+trap 'exit 130' INT TERM
+bash scripts/run_all.sh >/dev/null
+if ! diff -r "${golden}/results" results; then
+    echo "FAIL: scripts/run_all.sh wrote a results/ tree that differs from the checked-in one (diff above: < checked in, > regenerated)" >&2
     exit 1
 fi
+restore_results
+echo "    whole suite took $((SECONDS - results_start)) s"
 
 echo "==> benchmark lockfile (benchmark/run.sh builds without --locked, so a stale benchmark/Cargo.lock would be rewritten silently)"
 if ! cargo metadata --offline --locked --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null; then
@@ -171,5 +121,5 @@ env -u RUSTFLAGS MALLOC_MMAP_THRESHOLD_=131072 MALLOC_TRIM_THRESHOLD_=131072 \
     benchmark/run.sh --smoke >/dev/null
 echo "    unpinned smoke added $((SECONDS - unpinned_start)) s"
 
-echo "OK: build, clippy, tests, rustdoc, goldens and benchmark smoke all green"
+echo "OK: build, clippy, tests, rustdoc, results/ golden and benchmark smoke all green"
 echo "(performance numbers: bash benchmark/run.sh)"
