@@ -15,9 +15,12 @@
 //! computational load".
 //!
 //! Both forms are one loop per family, over an `Adjacency` (who feeds
-//! output row `i`) and a *row source* (`row(s)` is input row `s`): copy the
-//! self row, add the neighbors in adjacency order, scale, and the output
-//! row is written once. The row source is what lets the first layer read
+//! output row `i`, itself included) and a *row source* (`row(s)` is input
+//! row `s`): copy the self row, add the neighbors in adjacency order, scale,
+//! and the output row is written once. An adjacency may compute only some
+//! rows of a graph — evaluation's receptive field (`GnnModel::subset_forward`)
+//! — so it names each output row's self input row rather than assuming it is
+//! the row of the same number. The row source is what lets the first layer read
 //! the feature table in place (`|s| rows.of(ids[s])`, off a
 //! [`gnn_dm_graph::features::FeatureRows`] view) instead of a gathered
 //! copy; a `&Matrix` input is the `|s| h.row(s)` instance of the same
@@ -45,10 +48,17 @@ use gnn_dm_tensor::Matrix;
 const ROW_CHUNK: usize = 64;
 
 /// Row-major adjacency the aggregation loops walk: output row `i` combines
-/// the input rows `neighbors_of(i)`, in that order.
+/// its own input row `self_of(i)` and the input rows `neighbors_of(i)`, in
+/// that order.
 pub(crate) trait Adjacency: Sync {
     /// Number of output rows.
     fn num_rows(&self) -> usize;
+    /// The input row holding output row `i`'s own embedding: `i` where the
+    /// output rows are a prefix of the input rows (a block's destinations,
+    /// a CSR's vertices).
+    fn self_of(&self, i: usize) -> usize {
+        i
+    }
     /// Input rows feeding output row `i`.
     fn neighbors_of(&self, i: usize) -> &[u32];
 }
@@ -187,8 +197,9 @@ impl<'r> RowSum<'r> {
     }
 }
 
-/// The GCN forward loop: `out[i] = (row(i) + Σ_{s ∈ adj(i)} row(s)) / (1 + |adj(i)|)`
-/// for the adjacency rows `i` in `first..first + out.rows()`.
+/// The GCN forward loop:
+/// `out[i] = (row(self(i)) + Σ_{s ∈ adj(i)} row(s)) / (1 + |adj(i)|)` for the
+/// adjacency rows `i` in `first..first + out.rows()`.
 pub(crate) fn gcn_forward<'a>(
     adj: &impl Adjacency,
     first: usize,
@@ -198,7 +209,7 @@ pub(crate) fn gcn_forward<'a>(
     assert!(first + out.rows() <= adj.num_rows(), "output rows beyond the adjacency");
     build_rows(out, |i, out| {
         let i = first + i;
-        out.copy_from_slice(row(i));
+        out.copy_from_slice(row(adj.self_of(i)));
         let nbrs = adj.neighbors_of(i);
         for &s in nbrs {
             add(out, row(s as usize));
@@ -210,7 +221,7 @@ pub(crate) fn gcn_forward<'a>(
     })
 }
 
-/// The GraphSAGE forward loop: `out[i] = [row(i) ‖ mean_{s ∈ adj(i)} row(s)]`
+/// The GraphSAGE forward loop: `out[i] = [row(self(i)) ‖ mean_{s ∈ adj(i)} row(s)]`
 /// (the neighbor half stays zero where `adj(i)` is empty) for the adjacency
 /// rows `i` in `first..first + out.rows()`.
 pub(crate) fn sage_forward<'a>(
@@ -225,7 +236,7 @@ pub(crate) fn sage_forward<'a>(
     build_rows(out, |i, out| {
         let i = first + i;
         let (own, neigh) = out.split_at_mut(dim);
-        own.copy_from_slice(row(i));
+        own.copy_from_slice(row(adj.self_of(i)));
         let nbrs = adj.neighbors_of(i);
         let mut sum = RowSum::new(neigh);
         for &s in nbrs {

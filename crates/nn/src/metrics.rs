@@ -7,13 +7,25 @@ use gnn_dm_tensor::Matrix;
 /// `logits` must have one row per vertex (full-graph order). Returns 0 for
 /// an empty subset.
 pub fn accuracy(logits: &Matrix, labels: &[u32], subset: &[VId]) -> f64 {
+    accuracy_at(logits, |v| v as usize, labels, subset)
+}
+
+/// [`accuracy`] over logits whose row `row_of(v)` is vertex `v`'s: each
+/// entry of `subset` counts once, a repeated vertex as often as it is
+/// repeated.
+pub(crate) fn accuracy_at(
+    logits: &Matrix,
+    row_of: impl Fn(VId) -> usize,
+    labels: &[u32],
+    subset: &[VId],
+) -> f64 {
     if subset.is_empty() {
         return 0.0;
     }
     let pred = logits.argmax_rows();
     let correct = subset
         .iter()
-        .filter(|&&v| pred[v as usize] == labels[v as usize] as usize)
+        .filter(|&&v| pred[row_of(v)] == labels[v as usize] as usize)
         .count();
     correct as f64 / subset.len() as f64
 }

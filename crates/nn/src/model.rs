@@ -15,7 +15,8 @@
 
 use crate::agg::{self, Adjacency, SourceMajor};
 use crate::workspace::Workspace;
-use gnn_dm_graph::csr::Csr;
+use gnn_dm_graph::csr::{Csr, VId};
+use gnn_dm_graph::traversal::VertexBits;
 use gnn_dm_sampling::MiniBatch;
 use gnn_dm_tensor::{init, ops, Matrix};
 
@@ -157,9 +158,10 @@ impl GnnModel {
 
     /// Layer `l`: aggregate `row`'s rows over `adj` with the model's
     /// family, then the dense half `agg · W + b` and, on every layer but
-    /// the last (whose output are the logits), ReLU in place. With `keep`
-    /// the aggregation output goes to the cache. Without it (inference) it
-    /// is produced and multiplied an [`INFER_BLOCK`] at a time, so no more
+    /// the last (whose output are the logits), ReLU — both applied by the
+    /// product as it finishes each row panel (`ops::matmul_bias_into`).
+    /// With `keep` the aggregation output goes to the cache. Without it
+    /// (inference) it is produced and multiplied an [`INFER_BLOCK`] at a time, so no more
     /// than one such block of it ever exists: the full-graph aggregation of
     /// a wide feature table would otherwise be the largest allocation of a
     /// training run. Rows are independent in both kernels, so the blocks
@@ -174,12 +176,13 @@ impl GnnModel {
         ws: &mut Workspace,
     ) -> Matrix {
         let (rows, width) = (adj.num_rows(), Self::agg_width_for(self.kind, self.dims[l]));
-        let (w, out) = (&self.layers[l].w, self.dims[l + 1]);
-        let mut h = if keep {
+        let (DenseLayer { w, b }, out) = (&self.layers[l], self.dims[l + 1]);
+        let relu = l + 1 < self.num_layers();
+        if keep {
             let mut agg_out = ws.take(rows, width);
             self.aggregate(adj, 0, row, &mut agg_out);
             let mut h = ws.take(rows, out);
-            ops::matmul_into(&agg_out, w, &mut h);
+            ops::matmul_bias_into(&agg_out, w, b, relu, &mut h);
             cache.aggs.push(agg_out);
             h
         } else {
@@ -189,27 +192,24 @@ impl GnnModel {
                 let n = (rows - first).min(block);
                 let (mut agg_out, mut z) = (ws.take(n, width), ws.take(n, out));
                 self.aggregate(adj, first, &row, &mut agg_out);
-                ops::matmul_into(&agg_out, w, &mut z);
+                ops::matmul_bias_into(&agg_out, w, b, relu, &mut z);
                 h.as_mut_slice()[first * out..][..n * out].copy_from_slice(z.as_slice());
                 ws.give_all([agg_out, z]);
             }
             h
-        };
-        ops::add_bias(&mut h, &self.layers[l].b);
-        if l + 1 < self.num_layers() {
-            ops::relu_in_place(&mut h);
         }
-        h
     }
 
     /// The one forward loop: layer `l` aggregates over `adj_at(l)`. Layer 0
     /// reads its input rows from `row0` — a matrix, or the feature table in
-    /// place — and every later layer from the previous layer's output. With
-    /// `keep` the cache backward needs is filled; without it every
-    /// intermediate goes back to `ws` once used.
+    /// place — and every later layer from the previous layer's output, input
+    /// row `s` of layer `l` being row `out_row(l - 1, s)` of it. With `keep`
+    /// the cache backward needs is filled; without it every intermediate
+    /// goes back to `ws` once used.
     fn forward_layers<'a, 'g, A: Adjacency + 'g>(
         &self,
         adj_at: impl Fn(usize) -> &'g A,
+        out_row: impl Fn(usize, usize) -> usize + Sync,
         row0: impl Fn(usize) -> &'a [f32] + Sync,
         keep: bool,
         ws: &mut Workspace,
@@ -217,7 +217,8 @@ impl GnnModel {
         let mut cache = ForwardCache { aggs: Vec::new(), outs: Vec::new() };
         let mut h = self.layer(0, adj_at(0), row0, keep, &mut cache, ws);
         for l in 1..self.num_layers() {
-            let next = self.layer(l, adj_at(l), |s| h.row(s), keep, &mut cache, ws);
+            let row = |s| h.row(out_row(l - 1, s));
+            let next = self.layer(l, adj_at(l), row, keep, &mut cache, ws);
             let input = std::mem::replace(&mut h, next);
             if keep {
                 cache.outs.push(input);
@@ -305,7 +306,7 @@ impl GnnModel {
         ws: &mut Workspace,
     ) -> (Matrix, ForwardCache) {
         assert_eq!(mb.num_layers(), self.num_layers(), "batch/model layer mismatch");
-        self.forward_layers(|l| &mb.blocks[l], row0, true, ws)
+        self.forward_layers(|l| &mb.blocks[l], |_, s| s, row0, true, ws)
     }
 
     /// Mini-batch backward pass: gradients for every layer given the loss
@@ -344,7 +345,33 @@ impl GnnModel {
         in_csr: &Csr,
         features: impl Fn(usize) -> &'a [f32] + Sync,
     ) -> Matrix {
-        self.forward_layers(|_| in_csr, features, false, &mut Workspace::default()).0
+        self.forward_layers(|_| in_csr, |_, v| v, features, false, &mut Workspace::default()).0
+    }
+
+    /// The logits of the vertices in `subset`, bit for bit the rows
+    /// [`Self::full_forward`] computes for them, from a forward over their
+    /// receptive field alone: the last layer computes the rows of the
+    /// distinct vertices of `subset`, and each layer below it the rows the
+    /// one above reads — those rows again, plus their in-neighbors in
+    /// `in_csr`. A row goes through the same kernels, reading the same
+    /// rows in the same adjacency order, as it does in the full forward, so
+    /// its bits cannot differ. `features` as in [`Self::full_forward`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a vertex of `subset` is not a vertex of `in_csr`.
+    pub fn subset_forward<'a>(
+        &self,
+        in_csr: &Csr,
+        features: impl Fn(usize) -> &'a [f32] + Sync,
+        subset: &[VId],
+    ) -> SubsetLogits {
+        let mut layers = receptive_field(in_csr, subset, self.num_layers());
+        let out_row = |l: usize, v: usize| layers[l].pos[v] as usize;
+        let ws = &mut Workspace::default();
+        let (logits, _) = self.forward_layers(|l| &layers[l], out_row, features, false, ws);
+        let pos = layers.pop().map(|top| top.pos);
+        SubsetLogits { logits, pos: pos.unwrap_or_default() }
     }
 
     /// Full-graph forward pass that keeps the caches backward needs — the
@@ -356,7 +383,7 @@ impl GnnModel {
         in_csr: &Csr,
         features: impl Fn(usize) -> &'a [f32] + Sync,
     ) -> (Matrix, ForwardCache) {
-        self.forward_layers(|_| in_csr, features, true, &mut Workspace::default())
+        self.forward_layers(|_| in_csr, |_, v| v, features, true, &mut Workspace::default())
     }
 
     /// Full-graph backward pass matching [`Self::forward_full_cached`].
@@ -386,6 +413,91 @@ impl GnnModel {
         }
         out
     }
+}
+
+/// The logits [`GnnModel::subset_forward`] computes: one row per distinct
+/// vertex of the subset, in ascending vertex order.
+pub struct SubsetLogits {
+    /// The logit rows.
+    pub logits: Matrix,
+    /// `pos[v]`: the row of vertex `v`, for `v` in the subset.
+    pos: Vec<u32>,
+}
+
+impl SubsetLogits {
+    /// The row of [`Self::logits`] holding vertex `v`'s logits. `v` must be a
+    /// vertex of the subset; for another the result is unspecified.
+    pub fn row_of(&self, v: VId) -> usize {
+        self.pos[v as usize] as usize
+    }
+}
+
+/// One layer of a receptive-field forward: output row `i` is vertex
+/// `rows[i]`'s, aggregated over its in-CSR row, whose input rows are named
+/// by vertex id.
+struct FieldLayer<'g> {
+    in_csr: &'g Csr,
+    /// The layer's vertices, ascending.
+    rows: Vec<VId>,
+    /// `pos[v]`: the output row of vertex `v`, for `v` in `rows`.
+    pos: Vec<u32>,
+}
+
+impl<'g> FieldLayer<'g> {
+    /// The vertices `rows`, ascending.
+    fn new(in_csr: &'g Csr, rows: Vec<VId>) -> Self {
+        let mut pos = vec![0; in_csr.num_vertices()];
+        for (i, &v) in (0u32..).zip(&rows) {
+            pos[v as usize] = i;
+        }
+        FieldLayer { in_csr, rows, pos }
+    }
+}
+
+impl Adjacency for FieldLayer<'_> {
+    fn num_rows(&self) -> usize {
+        self.rows.len()
+    }
+    #[inline]
+    fn self_of(&self, i: usize) -> usize {
+        self.rows[i] as usize
+    }
+    fn neighbors_of(&self, i: usize) -> &[u32] {
+        self.in_csr.neighbors(self.rows[i])
+    }
+}
+
+/// The rows each of `num_layers` layers must compute for the logits of
+/// `subset`, input-most layer first: the last layer's field is the distinct
+/// vertices of `subset`, and each layer's the field above it plus that
+/// field's in-neighbors, read off one bitmap.
+///
+/// # Panics
+///
+/// Panics if a vertex of `subset` is not a vertex of `in_csr`.
+fn receptive_field<'g>(in_csr: &'g Csr, subset: &[VId], num_layers: usize) -> Vec<FieldLayer<'g>> {
+    let n = in_csr.num_vertices();
+    let mut seen = VertexBits::new(n);
+    for &v in subset {
+        assert!((v as usize) < n, "vertex {v} is not a vertex of a {n}-vertex graph");
+        seen.insert(v);
+    }
+    let mut layers: Vec<FieldLayer<'g>> = Vec::with_capacity(num_layers);
+    for _ in 0..num_layers {
+        if let Some(above) = layers.last() {
+            for &v in &above.rows {
+                seen.insert(v);
+                for &u in in_csr.neighbors(v) {
+                    seen.insert(u);
+                }
+            }
+        }
+        let mut rows = Vec::new();
+        seen.drain_into(&mut rows);
+        layers.push(FieldLayer::new(in_csr, rows));
+    }
+    layers.reverse();
+    layers
 }
 
 impl Gradients {

@@ -3,7 +3,7 @@
 
 use crate::loss::{softmax_cross_entropy, softmax_cross_entropy_into};
 use crate::metrics;
-use crate::model::{ForwardCache, GnnModel};
+use crate::model::{ForwardCache, GnnModel, SubsetLogits};
 use crate::optim::Optimizer;
 use crate::workspace::Workspace;
 use gnn_dm_graph::csr::VId;
@@ -192,9 +192,20 @@ pub fn full_logits(model: &GnnModel, graph: &Graph) -> Matrix {
     model.full_forward(&graph.inn, table_rows(graph))
 }
 
-/// Full-graph validation/test accuracy via exact inference.
+/// Exact logits of the vertices in `subset`, straight off the feature
+/// table, from a forward over their receptive field alone
+/// ([`GnnModel::subset_forward`]): bit for bit their rows of
+/// [`full_logits`].
+pub fn subset_logits(model: &GnnModel, graph: &Graph, subset: &[VId]) -> SubsetLogits {
+    model.subset_forward(&graph.inn, table_rows(graph), subset)
+}
+
+/// Validation/test accuracy via exact inference: `metrics::accuracy` of
+/// [`full_logits`] on `subset`, bit for bit, computing only the rows the
+/// subset's logits depend on ([`subset_logits`]).
 pub fn evaluate(model: &GnnModel, graph: &Graph, subset: &[VId]) -> f64 {
-    metrics::accuracy(&full_logits(model, graph), &graph.labels, subset)
+    let sub = subset_logits(model, graph, subset);
+    metrics::accuracy_at(&sub.logits, |v| sub.row_of(v), &graph.labels, subset)
 }
 
 #[cfg(test)]

@@ -128,11 +128,6 @@ impl Matrix {
         out
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Index of the maximum element in each row (ties go to the first).
     pub fn argmax_rows(&self) -> Vec<usize> {
         (0..self.rows)

@@ -337,6 +337,34 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
 ///
 /// Panics on a shape mismatch.
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    matmul_epilogue_into(a, b, None, out);
+}
+
+/// `out = A · B + bias` (the bias row added to every row), then ReLU in
+/// place when `relu`: bit for bit [`matmul_into`], [`add_bias`] and, when
+/// `relu`, [`relu_in_place`] — a dense layer's `ReLU(X · W + b)` — in one
+/// pass over `out`: each row panel gets its bias and its clamp right after
+/// its tiles store it, while it is still in cache, by the worker that
+/// computed it.
+///
+/// # Panics
+///
+/// Panics on a shape mismatch or a bias whose length is not `b.cols()`.
+pub fn matmul_bias_into(a: &Matrix, b: &Matrix, bias: &[f32], relu: bool, out: &mut Matrix) {
+    assert_eq!(b.cols(), bias.len(), "bias length must equal cols");
+    matmul_epilogue_into(a, b, Some((bias, relu)), out);
+}
+
+/// The one `A · B` body; [`matmul_into`] is its instance without an
+/// epilogue. With `Some((bias, relu))` every finished row panel becomes
+/// `x + bias[j]` (one rounding, the `+=` of [`add_bias`]), clamped
+/// `x < 0 → +0.0` when `relu` (the comparison of [`relu_in_place`]).
+fn matmul_epilogue_into(
+    a: &Matrix,
+    b: &Matrix,
+    epilogue: Option<(&[f32], bool)>,
+    out: &mut Matrix,
+) {
     assert_eq!(a.cols(), b.rows(), "matmul shape mismatch: {:?} x {:?}", a.shape(), b.shape());
     assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul output shape");
     let (k, n) = b.shape();
@@ -346,6 +374,16 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         let i0 = ci * TILE_M;
         let a_panel = APanel::Rows(&a_slice[i0 * k..], k);
         b_view.accumulate(0, k, a_panel, c_chunk, c_chunk.len() / n, true);
+        if let Some((bias, relu)) = epilogue {
+            for row in c_chunk.chunks_mut(n) {
+                for (x, &bv) in row.iter_mut().zip(bias) {
+                    *x += bv;
+                    if relu && *x < 0.0 {
+                        *x = 0.0;
+                    }
+                }
+            }
+        }
     });
 }
 

@@ -77,6 +77,7 @@ if [[ "$(uname -m)" == x86_64 ]]; then
     }
     portable_test -p gnn-dm-tensor -p gnn-dm-nn
     portable_test -p gnn-dm --test par_equivalence
+    portable_test -p gnn-dm --test evaluation
     echo "    portable build and tests added $((SECONDS - portable_start)) s"
 fi
 
